@@ -1,21 +1,25 @@
-"""SHARD-SCALING: completion time of the sharded pipeline vs. shard count.
+"""SHARD-SCALING: completion time under ``shards=N`` vs. shard count.
 
-The paper's transformation is a single background pipeline; `repro.shard`
-partitions its population and propagation across N key-space shards that
-each get the full per-step budget (the own-core cost model -- see
-``repro/shard/coordinator.py``).  This bench sweeps N in {1, 2, 4, 8} on
-the split scenario at a *fixed* workload and checks:
+The paper's transformation is a single background pipeline; ``shards=N``
+interleaves its population across N key-space shards and charges each
+routed propagation apply to its key's shard account, so a step costs
+what the busiest of N cores would spend (the own-core cost model -- see
+``Transformation._propagate_batch``).  All numbers here are in
+*simulated* milliseconds; the log is read once, in LSN order, on one
+thread whatever N is.  This bench sweeps N in {1, 2, 4, 8} on the split
+scenario at a *fixed* workload and checks:
 
 * completion time strictly decreases from N=1 through N=4 (and in
-  practice through N=8, though skips -- which every shard pays, since the
-  log is shared -- bound the speed-up below 1/N, Amdahl-style);
-* N=1 never builds a coordinator, so it must match the unsharded
-  (pre-sharding) pipeline's completion time within 5%.
+  practice through N=8, though the serial share -- skipped records, end
+  records, markers, unrouted applies -- bounds the speed-up below 1/N,
+  Amdahl-style);
+* N=1 keeps no shard accounts, so it must match the option-less
+  pipeline's completion time within 5%.
 
 Outputs: ``BENCH_shard_scaling.json`` at the repo root (the perf
 trajectory / CI drift-gate file), a structured table under
 ``benchmarks/results/shard_scaling.json`` and an observed N=2 run report
-with per-shard convergence series under
+with the per-shard accounting summary under
 ``benchmarks/results/shard_scaling.report.json``.
 """
 
@@ -78,7 +82,7 @@ def averaged_completion(shards: Optional[int]) -> float:
 
 
 def sweep() -> Dict[str, object]:
-    baseline = averaged_completion(None)  # the unsharded code path
+    baseline = averaged_completion(None)  # no shards option at all
     rows: List[List[object]] = []
     for n in SHARD_COUNTS:
         t = averaged_completion(n)
@@ -87,7 +91,8 @@ def sweep() -> Dict[str, object]:
 
 
 def shard_report() -> Dict[str, object]:
-    """One observed N=2 run: per-shard spans + convergence in the report."""
+    """One observed N=2 run: spans, the (one) convergence series and the
+    per-shard accounting summary in the report."""
     run = run_once(shard_builder(2),
                    replace(SETTINGS, seed=0, with_transformation=True,
                            observe=True, series_bucket_ms=5.0))
@@ -95,7 +100,6 @@ def shard_report() -> Dict[str, object]:
         "shards=2", run,
         meta={"shards": 2, "rows": ROWS, "n_clients": SETTINGS.n_clients,
               "priority": SETTINGS.priority})
-    section["shard_convergence"] = run.info.get("shard_convergence")
     section["shard_summary"] = run.info.get("shard_summary")
     return build_run_report(
         "shard_scaling", [section],
@@ -153,5 +157,5 @@ if __name__ == "__main__":
     path = save_run_report("shard_scaling.report", shard_report())
     print(json.dumps({"completion_ms": payload["completion_ms"],
                       "speedup": payload["speedup"]}, indent=2))
-    print(f"per-shard run report written to {path}")
+    print(f"N=2 run report written to {path}")
     print(f"trajectory written to {REPO_ROOT / 'BENCH_shard_scaling.json'}")

@@ -106,10 +106,9 @@ from repro.wal.records import (
 RowDict = Dict[str, object]
 
 #: Operators the sweep exercises (FOJ and split, Sections 4 and 5).
-#: ``name@N`` runs the same scenario through an N-way sharded pipeline
-#: (:mod:`repro.shard`), adding the shard-scoped crash sites -- partial
-#: population, mid-window shard crashes, barrier and merge crashes -- to
-#: the sweep's coverage.  ``name:lazy`` runs the scenario with
+#: ``name@N`` runs the same scenario with ``shards=N``
+#: (:mod:`repro.shard`), adding the shard-scoped crash sites -- shard
+#: planning and partial sharded population -- to the sweep's coverage.  ``name:lazy`` runs the scenario with
 #: access-triggered population (``population_mode="lazy"``), interleaving
 #: user reads with small sweep steps so both migrate-on-read crash sites
 #: (``lazy.miss.transform``, ``lazy.sweep.chunk``) are crossed; the two
@@ -375,7 +374,7 @@ class ScenarioRun:
                             ("S", (2,))]
         self._mutations = [
             # The S update first: it lands while log propagation is still
-            # running, which in the sharded pipeline makes it a barrier
+            # running, which under shards > 1 makes it an unrouted
             # record (S rows fan out across every shard's carriers).
             lambda: self._txn_do([("u", "S", (1,), {"d": "dX"})]),
             lambda: self._txn_do(
@@ -723,7 +722,7 @@ class ScenarioRun:
 
         if self.population_mode == "lazy":
             # One deliberately tiny first step keeps POPULATING open
-            # (the coordinator multiplies the budget by the shard count,
+            # (the step driver multiplies the budget by the shard count,
             # so even budget 1 sweeps a few rows), and the interleaved
             # reads then hit not-yet-migrated source records, crossing
             # the migrate-on-read crash sites.

@@ -310,10 +310,6 @@ class PlanStepper:
         if self._tf is not None:
             self._tf.abort()
 
-    def shard_convergence(self) -> Dict[str, object]:
-        """Delegate to the current step's transformation (sim reporting)."""
-        return self._tf.shard_convergence() if self._tf is not None else {}
-
     def shard_summary(self) -> Dict[str, object]:
         """Delegate to the current step's transformation (sim reporting)."""
         return self._tf.shard_summary() if self._tf is not None else {}

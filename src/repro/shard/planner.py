@@ -1,18 +1,19 @@
 """Deterministic hash partitioning of a transformation's key space.
 
-The sharded engine (:mod:`repro.shard`) splits the work of one
-transformation -- initial population and log propagation -- across ``N``
-*key-space shards*.  Everything downstream (which rowids a shard scans,
-which log records a shard applies) is derived from one function: a stable
-hash of the routing key.  Stability matters twice over:
+``TransformOptions(shards=N)`` splits the work of one transformation --
+initial population and log propagation -- across ``N`` *key-space
+shards*.  Everything downstream (which rowids a shard scans, which shard
+account an applied log record is charged to) is derived from one
+function: a stable hash of the routing key.  Stability matters twice
+over:
 
 * **across processes** -- Python's built-in ``hash`` for strings is salted
   per process (``PYTHONHASHSEED``), so it would assign rows to different
   shards on every run; the planner hashes ``repr`` bytes through CRC-32
   instead, which is deterministic everywhere;
-* **across phases** -- the populator and the propagator must agree: the
-  shard that populated row ``k`` must be the shard that propagates log
-  records about ``k``, or rule applications would race their own initial
+* **across phases** -- population and propagation must agree: the shard
+  that populated row ``k`` must be the shard charged for log records
+  about ``k``, or concurrent appliers would race their own initial
   image.  Both sides call the same :meth:`ShardPlanner.shard_of`.
 """
 
@@ -21,7 +22,12 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterable, List, Tuple
 
+from repro.faults import register_site
 from repro.storage.table import Table
+
+SITE_SHARD_PLAN = register_site(
+    "shard.plan", "shard",
+    "before a source table's rowids are partitioned into the shard map")
 
 
 def stable_shard_hash(key: Tuple) -> int:
@@ -38,8 +44,8 @@ class ShardPlanner:
     """Maps routing keys (and table rowids) to one of ``n_shards`` shards.
 
     The planner is pure bookkeeping -- it holds no table references and no
-    mutable state, so one instance can be shared by the populator, every
-    per-shard propagator and the coordinator.
+    mutable state, so one instance is shared by the populators, the lazy
+    sweepers and the propagation loop's shard accounts.
     """
 
     def __init__(self, n_shards: int) -> None:

@@ -12,8 +12,8 @@ hands out their chunks round-robin.
 The round-robin interleave is what makes the parallel cost model honest:
 after any prefix of ``k`` chunks, every shard has produced either
 ``ceil(k/N)`` or ``floor(k/N)`` of them, so work the operator does per
-chunk is spread evenly across shards and the coordinator may report the
-per-shard maximum (``~ total / N``) as the parallel wall-clock cost.
+chunk is spread evenly across shards and the step driver may report the
+per-shard share (``~ total / N``) as the parallel wall-clock cost.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class ShardedPopulator:
             scan_factory(table, rowids)
             for rowids in planner.partition_rowids(table)
         ]
-        #: Rows handed out per shard (the coordinator reads this to
-        #: derive the parallel cost of a population step).
+        #: Rows handed out per shard (``Transformation.shard_summary``).
         self.rows_per_shard: List[int] = [0] * planner.n_shards
         self._next_shard = 0
 

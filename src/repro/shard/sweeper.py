@@ -64,7 +64,7 @@ class LazySweeper:
         self._cursors: List[int] = [0] * planner.n_shards
         #: Rowids migrated (by the sweeper or on access).
         self._claimed: Set[int] = set()
-        #: Rows handed out per shard (coordinator cost accounting).
+        #: Rows handed out per shard (``Transformation.shard_summary``).
         self.rows_per_shard: List[int] = [0] * planner.n_shards
         #: Rows migrated on access rather than by the sweeper.
         self.miss_claims = 0

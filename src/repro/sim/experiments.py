@@ -417,8 +417,6 @@ def run_once(scenario_builder: Callable[[int], Scenario],
             "spans": None if obs is None else obs.spans.tree(),
             "convergence": None if getattr(tf, "convergence", None) is None
             else tf.convergence.series(),
-            "shard_convergence": None if tf is None
-            else tf.shard_convergence() or None,
             "shard_summary": None if tf is None
             else tf.shard_summary() or None,
             "series": metrics.series(),

@@ -33,6 +33,8 @@ it to completion for single-threaded use.
 from __future__ import annotations
 
 import itertools
+import math
+from operator import sub
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -49,6 +51,12 @@ from repro.engine.fuzzy import FuzzyScan
 from repro.faults import DelayFault, FaultInjector, register_site
 from repro.obs import ConvergenceMonitor, Metrics
 from repro.obs.spans import Span
+from repro.shard import (
+    SITE_SHARD_PLAN,
+    LazySweeper,
+    ShardedPopulator,
+    ShardPlanner,
+)
 from repro.storage.table import Table
 from repro.transform.analysis import (
     Decision,
@@ -65,7 +73,6 @@ from repro.wal.records import (
     InsertRecord,
     LogRecord,
     UpdateRecord,
-    data_change_of,
 )
 
 _transform_counter = itertools.count(1)
@@ -93,8 +100,8 @@ SITE_TF_PROPAGATE_BATCH = register_site(
     "before each bounded log-propagation batch")
 SITE_TF_PROPAGATE_GROUP = register_site(
     "tf.propagate.group", "transform",
-    "inside the batched propagation loop, before a fetched record "
-    "group is classified and applied")
+    "inside the propagation loop, before a fetched log slice is "
+    "classified and applied")
 SITE_TF_ITERATION_END = register_site(
     "tf.iteration.end", "transform",
     "end of a propagation iteration, before the analysis runs")
@@ -193,7 +200,7 @@ class RuleEngine:
     source_tables: Tuple[str, ...] = ()
 
     #: Record classes :meth:`handle_marker` actually consumes, or ``None``
-    #: for "unknown -- call it for every non-data record".  The batched
+    #: for "unknown -- call it for every non-data record".  The
     #: propagation loop uses this to skip the call for begin/commit/abort
     #: records an engine provably ignores; engines overriding
     #: :meth:`handle_marker` should declare their classes here (see
@@ -239,26 +246,19 @@ class RuleEngine:
         """Consume a non-data record (CC marks etc.); default: ignore."""
 
     def shard_route(self, change: LogRecord) -> Optional[Tuple]:
-        """Routing key for hash-sharded propagation (:mod:`repro.shard`).
+        """Routing key for the per-shard cost accounts (:mod:`repro.shard`).
 
-        Return the key tuple whose hash decides which shard applies this
-        data change, or ``None`` for records that must be applied as a
-        cross-shard *barrier* (they touch target rows owned by several
-        shards).  The contract: two records returning routing keys that
-        hash to different shards may be applied in either relative order
-        without changing the converged target state.  The conservative
-        default routes nothing, so an engine without an override runs
-        correctly -- every record a barrier -- just without parallelism.
+        Return the key tuple whose hash names the shard account this
+        data change is charged to, or ``None`` for records no single
+        shard owns (they touch target rows of several shards and are
+        charged serially).  The contract: two records returning routing
+        keys that hash to different shards may be applied in either
+        relative order without changing the converged target state --
+        what would let N appliers run them concurrently.  The
+        conservative default routes nothing, so an engine without an
+        override is charged exactly like ``shards=1``.
         """
         return None
-
-    def marker_scope(self, record: LogRecord) -> str:
-        """Sharding scope of a non-data record: ``"ignore"`` markers are
-        skipped by every shard without reaching :meth:`handle_marker`;
-        ``"global"`` markers are applied once, as a barrier.  The default
-        matches the base ``handle_marker`` (a no-op): ignore everything.
-        """
-        return "ignore"
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
                     lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
@@ -301,11 +301,11 @@ class Transformation:
         options: A :class:`~repro.transform.options.TransformOptions`
             carrying every knob (sync strategy, shards, batch sizes,
             flush policy, metrics, faults, analysis policy, id).
-            ``options.shards > 1`` delegates population and propagation
-            to a :class:`~repro.shard.coordinator.ShardCoordinator`,
-            which merges back to a single cursor before synchronization,
-            so the Section 3.4 strategies and the lock mirroring are
-            identical either way.
+            ``options.shards`` and ``options.propagation_batch`` are
+            parameter values of the one propagation loop
+            (:meth:`_propagate_batch`), not separate pipelines: there is
+            one log cursor whatever they are set to, so the Section 3.4
+            strategies and the lock mirroring are identical either way.
 
     Subclass contract -- implement:
 
@@ -326,40 +326,24 @@ class Transformation:
         self.db = db
         self.transform_id = self.options.transform_id or \
             f"{self.kind or 'tf'}-{next(_transform_counter)}"
+        #: The analysis policy stays an attribute (unlike the other
+        #: options, read from ``self.options`` where they are used):
+        #: policies carry state.
         self.policy = self.options.policy or RemainingRecordsPolicy()
-        self.sync_strategy = self.options.sync_strategy
-        self.population_chunk = int(self.options.population_chunk)
-        #: Records fetched and grouped per propagation batch; 1 runs the
-        #: original record-at-a-time loop.
-        self.propagation_batch = int(self.options.propagation_batch)
-        self.shards = int(self.options.shards)
-        #: ``"eager"`` (fuzzy snapshot scan) or ``"lazy"``
-        #: (migrate-on-read + budgeted background sweeper).
-        self.population_mode = str(self.options.population_mode)
-        #: ``"latch"`` (the paper's design: dirty fuzzy reads repaired by
-        #: LSN-guarded propagation, latched sync windows) or ``"mvcc"``
-        #: (snapshot-isolation reads over the version overlay; enables the
-        #: ``version_flip`` synchronization strategy).
-        self.storage = str(self.options.storage)
-        if self.storage == "mvcc":
-            db.enable_mvcc()
         #: Snapshot pinned for the whole initial population under the
         #: MVCC backend; ``None`` before population and under latch mode.
         self._population_snapshot = None
-        if self.options.metrics is not None:
-            db.attach_metrics(self.options.metrics)
-        if self.options.faults is not None:
-            db.attach_faults(self.options.faults)
-        if self.options.flush_policy is not None:
-            db.log.flush_policy = self.options.flush_policy
-        #: The sharded-execution coordinator; built lazily at population
-        #: begin (and only for ``shards > 1``), so ``shards=1`` pays
-        #: nothing and runs the original code path.
-        self._coordinator = None
+        #: The shard map shared by sharded population, the lazy sweeper
+        #: and propagation's per-shard cost accounts; built at
+        #: population begin.
+        self._planner = None
+        #: Routed applies charged to each shard account, and applies no
+        #: single shard owns (``shard_route`` returned ``None``).  The
+        #: list stays empty for ``shards=1``, which therefore never
+        #: calls the router or the planner hash.
+        self._shard_applied: List[int] = []
+        self._unrouted_applied = 0
 
-        #: Observability registry, inherited from the database so one
-        #: attachment covers the engine and the transformation it runs.
-        self.metrics: Metrics = db.metrics
         #: Span bookkeeping: the transformation root, the span of the
         #: current phase, and the span of the current propagation
         #: iteration.  All ``None`` until the root is opened lazily at
@@ -373,10 +357,7 @@ class Transformation:
         #: Override parent for batch spans (the sync executors point it
         #: at the latched-window span while the window is open).
         self._span_parent_hint: Optional[Span] = None
-        #: Per-iteration propagation-lag series (Section 3.3's three
-        #: analyses); populated by :meth:`_finish_iteration`.
-        self.convergence = ConvergenceMonitor(self.metrics,
-                                              self.transform_id)
+        self._attach_options()
         #: LSN of the begin fuzzy mark: the zero point of the
         #: produced-records side of the convergence series.
         self._propagation_base_lsn = NULL_LSN
@@ -418,32 +399,37 @@ class Transformation:
 
         The supervisor uses this to override each attempt's factory
         configuration wholesale.  Rejected once population has begun:
-        the shard coordinator and fuzzy scans are built from these knobs.
+        the shard map and the population scans are built from these
+        knobs.
         """
         self._expect(Phase.CREATED, Phase.PREPARED)
         self.options = options
         self.policy = options.policy or self.policy
-        self.sync_strategy = options.sync_strategy
-        self.population_chunk = int(options.population_chunk)
-        self.propagation_batch = int(options.propagation_batch)
-        self.shards = int(options.shards)
-        self.population_mode = str(options.population_mode)
-        self.storage = str(options.storage)
-        if self.storage == "mvcc":
-            self.db.enable_mvcc()
         if options.transform_id:
             self.transform_id = options.transform_id
-            self.convergence = ConvergenceMonitor(self.metrics,
-                                                  self.transform_id)
+        self._attach_options()
+
+    def _attach_options(self) -> None:
+        """Install what ``self.options`` carries for the database (MVCC
+        overlay, metrics, faults, flush policy) and rebuild what hangs
+        off the result; shared by construction and :meth:`apply_options`.
+        """
+        options, db = self.options, self.db
+        if options.storage == "mvcc":
+            db.enable_mvcc()
         if options.metrics is not None:
-            self.db.attach_metrics(options.metrics)
-            self.metrics = options.metrics
-            self.convergence = ConvergenceMonitor(self.metrics,
-                                                  self.transform_id)
+            db.attach_metrics(options.metrics)
         if options.faults is not None:
-            self.db.attach_faults(options.faults)
+            db.attach_faults(options.faults)
         if options.flush_policy is not None:
-            self.db.log.flush_policy = options.flush_policy
+            db.log.flush_policy = options.flush_policy
+        #: Observability registry, inherited from the database so one
+        #: attachment covers the engine and the transformation it runs.
+        self.metrics: Metrics = db.metrics
+        #: Per-iteration propagation-lag series (Section 3.3's three
+        #: analyses); populated by :meth:`_finish_iteration`.
+        self.convergence = ConvergenceMonitor(self.metrics,
+                                              self.transform_id)
 
     # ------------------------------------------------------------------
     # Phase tracking + span lifecycle
@@ -499,7 +485,8 @@ class Transformation:
             return
         self._tf_span = self.metrics.begin_span(
             "tf", parent=self._span_parent, transform=self.transform_id,
-            kind=self.kind or "tf", strategy=self.sync_strategy.value)
+            kind=self.kind or "tf",
+            strategy=self.options.sync_strategy.value)
         self._phase_span = self.metrics.begin_span(
             "tf.phase." + self.phase.value, parent=self._tf_span,
             transform=self.transform_id)
@@ -577,7 +564,8 @@ class Transformation:
     # ------------------------------------------------------------------
 
     def _begin_population(self) -> None:
-        lazy = self.population_mode == "lazy"
+        options = self.options
+        lazy = options.population_mode == "lazy"
         if lazy and not (self.engine is not None
                          and self.engine.supports_lazy):
             raise TransformationError(
@@ -593,15 +581,26 @@ class Transformation:
         self._propagation_base_lsn = mark_lsn
         oldest = self.db.txns.oldest_first_lsn(active)
         self._cursor = oldest if oldest != NULL_LSN else mark_lsn
-        if self.shards > 1 and self._coordinator is None:
-            from repro.shard import ShardCoordinator
-            self._coordinator = ShardCoordinator(self, self.shards)
+        shards = options.shards
+        self._planner = ShardPlanner(shards)
+        if shards > 1:
+            self._shard_applied = [0] * shards
         for name in self.source_tables:
             table = self.db.catalog.get(name)
+            if shards > 1:
+                self.faults.fire(SITE_SHARD_PLAN, table=table.name,
+                                 shards=shards)
             if lazy:
-                self._scans[name] = self._make_sweeper(table)
-            elif self._coordinator is not None:
-                self._scans[name] = self._coordinator.make_populator(table)
+                # Access-triggered claims and the sweeper's per-shard
+                # high-water cursors partition the key space exactly
+                # like eager sharded population would.
+                self._scans[name] = LazySweeper(
+                    table, options.population_chunk, self._planner,
+                    faults=self.faults, metrics=self.metrics)
+            elif shards > 1:
+                self._scans[name] = ShardedPopulator(
+                    table, options.population_chunk, self._planner,
+                    faults=self.faults, scan_factory=self._make_scan)
             else:
                 self._scans[name] = self._make_scan(table)
         if lazy:
@@ -619,17 +618,17 @@ class Transformation:
         state -- no lock-ignoring dirty reads.  Sharded population calls
         this once per shard with that shard's ``rowids``.
         """
-        if self.storage == "mvcc":
+        chunk = self.options.population_chunk
+        if self.options.storage == "mvcc":
             from repro.storage.mvcc import SnapshotScan
             mvcc = self.db.mvcc
             assert mvcc is not None
             if self._population_snapshot is None:
                 self._population_snapshot = mvcc.pin(owner=self.transform_id)
             return SnapshotScan(mvcc.versioned(table),
-                                self._population_snapshot,
-                                self.population_chunk, rowids=rowids,
-                                faults=self.faults)
-        return FuzzyScan(table, self.population_chunk, rowids=rowids)
+                                self._population_snapshot, chunk,
+                                rowids=rowids, faults=self.faults)
+        return FuzzyScan(table, chunk, rowids=rowids)
 
     def _release_population_snapshot(self) -> None:
         """Unpin the population snapshot (population done, or abort)."""
@@ -638,15 +637,6 @@ class Transformation:
         assert self.db.mvcc is not None
         self.db.mvcc.release(self._population_snapshot)
         self._population_snapshot = None
-
-    def _make_sweeper(self, table: Table):
-        """Build the lazy-mode sweeper for one source table."""
-        from repro.shard import LazySweeper, ShardPlanner
-        if self._coordinator is not None:
-            return self._coordinator.make_sweeper(table)
-        return LazySweeper(table, self.population_chunk,
-                           ShardPlanner(1), faults=self.faults,
-                           metrics=self.metrics)
 
     def _install_lazy_hook(self) -> None:
         from repro.transform.lazy import LazyMigrator
@@ -673,16 +663,6 @@ class Transformation:
         :class:`~repro.shard.sweeper.LazySweeper`.
         """
         return self._scans[name]
-
-    def _population_dispatch(self, budget: int) -> Tuple[int, bool]:
-        """One population step, routed by population mode.
-
-        Called by the step driver and by the shard coordinator; returns
-        ``(units, finished)`` like :meth:`_population_step`.
-        """
-        if self.population_mode == "lazy":
-            return self._lazy_population_step(budget)
-        return self._population_step(budget)
 
     def _lazy_population_step(self, budget: int) -> Tuple[int, bool]:
         """Background-sweeper drain: migrate up to ``budget`` unmigrated
@@ -758,30 +738,117 @@ class Transformation:
         ``budget`` cost units; returns the units consumed (an applied
         record costs 1.0, a skipped one :data:`SKIP_UNIT_COST`).
 
-        With ``propagation_batch > 1`` the log tail is fetched in slices
-        and records are grouped into consecutive (table, rule) runs
-        before the rules apply them (:meth:`_propagate_vectorized`);
-        ``propagation_batch=1`` runs the original record-at-a-time loop,
-        byte-identical to the pre-batching pipeline.
+        The one log-tail consumer: the step driver, the synchronization
+        executors' final propagation and view maintenance all come
+        through here.  The tail is fetched in slices of up to
+        ``options.propagation_batch`` records, each record is classified
+        once by class identity, consecutive (table, rule) runs are
+        applied through the engine's batch entry point, and the single
+        cursor moves past the slice.  Runs never reorder records --
+        grouping only amortizes dispatch -- so every slice size
+        (``propagation_batch=1`` included) converges to the same target
+        state.
+
+        ``options.shards`` changes the *cost model*, not the order of
+        work: records are still applied in LSN order on this thread,
+        but a routed apply is charged to its key's shard account
+        (:meth:`_apply_group`), as if each shard ran on its own core.
+        The units spent are then the serial work -- skips, end records,
+        markers, applies no single shard owns -- plus the largest
+        amount any one shard account was charged in this call.
         """
         self.faults.fire(SITE_TF_PROPAGATE_BATCH,
                          transform=self.transform_id, cursor=self._cursor)
         span = self.metrics.begin_span(
             "tf.batch", parent=self._batch_span_parent(),
             cursor=self._cursor) if self.metrics.enabled else None
+        engine = self.engine
+        assert engine is not None
+        log = self.db.log
+        fire = self.faults.fire
+        sources = engine.source_tables
+        handle_marker = engine.handle_marker
+        apply_group = self._apply_group
+        on_txn_end = self._on_txn_end
+        batch_size = self.options.propagation_batch
+        skip_cost = self.SKIP_UNIT_COST
+        # Engines declare which non-data records handle_marker consumes;
+        # an engine that never overrode it consumes none.  None means
+        # "unknown override": call it for every marker.
+        marker_set = engine.marker_classes
+        if marker_set is None and \
+                type(engine).handle_marker is RuleEngine.handle_marker:
+            marker_set = ()
+        if marker_set is not None:
+            marker_set = frozenset(marker_set)
+        end = min(self._iteration_target, log.end_lsn)
+        shard_applied = self._shard_applied
+        charged_before = list(shard_applied)
+        serial = 0.0
         units = 0.0
         records = 0
         try:
-            end = min(self._iteration_target, self.db.log.end_lsn)
-            if self.propagation_batch > 1:
-                units, records = self._propagate_vectorized(budget, end)
-            else:
-                while units < budget and self._cursor <= end:
-                    record = self.db.log.record_at(self._cursor)
-                    self._cursor += 1
-                    records += 1
-                    applied = self._apply_record(record)
-                    units += 1.0 if applied else self.SKIP_UNIT_COST
+            while units < budget and self._cursor <= end:
+                # Cap the slice so a fully-applied one lands within one
+                # unit of the budget.
+                take = min(batch_size, int(budget - units) + 1)
+                hi = min(end, self._cursor + take - 1)
+                batch = log.records_slice(self._cursor, hi)
+                fire(SITE_TF_PROPAGATE_GROUP, transform=self.transform_id,
+                     cursor=self._cursor, n=len(batch))
+                self._cursor = hi + 1
+                records += len(batch)
+                run: List[Tuple[LogRecord, int, int]] = []
+                run_table = ""
+                run_kind: type = LogRecord
+                skips = 0
+                for record in batch:
+                    # Class-identity dispatch: records are never
+                    # subclassed, so `is` comparisons replace isinstance
+                    # chains on this hot path.
+                    cls = record.__class__
+                    if cls is InsertRecord or cls is UpdateRecord \
+                            or cls is DeleteRecord:
+                        change = record
+                    elif cls is CLRecord:
+                        change = record.action
+                    elif cls is EndRecord:
+                        if run:
+                            serial += apply_group(run_table, run_kind, run)
+                            run = []
+                        on_txn_end(record)
+                        skips += 1
+                        continue
+                    else:
+                        # Begin/commit/abort records an engine provably
+                        # ignores don't break runs; real markers (CC
+                        # marks) flush first to keep their ordering vs.
+                        # applies.
+                        if marker_set is None or cls in marker_set:
+                            if run:
+                                serial += apply_group(run_table, run_kind,
+                                                      run)
+                                run = []
+                            handle_marker(record)
+                        skips += 1
+                        continue
+                    if change.table in sources:
+                        if run and (change.table != run_table
+                                    or change.__class__ is not run_kind):
+                            serial += apply_group(run_table, run_kind, run)
+                            run = []
+                        if not run:
+                            run_table = change.table
+                            run_kind = change.__class__
+                        run.append((change, record.lsn, record.txn_id))
+                    else:
+                        skips += 1
+                if run:
+                    serial += apply_group(run_table, run_kind, run)
+                serial += skips * skip_cost
+                units = serial
+                if shard_applied:
+                    units += max(map(sub, shard_applied, charged_before))
         finally:
             self._iteration_records += records
             self.stats["propagated_records"] += records
@@ -791,101 +858,18 @@ class Transformation:
                 self.metrics.end_span(span)
         return units
 
-    def _propagate_vectorized(self, budget: float,
-                              end: int) -> Tuple[float, int]:
-        """Batched propagation: fetch log slices, group consecutive
-        records by (table, rule) and apply each run through the engine's
-        batch entry point.  Runs never reorder records -- grouping only
-        amortizes dispatch -- so the converged target state is identical
-        to the sequential loop's.  Returns ``(units, records)``.
-        """
-        engine = self.engine
-        assert engine is not None
-        log = self.db.log
-        fire = self.faults.fire
-        sources = engine.source_tables
-        handle_marker = engine.handle_marker
-        skip_cost = self.SKIP_UNIT_COST
-        apply_group = self._apply_group
-        on_txn_end = self._on_txn_end
-        # Engines declare which non-data records handle_marker consumes;
-        # an engine that never overrode it consumes none.  None means
-        # "unknown override": call it for every marker, like the
-        # sequential loop does.
-        marker_set = engine.marker_classes
-        if marker_set is None and \
-                type(engine).handle_marker is RuleEngine.handle_marker:
-            marker_set = ()
-        if marker_set is not None:
-            marker_set = frozenset(marker_set)
-        units = 0.0
-        records = 0
-        while units < budget and self._cursor <= end:
-            # Cap the slice so a fully-applied batch lands within one
-            # unit of the budget -- the same overshoot bound as the
-            # sequential loop's per-record check.
-            take = min(self.propagation_batch, int(budget - units) + 1)
-            hi = min(end, self._cursor + take - 1)
-            batch = log.records_slice(self._cursor, hi)
-            fire(SITE_TF_PROPAGATE_GROUP, transform=self.transform_id,
-                 cursor=self._cursor, n=len(batch))
-            self._cursor = hi + 1
-            records += len(batch)
-            run: List[Tuple[LogRecord, int, int]] = []
-            run_table = ""
-            run_kind: type = LogRecord
-            skips = 0
-            for record in batch:
-                # Class-identity dispatch: records are never subclassed,
-                # so `is` comparisons replace the isinstance chains of
-                # data_change_of() on this hot path.
-                cls = record.__class__
-                if cls is InsertRecord or cls is UpdateRecord \
-                        or cls is DeleteRecord:
-                    change = record
-                elif cls is CLRecord:
-                    change = record.action
-                elif cls is EndRecord:
-                    if run:
-                        units += apply_group(run_table, run_kind, run)
-                        run = []
-                    on_txn_end(record)
-                    skips += 1
-                    continue
-                else:
-                    # Begin/commit/abort records an engine provably
-                    # ignores don't break runs; real markers (CC marks)
-                    # flush first to keep their ordering vs. applies.
-                    if marker_set is None or cls in marker_set:
-                        if run:
-                            units += apply_group(run_table, run_kind, run)
-                            run = []
-                        handle_marker(record)
-                    skips += 1
-                    continue
-                if change.table in sources:
-                    if run and (change.table != run_table
-                                or change.__class__ is not run_kind):
-                        units += apply_group(run_table, run_kind, run)
-                        run = []
-                    if not run:
-                        run_table = change.table
-                        run_kind = change.__class__
-                    run.append((change, record.lsn, record.txn_id))
-                else:
-                    skips += 1
-            if run:
-                units += apply_group(run_table, run_kind, run)
-            units += skips * skip_cost
-        return units, records
-
     def _apply_group(self, table_name: str, kind: type,
                      items: List[Tuple[LogRecord, int, int]]) -> float:
-        """Apply one consecutive (table, rule) run; returns its units.
+        """Apply one consecutive (table, rule) run; returns the *serial*
+        units it cost.
 
         ``items`` holds ``(change, lsn, txn_id)`` triples in LSN order.
-        The touched target records feed the propagated lock table exactly
-        as in the sequential path.
+        The touched target records feed the propagated lock table.  With
+        one shard account every apply is serial; with several, each
+        change the engine routes (:meth:`RuleEngine.shard_route`) is
+        charged to its key's account instead and only unrouted changes
+        (e.g. FOJ S-side records, which fan out to carrier rows of many
+        keys) count as serial.
         """
         assert self.engine is not None
         touched_lists = self.engine.apply_run(
@@ -896,28 +880,20 @@ class Transformation:
                 note(txn_id, table.uid, key)
         if self.metrics.enabled:
             self.metrics.observe("tf.batch.group_size", len(items))
-        return float(len(items))
-
-    def _apply_record(self, record: LogRecord) -> bool:
-        """Route one log record through the rule engine and bookkeeping.
-
-        Returns whether the record was *applied* (a data change on a
-        source table), as opposed to merely inspected.
-        """
-        assert self.engine is not None
-        if isinstance(record, EndRecord):
-            self._on_txn_end(record)
-            return False
-        change = data_change_of(record)
-        if change is not None:
-            if change.table in self.engine.source_tables:
-                touched = self.engine.apply(change, record.lsn)
-                for table, key in touched:
-                    self.locks_held.note(record.txn_id, table.uid, key)
-                return True
-            return False
-        self.engine.handle_marker(record)
-        return False
+        shard_applied = self._shard_applied
+        if not shard_applied:
+            return float(len(items))
+        route = self.engine.shard_route
+        shard_of = self._planner.shard_of
+        unrouted = 0
+        for change, _, _ in items:
+            key = route(change)
+            if key is None:
+                unrouted += 1
+            else:
+                shard_applied[shard_of(key)] += 1
+        self._unrouted_applied += unrouted
+        return float(unrouted)
 
     def _on_txn_end(self, record: EndRecord) -> None:
         """Release propagated locks when the end record is met (Section 3.4).
@@ -933,8 +909,6 @@ class Transformation:
             self.db._notify_woken(woken)
 
     def _remaining(self) -> int:
-        if self._coordinator is not None and not self._coordinator.merged:
-            return self._coordinator.max_lag()
         return max(0, self.db.log.end_lsn - self._cursor + 1)
 
     # ------------------------------------------------------------------
@@ -980,11 +954,17 @@ class Transformation:
             self._begin_population()
 
         if self.phase is Phase.POPULATING:
-            if self._coordinator is not None:
-                return self._coordinator.population_step(budget)
+            # N shards each do ``budget`` units on their own core: the
+            # operator's population step pulls interleaved per-shard
+            # chunks, so it is offered N x budget and the step is
+            # charged the per-shard share.
+            shards = self.options.shards
             self.faults.fire(SITE_TF_POPULATE_CHUNK,
                              transform=self.transform_id)
-            units, finished = self._population_dispatch(budget)
+            populate = self._lazy_population_step \
+                if self.options.population_mode == "lazy" \
+                else self._population_step
+            units, finished = populate(budget * shards)
             self.stats["population_units"] += units
             self.metrics.inc("tf.units." + Phase.POPULATING.value, units)
             if finished:
@@ -996,11 +976,11 @@ class Transformation:
                     transform_id=self.transform_id, phase="cycle"))
                 self.phase = Phase.PROPAGATING
                 self._begin_iteration()
+            if shards > 1:
+                units = math.ceil(units / shards)
             return StepReport(self.phase, max(units, 1), False)
 
         if self.phase is Phase.PROPAGATING:
-            if self._coordinator is not None:
-                return self._coordinator.propagation_step(budget)
             units = self._propagate_batch(budget)
             if units < budget:
                 # Leftover budget goes to operator background work, e.g.
@@ -1098,12 +1078,13 @@ class Transformation:
 
     def _start_synchronization(self) -> None:
         from repro.transform.sync import build_sync_executor
+        strategy = self.options.sync_strategy
         self.faults.fire(SITE_TF_SYNC_ENTER, transform=self.transform_id,
-                         strategy=self.sync_strategy.value)
-        self._sync_executor = build_sync_executor(self, self.sync_strategy)
+                         strategy=strategy.value)
+        self._sync_executor = build_sync_executor(self, strategy)
         self.phase = Phase.SYNCHRONIZING
         self.metrics.trace("tf.sync.start", transform=self.transform_id,
-                           strategy=self.sync_strategy.value)
+                           strategy=strategy.value)
 
     # ------------------------------------------------------------------
     # Completion / abort
@@ -1186,17 +1167,22 @@ class Transformation:
         """Whether the transformation completed successfully."""
         return self.phase is Phase.DONE
 
-    def shard_convergence(self) -> Dict[str, List[Dict[str, object]]]:
-        """Per-shard Section 3.3 convergence series (empty for shards=1)."""
-        if self._coordinator is None:
-            return {}
-        return self._coordinator.shard_convergence()
-
     def shard_summary(self) -> List[Dict[str, object]]:
-        """Per-shard execution snapshot (empty for shards=1)."""
-        if self._coordinator is None:
+        """Per-shard accounting snapshot (empty for shards=1): routed
+        applies and population rows per shard account, closed by one
+        ``"unrouted"`` entry for the applies no single shard owns, so
+        ``applied`` sums to every record the rules were run on."""
+        if not self._shard_applied:
             return []
-        return self._coordinator.shard_summary()
+        summary: List[Dict[str, object]] = [
+            {"shard": shard, "applied": applied,
+             "population_rows": [scan.rows_per_shard[shard]
+                                 for scan in self._scans.values()]}
+            for shard, applied in enumerate(self._shard_applied)]
+        summary.append({"shard": "unrouted",
+                        "applied": self._unrouted_applied,
+                        "population_rows": []})
+        return summary
 
     @property
     def sync_urgent(self) -> bool:

@@ -162,7 +162,7 @@ class FojRuleEngine(RuleEngine):
 
     def shard_route(self, change: LogRecord):
         """R-table records are routed by R's primary key; S-table records
-        are cross-shard barriers.
+        are unrouted (charged serially).
 
         Every T row carrying R key ``a`` is written only by rules applied
         to ``a``'s own log records, so routing by R key gives each shard
@@ -170,9 +170,7 @@ class FojRuleEngine(RuleEngine):
         rows, the copied S parts) are maintained state-drivenly and
         converge under cross-key interleaving.  An S-table record, by
         contrast, fans out to all carrier rows of its join value -- rows
-        owned by many shards -- so it must be applied once, with every
-        shard aligned (between such barriers the S side is stable, which
-        is what keeps the copied S parts identical across carriers).
+        owned by many shards -- so no single shard account owns it.
         """
         if change.table == self.spec.r_name:
             return tuple(change.key)

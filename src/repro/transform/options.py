@@ -43,8 +43,8 @@ class SyncStrategy(Enum):
 SYNC_STRATEGIES = {member.value: member for member in SyncStrategy}
 
 #: Default number of log records fetched and grouped per propagation
-#: batch (`propagation_batch`); 1 disables batching entirely and runs
-#: the original record-at-a-time loop.
+#: slice (`propagation_batch`); 1 is the same loop with one-record
+#: slices (nothing to group, so no dispatch is amortized).
 DEFAULT_PROPAGATION_BATCH = 32
 
 #: Initial-population modes: ``"eager"`` is the paper's fuzzy snapshot
@@ -84,16 +84,21 @@ class TransformOptions:
     """Immutable configuration of one transformation run.
 
     Attributes:
-        sync: Synchronization strategy (Section 3.4) -- an enum member or
-            its registry string (``"blocking_commit"``,
-            ``"nonblocking_abort"``, ``"nonblocking_commit"``).
-        shards: Hash-partitioned key-space shards for population +
-            propagation (:mod:`repro.shard`); 1 is the paper's sequential
-            pipeline.
+        sync: Synchronization strategy -- an enum member or its registry
+            string: the three of Section 3.4 (``"blocking_commit"``,
+            ``"nonblocking_abort"``, ``"nonblocking_commit"``) or
+            ``"version_flip"`` (requires ``storage="mvcc"``).
+        shards: Hash-partitioned key-space shards (:mod:`repro.shard`):
+            population scans are interleaved per shard and each routed
+            propagation apply is charged to its key's shard account, so
+            a step costs what the busiest of N cores would spend.  The
+            log is still read once, in LSN order, through one cursor;
+            1 is the paper's sequential pipeline.
         population_chunk: Rows per fuzzy-scan population chunk.
-        propagation_batch: Log records fetched and grouped by
-            (table, rule) per propagation batch.  1 disables batching and
-            is behaviourally identical to the pre-batching pipeline.
+        propagation_batch: Log records fetched per propagation slice and
+            grouped into consecutive (table, rule) runs.  A parameter of
+            the one propagation loop: 1 means one-record slices and
+            converges to the same target rows as any other value.
         flush_policy: Group-commit policy installed on the database's
             log manager (``None`` leaves the log's policy untouched).
         priority: Fraction of server capacity granted to the

@@ -117,7 +117,7 @@ class SplitRuleEngine(RuleEngine):
     """Log-propagation rules 8-11 for a vertical split."""
 
     #: handle_marker only consumes the transformation's own CC marks;
-    #: the batched propagation loop skips the call for everything else.
+    #: the propagation loop skips the call for everything else.
     marker_classes = (CCBeginRecord, CCOkRecord)
 
     def __init__(self, db: Database, spec: SplitSpec, r_table: Table,
@@ -177,14 +177,6 @@ class SplitRuleEngine(RuleEngine):
         sequential rules themselves are exact, Section 5.2).
         """
         return tuple(change.key)
-
-    def marker_scope(self, record: LogRecord) -> str:
-        """The owning transformation's CC marks mutate checker state
-        (`_cc_inflight`, flag repairs) and must be applied exactly once."""
-        if isinstance(record, (CCBeginRecord, CCOkRecord)) and \
-                record.transform_id == self.transform_id:
-            return "global"
-        return "ignore"
 
     # -- dispatch -------------------------------------------------------------
 
@@ -494,7 +486,8 @@ class SplitTransformation(Transformation):
         self.checker = None  # set in prepare (needs the source index)
         if not materialize_r:
             from repro.transform.base import SyncStrategy
-            if self.sync_strategy is not SyncStrategy.BLOCKING_COMMIT:
+            if self.options.sync_strategy is not \
+                    SyncStrategy.BLOCKING_COMMIT:
                 raise TransformationError(
                     "the rename-based split strategy (materialize_r="
                     "False) requires SyncStrategy.BLOCKING_COMMIT: after "

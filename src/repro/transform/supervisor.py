@@ -140,7 +140,7 @@ class TransformationSupervisor:
                 self.stats["final_budget"] = budget
                 tf = self.factory()
                 if self.options is not None:
-                    # Safe pre-population: the shard coordinator and sync
+                    # Safe pre-population: the shard map and sync
                     # executor are only built once the transformation
                     # starts populating, so an attempt fresh from the
                     # factory can still be re-configured.  Only knobs

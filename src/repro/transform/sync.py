@@ -144,13 +144,13 @@ class _SyncExecutor:
         """Trace the start of the latched/blocked critical section."""
         self.metrics.trace("sync.window.open",
                            transform=self.tf.transform_id,
-                           strategy=self.tf.sync_strategy.value,
+                           strategy=self.tf.options.sync_strategy.value,
                            tables=tuple(self.tf.source_tables))
         if self.metrics.enabled and self._window_span is None:
             self._window_span = self.metrics.begin_span(
                 "sync.window", parent=self.tf._phase_span,
                 transform=self.tf.transform_id,
-                strategy=self.tf.sync_strategy.value)
+                strategy=self.tf.options.sync_strategy.value)
             self.tf._span_parent_hint = self._window_span
 
     def _latch_sources(self) -> None:
@@ -213,7 +213,7 @@ class _SyncExecutor:
             self.metrics.observe("sync.latched_window", self.latched_units)
             self.metrics.trace("sync.window.close",
                                transform=self.tf.transform_id,
-                               strategy=self.tf.sync_strategy.value,
+                               strategy=self.tf.options.sync_strategy.value,
                                latched_units=self.latched_units)
         if self._window_span is not None:
             self._window_span.attrs["latched_units"] = self.latched_units

@@ -436,8 +436,7 @@ class LogManager:
         is *called*, not when iteration starts -- a generator body would
         only read ``end_lsn`` at the first ``next()``, silently widening
         the window for callers that append between creating the iterator
-        and draining it (concurrent per-shard propagators do exactly
-        that).
+        and draining it.
 
         Boundary contract: scanning an empty log yields nothing;
         ``from_lsn`` below :data:`FIRST_LSN` starts at the log head;

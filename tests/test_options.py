@@ -107,7 +107,7 @@ def test_registry_string_drives_transformation():
     db = build_db()
     tf = FojTransformation(db, foj_spec(db), options=TransformOptions(
         sync="blocking_commit"))
-    assert tf.sync_strategy is SyncStrategy.BLOCKING_COMMIT
+    assert tf.options.sync_strategy is SyncStrategy.BLOCKING_COMMIT
     tf.run()
     assert db.table("T").row_count > 0
 
@@ -182,9 +182,9 @@ def test_supervisor_merges_options_over_factory():
         options=TransformOptions(propagation_batch=7))
     tf = sup.run()
     assert tf.done
-    assert tf.propagation_batch == 7          # supervisor override
-    assert tf.population_chunk == 2           # factory setting kept
-    assert tf.sync_strategy is SyncStrategy.NONBLOCKING_COMMIT
+    assert tf.options.propagation_batch == 7  # supervisor override
+    assert tf.options.population_chunk == 2   # factory setting kept
+    assert tf.options.sync_strategy is SyncStrategy.NONBLOCKING_COMMIT
 
 
 def test_supervisor_shards_kwarg_removed():

@@ -1,9 +1,11 @@
-"""Tests for the sharded transformation engine (:mod:`repro.shard`).
+"""Tests for ``TransformOptions(shards=N)`` (:mod:`repro.shard`).
 
 Covers the shard map (determinism, balance), the interleaved sharded
-populator, per-shard propagation with barrier records, the merge
-handover into the unchanged synchronization pipeline, partial-shard
-crash recovery, and the WAL scan-snapshot contract the shards rely on.
+populator, the one propagation loop under several shard accounts (log
+read once, budget bound, unrouted records, the single cursor and its
+convergence series), the handover into the unchanged synchronization
+pipeline, partial-shard crash recovery, and the WAL scan-snapshot
+contract.
 """
 
 import pytest
@@ -22,12 +24,13 @@ from repro.common.errors import SimulatedCrashError
 from repro.faults import CrashFault, FaultInjector, FaultPlan
 from repro.relational import full_outer_join, rows_equal, split
 from repro.shard import (
-    ShardCoordinator,
     ShardPlanner,
     ShardedPopulator,
     stable_shard_hash,
 )
 from repro.transform.analysis import FixedIterationsPolicy
+from repro.wal.log import LogManager
+from repro.wal.records import data_change_of
 
 from tests.conftest import (
     foj_spec,
@@ -144,17 +147,31 @@ def _foj_source_rows():
 
 
 # ---------------------------------------------------------------------------
-# Coordinator wiring
+# shards=N as a parameter of the one pipeline
 # ---------------------------------------------------------------------------
 
 
-def test_shards_1_never_builds_a_coordinator(split_db):
+def test_shards_1_never_builds_a_coordinator(split_db, monkeypatch):
+    """``shards=1`` keeps no shard accounts, so the default path pays no
+    routing call and no planner hash per record."""
     load_split_data(split_db, n=15)
-    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=1))
-    tf.run()
-    assert tf._coordinator is None
+    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=1, policy=FixedIterationsPolicy(3)))
+
+    def forbidden(*args):
+        raise AssertionError("routing must not run for shards=1")
+
+    monkeypatch.setattr("repro.transform.split.SplitRuleEngine.shard_route",
+                        forbidden)
+    monkeypatch.setattr(ShardPlanner, "shard_of", forbidden)
+
+    def update_t():
+        with Session(split_db) as s:
+            s.update("T", (3,), {"name": "u3"})
+
+    _drive_with_workload(split_db, tf, [update_t, update_t])
+    assert tf.done
+    assert tf.stats["propagated_records"] > 0
     assert tf.shard_summary() == []
-    assert tf.shard_convergence() == {}
 
 
 def test_shards_validation(split_db):
@@ -163,13 +180,6 @@ def test_shards_validation(split_db):
         SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=0))
     with pytest.raises(ValueError):
         TransformationSupervisor(split_db, lambda: None, options=TransformOptions(shards=0))
-
-
-def test_coordinator_rejects_single_shard(split_db):
-    load_split_data(split_db, n=5)
-    tf = SplitTransformation(split_db, split_spec(split_db))
-    with pytest.raises(ValueError):
-        ShardCoordinator(tf, 1)
 
 
 def test_supervisor_shards_knob_overrides_factory(split_db):
@@ -182,25 +192,34 @@ def test_supervisor_shards_knob_overrides_factory(split_db):
     sup = TransformationSupervisor(split_db, factory, budget=32, options=TransformOptions(shards=2))
     tf = sup.run()
     assert tf.done
-    assert tf.shards == 2
-    assert tf._coordinator is not None
-    assert len(tf.shard_summary()) == 2
+    assert tf.options.shards == 2
+    assert tf.options.population_chunk == 4
+    summary = tf.shard_summary()
+    assert [s["shard"] for s in summary] == [0, 1, "unrouted"]
+    # Both shards populated their own slice of the 20 rows.
+    assert sorted(s["population_rows"][0] for s in summary[:2])[0] > 0
+    assert sum(s["population_rows"][0] for s in summary[:2]) == 20
 
 
 # ---------------------------------------------------------------------------
-# Barriers and per-shard windows
+# The one propagation loop under several shard accounts
 # ---------------------------------------------------------------------------
 
 
-def _drive_with_workload(db, tf, ops, budget=12, max_steps=2000):
+def _drive_with_workload(db, tf, ops, budget=12, max_steps=2000,
+                         each_step=None):
     """Step ``tf``, popping one workload thunk between steps.
 
-    Returns the number of thunks that actually ran (the pipeline may
-    reach synchronization before the list drains)."""
+    ``each_step(entered_phase, report)`` observes every step.  Returns
+    the number of thunks that actually ran (the pipeline may reach
+    synchronization before the list drains)."""
     ops = list(ops)
     ran = 0
     for _ in range(max_steps):
+        entered = tf.phase
         report = tf.step(budget)
+        if each_step is not None:
+            each_step(entered, report)
         if report.done:
             return ran
         if ops and tf.phase in (Phase.POPULATING, Phase.PROPAGATING):
@@ -209,23 +228,130 @@ def _drive_with_workload(db, tf, ops, budget=12, max_steps=2000):
     raise AssertionError(f"not done; phase={tf.phase.value}")
 
 
-def test_foj_s_records_resolve_as_barriers(foj_db):
+def _source_changes(db, tf, from_lsn, to_lsn):
+    """Data changes on ``tf``'s source tables within an LSN range."""
+    changes = (data_change_of(r) for r in db.log.scan(from_lsn, to_lsn))
+    return [c for c in changes
+            if c is not None and c.table in tf.source_tables]
+
+
+def _foj_tail(db, n):
+    """A fixed log tail: R updates (routed) with S updates (unrouted)."""
+    s_key = next(iter(values_of(db, "S")))["c"]
+    for i in range(n):
+        with Session(db) as s:
+            s.update("R", (i,), {"b": f"u{i}"})
+            if i % 4 == 0:
+                s.update("S", (s_key,), {"d": f"d{i}"})
+
+
+def _catch_up(tf, budget, max_steps=2000):
+    """Step until propagation has consumed the whole log."""
+    for _ in range(max_steps):
+        if tf.phase is Phase.PROPAGATING and not tf._remaining():
+            return
+        tf.step(budget)
+    raise AssertionError(f"did not catch up; remaining={tf._remaining()}")
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("shards", [1, 2, 4, 8])
+def test_log_tail_is_read_once(foj_db, monkeypatch, shards, batch):
+    """Every shard count and slice size fetches each record of the
+    shared log exactly once: there is one cursor, not one per shard."""
+    load_foj_data(foj_db, n_r=24, n_s=6)
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TransformOptions(shards=shards, propagation_batch=batch, population_chunk=8, policy=FixedIterationsPolicy(10**9)))
+    _catch_up(tf, 64)
+    _foj_tail(foj_db, 24)
+    tail = tf._remaining()
+    assert tail > 24
+
+    fetched = []
+    records_slice, record_at = LogManager.records_slice, LogManager.record_at
+
+    def counting_slice(self, lo, hi):
+        out = records_slice(self, lo, hi)
+        fetched.extend(r.lsn for r in out)
+        return out
+
+    def counting_at(self, lsn):
+        fetched.append(lsn)
+        return record_at(self, lsn)
+
+    monkeypatch.setattr(LogManager, "records_slice", counting_slice)
+    monkeypatch.setattr(LogManager, "record_at", counting_at)
+    before = tf.stats["propagated_records"]
+    _catch_up(tf, 16)
+    propagated = tf.stats["propagated_records"] - before
+    assert propagated >= tail
+    assert len(fetched) == propagated
+    assert len(set(fetched)) == len(fetched)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("shards", [1, 3])
+def test_propagation_step_stays_within_one_unit_of_budget(foj_db, shards,
+                                                          batch):
+    """The slice cap bounds a step's overshoot: at most one unit past
+    the budget, for every slice size and shard count."""
+    load_foj_data(foj_db, n_r=24, n_s=6)
+    budget = 10
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TransformOptions(shards=shards, propagation_batch=batch, population_chunk=8, policy=FixedIterationsPolicy(4)))
+    while tf.phase is not Phase.PROPAGATING:
+        tf.step(64)
+    _foj_tail(foj_db, 24)
+    spent = []
+
+    def check(entered, report):
+        if entered is Phase.PROPAGATING:
+            assert report.units <= budget + 1
+            spent.append(report.units)
+
+    _drive_with_workload(foj_db, tf, [], budget=budget, each_step=check)
+    assert max(spent) >= budget - 1  # the budget was actually binding
+
+
+def test_foj_s_update_is_applied_exactly_once_under_shards(foj_db):
+    """An S-side update has no single-shard home (it fans out to the
+    carrier rows of many R keys): it is applied inline, in LSN order,
+    exactly once, and reaches every carrier row."""
     load_foj_data(foj_db, n_r=30, n_s=6)
     spec = foj_spec(foj_db)
     tf = FojTransformation(foj_db, spec, options=TransformOptions(shards=2, population_chunk=4, policy=FixedIterationsPolicy(4)))
     s_key = next(iter(values_of(foj_db, "S")))["c"]
+    tf.prepare()
+    s_applies = []
+    apply_run = tf.engine.apply_run
 
-    def update_s():
-        with Session(foj_db) as s:
-            s.update("S", (s_key,), {"d": "fresh"})
+    def spy(table_name, kind, items):
+        if table_name == "S":
+            s_applies.extend(lsn for _change, lsn in items)
+        return apply_run(table_name, kind, items)
 
-    _drive_with_workload(foj_db, tf, [update_s, update_s])
-    assert tf._coordinator.stats["barriers"] >= 1
+    tf.engine.apply_run = spy
+
+    def update_s(value):
+        def run():
+            with Session(foj_db) as s:
+                s.update("S", (s_key,), {"d": value})
+        return run
+
+    ran = _drive_with_workload(foj_db, tf,
+                               [update_s("stale"), update_s("fresh")])
+    assert ran == 2
+    s_updates = [c for c in _source_changes(foj_db, tf, 1, foj_db.log.end_lsn)
+                 if c.table == "S" and c.kind == "update"]
+    assert sorted(s_applies) == sorted(c.lsn for c in s_updates)
+    assert len(s_applies) == 2
+    assert tf.shard_summary()[-1] == {
+        "shard": "unrouted", "applied": 2, "population_rows": []}
     carriers = [r for r in values_of(foj_db, "T") if r["c"] == s_key]
     assert carriers and all(r["d"] == "fresh" for r in carriers)
 
 
 def test_split_updates_route_without_barriers(split_db):
+    """Every split data change has a single-shard home: all applies are
+    charged to a shard account, none serially."""
     load_split_data(split_db, n=30, n_zip=5)
     tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, population_chunk=4, policy=FixedIterationsPolicy(3)))
 
@@ -237,24 +363,66 @@ def test_split_updates_route_without_barriers(split_db):
 
     ran = _drive_with_workload(split_db, tf,
                                [update_t(i) for i in range(6)])
-    # Data changes are per-key routed; only a consistency-check marker
-    # could be a barrier, and this transformation runs without one.
-    assert tf._coordinator.stats["barriers"] == 0
     assert ran >= 3
+    *per_shard, unrouted = tf.shard_summary()
+    assert unrouted["applied"] == 0
+    assert sum(s["applied"] for s in per_shard) >= ran
     t_rows = values_of(split_db, "T_r")
     updated = {r["id"] for r in t_rows if str(r["name"]).startswith("u")}
     assert updated == set(range(ran))
 
 
+def test_single_cursor_and_global_convergence_under_shards(split_db):
+    """``_cursor``, ``_remaining()`` and the one convergence series are
+    right for ``shards > 1`` at every step of propagation."""
+    load_split_data(split_db, n=30, n_zip=5)
+    db = split_db
+    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=3, population_chunk=4, policy=FixedIterationsPolicy(6)))
+
+    def update_t(i):
+        def run():
+            with Session(db) as s:
+                s.update("T", (i,), {"name": f"u{i}"})
+        return run
+
+    seen = {"cursor": None, "points": 0, "propagating_steps": 0}
+
+    def check(entered, report):
+        if entered is not Phase.PROPAGATING:
+            return
+        seen["propagating_steps"] += 1
+        assert tf._remaining() == max(0, db.log.end_lsn - tf._cursor + 1)
+        if seen["cursor"] is not None:
+            assert tf._cursor >= seen["cursor"]
+        seen["cursor"] = tf._cursor
+        series = tf.convergence.series()
+        if len(series) > seen["points"]:
+            seen["points"] = len(series)
+            assert series[-1]["consumed"] == tf.stats["propagated_records"]
+            assert series[-1]["lag"] == tf._remaining()
+        if report.info:
+            assert report.info["remaining"] == tf._remaining()
+
+    _drive_with_workload(db, tf, [update_t(i) for i in range(8)],
+                         each_step=check)
+    assert seen["propagating_steps"] >= 3
+    assert seen["points"] == tf.stats["iterations"] >= 6
+    # No transaction was active at population begin, so propagation
+    # started at the begin mark.  The cursor passed every record the
+    # loop consumed (plus, at most, its own cycle mark per iteration,
+    # skipped without being fetched).
+    passed = seen["cursor"] - tf._propagation_base_lsn
+    consumed = tf.convergence.series()[-1]["consumed"]
+    assert consumed <= passed <= consumed + tf.stats["iterations"]
+
+
 def test_merge_hands_over_to_unchanged_sync(split_db):
+    """A sharded run reaches the unchanged Section 3.4 executors through
+    the one cursor and converges to the relational oracle."""
     load_split_data(split_db, n=25)
     tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=4, population_chunk=4))
     tf.run()
-    co = tf._coordinator
-    assert co.merged
     assert tf.done
-    # After the merge every shard's cursor sits past the common target.
-    assert all(p.cursor > co._merge_target for p in co.propagators)
     r_rows, s_rows, counters, _ = split(
         tf.spec, _committed_split_rows(n=25))
     assert rows_equal(values_of(split_db, "T_r"), r_rows)
@@ -269,24 +437,39 @@ def _committed_split_rows(n):
     return values_of(oracle, "T")
 
 
-def test_sharded_run_reports_per_shard_convergence(split_db):
+def test_sharded_run_reports_per_shard_summary(split_db):
+    """``shard_summary`` is fed by the loop's accounting: its applied
+    counts sum to every record the rules ran on, and one global
+    convergence series describes the one cursor."""
     load_split_data(split_db, n=25)
-    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, population_chunk=4))
-    tf.run()
-    series = tf.shard_convergence()
-    assert set(series) == {"shard0", "shard1"}
-    assert all(len(points) >= 1 for points in series.values())
+    db = split_db
+    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=2, population_chunk=4, policy=FixedIterationsPolicy(4)))
+
+    def update_t(i):
+        def run():
+            with Session(db) as s:
+                s.update("T", (i,), {"name": f"u{i}"})
+        return run
+
+    _drive_with_workload(db, tf, [update_t(i) for i in range(5)])
     summary = tf.shard_summary()
-    assert [s["shard"] for s in summary] == [0, 1]
-    assert all(s["windows"] >= 1 for s in summary)
+    assert [s["shard"] for s in summary] == [0, 1, "unrouted"]
+    assert sum(s["population_rows"][0] for s in summary[:2]) == 25
+    # Propagation started at the begin mark (no transaction was active).
+    applied = _source_changes(db, tf, tf._propagation_base_lsn,
+                              tf._cursor - 1)
+    assert sum(s["applied"] for s in summary) == len(applied) > 0
+    assert len(tf.convergence.series()) == tf.stats["iterations"]
+    assert not hasattr(tf, "shard_convergence")
 
 
 def test_idle_shards_still_run_policy_analysis(split_db):
-    """A caught-up sharded pipeline must keep feeding its policies empty
-    windows, or a fixed-iterations policy would never release it."""
+    """A caught-up sharded pipeline must keep running (idle) iterations
+    through its policy, or a fixed-iterations policy would never
+    release it."""
     load_split_data(split_db, n=12)
     tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, population_chunk=6, policy=FixedIterationsPolicy(5)))
-    tf.run()  # would spin forever if idle windows were not forced
+    tf.run()  # would spin forever if idle iterations were skipped
     assert tf.done
 
 
@@ -297,8 +480,8 @@ def test_idle_shards_still_run_policy_analysis(split_db):
 
 @pytest.mark.parametrize("site, hit", [
     ("shard.populate.chunk", 2),
-    ("shard.propagate.batch", 3),
-    ("shard.merge", 1),
+    ("tf.propagate.group", 1),
+    ("tf.propagate.group", 2),
 ])
 def test_crash_mid_shard_recovers_committed_state(site, hit):
     """A crash inside one shard's work (partial-shard failure) must leave
@@ -341,7 +524,7 @@ def test_crash_mid_shard_recovers_committed_state(site, hit):
 
 
 # ---------------------------------------------------------------------------
-# WAL scan snapshot (the contract concurrent shard cursors rely on)
+# WAL scan snapshot (the contract a bounded propagation iteration relies on)
 # ---------------------------------------------------------------------------
 
 
