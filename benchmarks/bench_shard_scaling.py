@@ -1,8 +1,8 @@
 """SHARD-SCALING: completion time under ``shards=N`` vs. shard count.
 
 The paper's transformation is a single background pipeline; ``shards=N``
-interleaves its population across N key-space shards and charges each
-routed propagation apply to its key's shard account, so a step costs
+charges each row the population scan hands out, and each routed
+propagation apply, to its key's shard account, so a step costs
 what the busiest of N cores would spend (the own-core cost model -- see
 ``Transformation._propagate_batch``).  All numbers here are in
 *simulated* milliseconds; the log is read once, in LSN order, on one

@@ -31,219 +31,25 @@ See ``examples/`` for concurrent-workload scenarios and ``benchmarks/``
 for the reproduction of the paper's evaluation (Figure 4).
 """
 
-from repro.common.errors import (
-    DeadlockError,
-    DuplicateKeyError,
-    InconsistentDataError,
-    LockWaitError,
-    LogCorruptionError,
-    NoSuchRowError,
-    NoSuchTableError,
-    ReproError,
-    SchemaError,
-    SimulatedCrashError,
-    TransactionAbortedError,
-    TransformationAbortedError,
-    TransformationError,
-    TransformationStarvedError,
-)
-from repro.faults import (
-    NULL_FAULTS,
-    AbortFault,
-    BitFlipFault,
-    CrashFault,
-    DelayFault,
-    FaultInjector,
-    FaultPlan,
-    LostFlushFault,
-    SITE_REGISTRY,
-    TornWriteFault,
-    register_site,
-    sites_by_layer,
-)
-from repro.obs import (
-    NULL_METRICS,
-    Counter,
-    EventRing,
-    Histogram,
-    Metrics,
-    TraceEvent,
-    build_run_report,
-    render_report,
-    run_section,
-)
-from repro.engine import (
-    Database,
-    FuzzyScan,
-    Session,
-    bulk_load,
-    fuzzy_copy,
-    restart,
-    restart_from_disk,
-)
-from repro.relational import (
-    ExplodeSpec,
-    FojSpec,
-    RETYPE_CASTS,
-    RetypeSpec,
-    SplitSpec,
-    explode,
-    full_outer_join,
-    retype,
-    rows_equal,
-    split,
-)
-from repro.plan import (
-    CORPUS,
-    CorpusScenario,
-    MigrationPlan,
-    MigrationStep,
-    PLAN_OPERATORS,
-    PlanExecutor,
-    PlanStepper,
-    PlanValidationError,
-    PlanValidator,
-    run_plan,
-)
-from repro.storage import (
-    Attribute,
-    FunctionalDependency,
-    SnapshotHandle,
-    TableSchema,
-)
-from repro.transform import (
-    AttrPredicate,
-    ExplodeTransformation,
-    FixedIterationsPolicy,
-    RetypeTransformation,
-    FojTransformation,
-    Many2ManyFojTransformation,
-    MaterializedFojView,
-    MergeSpec,
-    MergeTransformation,
-    PartitionSpec,
-    PartitionTransformation,
-    Phase,
-    POPULATION_MODES,
-    RemainingRecordsPolicy,
-    SplitTransformation,
-    STORAGE_BACKENDS,
-    SYNC_STRATEGIES,
-    SyncStrategy,
-    TransformationSupervisor,
-    TransformOptions,
-    VersionFlipSync,
-    add_attribute,
-    remove_attribute,
-    rename_attribute,
-    resolve_sync_strategy,
-)
-from repro.wal import (
-    FlushPolicy,
-    GROUP_FLUSH,
-    IMMEDIATE_FLUSH,
-    SalvageReport,
-    SimulatedDisk,
-)
+from repro import api
+from repro.api import *  # noqa: F401,F403 -- the facade is the surface
+from repro.faults import NULL_FAULTS, SITE_REGISTRY, register_site, \
+    sites_by_layer
+from repro.obs import Counter, EventRing, Histogram, TraceEvent
 
 __version__ = "1.0.0"
 
+#: ``repro.api``'s names plus the fault-site registry and the raw metric
+#: types, which only the package root exports.
 __all__ = [
-    "AbortFault",
-    "AttrPredicate",
-    "Attribute",
-    "BitFlipFault",
-    "CORPUS",
-    "CorpusScenario",
+    *api.__all__,
     "Counter",
-    "CrashFault",
-    "Database",
-    "ExplodeSpec",
-    "ExplodeTransformation",
-    "DeadlockError",
-    "DelayFault",
-    "DuplicateKeyError",
-    "FaultInjector",
-    "FaultPlan",
-    "FixedIterationsPolicy",
-    "FlushPolicy",
-    "FojSpec",
-    "FojTransformation",
-    "FunctionalDependency",
-    "FuzzyScan",
-    "GROUP_FLUSH",
-    "IMMEDIATE_FLUSH",
     "EventRing",
     "Histogram",
-    "InconsistentDataError",
-    "LockWaitError",
-    "LogCorruptionError",
-    "LostFlushFault",
-    "Many2ManyFojTransformation",
-    "MaterializedFojView",
-    "MergeSpec",
-    "MergeTransformation",
-    "Metrics",
-    "MigrationPlan",
-    "MigrationStep",
     "NULL_FAULTS",
-    "NULL_METRICS",
-    "NoSuchRowError",
-    "NoSuchTableError",
-    "PLAN_OPERATORS",
-    "PartitionSpec",
-    "PartitionTransformation",
-    "Phase",
-    "PlanExecutor",
-    "PlanStepper",
-    "PlanValidationError",
-    "PlanValidator",
-    "POPULATION_MODES",
-    "RETYPE_CASTS",
-    "RemainingRecordsPolicy",
-    "ReproError",
-    "RetypeSpec",
-    "RetypeTransformation",
     "SITE_REGISTRY",
-    "STORAGE_BACKENDS",
-    "SYNC_STRATEGIES",
-    "SalvageReport",
-    "SchemaError",
-    "Session",
-    "SimulatedCrashError",
-    "SimulatedDisk",
-    "SnapshotHandle",
-    "SplitSpec",
-    "SplitTransformation",
-    "SyncStrategy",
-    "TableSchema",
-    "TornWriteFault",
     "TraceEvent",
-    "TransactionAbortedError",
-    "TransformationAbortedError",
-    "TransformationError",
-    "TransformOptions",
-    "TransformationStarvedError",
-    "TransformationSupervisor",
-    "VersionFlipSync",
-    "add_attribute",
-    "build_run_report",
-    "bulk_load",
-    "explode",
-    "full_outer_join",
-    "fuzzy_copy",
     "register_site",
-    "remove_attribute",
-    "rename_attribute",
-    "render_report",
-    "resolve_sync_strategy",
-    "restart",
-    "restart_from_disk",
-    "retype",
-    "run_plan",
-    "run_section",
-    "rows_equal",
     "sites_by_layer",
-    "split",
     "__version__",
 ]

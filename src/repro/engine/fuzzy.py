@@ -13,8 +13,9 @@ oracle for the scan's correctness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional, Set
 
+from repro.faults import NULL_FAULTS, register_site
 from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.wal.records import (
@@ -28,12 +29,18 @@ from repro.wal.records import (
 )
 
 
+SITE_TF_POPULATE_CHUNK = register_site(
+    "tf.populate.chunk", "transform",
+    "before each population chunk is snapshotted by the source scan")
+
+
 class FuzzyScan:
-    """A chunked, lock-ignoring scan of a table.
+    """A chunked, lock-ignoring scan of a table: the one chunk source of
+    initial population (Section 3.2), in every mode.
 
     The scan materializes the set of live rowids once, at construction, and
     hands out *snapshots* of whatever those rows contain at the moment each
-    chunk is read.  Consequences, all intended (Section 3.2):
+    chunk is read.  Consequences, all intended:
 
     * every row committed before the scan started is seen;
     * updates applied to a not-yet-reached row during the scan are seen
@@ -43,27 +50,66 @@ class FuzzyScan:
 
     Whatever the scan misses or over-reads is repaired by log propagation,
     which starts from before the scan began.
+
+    Rowids migrated out of band (lazy population's miss hook) are
+    :meth:`claim`-ed and skipped by the cursor, so each source row is
+    handed out or claimed, never both.  An empty :meth:`next_chunk`
+    return means exhaustion (or a non-positive ``limit``), never a
+    transient gap.
     """
 
-    def __init__(self, table: Table, chunk_size: int = 256,
-                 rowids: Optional[List[int]] = None) -> None:
+    #: Subclass hook ``_resolve(rowid, live_row) -> Optional[Row]``
+    #: replacing *how one rowid is read*; ``None`` here, where the read
+    #: is the dirty snapshot of the live row, inlined in the loop.
+    _resolve = None
+
+    def __init__(self, table: Table, chunk_size: int = 256, planner=None,
+                 faults=NULL_FAULTS, claim_handouts: bool = False) -> None:
         """Args:
             table: The table to scan.
             chunk_size: Rows per chunk.
-            rowids: Restrict the scan to these rowids (a key-space shard,
-                see :mod:`repro.shard`); defaults to every live rowid.
+            planner: A :class:`~repro.shard.planner.ShardPlanner`; with
+                more than one shard every handed-out row is charged to
+                its key's entry of :attr:`rows_per_shard` (cost
+                accounting only -- rows come out in table order).
+            faults: Injector fired once per chunk.
+            claim_handouts: Also claim every row handed out, so a later
+                out-of-band :meth:`claim` of it is refused (set while a
+                miss hook is installed; off, the scan writes no set).
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.table = table
         self.chunk_size = chunk_size
-        self._rowids: List[int] = list(table.rows) if rowids is None \
-            else list(rowids)
+        self.planner = planner
+        self.faults = faults
+        self.claim_handouts = claim_handouts
+        #: Rows handed out, per shard account (one account without a
+        #: planner); always sums to the rows handed out.
+        self.rows_per_shard: List[int] = \
+            [0] * (planner.n_shards if planner is not None else 1)
+        self._rowids: List[int] = list(table.rows)
         self._position = 0
+        self._claimed: Set[int] = set()
+
+    def claim(self, rowid: int) -> bool:
+        """Mark a rowid migrated out of band; ``False`` if already
+        claimed or handed out.  Rowids the scan never listed (rows
+        inserted after it began) are claimable too: migrating them early
+        is idempotent and the insert's own log record converges them."""
+        if rowid in self._claimed:
+            return False
+        self._claimed.add(rowid)
+        return True
+
+    def unclaim(self, rowid: int) -> None:
+        """Withdraw a claim whose migration failed; the cursor will hand
+        the row out after all."""
+        self._claimed.discard(rowid)
 
     @property
     def exhausted(self) -> bool:
-        """Whether the scan has handed out every chunk."""
+        """Whether the cursor has passed every rowid."""
         return self._position >= len(self._rowids)
 
     @property
@@ -72,7 +118,7 @@ class FuzzyScan:
         return max(0, len(self._rowids) - self._position)
 
     def next_chunk(self, limit: Optional[int] = None) -> List[Row]:
-        """Snapshot the next chunk of still-live rows.
+        """Snapshot the next chunk of still-live, unclaimed rows.
 
         Returns an empty list once exhausted.  The returned rows are
         snapshots: later updates do not alter them.
@@ -83,21 +129,37 @@ class FuzzyScan:
                 than a full chunk.  ``limit <= 0`` means the caller has no
                 budget at all: the scan returns ``[]`` without advancing.
         """
-        if limit is None:
-            take = self.chunk_size
-        else:
-            take = min(self.chunk_size, int(limit))
-            if take <= 0:
-                return []
+        take = self.chunk_size if limit is None \
+            else min(self.chunk_size, int(limit))
+        if take <= 0 or self.exhausted:
+            return []
+        self.faults.fire(SITE_TF_POPULATE_CHUNK, table=self.table.name)
         chunk: List[Row] = []
-        rows = self.table.rows
-        while self._position < len(self._rowids) and \
-                len(chunk) < take:
-            rowid = self._rowids[self._position]
-            self._position += 1
+        rowids, rows = self._rowids, self.table.rows
+        claimed, resolve = self._claimed, self._resolve
+        position, end = self._position, len(rowids)
+        while position < end and len(chunk) < take:
+            rowid = rowids[position]
+            position += 1
+            if claimed and rowid in claimed:
+                continue
             row = rows.get(rowid)
-            if row is not None:
+            if resolve is not None:
+                row = resolve(rowid, row)
+                if row is not None:
+                    chunk.append(row)
+            elif row is not None:
                 chunk.append(row.snapshot())
+        self._position = position
+        if self.claim_handouts:
+            claimed.update(row.rowid for row in chunk)
+        accounts = self.rows_per_shard
+        if len(accounts) == 1:
+            accounts[0] += len(chunk)
+        else:
+            key_of, shard_of = self.table.schema.key_of, self.planner.shard_of
+            for row in chunk:
+                accounts[shard_of(key_of(row.values))] += 1
         return chunk
 
     def __iter__(self) -> Iterator[List[Row]]:

@@ -107,12 +107,14 @@ RowDict = Dict[str, object]
 
 #: Operators the sweep exercises (FOJ and split, Sections 4 and 5).
 #: ``name@N`` runs the same scenario with ``shards=N``
-#: (:mod:`repro.shard`), adding the shard-scoped crash sites -- shard
-#: planning and partial sharded population -- to the sweep's coverage.  ``name:lazy`` runs the scenario with
-#: access-triggered population (``population_mode="lazy"``), interleaving
-#: user reads with small sweep steps so both migrate-on-read crash sites
-#: (``lazy.miss.transform``, ``lazy.sweep.chunk``) are crossed; the two
-#: notations compose (``split:lazy@3``).
+#: (:mod:`repro.shard`), adding the shard-scoped crash site
+#: (``shard.plan``) to the sweep's coverage.  ``name:lazy`` runs the
+#: scenario with access-triggered population
+#: (``population_mode="lazy"``), interleaving user reads with small sweep
+#: steps so the migrate-on-read crash site (``lazy.miss.transform``) is
+#: crossed between sweep chunks.  Population chunks have one site in
+#: every mode -- ``tf.populate.chunk``, fired by the one scan -- and the
+#: two notations compose (``split:lazy@3``).
 SCENARIO_OPERATORS: Tuple[str, ...] = (
     "foj", "split", "foj@2", "split@3", "foj:lazy", "split:lazy@3")
 

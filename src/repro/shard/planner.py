@@ -1,33 +1,33 @@
 """Deterministic hash partitioning of a transformation's key space.
 
-``TransformOptions(shards=N)`` splits the work of one transformation --
-initial population and log propagation -- across ``N`` *key-space
-shards*.  Everything downstream (which rowids a shard scans, which shard
-account an applied log record is charged to) is derived from one
-function: a stable hash of the routing key.  Stability matters twice
-over:
+``TransformOptions(shards=N)`` charges the work of one transformation --
+initial population and log propagation -- to ``N`` *key-space shard*
+accounts.  Everything downstream (which account a scanned row and an
+applied log record are charged to) is derived from one function: a
+stable hash of the routing key.  Stability matters twice over:
 
 * **across processes** -- Python's built-in ``hash`` for strings is salted
   per process (``PYTHONHASHSEED``), so it would assign rows to different
   shards on every run; the planner hashes ``repr`` bytes through CRC-32
   instead, which is deterministic everywhere;
 * **across phases** -- population and propagation must agree: the shard
-  that populated row ``k`` must be the shard charged for log records
-  about ``k``, or concurrent appliers would race their own initial
-  image.  Both sides call the same :meth:`ShardPlanner.shard_of`.
+  charged for populating row ``k`` must be the shard charged for log
+  records about ``k``, or the per-shard accounts would describe no
+  possible assignment of keys to cores.  Both sides call the same
+  :meth:`ShardPlanner.shard_of`.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.faults import register_site
-from repro.storage.table import Table
 
 SITE_SHARD_PLAN = register_site(
     "shard.plan", "shard",
-    "before a source table's rowids are partitioned into the shard map")
+    "a transformation with shards > 1 is about to build its shard map, "
+    "before any population scan exists")
 
 
 def stable_shard_hash(key: Tuple) -> int:
@@ -41,11 +41,11 @@ def stable_shard_hash(key: Tuple) -> int:
 
 
 class ShardPlanner:
-    """Maps routing keys (and table rowids) to one of ``n_shards`` shards.
+    """Maps routing keys to one of ``n_shards`` shards.
 
     The planner is pure bookkeeping -- it holds no table references and no
-    mutable state, so one instance is shared by the populators, the lazy
-    sweepers and the propagation loop's shard accounts.
+    mutable state, so one instance is shared by the population scans and
+    the propagation loop's shard accounts.
     """
 
     def __init__(self, n_shards: int) -> None:
@@ -56,21 +56,6 @@ class ShardPlanner:
     def shard_of(self, key: Tuple) -> int:
         """Shard index owning the given routing key."""
         return stable_shard_hash(key) % self.n_shards
-
-    def partition_rowids(self, table: Table) -> List[List[int]]:
-        """Partition a table's live rowids into per-shard lists.
-
-        The routing key of a row is its primary key, matching what the
-        rule engines return from ``shard_route`` for log records about it.
-        Rowid order within each shard follows the table's iteration order,
-        so the union of all shards visits exactly the rows a plain
-        :class:`~repro.engine.fuzzy.FuzzyScan` would.
-        """
-        parts: List[List[int]] = [[] for _ in range(self.n_shards)]
-        key_of = table.schema.key_of
-        for rowid, row in table.rows.items():
-            parts[self.shard_of(key_of(row.values))].append(rowid)
-        return parts
 
     def histogram(self, keys: Iterable[Tuple]) -> Dict[int, int]:
         """Shard -> key count over an iterable of keys (balance checks)."""

@@ -14,13 +14,9 @@ still holding ``t^null_x`` rows whose R part is entirely NULL.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import DuplicateKeyError
-
-#: Default capacity (distinct keys) of the per-index LRU probe cache.
-DEFAULT_PROBE_CACHE_SIZE = 256
 
 
 def index_key(values: Dict[str, object],
@@ -45,28 +41,16 @@ class HashIndex:
     """
 
     def __init__(self, name: str, attrs: Tuple[str, ...], unique: bool,
-                 table_name: str = "",
-                 probe_cache_size: int = DEFAULT_PROBE_CACHE_SIZE) -> None:
+                 table_name: str = "") -> None:
         self.name = name
         self.attrs = tuple(attrs)
         self.unique = unique
         self.table_name = table_name
         self._map: Dict[Tuple, Set[int]] = {}
-        # Bounded LRU cache of sorted probe results, keyed by index key.
-        # The propagation rules probe the same join values over and over
-        # (every S-side change probes all matching T rows); caching the
-        # sorted rowid tuple amortizes the sort.  Writes invalidate only
-        # the keys they touch, so a hit is always exact.
-        # Each cached entry carries the key's version stamp at probe
-        # time; a stamp mismatch at lookup means a row version changed
-        # under the key through a path that skips index maintenance
-        # (MVCC commit stamping, version GC) and the entry is stale.
-        self._probe_cache: "OrderedDict[Tuple, Tuple[int, Tuple[int, ...]]]" \
-            = OrderedDict()
-        self._probe_cache_size = max(0, probe_cache_size)
-        self._version_stamps: Dict[Tuple, int] = {}
-        self.probe_stats = {"hits": 0, "misses": 0, "invalidations": 0,
-                            "stale": 0}
+        #: ``misses`` counts bucket probes.  ``hits`` and ``stale`` stay 0:
+        #: every lookup reads the bucket (there is no result cache); the
+        #: keys remain because the wall-clock ledger reads them.
+        self.probe_stats = {"hits": 0, "misses": 0, "stale": 0}
 
     # -- maintenance ---------------------------------------------------------
 
@@ -75,7 +59,6 @@ class HashIndex:
         key = index_key(values, self.attrs)
         if key is None:
             return
-        self._invalidate(key)
         bucket = self._map.get(key)
         if bucket is None:
             self._map[key] = {rowid}
@@ -89,7 +72,6 @@ class HashIndex:
         key = index_key(values, self.attrs)
         if key is None:
             return
-        self._invalidate(key)
         bucket = self._map.get(key)
         if bucket is not None:
             bucket.discard(rowid)
@@ -111,28 +93,6 @@ class HashIndex:
     def clear(self) -> None:
         """Drop all entries."""
         self._map.clear()
-        self._probe_cache.clear()
-        self._version_stamps.clear()
-
-    def _invalidate(self, key: Tuple) -> None:
-        """Drop the cached probe result for a key a write touched."""
-        self._version_stamps[key] = self._version_stamps.get(key, 0) + 1
-        if self._probe_cache.pop(key, None) is not None:
-            self.probe_stats["invalidations"] += 1
-
-    def note_version_change(self, key: Tuple) -> None:
-        """Version-aware invalidation for out-of-band version changes.
-
-        The index maintenance hooks (:meth:`insert` / :meth:`remove` /
-        :meth:`update`) only run when a write goes through the table's
-        index bookkeeping.  MVCC commit stamping and version GC change
-        which row version is current for a key *without* touching the
-        index -- and the indexed-attrs-disjoint fast path in
-        ``Table.update_rowid`` skips the hooks entirely.  Bumping the
-        key's version stamp here guarantees any probe cached against the
-        superseded version can never be served again.
-        """
-        self._invalidate(tuple(key))
 
     # -- lookup ---------------------------------------------------------------
 
@@ -140,28 +100,9 @@ class HashIndex:
         """Rowids with exactly this key (empty for NULL-containing keys)."""
         if any(part is None for part in key):
             return []
-        key = tuple(key)
-        cache = self._probe_cache
-        stamp = self._version_stamps.get(key, 0)
-        cached = cache.get(key)
-        if cached is not None:
-            cached_stamp, rowids = cached
-            if cached_stamp == stamp:
-                cache.move_to_end(key)
-                self.probe_stats["hits"] += 1
-                return list(rowids)
-            # A version changed under this key since the probe was
-            # cached; the entry may describe a superseded row version.
-            del cache[key]
-            self.probe_stats["stale"] += 1
         self.probe_stats["misses"] += 1
-        bucket = self._map.get(key)
-        result = sorted(bucket) if bucket else []
-        if self._probe_cache_size:
-            cache[key] = (stamp, tuple(result))
-            if len(cache) > self._probe_cache_size:
-                cache.popitem(last=False)
-        return result
+        bucket = self._map.get(tuple(key))
+        return sorted(bucket) if bucket else []
 
     def lookup_one(self, key: Tuple) -> Optional[int]:
         """Single rowid for a unique index, ``None`` if absent."""

@@ -22,9 +22,8 @@ This module is the storage half of that design:
 * :class:`SnapshotHandle` -- pins a read LSN (and the catalog epoch
   current at pin time, see :class:`~repro.storage.catalog.Catalog`).
   Active pins hold back version GC and catalog-epoch reclamation.
-* :class:`SnapshotScan` -- the snapshot replacement for
-  :class:`~repro.engine.fuzzy.FuzzyScan`: same ``next_chunk`` /
-  ``exhausted`` / ``remaining`` surface, but every row is resolved as of
+* :class:`SnapshotScan` -- :class:`~repro.engine.fuzzy.FuzzyScan` with
+  one thing overridden, how a rowid is read: every row is resolved as of
   the pinned LSN, so the populate phase reads a transaction-consistent
   image without ever touching the lock manager.  (Like the fuzzy scan it
   is still *repaired* by log propagation -- the seed images make the
@@ -42,17 +41,18 @@ seed records.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.faults import NULL_FAULTS, register_site
+from repro.engine.fuzzy import FuzzyScan
+from repro.faults import register_site
 from repro.obs.metrics import NULL_METRICS
 from repro.storage.row import Row
-from repro.storage.table import PRIMARY_INDEX, Table
+from repro.storage.table import Table
 
 SITE_MVCC_SNAPSHOT_READ = register_site(
     "mvcc.snapshot.read", "storage",
-    "before a snapshot scan resolves one chunk of rows as of its pinned "
-    "read LSN during MVCC population")
+    "before a snapshot scan resolves one row as of its pinned read LSN "
+    "during MVCC population")
 SITE_MVCC_FLIP = register_site(
     "mvcc.flip", "sync",
     "before the versioned catalog write that atomically flips the "
@@ -151,13 +151,6 @@ class VersionedTable:
             chain[-1] = (commit_lsn, values)
         else:
             chain.append((commit_lsn, values))
-        primary = self.table.indexes.get(PRIMARY_INDEX)
-        if primary is not None:
-            # The heap write that produced this version may have taken
-            # the indexed-attrs-disjoint fast path, which skips all
-            # index bookkeeping -- bump the probe-cache version stamp so
-            # a cached probe can never serve the superseded version.
-            primary.note_version_change(key)
 
     def forget(self, key: Tuple) -> None:
         """Drop the whole chain for ``key`` (testing/GC helper)."""
@@ -204,7 +197,6 @@ class VersionedTable:
         """
         reclaimed = 0
         dead_keys = []
-        primary = self.table.indexes.get(PRIMARY_INDEX)
         for key, chain in self._chains.items():
             if watermark is None:
                 keep_from = len(chain) - 1
@@ -218,100 +210,52 @@ class VersionedTable:
             if keep_from > 0:
                 del chain[:keep_from]
                 reclaimed += keep_from
-                if primary is not None:
-                    primary.note_version_change(key)
             if watermark is None and len(chain) == 1 \
                     and chain[0][1] is TOMBSTONE:
                 dead_keys.append(key)
         for key in dead_keys:
             reclaimed += len(self._chains.pop(key))
-            if primary is not None:
-                primary.note_version_change(key)
         return reclaimed
 
 
-class SnapshotScan:
-    """Drop-in ``FuzzyScan`` replacement resolving rows as of a pin.
+class SnapshotScan(FuzzyScan):
+    """The population scan reading rows as of a pin instead of dirty.
 
-    Materializes the rowid set at construction (exactly like the fuzzy
-    scan, so population cost accounting is unchanged) and resolves each
-    row through the version chains at ``handle.read_lsn``.  Rows whose
-    visible version is a tombstone -- or that have no version at the
-    pin -- are skipped.  Never consults the lock manager.
+    Everything but the read is :class:`~repro.engine.fuzzy.FuzzyScan`'s
+    (so population cost accounting is unchanged): each rowid is resolved
+    through the version chains at ``handle.read_lsn``, and rows whose
+    visible version is a tombstone are skipped.  Never consults the lock
+    manager.
     """
 
     def __init__(self, versioned: VersionedTable, handle: SnapshotHandle,
-                 chunk_size: int = 256,
-                 rowids: Optional[List[int]] = None,
-                 faults=None) -> None:
+                 chunk_size: int = 256, **scan_options) -> None:
+        super().__init__(versioned.table, chunk_size, **scan_options)
         self.versioned = versioned
-        self.table = versioned.table
         self.handle = handle
-        self.chunk_size = max(1, int(chunk_size))
-        self.faults = faults if faults is not None else NULL_FAULTS
-        table = versioned.table
-        ids = list(table.rows) if rowids is None else list(rowids)
-        #: (rowid, primary key) pairs frozen at construction; the key is
-        #: remembered so a row deleted mid-scan can still be resolved
-        #: through its chain.
-        self._pending: List[Tuple[int, Tuple]] = []
-        for rowid in ids:
-            row = table.rows.get(rowid)
-            if row is None:
-                continue
-            self._pending.append(
-                (rowid, table.schema.key_of(row.values)))
-        self._pos = 0
+        rows, key_of = self.table.rows, self.table.schema.key_of
+        #: rowid -> primary key, frozen at construction so a row deleted
+        #: mid-scan can still be resolved through its chain.
+        self._keys: Dict[int, Tuple] = {
+            rowid: key_of(rows[rowid].values) for rowid in self._rowids}
 
-    @property
-    def exhausted(self) -> bool:
-        """Whether every materialized rowid has been resolved."""
-        return self._pos >= len(self._pending)
-
-    @property
-    def remaining(self) -> int:
-        """Rowids not yet visited."""
-        return len(self._pending) - self._pos
-
-    def next_chunk(self, limit: Optional[int] = None) -> List[Row]:
-        """Resolve the next chunk as of the pinned read LSN."""
-        if self.exhausted:
-            return []
-        count = self.chunk_size if limit is None \
-            else max(0, min(self.chunk_size, int(limit)))
-        if count == 0:
-            return []
-        self.faults.fire(SITE_MVCC_SNAPSHOT_READ, table=self.table.name,
-                         read_lsn=self.handle.read_lsn,
-                         remaining=self.remaining)
-        chunk: List[Row] = []
+    def _resolve(self, rowid: int, live: Optional[Row]) -> Optional[Row]:
         read_lsn = self.handle.read_lsn
-        while self._pos < len(self._pending) and len(chunk) < count:
-            rowid, key = self._pending[self._pos]
-            self._pos += 1
-            live = self.table.rows.get(rowid)
-            version = self.versioned.read_as_of(key, read_lsn)
-            if version is None:
-                # Never versioned: the live row is the committed image.
-                if live is not None:
-                    chunk.append(live.snapshot())
-                continue
-            lsn, values = version
-            if values is TOMBSTONE:
-                continue
-            snap = Row.__new__(Row)
-            snap.rowid = rowid
-            snap.values = dict(values)
-            snap.lsn = lsn
-            snap.meta = dict(live.meta) if live is not None else {}
-            chunk.append(snap)
-        return chunk
-
-    def __iter__(self) -> Iterator[List[Row]]:
-        while not self.exhausted:
-            chunk = self.next_chunk()
-            if chunk:
-                yield chunk
+        self.faults.fire(SITE_MVCC_SNAPSHOT_READ, table=self.table.name,
+                         read_lsn=read_lsn)
+        version = self.versioned.read_as_of(self._keys[rowid], read_lsn)
+        if version is None:
+            # Never versioned: the live row is the committed image.
+            return None if live is None else live.snapshot()
+        lsn, values = version
+        if values is TOMBSTONE:
+            return None
+        snap = Row.__new__(Row)
+        snap.rowid = rowid
+        snap.values = dict(values)
+        snap.lsn = lsn
+        snap.meta = dict(live.meta) if live is not None else {}
+        return snap
 
 
 class MvccManager:

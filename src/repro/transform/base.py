@@ -51,12 +51,7 @@ from repro.engine.fuzzy import FuzzyScan
 from repro.faults import DelayFault, FaultInjector, register_site
 from repro.obs import ConvergenceMonitor, Metrics
 from repro.obs.spans import Span
-from repro.shard import (
-    SITE_SHARD_PLAN,
-    LazySweeper,
-    ShardedPopulator,
-    ShardPlanner,
-)
+from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.table import Table
 from repro.transform.analysis import (
     Decision,
@@ -89,9 +84,6 @@ SITE_TF_PREPARED = register_site(
 SITE_TF_POPULATE_BEGIN = register_site(
     "tf.populate.begin", "transform",
     "before the begin fuzzy mark is written")
-SITE_TF_POPULATE_CHUNK = register_site(
-    "tf.populate.chunk", "transform",
-    "before each fuzzy-scan population chunk")
 SITE_TF_POPULATE_DONE = register_site(
     "tf.populate.done", "transform",
     "after population, before the first cycle mark")
@@ -333,9 +325,9 @@ class Transformation:
         #: Snapshot pinned for the whole initial population under the
         #: MVCC backend; ``None`` before population and under latch mode.
         self._population_snapshot = None
-        #: The shard map shared by sharded population, the lazy sweeper
-        #: and propagation's per-shard cost accounts; built at
-        #: population begin.
+        #: The shard map shared by the population scans' and
+        #: propagation's per-shard cost accounts; built at population
+        #: begin.
         self._planner = None
         #: Routed applies charged to each shard account, and applies no
         #: single shard owns (``shard_route`` returned ``None``).  The
@@ -582,53 +574,45 @@ class Transformation:
         oldest = self.db.txns.oldest_first_lsn(active)
         self._cursor = oldest if oldest != NULL_LSN else mark_lsn
         shards = options.shards
-        self._planner = ShardPlanner(shards)
         if shards > 1:
+            self.faults.fire(SITE_SHARD_PLAN, transform=self.transform_id,
+                             shards=shards)
             self._shard_applied = [0] * shards
+        self._planner = ShardPlanner(shards)
         for name in self.source_tables:
-            table = self.db.catalog.get(name)
-            if shards > 1:
-                self.faults.fire(SITE_SHARD_PLAN, table=table.name,
-                                 shards=shards)
-            if lazy:
-                # Access-triggered claims and the sweeper's per-shard
-                # high-water cursors partition the key space exactly
-                # like eager sharded population would.
-                self._scans[name] = LazySweeper(
-                    table, options.population_chunk, self._planner,
-                    faults=self.faults, metrics=self.metrics)
-            elif shards > 1:
-                self._scans[name] = ShardedPopulator(
-                    table, options.population_chunk, self._planner,
-                    faults=self.faults, scan_factory=self._make_scan)
-            else:
-                self._scans[name] = self._make_scan(table)
+            self._scans[name] = self._make_scan(self.db.catalog.get(name))
         if lazy:
             self._install_lazy_hook()
         self.phase = Phase.POPULATING
 
-    def _make_scan(self, table: Table, rowids=None):
-        """Build one population scan over a source table.
+    def _make_scan(self, table: Table) -> FuzzyScan:
+        """Build the population scan of one source table.
 
-        Latch mode returns the paper's :class:`FuzzyScan` (a dirty read
-        repaired later by LSN-guarded propagation).  MVCC mode pins one
-        snapshot for the whole population (first call) and returns a
-        :class:`~repro.storage.mvcc.SnapshotScan` over the version
-        overlay, so every chunk of every source reads the same committed
-        state -- no lock-ignoring dirty reads.  Sharded population calls
-        this once per shard with that shard's ``rowids``.
+        Every mode gets the one chunk source, :class:`FuzzyScan`, with
+        the options as parameters: the shard map to charge handed-out
+        rows to, and -- under lazy population -- hand-outs recorded as
+        claims, so the miss hook and the background drain migrate each
+        row exactly once.  Only the read rule varies.  Latch storage, and
+        lazy population (whose miss hook can only see live rows), read
+        dirty: the paper's fuzzy read, repaired later by LSN-guarded
+        propagation.  Eager MVCC population pins one snapshot (first
+        call) and reads every chunk of every source as of it through
+        :class:`~repro.storage.mvcc.SnapshotScan`.
         """
-        chunk = self.options.population_chunk
-        if self.options.storage == "mvcc":
+        options = self.options
+        lazy = options.population_mode == "lazy"
+        scan_options = dict(planner=self._planner, faults=self.faults,
+                            claim_handouts=lazy)
+        if options.storage == "mvcc" and not lazy:
             from repro.storage.mvcc import SnapshotScan
             mvcc = self.db.mvcc
             assert mvcc is not None
             if self._population_snapshot is None:
                 self._population_snapshot = mvcc.pin(owner=self.transform_id)
             return SnapshotScan(mvcc.versioned(table),
-                                self._population_snapshot, chunk,
-                                rowids=rowids, faults=self.faults)
-        return FuzzyScan(table, chunk, rowids=rowids)
+                                self._population_snapshot,
+                                options.population_chunk, **scan_options)
+        return FuzzyScan(table, options.population_chunk, **scan_options)
 
     def _release_population_snapshot(self) -> None:
         """Unpin the population snapshot (population done, or abort)."""
@@ -654,14 +638,8 @@ class Transformation:
         self._lazy_hook = None
 
     def _source_scan(self, name: str) -> FuzzyScan:
-        """The fuzzy scan of one source table (for subclasses).
-
-        Under sharded execution this is a
-        :class:`~repro.shard.populator.ShardedPopulator` -- same chunked
-        interface, rows interleaved across the per-shard scans.  Under
-        lazy population it is a
-        :class:`~repro.shard.sweeper.LazySweeper`.
-        """
+        """The population scan of one source table (for subclasses);
+        see :meth:`_make_scan`."""
         return self._scans[name]
 
     def _lazy_population_step(self, budget: int) -> Tuple[int, bool]:
@@ -670,9 +648,9 @@ class Transformation:
 
         The same ``step`` budget that throttles eager population
         throttles the sweeper, so supervisor priority escalation applies
-        unchanged.  Finished when every sweeper's per-shard cursors have
-        met the end of their key lists (access-triggered migrations are
-        ``claim``-ed and skipped by the cursors, never double-applied).
+        unchanged.  Finished when every source scan's cursor has met the
+        end of its rowid list (access-triggered migrations are
+        ``claim``-ed and skipped by the cursor, never double-applied).
         """
         from repro.obs.blame import ROLE_SWEEPER
         units = 0
@@ -955,12 +933,9 @@ class Transformation:
 
         if self.phase is Phase.POPULATING:
             # N shards each do ``budget`` units on their own core: the
-            # operator's population step pulls interleaved per-shard
-            # chunks, so it is offered N x budget and the step is
-            # charged the per-shard share.
+            # operator's population step is offered N x budget and the
+            # step is charged the per-shard share.
             shards = self.options.shards
-            self.faults.fire(SITE_TF_POPULATE_CHUNK,
-                             transform=self.transform_id)
             populate = self._lazy_population_step \
                 if self.options.population_mode == "lazy" \
                 else self._population_step

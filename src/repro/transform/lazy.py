@@ -8,10 +8,16 @@ starts empty and two producers fill it:
   read or update of a source record whose rowid is not yet migrated
   transforms exactly that record (and its join partners) through the
   operator's idempotent rule engine, inside the accessing transaction;
-* the **background sweeper** (:class:`~repro.shard.sweeper.LazySweeper`),
+* the **background sweeper**
+  (:meth:`~repro.transform.base.Transformation._lazy_population_step`),
   driven by the ordinary step budget, which drains everything nobody
-  touches until the per-shard high-water cursors meet the end of the
-  key space.
+  touches through the source tables' population scans
+  (:class:`~repro.engine.fuzzy.FuzzyScan`) until their cursors meet the
+  end of the rowid lists.
+
+The scan's claimed set is the dedup point between the two: the hook
+claims a rowid before migrating it, the scan claims what it hands out,
+and either skips what the other got to first.
 
 Correctness rests on the same argument as the paper's fuzzy scan: each
 migrated record is a snapshot of the row's *current* state, i.e. the
@@ -44,6 +50,10 @@ class LazyMigrator:
 
     def __init__(self, tf) -> None:
         self.tf = tf
+        #: Rows this hook claimed ahead of the sweeper (also counted as
+        #: ``lazy.sweep.miss_claims``, which tells the miss-vs-sweep
+        #: producer race apart in blame investigations).
+        self.miss_claims = 0
 
     def on_access(self, db, txn, table_name: str, key: Tuple) -> None:
         from repro.transform.base import Phase
@@ -65,22 +75,22 @@ class LazyMigrator:
 
     def _migrate_key(self, db, table_name: str, key: Tuple) -> None:
         tf = self.tf
-        sweeper = tf._scans.get(table_name)
-        if sweeper is None or not hasattr(sweeper, "claim"):
-            return
+        scan = tf._source_scan(table_name)
         table = db.catalog.get(table_name)
         row = table.get(key)
         if row is None:
             return  # nothing to migrate; an insert will propagate later
-        if not sweeper.claim(row.rowid):
+        if not scan.claim(row.rowid):
             return  # already migrated (swept or missed earlier)
+        self.miss_claims += 1
+        tf.metrics.inc("lazy.sweep.miss_claims")
         try:
             tf.faults.fire(SITE_LAZY_MISS, transform=tf.transform_id,
                            table=table_name)
             tf._migrate_row(table_name, row.snapshot(), on_miss=True)
         except BaseException:
             # Leave the rowid unclaimed so the sweeper still migrates it.
-            sweeper._claimed.discard(row.rowid)
+            scan.unclaim(row.rowid)
             raise
         # Pull the record's join partners across too, so the accessing
         # transaction finds a complete target-side image.

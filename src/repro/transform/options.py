@@ -88,12 +88,14 @@ class TransformOptions:
             string: the three of Section 3.4 (``"blocking_commit"``,
             ``"nonblocking_abort"``, ``"nonblocking_commit"``) or
             ``"version_flip"`` (requires ``storage="mvcc"``).
-        shards: Hash-partitioned key-space shards (:mod:`repro.shard`):
-            population scans are interleaved per shard and each routed
-            propagation apply is charged to its key's shard account, so
-            a step costs what the busiest of N cores would spend.  The
-            log is still read once, in LSN order, through one cursor;
-            1 is the paper's sequential pipeline.
+        shards: Hash-partitioned key-space shard accounts
+            (:mod:`repro.shard`): each row the population scan hands out
+            and each routed propagation apply is charged to its key's
+            account, so a step costs what the busiest of N cores would
+            spend.  Cost accounting only: each source table is still
+            scanned once, in table order, and the log read once, in LSN
+            order, through one cursor; 1 is the paper's sequential
+            pipeline and keeps no accounts.
         population_chunk: Rows per fuzzy-scan population chunk.
         propagation_batch: Log records fetched per propagation slice and
             grouped into consecutive (table, rule) runs.  A parameter of

@@ -154,7 +154,7 @@ def test_abort_fault_aborts_transformation_cleanly():
     db.attach_faults(FaultInjector(
         FaultPlan().arm("tf.populate.chunk", AbortFault(), hit=2)))
     tf = FojTransformation(db, foj_spec(db), options=TransformOptions(population_chunk=4))
-    tf.step(8)
+    tf.step(4)                  # one chunk: the site fires per chunk
     with pytest.raises(TransformationAbortedError):
         for _ in range(100):
             tf.step(8)

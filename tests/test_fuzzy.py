@@ -10,6 +10,7 @@ from repro.engine.fuzzy import (
 )
 from repro.storage import Table
 
+from tests import scan_contract
 from tests.conftest import values_of
 
 
@@ -107,6 +108,17 @@ def test_scan_rejects_bad_chunk_size():
     db = make_db(1)
     with pytest.raises(ValueError):
         FuzzyScan(db.table("t"), chunk_size=0)
+
+
+@pytest.mark.parametrize("check", scan_contract.CHECKS,
+                         ids=lambda check: check.__name__)
+@pytest.mark.parametrize("shards", (1, 3))
+@pytest.mark.parametrize("kind", scan_contract.KINDS)
+def test_scan_contract(kind, shards, check):
+    """One chunk source, one contract: every configuration population
+    can select (read rule x claims x shard accounts) passes every check
+    in :mod:`tests.scan_contract`."""
+    check(scan_contract.ScanCase(kind, shards))
 
 
 def test_fuzzy_copy_quiescent_equals_source():

@@ -3,8 +3,9 @@
 ``TransformOptions(population_mode="lazy")`` starts the transformed
 table empty: a user read/update of a not-yet-migrated source record
 triggers just-in-time transformation of exactly that record (plus its
-join partners), while the budgeted :class:`~repro.shard.LazySweeper`
-drains everything nobody touches.  The central property mirrors the
+join partners), while the budgeted background sweep drains everything
+nobody touches through the one population scan
+(:class:`~repro.engine.fuzzy.FuzzyScan`, hand-outs claimed).  The central property mirrors the
 eager suite's: for ANY interleaved history -- now including reads that
 fire the miss hook mid-population -- lazy converges to the identical
 target as eager population.
@@ -30,9 +31,11 @@ from repro.common.errors import (
     TransformationError,
 )
 from repro.relational import full_outer_join, rows_equal, split
-from repro.shard import LazySweeper, ShardPlanner
+from repro.faults import AbortFault, FaultInjector, FaultPlan
+from repro.obs import Metrics
 from repro.transform.options import POPULATION_MODES
 
+from tests import scan_contract
 from tests.conftest import (
     foj_spec,
     load_foj_data,
@@ -87,94 +90,47 @@ def test_lazy_rejects_engines_without_per_record_migration():
 
 
 # ---------------------------------------------------------------------------
-# LazySweeper unit behaviour
+# The sweeper's scan
 # ---------------------------------------------------------------------------
+# The sweep drains the one population scan with hand-outs claimed.  What
+# that scan owes its callers is the parametrised contract in
+# tests/scan_contract.py (run over every configuration by
+# tests/test_fuzzy.py::test_scan_contract); these ids are its ``claims``
+# rows, kept under the names the test floor knows them by.
 
 
-def _sweeper_db(n=10):
-    db = Database()
-    db.create_table(TableSchema("t", ["id", "x"], primary_key=["id"]))
-    with Session(db) as s:
-        for i in range(n):
-            s.insert("t", {"id": i, "x": i})
-    return db
+def _sweeper(shards):
+    return scan_contract.ScanCase("claims", shards)
 
 
 def test_sweeper_drains_every_row_exactly_once():
-    db = _sweeper_db(10)
-    sweeper = LazySweeper(db.table("t"), 3, ShardPlanner(3))
-    seen = []
-    while not sweeper.exhausted:
-        seen.extend(sweeper.next_chunk())
-    assert sorted(r.values["id"] for r in seen) == list(range(10))
-    assert sum(sweeper.rows_per_shard) == 10
-    assert sweeper.next_chunk() == []
-    assert sweeper.remaining == 0
+    scan_contract.every_live_row_is_handed_out_exactly_once(_sweeper(3))
 
 
 def test_sweeper_claimed_rows_are_skipped():
-    db = _sweeper_db(6)
-    sweeper = LazySweeper(db.table("t"), 2, ShardPlanner(1))
-    claimed_rowid = db.table("t").get((4,)).rowid
-    assert sweeper.claim(claimed_rowid) is True
-    assert sweeper.claim(claimed_rowid) is False  # second claim is a no-op
-    assert sweeper.miss_claims == 1
-    seen = [r.values["id"] for c in sweeper for r in c]
-    assert sorted(seen) == [0, 1, 2, 3, 5]  # 4 migrated out of band
+    scan_contract.claimed_rowids_are_skipped(_sweeper(1))
+    scan_contract.handouts_are_claimed_only_on_request(_sweeper(1))
 
 
 def test_sweeper_claim_accepts_unknown_rowids():
-    """Rows inserted after population began are not in the shard map but
-    must still be claimable by the miss hook."""
-    db = _sweeper_db(3)
-    sweeper = LazySweeper(db.table("t"), 2, ShardPlanner(2))
-    assert sweeper.claim(99_999) is True
-    seen = [r.values["id"] for c in sweeper for r in c]
-    assert sorted(seen) == [0, 1, 2]
+    scan_contract.unknown_rowids_are_claimable(_sweeper(2))
 
 
 def test_sweeper_nonpositive_limit_returns_empty_without_advancing():
-    db = _sweeper_db(5)
-    sweeper = LazySweeper(db.table("t"), 3, ShardPlanner(2))
-    before = sweeper.shard_cursors()
-    assert sweeper.next_chunk(0) == []
-    assert sweeper.next_chunk(-7) == []
-    assert sweeper.shard_cursors() == before
-    assert sweeper.remaining == 5
+    scan_contract.nonpositive_limit_is_a_noop(_sweeper(2))
 
 
 def test_sweeper_skips_rows_deleted_after_planning():
-    db = _sweeper_db(8)
-    sweeper = LazySweeper(db.table("t"), 3, ShardPlanner(2))
-    with Session(db) as s:
-        s.delete("t", (2,))
-        s.delete("t", (6,))
-    seen = [r.values["id"] for c in sweeper for r in c]
-    assert sorted(seen) == [0, 1, 3, 4, 5, 7]
-    assert sweeper.exhausted
+    scan_contract.rows_deleted_before_their_chunk_are_not_read_live(
+        _sweeper(2))
 
 
 def test_sweeper_never_yields_an_empty_chunk_mid_scan():
-    """An empty ``next_chunk`` means true exhaustion, even when whole
-    shards were emptied by claims -- the drain loop must not surface
-    transient gaps (the populator regression, satellite 2's contract)."""
-    db = _sweeper_db(12)
-    sweeper = LazySweeper(db.table("t"), 2, ShardPlanner(3))
-    table = db.table("t")
-    for i in range(0, 12, 2):
-        sweeper.claim(table.get((i,)).rowid)
-    while True:
-        chunk = sweeper.next_chunk()
-        if not chunk:
-            assert sweeper.exhausted
-            break
-    assert sweeper.remaining == 0
+    scan_contract.empty_return_always_means_exhausted(_sweeper(3))
 
 
 def test_sweeper_rejects_bad_chunk_size():
-    db = _sweeper_db(1)
-    with pytest.raises(ValueError):
-        LazySweeper(db.table("t"), 0, ShardPlanner(1))
+    scan_contract.chunk_size_below_one_raises(_sweeper(1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +169,7 @@ def test_lazy_miss_is_idempotent_per_record(foj_db):
     load_foj_data(foj_db, n_r=20, n_s=5)
     tf = FojTransformation(
         foj_db, foj_spec(foj_db),
-        options=TransformOptions(population_chunk=2,
+        options=TransformOptions(population_chunk=2, metrics=Metrics(),
                                  population_mode="lazy"))
     _step_into_populating(tf)
     _read(foj_db, "R", (19,))
@@ -223,7 +179,35 @@ def test_lazy_miss_is_idempotent_per_record(foj_db):
     for _ in range(3):
         _read(foj_db, "R", (19,))
     assert tf.stats["lazy_miss_migrations"] == first  # re-reads are no-ops
+    # The claim is counted where it is made: on the hook.
+    assert tf._lazy_hook.miss_claims == first
+    assert tf.metrics.counter_value("lazy.sweep.miss_claims") == first
     tf.run()
+
+
+def test_lazy_failed_miss_leaves_the_row_to_the_sweeper(foj_db):
+    """A miss migration that raises withdraws its claim, so the row is
+    not lost: the background sweep hands it out like any other."""
+    load_foj_data(foj_db, n_r=12, n_s=4)
+    spec = foj_spec(foj_db)
+    foj_db.attach_faults(FaultInjector(
+        FaultPlan().arm("lazy.miss.transform", AbortFault(), hit=1)))
+    tf = FojTransformation(
+        foj_db, spec,
+        options=TransformOptions(population_chunk=2,
+                                 population_mode="lazy"))
+    _step_into_populating(tf)
+    scan = tf._source_scan("R")
+    rowid = foj_db.table("R").get((11,)).rowid
+    with pytest.raises(TransformationError):
+        _read(foj_db, "R", (11,))
+    assert tf.stats["lazy_miss_migrations"] == 0
+    assert scan.claim(rowid) is True         # the failed claim was withdrawn
+    scan.unclaim(rowid)
+    r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
+    tf.run()
+    assert rows_equal(values_of(foj_db, "T"),
+                      full_outer_join(spec, r_rows, s_rows))
 
 
 def test_lazy_update_also_triggers_migration(foj_db):

@@ -1,11 +1,11 @@
 """Tests for ``TransformOptions(shards=N)`` (:mod:`repro.shard`).
 
-Covers the shard map (determinism, balance), the interleaved sharded
-populator, the one propagation loop under several shard accounts (log
-read once, budget bound, unrouted records, the single cursor and its
-convergence series), the handover into the unchanged synchronization
-pipeline, partial-shard crash recovery, and the WAL scan-snapshot
-contract.
+Covers the shard map (determinism, balance), the one population scan
+under several shard accounts (same rows, same order, per-shard charge),
+the one propagation loop under several shard accounts (log read once,
+budget bound, unrouted records, the single cursor and its convergence
+series), the handover into the unchanged synchronization pipeline,
+partial-shard crash recovery, and the WAL scan-snapshot contract.
 """
 
 import pytest
@@ -23,16 +23,14 @@ from repro import (
 from repro.common.errors import SimulatedCrashError
 from repro.faults import CrashFault, FaultInjector, FaultPlan
 from repro.relational import full_outer_join, rows_equal, split
-from repro.shard import (
-    ShardPlanner,
-    ShardedPopulator,
-    stable_shard_hash,
-)
+from repro.shard import ShardPlanner, stable_shard_hash
 from repro.transform.analysis import FixedIterationsPolicy
 from repro.wal.log import LogManager
 from repro.wal.records import data_change_of
 
+from tests import scan_contract
 from tests.conftest import (
+    T_SPLIT_SCHEMA,
     foj_spec,
     load_foj_data,
     load_split_data,
@@ -69,61 +67,47 @@ def test_planner_balance_is_reasonable():
     assert min(hist.values()) > 150  # no starved shard on uniform keys
 
 
-def test_planner_partition_rowids_covers_table_exactly_once(foj_db):
-    load_foj_data(foj_db, n_r=30, n_s=5)
-    planner = ShardPlanner(3)
-    parts = planner.partition_rowids(foj_db.table("R"))
-    combined = sorted(r for part in parts for r in part)
-    assert combined == sorted(foj_db.table("R").rows)
-
-
 # ---------------------------------------------------------------------------
-# Sharded population
+# Sharded population: one scan, N accounts
 # ---------------------------------------------------------------------------
+# What a scan owes its callers is the parametrised contract in
+# tests/scan_contract.py (run over every configuration by
+# tests/test_fuzzy.py::test_scan_contract).  The first three ids below
+# are its ``plain`` rows, kept under the names the test floor knows them
+# by.
 
 
-def test_sharded_populator_interleaves_per_shard_chunks(foj_db):
-    load_foj_data(foj_db, n_r=24, n_s=5)
-    populator = ShardedPopulator(foj_db.table("R"), 4, ShardPlanner(2))
-    seen = []
-    while not populator.exhausted:
-        seen.extend(populator.next_chunk())
-    assert len(seen) == 24
-    assert len({row.values["a"] for row in seen}) == 24
-    assert sum(populator.rows_per_shard) == 24
-    assert all(n > 0 for n in populator.rows_per_shard)
+def test_planner_partition_rowids_covers_table_exactly_once():
+    """The shard map partitions a table: every row is charged to exactly
+    the account ``shard_of`` names, and the accounts sum to the table."""
+    scan_contract.every_live_row_is_handed_out_exactly_once(
+        scan_contract.ScanCase("plain", shards=3))
 
 
-def test_sharded_populator_never_yields_empty_chunk_mid_scan(foj_db):
-    """Regression: a shard chunk emptied by deletions surfaced as ``[]``
-    before true exhaustion, which population steps read as "done" and
-    stranded the remaining shards.  An empty return now always means the
-    scan is finished."""
-    load_foj_data(foj_db, n_r=24, n_s=5)
-    populator = ShardedPopulator(foj_db.table("R"), 3, ShardPlanner(4))
-    with Session(foj_db) as s:
-        for i in range(1, 24, 2):  # empty out whole per-shard chunks
-            s.delete("R", (i,))
-    seen = []
-    while True:
-        chunk = populator.next_chunk()
-        if not chunk:
-            assert populator.exhausted
-            break
-        seen.extend(chunk)
-    assert sorted(r.values["a"] for r in seen) == list(range(0, 24, 2))
+def test_sharded_populator_never_yields_empty_chunk_mid_scan():
+    """Regression: a chunk emptied by deletions surfaced as ``[]`` before
+    true exhaustion, which population steps read as "done"."""
+    scan_contract.empty_return_always_means_exhausted(
+        scan_contract.ScanCase("plain", shards=4))
 
 
-def test_sharded_populator_nonpositive_limit_is_a_noop(foj_db):
-    load_foj_data(foj_db, n_r=8, n_s=5)
-    populator = ShardedPopulator(foj_db.table("R"), 3, ShardPlanner(2))
-    assert populator.next_chunk(0) == []
-    assert populator.next_chunk(-4) == []
-    assert not populator.exhausted
-    seen = []
-    while not populator.exhausted:
-        seen.extend(populator.next_chunk())
-    assert len(seen) == 8
+def test_sharded_populator_nonpositive_limit_is_a_noop():
+    scan_contract.nonpositive_limit_is_a_noop(
+        scan_contract.ScanCase("plain", shards=2))
+
+
+def test_shards_n_hands_rows_out_in_shards_1_order():
+    """``shards=N`` is accounting, not scheduling: the same rows come out
+    in the same (table) order as ``shards=1``, chunk for chunk."""
+    for kind in scan_contract.KINDS:
+        chunked = {}
+        for shards in (1, 2, 3, 8):
+            _, scan = scan_contract.ScanCase(kind, shards).build(40, 7)
+            chunked[shards] = [[row.values["id"] for row in chunk]
+                               for chunk in scan]
+            assert all(n > 0 for n in scan.rows_per_shard)
+        assert chunked[1][0] == list(range(7))
+        assert chunked[2] == chunked[3] == chunked[8] == chunked[1], kind
 
 
 def test_sharded_population_matches_sequential(foj_db):
@@ -151,11 +135,10 @@ def _foj_source_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_shards_1_never_builds_a_coordinator(split_db, monkeypatch):
+def test_shards_1_never_builds_a_coordinator(monkeypatch):
     """``shards=1`` keeps no shard accounts, so the default path pays no
-    routing call and no planner hash per record."""
-    load_split_data(split_db, n=15)
-    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=1, policy=FixedIterationsPolicy(3)))
+    routing call and no planner hash per row or record -- in population
+    (eager and lazy alike) or in propagation."""
 
     def forbidden(*args):
         raise AssertionError("routing must not run for shards=1")
@@ -163,15 +146,25 @@ def test_shards_1_never_builds_a_coordinator(split_db, monkeypatch):
     monkeypatch.setattr("repro.transform.split.SplitRuleEngine.shard_route",
                         forbidden)
     monkeypatch.setattr(ShardPlanner, "shard_of", forbidden)
+    monkeypatch.setattr("repro.shard.planner.stable_shard_hash", forbidden)
 
-    def update_t():
-        with Session(split_db) as s:
-            s.update("T", (3,), {"name": "u3"})
+    for mode in ("eager", "lazy"):
+        db = Database()
+        db.create_table(T_SPLIT_SCHEMA)
+        load_split_data(db, n=15)
+        tf = SplitTransformation(db, split_spec(db), options=TransformOptions(
+            shards=1, population_mode=mode,
+            policy=FixedIterationsPolicy(3)))
 
-    _drive_with_workload(split_db, tf, [update_t, update_t])
-    assert tf.done
-    assert tf.stats["propagated_records"] > 0
-    assert tf.shard_summary() == []
+        def update_t():
+            with Session(db) as s:
+                s.update("T", (3,), {"name": "u3"})
+
+        _drive_with_workload(db, tf, [update_t, update_t])
+        assert tf.done, mode
+        assert tf.stats["propagated_records"] > 0
+        assert tf.stats["population_units"] == 15
+        assert tf.shard_summary() == []
 
 
 def test_shards_validation(split_db):
@@ -479,7 +472,7 @@ def test_idle_shards_still_run_policy_analysis(split_db):
 
 
 @pytest.mark.parametrize("site, hit", [
-    ("shard.populate.chunk", 2),
+    ("tf.populate.chunk", 2),
     ("tf.propagate.group", 1),
     ("tf.propagate.group", 2),
 ])
