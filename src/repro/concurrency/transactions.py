@@ -90,13 +90,30 @@ class TransactionManager:
     def __init__(self) -> None:
         self._next_id = 1
         self._txns: Dict[int, Transaction] = {}
+        #: The active-transaction table: control blocks not yet in a
+        #: terminal state, in begin order.  The queries below read this,
+        #: so their cost follows the transactions in flight, not every
+        #: transaction ever begun.
+        self._active: Dict[int, Transaction] = {}
 
     def begin(self, start_time: float = 0.0) -> Transaction:
         """Create a new active transaction."""
         txn = Transaction(self._next_id, start_time)
         self._next_id += 1
-        self._txns[txn.txn_id] = txn
+        self.adopt(txn)
         return txn
+
+    def adopt(self, txn: Transaction) -> None:
+        """Register a non-terminal control block (``begin``; restart
+        recovery's rebuilt losers)."""
+        self._txns[txn.txn_id] = txn
+        self._active[txn.txn_id] = txn
+
+    def finished(self, txn: Transaction, state: TxnState) -> None:
+        """Move ``txn`` to its terminal ``state`` and out of the
+        active-transaction table -- the one place a transaction ends."""
+        txn.state = state
+        self._active.pop(txn.txn_id, None)
 
     def get(self, txn_id: int) -> Transaction:
         """Control block by id."""
@@ -114,11 +131,11 @@ class TransactionManager:
 
     def active_txns(self) -> List[Transaction]:
         """All transactions not yet in a terminal state."""
-        return [t for t in self._txns.values() if not t.is_finished]
+        return list(self._active.values())
 
     def active_ids(self) -> List[int]:
         """Ids of all non-terminal transactions, ascending."""
-        return sorted(t.txn_id for t in self.active_txns())
+        return sorted(self._active)
 
     def active_on(self, tables: Iterable[str]) -> List[Transaction]:
         """Active transactions that have touched any of ``tables``.
@@ -129,8 +146,8 @@ class TransactionManager:
         """
         table_set = set(tables)
         return [
-            t for t in self.active_txns()
-            if t.tables_touched & table_set
+            t for t in self._active.values()
+            if not table_set.isdisjoint(t.tables_touched)
         ]
 
     def oldest_first_lsn(self, txn_ids: Iterable[int]) -> int:

@@ -239,7 +239,7 @@ class Database:
                         prev_lsn=txn.last_lsn)
         self.log.request_flush()
         self.faults.fire(SITE_TXN_COMMIT_LOGGED, txn_id=txn.txn_id)
-        txn.state = TxnState.COMMITTED
+        self.txns.finished(txn, TxnState.COMMITTED)
         if self.mvcc is not None:
             # Stamp the transaction's final images at its commit LSN
             # before the X locks drop: the next writer's chain seed must
@@ -264,7 +264,7 @@ class Database:
         self.log.append(EndRecord(txn_id=txn.txn_id, committed=False),
                         prev_lsn=txn.last_lsn)
         self.log.request_flush()
-        txn.state = TxnState.ABORTED
+        self.txns.finished(txn, TxnState.ABORTED)
         if self.mvcc is not None:
             # Pending images never reached a chain; the CLR chain above
             # already restored the heap to committed state.

@@ -196,7 +196,7 @@ def fuzzy_copy(db, source_name: str, target: Table,
 
     for chunk in FuzzyScan(source, chunk_size):
         for row in chunk:
-            target.insert_row(dict(row.values), lsn=row.lsn)
+            target.insert_row(row.values, lsn=row.lsn)
 
     apply_log_with_lsn_guard(db, source_name, target, start_lsn)
     db.log.append(FuzzyMarkRecord(transform_id="fuzzy-copy", phase="end"))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import RecoveryError
-from repro.concurrency.transactions import Transaction, TxnState
+from repro.concurrency.transactions import Transaction
 from repro.engine.database import Database
 from repro.obs.blame import ROLE_RECOVERY
 from repro.storage.table import Table
@@ -161,8 +161,7 @@ def restart(log: LogManager, metrics=None) -> Database:
                 txn = Transaction(txn_id)
                 txn.first_lsn = state.first_lsn
                 txn.last_lsn = state.last_lsn
-                txn.state = TxnState.ACTIVE
-                db.txns._txns[txn_id] = txn
+                db.txns.adopt(txn)
                 undo_from = log.end_lsn
                 # Blame: the rollback acts on recovery's behalf, not the
                 # dead user's.  Restart is offline today, so this only

@@ -10,11 +10,17 @@ Indexes follow *partial-index* semantics with respect to NULL: an index key
 containing ``None`` in any position is not indexed.  This is what lets a FOJ
 target table declare a unique primary index on the R-key attributes while
 still holding ``t^null_x`` rows whose R part is entirely NULL.
+
+A *unique* index holds one rowid per key (``key -> rowid``): a probe is one
+dict lookup and a key costs no container of its own.  A non-unique index
+holds a ``set`` bucket per key (``key -> {rowid, ...}``).  Which of the two
+an index is follows from ``unique``, which every index declares when it is
+created; results come back in rowid order either way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import DuplicateKeyError
 
@@ -32,11 +38,14 @@ def index_key(values: Dict[str, object],
 class HashIndex:
     """A (possibly unique) hash index mapping key tuples to rowids.
 
+    Keys passed to the lookup methods are tuples ordered like ``attrs``.
+
     Args:
         name: Index name, unique within its table.
         attrs: Indexed attribute names, in key order.
         unique: Whether two distinct rows may share a key.  Uniqueness is
-            enforced at insert time with :class:`DuplicateKeyError`.
+            enforced at insert time with :class:`DuplicateKeyError`; it
+            also fixes the entry layout (one rowid per key, no bucket).
         table_name: Owning table name, used only for error messages.
     """
 
@@ -46,7 +55,8 @@ class HashIndex:
         self.attrs = tuple(attrs)
         self.unique = unique
         self.table_name = table_name
-        self._map: Dict[Tuple, Set[int]] = {}
+        #: ``key -> rowid`` when unique, ``key -> set of rowids`` otherwise.
+        self._map: Dict[Tuple, object] = {}
         #: ``misses`` counts bucket probes.  ``hits`` and ``stale`` stay 0:
         #: every lookup reads the bucket (there is no result cache); the
         #: keys remain because the wall-clock ledger reads them.
@@ -57,38 +67,59 @@ class HashIndex:
     def insert(self, values: Dict[str, object], rowid: int) -> None:
         """Index a row image under its key (no-op for NULL-containing keys)."""
         key = index_key(values, self.attrs)
-        if key is None:
+        if key is not None:
+            self.add(key, rowid)
+
+    def add(self, key: Tuple, rowid: int) -> None:
+        """Index ``rowid`` under an already extracted, NULL-free ``key``.
+
+        A unique index raises :class:`DuplicateKeyError` -- and stays as
+        it was -- when another row holds the key.
+        """
+        if self.unique:
+            if self._map.setdefault(key, rowid) != rowid:
+                raise DuplicateKeyError(self.table_name or "?", key)
             return
         bucket = self._map.get(key)
         if bucket is None:
             self._map[key] = {rowid}
-            return
-        if self.unique and bucket and rowid not in bucket:
-            raise DuplicateKeyError(self.table_name or "?", key)
-        bucket.add(rowid)
+        else:
+            bucket.add(rowid)
 
     def remove(self, values: Dict[str, object], rowid: int) -> None:
         """Un-index a row image (no-op for NULL-containing keys)."""
         key = index_key(values, self.attrs)
-        if key is None:
+        if key is not None:
+            self.discard(key, rowid)
+
+    def discard(self, key: Tuple, rowid: int) -> None:
+        """Un-index ``rowid`` from a NULL-free ``key``, if it is there."""
+        found = self._map.get(key)
+        if found is None:
             return
-        bucket = self._map.get(key)
-        if bucket is not None:
-            bucket.discard(rowid)
-            if not bucket:
+        if self.unique:
+            if found == rowid:
                 del self._map[key]
+            return
+        found.discard(rowid)
+        if not found:
+            del self._map[key]
 
     def update(self, old_values: Dict[str, object],
                new_values: Dict[str, object], rowid: int) -> None:
-        """Move a row between buckets when its key changed."""
+        """Move a row between keys when its key changed.
+
+        The new key is entered first, so a :class:`DuplicateKeyError`
+        leaves the row under its old key.
+        """
         old_key = index_key(old_values, self.attrs)
         new_key = index_key(new_values, self.attrs)
         if old_key == new_key:
             return
-        if old_key is not None:
-            self.remove(old_values, rowid)
         if new_key is not None:
-            self.insert(new_values, rowid)
+            self.add(new_key, rowid)
+        if old_key is not None:
+            self.discard(old_key, rowid)
 
     def clear(self) -> None:
         """Drop all entries."""
@@ -97,30 +128,36 @@ class HashIndex:
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, key: Tuple) -> List[int]:
-        """Rowids with exactly this key (empty for NULL-containing keys)."""
-        if any(part is None for part in key):
+        """Rowids with exactly this key, ascending (empty for
+        NULL-containing keys)."""
+        if None in key:
             return []
         self.probe_stats["misses"] += 1
-        bucket = self._map.get(tuple(key))
-        return sorted(bucket) if bucket else []
+        found = self._map.get(key)
+        if found is None:
+            return []
+        if self.unique:
+            return [found]
+        return sorted(found) if len(found) > 1 else list(found)
 
     def lookup_one(self, key: Tuple) -> Optional[int]:
         """Single rowid for a unique index, ``None`` if absent."""
         rowids = self.lookup(key)
-        if not rowids:
-            return None
-        return rowids[0]
+        return rowids[0] if rowids else None
 
     def contains(self, key: Tuple) -> bool:
-        """Whether any row is indexed under ``key``."""
-        return bool(self.lookup(key))
+        """Whether any row is indexed under ``key`` (one bucket probe)."""
+        if None in key:
+            return False
+        self.probe_stats["misses"] += 1
+        return key in self._map
 
     def count(self, key: Tuple) -> int:
         """Number of rows indexed under ``key``."""
-        if any(part is None for part in key):
+        found = None if None in key else self._map.get(key)
+        if found is None:
             return 0
-        bucket = self._map.get(tuple(key))
-        return len(bucket) if bucket else 0
+        return 1 if self.unique else len(found)
 
     def keys(self) -> Iterator[Tuple]:
         """All distinct keys currently indexed."""

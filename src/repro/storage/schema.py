@@ -112,14 +112,15 @@ class TableSchema:
         self.functional_deps: Tuple[FunctionalDependency, ...] = tuple(
             functional_deps
         )
-        self._attr_set = frozenset(names)
+        #: The attribute names as a set (membership and subset tests).
+        self.attribute_set = frozenset(names)
         self._pk_set = frozenset(pk)
 
     # -- introspection -------------------------------------------------------
 
     def has_attribute(self, name: str) -> bool:
         """Whether a column with the given name exists."""
-        return name in self._attr_set
+        return name in self.attribute_set
 
     def is_key_attribute(self, name: str) -> bool:
         """Whether the column is part of the primary key."""
@@ -133,7 +134,10 @@ class TableSchema:
 
     def key_of(self, values: Mapping[str, object]) -> Tuple:
         """Extract the primary-key tuple from a values mapping."""
-        return tuple(values[c] for c in self.primary_key)
+        key = self.primary_key
+        if len(key) == 1:
+            return (values[key[0]],)
+        return tuple([values[c] for c in key])
 
     def normalize(self, values: Mapping[str, object]) -> Dict[str, object]:
         """Validate and complete a row image.
@@ -141,8 +145,8 @@ class TableSchema:
         Unknown columns raise; missing columns are filled with ``None``.
         Returns a fresh dict ordered like the schema.
         """
-        extra = set(values) - self._attr_set
-        if extra:
+        if not self.attribute_set.issuperset(values):
+            extra = set(values) - self.attribute_set
             raise SchemaError(
                 f"unknown attributes {sorted(extra)} for table {self.name!r}"
             )
@@ -155,7 +159,7 @@ class TableSchema:
         delete + insert, matching the paper's propagation rules which assume
         stable identifying attributes).
         """
-        extra = set(changes) - self._attr_set
+        extra = set(changes) - self.attribute_set
         if extra:
             raise SchemaError(
                 f"unknown attributes {sorted(extra)} for table {self.name!r}"
@@ -172,7 +176,7 @@ class TableSchema:
     def project(self, name: str, columns: Sequence[str],
                 primary_key: Sequence[str]) -> "TableSchema":
         """Schema of a projection of this table under a new name."""
-        missing = [c for c in columns if c not in self._attr_set]
+        missing = [c for c in columns if c not in self.attribute_set]
         if missing:
             raise SchemaError(f"cannot project missing columns {missing}")
         by_name = {a.name: a for a in self.attributes}

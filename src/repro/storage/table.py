@@ -142,26 +142,35 @@ class Table:
 
         The values mapping is normalized against the schema (missing
         attributes become NULL).  Unique-index violations raise
-        :class:`DuplicateKeyError` before any index is modified.
+        :class:`DuplicateKeyError` before any index is modified.  Each
+        index key is extracted once and serves both that check and the
+        index entry.
         """
-        self.faults.fire(SITE_TABLE_INSERT, table=self.name)
+        faults = self.faults
+        if faults.enabled:
+            faults.fire(SITE_TABLE_INSERT, table=self.name)
         normalized = self.schema.normalize(values)
         row = Row(normalized, lsn=lsn, meta=meta)
+        keyed = []
         for index in self.indexes.values():
-            if index.unique:
-                key = index_key(normalized, index.attrs)
-                if key is not None and index.contains(key):
+            key = index_key(normalized, index.attrs)
+            if key is not None:
+                if index.unique and index.contains(key):
                     raise DuplicateKeyError(self.name, key)
-        self.rows[row.rowid] = row
-        self.faults.fire(SITE_TABLE_INSERT_INDEXED, table=self.name,
-                         rowid=row.rowid)
-        for index in self.indexes.values():
-            index.insert(row.values, row.rowid)
+                keyed.append((index, key))
+        rowid = row.rowid
+        self.rows[rowid] = row
+        if faults.enabled:
+            faults.fire(SITE_TABLE_INSERT_INDEXED, table=self.name,
+                        rowid=rowid)
+        for index, key in keyed:
+            index.add(key, rowid)
         return row
 
     def delete_rowid(self, rowid: int) -> Row:
         """Delete a row by physical id; returns the removed row."""
-        self.faults.fire(SITE_TABLE_DELETE, table=self.name, rowid=rowid)
+        if self.faults.enabled:
+            self.faults.fire(SITE_TABLE_DELETE, table=self.name, rowid=rowid)
         row = self.rows.pop(rowid, None)
         if row is None:
             raise NoSuchRowError(self.name, (rowid,))
@@ -178,31 +187,26 @@ class Table:
         (e.g. a FOJ NULL record acquiring an R part).  Unique violations on
         the new image raise before anything is modified.
         """
-        self.faults.fire(SITE_TABLE_UPDATE, table=self.name, rowid=rowid)
+        if self.faults.enabled:
+            self.faults.fire(SITE_TABLE_UPDATE, table=self.name, rowid=rowid)
         row = self.rows.get(rowid)
         if row is None:
             raise NoSuchRowError(self.name, (rowid,))
+        attribute_set = self.schema.attribute_set
+        if not attribute_set.issuperset(changes):
+            unknown = next(a for a in changes if a not in attribute_set)
+            raise SchemaError(
+                f"unknown attribute {unknown!r} for table {self.name!r}")
         if self._indexed_attrs.isdisjoint(changes):
             # No indexed attribute changes: skip the unique pre-checks,
-            # the before-image copies and the per-index re-bucketing.
-            has_attribute = self.schema.has_attribute
-            for attr in changes:
-                if not has_attribute(attr):
-                    raise SchemaError(
-                        f"unknown attribute {attr!r} for table "
-                        f"{self.name!r}")
+            # the before-image copy and the per-index re-keying.
             row.values.update(changes)
             if lsn is not None:
                 row.lsn = lsn
             return row
         old_values = dict(row.values)
         new_values = dict(old_values)
-        for attr, value in changes.items():
-            if not self.schema.has_attribute(attr):
-                raise SchemaError(
-                    f"unknown attribute {attr!r} for table {self.name!r}"
-                )
-            new_values[attr] = value
+        new_values.update(changes)
         for index in self.indexes.values():
             if not index.unique:
                 continue
@@ -257,8 +261,8 @@ class Table:
 
     def get(self, key: Tuple) -> Optional[Row]:
         """Row with the given primary-key tuple, or ``None``."""
-        rowid = self._primary.lookup_one(tuple(key))
-        return None if rowid is None else self.rows[rowid]
+        rowids = self._primary.lookup(key)
+        return self.rows[rowids[0]] if rowids else None
 
     def require(self, key: Tuple) -> Row:
         """Row with the given primary key; raises if absent."""
@@ -269,7 +273,7 @@ class Table:
 
     def contains_key(self, key: Tuple) -> bool:
         """Whether a row with this primary key exists."""
-        return self._primary.contains(tuple(key))
+        return self._primary.contains(key)
 
     def delete_key(self, key: Tuple) -> Row:
         """Delete the row with the given primary key."""
@@ -283,7 +287,8 @@ class Table:
     def lookup(self, index_name: str, key: Tuple) -> List[Row]:
         """Rows matching ``key`` in the named index, in rowid order."""
         index = self.index(index_name)
-        return [self.rows[rid] for rid in index.lookup(tuple(key))]
+        rows = self.rows
+        return [rows[rid] for rid in index.lookup(key)]
 
     # -- scans ---------------------------------------------------------------------
 

@@ -153,15 +153,19 @@ class PropagatedLockTable:
         if txn_id == 0:
             return
         resource = record_resource(table_uid, key)
-        self._by_txn.setdefault(txn_id, set()).add(resource)
+        held = self._by_txn.get(txn_id)
+        if held is None:
+            self._by_txn[txn_id] = {resource}
+        else:
+            held.add(resource)
 
-    def release_txn(self, txn_id: int) -> Set[Tuple]:
-        """Drop and return all entries of a finished transaction."""
-        return self._by_txn.pop(txn_id, set())
+    def release_txn(self, txn_id: int) -> None:
+        """Drop all entries of a finished transaction."""
+        self._by_txn.pop(txn_id, None)
 
     def resources_of(self, txn_id: int) -> Set[Tuple]:
         """Entries currently recorded for a transaction."""
-        return set(self._by_txn.get(txn_id, set()))
+        return set(self._by_txn.get(txn_id, ()))
 
     def txn_ids(self) -> List[int]:
         """Transactions with at least one recorded entry."""
@@ -219,20 +223,23 @@ class RuleEngine:
         raise NotImplementedError
 
     def apply_run(self, table_name: str, kind: type,
-                  items: Sequence[Tuple[LogRecord, int]]
+                  items: Sequence[Tuple[LogRecord, int, int]]
                   ) -> List[List[Tuple[Table, Tuple]]]:
         """Apply a consecutive run of same-(table, rule) data changes.
 
-        ``items`` holds ``(change, lsn)`` pairs in LSN order; ``kind`` is
-        the record class shared by every change in the run.  The return
-        value is the per-change touched-record lists, positionally
-        matching ``items``.  The default simply loops :meth:`apply`;
-        engines with a cheap per-(table, kind) rule dispatch override
-        this to resolve the rule once per run (see
+        ``items`` holds ``(change, lsn, txn_id)`` triples in LSN order,
+        exactly as the propagation loop collected them (the rules read
+        the first two; the owner id rides along for the loop's lock
+        bookkeeping); ``kind`` is the record class shared by every
+        change in the run.  The return value is the per-change
+        touched-record lists, positionally matching ``items``.  The
+        default simply loops :meth:`apply`; engines that keep a
+        (table, record class) rule table override this to resolve the
+        rule once per run (see
         :meth:`repro.transform.foj.FojRuleEngine.apply_run`).
         """
         apply_ = self.apply
-        return [apply_(change, lsn) for change, lsn in items]
+        return [apply_(change, lsn) for change, lsn, _txn_id in items]
 
     def handle_marker(self, record: LogRecord) -> None:
         """Consume a non-data record (CC marks etc.); default: ignore."""
@@ -850,10 +857,9 @@ class Transformation:
         keys) count as serial.
         """
         assert self.engine is not None
-        touched_lists = self.engine.apply_run(
-            table_name, kind, [(change, lsn) for change, lsn, _ in items])
+        touched_lists = self.engine.apply_run(table_name, kind, items)
         note = self.locks_held.note
-        for (change, lsn, txn_id), touched in zip(items, touched_lists):
+        for (_change, _lsn, txn_id), touched in zip(items, touched_lists):
             for table, key in touched:
                 note(txn_id, table.uid, key)
         if self.metrics.enabled:

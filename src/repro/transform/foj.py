@@ -119,6 +119,16 @@ class FojRuleEngine(RuleEngine):
         self._r_attr_set = set(spec.r_attrs)
         self._s_attr_set = set(spec.s_attrs)
         self._has_skey_index = SKEY_INDEX in target.indexes
+        #: (source table, record class) -> rule: the one dispatch table
+        #: behind :meth:`apply` and :meth:`apply_run`.
+        self._rules = {
+            (spec.r_name, InsertRecord): self._rule1_insert_r,
+            (spec.r_name, DeleteRecord): self._rule3_delete_r,
+            (spec.r_name, UpdateRecord): self._rules5_7_update_r,
+            (spec.s_name, InsertRecord): self._rule2_insert_s,
+            (spec.s_name, DeleteRecord): self._rule4_delete_s,
+            (spec.s_name, UpdateRecord): self._rules6_7_update_s,
+        }
 
     # -- helpers -----------------------------------------------------------
 
@@ -136,7 +146,7 @@ class FojRuleEngine(RuleEngine):
         therefore unindexed).
         """
         index = SKEY_INDEX if self._has_skey_index else JOIN_INDEX
-        return [row for row in self.t.lookup(index, tuple(key))
+        return [row for row in self.t.lookup(index, key)
                 if not row.meta.get("s_null")]
 
     def _key_of(self, row: Row) -> Tuple:
@@ -184,65 +194,53 @@ class FojRuleEngine(RuleEngine):
 
         The ``lsn`` is accepted for interface uniformity and ignored: a
         joined row has no single valid state identifier (Section 4.2), so
-        the FOJ rules are purely state-driven.
+        the FOJ rules are purely state-driven.  A record no rule covers
+        (another table, another record class) touches nothing.
         """
         touched: List[Tuple[Table, Tuple]] = []
-        spec = self.spec
-        if change.table == spec.r_name:
-            if isinstance(change, InsertRecord):
-                self._rule1_insert_r(change, touched)
-            elif isinstance(change, DeleteRecord):
-                self._rule3_delete_r(change, touched)
-            elif isinstance(change, UpdateRecord):
-                if spec.join_attr_r in change.changes and \
-                        change.changes[spec.join_attr_r] != \
-                        change.old_values.get(spec.join_attr_r):
-                    self._rule5_update_r_join(change, touched)
-                else:
-                    self._rule7_update_r_other(change, touched)
-        elif change.table == spec.s_name:
-            if isinstance(change, InsertRecord):
-                self._rule2_insert_s(change, touched)
-            elif isinstance(change, DeleteRecord):
-                self._rule4_delete_s(change, touched)
-            elif isinstance(change, UpdateRecord):
-                if spec.join_attr_s in change.changes and \
-                        change.changes[spec.join_attr_s] != \
-                        change.old_values.get(spec.join_attr_s):
-                    self._rule6_update_s_join(change, touched)
-                else:
-                    self._rule7_update_s_other(change, touched)
+        rule = self._rules.get((change.table, change.__class__))
+        if rule is not None:
+            rule(change, touched)
         return touched
 
     def apply_run(self, table_name: str, kind: type,
                   items) -> List[List[Tuple[Table, Tuple]]]:
-        """Batched dispatch: resolve Rules 1-4 once per run.
+        """Batched dispatch: one rule lookup for the whole run.
 
-        Inserts and deletes map straight to one rule per (table, kind);
-        updates keep the per-record join-attribute test (Rule 5/6 vs. 7)
-        and fall back to :meth:`apply`.  Records stay in LSN order.
+        Records stay in LSN order; only the lookup :meth:`apply` makes
+        per record is hoisted out of the loop.
         """
-        spec = self.spec
-        rule = None
-        if table_name == spec.r_name:
-            if kind is InsertRecord:
-                rule = self._rule1_insert_r
-            elif kind is DeleteRecord:
-                rule = self._rule3_delete_r
-        elif table_name == spec.s_name:
-            if kind is InsertRecord:
-                rule = self._rule2_insert_s
-            elif kind is DeleteRecord:
-                rule = self._rule4_delete_s
+        rule = self._rules.get((table_name, kind))
         if rule is None:
-            apply_ = self.apply
-            return [apply_(change, lsn) for change, lsn in items]
+            return [[] for _ in items]
         out: List[List[Tuple[Table, Tuple]]] = []
-        for change, _lsn in items:
+        for item in items:
             touched: List[Tuple[Table, Tuple]] = []
-            rule(change, touched)
+            rule(item[0], touched)
             out.append(touched)
         return out
+
+    def _rules5_7_update_r(self, change: UpdateRecord,
+                           touched: List[Tuple[Table, Tuple]]) -> None:
+        """An R update that changes the join attribute moves the row
+        (Rule 5); any other one updates it in place (Rule 7)."""
+        join_attr = self.spec.join_attr_r
+        if join_attr in change.changes and change.changes[join_attr] != \
+                change.old_values.get(join_attr):
+            self._rule5_update_r_join(change, touched)
+        else:
+            self._rule7_update_r_other(change, touched)
+
+    def _rules6_7_update_s(self, change: UpdateRecord,
+                           touched: List[Tuple[Table, Tuple]]) -> None:
+        """An S update that changes the join attribute re-attaches the S
+        record (Rule 6); any other one updates its carriers (Rule 7)."""
+        join_attr = self.spec.join_attr_s
+        if join_attr in change.changes and change.changes[join_attr] != \
+                change.old_values.get(join_attr):
+            self._rule6_update_s_join(change, touched)
+        else:
+            self._rule7_update_s_other(change, touched)
 
     # -- Rule 1 (Insert r^y_x into R) ------------------------------------------
 
@@ -611,7 +609,7 @@ class FojTransformation(Transformation):
         s_scan = self._source_scan(self.spec.s_name)
         while units < budget and not s_scan.exhausted:
             for row in s_scan.next_chunk(budget - units):
-                values = dict(row.values)
+                values = row.values
                 self._s_by_join.setdefault(
                     values.get(self.spec.join_attr_s), []).append(values)
                 units += 1
@@ -621,7 +619,7 @@ class FojTransformation(Transformation):
         r_scan = self._source_scan(self.spec.r_name)
         while units < budget and not r_scan.exhausted:
             for row in r_scan.next_chunk(budget - units):
-                self._r_buffer.append(dict(row.values))
+                self._r_buffer.append(row.values)
                 units += 1
         if not r_scan.exhausted:
             return units, False

@@ -108,7 +108,7 @@ def upsert_split_row(r_table: Table, s_table: Table, spec: SplitSpec,
         s_row.meta["counter"] += 1
         if lsn > s_row.lsn:
             s_row.lsn = lsn
-        if dict(s_row.values) != s_part:
+        if s_row.values != s_part:
             # Section 5.3: only records consistent in the fuzzy read keep C.
             s_row.meta["flag"] = FLAG_UNKNOWN
 
@@ -136,6 +136,13 @@ class SplitRuleEngine(RuleEngine):
         #: whether a propagated operation has touched them since the CC
         #: begin mark ("dirty").
         self._cc_inflight: Dict[Tuple, bool] = {}
+        #: (source table, record class) -> rule: the one dispatch table
+        #: behind :meth:`apply` and :meth:`apply_run`.
+        self._rules = {
+            (spec.source_name, InsertRecord): self._rule8_insert,
+            (spec.source_name, DeleteRecord): self._rule9_delete,
+            (spec.source_name, UpdateRecord): self._rules10_11_update,
+        }
 
     # -- helpers ------------------------------------------------------------
 
@@ -182,39 +189,31 @@ class SplitRuleEngine(RuleEngine):
 
     def apply(self, change: LogRecord,
               lsn: int) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged source-table operation to R and S."""
+        """Apply one logged source-table operation to R and S.
+
+        A record no rule covers (another table, another record class)
+        touches nothing.
+        """
         touched: List[Tuple[Table, Tuple]] = []
-        if change.table != self.spec.source_name:
-            return touched
-        if isinstance(change, InsertRecord):
-            self._rule8_insert(change, lsn, touched)
-        elif isinstance(change, DeleteRecord):
-            self._rule9_delete(change, lsn, touched)
-        elif isinstance(change, UpdateRecord):
-            self._rules10_11_update(change, lsn, touched)
+        rule = self._rules.get((change.table, change.__class__))
+        if rule is not None:
+            rule(change, lsn, touched)
         return touched
 
     def apply_run(self, table_name: str, kind: type,
                   items) -> List[List[Tuple[Table, Tuple]]]:
-        """Batched dispatch: resolve Rules 8-11 once per run.
+        """Batched dispatch: one rule lookup for the whole run.
 
-        The run's records stay in LSN order; only the per-record
-        table-name and isinstance checks are hoisted out of the loop.
+        Records stay in LSN order; only the lookup :meth:`apply` makes
+        per record is hoisted out of the loop.
         """
-        if table_name != self.spec.source_name:
+        rule = self._rules.get((table_name, kind))
+        if rule is None:
             return [[] for _ in items]
-        if kind is InsertRecord:
-            rule = self._rule8_insert
-        elif kind is DeleteRecord:
-            rule = self._rule9_delete
-        elif kind is UpdateRecord:
-            rule = self._rules10_11_update
-        else:
-            return [self.apply(change, lsn) for change, lsn in items]
         out: List[List[Tuple[Table, Tuple]]] = []
-        for change, lsn in items:
+        for item in items:
             touched: List[Tuple[Table, Tuple]] = []
-            rule(change, lsn, touched)
+            rule(item[0], item[1], touched)
             out.append(touched)
         return out
 
@@ -243,7 +242,7 @@ class SplitRuleEngine(RuleEngine):
             s_row.meta["counter"] += 1
             if lsn > s_row.lsn:
                 s_row.lsn = lsn
-            if self.check_consistency and dict(s_row.values) != s_part:
+            if self.check_consistency and s_row.values != s_part:
                 # "Inserting a record s^x that is not equal to an existing
                 # record with the same split value changes a C-flag into U."
                 s_row.meta["flag"] = FLAG_UNKNOWN
@@ -400,7 +399,7 @@ class SplitRuleEngine(RuleEngine):
         if table_name != self.spec.source_name:
             return []
         key = tuple(values.get(a) for a in self.spec.r_key)
-        upsert_split_row(self.r, self.s, self.spec, dict(values), lsn)
+        upsert_split_row(self.r, self.s, self.spec, values, lsn)
         return [(self.r, key)]
 
     # -- lock mapping (synchronization support) ------------------------------------------
@@ -582,8 +581,8 @@ class SplitTransformation(Transformation):
         spec = self.engine.spec
         while units < budget and not scan.exhausted:
             for row in scan.next_chunk(budget - units):
-                upsert_split_row(r_table, s_table, spec,
-                                 dict(row.values), row.lsn)
+                upsert_split_row(r_table, s_table, spec, row.values,
+                                 row.lsn)
                 units += 1
         return units, scan.exhausted
 

@@ -6,13 +6,24 @@ including the NULL-record bookkeeping the paper's notation (t^null_x,
 t^y_null) describes.
 """
 
+import random
+
 import pytest
 
 from repro import Database, TableSchema
 from repro.common.errors import TransformationError
 from repro.relational.spec import FojSpec
 from repro.transform.foj import FojRuleEngine, create_foj_target
-from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
+from repro.wal.records import (
+    DeleteRecord,
+    InsertRecord,
+    LogRecord,
+    UpdateRecord,
+)
+from tests.dispatch_contract import (
+    touched_in_random_runs,
+    touched_per_record,
+)
 
 R = TableSchema("R", ["a", "b", "c"], primary_key=["a"])
 S = TableSchema("S", ["c", "d"], primary_key=["c"])
@@ -467,3 +478,98 @@ def test_sources_of_target_lock_snull_row_maps_to_r_only():
     put(t, {"a": 1, "b": "b", "c": 99, "d": None}, s_null=True)
     mapped = engine.sources_of_target_lock("T", (1,))
     assert [table.name for table, _ in mapped] == ["R"]
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: apply_run in arbitrary run splits == apply record by record
+# ---------------------------------------------------------------------------
+
+
+def _foj_stream(rng, n):
+    """A valid mixed history of R / S2 / a foreign table: inserts, deletes,
+    Rule 7 updates, join-attribute updates (Rules 5 and 6) and the
+    compensating actions a rollback's CLRs carry (an operation directly
+    followed by its inverse)."""
+    r, s = {}, {}                                  # a -> c;  k -> c
+    stream, next_id = [], [0]
+
+    def emit(record, inverse=None):
+        stream.append(record)
+        if inverse is not None and rng.random() < 0.15:
+            stream.append(inverse)                 # CLR-unwrapped action
+            return False
+        return True
+
+    def free_join():
+        return rng.choice([c for c in range(12) if c not in s.values()])
+
+    while len(stream) < n:
+        op = rng.randrange(9)
+        if op == 0 or not r:
+            next_id[0] += 1
+            a, c = next_id[0], rng.choice([None] + list(range(12)))
+            if emit(insert_r(a, f"b{a}", c),
+                    DeleteRecord(txn_id=1, table="R", key=(a,))):
+                r[a] = c
+        elif op == 1:
+            a = rng.choice(sorted(r))
+            if emit(DeleteRecord(txn_id=1, table="R", key=(a,)),
+                    insert_r(a, "back", r[a])):
+                del r[a]
+        elif op == 2:
+            a = rng.choice(sorted(r))
+            emit(UpdateRecord(txn_id=1, table="R", key=(a,),
+                              changes={"b": f"b{len(stream)}"},
+                              old_values={"b": "?"}))
+        elif op == 3:
+            a, c = rng.choice(sorted(r)), rng.choice([None] + list(range(12)))
+            if c != r[a] and emit(upd_r_join(a, r[a], c),
+                                  upd_r_join(a, c, r[a])):
+                r[a] = c
+        elif op == 4 and len(s) < 10:
+            next_id[0] += 1
+            k, c = next_id[0], free_join()
+            if emit(InsertRecord(txn_id=1, table="S2", key=(k,),
+                                 values={"k": k, "c": c, "d": f"d{k}"}),
+                    DeleteRecord(txn_id=1, table="S2", key=(k,))):
+                s[k] = c
+        elif op == 5 and s:
+            k = rng.choice(sorted(s))
+            emit(DeleteRecord(txn_id=1, table="S2", key=(k,)))
+            del s[k]
+        elif op == 6 and s:
+            k = rng.choice(sorted(s))
+            emit(UpdateRecord(txn_id=1, table="S2", key=(k,),
+                              changes={"d": f"d{len(stream)}"},
+                              old_values={"d": "?"}))
+        elif op == 7 and s:
+            k, c = rng.choice(sorted(s)), free_join()
+            emit(upd_s_join(k, s[k], c))
+            s[k] = c
+        elif op == 8:
+            emit(InsertRecord(txn_id=1, table="elsewhere", key=(1,),
+                              values={"a": 1}))
+    return stream
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_run_in_any_split_equals_apply_per_record(seed):
+    rng = random.Random(seed)
+    stream = _foj_stream(rng, 300)
+    one, t_one = make_engine_nonkey_join()
+    run, t_run = make_engine_nonkey_join()
+    expected = touched_per_record(one, stream)
+    assert touched_in_random_runs(run, stream, rng) == expected
+    assert any(len(touched) > 1 for touched in expected)
+    assert rows_of(t_run) == rows_of(t_one)
+
+
+def test_unknown_table_or_record_class_touches_nothing():
+    engine, t = make_engine()
+    foreign = InsertRecord(txn_id=1, table="elsewhere", key=(1,),
+                           values={"a": 1})
+    assert engine.apply(foreign) == []
+    assert engine.apply_run("elsewhere", InsertRecord,
+                            [(foreign, 1, 1), (foreign, 2, 1)]) == [[], []]
+    assert engine.apply_run("R", LogRecord, [(LogRecord(), 3, 1)]) == [[]]
+    assert t.row_count == 0

@@ -1,5 +1,8 @@
 """Unit tests for hash indexes and heap tables."""
 
+import gc
+import random
+
 import pytest
 
 from repro.common.errors import (
@@ -332,3 +335,158 @@ def test_probe_cache_not_served_across_mvcc_disjoint_update():
     assert table.rows[before[0]].values["x"] == "new"
     db.mvcc.gc()                                  # trims the chain, not the row
     assert primary.lookup((1,)) == before
+
+
+# ---------------------------------------------------------------------------
+# Index and table contract
+# ---------------------------------------------------------------------------
+
+
+def _index_state(index):
+    return {key: index.lookup(key) for key in index.keys()}
+
+
+def _table_state(table):
+    return ({rowid: dict(row.values) for rowid, row in table.rows.items()},
+            {name: _index_state(index)
+             for name, index in table.indexes.items()})
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("unique", [True, False])
+def test_hash_index_agrees_with_a_naive_model(unique, seed):
+    """Random insert / remove / update / clear against ``key -> sorted
+    rowids``: every read agrees after every step, NULL-containing keys
+    stay unindexed, and a refused insert or update changes nothing."""
+    rng = random.Random(seed)
+    index = HashIndex("i", ("a", "b"), unique=unique, table_name="t")
+    model = {}                       # key -> sorted rowids
+    images = {}                      # rowid -> indexed row image
+
+    def image():
+        return {"a": rng.choice([None, 0, 1, 2]),
+                "b": rng.choice([None, 0, 1])}
+
+    def key_of(values):
+        key = (values["a"], values["b"])
+        return None if None in key else key
+
+    def model_add(values, rowid):
+        key = key_of(values)
+        if key is not None and rowid not in model.get(key, ()):
+            model[key] = sorted(model.get(key, []) + [rowid])
+
+    def model_drop(values, rowid):
+        key = key_of(values)
+        if key is not None and rowid in model.get(key, ()):
+            model[key].remove(rowid)
+            if not model[key]:
+                del model[key]
+
+    def taken(values, rowid):
+        return unique and model.get(key_of(values), [rowid]) != [rowid]
+
+    for step in range(400):
+        op = rng.random()
+        if op < 0.45:
+            rowid, values = rng.randrange(1, 40), image()
+            if rowid in images:
+                continue             # a rowid is indexed under one image
+            if taken(values, rowid):
+                before = _index_state(index)
+                with pytest.raises(DuplicateKeyError):
+                    index.insert(values, rowid)
+                assert _index_state(index) == before
+            else:
+                index.insert(values, rowid)
+                model_add(values, rowid)
+                images[rowid] = values
+        elif op < 0.65 and images:
+            rowid = rng.choice(sorted(images))
+            index.remove(images[rowid], rowid)
+            model_drop(images.pop(rowid), rowid)
+        elif op < 0.97 and images:
+            rowid, new = rng.choice(sorted(images)), image()
+            if key_of(new) != key_of(images[rowid]) and taken(new, rowid):
+                before = _index_state(index)
+                with pytest.raises(DuplicateKeyError):
+                    index.update(images[rowid], new, rowid)
+                assert _index_state(index) == before
+            else:
+                index.update(images[rowid], new, rowid)
+                model_drop(images[rowid], rowid)
+                model_add(new, rowid)
+                images[rowid] = new
+        elif op >= 0.97:
+            index.clear()
+            model.clear()
+            images.clear()
+        assert sorted(index.keys()) == sorted(model) and \
+            len(index) == len(model)
+        for a in (None, 0, 1, 2):
+            for b in (None, 0, 1):
+                rowids = model.get((a, b), [])
+                assert index.lookup((a, b)) == rowids
+                assert index.lookup_one((a, b)) == \
+                    (rowids[0] if rowids else None)
+                assert index.contains((a, b)) == bool(rowids)
+                assert index.count((a, b)) == len(rowids)
+
+
+def test_duplicate_on_second_unique_index_changes_nothing():
+    """The violation sits on the *second* unique index, so the first has
+    already accepted the key when it is found: rows and every index must
+    still read exactly as before."""
+    table = Table(TableSchema("t", ["id", "email", "grp"],
+                              primary_key=["id"],
+                              candidate_keys=[["email"]]))
+    table.create_index("by_grp", ("grp",))
+    table.insert_row({"id": 1, "email": "a@x", "grp": 1})
+    other = table.insert_row({"id": 2, "email": "b@x", "grp": 1})
+    before = _table_state(table)
+    with pytest.raises(DuplicateKeyError):
+        table.insert_row({"id": 3, "email": "a@x", "grp": 2})
+    assert _table_state(table) == before
+    with pytest.raises(DuplicateKeyError):
+        table.update_rowid(other.rowid, {"id": 9, "email": "a@x", "grp": 3})
+    assert _table_state(table) == before
+    assert [r.rowid for r in table.lookup("by_grp", (1,))] == \
+        sorted(table.rows)                          # rowid order
+
+
+def test_unique_index_costs_no_set_per_key():
+    """A unique index holds one rowid per key: loading rows into a table
+    whose only index is its primary one creates no ``set`` for the
+    collector to track (it used to create one per row)."""
+    table = Table(TableSchema("t", ["id", "v"], primary_key=["id"]))
+
+    def tracked_sets():
+        return sum(1 for o in gc.get_objects() if type(o) is set)
+
+    gc.collect()
+    before = tracked_sets()
+    for i in range(5000):
+        table.insert_row({"id": i, "v": 0.0})
+    assert tracked_sets() <= before
+
+
+def test_probe_budget_of_get_and_insert_row():
+    """``Table.get`` is one bucket probe; ``insert_row`` makes at most one
+    per unique index (its duplicate check) -- read off
+    ``probe_stats["misses"]``."""
+    table = Table(TableSchema("t", ["id", "email", "grp"],
+                              primary_key=["id"],
+                              candidate_keys=[["email"]]))
+    table.create_index("by_grp", ("grp",))
+
+    def probes():
+        return sum(index.probe_stats["misses"]
+                   for index in table.indexes.values())
+
+    for i in range(20):
+        table.insert_row({"id": i, "email": f"{i}@x", "grp": i % 3})
+    assert probes() <= 20 * 2                       # two unique indexes
+    base = probes()
+    for i in range(30):
+        table.get((i,))                             # 20 hits, 10 absent
+    assert probes() - base == 30

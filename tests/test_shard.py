@@ -318,7 +318,7 @@ def test_foj_s_update_is_applied_exactly_once_under_shards(foj_db):
 
     def spy(table_name, kind, items):
         if table_name == "S":
-            s_applies.extend(lsn for _change, lsn in items)
+            s_applies.extend(lsn for _change, lsn, _txn_id in items)
         return apply_run(table_name, kind, items)
 
     tf.engine.apply_run = spy

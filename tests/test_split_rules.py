@@ -1,6 +1,8 @@
 """Unit tests for the split propagation rules (Rules 8-11, Section 5.2)
 and the C/U flag transitions of Section 5.3."""
 
+import random
+
 import pytest
 
 from repro import Database, TableSchema
@@ -17,7 +19,12 @@ from repro.wal.records import (
     CCOkRecord,
     DeleteRecord,
     InsertRecord,
+    LogRecord,
     UpdateRecord,
+)
+from tests.dispatch_contract import (
+    touched_in_random_runs,
+    touched_per_record,
 )
 
 T = TableSchema("T", ["id", "name", "zip", "city"], primary_key=["id"])
@@ -363,3 +370,87 @@ def test_sources_of_target_lock():
     assert [(t.name, k) for t, k in r_mapped] == [("T", (1,))]
     s_mapped = engine.sources_of_target_lock("Ts", (7050,))
     assert sorted(k for _, k in s_mapped) == [(1,), (2,)]
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: apply_run in arbitrary run splits == apply record by record
+# ---------------------------------------------------------------------------
+
+
+def _split_stream(rng, n):
+    """A valid mixed history of T and a foreign table: inserts, deletes,
+    name / city updates, split-attribute moves and the compensating
+    actions a rollback's CLRs carry (an operation directly followed by
+    its inverse).  City is a function of zip, as the split requires."""
+    rows, stream = {}, []                          # id -> zip
+
+    def city(zip_):
+        return f"city{zip_}"
+
+    def emit(record, inverse=None):
+        stream.append(record)
+        if inverse is not None and rng.random() < 0.15:
+            stream.append(inverse)                 # CLR-unwrapped action
+            return False
+        return True
+
+    while len(stream) < n:
+        op = rng.randrange(6)
+        if op == 0 or not rows:
+            id_, zip_ = len(stream) + 1, rng.randrange(5)
+            if emit(ins(0, id_, zip_, city(zip_))[0], delete(0, id_)[0]):
+                rows[id_] = zip_
+        elif op == 1:
+            id_ = rng.choice(sorted(rows))
+            if emit(delete(0, id_)[0],
+                    ins(0, id_, rows[id_], city(rows[id_]))[0]):
+                del rows[id_]
+        elif op == 2:
+            id_ = rng.choice(sorted(rows))
+            emit(upd(0, id_, {"name": f"n{len(stream)}"}, {"name": "?"})[0])
+        elif op == 3:
+            id_, zip_ = rng.choice(sorted(rows)), rng.randrange(5)
+            old = rows[id_]
+            if zip_ != old and emit(
+                    upd(0, id_, {"zip": zip_, "city": city(zip_)},
+                        {"zip": old, "city": city(old)})[0],
+                    upd(0, id_, {"zip": old, "city": city(old)},
+                        {"zip": zip_, "city": city(zip_)})[0]):
+                rows[id_] = zip_
+        elif op == 4:
+            id_ = rng.choice(sorted(rows))
+            emit(upd(0, id_, {"city": city(rows[id_])},
+                     {"city": city(rows[id_])})[0])
+        else:
+            emit(InsertRecord(txn_id=1, table="elsewhere", key=(1,),
+                              values={"id": 1}))
+    return stream
+
+
+def _state(table):
+    return sorted((sorted(row.values.items()), row.lsn,
+                   sorted(row.meta.items())) for row in table.scan())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_run_in_any_split_equals_apply_per_record(seed):
+    rng = random.Random(seed)
+    stream = _split_stream(rng, 300)
+    one, r_one, s_one = make_engine(check_consistency=True)
+    run, r_run, s_run = make_engine(check_consistency=True)
+    expected = touched_per_record(one, stream)
+    assert touched_in_random_runs(run, stream, rng) == expected
+    assert any(len(touched) > 2 for touched in expected)   # a split move
+    assert _state(r_run) == _state(r_one)
+    assert _state(s_run) == _state(s_one)
+
+
+def test_unknown_table_or_record_class_touches_nothing():
+    engine, r, s = make_engine()
+    foreign = InsertRecord(txn_id=1, table="elsewhere", key=(1,),
+                           values={"id": 1})
+    assert engine.apply(foreign, 1) == []
+    assert engine.apply_run("elsewhere", InsertRecord,
+                            [(foreign, 1, 1), (foreign, 2, 1)]) == [[], []]
+    assert engine.apply_run("T", LogRecord, [(LogRecord(), 3, 1)]) == [[]]
+    assert r.row_count == 0 and s.row_count == 0

@@ -43,7 +43,7 @@ def test_active_queries():
     assert tm.active_ids() == [t1.txn_id, t2.txn_id]
     assert tm.active_on(["R"]) == [t1]
     assert tm.active_on(["nothing"]) == []
-    t1.state = TxnState.COMMITTED
+    tm.finished(t1, TxnState.COMMITTED)
     assert tm.active_on(["R"]) == []
 
 
@@ -60,7 +60,7 @@ def test_oldest_first_lsn():
 def test_doom_marks_only_unfinished():
     tm = TransactionManager()
     t1, t2 = tm.begin(), tm.begin()
-    t2.state = TxnState.COMMITTED
+    tm.finished(t2, TxnState.COMMITTED)
     tm.doom_transactions([t1.txn_id, t2.txn_id, 777], "sync")
     assert t1.doomed and t1.doom_reason == "sync"
     assert not t2.doomed
@@ -70,7 +70,7 @@ def test_forget_finished_keeps_recent():
     tm = TransactionManager()
     txns = [tm.begin() for _ in range(10)]
     for txn in txns[:8]:
-        txn.state = TxnState.COMMITTED
+        tm.finished(txn, TxnState.COMMITTED)
     tm.forget_finished(keep_last=3)
     assert not tm.exists(txns[0].txn_id)
     assert tm.exists(txns[7].txn_id)  # within keep_last
