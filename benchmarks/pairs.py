@@ -2,6 +2,7 @@
 
     python3 benchmarks/pairs.py PARENT CHANGE [--pairs 10] [--seed 101]
         [--workloads foj_catchup,...] [--trace 0|1] [--out pairs.json]
+        [--require METRIC:WORKLOAD ...]
 
 ``PARENT`` and ``CHANGE`` are two checkouts (say a ``git worktree`` or a
 clone of the parent commit, and this tree).  Every workload is run
@@ -16,6 +17,10 @@ change's median is within the metric's bound of the parent's,
 *unresolved* when the parent's own spread is wider than that bound (and
 the two sides' runs overlap), else *WORSE*.  ``--trace 1`` compares the
 per-layer metrics instead (they have no bound: *gain* or nothing).
+
+``--require METRIC:WORKLOAD`` (repeatable) makes the protocol a gate: the
+exit status is non-zero unless every required pairing reads *gain* and
+no metric of any workload that was run reads *WORSE*.
 """
 
 import argparse
@@ -63,6 +68,21 @@ def verdict(parent, change, gap, spread, higher_is_better, bound):
     return won, "held" if -sign * gap <= allowed else "WORSE"
 
 
+def unmet(readings, required):
+    """Why the ``--require`` gate fails (empty: it passes, as it always
+    does when nothing is required): a required (metric, workload) whose
+    verdict is not *gain*, or any metric that ran and reads *WORSE*."""
+    if not required:
+        return []
+    return [f"{metric} on {workload} is "
+            f"{readings[workload][metric]['verdict'] or 'unchanged'}, not gain"
+            for metric, workload in required
+            if readings[workload][metric]["verdict"] != "gain"] + [
+        f"{metric} on {workload} is WORSE"
+        for workload, rows in readings.items()
+        for metric, row in rows.items() if row["verdict"] == "WORSE"]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -73,6 +93,10 @@ def main(argv=None):
     parser.add_argument("--workloads", help="comma-separated subset")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="also write every reading as JSON")
+    parser.add_argument("--require", action="append", default=[],
+                        metavar="METRIC:WORKLOAD",
+                        help="fail unless this pairing's verdict is gain "
+                             "and nothing that ran is WORSE (repeatable)")
     args = parser.parse_args(argv)
     sides = [os.path.abspath(args.parent), os.path.abspath(args.change)]
     with open(os.path.join(sides[1], "BENCHMARK.json")) as handle:
@@ -81,6 +105,12 @@ def main(argv=None):
     names = [w["name"] for w in spec["workloads"]]
     if args.workloads:
         names = [n for n in names if n in args.workloads.split(",")]
+    required = [r.partition(":")[::2] for r in args.require]
+    for metric, workload in required:
+        if workload not in names or \
+                metric not in (m["name"] for m in declared):
+            parser.error(f"--require {metric}:{workload}: not a metric and "
+                         f"workload of this run")
     readings = {}
     for workload in names:
         runs = ([], [])                # parent's results, change's results
@@ -111,7 +141,10 @@ def main(argv=None):
         if args.out:                   # rewritten after every workload
             with open(args.out, "w") as handle:
                 json.dump(readings, handle, indent=1)
-    return 0
+    broken = unmet(readings, required)
+    for line in broken:
+        print(f"REQUIRE FAILED: {line}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -30,18 +30,16 @@ via :func:`register_rebuilder` (the :mod:`repro.transform` package registers
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
-from repro.common.errors import RecoveryError
+from repro.common.errors import NoSuchTableError, RecoveryError
 from repro.concurrency.transactions import Transaction
 from repro.engine.database import Database
 from repro.obs.blame import ROLE_RECOVERY
 from repro.storage.table import Table
-from repro.wal.log import LogManager
+from repro.wal.log import FIRST_LSN, LogManager
 from repro.wal.records import (
     NULL_LSN,
-    AbortRecord,
-    BeginRecord,
     CheckpointRecord,
     CLRecord,
     CommitRecord,
@@ -55,7 +53,6 @@ from repro.wal.records import (
     TransformRetireRecord,
     TransformSwapRecord,
     UpdateRecord,
-    data_change_of,
 )
 
 #: ``rebuild(db, swap_record) -> (published_tables, propagator_or_None)``.
@@ -81,6 +78,9 @@ def restart(log: LogManager, metrics=None) -> Database:
     continue and append to the same history).  Loser transactions are
     rolled back before return; their CLRs are appended to the log.
 
+    The log is read once, as a list, which analysis and redo walk
+    dispatching on the record class (records are never subclassed).
+
     When a :class:`~repro.obs.metrics.Metrics` registry is passed, the
     three passes are recorded as ``recovery.analysis`` / ``recovery.redo``
     / ``recovery.undo`` spans under one ``recovery`` root, with record and
@@ -90,64 +90,37 @@ def restart(log: LogManager, metrics=None) -> Database:
     obs = metrics if metrics is not None else NULL_METRICS
     db = Database(log=log, metrics=metrics)
     end_lsn = log.end_lsn
+    records = log.records_slice(FIRST_LSN, end_lsn)
 
     with obs.span("recovery", end_lsn=end_lsn) as root:
         with obs.span("recovery.analysis") as pass_span:
-            losers, in_commit, max_txn_id = _analysis(log, end_lsn)
+            # Pre-pass: the most recent fuzzy checkpoint bounds analysis,
+            # and redo must know up front which swaps were later retired
+            # (see TransformRetireRecord).
+            checkpoint: Optional[CheckpointRecord] = None
+            retired_ids: Set[str] = set()
+            for record in records:
+                cls = type(record)
+                if cls is CheckpointRecord:
+                    checkpoint = record
+                elif cls is TransformRetireRecord:
+                    retired_ids.add(record.transform_id)
+            losers, in_commit, max_txn_id = _analysis(records, checkpoint)
             if obs.enabled:
                 pass_span.attrs["losers"] = len(losers)
                 pass_span.attrs["in_commit"] = len(in_commit)
-        propagators: List[object] = []
-        transient_names: Set[str] = set()
-        # Transformations retired after publication (e.g. a dropped
-        # materialized view): their swap records must not be replayed --
-        # rebuilding the artefact just to drop it again wastes the redo
-        # pass, and the resurrected rule engine would be fed post-drop
-        # source changes the live system only accepted because the
-        # artefact was already gone.
-        retired_ids: Set[str] = {
-            record.transform_id
-            for record in log.scan(to_lsn=end_lsn)
-            if isinstance(record, TransformRetireRecord)}
 
         # ---- redo --------------------------------------------------------
         with obs.span("recovery.redo") as pass_span:
-            replayed = 0
-            for record in log.scan(to_lsn=end_lsn):
-                replayed += 1
-                if isinstance(record, CreateTableRecord):
-                    if record.transient:
-                        transient_names.add(record.schema.name)
-                    else:
-                        db.catalog.create_table(record.schema)
-                elif isinstance(record, DropTableRecord):
-                    if record.table in transient_names:
-                        transient_names.discard(record.table)
-                    elif db.catalog.exists(record.table):
-                        db.catalog.drop_table(record.table)
-                    else:
-                        db.catalog.drop_zombie(record.table)
-                elif isinstance(record, RenameTableRecord):
-                    if record.old_name in transient_names:
-                        transient_names.discard(record.old_name)
-                        transient_names.add(record.new_name)
-                    else:
-                        db.catalog.rename_table(record.old_name,
-                                                record.new_name)
-                elif isinstance(record, TransformSwapRecord):
-                    if record.transform_id in retired_ids:
-                        continue
-                    propagator = _replay_swap(db, record, transient_names)
-                    if propagator is not None:
-                        propagators.append(propagator)
-                else:
-                    change = data_change_of(record)
-                    if change is not None:
-                        _redo(db, change, record.lsn)
-                        for propagator in propagators:
-                            propagator.apply(record)
+            redo = _Redo(db, retired_ids)
+            handler_of = REDO_HANDLERS.get
+            for record in records:
+                handler = handler_of(type(record))
+                if handler is not None:
+                    handler(redo, record)
+            propagators = redo.propagators
             if obs.enabled:
-                pass_span.attrs["records"] = replayed
+                pass_span.attrs["records"] = len(records)
 
         # ---- undo --------------------------------------------------------
         with obs.span("recovery.undo") as pass_span:
@@ -216,41 +189,39 @@ class _TxnAnalysis:
         self.committed = False
 
 
-def _analysis(log: LogManager,
-              end_lsn: int) -> Tuple[Dict[int, _TxnAnalysis],
-                                     List[int], int]:
+def _analysis(records: List[LogRecord],
+              checkpoint: Optional[CheckpointRecord]
+              ) -> Tuple[Dict[int, _TxnAnalysis], List[int], int]:
     """Find loser and in-commit transactions and the largest txn id.
 
-    The scan is bounded by the most recent fuzzy checkpoint (if any):
+    The walk is bounded by the most recent fuzzy checkpoint (if any):
     analysis starts there, seeded with the checkpoint's snapshot of the
     active-transaction table, then reads forward to the end of the log.
     """
     txns: Dict[int, _TxnAnalysis] = {}
     max_id = 0
-    start_lsn = NULL_LSN + 1
-    checkpoint: Optional[CheckpointRecord] = None
-    for record in log.scan(to_lsn=end_lsn):
-        if isinstance(record, CheckpointRecord):
-            checkpoint = record
+    start = 0
     if checkpoint is not None:
-        start_lsn = checkpoint.lsn
+        start = checkpoint.lsn - FIRST_LSN
         for txn_id, last_lsn in checkpoint.active_txns.items():
-            state = txns.setdefault(txn_id, _TxnAnalysis())
-            state.first_lsn = last_lsn or checkpoint.lsn
-            state.last_lsn = last_lsn or checkpoint.lsn
+            state = txns[txn_id] = _TxnAnalysis()
+            state.first_lsn = state.last_lsn = last_lsn or checkpoint.lsn
             max_id = max(max_id, txn_id)
-    for record in log.scan(from_lsn=start_lsn, to_lsn=end_lsn):
+    for record in records[start:]:
         txn_id = record.txn_id
         if txn_id == 0:
             continue
-        max_id = max(max_id, txn_id)
-        state = txns.setdefault(txn_id, _TxnAnalysis())
-        if state.first_lsn == NULL_LSN:
+        state = txns.get(txn_id)
+        if state is None:
+            state = txns[txn_id] = _TxnAnalysis()
             state.first_lsn = record.lsn
+            if txn_id > max_id:
+                max_id = txn_id
         state.last_lsn = record.lsn
-        if isinstance(record, EndRecord):
+        cls = type(record)
+        if cls is EndRecord:
             state.finished = True
-        elif isinstance(record, CommitRecord):
+        elif cls is CommitRecord:
             # A commit record makes the transaction durable even if the
             # crash hit before its end record was appended: it is a
             # winner ("in-commit"), never a rollback candidate.
@@ -262,39 +233,110 @@ def _analysis(log: LogManager,
     return losers, in_commit, max_id
 
 
-def _redo(db: Database, change: LogRecord, lsn: int) -> None:
-    """Reapply one data change with the standard LSN guard."""
-    try:
-        table = db.catalog.get_any(change.table)
-    except Exception:
-        return  # change to a transient (discarded) table
-    if isinstance(change, InsertRecord):
-        existing = table.get(change.key)
-        if existing is None:
-            table.insert_row(dict(change.values), lsn=lsn)
-        elif existing.lsn < lsn:
-            table.update_rowid(existing.rowid, dict(change.values), lsn=lsn)
-    elif isinstance(change, DeleteRecord):
-        existing = table.get(change.key)
-        if existing is not None and existing.lsn < lsn:
-            table.delete_rowid(existing.rowid)
-    elif isinstance(change, UpdateRecord):
-        existing = table.get(change.key)
-        if existing is not None and existing.lsn < lsn:
-            table.update_rowid(existing.rowid, dict(change.changes), lsn=lsn)
+def _redo_insert(table: Table, change: InsertRecord, lsn: int) -> None:
+    existing = table.get(change.key)
+    if existing is None:
+        table.insert_row(change.values, lsn=lsn)
+    elif existing.lsn < lsn:
+        table.update_rowid(existing.rowid, change.values, lsn=lsn)
 
 
-def _replay_swap(db: Database, record: TransformSwapRecord,
-                 transient_names: Set[str]) -> Optional[object]:
-    """Recompute published tables at a swap point and install them."""
-    rebuild = _REBUILDERS.get(record.transform_kind)
-    if rebuild is None:
-        raise RecoveryError(
-            f"no recovery rebuilder registered for transformation kind "
-            f"{record.transform_kind!r}")
-    published, propagator = rebuild(db, record)
-    for name in published:
-        transient_names.discard(name)
-        transient_names.discard(record.published.get(name, name))
-    db.catalog.swap(record.retired, published, keep_zombies=True)
-    return propagator
+def _redo_delete(table: Table, change: DeleteRecord, lsn: int) -> None:
+    existing = table.get(change.key)
+    if existing is not None and existing.lsn < lsn:
+        table.delete_rowid(existing.rowid)
+
+
+def _redo_update(table: Table, change: UpdateRecord, lsn: int) -> None:
+    existing = table.get(change.key)
+    if existing is not None and existing.lsn < lsn:
+        table.update_rowid(existing.rowid, change.changes, lsn=lsn)
+
+
+#: Data-change class -> reapply it to its table under the standard LSN
+#: guard.  The table copies what it keeps of an image, so the record's own
+#: dicts are passed as they are.
+_REDO_CHANGE = {InsertRecord: _redo_insert, DeleteRecord: _redo_delete,
+                UpdateRecord: _redo_update}
+
+
+class _Redo:
+    """The redo pass: the database being rebuilt and what the records
+    seen so far have established."""
+
+    def __init__(self, db: Database, retired_ids: Set[str]) -> None:
+        self.catalog = db.catalog
+        self.db = db
+        self.retired_ids = retired_ids
+        #: Transformation targets created but not published: tracked by
+        #: name only, their content (non-logged physical redo) discarded.
+        self.transient_names: Set[str] = set()
+        #: Rule engines of replayed swaps, fed every later data change.
+        self.propagators: List[object] = []
+
+    def change(self, record: LogRecord,
+               change: Optional[LogRecord] = None) -> None:
+        """Reapply a data change: ``record`` itself, or the compensating
+        ``change`` a CLR ``record`` carries (guarded by the CLR's LSN)."""
+        if change is None:
+            change = record
+        try:
+            table = self.catalog.get_any(change.table)
+        except NoSuchTableError:
+            pass  # change to a transient (discarded) table
+        else:
+            _REDO_CHANGE[type(change)](table, change, record.lsn)
+        for propagator in self.propagators:
+            propagator.apply(record)
+
+    def clr(self, record: CLRecord) -> None:
+        if type(record.action) in _REDO_CHANGE:
+            self.change(record, record.action)
+
+    def create_table(self, record: CreateTableRecord) -> None:
+        if record.transient:
+            self.transient_names.add(record.schema.name)
+        else:
+            self.catalog.create_table(record.schema)
+
+    def drop_table(self, record: DropTableRecord) -> None:
+        if record.table in self.transient_names:
+            self.transient_names.discard(record.table)
+        elif self.catalog.exists(record.table):
+            self.catalog.drop_table(record.table)
+        else:
+            self.catalog.drop_zombie(record.table)
+
+    def rename_table(self, record: RenameTableRecord) -> None:
+        if record.old_name in self.transient_names:
+            self.transient_names.discard(record.old_name)
+            self.transient_names.add(record.new_name)
+        else:
+            self.catalog.rename_table(record.old_name, record.new_name)
+
+    def swap(self, record: TransformSwapRecord) -> None:
+        """Recompute published tables at a swap point and install them."""
+        if record.transform_id in self.retired_ids:
+            return
+        rebuild = _REBUILDERS.get(record.transform_kind)
+        if rebuild is None:
+            raise RecoveryError(
+                f"no recovery rebuilder registered for transformation kind "
+                f"{record.transform_kind!r}")
+        published, propagator = rebuild(self.db, record)
+        for name in published:
+            self.transient_names.discard(name)
+            self.transient_names.discard(record.published.get(name, name))
+        self.catalog.swap(record.retired, published, keep_zombies=True)
+        if propagator is not None:
+            self.propagators.append(propagator)
+
+
+#: Record class -> redo action.  A type-keyed table skips what it does not
+#: list, so ``tests/test_recovery.py`` requires every class of
+#: ``RECORD_CODES`` to be a key here or in its explicit redo-neutral set.
+REDO_HANDLERS: Dict[Type[LogRecord], Callable[[_Redo, LogRecord], None]] = {
+    InsertRecord: _Redo.change, DeleteRecord: _Redo.change,
+    UpdateRecord: _Redo.change, CLRecord: _Redo.clr,
+    CreateTableRecord: _Redo.create_table, DropTableRecord: _Redo.drop_table,
+    RenameTableRecord: _Redo.rename_table, TransformSwapRecord: _Redo.swap}

@@ -52,7 +52,9 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
-from typing import Dict, Iterator, List, Tuple, Type
+from functools import partial
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Type)
 
 from repro.common.errors import LogCorruptionError, ReproError
 from repro.storage.schema import Attribute, FunctionalDependency, TableSchema
@@ -120,24 +122,6 @@ RECORD_CODES: Dict[Type[LogRecord], int] = {
     CatalogFlipRecord: 18,
 }
 
-_RECORD_BY_CODE: Dict[int, Type[LogRecord]] = {
-    code: cls for cls, code in RECORD_CODES.items()}
-
-#: Payload fields (everything except the LogRecord base fields), cached
-#: per class in dataclass declaration order.
-_BASE_FIELDS = ("lsn", "prev_lsn", "txn_id")
-_PAYLOAD_FIELDS: Dict[Type[LogRecord], Tuple[str, ...]] = {}
-
-
-def _payload_fields(cls: Type[LogRecord]) -> Tuple[str, ...]:
-    cached = _PAYLOAD_FIELDS.get(cls)
-    if cached is None:
-        cached = tuple(f.name for f in dataclasses.fields(cls)
-                       if f.name not in _BASE_FIELDS)
-        _PAYLOAD_FIELDS[cls] = cached
-    return cached
-
-
 #: Frozen dataclasses that may appear as payload values (swap-record
 #: params, schema attributes).  Name -> class; encoded by field order.
 _DATACLASS_REGISTRY: Dict[str, type] = {
@@ -181,47 +165,59 @@ def _register_spec_dataclasses() -> None:
     register_payload_dataclass(PartitionSpec)
 
 
+def _registered_dataclass(name: str) -> Optional[type]:
+    cls = _DATACLASS_REGISTRY.get(name)
+    if cls is None:
+        _register_spec_dataclasses()
+        cls = _DATACLASS_REGISTRY.get(name)
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Primitive codec: zig-zag varints and tagged values
 # ---------------------------------------------------------------------------
+#
+# Both directions are table-driven: encoding looks the value's exact
+# ``type()`` up in ``_ENCODERS`` (a subclass or a registered dataclass
+# misses and is classified by ``_encoder_for``), decoding indexes the
+# 256-entry ``_DECODERS`` list with the tag byte.  The decoders do not
+# bounds-check: a read past the end raises ``IndexError`` or
+# ``struct.error``, a slice past the end comes back short and leaves
+# ``pos`` beyond the payload; :func:`decode_record`, where untrusted bytes
+# enter, turns either into :class:`FrameCodecError`.
+
+_DOUBLE = struct.Struct(">d")
+_FRAME_HEADER = struct.Struct(">II")
 
 
 def _write_varint(out: bytearray, value: int) -> None:
     """Unsigned LEB128."""
     if value < 0:
         raise FrameCodecError(f"varint cannot encode negative {value}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    result = byte & 0x7F
+    shift = 7
     while True:
-        if pos >= len(data):
-            raise FrameCodecError("truncated varint")
-        byte = data[pos]
         pos += 1
+        byte = data[pos]
+        if byte < 0x80:
+            return result | (byte << shift), pos + 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
         shift += 7
 
 
 def _write_svarint(out: bytearray, value: int) -> None:
     """Zig-zag signed varint (small magnitudes stay small)."""
     _write_varint(out, value * 2 if value >= 0 else -value * 2 - 1)
-
-
-def _read_svarint(data: bytes, pos: int) -> Tuple[int, int]:
-    raw, pos = _read_varint(data, pos)
-    return (raw >> 1) ^ -(raw & 1), pos
 
 
 # Value tags (one byte each).
@@ -239,206 +235,294 @@ _T_RECORD = 0x0A
 _T_SCHEMA = 0x0B
 _T_DATACLASS = 0x0C
 
+Encoder = Callable[[bytearray, object], None]
+Decoder = Callable[[bytes, int], Tuple[object, int]]
+
+
+# -- encoders: (out, value) -> None ------------------------------------------
+
+
+def _enc_int(out: bytearray, value: int) -> None:
+    out.append(_T_INT)
+    _write_svarint(out, value)
+
+
+def _enc_float(out: bytearray, value: float) -> None:
+    out.append(_T_FLOAT)
+    out += _DOUBLE.pack(value)
+
+
+def _enc_sized(tag: int, out: bytearray, raw: bytes) -> None:
+    out.append(tag)
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _write_varint(out, len(raw))
+    out += raw
+
+
+def _enc_str(out: bytearray, value: str) -> None:
+    _enc_sized(_T_STR, out, value.encode("utf-8"))
+
+
+def _enc_items(tag: int, out: bytearray, value: Sequence) -> None:
+    out.append(tag)
+    _write_varint(out, len(value))
+    for item in value:
+        (_ENCODERS.get(type(item)) or _encoder_for(item))(out, item)
+
+
+def _enc_dict(out: bytearray, value: dict) -> None:
+    out.append(_T_DICT)
+    _write_varint(out, len(value))
+    get = _ENCODERS.get
+    for key, item in value.items():
+        (get(type(key)) or _encoder_for(key))(out, key)
+        (get(type(item)) or _encoder_for(item))(out, item)
+
+
+def _enc_record(out: bytearray, value: LogRecord) -> None:
+    _enc_sized(_T_RECORD, out, encode_record(value))
+
+
+def _enc_schema(out: bytearray, value: TableSchema) -> None:
+    out.append(_T_SCHEMA)
+    for part in (value.name, value.attributes, value.primary_key,
+                 value.candidate_keys, value.functional_deps):
+        encode_value(out, part)
+
+
+def _enc_dataclass(out: bytearray, value: object) -> None:
+    out.append(_T_DATACLASS)
+    _enc_str(out, type(value).__name__)
+    fields = dataclasses.fields(value)
+    _write_varint(out, len(fields))
+    for field in fields:
+        encode_value(out, getattr(value, field.name))
+
+
+#: The format's classification order: exact types are looked up in
+#: ``_ENCODERS``, anything else walks this ladder (``bool`` and
+#: ``NoneType`` cannot be subclassed, so they are not on it).
+_ENCODER_LADDER: Tuple[Tuple[type, Encoder], ...] = (
+    (int, _enc_int), (float, _enc_float), (str, _enc_str),
+    (bytes, partial(_enc_sized, _T_BYTES)),
+    (tuple, partial(_enc_items, _T_TUPLE)),
+    (list, partial(_enc_items, _T_LIST)), (dict, _enc_dict),
+    (LogRecord, _enc_record), (TableSchema, _enc_schema),
+)
+_ENCODERS: Dict[type, Encoder] = {
+    type(None): lambda out, value: out.append(_T_NONE),
+    bool: lambda out, value: out.append(_T_TRUE if value else _T_FALSE),
+    **dict(_ENCODER_LADDER), **dict.fromkeys(RECORD_CODES, _enc_record)}
+
+
+def _encoder_for(value: object) -> Encoder:
+    """The encoder of a value whose exact type is not in ``_ENCODERS``;
+    raises :class:`FrameCodecError` for non-durable values."""
+    for base, encoder in _ENCODER_LADDER:
+        if isinstance(value, base):
+            return encoder
+    cls = type(value)
+    if dataclasses.is_dataclass(value) \
+            and _registered_dataclass(cls.__name__) is cls:
+        return _enc_dataclass
+    raise FrameCodecError(
+        f"value of type {cls.__name__} cannot be framed: {value!r} "
+        f"(register_payload_dataclass for frozen dataclasses; callables "
+        f"and arbitrary objects are not durable)")
+
 
 def encode_value(out: bytearray, value: object) -> None:
     """Append the tagged encoding of ``value`` to ``out``."""
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        out.append(_T_INT)
-        _write_svarint(out, value)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out.extend(struct.pack(">d", value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _write_varint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(value, bytes):
-        out.append(_T_BYTES)
-        _write_varint(out, len(value))
-        out.extend(value)
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
-        _write_varint(out, len(value))
-        for item in value:
-            encode_value(out, item)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            encode_value(out, item)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            encode_value(out, key)
-            encode_value(out, item)
-    elif isinstance(value, LogRecord):
-        out.append(_T_RECORD)
-        body = encode_record(value)
-        _write_varint(out, len(body))
-        out.extend(body)
-    elif isinstance(value, TableSchema):
-        out.append(_T_SCHEMA)
-        encode_value(out, value.name)
-        encode_value(out, value.attributes)
-        encode_value(out, value.primary_key)
-        encode_value(out, value.candidate_keys)
-        encode_value(out, value.functional_deps)
-    elif dataclasses.is_dataclass(value) and \
-            _DATACLASS_REGISTRY.get(type(value).__name__) is type(value):
-        out.append(_T_DATACLASS)
-        encode_value(out, type(value).__name__)
-        fields = dataclasses.fields(value)
-        _write_varint(out, len(fields))
-        for field in fields:
-            encode_value(out, getattr(value, field.name))
+    (_ENCODERS.get(type(value)) or _encoder_for(value))(out, value)
+
+
+# -- decoders: (data, pos after the tag) -> (value, next pos) ------------------
+
+
+def _dec_int(data: bytes, pos: int) -> Tuple[object, int]:
+    raw, pos = _read_varint(data, pos)
+    return (raw >> 1) ^ -(raw & 1), pos
+
+
+def _dec_float(data: bytes, pos: int) -> Tuple[object, int]:
+    return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+
+
+def _dec_str(data: bytes, pos: int) -> Tuple[object, int]:
+    length = data[pos]
+    if length < 0x80:
+        pos += 1
     else:
+        length, pos = _read_varint(data, pos)
+    end = pos + length
+    return data[pos:end].decode("utf-8"), end
+
+
+def _dec_bytes(data: bytes, pos: int) -> Tuple[object, int]:
+    length, pos = _read_varint(data, pos)
+    return bytes(data[pos:pos + length]), pos + length
+
+
+def _dec_values(data: bytes, pos: int, count: int) -> Tuple[list, int]:
+    """``count`` tagged values in a row."""
+    values = []
+    decoders = _DECODERS
+    for _ in range(count):
+        value, pos = decoders[data[pos]](data, pos + 1)
+        values.append(value)
+    return values, pos
+
+
+def _dec_list(data: bytes, pos: int) -> Tuple[list, int]:
+    count, pos = _read_varint(data, pos)
+    return _dec_values(data, pos, count)
+
+
+def _dec_tuple(data: bytes, pos: int) -> Tuple[object, int]:
+    if data[pos] == 1:                 # a single-attribute key
+        item, pos = _DECODERS[data[pos + 1]](data, pos + 2)
+        return (item,), pos
+    items, pos = _dec_list(data, pos)
+    return tuple(items), pos
+
+
+def _dec_dict(data: bytes, pos: int) -> Tuple[object, int]:
+    count, pos = _read_varint(data, pos)
+    result = {}
+    decoders = _DECODERS
+    for _ in range(count):
+        key, pos = decoders[data[pos]](data, pos + 1)
+        result[key], pos = decoders[data[pos]](data, pos + 1)
+    return result, pos
+
+
+def _dec_record(data: bytes, pos: int) -> Tuple[object, int]:
+    body, pos = _dec_bytes(data, pos)
+    return decode_record(body), pos
+
+
+def _dec_schema(data: bytes, pos: int) -> Tuple[object, int]:
+    (name, attributes, primary_key, candidate_keys,
+     functional_deps), pos = _dec_values(data, pos, 5)
+    return TableSchema(name, list(attributes), list(primary_key),
+                       [list(ck) for ck in candidate_keys],
+                       list(functional_deps)), pos
+
+
+def _dec_dataclass(data: bytes, pos: int) -> Tuple[object, int]:
+    class_name, pos = decode_value(data, pos)
+    cls = _registered_dataclass(class_name)
+    if cls is None:
+        raise FrameCodecError(f"unknown payload dataclass {class_name!r}")
+    values, pos = _dec_list(data, pos)
+    fields = dataclasses.fields(cls)
+    if len(values) != len(fields):
         raise FrameCodecError(
-            f"value of type {type(value).__name__} cannot be framed: "
-            f"{value!r} (register_payload_dataclass for frozen dataclasses;"
-            f" callables and arbitrary objects are not durable)")
+            f"{class_name} field count changed: frame has {len(values)}, "
+            f"class has {len(fields)}")
+    return cls(*values), pos
+
+
+def _dec_unknown(data: bytes, pos: int) -> Tuple[object, int]:
+    raise FrameCodecError(f"unknown value tag 0x{data[pos - 1]:02x}")
+
+
+#: Tag byte -> decoder.
+_DECODERS: List[Decoder] = [_dec_unknown] * 256
+_DECODERS[:_T_DATACLASS + 1] = [
+    lambda data, pos: (None, pos), lambda data, pos: (True, pos),
+    lambda data, pos: (False, pos), _dec_int, _dec_float, _dec_str,
+    _dec_bytes, _dec_tuple, _dec_list, _dec_dict, _dec_record, _dec_schema,
+    _dec_dataclass]
 
 
 def decode_value(data: bytes, pos: int) -> Tuple[object, int]:
-    """Decode one tagged value; returns ``(value, next_pos)``."""
-    if pos >= len(data):
-        raise FrameCodecError("truncated value")
-    tag = data[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        return _read_svarint(data, pos)
-    if tag == _T_FLOAT:
-        if pos + 8 > len(data):
-            raise FrameCodecError("truncated float")
-        return struct.unpack(">d", data[pos:pos + 8])[0], pos + 8
-    if tag == _T_STR:
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise FrameCodecError("truncated string")
-        return data[pos:pos + length].decode("utf-8"), pos + length
-    if tag == _T_BYTES:
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise FrameCodecError("truncated bytes")
-        return bytes(data[pos:pos + length]), pos + length
-    if tag in (_T_TUPLE, _T_LIST):
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = decode_value(data, pos)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        count, pos = _read_varint(data, pos)
-        result = {}
-        for _ in range(count):
-            key, pos = decode_value(data, pos)
-            item, pos = decode_value(data, pos)
-            result[key] = item
-        return result, pos
-    if tag == _T_RECORD:
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise FrameCodecError("truncated nested record")
-        return decode_record(data[pos:pos + length]), pos + length
-    if tag == _T_SCHEMA:
-        name, pos = decode_value(data, pos)
-        attributes, pos = decode_value(data, pos)
-        primary_key, pos = decode_value(data, pos)
-        candidate_keys, pos = decode_value(data, pos)
-        functional_deps, pos = decode_value(data, pos)
-        return TableSchema(name, list(attributes), list(primary_key),
-                           [list(ck) for ck in candidate_keys],
-                           list(functional_deps)), pos
-    if tag == _T_DATACLASS:
-        class_name, pos = decode_value(data, pos)
-        cls = _DATACLASS_REGISTRY.get(class_name)
-        if cls is None:
-            _register_spec_dataclasses()
-            cls = _DATACLASS_REGISTRY.get(class_name)
-        if cls is None:
-            raise FrameCodecError(
-                f"unknown payload dataclass {class_name!r}")
-        count, pos = _read_varint(data, pos)
-        fields = dataclasses.fields(cls)
-        if count != len(fields):
-            raise FrameCodecError(
-                f"{class_name} field count changed: frame has {count}, "
-                f"class has {len(fields)}")
-        values = []
-        for _ in range(count):
-            value, pos = decode_value(data, pos)
-            values.append(value)
-        return cls(*values), pos
-    raise FrameCodecError(f"unknown value tag 0x{tag:02x}")
+    """Decode one tagged value; returns ``(value, next_pos)``.  Trusts
+    ``data``: :func:`decode_record` is the checked entry point."""
+    return _DECODERS[data[pos]](data, pos + 1)
 
 
 # ---------------------------------------------------------------------------
 # Record payloads and frames
 # ---------------------------------------------------------------------------
 
+#: Record class -> (code, payload field names): every field but the three
+#: base ones, in dataclass declaration order, which is also the positional
+#: order of ``cls(txn_id, *payload)``.  Code -> (class, field count).
+_ENCODE_PLANS: Dict[Type[LogRecord], Tuple[int, Tuple[str, ...]]] = {
+    cls: (code, tuple(f.name for f in dataclasses.fields(cls)
+                      if f.name not in ("lsn", "prev_lsn", "txn_id")))
+    for cls, code in RECORD_CODES.items()}
+_DECODE_PLANS: Dict[int, Tuple[Type[LogRecord], int]] = {
+    code: (cls, len(fields)) for cls, (code, fields) in _ENCODE_PLANS.items()}
+
 
 def encode_record(record: LogRecord) -> bytes:
     """Serialize one record (without frame length/CRC)."""
-    code = RECORD_CODES.get(type(record))
-    if code is None:
+    plan = _ENCODE_PLANS.get(type(record))
+    if plan is None:
         raise FrameCodecError(
             f"record class {type(record).__name__} has no frame code; "
             f"add it to repro.wal.frames.RECORD_CODES")
-    if _DATACLASS_REGISTRY.get("FojSpec") is None:
-        _register_spec_dataclasses()
-    out = bytearray()
-    out.append(code)
+    code, fields = plan
+    out = bytearray((code,))
     _write_svarint(out, record.lsn)
     _write_svarint(out, record.prev_lsn)
     _write_svarint(out, record.txn_id)
-    for name in _payload_fields(type(record)):
-        encode_value(out, getattr(record, name))
+    get = _ENCODERS.get
+    for name in fields:
+        value = getattr(record, name)
+        (get(type(value)) or _encoder_for(value))(out, value)
     return bytes(out)
 
 
 def decode_record(data: bytes) -> LogRecord:
-    """Rebuild a record from :func:`encode_record` output."""
-    if not data:
-        raise FrameCodecError("empty record payload")
-    cls = _RECORD_BY_CODE.get(data[0])
-    if cls is None:
-        raise FrameCodecError(f"unknown record code 0x{data[0]:02x}")
-    pos = 1
-    lsn, pos = _read_svarint(data, pos)
-    prev_lsn, pos = _read_svarint(data, pos)
-    txn_id, pos = _read_svarint(data, pos)
-    kwargs: Dict[str, object] = {"txn_id": txn_id}
-    for name in _payload_fields(cls):
-        value, pos = decode_value(data, pos)
-        kwargs[name] = value
-    if pos != len(data):
+    """Rebuild a record from :func:`encode_record` output.
+
+    Every way the bytes can fail to be a record -- truncation, an unknown
+    code or tag, invalid UTF-8, an unhashable dict key, a schema or spec
+    the constructors reject, runaway nesting -- raises
+    :class:`FrameCodecError`, so salvage quarantines the frame instead of
+    crashing on it.
+    """
+    try:
+        plan = _DECODE_PLANS.get(data[0])
+        if plan is None:
+            raise FrameCodecError(f"unknown record code 0x{data[0]:02x}")
+        cls, count = plan
+        lsn, pos = _read_varint(data, 1)
+        prev_lsn, pos = _read_varint(data, pos)
+        txn_id, pos = _read_varint(data, pos)
+        values, pos = _dec_values(data, pos, count)
+        if pos != len(data):
+            raise FrameCodecError(
+                f"{cls.__name__} payload ends at byte {pos} of {len(data)}")
+        record = cls((txn_id >> 1) ^ -(txn_id & 1), *values)
+    except FrameCodecError:
+        raise
+    except Exception as exc:
         raise FrameCodecError(
-            f"{len(data) - pos} trailing bytes after "
-            f"{cls.__name__} payload")
-    record = cls(**kwargs)
-    record.lsn = lsn
-    record.prev_lsn = prev_lsn
+            f"malformed record payload: {type(exc).__name__}: {exc}") from exc
+    record.lsn = (lsn >> 1) ^ -(lsn & 1)
+    record.prev_lsn = (prev_lsn >> 1) ^ -(prev_lsn & 1)
     return record
+
+
+def append_frame(buf: bytearray, record: LogRecord) -> None:
+    """Append ``record``'s length-prefixed, CRC-protected frame to ``buf``
+    (untouched if the record cannot be framed)."""
+    payload = encode_record(record)
+    buf += _FRAME_HEADER.pack(len(payload), zlib.crc32(payload))
+    buf += payload
 
 
 def encode_frame(record: LogRecord) -> bytes:
     """One length-prefixed, CRC-protected frame for ``record``."""
-    payload = encode_record(record)
-    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    buf = bytearray()
+    append_frame(buf, record)
+    return bytes(buf)
 
 
 def frame_spans(image: bytes) -> Iterator[Tuple[int, int]]:
@@ -450,7 +534,7 @@ def frame_spans(image: bytes) -> Iterator[Tuple[int, int]]:
     """
     pos = SEGMENT_HEADER_SIZE
     while pos + FRAME_HEADER_SIZE <= len(image):
-        length, crc = struct.unpack_from(">II", image, pos)
+        length, crc = _FRAME_HEADER.unpack_from(image, pos)
         start = pos + FRAME_HEADER_SIZE
         if start + length > len(image):
             return
@@ -503,41 +587,30 @@ def decode_segment(image: bytes) -> SalvageReport:
     CRC failure that is *not* at the tail (mid-log corruption).  An empty
     image is a valid empty log (nothing was ever flushed).
     """
-    if not image:
-        return SalvageReport([], 0, torn=False, tail_corrupt=False,
-                             dropped_bytes=0)
-    if len(image) < SEGMENT_HEADER_SIZE:
-        if SEGMENT_HEADER.startswith(bytes(image)):
-            # A crash cut the very first write inside the header.
-            return SalvageReport([], 0, torn=True, tail_corrupt=False,
+    image = bytes(image)
+    if not image.startswith(SEGMENT_HEADER):
+        if SEGMENT_HEADER.startswith(image):
+            # Nothing was ever flushed, or a crash cut the very first
+            # write inside the header.
+            return SalvageReport([], 0, torn=bool(image), tail_corrupt=False,
                                  dropped_bytes=len(image))
         raise LogCorruptionError(
-            "segment header truncated to unrecognizable bytes",
-            frame_index=-1, lsn=NULL_LSN, offset=0)
-    if bytes(image[:SEGMENT_HEADER_SIZE]) != SEGMENT_HEADER:
-        raise LogCorruptionError(
-            f"bad segment header {bytes(image[:SEGMENT_HEADER_SIZE])!r} "
+            f"bad segment header {image[:SEGMENT_HEADER_SIZE]!r} "
             f"(expected {SEGMENT_HEADER!r})",
             frame_index=-1, lsn=NULL_LSN, offset=0)
-
     records: List[LogRecord] = []
+    expected_lsn = NULL_LSN + 1
     pos = SEGMENT_HEADER_SIZE
-    index = 0
     size = len(image)
     while pos < size:
-        if pos + FRAME_HEADER_SIZE > size:
-            return SalvageReport(records, pos, torn=True,
-                                 tail_corrupt=False,
-                                 dropped_bytes=size - pos)
-        length, crc = struct.unpack_from(">II", image, pos)
         start = pos + FRAME_HEADER_SIZE
+        if start > size:
+            break
+        length, crc = _FRAME_HEADER.unpack_from(image, pos)
         end = start + length
         if end > size:
-            return SalvageReport(records, pos, torn=True,
-                                 tail_corrupt=False,
-                                 dropped_bytes=size - pos)
-        payload = bytes(image[start:end])
-        expected_lsn = records[-1].lsn + 1 if records else NULL_LSN + 1
+            break
+        payload = image[start:end]
         if zlib.crc32(payload) != crc:
             if end == size:
                 # Final frame: indistinguishable from a torn write that
@@ -546,27 +619,25 @@ def decode_segment(image: bytes) -> SalvageReport:
                 return SalvageReport(records, pos, torn=False,
                                      tail_corrupt=True,
                                      dropped_bytes=size - pos)
-            raise LogCorruptionError(
-                "frame checksum mismatch with later frames present",
-                frame_index=index, lsn=expected_lsn, offset=pos,
-                salvaged=tuple(records))
-        try:
-            record = decode_record(payload)
-        except FrameCodecError as exc:
-            # CRC passed but the payload does not parse: a codec bug or
-            # deliberate tampering -- quarantine either way.
-            raise LogCorruptionError(
-                f"frame payload undecodable: {exc}",
-                frame_index=index, lsn=expected_lsn, offset=pos,
-                salvaged=tuple(records))
-        if record.lsn != expected_lsn:
-            raise LogCorruptionError(
-                f"LSN discontinuity: frame carries lsn {record.lsn}, "
-                f"expected {expected_lsn}",
-                frame_index=index, lsn=expected_lsn, offset=pos,
-                salvaged=tuple(records))
-        records.append(record)
-        index += 1
-        pos = end
-    return SalvageReport(records, pos, torn=False, tail_corrupt=False,
-                         dropped_bytes=0)
+            problem = "frame checksum mismatch with later frames present"
+        else:
+            try:
+                record = decode_record(payload)
+            except FrameCodecError as exc:
+                # CRC passed but the payload does not parse: a codec bug
+                # or deliberate tampering -- quarantine either way.
+                problem = f"frame payload undecodable: {exc}"
+            else:
+                if record.lsn == expected_lsn:
+                    records.append(record)
+                    expected_lsn += 1
+                    pos = end
+                    continue
+                problem = (f"LSN discontinuity: frame carries lsn "
+                           f"{record.lsn}, expected {expected_lsn}")
+        raise LogCorruptionError(
+            problem, frame_index=len(records), lsn=expected_lsn, offset=pos,
+            salvaged=tuple(records))
+    # A frame header or payload cut short by the crash: a torn tail.
+    return SalvageReport(records, pos, torn=pos < size, tail_corrupt=False,
+                         dropped_bytes=size - pos)

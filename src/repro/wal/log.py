@@ -24,7 +24,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.faults import NULL_FAULTS, FaultInjector, register_site
 from repro.obs import NULL_METRICS, Metrics
-from repro.wal.frames import SEGMENT_HEADER, encode_frame
+from repro.wal.frames import SEGMENT_HEADER, append_frame, decode_segment
 from repro.wal.records import NULL_LSN, LogRecord
 
 #: First LSN ever assigned.  LSN 0 is reserved as the null LSN.
@@ -202,7 +202,6 @@ class LogManager:
         is rebased on the salvaged image so post-recovery appends
         continue the same segment.
         """
-        from repro.wal.frames import decode_segment
         image = disk.crash_image()
         salvage = decode_segment(image)
         log = cls(metrics=metrics, flush_policy=flush_policy)
@@ -225,7 +224,7 @@ class LogManager:
         stop = up_to_lsn - FIRST_LSN + 1
         buf = bytearray()
         for record in self._records[start:stop]:
-            buf.extend(encode_frame(record))
+            append_frame(buf, record)
         self._disk.append(bytes(buf))
         self._disk_staged_lsn = up_to_lsn
         self._disk.sync()
@@ -244,13 +243,17 @@ class LogManager:
         """
         if record.lsn != NULL_LSN:
             raise ValueError(f"record already appended: lsn={record.lsn}")
-        self.faults.fire(SITE_WAL_APPEND, kind=record.kind)
+        faults = self._faults
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND, kind=record.kind)
         record.lsn = FIRST_LSN + len(self._records)
         record.prev_lsn = prev_lsn
         self._records.append(record)
-        self.faults.fire(SITE_WAL_APPEND_DONE, kind=record.kind,
-                         lsn=record.lsn)
-        self.metrics.inc("wal.appends")
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND_DONE, kind=record.kind,
+                        lsn=record.lsn)
+        if self.metrics.enabled:
+            self.metrics.inc("wal.appends")
         for observer in self.observers:
             observer(record)
         return record.lsn
@@ -281,8 +284,10 @@ class LogManager:
             if record.lsn != NULL_LSN:
                 raise ValueError(
                     f"record already appended: lsn={record.lsn}")
-        self.faults.fire(SITE_WAL_APPEND_BATCH, n=len(records),
-                         kind=records[0].kind)
+        faults = self._faults
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND_BATCH, n=len(records),
+                        kind=records[0].kind)
         lsns: List[int] = []
         base = FIRST_LSN + len(self._records)
         for i, record in enumerate(records):
@@ -291,8 +296,9 @@ class LogManager:
                 else NULL_LSN
             self._records.append(record)
             lsns.append(record.lsn)
-        self.faults.fire(SITE_WAL_APPEND_BATCH_DONE, n=len(records),
-                         last_lsn=lsns[-1])
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND_BATCH_DONE, n=len(records),
+                        last_lsn=lsns[-1])
         if self.metrics.enabled:
             self.metrics.inc("wal.appends", len(records))
             self.metrics.inc("wal.append_batches")

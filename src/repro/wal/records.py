@@ -25,17 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 #: LSN value used before a record has been appended, and as "nil" prev_lsn.
 NULL_LSN = 0
-
-
-def _freeze_values(values: Optional[Mapping]) -> Optional[Dict]:
-    """Defensively copy a values mapping so log records stay immutable."""
-    if values is None:
-        return None
-    return dict(values)
 
 
 @dataclass
@@ -55,10 +48,13 @@ class LogRecord:
     prev_lsn: int = field(default=NULL_LSN, init=False)
     txn_id: int = 0
 
-    @property
-    def kind(self) -> str:
-        """Short lowercase name of the record type, e.g. ``"insert"``."""
-        return type(self).__name__.replace("Record", "").lower()
+    #: Short lowercase name of the record type, e.g. ``"insert"``;
+    #: derived from the class name once, when the class is created.
+    kind: ClassVar[str] = "log"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__.replace("Record", "").lower()
 
     def describe(self) -> str:
         """One-line human-readable rendering used by debug dumps."""

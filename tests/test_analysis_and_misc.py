@@ -157,3 +157,28 @@ def test_drop_attributes_drops_multi_column_index_touching_dropped():
     table.create_index("ab", ["a", "b"])
     table.drop_attributes(["b"])
     assert "ab" not in table.indexes
+
+
+# -- benchmarks/pairs.py: the --require gate ----------------------------------
+
+
+def test_pairs_require_gate():
+    from benchmarks.pairs import unmet, verdict
+
+    parent, change = [1.5, 1.4, 1.6, 1.5] * 3, [1.0, 1.1, 0.9, 1.0] * 3
+    won, word = verdict(parent, change, -0.5, 0.1, False, 0.25)
+    assert (won, word) == (12, "gain")
+    assert verdict(change, parent, 0.5, 0.1, False, 0.25)[1] == "WORSE"
+    readings = {
+        "oltp_durable": {"time_to_ready_s": {"verdict": "gain"},
+                         "setup_s": {"verdict": "held"}},
+        "foj_catchup": {"time_to_ready_s": {"verdict": "held"}}}
+    claim = [("time_to_ready_s", "oltp_durable")]
+    assert unmet(readings, claim) == []
+    assert unmet(readings, []) == []
+    assert len(unmet(readings, [("setup_s", "oltp_durable")])) == 1
+    readings["foj_catchup"]["time_to_ready_s"]["verdict"] = "WORSE"
+    assert unmet(readings, claim) == [
+        "time_to_ready_s on foj_catchup is WORSE"]
+    # Nothing required: the tool reports and exits 0, as before.
+    assert unmet(readings, []) == []

@@ -7,10 +7,13 @@ outside the durable set must fail loudly at encode time, and
 corrupt-tail / mid-log-quarantine trichotomy exactly.
 """
 
+import copy
+import os
 import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LogCorruptionError
 from repro.relational.spec import FojSpec, SplitSpec
@@ -43,7 +46,12 @@ from repro.wal import (
     encode_record,
     frame_spans,
 )
-from repro.wal.frames import RECORD_CODES
+from repro.wal.frames import (
+    RECORD_CODES,
+    SEGMENT_VERSION,
+    decode_value,
+    encode_value,
+)
 
 _SCHEMA = TableSchema("T", ["id", "name", "zip"], primary_key=["id"],
                       candidate_keys=[["name", "zip"]])
@@ -111,6 +119,51 @@ def _with_lsns(records):
 
 def _segment(records):
     return SEGMENT_HEADER + b"".join(encode_frame(r) for r in records)
+
+
+def _placed(record, lsn, prev_lsn):
+    record.lsn, record.prev_lsn = lsn, prev_lsn
+    return record
+
+
+def golden_records():
+    """The records of ``tests/fixtures/wal_frames_v1.hex``, in file order:
+    every sample kind, then the corners of the value codec."""
+    return _with_lsns(copy.deepcopy(SAMPLE_RECORDS)) + [
+        # Multi-byte varints in the header fields and in a length.
+        _placed(InsertRecord(
+            txn_id=70000, table="wide", key=(300, -1),
+            values={"long": "x" * 200, "raw": b"\x00\xff" * 70,
+                    "neg": -1, "min64": -2 ** 63, "big": 2 ** 64 + 1,
+                    "negbig": -(2 ** 70), "edge": [127, 128, -64, -65]}),
+            300, 2 ** 21 + 5),
+        _placed(UpdateRecord(
+            txn_id=128, table="f", key=(1.5,),
+            changes={"negzero": -0.0, "nan": float("nan"),
+                     "inf": float("inf"), "tiny": 5e-324},
+            old_values={"négatif": "héllo – 日本語 🎉", "": None,
+                        "nest": {"t": (True, False, ()), "l": [[], {}]}}),
+            16384, 16383),
+        # CLRs: a nested action carrying its own LSNs, and none at all.
+        _placed(CLRecord(
+            txn_id=9,
+            action=_placed(UpdateRecord(
+                txn_id=9, table="T", key=("k", 2),
+                changes={"name": "old"}, old_values={"name": "new"}),
+                0, 0),
+            undo_next_lsn=12345), 20000, 19999),
+        _placed(CLRecord(txn_id=9, action=None, undo_next_lsn=0),
+                20001, 20000),
+    ]
+
+
+_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "fixtures",
+                            "wal_frames_v1.hex")
+
+
+def _golden_frames():
+    with open(_GOLDEN_PATH) as handle:
+        return [bytes.fromhex(line) for line in handle.read().split()]
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +348,146 @@ def test_salvage_quarantines_lsn_discontinuity():
 def test_salvage_quarantines_undecodable_payload_with_valid_crc():
     first = BeginRecord(txn_id=1)
     first.lsn = 1
-    garbage = b"\xee\x01\x02"  # unknown record code, CRC made valid
-    frame = struct.pack(">II", len(garbage),
-                        zlib.crc32(garbage)) + garbage
+    # Unknown record code, CRC made valid.
+    frame = _crc_valid_frame(b"\xee\x01\x02")
     # Later bytes exist, so the bad frame is not a tail case.
     tail = encode_frame(first)
     with pytest.raises(LogCorruptionError) as excinfo:
         decode_segment(SEGMENT_HEADER + frame + tail)
     assert "undecodable" in str(excinfo.value)
+
+
+def _crc_valid_frame(payload):
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+
+
+#: Payloads a CRC cannot object to and the codec must still refuse: each
+#: used to escape ``decode_segment`` as the named exception instead of
+#: quarantining the log.  All carry lsn 2 (zig-zag ``04``).
+MALFORMED_PAYLOADS = {
+    # DropTableRecord whose table name is a string tag over bad UTF-8.
+    "UnicodeDecodeError": b"\x0d\x04\x00\x00" + b"\x05\x02\xff\xfe",
+    # CheckpointRecord whose active_txns dict has a list as its key.
+    "unhashable key": b"\x11\x04\x00\x00" + b"\x09\x01\x08\x00\x00",
+    # CreateTableRecord whose schema tag sits over five ints.
+    "schema over int": b"\x0c\x04\x00\x00" + b"\x0b" + b"\x03\x02" * 5
+                       + b"\x02",
+    # DropTableRecord whose table name is a list nested 50,000 deep.
+    "RecursionError": b"\x0d\x04\x00\x00" + b"\x08\x01" * 50000 + b"\x00",
+}
+
+
+@pytest.mark.parametrize("payload", list(MALFORMED_PAYLOADS.values()),
+                         ids=list(MALFORMED_PAYLOADS))
+def test_salvage_quarantines_crc_valid_garbage(payload):
+    first, last = _with_lsns([BeginRecord(txn_id=1), CommitRecord(txn_id=1)])
+    last.lsn = 3
+    with pytest.raises(FrameCodecError):
+        decode_record(payload)
+    head = SEGMENT_HEADER + encode_frame(first)
+    with pytest.raises(LogCorruptionError) as excinfo:
+        decode_segment(head + _crc_valid_frame(payload) + encode_frame(last))
+    err = excinfo.value
+    assert "undecodable" in str(err)
+    assert err.frame_index == 1
+    assert err.offset == len(head)
+    assert err.lsn == 2
+    assert [type(r) for r in err.salvaged] == [BeginRecord]
+
+
+# ---------------------------------------------------------------------------
+# The format, pinned from outside the codec
+# ---------------------------------------------------------------------------
+
+
+def test_golden_frames_pin_format_version_1():
+    """``wal_frames_v1.hex`` was written by the interpreted codec this one
+    replaced: encoder and decoder cannot drift together unnoticed."""
+    assert SEGMENT_VERSION == 1
+    golden = _golden_frames()
+    records = golden_records()
+    assert len(golden) == len(records)
+    for frame, record in zip(golden, records):
+        assert encode_frame(record) == frame, type(record).__name__
+        decoded = decode_record(frame[FRAME_HEADER_SIZE:])
+        assert type(decoded) is type(record)
+        assert encode_frame(decoded) == frame, type(record).__name__
+    report = decode_segment(SEGMENT_HEADER + b"".join(golden[:19]))
+    assert len(report.records) == 19 and not report.torn
+
+
+@pytest.mark.parametrize("record", golden_records(),
+                         ids=lambda r: f"{type(r).__name__}@{r.lsn}")
+def test_every_strict_prefix_of_a_payload_is_a_codec_error(record):
+    payload = encode_record(record)
+    for cut in range(len(payload)):
+        with pytest.raises(FrameCodecError):
+            decode_record(payload[:cut])
+
+
+def _same(a, b):
+    """Equal, with the same container and scalar types all the way down
+    (``True == 1`` and ``(1,) != [1]`` must both be noticed)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            _same(ka, kb) and _same(va, vb)
+            for (ka, va), (kb, vb) in zip(a.items(), b.items()))
+    if isinstance(a, float):
+        return struct.pack(">d", a) == struct.pack(">d", b)
+    return a == b
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80), st.floats(),
+    st.text(), st.binary())
+_KEYS = st.one_of(st.integers(), st.text(), st.booleans(),
+                  st.tuples(st.integers(), st.text()))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_value_round_trip_preserves_value_and_types(value):
+    out = bytearray()
+    encode_value(out, value)
+    decoded, pos = decode_value(bytes(out), 0)
+    assert pos == len(out)
+    assert _same(decoded, value)
+    again = bytearray()
+    encode_value(again, decoded)
+    assert again == out
+
+
+def test_subclass_values_frame_like_their_base_type():
+    """Exact types hit the encoder table; subclasses take the miss path
+    and must frame to the same bytes as the plain value."""
+    import collections
+    import enum
+
+    class Colour(enum.IntEnum):
+        RED = 300
+
+    class Name(str):
+        pass
+
+    def framed(value):
+        out = bytearray()
+        encode_value(out, value)
+        return bytes(out)
+
+    assert framed(Colour.RED) == framed(300)
+    assert framed(Name("é")) == framed("é")
+    assert framed(collections.OrderedDict(a=1)) == framed({"a": 1})
+    with pytest.raises(FrameCodecError):
+        framed(object())
