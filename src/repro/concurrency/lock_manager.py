@@ -5,11 +5,20 @@ interleaves transactions at operation granularity).  A request that cannot
 be granted is *enqueued* and :class:`~repro.common.errors.LockWaitError` is
 raised; the caller parks the transaction and retries the same operation once
 :meth:`LockManager.release_all` (or an unlatch) reports the transaction as
-woken.  Retrying re-enters :meth:`acquire`, which recognizes the granted
-queued request.
+woken.  The release that wakes a transaction has already moved its request
+from the queue to the granted list, so the retry finds the lock held.
+
+The uncontended lock is the common case and costs one dict probe, one
+entry and one request: an entry is created with its first granted request
+(there is nothing to be compatible with), gets a wait queue only when a
+request first has to wait, and disappears with its last request, so
+``_resources`` holds exactly the resources somebody holds or waits for.
+A wait is counted, and its blame edge opened, once per queued request --
+retries of a parked operation re-check for deadlock and nothing else.
 
 Deadlocks are detected eagerly at enqueue time with a wait-for-graph cycle
-check; the requester is the victim and its request is withdrawn.
+check over the waiting transactions; the requester is the victim, and a
+request queued by the failing call is withdrawn before the raise.
 
 Table **latches** model the short exclusive pauses the transformation
 framework takes during synchronization (Section 3.4): while a table is
@@ -21,8 +30,7 @@ one bounded final propagation only).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import DeadlockError, LockWaitError
 from repro.concurrency.locks import (
@@ -33,39 +41,79 @@ from repro.concurrency.locks import (
 from repro.obs import NULL_METRICS, Metrics
 
 
-@dataclass
 class LockRequest:
     """One transaction's (granted or waiting) claim on a resource."""
 
-    txn_id: int
-    mode: LockMode
-    origin: LockOrigin = LockOrigin.NATIVE
-    granted: bool = False
+    __slots__ = ("txn_id", "mode", "origin", "granted")
+
+    def __init__(self, txn_id: int, mode: LockMode,
+                 origin: LockOrigin = LockOrigin.NATIVE,
+                 granted: bool = False) -> None:
+        self.txn_id = txn_id
+        self.mode = mode
+        self.origin = origin
+        self.granted = granted
+
+    def _fields(self) -> tuple:
+        return self.txn_id, self.mode, self.origin, self.granted
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, compared by value
+
+    def __repr__(self) -> str:
+        return ("LockRequest(txn_id={!r}, mode={!r}, origin={!r}, "
+                "granted={!r})".format(*self._fields()))
 
 
 class _ResourceState:
-    """Granted set and FIFO wait queue for one resource."""
+    """Granted requests of one resource, plus its FIFO wait queue once a
+    request has had to wait (``None`` until then)."""
 
     __slots__ = ("granted", "waiting")
 
-    def __init__(self) -> None:
-        self.granted: List[LockRequest] = []
-        self.waiting: Deque[LockRequest] = deque()
+    def __init__(self, first: LockRequest) -> None:
+        self.granted: List[LockRequest] = [first]
+        self.waiting: Optional[Deque[LockRequest]] = None
 
-    def granted_for(self, txn_id: int) -> Optional[LockRequest]:
-        for request in self.granted:
-            if request.txn_id == txn_id:
-                return request
-        return None
 
-    def waiting_for(self, txn_id: int) -> Optional[LockRequest]:
-        for request in self.waiting:
-            if request.txn_id == txn_id:
-                return request
-        return None
+def _find(requests, txn_id: int) -> Optional[LockRequest]:
+    """``txn_id``'s request in a granted list or a wait queue (``None``
+    for the queue no request has needed yet), else ``None``."""
+    for request in requests or ():
+        if request.txn_id == txn_id:
+            return request
+    return None
 
-    def empty(self) -> bool:
-        return not self.granted and not self.waiting
+
+def _take(requests, txn_id: int) -> Optional[LockRequest]:
+    """:func:`_find`, removing the request found."""
+    for position, request in enumerate(requests):
+        if request.txn_id == txn_id:
+            del requests[position]
+            return request
+    return None
+
+
+def _note(index: Dict[int, Set[tuple]], txn_id: int, resource: tuple) -> None:
+    """Enter ``resource`` under ``txn_id`` in a per-transaction index."""
+    resources = index.get(txn_id)
+    if resources is None:
+        index[txn_id] = {resource}
+    else:
+        resources.add(resource)
+
+
+def _forget(index: Dict[int, Set[tuple]], txn_id: int,
+            resource: tuple) -> None:
+    """Undo :func:`_note`; a transaction's last entry takes its set along."""
+    resources = index[txn_id]
+    resources.discard(resource)
+    if not resources:
+        del index[txn_id]
 
 
 class LockManager:
@@ -73,11 +121,13 @@ class LockManager:
 
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self._resources: Dict[tuple, _ResourceState] = {}
+        #: Resources on which a transaction holds a granted request.
         self._txn_resources: Dict[int, Set[tuple]] = {}
-        #: Resources on which a transaction has an ungranted queued
-        #: request.  Must be purged on release_all: a request left behind
-        #: by an aborted transaction would later be granted to a dead
-        #: owner and starve every subsequent waiter.
+        #: Resources on which a transaction has a queued request; exact,
+        #: so it names the contended resources for the deadlock check.
+        #: Must be purged on release_all: a request left behind by an
+        #: aborted transaction would later be granted to a dead owner and
+        #: starve every subsequent waiter.
         self._txn_waiting: Dict[int, Set[tuple]] = {}
         self._latches: Dict[str, str] = {}
         self._latch_waiters: Dict[str, List[int]] = {}
@@ -98,107 +148,121 @@ class LockManager:
 
         Returns normally once the lock is held.  If the lock cannot be
         granted now, the request is enqueued and :class:`LockWaitError` is
-        raised; a retry after wake-up finds the granted request and returns.
-        Raises :class:`DeadlockError` (withdrawing the request) if waiting
-        would close a wait-for cycle.
+        raised; a retry after wake-up finds the lock held and returns.
+        Raises :class:`DeadlockError` if waiting would close a wait-for
+        cycle (withdrawing the request this call queued).
         """
         state = self._resources.get(resource)
         if state is None:
-            state = self._resources[resource] = _ResourceState()
-
-        own = state.granted_for(txn_id)
-        if own is not None:
-            if own.mode.covers(mode):
-                return
-            # Upgrade to the join of the held and requested modes.
-            upgraded = own.mode.join(mode)
-            others = [g for g in state.granted if g.txn_id != txn_id]
-            if all(compatible(g.mode, g.origin, upgraded, origin)
-                   for g in others):
-                own.mode = upgraded
-                own.origin = origin if origin.is_source else own.origin
-                return
-            waiter = state.waiting_for(txn_id)
-            if waiter is None:
-                waiter = LockRequest(txn_id, upgraded, origin)
-                state.waiting.appendleft(waiter)  # upgrades queue-jump
-                self._remember_waiting(txn_id, resource)
-            self._check_deadlock(txn_id, resource)
-            self.wait_count += 1
-            self.metrics.inc("lock.waits")
-            self._blame_begin(txn_id, resource, state, upgraded, origin)
-            raise LockWaitError(resource, txn_id)
-
-        waiter = state.waiting_for(txn_id)
-        if waiter is not None:
-            if waiter.granted:
-                state.waiting.remove(waiter)
-                state.granted.append(waiter)
-                self._remember(txn_id, resource)
-                return
-            self._check_deadlock(txn_id, resource)
-            raise LockWaitError(resource, txn_id)
-
-        if self._grantable(state, mode, origin, txn_id):
-            state.granted.append(LockRequest(txn_id, mode, origin, True))
-            self._remember(txn_id, resource)
-            return
-
-        state.waiting.append(LockRequest(txn_id, mode, origin))
-        self._remember_waiting(txn_id, resource)
-        try:
-            self._check_deadlock(txn_id, resource)
-        except DeadlockError:
-            self._withdraw(state, txn_id)
-            self._forget_waiting(txn_id, resource)
-            raise
-        self.wait_count += 1
-        self.metrics.inc("lock.waits")
-        self._blame_begin(txn_id, resource, state, mode, origin)
-        raise LockWaitError(resource, txn_id)
-
-    def _blame_begin(self, txn_id: int, resource: tuple,
-                     state: _ResourceState, mode: LockMode,
-                     origin: LockOrigin) -> None:
-        """Open a blame wait edge against the owners standing in the way.
-
-        Holders are the incompatible granted owners at enqueue time; when
-        the block is purely FIFO fairness (a conflicting waiter queued
-        ahead), that waiter is the blocker instead.  Idempotent per
-        (waiter, resource) -- retries never restart the clock.
-        """
-        if not self.metrics.enabled:
-            return
-        holders = [g.txn_id for g in state.granted
-                   if g.txn_id != txn_id
-                   and not compatible(g.mode, g.origin, mode, origin)]
-        if not holders:
-            holders = [w.txn_id for w in state.waiting
-                       if w.txn_id != txn_id
-                       and not compatible(w.mode, w.origin, mode, origin)]
-        self.metrics.blame.begin_wait(txn_id, resource, holders, "lock")
+            # Nobody holds or awaits it: nothing to be compatible with.
+            self._resources[resource] = _ResourceState(
+                LockRequest(txn_id, mode, origin, True))
+            _note(self._txn_resources, txn_id, resource)
+        elif not self._claim(state, txn_id, resource, mode, origin):
+            self._enqueue(state, txn_id, resource, mode, origin)
 
     def try_acquire(self, txn_id: int, resource: tuple, mode: LockMode,
                     origin: LockOrigin = LockOrigin.NATIVE) -> bool:
         """Acquire without waiting; return False instead of enqueueing."""
         state = self._resources.get(resource)
         if state is None:
-            state = self._resources[resource] = _ResourceState()
-        own = state.granted_for(txn_id)
-        if own is not None and own.mode.covers(mode):
+            self.acquire(txn_id, resource, mode, origin)
             return True
-        if own is None and self._grantable(state, mode, origin, txn_id):
-            state.granted.append(LockRequest(txn_id, mode, origin, True))
-            self._remember(txn_id, resource)
+        return self._claim(state, txn_id, resource, mode, origin)
+
+    def _claim(self, state: _ResourceState, txn_id: int, resource: tuple,
+               mode: LockMode, origin: LockOrigin) -> bool:
+        """Take ``mode`` now if the rules allow it; ``False``: must wait.
+
+        The one statement of the grant and upgrade rules.  A transaction
+        holding the resource upgrades in place to the join of the held and
+        the asked-for mode when every other holder is compatible with it
+        (waiters do not count: upgrades overtake), carrying a source
+        origin.  A newcomer must be compatible with every holder and --
+        FIFO fairness -- with every queued request, and never overtakes a
+        request of its own.
+        """
+        granted = state.granted
+        own = _find(state.granted, txn_id)
+        if own is None:
+            for holder in granted:
+                if not compatible(holder.mode, holder.origin, mode, origin):
+                    return False
+            for waiter in state.waiting or ():
+                if waiter.txn_id == txn_id or not compatible(
+                        waiter.mode, waiter.origin, mode, origin):
+                    return False
+            granted.append(LockRequest(txn_id, mode, origin, True))
+            _note(self._txn_resources, txn_id, resource)
             return True
-        if own is not None:
-            upgraded = own.mode.join(mode)
-            others = [g for g in state.granted if g.txn_id != txn_id]
-            if all(compatible(g.mode, g.origin, upgraded, origin)
-                   for g in others):
-                own.mode = upgraded
-                return True
-        return False
+        held = own.mode
+        if held is mode or held.covers(mode):
+            return True
+        upgraded = held.join(mode)
+        for holder in granted:
+            if holder is not own and not compatible(
+                    holder.mode, holder.origin, upgraded, origin):
+                return False
+        own.mode = upgraded
+        if origin.is_source:
+            own.origin = origin
+        return True
+
+    def _enqueue(self, state: _ResourceState, txn_id: int, resource: tuple,
+                 mode: LockMode, origin: LockOrigin) -> None:
+        """Queue the request :meth:`_claim` refused and raise the wait.
+
+        Fresh requests join the tail; an upgrade (for the join of the held
+        and the asked-for mode) jumps to the head.  A retry finds its
+        request queued already and only re-checks for deadlock: the wait
+        is counted and its blame edge opened once per queued request.
+        """
+        waiter = _find(state.waiting, txn_id)
+        retry = waiter is not None
+        if not retry:
+            if state.waiting is None:
+                state.waiting = deque()
+            own = _find(state.granted, txn_id)
+            if own is None:
+                waiter = LockRequest(txn_id, mode, origin)
+                state.waiting.append(waiter)
+            else:
+                waiter = LockRequest(txn_id, own.mode.join(mode), origin)
+                state.waiting.appendleft(waiter)
+            _note(self._txn_waiting, txn_id, resource)
+        try:
+            self._check_deadlock(txn_id)
+        except DeadlockError:
+            if not retry:
+                state.waiting.remove(waiter)
+                _forget(self._txn_waiting, txn_id, resource)
+            raise
+        if not retry:
+            self.wait_count += 1
+            self.metrics.inc("lock.waits")
+            self._blame_begin(resource, state, waiter)
+        raise LockWaitError(resource, txn_id)
+
+    def _blame_begin(self, resource: tuple, state: _ResourceState,
+                     waiter: LockRequest) -> None:
+        """Open a blame wait edge against the owners standing in the way.
+
+        Holders are the incompatible granted owners at enqueue time; when
+        the block is purely FIFO fairness (a conflicting waiter queued
+        ahead), that waiter is the blocker instead.
+        """
+        if not self.metrics.enabled:
+            return
+        holders: List[int] = []
+        for requests in (state.granted, state.waiting):
+            holders = [r.txn_id for r in requests
+                       if r.txn_id != waiter.txn_id
+                       and not compatible(r.mode, r.origin,
+                                          waiter.mode, waiter.origin)]
+            if holders:
+                break
+        self.metrics.blame.begin_wait(waiter.txn_id, resource, holders,
+                                      "lock")
 
     def grant_direct(self, txn_id: int, resource: tuple, mode: LockMode,
                      origin: LockOrigin) -> None:
@@ -212,69 +276,33 @@ class LockManager:
         transformed table was not publicly visible.
         """
         state = self._resources.get(resource)
-        if state is None:
-            state = self._resources[resource] = _ResourceState()
-        own = state.granted_for(txn_id)
+        own = None if state is None else _find(state.granted, txn_id)
         if own is not None:
             own.mode = own.mode.join(mode)
             own.origin = origin
             return
-        state.granted.append(LockRequest(txn_id, mode, origin, True))
-        self._remember(txn_id, resource)
-
-    def _grantable(self, state: _ResourceState, mode: LockMode,
-                   origin: LockOrigin, txn_id: int) -> bool:
-        if any(not compatible(g.mode, g.origin, mode, origin)
-               for g in state.granted if g.txn_id != txn_id):
-            return False
-        # FIFO fairness: do not overtake existing waiters with a
-        # conflicting request.
-        for waiter in state.waiting:
-            if not compatible(waiter.mode, waiter.origin, mode, origin):
-                return False
-        return True
-
-    def _remember(self, txn_id: int, resource: tuple) -> None:
-        self._txn_resources.setdefault(txn_id, set()).add(resource)
-        self._forget_waiting(txn_id, resource)
-
-    def _remember_waiting(self, txn_id: int, resource: tuple) -> None:
-        self._txn_waiting.setdefault(txn_id, set()).add(resource)
-
-    def _forget_waiting(self, txn_id: int, resource: tuple) -> None:
-        waiting = self._txn_waiting.get(txn_id)
-        if waiting is not None:
-            waiting.discard(resource)
-            if not waiting:
-                del self._txn_waiting[txn_id]
-
-    def _withdraw(self, state: _ResourceState, txn_id: int) -> None:
-        waiter = state.waiting_for(txn_id)
-        if waiter is not None:
-            state.waiting.remove(waiter)
+        request = LockRequest(txn_id, mode, origin, True)
+        if state is None:
+            self._resources[resource] = _ResourceState(request)
+        else:
+            state.granted.append(request)
+        _note(self._txn_resources, txn_id, resource)
 
     # -- release ------------------------------------------------------------------
 
     def release(self, txn_id: int, resource: tuple) -> List[int]:
-        """Release one lock; returns ids of transactions woken by grants."""
+        """Release one lock -- or, when none is held, withdraw the queued
+        request; returns ids of transactions woken by grants."""
         state = self._resources.get(resource)
         if state is None:
             return []
-        own = state.granted_for(txn_id)
-        if own is not None:
-            state.granted.remove(own)
-        else:
-            self._withdraw(state, txn_id)
-            self._forget_waiting(txn_id, resource)
+        if _take(state.granted, txn_id) is not None:
+            _forget(self._txn_resources, txn_id, resource)
+        elif state.waiting and _take(state.waiting, txn_id) is not None:
+            _forget(self._txn_waiting, txn_id, resource)
             self.metrics.blame.end_wait(txn_id, resource,
                                         outcome="abandoned")
-        held = self._txn_resources.get(txn_id)
-        if held is not None:
-            held.discard(resource)
-        woken = self._promote(resource, state)
-        if state.empty():
-            self._resources.pop(resource, None)
-        return woken
+        return self._promote(resource, state)
 
     def release_all(self, txn_id: int) -> List[int]:
         """Release every lock of a transaction (end of strict 2PL).
@@ -282,52 +310,56 @@ class LockManager:
         Returns the ids of transactions whose queued requests became
         granted; the caller (simulator or session driver) re-schedules them.
         """
-        resources = self._txn_resources.pop(txn_id, set())
-        resources |= self._txn_waiting.pop(txn_id, set())
-        # Any wait this transaction still had open (lock, latch or
-        # blocked-table) ends here as abandoned: strict 2PL release is
-        # the common exit of commit, abort and deadlock-victim paths.
-        # Scoped roles (a lazy-miss marking) die with the transaction.
-        self.metrics.blame.abandon_waits(txn_id)
-        self.metrics.blame.clear_role(txn_id)
+        resources = self._txn_resources.pop(txn_id, None) or set()
+        resources.update(self._txn_waiting.pop(txn_id, ()))
+        if self.metrics.enabled:
+            # Any wait this transaction still had open (lock, latch or
+            # blocked-table) ends here as abandoned: strict 2PL release is
+            # the common exit of commit, abort and deadlock-victim paths.
+            # Scoped roles (a lazy-miss marking) die with the transaction.
+            self.metrics.blame.abandon_waits(txn_id)
+            self.metrics.blame.clear_role(txn_id)
         woken: List[int] = []
-        for resource in list(resources):
-            state = self._resources.get(resource)
-            if state is None:
-                continue
-            own = state.granted_for(txn_id)
-            if own is not None:
-                state.granted.remove(own)
-            self._withdraw(state, txn_id)
-            woken.extend(self._promote(resource, state))
-            if state.empty():
-                self._resources.pop(resource, None)
+        entries = self._resources
+        for resource in resources:
+            state = entries[resource]
+            if state.waiting:
+                _take(state.granted, txn_id)
+                _take(state.waiting, txn_id)
+                woken.extend(self._promote(resource, state))
+            elif len(state.granted) == 1:
+                # Ours (a held lock keeps its entry alive), nobody waits.
+                del entries[resource]
+            else:
+                _take(state.granted, txn_id)
         return woken
 
     def _promote(self, resource: tuple, state: _ResourceState) -> List[int]:
-        """Grant queued requests now compatible, FIFO; return woken txns."""
+        """Grant the queued requests now compatible, strictly FIFO, and
+        drop the entry once nothing is left of it; return woken txns."""
         woken: List[int] = []
-        changed = True
-        while changed:
-            changed = False
-            for waiter in list(state.waiting):
-                if all(compatible(g.mode, g.origin, waiter.mode,
-                                  waiter.origin)
-                       for g in state.granted
-                       if g.txn_id != waiter.txn_id):
-                    state.waiting.remove(waiter)
-                    own = state.granted_for(waiter.txn_id)
-                    if own is not None:
-                        own.mode = own.mode.join(waiter.mode)
-                    else:
-                        waiter.granted = True
-                        state.granted.append(waiter)
-                        self._remember(waiter.txn_id, resource)
-                    self.metrics.blame.end_wait(waiter.txn_id, resource)
-                    woken.append(waiter.txn_id)
-                    changed = True
-                else:
-                    break  # strict FIFO beyond the first blocked waiter
+        granted, queue = state.granted, state.waiting
+        while queue:
+            waiter = queue[0]
+            own = None
+            for holder in granted:
+                if holder.txn_id == waiter.txn_id:
+                    own = holder
+                elif not compatible(holder.mode, holder.origin,
+                                    waiter.mode, waiter.origin):
+                    return woken  # nobody overtakes the blocked head
+            queue.popleft()
+            if own is not None:
+                own.mode = own.mode.join(waiter.mode)
+            else:
+                waiter.granted = True
+                granted.append(waiter)
+                _note(self._txn_resources, waiter.txn_id, resource)
+            _forget(self._txn_waiting, waiter.txn_id, resource)
+            self.metrics.blame.end_wait(waiter.txn_id, resource)
+            woken.append(waiter.txn_id)
+        if not granted:
+            del self._resources[resource]
         return woken
 
     # -- introspection ----------------------------------------------------------------
@@ -341,37 +373,29 @@ class LockManager:
               mode: Optional[LockMode] = None) -> bool:
         """Whether the transaction holds (at least) ``mode`` on resource."""
         state = self._resources.get(resource)
-        if state is None:
-            return False
-        own = state.granted_for(txn_id)
+        own = None if state is None else _find(state.granted, txn_id)
         if own is None:
             return False
         return True if mode is None else own.mode.covers(mode)
 
     def locks_of(self, txn_id: int) -> Set[tuple]:
         """Resources on which the transaction holds locks."""
-        return set(self._txn_resources.get(txn_id, set()))
+        return set(self._txn_resources.get(txn_id, ()))
 
     def waiting_txns(self) -> Set[int]:
         """Ids of transactions with a queued (ungranted) request."""
-        result: Set[int] = set()
-        for state in self._resources.values():
-            for waiter in state.waiting:
-                if not waiter.granted:
-                    result.add(waiter.txn_id)
-        return result
+        return set(self._txn_waiting)
 
     # -- deadlock detection ------------------------------------------------------------
 
-    def _check_deadlock(self, txn_id: int, resource: tuple) -> None:
+    def _check_deadlock(self, txn_id: int) -> None:
         """Raise :class:`DeadlockError` if ``txn_id`` waiting closes a cycle."""
-        graph = self._wait_for_graph()
         # DFS from txn_id looking for a path back to txn_id.
         stack: List[Tuple[int, Tuple[int, ...]]] = [(txn_id, (txn_id,))]
         seen: Set[int] = set()
         while stack:
             node, path = stack.pop()
-            for successor in graph.get(node, ()):  # holders node waits for
+            for successor in self._blockers(node):
                 if successor == txn_id:
                     self.deadlock_count += 1
                     self.metrics.inc("lock.deadlocks")
@@ -380,25 +404,22 @@ class LockManager:
                     seen.add(successor)
                     stack.append((successor, path + (successor,)))
 
-    def _wait_for_graph(self) -> Dict[int, Set[int]]:
-        graph: Dict[int, Set[int]] = {}
-        for state in self._resources.values():
-            ahead: List[LockRequest] = list(state.granted)
-            for waiter in state.waiting:
-                if waiter.granted:
-                    ahead.append(waiter)
-                    continue
-                blockers = {
-                    other.txn_id
-                    for other in ahead
-                    if other.txn_id != waiter.txn_id
-                    and not compatible(other.mode, other.origin,
-                                       waiter.mode, waiter.origin)
-                }
-                if blockers:
-                    graph.setdefault(waiter.txn_id, set()).update(blockers)
-                ahead.append(waiter)
-        return graph
+    def _blockers(self, txn_id: int) -> Set[int]:
+        """The wait-for edges out of ``txn_id``: on every resource it is
+        queued on, the owners of the incompatible requests ahead of its
+        own -- granted, or earlier in the queue."""
+        blockers: Set[int] = set()
+        for resource in self._txn_waiting.get(txn_id, ()):
+            state = self._resources[resource]
+            own = _find(state.waiting, txn_id)
+            for queue in (state.granted, state.waiting):
+                for other in queue:
+                    if other is own:
+                        break
+                    if other.txn_id != txn_id and not compatible(
+                            other.mode, other.origin, own.mode, own.origin):
+                        blockers.add(other.txn_id)
+        return blockers
 
     # -- table latches -----------------------------------------------------------------
 

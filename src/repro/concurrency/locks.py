@@ -32,6 +32,9 @@ class LockMode(Enum):
     * ``IS`` / ``IX`` -- intent to take S / X locks on contained records;
     * ``S`` / ``X`` -- whole-granule shared / exclusive;
     * ``SIX`` -- S on the granule plus intent to X individual records.
+
+    Every member carries ``is_write`` -- whether the mode implies (intent
+    to) write -- as a plain attribute.
     """
 
     IS = "IS"
@@ -40,38 +43,31 @@ class LockMode(Enum):
     SIX = "SIX"
     X = "X"
 
-    @property
-    def is_write(self) -> bool:
-        """Whether this mode implies (intent to) write."""
-        return self in (LockMode.IX, LockMode.SIX, LockMode.X)
+    is_write: bool
 
     def covers(self, other: "LockMode") -> bool:
         """Whether holding this mode also satisfies a request for ``other``.
 
         Follows the standard mode lattice: IS < {IX, S} < SIX < X.
         """
-        return other in _COVERS[self]
+        return other in self._covered
 
     def join(self, other: "LockMode") -> "LockMode":
         """Least mode covering both (the upgrade target)."""
-        if self.covers(other):
+        if other in self._covered:
             return self
-        if other.covers(self):
+        if self in other._covered:
             return other
-        # The only incomparable covered pairs join at SIX (IX vs S);
-        # everything else escalates to X.
-        if {self, other} == {LockMode.IX, LockMode.S}:
-            return LockMode.SIX
-        return LockMode.X
+        return LockMode.SIX  # IX vs S, the lattice's one incomparable pair
 
 
-#: For each mode, the set of modes it covers (reflexive).
+#: For each mode, the modes it covers (reflexive).
 _COVERS = {
-    LockMode.IS: {LockMode.IS},
-    LockMode.IX: {LockMode.IS, LockMode.IX},
-    LockMode.S: {LockMode.IS, LockMode.S},
-    LockMode.SIX: {LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX},
-    LockMode.X: set(LockMode),
+    LockMode.IS: (LockMode.IS,),
+    LockMode.IX: (LockMode.IS, LockMode.IX),
+    LockMode.S: (LockMode.IS, LockMode.S),
+    LockMode.SIX: (LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX),
+    LockMode.X: tuple(LockMode),
 }
 
 #: The classic multigranularity compatibility matrix.
@@ -145,18 +141,43 @@ def figure2_compatible(held_mode: LockMode, held_origin: LockOrigin,
     return not source_mode.is_write
 
 
-def compatible(held_mode: LockMode, held_origin: LockOrigin,
-               req_mode: LockMode, req_origin: LockOrigin) -> bool:
-    """Dispatch to Figure 2 when any origin is a source, else standard."""
+def _rule(held_mode: LockMode, held_origin: LockOrigin,
+          req_mode: LockMode, req_origin: LockOrigin) -> bool:
+    """Figure 2 when any origin is a source, else the standard matrix."""
     if held_origin.is_source or req_origin.is_source:
         return figure2_compatible(held_mode, held_origin,
                                   req_mode, req_origin)
     return standard_compatible(held_mode, req_mode)
 
 
+# The rules above, tabulated once per member: the lock manager's hot path
+# reads attributes and indexes tuples, and never hashes an ``Enum`` member
+# (``Enum.__hash__`` is interpreted).
+for _ordinal, _mode in enumerate(LockMode):
+    _mode._covered = _COVERS[_mode]
+    _mode.is_write = _mode in (LockMode.IX, LockMode.SIX, LockMode.X)
+    _mode._row = _ordinal * len(LockOrigin)
+for _ordinal, _origin in enumerate(LockOrigin):
+    _origin._column = _ordinal
+
+#: ``_COMPATIBLE[held][requested]``, each side a (mode, origin) ordinal.
+_COMPATIBLE = tuple(
+    tuple(_rule(held_mode, held_origin, req_mode, req_origin)
+          for req_mode in LockMode for req_origin in LockOrigin)
+    for held_mode in LockMode for held_origin in LockOrigin)
+
+
+def compatible(held_mode: LockMode, held_origin: LockOrigin,
+               req_mode: LockMode, req_origin: LockOrigin) -> bool:
+    """Whether ``req`` may be granted beside ``held``: Figure 2 when any
+    origin is a source, else the standard matrix (both tabulated above)."""
+    return _COMPATIBLE[held_mode._row + held_origin._column][
+        req_mode._row + req_origin._column]
+
+
 def record_resource(table: str, key: tuple) -> tuple:
-    """Lock-manager resource id for a record."""
-    return ("rec", table, tuple(key))
+    """Lock-manager resource id for a record (``key`` as a plain tuple)."""
+    return ("rec", table, key if type(key) is tuple else tuple(key))
 
 
 def table_resource(table: str) -> tuple:

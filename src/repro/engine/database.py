@@ -231,14 +231,17 @@ class Database:
     def commit(self, txn: Transaction) -> None:
         """Commit: log commit + end, force the log, release all locks."""
         self._require_active(txn)
-        self.faults.fire(SITE_TXN_COMMIT, txn_id=txn.txn_id)
+        faults = self.faults
+        if faults.enabled:
+            faults.fire(SITE_TXN_COMMIT, txn_id=txn.txn_id)
         lsn = self.log.append(CommitRecord(txn_id=txn.txn_id),
                               prev_lsn=txn.last_lsn)
         txn.note_record(lsn)
         self.log.append(EndRecord(txn_id=txn.txn_id, committed=True),
                         prev_lsn=txn.last_lsn)
         self.log.request_flush()
-        self.faults.fire(SITE_TXN_COMMIT_LOGGED, txn_id=txn.txn_id)
+        if faults.enabled:
+            faults.fire(SITE_TXN_COMMIT_LOGGED, txn_id=txn.txn_id)
         self.txns.finished(txn, TxnState.COMMITTED)
         if self.mvcc is not None:
             # Stamp the transaction's final images at its commit LSN
@@ -256,7 +259,8 @@ class Database:
             raise TransactionStateError(
                 f"cannot abort transaction in state {txn.state}")
         txn.state = TxnState.ROLLING_BACK
-        self.faults.fire(SITE_TXN_ABORT, txn_id=txn.txn_id)
+        if self.faults.enabled:
+            self.faults.fire(SITE_TXN_ABORT, txn_id=txn.txn_id)
         lsn = self.log.append(AbortRecord(txn_id=txn.txn_id),
                               prev_lsn=txn.last_lsn)
         txn.note_record(lsn)
@@ -282,8 +286,9 @@ class Database:
                 continue
             compensation = self._compensation_of(record)
             if compensation is not None:
-                self.faults.fire(SITE_TXN_ROLLBACK_CLR, txn_id=txn.txn_id,
-                                 undo_lsn=lsn)
+                if self.faults.enabled:
+                    self.faults.fire(SITE_TXN_ROLLBACK_CLR,
+                                     txn_id=txn.txn_id, undo_lsn=lsn)
                 clr = CLRecord(txn_id=txn.txn_id, action=compensation,
                                undo_next_lsn=record.prev_lsn)
                 clr_lsn = self.log.append(clr, prev_lsn=txn.last_lsn)
@@ -468,12 +473,12 @@ class Database:
 
     def _lock_record(self, txn: Transaction, table: Table, key: Tuple,
                      mode: LockMode) -> None:
-        self.locks.check_latch(table.uid, txn.txn_id)
+        locks, uid, txn_id = self.locks, table.uid, txn.txn_id
+        locks.check_latch(uid, txn_id)
         # Multigranularity: intention lock on the table, then the record.
-        intention = LockMode.IX if mode.is_write else LockMode.IS
-        self.locks.acquire(txn.txn_id, table_resource(table.uid), intention)
-        resource = record_resource(table.uid, key)
-        self.locks.acquire(txn.txn_id, resource, mode)
+        locks.acquire(txn_id, table_resource(uid),
+                      LockMode.IX if mode.is_write else LockMode.IS)
+        locks.acquire(txn_id, record_resource(uid, key), mode)
         for mirror in self.lock_mirrors:
             mirror.on_lock(self, txn, table, key, mode)
 
@@ -577,14 +582,17 @@ class Database:
         row = table.get(key)
         if row is None:
             raise NoSuchRowError(table.name, key)
+        # The one copy of the caller's mapping: the log record's image,
+        # which storage reads (``update_rowid`` keeps no reference to it).
+        changes = dict(changes)
         old_values = {attr: row.values[attr] for attr in changes}
         before = None if self.mvcc is None else dict(row.values)
         before_lsn = row.lsn
         record = UpdateRecord(txn_id=txn.txn_id, table=table.name, key=key,
-                              changes=dict(changes), old_values=old_values)
+                              changes=changes, old_values=old_values)
         lsn = self.log.append(record, prev_lsn=txn.last_lsn)
         txn.note_record(lsn)
-        table.update_rowid(row.rowid, dict(changes), lsn=lsn)
+        table.update_rowid(row.rowid, changes, lsn=lsn)
         if self.mvcc is not None:
             self.mvcc.note_write(txn, table, before, dict(row.values),
                                  before_lsn=before_lsn)

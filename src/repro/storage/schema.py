@@ -159,13 +159,13 @@ class TableSchema:
         delete + insert, matching the paper's propagation rules which assume
         stable identifying attributes).
         """
-        extra = set(changes) - self.attribute_set
-        if extra:
+        if not self.attribute_set.issuperset(changes):
+            extra = set(changes) - self.attribute_set
             raise SchemaError(
                 f"unknown attributes {sorted(extra)} for table {self.name!r}"
             )
-        touched_key = set(changes) & self._pk_set
-        if touched_key:
+        if not self._pk_set.isdisjoint(changes):
+            touched_key = set(changes) & self._pk_set
             raise SchemaError(
                 f"primary key columns {sorted(touched_key)} of {self.name!r} "
                 "cannot be updated in place; delete and re-insert instead"

@@ -182,3 +182,19 @@ def test_pairs_require_gate():
         "time_to_ready_s on foj_catchup is WORSE"]
     # Nothing required: the tool reports and exits 0, as before.
     assert unmet(readings, []) == []
+
+
+# -- benchmarks/profile.py: the committed profile entry point -----------------
+
+
+def test_profile_entry_point_smoke():
+    import io
+
+    from benchmarks.profile import main
+
+    out = io.StringIO()
+    assert main(["oltp_durable", "--quick", "--top", "5", "--sort",
+                 "cumtime"], out=out) == 0
+    report = out.getvalue()
+    assert "Ordered by: cumulative time" in report
+    assert "(timed)" in report and "total calls: " in report

@@ -1,5 +1,7 @@
 """Integration tests for the execution engine (Database + Session)."""
 
+from collections import namedtuple
+
 import pytest
 
 from repro import Database, Session, TableSchema
@@ -78,6 +80,55 @@ def test_update_pk_rejected():
         with Session(db) as s:
             s.insert("t", {"id": 1})
             s.update("t", (1,), {"id": 2})
+
+
+def test_update_rejections_keep_their_wording():
+    db = make_db()
+    with Session(db) as s:
+        s.insert("t", {"id": 1})
+        with pytest.raises(SchemaError, match=(
+                r"^unknown attributes \['q', 'z'\] for table 't'$")):
+            s.update("t", (1,), {"z": 1, "x": 2, "q": 3})
+        with pytest.raises(SchemaError, match=(
+                r"^primary key columns \['id'\] of 't' cannot be updated "
+                r"in place; delete and re-insert instead$")):
+            s.update("t", (1,), {"x": 2, "id": 2})
+        assert s.read("t", (1,)) == {"id": 1, "x": None, "y": None}
+
+
+def test_list_tuple_and_namedtuple_keys_lock_the_same_record():
+    db = make_db()
+    with Session(db) as s:
+        s.insert("t", {"id": 1})
+    named = namedtuple("Key", ["id"])(1)
+    txn = db.begin()
+    db.update(txn, "t", [1], {"x": "list"})
+    held = db.locks.locks_of(txn.txn_id)
+    assert record_resource(db.table("t").uid, (1,)) in held
+    db.update(txn, "t", (1,), {"x": "tuple"})
+    db.update(txn, "t", named, {"x": "named"})
+    assert db.read(txn, "t", named)["x"] == "named"
+    assert db.locks.locks_of(txn.txn_id) == held and len(held) == 2
+    assert all(type(r[2]) is tuple for r in held if r[0] == "rec")
+    assert record_resource(7, named) == record_resource(7, [1]) \
+        == ("rec", 7, (1,))
+    db.commit(txn)
+
+
+def test_update_keeps_no_reference_to_the_callers_changes():
+    """The engine copies the mapping once; log record and row share that
+    copy with nobody outside."""
+    db = make_db()
+    changes = {"x": "kept"}
+    with Session(db) as s:
+        s.insert("t", {"id": 1})
+        s.update("t", (1,), changes)
+        changes["x"] = "mutated"
+        changes["y"] = "added"
+        assert s.read("t", (1,)) == {"id": 1, "x": "kept", "y": None}
+    update = [r for r in db.log.scan() if isinstance(r, UpdateRecord)][-1]
+    assert update.changes == {"x": "kept"}
+    assert update.old_values == {"x": None}
 
 
 def test_unknown_table_raises():
