@@ -1,7 +1,9 @@
 """Seeded crash x disk-fault chaos soak (``python -m benchmarks.chaos_soak``).
 
 Each seed drives one :func:`repro.faults.chaos.chaos_run` experiment: a
-randomized operator/strategy/flush-policy/workload draw, a crash armed at
+randomized draw of sweep label (every registered plan operator's corpus
+scenario and its ``:lazy`` / ``@N`` variants), strategy, flush policy
+and workload, a crash armed at
 a random crossing of a random injection site, and (three times out of
 four) a disk fault -- torn write, lying fsync or bit flip -- armed on the
 ``disk.sync`` site before the crash.  After the kill the log is salvaged
@@ -58,11 +60,13 @@ def soak(start: int, runs: int, verbose: bool = False) -> Dict[str, object]:
     """Run ``runs`` seeded experiments starting at ``start``."""
     outcomes: Counter = Counter()
     fault_mix: Counter = Counter()
+    operators: Counter = Counter()
     failures: List[Dict[str, object]] = []
     for seed in range(start, start + runs):
         report = chaos_run(seed)
         outcomes[report["outcome"]] += 1
         fault_mix[report.get("disk_fault") or "none"] += 1
+        operators[report["operator"]] += 1
         if report["violations"]:
             failures.append(report)
             print(f"VIOLATION at seed {seed}: {report['violations']}")
@@ -79,6 +83,7 @@ def soak(start: int, runs: int, verbose: bool = False) -> Dict[str, object]:
         "runs": runs,
         "outcomes": dict(outcomes),
         "disk_faults": dict(fault_mix),
+        "operators": dict(operators),
         "failures": failures,
     }
 
@@ -112,6 +117,8 @@ def main(argv: List[str] = None) -> int:
     print(f"  outcomes    : {json.dumps(summary['outcomes'], sort_keys=True)}")
     print(f"  disk faults : "
           f"{json.dumps(summary['disk_faults'], sort_keys=True)}")
+    print(f"  operators   : "
+          f"{json.dumps(summary['operators'], sort_keys=True)}")
     print(f"results written to {path}")
     if summary["failures"]:
         fail_path = save_results_json(

@@ -1,8 +1,9 @@
 """Crash-at-every-step robustness sweep (``python -m benchmarks.fault_sweep``).
 
-Runs :func:`repro.faults.sweep.run_sweep` over every operator (full outer
-join, split) x synchronization strategy combination: for each injection
-site the scenario crosses, the system is killed there once, the log is
+Runs :func:`repro.faults.sweep.run_sweep` over every sweep label -- each
+workload-carrying scenario of :data:`repro.plan.CORPUS` (one per
+registered plan operator) plus its ``:lazy`` / ``@N`` variants -- x
+synchronization strategy: for each injection site the scenario crosses, the system is killed there once, the log is
 salvaged from the simulated disk's crash image, ARIES restart runs on
 the surviving flushed prefix and the recovery invariants are checked
 (committed-and-flushed data preserved byte-for-byte, transient targets
@@ -41,7 +42,7 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     """
     from repro.common.errors import SimulatedCrashError
     from repro.faults.injection import CrashFault, FaultInjector, FaultPlan
-    from repro.faults.sweep import ScenarioRun
+    from repro.faults.sweep import ScenarioRun, parse_label
     from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import Metrics
     from repro.transform.base import SyncStrategy
@@ -59,7 +60,8 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     flight = FlightRecorder(metrics)
     injector = FaultInjector(plan)
     injector.on_fire = flight.note_fault
-    run = ScenarioRun(combo["operator"], SyncStrategy(combo["strategy"]),
+    scenario, overrides = parse_label(combo["operator"])
+    run = ScenarioRun(scenario, SyncStrategy(combo["strategy"]), overrides,
                       injector, metrics=metrics)
     try:
         run.execute()
@@ -91,7 +93,7 @@ def main() -> int:
         bad = [s["site"] for s in combo["sites"]
                if s["outcome"] != "ok"]
         status = "ok" if not bad else f"FAILED at {bad}"
-        print(f"  {combo['operator']:>5s} / {combo['strategy']:<19s} "
+        print(f"  {combo['operator']:>14s} / {combo['strategy']:<19s} "
               f"{combo['site_count']:3d} sites  {status}")
     print(f"violations                 : {summary['violations']}")
     failed = summary["violations"] != 0

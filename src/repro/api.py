@@ -79,6 +79,7 @@ from repro.plan import (
     PlanStepper,
     PlanValidationError,
     PlanValidator,
+    Workload,
     run_plan,
 )
 
@@ -193,6 +194,7 @@ __all__ = [
     "PlanStepper",
     "PlanValidationError",
     "PlanValidator",
+    "Workload",
     "run_plan",
     # transformations + configuration
     "AttrPredicate",

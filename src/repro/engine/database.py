@@ -105,8 +105,6 @@ class Database:
             self.log.metrics = self.metrics
         if flush_policy is not None:
             self.log.flush_policy = flush_policy
-        if faults is not None:
-            self.attach_faults(faults)
         self.locks = LockManager(self.metrics)
         self.txns = TransactionManager()
         #: Mirror objects consulted on every record-lock acquisition; see
@@ -131,6 +129,10 @@ class Database:
             "insert": 0, "delete": 0, "update": 0, "read": 0,
             "commit": 0, "abort": 0, "trigger": 0,
         }
+        # Last: attaching reaches into the catalog, the log and the MVCC
+        # overlay slot set up above.
+        if faults is not None:
+            self.attach_faults(faults)
 
     def attach_metrics(self, metrics: Metrics) -> None:
         """Switch the engine (and its log/lock managers) to ``metrics``.

@@ -1,7 +1,9 @@
 """Seeded chaos runs: crash sites composed with disk faults.
 
 One :func:`chaos_run` draws a full experiment from a single seed -- the
-operator, synchronization strategy, group-commit flush policy, a
+sweep label (any of :data:`repro.faults.sweep.ALL_OPERATORS`: every
+registered plan operator's corpus scenario and its ``:lazy`` / ``@N``
+variants), synchronization strategy, group-commit flush policy, a
 randomized workload, a crash point (any injection site the scenario
 crosses, at a random crossing) and optionally one disk fault armed on
 the ``disk.sync`` site before the crash:
@@ -40,15 +42,15 @@ from repro.faults.injection import (
     TornWriteFault,
 )
 from repro.faults.sweep import (
+    ALL_OPERATORS,
     ALL_STRATEGIES,
-    SCENARIO_OPERATORS,
-    ScenarioRun,
-    check_completed,
+    check_byte_identity,
     check_recovered,
     check_salvage,
+    policy_name,
+    recording_pass,
 )
 from repro.wal.durable import SITE_DISK_SYNC, _frame_regions
-from repro.wal.frames import SEGMENT_HEADER, encode_frame
 from repro.wal.log import (
     GROUP_FLUSH,
     IMMEDIATE_FLUSH,
@@ -66,26 +68,6 @@ CHAOS_POLICIES = (
 )
 
 _FAULT_KINDS = ("none", "torn_write", "lost_flush", "bit_flip")
-
-
-def _policy_name(policy: FlushPolicy) -> str:
-    if policy.immediate:
-        return "immediate"
-    return (f"group({policy.max_pending_requests},"
-            f"{policy.max_pending_records})")
-
-
-def _byte_identity(run: ScenarioRun, log: LogManager) -> List[str]:
-    """The salvaged prefix must equal re-encoding the salvaged records."""
-    salvage = log.salvage
-    reencoded = SEGMENT_HEADER + b"".join(
-        encode_frame(record) for record in salvage.records)
-    surviving = run.disk.crash_image()[:salvage.byte_length]
-    if reencoded != surviving:
-        return ["salvaged prefix is not byte-identical under re-encode "
-                f"({len(surviving)} bytes on disk, "
-                f"{len(reencoded)} re-encoded)"]
-    return []
 
 
 def chaos_run(seed: int, metrics=None,
@@ -106,7 +88,7 @@ def chaos_run(seed: int, metrics=None,
     fault acts (a crash fault never returns control).
     """
     rng = random.Random(seed)
-    operator = rng.choice(SCENARIO_OPERATORS)
+    operator = rng.choice(ALL_OPERATORS)
     strategy = rng.choice(ALL_STRATEGIES)
     policy = rng.choice(CHAOS_POLICIES)
     workload_seed = rng.randrange(1 << 16)
@@ -115,7 +97,7 @@ def chaos_run(seed: int, metrics=None,
         "seed": seed,
         "operator": operator,
         "strategy": strategy.value,
-        "flush_policy": _policy_name(policy),
+        "flush_policy": policy_name(policy),
         "workload_seed": workload_seed,
         "repro": f"python -m benchmarks.chaos_soak --seed {seed}",
         "violations": [],
@@ -123,15 +105,8 @@ def chaos_run(seed: int, metrics=None,
     violations: List[str] = report["violations"]
 
     # Recording pass: learn which sites this configuration crosses.
-    recording = ScenarioRun(operator, strategy,
-                            FaultInjector(FaultPlan()),
-                            flush_policy=policy,
-                            workload_seed=workload_seed)
-    recording.execute()
-    # Snapshot before the baseline check: its drain crosses flush/disk
-    # sites once more, beyond what an armed pass can ever reach.
-    hits = dict(recording.faults.hits)
-    baseline = check_completed(recording)
+    make_run, hits, baseline = recording_pass(
+        operator, strategy, policy, workload_seed)
     if baseline:
         report["outcome"] = "baseline_broken"
         violations.extend(f"fault-free baseline: {b}" for b in baseline)
@@ -146,26 +121,20 @@ def chaos_run(seed: int, metrics=None,
 
     plan = FaultPlan()
     disk_hit: Optional[int] = None
-    if fault_kind != "none" and sync_total:
-        hi = sync_total
-        if crash_site == SITE_DISK_SYNC:
-            # The injector fires one arming per crossing; keep the disk
-            # fault strictly before the crash so both take effect.
-            hi = crash_hit - 1
-        if hi >= 1:
-            disk_hit = rng.randint(1, hi)
-            if fault_kind == "torn_write":
-                plan.arm(SITE_DISK_SYNC, TornWriteFault(), hit=disk_hit)
-            elif fault_kind == "lost_flush":
-                plan.arm(SITE_DISK_SYNC, LostFlushFault(), hit=disk_hit,
-                         times=rng.randint(1, 3))
-            else:
-                plan.arm(SITE_DISK_SYNC,
-                         BitFlipFault(bit=rng.randrange(64)),
-                         hit=disk_hit)
+    # The injector fires one arming per crossing; keep the disk fault
+    # strictly before the crash so both take effect.
+    last = crash_hit - 1 if crash_site == SITE_DISK_SYNC else sync_total
+    if fault_kind != "none" and last >= 1:
+        disk_hit = rng.randint(1, last)
+        if fault_kind == "torn_write":
+            plan.arm(SITE_DISK_SYNC, TornWriteFault(), hit=disk_hit)
+        elif fault_kind == "lost_flush":
+            plan.arm(SITE_DISK_SYNC, LostFlushFault(), hit=disk_hit,
+                     times=rng.randint(1, 3))
         else:
-            fault_kind = "none"
-    elif fault_kind != "none":
+            plan.arm(SITE_DISK_SYNC, BitFlipFault(bit=rng.randrange(64)),
+                     hit=disk_hit)
+    else:
         fault_kind = "none"
     plan.arm(crash_site, CrashFault(), hit=crash_hit)
     report.update(crash_site=crash_site, crash_hit=crash_hit,
@@ -173,9 +142,7 @@ def chaos_run(seed: int, metrics=None,
 
     if flight is not None and metrics is None:
         metrics = flight.metrics
-    run = ScenarioRun(operator, strategy, FaultInjector(plan),
-                      flush_policy=policy, workload_seed=workload_seed,
-                      metrics=metrics)
+    run = make_run(FaultInjector(plan), metrics=metrics)
     if flight is not None:
         run.faults.on_fire = flight.note_fault
     try:
@@ -228,7 +195,7 @@ def chaos_run(seed: int, metrics=None,
         # A tear at a frame boundary is a clean truncation; anything else
         # must be reported as torn.  Either way, no quarantine.
         report["outcome"] = "recovered"
-        violations.extend(_byte_identity(run, salvaged))
+        violations.extend(check_byte_identity(run, salvaged))
     elif fault_kind == "lost_flush" and disk_fault_fired:
         # Lying fsyncs lose a frame-aligned tail: the surviving prefix
         # must be clean, even though the log believed it was flushed.
@@ -237,7 +204,7 @@ def chaos_run(seed: int, metrics=None,
             violations.append(
                 f"lost flush left a non-aligned prefix: "
                 f"{salvage.describe()}")
-        violations.extend(_byte_identity(run, salvaged))
+        violations.extend(check_byte_identity(run, salvaged))
     else:
         report["outcome"] = "recovered"
         violations.extend(check_salvage(run, salvaged))

@@ -11,8 +11,8 @@ the challenge-problem scenario corpus.
 """
 
 from repro.common.errors import PlanValidationError
-from repro.plan.corpus import CORPUS, CORPUS_BY_NAME, CorpusScenario, \
-    get_scenario
+from repro.plan.corpus import CORPUS, CORPUS_BY_NAME, WORKLOAD_SCENARIOS, \
+    CorpusScenario, Workload, get_scenario
 from repro.plan.executor import PlanExecutor, PlanStepper, run_plan
 from repro.plan.operators import PLAN_OPERATORS, PlanOperator
 from repro.plan.spec import PLAN_OPTION_FIELDS, MigrationPlan, MigrationStep
@@ -31,6 +31,8 @@ __all__ = [
     "PlanStepper",
     "PlanValidationError",
     "PlanValidator",
+    "WORKLOAD_SCENARIOS",
+    "Workload",
     "get_scenario",
     "run_plan",
 ]

@@ -1,81 +1,152 @@
-"""A fault-swept corpus of migration plans over common schema changes.
+"""The scenario corpus: one source for plans, workloads and oracles.
 
-Each :class:`CorpusScenario` pairs a seeded source database, a
-declarative :class:`~repro.plan.spec.MigrationPlan`, and an offline
-oracle of the expected final tables.  The scenarios are drawn from the
-schema-evolution *Challenge Problems* checklist (Edwards, Petricek &
-van der Storm, arXiv:2309.11406) -- the recurring migrations every
-schema-evolution tool is asked to handle -- mapped onto this repo's
-online operators:
+Each :class:`CorpusScenario` is a complete experiment as plain data:
+source schemas with their seed rows, a declarative
+:class:`~repro.plan.spec.MigrationPlan` and, for the single-step
+scenarios, a :class:`Workload` -- the user activity that runs beside the
+change.  The oracle is not stored: :meth:`CorpusScenario.fold` folds the
+plan's steps over any rows of the sources with the registry's
+``reference`` callables (:data:`repro.plan.operators.PLAN_OPERATORS`);
+:meth:`~CorpusScenario.expected` applies it to the seeds, and the crash
+sweep and chaos layer (:mod:`repro.faults.sweep`) to the committed state
+a surviving log defines.  Every rig enumerates :data:`CORPUS`:
+``python -m benchmarks.plan_corpus`` (clean run plus crash-resume of
+every plan), ``python -m benchmarks.fault_sweep`` and
+``tests/fault_matrix.py`` (a crash at every crossed site of every
+workload-carrying scenario) and ``python -m benchmarks.chaos_soak``.
 
-==========================  =============================================
-scenario                    challenge row
-==========================  =============================================
-``denormalize-foj``         inline / denormalize an association into one
-                            table (full outer join, paper Section 4)
-``normalize-split``         normalize a denormalized table (vertical
-                            split, paper Section 5)
-``chain-foj-split``         a multi-step change: denormalize, then
-                            re-normalize along a different dependency
-``tags-explode``            turn a scalar field into a collection (one
-                            row per element)
-``archive-partition``       partition rows by a predicate into hot/cold
-                            tables
-``reunify-merge``           reunify a previously partitioned pair
-``retype-default``          change a field's type and its NULL default
-==========================  =============================================
+The scenarios come from the schema-evolution *Challenge Problems*
+checklist (Edwards, Petricek & van der Storm, arXiv:2309.11406) -- the
+recurring migrations every schema-evolution tool is asked to handle;
+each scenario's ``challenge`` names its row (the table is in
+``docs/paper_mapping.md``).  The seeds are dirty on purpose: dangling
+references, NULL lists and join values, duplicate elements,
+blank-padded casts.
 
-The corpus is executable documentation *and* test fodder: each plan is
-JSON-round-trippable, runs end-to-end under :func:`repro.plan.run_plan`,
-and is swept by ``python -m benchmarks.plan_corpus`` (the ``plan-corpus``
-CI job), which also crash-resumes each plan mid-chain.
+Every registered plan operator has exactly one workload-carrying
+scenario (:data:`WORKLOAD_SCENARIOS`).  The multi-step chain carries no
+workload: its crash coverage is the plan-corpus crash-resume slice, and
+the sweep starts and aborts its first step as a :data:`BYSTANDER`
+beside the scenario under test.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
-from repro.relational.operators import (
-    explode,
-    full_outer_join,
-    normalize_rows,
-    retype,
-    split,
-)
-from repro.relational.spec import ExplodeSpec, FojSpec, RetypeSpec, SplitSpec
+from repro.plan.operators import PLAN_OPERATORS
 from repro.plan.spec import MigrationPlan, MigrationStep
+from repro.relational.operators import rows_diff
 from repro.storage.schema import TableSchema
-from repro.transform.partition import (
-    AttrPredicate,
-    PartitionSpec,
-    merge_rows,
-    partition_rows,
-)
 
-Rows = List[Dict[str, object]]
+Row = Dict[str, object]
+Rows = List[Row]
+#: One user operation: ``("i", table, values)``, ``("u", table, key,
+#: changes)`` or ``("d", table, key)``.
+Op = Tuple
+#: One scripted transaction: its operations and whether it aborts.
+Txn = Tuple[Tuple[Op, ...], bool]
+
+
+def _ins(table: str, **values: object) -> Op:
+    return "i", table, values
+
+
+def _upd(table: str, key: object, **changes: object) -> Op:
+    return "u", table, (key,), changes
+
+
+def _del(table: str, key: object) -> Op:
+    return "d", table, (key,)
+
+
+def _txn(*ops: Op, abort: bool = False) -> Txn:
+    return ops, abort
+
+
+@dataclass(frozen=True)
+class Workload:
+    """The user activity a crash or chaos run interleaves with the plan.
+
+    Plain data over the scenario's own tables; the driver
+    (:class:`repro.faults.sweep.ScenarioRun`) decides *when* each piece
+    runs relative to the transformation's phases.
+
+    Attributes:
+        script: Transactions run one per step while the transformation
+            populates and propagates.
+        long_op: First write of the long-lived transaction the
+            synchronization strategies disagree about (drained, doomed,
+            or carried across the swap).
+        long_post_swap_op: Its second write, after the swap, when the
+            strategy lets it live on (zombie namespace / pinned epoch).
+        probes: Inserts into the published tables after the change.
+        scratch: ``(table, attribute)`` the seeded random updates
+            rewrite -- a name-like attribute no dependency hangs off
+            (for the split, never the shared dependent attribute, which
+            would wedge the consistency checker's wait loop).
+        fresh_row: ``(rng, i) -> values`` of the ``i``-th seeded random
+            insert into the scratch table (keys 100+, disjoint from the
+            script's).
+        lazy_reads: ``(table, key)`` reads issued after the first tiny
+            step of a ``:lazy`` run: they miss into unmigrated records.
+        variants: Option suffixes the sweep runs beside the plain
+            scenario: ``"@N"`` is ``shards=N``, ``":lazy"`` is
+            ``population_mode="lazy"``; they compose (``":lazy@3"``).
+    """
+
+    script: Tuple[Txn, ...]
+    long_op: Op
+    long_post_swap_op: Op
+    probes: Tuple[Op, ...]
+    scratch: Tuple[str, str]
+    fresh_row: Callable[[random.Random, int], Row]
+    lazy_reads: Tuple[Tuple[str, Tuple], ...] = ()
+    variants: Tuple[str, ...] = ()
+
+    def ops(self) -> List[Op]:
+        """Every scripted operation, the long transaction's included."""
+        return [op for ops, _ in self.script for op in ops] + \
+            [self.long_op, self.long_post_swap_op, *self.probes]
+
+
+def diff_tables(db: Database, expected: Dict[str, Rows]) -> List[str]:
+    """Where ``db`` departs from ``expected`` (table name -> rows): one
+    message per missing table and per table whose rows differ as
+    multisets, printing both sides in canonical form."""
+    problems: List[str] = []
+    for name, want in sorted(expected.items()):
+        if not db.catalog.exists(name):
+            problems.append(f"table {name!r} missing")
+            continue
+        got = [dict(r.values) for r in db.catalog.get_any(name).scan()]
+        problem = rows_diff(name, got, want)
+        if problem:
+            problems.append(problem)
+    return problems
 
 
 @dataclass(frozen=True)
 class CorpusScenario:
-    """One challenge-problem migration: seed, plan, and oracle.
+    """One challenge-problem migration: seeds, plan, workload.
 
     Attributes:
         name: Corpus key (see the module docstring's table).
         challenge: The checklist row the scenario reproduces.
         seeds: Source schemas with their initial rows.
         plan: The declarative migration to run.
-        expected: Offline oracle: published table name -> expected rows
-            (computed from the seeds by the reference operators, never by
-            the online machinery under test).
+        workload: User activity for the crash sweep and the chaos layer;
+            ``None`` for a scenario only the plan-corpus rig runs.
     """
 
     name: str
     challenge: str
-    seeds: Tuple[Tuple[TableSchema, Tuple[Dict[str, object], ...]], ...]
+    seeds: Tuple[Tuple[TableSchema, Tuple[Row, ...]], ...]
     plan: MigrationPlan
-    expected: Callable[[], Dict[str, Rows]]
+    workload: Optional[Workload] = None
 
     def build(self, db: Database) -> None:
         """Create and populate the scenario's source tables."""
@@ -86,19 +157,47 @@ class CorpusScenario:
                 db.insert(txn, schema.name, dict(values))
             db.commit(txn)
 
+    def fold(self, rows_by_table: Dict[str, Rows]) -> Dict[str, Rows]:
+        """The tables the plan leaves behind, given its sources' rows.
+
+        Folds the steps' ``reference`` oracles in plan order, threading
+        the simulated catalog exactly as the validator does (``- retired
+        + published``) -- computed by the reference operators, never by
+        the online machinery under test.
+        """
+        schemas = {schema.name: schema for schema, _ in self.seeds}
+        tables = {name: list(rows_by_table.get(name, ()))
+                  for name in schemas}
+        for step in self.plan.steps:
+            operator = PLAN_OPERATORS[step.operator]
+            produced = operator.reference(schemas, step.params, tables)
+            published, retired = operator.derive(schemas, step.params)
+            for name in retired:
+                del schemas[name], tables[name]
+            schemas.update(published)
+            tables.update(produced)
+        return tables
+
+    def expected(self) -> Dict[str, Rows]:
+        """Offline oracle: final table name -> rows, from the seeds."""
+        return self.fold({schema.name: [dict(r) for r in rows]
+                          for schema, rows in self.seeds})
+
     def verify(self, db: Database) -> List[str]:
         """Compare the database against the oracle; returns mismatches."""
-        problems: List[str] = []
-        for name, want in sorted(self.expected().items()):
-            if not db.catalog.exists(name):
-                problems.append(f"{self.name}: table {name!r} missing")
-                continue
-            got = [dict(r.values) for r in db.catalog.get_any(name).scan()]
-            if normalize_rows(got) != normalize_rows(want):
-                problems.append(
-                    f"{self.name}: table {name!r} has {len(got)} row(s), "
-                    f"expected {len(want)}; content differs")
-        return problems
+        return [f"{self.name}: {problem}"
+                for problem in diff_tables(db, self.expected())]
+
+    def safe_keys(self) -> List[Tuple]:
+        """Scratch-table seed keys a random update may touch: those the
+        script never deletes and the long transaction never locks."""
+        workload = self.workload
+        table = workload.scratch[0]
+        taken = {tuple(workload.long_op[2])} | {
+            tuple(op[2]) for op in workload.ops()
+            if op[0] == "d" and op[1] == table}
+        return [key for schema, rows in self.seeds if schema.name == table
+                for key in map(schema.key_of, rows) if key not in taken]
 
 
 # -- seeds -------------------------------------------------------------------
@@ -117,6 +216,25 @@ _PUB_ROWS = (
     {"pid": "p1", "pname": "Acme Press", "city": "Oslo"},
     {"pid": "p2", "pname": "EDBT House", "city": "Munich"},
     {"pid": "p3", "pname": "Idle Books", "city": "Bergen"},  # unmatched
+)
+
+_AUTHOR = TableSchema("author", ["aid", "aname", "topic"],
+                      primary_key=("aid",))
+_VENUE = TableSchema("venue", ["vid", "vname", "topic"],
+                     primary_key=("vid",))
+_AUTHOR_ROWS = (
+    {"aid": 1, "aname": "ada", "topic": "wal"},
+    {"aid": 2, "aname": "bob", "topic": "wal"},
+    {"aid": 3, "aname": "cyn", "topic": "mvcc"},
+    {"aid": 4, "aname": "dee", "topic": "gc"},      # no venue takes it
+    {"aid": 5, "aname": "eli", "topic": None},      # NULL never joins
+    {"aid": 6, "aname": "fay", "topic": "mvcc"},
+)
+_VENUE_ROWS = (
+    {"vid": "v1", "vname": "EDBT", "topic": "wal"},
+    {"vid": "v2", "vname": "VLDB", "topic": "wal"},  # wal: 2 x 2 pairs
+    {"vid": "v3", "vname": "SIGMOD", "topic": "mvcc"},
+    {"vid": "v4", "vname": "ICDE", "topic": "locks"},  # unmatched
 )
 
 _TRACK = TableSchema("track", ["tid", "title", "album", "artist"],
@@ -180,56 +298,6 @@ _READING_ROWS = (
 )
 
 
-# -- oracles -----------------------------------------------------------------
-
-
-def _expected_book_pub() -> Dict[str, Rows]:
-    spec = FojSpec.derive(_BOOK, _PUB, "book_pub", "pub_id", "pid")
-    return {"book_pub": full_outer_join(
-        spec, [dict(r) for r in _BOOK_ROWS], [dict(r) for r in _PUB_ROWS])}
-
-
-def _expected_track_split() -> Dict[str, Rows]:
-    spec = SplitSpec.derive(_TRACK, "track_base", "album", "album",
-                            s_attrs=("artist",))
-    r_rows, s_rows, _, _ = split(spec, [dict(r) for r in _TRACK_ROWS])
-    return {"track_base": r_rows, "album": s_rows}
-
-
-def _expected_emp_chain() -> Dict[str, Rows]:
-    foj_spec = FojSpec.derive(_EMP, _DEPT, "emp_dept", "dept_id", "did")
-    t_rows = full_outer_join(
-        foj_spec, [dict(r) for r in _EMP_ROWS], [dict(r) for r in _DEPT_ROWS])
-    split_spec = SplitSpec.derive(foj_spec.target_schema(), "staff",
-                                  "dept_info", "dept_id",
-                                  s_attrs=("dname", "floor"))
-    r_rows, s_rows, _, _ = split(split_spec, t_rows)
-    return {"staff": r_rows, "dept_info": s_rows}
-
-
-def _expected_doc_tags() -> Dict[str, Rows]:
-    spec = ExplodeSpec.derive(_DOC, "doc_tag", "tags", "tag")
-    return {"doc_tag": explode(spec, [dict(r) for r in _DOC_ROWS])}
-
-
-def _expected_orders_partition() -> Dict[str, Rows]:
-    spec = PartitionSpec("orders", "orders_eu", "orders_intl",
-                         predicate=AttrPredicate("region", "==", "eu"))
-    a_rows, b_rows = partition_rows(spec, [dict(r) for r in _ORDERS_ROWS])
-    return {"orders_eu": a_rows, "orders_intl": b_rows}
-
-
-def _expected_evt_merge() -> Dict[str, Rows]:
-    return {"evt": merge_rows([dict(r) for r in _EVT_A_ROWS],
-                              [dict(r) for r in _EVT_B_ROWS],
-                              lambda values: (values["eid"],))}
-
-
-def _expected_reading_retype() -> Dict[str, Rows]:
-    spec = RetypeSpec.derive(_READING, "reading_v2", "value",
-                             cast="int", default=0)
-    return {"reading_v2": retype(spec, [dict(r) for r in _READING_ROWS])}
-
 
 # -- the corpus ---------------------------------------------------------------
 
@@ -243,7 +311,66 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             {"r_name": "book", "s_name": "pub", "target_name": "book_pub",
              "join_attr_r": "pub_id", "join_attr_s": "pid"},
             description="denormalize book/pub into one joined table"),
-        expected=_expected_book_pub),
+        workload=Workload(
+            script=(
+                # The S-side update first: it lands while log propagation
+                # is still running, which under shards > 1 makes it an
+                # unrouted record (S rows fan out across every shard's
+                # carriers).
+                _txn(_upd("pub", "p1", pname="Acme Intl")),
+                _txn(_ins("book", bid=20, title="Epochs", pub_id="p2")),
+                _txn(_del("book", 5)),
+                _txn(_upd("book", 2, title="mX"), abort=True),
+                # The dangling reference of book 4 gets its publisher.
+                _txn(_ins("pub", pid="p9", pname="Nine", city="Turku")),
+                _txn(_upd("book", 3, title="Log Rules 2e")),
+                _txn(_ins("book", bid=21, title="Zombies", pub_id="p9")),
+            ),
+            long_op=_upd("book", 1, title="L0"),
+            long_post_swap_op=_upd("book", 1, title="Lz"),
+            lazy_reads=(("book", (3,)), ("book", (4,)), ("book", (5,)),
+                        ("pub", ("p2",))),
+            probes=(_ins("book_pub", bid=95001, title="probe",
+                         pub_id="p-probe"),),
+            scratch=("book", "title"),
+            fresh_row=lambda rng, i: {
+                "bid": 100 + i, "title": f"r{i}",
+                "pub_id": rng.choice(("p1", "p2", "p3", "p7", "p9"))},
+            variants=("@2", ":lazy"))),
+    CorpusScenario(
+        name="associate-m2m",
+        challenge="inline a many-to-many association (join on an "
+                  "attribute unique on neither side)",
+        seeds=((_AUTHOR, _AUTHOR_ROWS), (_VENUE, _VENUE_ROWS)),
+        plan=MigrationPlan.single(
+            "corpus.associate-m2m", "foj_m2m",
+            {"r_name": "author", "s_name": "venue",
+             "target_name": "author_venue",
+             "join_attr_r": "topic", "join_attr_s": "topic"},
+            description="pair each author with every venue of their topic"),
+        workload=Workload(
+            script=(
+                _txn(_upd("venue", "v1", vname="EDBT 2006")),
+                _txn(_ins("author", aid=20, aname="gus", topic="mvcc")),
+                _txn(_del("author", 2)),
+                _txn(_upd("author", 3, aname="mX"), abort=True),
+                # A first venue for topic gc: author 4's placeholder row
+                # is replaced by a real pair.
+                _txn(_ins("venue", vid="v9", vname="ISMM", topic="gc")),
+                # Join-attribute change: author 6 leaves every mvcc pair
+                # and joins both wal venues.
+                _txn(_upd("author", 6, topic="wal")),
+                _txn(_ins("author", aid=21, aname="hal", topic="gc")),
+                _txn(_del("venue", "v3")),
+            ),
+            long_op=_upd("author", 1, aname="L0"),
+            long_post_swap_op=_upd("author", 1, aname="Lz"),
+            probes=(_ins("author_venue", aid=95001, aname="probe",
+                         topic="probe", vid="v-probe", vname="probe"),),
+            scratch=("author", "aname"),
+            fresh_row=lambda rng, i: {
+                "aid": 100 + i, "aname": f"r{i}", "topic": rng.choice(
+                    ("wal", "mvcc", "gc", "locks", "sql"))})),
     CorpusScenario(
         name="normalize-split",
         challenge="normalize a denormalized table (extract a dependency)",
@@ -252,9 +379,41 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             "corpus.normalize-split", "split",
             {"source_name": "track", "r_name": "track_base",
              "s_name": "album", "split_attr": "album",
-             "s_attrs": ["artist"]},
+             "s_attrs": ["artist"],
+             # The consistency checker of Section 5.3 runs, and waits
+             # out a value whose contributors momentarily disagree.
+             "check_consistency": True, "on_inconsistent": "wait"},
             description="extract album/artist out of the track table"),
-        expected=_expected_track_split),
+        workload=Workload(
+            script=(
+                _txn(_ins("track", tid=20, title="Flip", album="Locks",
+                          artist="Latch Choir")),
+                # Touch every contributor of album Phases in one
+                # transaction: each update U-flags the S record (counter
+                # > 1), the consistency checker later finds the
+                # contributors agreeing on the new artist.
+                _txn(_upd("track", 1, artist="The Cursors"),
+                     _upd("track", 2, artist="The Cursors"),
+                     _upd("track", 3, artist="The Cursors")),
+                _txn(_del("track", 5)),
+                _txn(_upd("track", 2, title="mX"), abort=True),
+                _txn(_upd("track", 3, title="Propagate!")),
+                _txn(_ins("track", tid=21, title="Retire", album="Coda",
+                          artist="Solo")),
+            ),
+            long_op=_upd("track", 4, title="Ln"),
+            long_post_swap_op=_upd("track", 4, title="Lz"),
+            lazy_reads=(("track", (2,)), ("track", (3,)),
+                        ("track", (5,))),
+            probes=(_ins("track_base", tid=95001, title="probe",
+                         album="probe-lp"),
+                    _ins("album", album="probe-lp2", artist="probe")),
+            scratch=("track", "title"),
+            # artist depends on album, as the split's dependency demands.
+            fresh_row=lambda rng, i: (lambda album: {
+                "tid": 100 + i, "title": f"r{i}", "album": album,
+                "artist": f"by {album}"})(f"LP{rng.randint(0, 3)}"),
+            variants=("@3", ":lazy@3"))),
     CorpusScenario(
         name="chain-foj-split",
         challenge="a multi-step change: denormalize, then re-normalize "
@@ -277,8 +436,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                             "s_attrs": ["dname", "floor"]}),
             ),
             description="join emp+dept, then split the result into "
-                        "staff+dept_info"),
-        expected=_expected_emp_chain),
+                        "staff+dept_info")),
     CorpusScenario(
         name="tags-explode",
         challenge="turn a scalar field into a collection "
@@ -289,7 +447,29 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             {"source_name": "doc", "target_name": "doc_tag",
              "list_attr": "tags", "value_attr": "tag"},
             description="explode the comma-joined tags column"),
-        expected=_expected_doc_tags),
+        workload=Workload(
+            script=(
+                # Sibling-group reconcile: one element survives (schema),
+                # two vanish (wal, log), one appears (mvcc).
+                _txn(_upd("doc", 4, tags="schema,mvcc")),
+                _txn(_ins("doc", id=20, title="faq", tags="log,wal")),
+                _txn(_del("doc", 2)),
+                _txn(_upd("doc", 3, title="mX"), abort=True),
+                # Kept-attribute change fanned out to all children.
+                _txn(_upd("doc", 4, title="related")),
+                # NULL list rewritten to elements, and vice versa.
+                _txn(_upd("doc", 3, tags="n1,n2")),
+                _txn(_upd("doc", 5, tags=None)),
+            ),
+            long_op=_upd("doc", 1, title="L0"),
+            long_post_swap_op=_upd("doc", 1, title="Lz"),
+            lazy_reads=(("doc", (2,)), ("doc", (4,)), ("doc", (5,))),
+            probes=(_ins("doc_tag", id=95001, title="probe", tag="p"),),
+            scratch=("doc", "title"),
+            fresh_row=lambda rng, i: {
+                "id": 100 + i, "title": f"r{i}", "tags": rng.choice(
+                    ("wal", "wal,log", None, "gc,sql", "log,schema,mvcc"))},
+            variants=(":lazy@2",))),
     CorpusScenario(
         name="archive-partition",
         challenge="partition rows by a predicate into hot/cold tables",
@@ -300,7 +480,24 @@ CORPUS: Tuple[CorpusScenario, ...] = (
              "b_name": "orders_intl",
              "predicate": {"attr": "region", "op": "==", "value": "eu"}},
             description="partition orders by region"),
-        expected=_expected_orders_partition),
+        workload=Workload(
+            script=(
+                # Predicate verdict flips: the row moves between sides.
+                _txn(_upd("orders", 2, region="eu")),
+                _txn(_ins("orders", oid=20, region="eu", qty=20)),
+                _txn(_del("orders", 4)),
+                _txn(_upd("orders", 6, qty=66), abort=True),
+                _txn(_upd("orders", 3, region="us")),
+                _txn(_ins("orders", oid=21, region="ap", qty=21)),
+            ),
+            long_op=_upd("orders", 1, qty=100),
+            long_post_swap_op=_upd("orders", 1, qty=101),
+            probes=(_ins("orders_eu", oid=95001, region="eu", qty=1),
+                    _ins("orders_intl", oid=95002, region="us", qty=2)),
+            scratch=("orders", "qty"),
+            fresh_row=lambda rng, i: {
+                "oid": 100 + i, "qty": i,
+                "region": rng.choice(("eu", "us", "ap", None))})),
     CorpusScenario(
         name="reunify-merge",
         challenge="reunify a previously partitioned pair of tables",
@@ -309,7 +506,21 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             "corpus.reunify-merge", "merge",
             {"a_name": "evt_a", "b_name": "evt_b", "target_name": "evt"},
             description="merge the two event shards back into one table"),
-        expected=_expected_evt_merge),
+        workload=Workload(
+            script=(
+                _txn(_upd("evt_b", 1, payload="bX")),
+                _txn(_ins("evt_a", eid=20, payload="a20")),
+                _txn(_del("evt_b", 3)),
+                _txn(_upd("evt_a", 4, payload="mX"), abort=True),
+                _txn(_ins("evt_b", eid=21, payload="b21")),
+                _txn(_del("evt_a", 6)),
+            ),
+            long_op=_upd("evt_a", 2, payload="L0"),
+            long_post_swap_op=_upd("evt_a", 2, payload="Lz"),
+            probes=(_ins("evt", eid=95001, payload="probe"),),
+            scratch=("evt_a", "payload"),
+            fresh_row=lambda rng, i: {"eid": 100 + i,
+                                      "payload": f"r{i}"})),
     CorpusScenario(
         name="retype-default",
         challenge="change a field's type and its NULL default",
@@ -320,10 +531,39 @@ CORPUS: Tuple[CorpusScenario, ...] = (
              "attr": "value", "cast": "int", "default": 0},
             description="retype reading.value from string to int, "
                         "NULLs become 0"),
-        expected=_expected_reading_retype),
+        workload=Workload(
+            script=(
+                # Retyped-column change: the rule must cast it in flight.
+                _txn(_upd("reading", 2, value="41")),
+                _txn(_ins("reading", rid=20, label="t20", value=" 99")),
+                _txn(_del("reading", 4)),
+                _txn(_upd("reading", 3, label="mX"), abort=True),
+                _txn(_upd("reading", 5, value=None)),
+                _txn(_ins("reading", rid=21, label="t21", value=None)),
+            ),
+            long_op=_upd("reading", 1, label="L0"),
+            long_post_swap_op=_upd("reading", 1, label="Lz"),
+            lazy_reads=(("reading", (2,)), ("reading", (4,)),
+                        ("reading", (5,))),
+            probes=(_ins("reading_v2", rid=95001, label="probe",
+                         value=95001),),
+            scratch=("reading", "label"),
+            fresh_row=lambda rng, i: {
+                "rid": 100 + i, "label": f"r{i}",
+                "value": str(rng.randint(0, 99))},
+            variants=(":lazy",))),
 )
 
 CORPUS_BY_NAME: Dict[str, CorpusScenario] = {s.name: s for s in CORPUS}
+
+#: The workload-carrying scenarios by the plan operator they exercise --
+#: what the sweep's and the chaos layer's operator labels resolve to.
+WORKLOAD_SCENARIOS: Dict[str, CorpusScenario] = {
+    s.plan.steps[0].operator: s for s in CORPUS if s.workload is not None}
+
+#: The scenario whose first step the crash sweep starts and aborts beside
+#: the one under test (its tables collide with no other scenario's).
+BYSTANDER: CorpusScenario = CORPUS_BY_NAME["chain-foj-split"]
 
 
 def get_scenario(name: str) -> CorpusScenario:

@@ -185,22 +185,13 @@ class PlanExecutor:
             **merged, transform_id=self.plan.transform_id(step))
 
     def _published_counts(self, step: MigrationStep) -> Dict[str, int]:
-        """Row counts of the step's published tables, from the catalog."""
-        op = PLAN_OPERATORS[step.operator]
-        schemas = {name: self.db.catalog.get_any(name).schema
-                   for name in self.db.catalog.table_names()}
-        try:
-            published, _ = op.derive(schemas, step.params)
-        except Exception:
-            # After the step ran, its sources are retired, so its derive
-            # cannot be replayed against the live catalog; fall back to
-            # the published tables that do exist.
-            published = {}
-            for name in ("target_name", "r_name", "s_name",
-                         "a_name", "b_name"):
-                table = step.params.get(name)
-                if isinstance(table, str) and self.db.catalog.exists(table):
-                    published[table] = None
+        """Row counts of the tables the step's swap record published
+        (those a later step has not retired since)."""
+        transform_id = self.plan.transform_id(step)
+        published = [name for record in self.db.log.scan()
+                     if isinstance(record, TransformSwapRecord)
+                     and record.transform_id == transform_id
+                     for name in record.published]
         return {name: sum(1 for _ in self.db.catalog.get_any(name).scan())
                 for name in published
                 if self.db.catalog.exists(name)}

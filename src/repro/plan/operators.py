@@ -1,7 +1,10 @@
 """The operator registry behind the declarative migration plan API.
 
 Each entry of :data:`PLAN_OPERATORS` adapts one relational transformation
-to the plan machinery with two callables:
+to the plan machinery with three callables.  The registry is the one
+place that knows an operator: the validator, the executor, the scenario
+corpus (:mod:`repro.plan.corpus`) and the crash sweep and chaos layer
+built on it (:mod:`repro.faults.sweep`) all go through it.
 
 * ``derive(schemas, params)`` -- given a *simulated catalog* (a mapping
   of table name to :class:`~repro.storage.schema.TableSchema`) and the
@@ -17,6 +20,14 @@ to the plan machinery with two callables:
   database.  Called by the executor at the start of each supervisor
   attempt, so a retried step re-derives its spec from the then-current
   catalog.
+* ``reference(schemas, params, rows_by_table)`` -- the offline oracle:
+  the rows the step must publish, per published table, computed from
+  plain row dicts of its sources by the reference operators of
+  :mod:`repro.relational.operators` -- never by the online machinery.
+  It builds its spec exactly as ``derive`` does, so the two agree on
+  the published names and attribute lists; the corpus folds it over a
+  plan's steps and the crash sweep over the committed state a surviving
+  log defines.
 
 The registry is data the validator iterates over: ``required`` /
 ``optional`` param names yield key-enumerating errors for missing or
@@ -28,10 +39,17 @@ time rather than deep inside ``Transformation._begin_population``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from repro.common.errors import SchemaError
 from repro.engine.database import Database
+from repro.relational.operators import (
+    explode,
+    full_outer_join,
+    retype,
+    split,
+)
 from repro.relational.spec import ExplodeSpec, FojSpec, RetypeSpec, SplitSpec
 from repro.storage.schema import TableSchema
 from repro.transform.base import Transformation
@@ -45,12 +63,17 @@ from repro.transform.partition import (
     MergeTransformation,
     PartitionSpec,
     PartitionTransformation,
+    merge_rows,
+    partition_rows,
 )
 from repro.transform.retype import RetypeTransformation
 from repro.transform.split import SplitTransformation
 
 Schemas = Dict[str, TableSchema]
+Params = Dict[str, object]
 Derived = Tuple[Dict[str, TableSchema], Tuple[str, ...]]
+#: Rows per table name: what ``reference`` takes and returns.
+Tables = Dict[str, List[Dict[str, object]]]
 
 
 @dataclass(frozen=True)
@@ -65,15 +88,17 @@ class PlanOperator:
         optional: Param names a step may set.
         derive: Schema-level dry run; see the module docstring.
         build: Live transformation factory; see the module docstring.
+        reference: Offline oracle of the published rows; see the module
+            docstring.
     """
 
     name: str
     supports_lazy: bool
     required: Tuple[str, ...]
     optional: Tuple[str, ...]
-    derive: Callable[[Schemas, Dict[str, object]], Derived]
-    build: Callable[[Database, Dict[str, object], TransformOptions],
-                    Transformation]
+    derive: Callable[[Schemas, Params], Derived]
+    build: Callable[[Database, Params, TransformOptions], Transformation]
+    reference: Callable[[Schemas, Params, Tables], Tables]
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -88,7 +113,24 @@ def _schema_of(schemas: Schemas, name: object) -> TableSchema:
     return schemas[name]
 
 
-def _predicate_of(params: Dict[str, object]) -> AttrPredicate:
+def live_schemas(db: Database) -> Schemas:
+    """The live catalog in the shape ``derive`` takes a simulated one."""
+    return {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
+
+
+def _builder(spec_of: Callable[[Schemas, Params], object],
+             tf_class: type) -> Callable[..., Transformation]:
+    """``build`` of an operator whose transformation takes ``(db, spec,
+    options)``: the spec comes from the live catalog through the same
+    ``spec_of`` that ``derive`` and ``reference`` feed a simulated one."""
+    def build(db: Database, params: Params,
+              options: TransformOptions) -> Transformation:
+        return tf_class(db, spec_of(live_schemas(db), params),
+                        options=options)
+    return build
+
+
+def _predicate_of(params: Params) -> AttrPredicate:
     """Decode a partition step's ``predicate`` param into an AttrPredicate.
 
     Plans are JSON documents, so the predicate arrives as a dict --
@@ -116,8 +158,8 @@ def _predicate_of(params: Dict[str, object]) -> AttrPredicate:
 # -- full outer join ----------------------------------------------------------
 
 
-def _foj_spec(schemas: Schemas, params: Dict[str, object],
-              many_to_many: bool) -> FojSpec:
+def _foj_spec(schemas: Schemas, params: Params,
+              many_to_many: bool = False) -> FojSpec:
     r_schema = _schema_of(schemas, params["r_name"])
     s_schema = _schema_of(schemas, params["s_name"])
     return FojSpec.derive(
@@ -127,36 +169,30 @@ def _foj_spec(schemas: Schemas, params: Dict[str, object],
         many_to_many=many_to_many)
 
 
-def _derive_foj(schemas: Schemas, params: Dict[str, object]) -> Derived:
-    spec = _foj_spec(schemas, params, many_to_many=False)
+# One set of callables serves ``foj`` and (``many_to_many=True``, bound
+# in the registry) ``foj_m2m``: the flag selects the (r_key + s_key)
+# target key, nothing else -- the reference join itself is agnostic,
+# only the propagation rules (the transformation class) differ.
+
+
+def _derive_foj(schemas: Schemas, params: Params,
+                many_to_many: bool = False) -> Derived:
+    spec = _foj_spec(schemas, params, many_to_many)
     return ({spec.target_name: spec.target_schema()},
             (spec.r_name, spec.s_name))
 
 
-def _build_foj(db: Database, params: Dict[str, object],
-               options: TransformOptions) -> Transformation:
-    schemas = {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
-    spec = _foj_spec(schemas, params, many_to_many=False)
-    return FojTransformation(db, spec, options=options)
-
-
-def _derive_foj_m2m(schemas: Schemas, params: Dict[str, object]) -> Derived:
-    spec = _foj_spec(schemas, params, many_to_many=True)
-    return ({spec.target_name: spec.target_schema()},
-            (spec.r_name, spec.s_name))
-
-
-def _build_foj_m2m(db: Database, params: Dict[str, object],
-                   options: TransformOptions) -> Transformation:
-    schemas = {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
-    spec = _foj_spec(schemas, params, many_to_many=True)
-    return Many2ManyFojTransformation(db, spec, options=options)
+def _reference_foj(schemas: Schemas, params: Params, rows: Tables,
+                   many_to_many: bool = False) -> Tables:
+    spec = _foj_spec(schemas, params, many_to_many)
+    return {spec.target_name: full_outer_join(
+        spec, rows[spec.r_name], rows[spec.s_name])}
 
 
 # -- vertical split -----------------------------------------------------------
 
 
-def _split_spec(schemas: Schemas, params: Dict[str, object]) -> SplitSpec:
+def _split_spec(schemas: Schemas, params: Params) -> SplitSpec:
     t_schema = _schema_of(schemas, params["source_name"])
     return SplitSpec.derive(
         t_schema, params["r_name"], params["s_name"],
@@ -164,16 +200,15 @@ def _split_spec(schemas: Schemas, params: Dict[str, object]) -> SplitSpec:
         r_attrs=params.get("r_attrs"))
 
 
-def _derive_split(schemas: Schemas, params: Dict[str, object]) -> Derived:
+def _derive_split(schemas: Schemas, params: Params) -> Derived:
     spec = _split_spec(schemas, params)
     return ({spec.r_name: spec.r_schema(), spec.s_name: spec.s_schema()},
             (spec.source_name,))
 
 
-def _build_split(db: Database, params: Dict[str, object],
+def _build_split(db: Database, params: Params,
                  options: TransformOptions) -> Transformation:
-    schemas = {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
-    spec = _split_spec(schemas, params)
+    spec = _split_spec(live_schemas(db), params)
     return SplitTransformation(
         db, spec,
         check_consistency=bool(params.get("check_consistency", False)),
@@ -182,11 +217,19 @@ def _build_split(db: Database, params: Dict[str, object],
         options=options)
 
 
+def _reference_split(schemas: Schemas, params: Params,
+                     rows: Tables) -> Tables:
+    spec = _split_spec(schemas, params)
+    # Strict: contributors disagreeing on the dependent attributes raise
+    # rather than publish the first contributor's image.
+    r_rows, s_rows, _, _ = split(spec, rows[spec.source_name])
+    return {spec.r_name: r_rows, spec.s_name: s_rows}
+
+
 # -- multi-value explode ------------------------------------------------------
 
 
-def _explode_spec(schemas: Schemas,
-                  params: Dict[str, object]) -> ExplodeSpec:
+def _explode_spec(schemas: Schemas, params: Params) -> ExplodeSpec:
     source_schema = _schema_of(schemas, params["source_name"])
     return ExplodeSpec.derive(
         source_schema, params["target_name"],
@@ -195,23 +238,21 @@ def _explode_spec(schemas: Schemas,
         separator=params.get("separator", ","))
 
 
-def _derive_explode(schemas: Schemas, params: Dict[str, object]) -> Derived:
+def _derive_explode(schemas: Schemas, params: Params) -> Derived:
     spec = _explode_spec(schemas, params)
     return {spec.target_name: spec.target_schema()}, (spec.source_name,)
 
 
-def _build_explode(db: Database, params: Dict[str, object],
-                   options: TransformOptions) -> Transformation:
-    schemas = {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
+def _reference_explode(schemas: Schemas, params: Params,
+                       rows: Tables) -> Tables:
     spec = _explode_spec(schemas, params)
-    return ExplodeTransformation(db, spec, options=options)
+    return {spec.target_name: explode(spec, rows[spec.source_name])}
 
 
 # -- horizontal partition / merge --------------------------------------------
 
 
-def _derive_partition(schemas: Schemas,
-                      params: Dict[str, object]) -> Derived:
+def _derive_partition(schemas: Schemas, params: Params) -> Derived:
     source_schema = _schema_of(schemas, params["source_name"])
     predicate = _predicate_of(params)
     if not source_schema.has_attribute(predicate.attr):
@@ -223,15 +264,20 @@ def _derive_partition(schemas: Schemas,
             (source_schema.name,))
 
 
-def _build_partition(db: Database, params: Dict[str, object],
-                     options: TransformOptions) -> Transformation:
-    spec = PartitionSpec(
+def _partition_spec(_schemas: Schemas, params: Params) -> PartitionSpec:
+    return PartitionSpec(
         source_name=params["source_name"], a_name=params["a_name"],
         b_name=params["b_name"], predicate=_predicate_of(params))
-    return PartitionTransformation(db, spec, options=options)
 
 
-def _derive_merge(schemas: Schemas, params: Dict[str, object]) -> Derived:
+def _reference_partition(schemas: Schemas, params: Params,
+                         rows: Tables) -> Tables:
+    spec = _partition_spec(schemas, params)
+    a_rows, b_rows = partition_rows(spec, rows[spec.source_name])
+    return {spec.a_name: a_rows, spec.b_name: b_rows}
+
+
+def _derive_merge(schemas: Schemas, params: Params) -> Derived:
     a_schema = _schema_of(schemas, params["a_name"])
     b_schema = _schema_of(schemas, params["b_name"])
     if a_schema.attribute_names != b_schema.attribute_names or \
@@ -244,35 +290,40 @@ def _derive_merge(schemas: Schemas, params: Dict[str, object]) -> Derived:
             (a_schema.name, b_schema.name))
 
 
-def _build_merge(db: Database, params: Dict[str, object],
-                 options: TransformOptions) -> Transformation:
-    spec = MergeSpec(a_name=params["a_name"], b_name=params["b_name"],
+def _merge_spec(_schemas: Schemas, params: Params) -> MergeSpec:
+    return MergeSpec(a_name=params["a_name"], b_name=params["b_name"],
                      target_name=params["target_name"])
-    return MergeTransformation(db, spec, options=options)
+
+
+def _reference_merge(schemas: Schemas, params: Params,
+                     rows: Tables) -> Tables:
+    spec = _merge_spec(schemas, params)
+    return {spec.target_name: merge_rows(
+        rows[spec.a_name], rows[spec.b_name],
+        _schema_of(schemas, spec.a_name).key_of)}
 
 
 # -- column retype ------------------------------------------------------------
 
 
-def _retype_spec(schemas: Schemas, params: Dict[str, object]) -> RetypeSpec:
+def _retype_spec(schemas: Schemas, params: Params) -> RetypeSpec:
     source_schema = _schema_of(schemas, params["source_name"])
     return RetypeSpec.derive(
         source_schema, params["target_name"], params["attr"],
         cast=params.get("cast", "str"), default=params.get("default"))
 
 
-def _derive_retype(schemas: Schemas, params: Dict[str, object]) -> Derived:
+def _derive_retype(schemas: Schemas, params: Params) -> Derived:
     source_schema = _schema_of(schemas, params["source_name"])
     spec = _retype_spec(schemas, params)
     return ({spec.target_name: spec.target_schema(source_schema)},
             (spec.source_name,))
 
 
-def _build_retype(db: Database, params: Dict[str, object],
-                  options: TransformOptions) -> Transformation:
-    schemas = {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
+def _reference_retype(schemas: Schemas, params: Params,
+                      rows: Tables) -> Tables:
     spec = _retype_spec(schemas, params)
-    return RetypeTransformation(db, spec, options=options)
+    return {spec.target_name: retype(spec, rows[spec.source_name])}
 
 
 PLAN_OPERATORS: Dict[str, PlanOperator] = {op.name: op for op in (
@@ -281,38 +332,52 @@ PLAN_OPERATORS: Dict[str, PlanOperator] = {op.name: op for op in (
         required=("r_name", "s_name", "target_name",
                   "join_attr_r", "join_attr_s"),
         optional=("r_attrs", "s_attrs"),
-        derive=_derive_foj, build=_build_foj),
+        derive=_derive_foj,
+        build=_builder(_foj_spec, FojTransformation),
+        reference=_reference_foj),
     PlanOperator(
         name="foj_m2m", supports_lazy=False,
         required=("r_name", "s_name", "target_name",
                   "join_attr_r", "join_attr_s"),
         optional=("r_attrs", "s_attrs"),
-        derive=_derive_foj_m2m, build=_build_foj_m2m),
+        derive=partial(_derive_foj, many_to_many=True),
+        build=_builder(partial(_foj_spec, many_to_many=True),
+                       Many2ManyFojTransformation),
+        reference=partial(_reference_foj, many_to_many=True)),
     PlanOperator(
         name="split", supports_lazy=True,
         required=("source_name", "r_name", "s_name", "split_attr",
                   "s_attrs"),
         optional=("r_attrs", "check_consistency", "on_inconsistent",
                   "materialize_r"),
-        derive=_derive_split, build=_build_split),
+        derive=_derive_split, build=_build_split,
+        reference=_reference_split),
     PlanOperator(
         name="explode", supports_lazy=True,
         required=("source_name", "target_name", "list_attr", "value_attr"),
         optional=("keep_attrs", "separator"),
-        derive=_derive_explode, build=_build_explode),
+        derive=_derive_explode,
+        build=_builder(_explode_spec, ExplodeTransformation),
+        reference=_reference_explode),
     PlanOperator(
         name="partition", supports_lazy=False,
         required=("source_name", "a_name", "b_name", "predicate"),
         optional=(),
-        derive=_derive_partition, build=_build_partition),
+        derive=_derive_partition,
+        build=_builder(_partition_spec, PartitionTransformation),
+        reference=_reference_partition),
     PlanOperator(
         name="merge", supports_lazy=False,
         required=("a_name", "b_name", "target_name"),
         optional=(),
-        derive=_derive_merge, build=_build_merge),
+        derive=_derive_merge,
+        build=_builder(_merge_spec, MergeTransformation),
+        reference=_reference_merge),
     PlanOperator(
         name="retype", supports_lazy=True,
         required=("source_name", "target_name", "attr"),
         optional=("cast", "default"),
-        derive=_derive_retype, build=_build_retype),
+        derive=_derive_retype,
+        build=_builder(_retype_spec, RetypeTransformation),
+        reference=_reference_retype),
 )}

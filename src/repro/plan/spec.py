@@ -35,12 +35,12 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.common.errors import PlanValidationError
 
 #: The TransformOptions fields a plan may set, per step or plan-wide.
-#: Deliberately the JSON-codable subset: attachments (``metrics``,
-#: ``faults``), policy objects, flush policies and ``transform_id`` (the
-#: executor derives it from plan id + step id) are excluded.
+#: Deliberately the JSON-codable subset: the ``metrics`` attachment,
+#: policy objects and ``transform_id`` (the executor derives it from
+#: plan id + step id) are excluded.
 PLAN_OPTION_FIELDS: Tuple[str, ...] = (
     "sync", "shards", "population_chunk", "propagation_batch",
-    "priority", "population_mode", "storage",
+    "population_mode", "storage",
 )
 
 

@@ -29,9 +29,8 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import PlanValidationError, SchemaError
 from repro.engine.database import Database
-from repro.plan.operators import PLAN_OPERATORS
+from repro.plan.operators import PLAN_OPERATORS, Schemas, live_schemas
 from repro.plan.spec import PLAN_OPTION_FIELDS, MigrationPlan, MigrationStep
-from repro.storage.schema import TableSchema
 from repro.transform.options import TransformOptions
 
 
@@ -71,9 +70,7 @@ class PlanValidator:
         self._check_option_dict(plan.defaults, "plan defaults", problems)
 
         seen_ids: set = set()
-        schemas: Optional[Dict[str, TableSchema]] = {
-            name: self.db.catalog.get_any(name).schema
-            for name in self.db.catalog.table_names()}
+        schemas: Optional[Schemas] = live_schemas(self.db)
         for step in plan.steps:
             where = f"step {step.step_id!r}"
             if not step.step_id:

@@ -17,7 +17,7 @@ NULL join attribute is joined with the opposite NULL record.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import InconsistentDataError
 from repro.relational.spec import ExplodeSpec, FojSpec, RetypeSpec, SplitSpec
@@ -162,3 +162,14 @@ def normalize_rows(rows: Iterable[RowDict]) -> List[Tuple]:
 def rows_equal(a: Iterable[RowDict], b: Iterable[RowDict]) -> bool:
     """Whether two row collections are equal as multisets."""
     return normalize_rows(a) == normalize_rows(b)
+
+
+def rows_diff(name: str, actual: Iterable[RowDict],
+              expected: Iterable[RowDict]) -> Optional[str]:
+    """``None`` when equal as multisets, else a message naming table
+    ``name`` and printing both sides in canonical form."""
+    actual, expected = normalize_rows(actual), normalize_rows(expected)
+    if actual == expected:
+        return None
+    return (f"table {name!r} diverged from its oracle: "
+            f"actual={actual!r} expected={expected!r}")

@@ -299,7 +299,7 @@ class Transformation:
         db: The database to transform.
         options: A :class:`~repro.transform.options.TransformOptions`
             carrying every knob (sync strategy, shards, batch sizes,
-            flush policy, metrics, faults, analysis policy, id).
+            metrics, analysis policy, id).
             ``options.shards`` and ``options.propagation_batch`` are
             parameter values of the one propagation loop
             (:meth:`_propagate_batch`), not separate pipelines: there is
@@ -410,18 +410,15 @@ class Transformation:
 
     def _attach_options(self) -> None:
         """Install what ``self.options`` carries for the database (MVCC
-        overlay, metrics, faults, flush policy) and rebuild what hangs
-        off the result; shared by construction and :meth:`apply_options`.
+        overlay, metrics) and rebuild what hangs off the result; shared
+        by construction and :meth:`apply_options`.  Faults and the flush
+        policy are attached to the ``Database`` by whoever holds it.
         """
         options, db = self.options, self.db
         if options.storage == "mvcc":
             db.enable_mvcc()
         if options.metrics is not None:
             db.attach_metrics(options.metrics)
-        if options.faults is not None:
-            db.attach_faults(options.faults)
-        if options.flush_policy is not None:
-            db.log.flush_policy = options.flush_policy
         #: Observability registry, inherited from the database so one
         #: attachment covers the engine and the transformation it runs.
         self.metrics: Metrics = db.metrics

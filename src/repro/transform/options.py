@@ -20,10 +20,8 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional, Union
 
-from repro.faults import FaultInjector
 from repro.obs import Metrics
 from repro.transform.analysis import PropagationPolicy
-from repro.wal.log import FlushPolicy
 
 
 class SyncStrategy(Enum):
@@ -101,15 +99,8 @@ class TransformOptions:
             grouped into consecutive (table, rule) runs.  A parameter of
             the one propagation loop: 1 means one-record slices and
             converges to the same target rows as any other value.
-        flush_policy: Group-commit policy installed on the database's
-            log manager (``None`` leaves the log's policy untouched).
-        priority: Fraction of server capacity granted to the
-            transformation when run under the simulator (the paper's
-            Figure 4(d) knob); ``None`` defers to the run settings.
         metrics: Observability registry attached to the database
             (``None`` leaves the current attachment untouched).
-        faults: Fault injector attached to the database (``None``
-            leaves the current attachment untouched).
         policy: End-of-iteration analysis policy (Section 3.3 analyses);
             ``None`` selects the default remaining-records policy.
         transform_id: Stable identifier used in fuzzy marks and latches;
@@ -128,10 +119,7 @@ class TransformOptions:
     shards: int = 1
     population_chunk: int = 256
     propagation_batch: int = DEFAULT_PROPAGATION_BATCH
-    flush_policy: Optional[FlushPolicy] = None
-    priority: Optional[float] = None
     metrics: Optional[Metrics] = None
-    faults: Optional[FaultInjector] = None
     policy: Optional[PropagationPolicy] = None
     transform_id: Optional[str] = None
     population_mode: str = "eager"
@@ -151,15 +139,6 @@ class TransformOptions:
             raise ValueError(
                 f"propagation_batch must be >= 1, "
                 f"got {self.propagation_batch}")
-        if self.priority is not None and \
-                not 0.0 < float(self.priority) <= 1.0:
-            raise ValueError(
-                f"priority must be in (0, 1], got {self.priority}")
-        if self.flush_policy is not None and \
-                not isinstance(self.flush_policy, FlushPolicy):
-            raise TypeError(
-                f"flush_policy must be a FlushPolicy, "
-                f"got {type(self.flush_policy).__name__}")
         if self.population_mode not in POPULATION_MODES:
             raise ValueError(
                 f"unknown population_mode {self.population_mode!r}; "

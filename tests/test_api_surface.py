@@ -25,7 +25,7 @@ API_SURFACE = sorted([
     # declarative migration plans
     "CORPUS", "CorpusScenario", "MigrationPlan", "MigrationStep",
     "PLAN_OPERATORS", "PlanExecutor", "PlanStepper",
-    "PlanValidationError", "PlanValidator", "run_plan",
+    "PlanValidationError", "PlanValidator", "Workload", "run_plan",
     # transformations + configuration
     "AttrPredicate", "ExplodeTransformation",
     "FixedIterationsPolicy", "FojTransformation",

@@ -133,6 +133,17 @@ def test_default_database_is_fault_free():
     assert db.table("R").faults is NULL_FAULTS
 
 
+def test_database_constructor_attaches_faults_everywhere():
+    """``Database(faults=...)`` used to trip over its own half-built
+    state (it attached before the MVCC slot existed); callers now hand
+    faults to the database rather than to ``TransformOptions``."""
+    injector = FaultInjector(FaultPlan())
+    db = Database(faults=injector)
+    assert db.faults is injector and db.log.faults is injector
+    db.create_table(R_SCHEMA)
+    assert db.table("R").faults is injector
+
+
 def test_recording_runs_are_deterministic():
     def record():
         db = make_foj_db()

@@ -56,18 +56,22 @@ def test_defaults_are_valid_and_frozen():
 
 @pytest.mark.parametrize("bad", [
     {"shards": 0}, {"population_chunk": 0}, {"propagation_batch": 0},
-    {"priority": 0.0}, {"priority": 1.5}, {"sync": "no_such_strategy"},
+    {"population_mode": "on_demand"}, {"storage": "lsm"},
+    {"sync": "no_such_strategy"},
 ])
 def test_invalid_options_raise_value_error(bad):
     with pytest.raises(ValueError):
         TransformOptions(**bad)
 
 
-def test_flush_policy_type_checked():
-    with pytest.raises(TypeError):
-        TransformOptions(flush_policy="group")
-    assert TransformOptions(flush_policy=GROUP_FLUSH).flush_policy \
-        is GROUP_FLUSH
+def test_removed_option_fields_are_rejected():
+    """``priority`` was read by nothing; faults and the flush policy
+    belong to the ``Database`` the caller already holds."""
+    assert len(TransformOptions.field_names()) == 9
+    for gone in ({"priority": 0.5}, {"faults": None},
+                 {"flush_policy": GROUP_FLUSH}):
+        with pytest.raises(TypeError):
+            TransformOptions(**gone)
 
 
 def test_evolve_revalidates():
@@ -138,13 +142,14 @@ def test_construction_emits_no_warnings():
 # -- options threading -------------------------------------------------------
 
 
-def test_flush_policy_and_metrics_attach_through_options():
+def test_metrics_attach_through_options_flush_policy_on_database():
     db = build_db()
     metrics = Metrics()
     policy = FlushPolicy(max_pending_requests=4, max_pending_records=32)
+    db.log.flush_policy = policy
     tf = FojTransformation(db, foj_spec(db), options=TransformOptions(
-        metrics=metrics, flush_policy=policy))
-    assert db.log.flush_policy is policy
+        metrics=metrics))
+    assert db.log.flush_policy is policy  # options leave the log alone
     assert db.metrics is metrics
     tf.run()
     assert metrics.counter_value("wal.appends") > 0
@@ -163,8 +168,9 @@ def test_propagation_batch_one_runs_and_converges():
 
 def test_non_default_fields_only_reports_moved_knobs():
     assert non_default_fields(TransformOptions()) == {}
-    moved = non_default_fields(TransformOptions(shards=2, priority=0.5))
-    assert moved == {"shards": 2, "priority": 0.5}
+    moved = non_default_fields(
+        TransformOptions(shards=2, population_chunk=8))
+    assert moved == {"shards": 2, "population_chunk": 8}
 
 
 def test_supervisor_merges_options_over_factory():

@@ -1,6 +1,7 @@
 """Tests for the declarative migration plan API (repro.plan)."""
 
 import json
+import random
 
 import pytest
 
@@ -26,7 +27,8 @@ from repro import (
     run_plan,
     split,
 )
-from repro.plan import get_scenario
+from repro.faults.sweep import ALL_OPERATORS, ScenarioRun, parse_label
+from repro.plan import WORKLOAD_SCENARIOS, get_scenario
 from repro.relational import FojSpec, SplitSpec
 
 from tests.conftest import values_of
@@ -325,3 +327,114 @@ def test_corpus_scenario_end_to_end(scenario):
     # Every scenario's plan survives the JSON codec.
     assert MigrationPlan.from_json(scenario.plan.to_json()) == \
         scenario.plan
+
+
+def test_expected_of_the_chain_is_this_hand_written_row_list():
+    """The folded oracle against rows written out by hand: the join keeps
+    the dangling department of ``dee`` as a NULL-padded row, the split
+    then makes a department of it with nothing known about it."""
+    expected = get_scenario("chain-foj-split").expected()
+    assert sorted(expected) == ["dept_info", "staff"]
+    assert rows_equal(expected["staff"], [
+        {"eid": 1, "ename": "ada", "dept_id": "d1"},
+        {"eid": 2, "ename": "bob", "dept_id": "d1"},
+        {"eid": 3, "ename": "cyn", "dept_id": "d2"},
+        {"eid": 4, "ename": "dee", "dept_id": "d9"},
+        {"eid": 5, "ename": "eli", "dept_id": "d2"},
+    ])
+    assert rows_equal(expected["dept_info"], [
+        {"dept_id": "d1", "dname": "storage", "floor": 2},
+        {"dept_id": "d2", "dname": "recovery", "floor": 3},
+        {"dept_id": "d9", "dname": None, "floor": None},
+    ])
+
+
+@pytest.mark.parametrize("scenario", CORPUS, ids=lambda sc: sc.name)
+def test_reference_agrees_with_derive(scenario):
+    """Folding ``reference`` publishes exactly the tables folding
+    ``derive`` publishes, and every row carries exactly the derived
+    attribute list."""
+    schemas = {schema.name: schema for schema, _ in scenario.seeds}
+    for step in scenario.plan.steps:
+        published, retired = \
+            PLAN_OPERATORS[step.operator].derive(schemas, step.params)
+        for name in retired:
+            del schemas[name]
+        schemas.update(published)
+    expected = scenario.expected()
+    assert sorted(expected) == sorted(schemas)
+    for name, rows in expected.items():
+        assert rows, f"{name}: the seeds publish nothing here"
+        for row in rows:
+            assert tuple(row) == schemas[name].attribute_names
+
+
+# -- the corpus as the one scenario source ---------------------------------
+
+
+def test_every_plan_operator_has_a_workload_scenario():
+    assert sorted(WORKLOAD_SCENARIOS) == sorted(PLAN_OPERATORS)
+    # ... and the sweep labels are those operators plus suffix variants.
+    assert {parse_label(label)[0].plan.steps[0].operator
+            for label in ALL_OPERATORS} == set(PLAN_OPERATORS)
+    for scenario in WORKLOAD_SCENARIOS.values():
+        assert scenario in CORPUS and len(scenario.plan.steps) == 1
+
+
+@pytest.mark.parametrize("operator", sorted(PLAN_OPERATORS))
+def test_lazy_label_accepted_iff_operator_supports_lazy(operator):
+    if PLAN_OPERATORS[operator].supports_lazy:
+        scenario, overrides = parse_label(f"{operator}:lazy@2")
+        assert scenario is WORKLOAD_SCENARIOS[operator]
+        assert overrides == {"population_mode": "lazy", "shards": 2}
+    else:
+        with pytest.raises(ValueError, match="eager-only"):
+            parse_label(f"{operator}:lazy")
+    assert parse_label(operator) == (WORKLOAD_SCENARIOS[operator], {})
+
+
+@pytest.mark.parametrize("label", ["join", "foj:eager", "foj@", "foj@x",
+                                   "chain-foj-split", ""])
+def test_unknown_sweep_labels_are_rejected(label):
+    with pytest.raises(ValueError, match="unknown sweep operator"):
+        parse_label(label)
+
+
+def test_scenario_run_needs_a_workload():
+    with pytest.raises(ValueError, match="not sweepable"):
+        ScenarioRun(get_scenario("chain-foj-split"), "nonblocking_abort")
+
+
+@pytest.mark.parametrize("scenario", WORKLOAD_SCENARIOS.values(),
+                         ids=lambda sc: sc.name)
+def test_workload_names_only_its_own_tables_and_attributes(scenario):
+    """Workloads are data over the scenario: every op, read and probe
+    must resolve against the seeds' schemas or the published ones."""
+    schemas = {schema.name: schema for schema, _ in scenario.seeds}
+    sources = set(schemas)
+    step = scenario.plan.steps[0]
+    published, _ = PLAN_OPERATORS[step.operator].derive(schemas,
+                                                        step.params)
+    schemas.update(published)
+    workload = scenario.workload
+    for op in workload.ops():
+        kind, table = op[0], op[1]
+        attrs = set(op[2]) if kind == "i" else \
+            set(op[3]) if kind == "u" else set()
+        assert attrs <= set(schemas[table].attribute_names), op
+        if kind != "i":
+            assert len(op[2]) == len(schemas[table].primary_key), op
+    for probe in workload.probes:
+        assert probe[0] == "i" and probe[1] in published
+    for table, key in workload.lazy_reads:
+        assert table in sources
+        assert len(key) == len(schemas[table].primary_key)
+    # The long transaction and the random updates share one row space.
+    table, attr = workload.scratch
+    assert table in sources and attr in schemas[table].attribute_names
+    assert workload.long_op[1] == workload.long_post_swap_op[1] == table
+    assert scenario.safe_keys(), "no seed key is safe to update"
+    assert tuple(workload.long_op[2]) not in scenario.safe_keys()
+    fresh = workload.fresh_row(random.Random(0), 3)
+    assert set(fresh) <= set(schemas[table].attribute_names)
+    assert schemas[table].key_of(fresh) == (103,)
