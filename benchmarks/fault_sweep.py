@@ -19,12 +19,20 @@ The full report lands in ``benchmarks/results/fault_sweep.json``; the
 stdout summary shows per-combo and per-layer coverage and the violation
 count (which must be zero).  For the seeded crash x disk-fault soak see
 ``python -m benchmarks.chaos_soak``.
+
+``--against PARENT_REPORT.json`` additionally compares, combo by combo,
+the ordered list of crossed sites with an earlier report's (a refactor
+of population or synchronization must cross the same sites in the same
+order), prints every difference and fails on any -- and on a report
+from before the sweep recorded that order (no ``crossed`` field).
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import sys
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from benchmarks.harness import save_results_json
 from repro.faults.sweep import run_sweep
@@ -77,7 +85,51 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     return save_results_json("postmortem_fault_sweep", bundle)
 
 
-def main() -> int:
+def diff_crossed(report: Dict[str, object],
+                 other: Dict[str, object]) -> List[str]:
+    """Where the two reports' per-combo crossed-site lists (``crossed``:
+    first-crossing order) differ.
+
+    Raises :class:`ValueError` for a report without that field (one
+    written before the sweep recorded the order): sorted site names
+    would hide exactly the reordering this comparison exists to catch.
+    """
+    def crossed(rep: Dict[str, object]) -> Dict[str, List[str]]:
+        if not all("crossed" in combo for combo in rep["combos"]):
+            raise ValueError(
+                "report carries no ordered 'crossed' lists; regenerate it "
+                "with a sweep that records them")
+        return {f"{c['operator']} / {c['strategy']}": c["crossed"]
+                for c in rep["combos"]}
+
+    ours, theirs = crossed(report), crossed(other)
+    problems = [f"{combo}: only in the "
+                f"{'new' if combo in ours else 'other'} report"
+                for combo in sorted(set(ours) ^ set(theirs))]
+    for combo in sorted(set(ours) & set(theirs)):
+        now, was = ours[combo], theirs[combo]
+        if now == was:
+            continue
+        gone = [s for s in was if s not in now]
+        new = [s for s in now if s not in was]
+        if gone or new:
+            problems.append(
+                f"{combo}: no longer crossed {gone}, newly crossed {new}")
+        else:
+            at = next(i for i, (a, b) in enumerate(zip(now, was))
+                      if a != b)
+            problems.append(
+                f"{combo}: same sites, but crossing #{at + 1} is "
+                f"{now[at]!r} (was {was[at]!r})")
+    return problems
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="REPORT.json",
+                        help="an earlier fault_sweep.json to compare the "
+                             "crossed-site lists with")
+    args = parser.parse_args(argv)
     report = run_sweep()
     path = save_results_json("fault_sweep", report)
     summary = report["summary"]
@@ -107,6 +159,18 @@ def main() -> int:
         bundle_path = dump_postmortem(report)
         if bundle_path:
             print(f"postmortem bundle written to {bundle_path}")
+    if args.against:
+        with open(args.against) as handle:
+            try:
+                problems = diff_crossed(report, json.load(handle))
+            except ValueError as exc:
+                print(f"FAILED: cannot compare with {args.against}: {exc}")
+                return 1
+        print(f"crossed-site lists vs {args.against}: "
+              f"{len(problems)} combo(s) differ")
+        for problem in problems:
+            print(f"  - {problem}")
+        failed = failed or bool(problems)
     return 1 if failed else 0
 
 

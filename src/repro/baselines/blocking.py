@@ -20,21 +20,17 @@ transactions stay blocked.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import TransformationStateError
 from repro.engine.database import Database
+from repro.engine.fuzzy import FuzzyScan
 from repro.relational.spec import FojSpec, SplitSpec
 from repro.storage.table import Table
 from repro.transform.base import Phase, StepReport
-from repro.transform.foj import (
-    add_foj_indexes,
-    populate_foj_target,
-)
-from repro.transform.split import (
-    create_split_targets,
-    upsert_split_row,
-)
+from repro.transform.foj import FojHashJoin, FojTransformation
+from repro.transform.split import SplitRuleEngine, SplitTransformation
 from repro.wal.records import FuzzyMarkRecord, TransformSwapRecord
 
 
@@ -61,7 +57,6 @@ class BlockingTransformation:
         self.targets: Dict[str, Table] = {}
         self._rows: List = []
         self._pos = 0
-        self._s_rows: List = []
         #: Units spent while the sources were latched (= all of them).
         self.blocked_units = 0
 
@@ -104,13 +99,9 @@ class BlockingTransformation:
     # -- internals -------------------------------------------------------------
 
     def _prepare_and_latch(self) -> None:
-        if self.is_split:
-            self.targets = create_split_targets(self.db, self.spec)
-        else:
-            table = self.db.create_table(self.spec.target_schema(),
-                                         transient=True)
-            add_foj_indexes(table, self.spec)
-            self.targets = {self.spec.target_name: table}
+        operator = SplitTransformation if self.is_split \
+            else FojTransformation
+        self.targets = operator.target_tables(self.db, self.spec)
         for name in self.source_tables:
             table = self.db.catalog.get(name)
             self.db.locks.latch_table(table.uid, self.transform_id)
@@ -118,11 +109,11 @@ class BlockingTransformation:
         if self.is_split:
             source = self.db.catalog.get(self.spec.source_name)
             self._rows = [(dict(r.values), r.lsn) for r in source.scan()]
+            self._engine = SplitRuleEngine(self.db, self.spec,
+                                           *self.targets.values())
         else:
-            r_table = self.db.catalog.get(self.spec.r_name)
-            s_table = self.db.catalog.get(self.spec.s_name)
-            self._rows = [dict(r.values) for r in r_table.scan()]
-            self._s_rows = [dict(r.values) for r in s_table.scan()]
+            # The copy is charged one unit per R row.
+            self._rows = list(self.db.catalog.get(self.spec.r_name).rows)
         self.blocked_units += 1
         self.phase = Phase.POPULATING
 
@@ -131,16 +122,17 @@ class BlockingTransformation:
         if take <= 0:
             return 0
         if self.is_split:
-            r_table = self.targets[self.spec.r_name]
-            s_table = self.targets[self.spec.s_name]
+            migrate = self._engine.migrate_row
             for values, lsn in self._rows[self._pos:self._pos + take]:
-                upsert_split_row(r_table, s_table, self.spec, values, lsn)
-        else:
+                migrate(self.spec.source_name, values, lsn)
+        elif self._pos + take >= len(self._rows):
             # The FOJ is computed in one go on the last chunk: the copy
-            # cost dominates and the tables are latched either way.
-            if self._pos + take >= len(self._rows):
-                populate_foj_target(self.targets[self.spec.target_name],
-                                    self.spec, self._rows, self._s_rows)
+            # cost dominates and the tables are latched either way (so
+            # the scans read the very snapshot taken at the latch).
+            r_scan, s_scan = (FuzzyScan(self.db.catalog.get(name), self.chunk)
+                              for name in self.source_tables)
+            FojHashJoin(self.targets[self.spec.target_name], self.spec,
+                        r_scan, s_scan).step(sys.maxsize)
         self._pos += take
         return take
 

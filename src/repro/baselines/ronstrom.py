@@ -36,8 +36,8 @@ from repro.engine.database import Database
 from repro.relational.spec import FojSpec, SplitSpec
 from repro.storage.table import Table
 from repro.transform.base import Phase, StepReport
-from repro.transform.foj import FojRuleEngine, create_foj_target
-from repro.transform.split import SplitRuleEngine, create_split_targets
+from repro.transform.foj import FojRuleEngine, FojTransformation
+from repro.transform.split import SplitRuleEngine, SplitTransformation
 from repro.wal.records import (
     FuzzyMarkRecord,
     InsertRecord,
@@ -112,16 +112,18 @@ class RonstromTransformation:
 
     def _prepare(self) -> None:
         if self.is_split:
-            self.targets = create_split_targets(self.db, self.spec)
+            self.targets = SplitTransformation.target_tables(self.db,
+                                                             self.spec)
             self.engine = SplitRuleEngine(
                 self.db, self.spec,
                 self.targets[self.spec.r_name],
                 self.targets[self.spec.s_name],
                 transform_id=self.transform_id)
         else:
-            table = create_foj_target(self.db, self.spec)
-            self.targets = {self.spec.target_name: table}
-            self.engine = FojRuleEngine(self.db, self.spec, table)
+            self.targets = FojTransformation.target_tables(self.db,
+                                                           self.spec)
+            self.engine = FojRuleEngine(self.db, self.spec,
+                                        *self.targets.values())
         for name in self.source_tables:
             self.db.create_trigger(name, self._trigger)
         self._scan_plan = [

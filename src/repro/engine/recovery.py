@@ -23,9 +23,10 @@ our extension for completed swaps):
   the recovered source state, then keeps propagating post-swap operations
   of old transactions onto them with the registered rule engine.
 
-Rule engines and rebuild functions are registered per transformation kind
-via :func:`register_rebuilder` (the :mod:`repro.transform` package registers
-``"foj"`` and ``"split"`` at import time).
+Rebuild functions are registered per transformation kind via
+:func:`register_rebuilder`; every :class:`~repro.transform.base.
+Transformation` subclass that names a ``kind`` registers its ``rebuild``
+when the class is defined.
 """
 
 from __future__ import annotations
@@ -53,15 +54,17 @@ from repro.wal.records import (
     TransformRetireRecord,
     TransformSwapRecord,
     UpdateRecord,
+    data_change_of,
 )
 
-#: ``rebuild(db, swap_record) -> (published_tables, propagator_or_None)``.
+#: ``rebuild(db, swap_record) -> (published_tables, rule_engine)``.
 #: ``published_tables`` maps public name to a fully built
-#: :class:`~repro.storage.table.Table`; the optional propagator exposes
-#: ``apply(log_record)`` and is fed every post-swap record so operations of
-#: surviving old transactions keep flowing into the published tables.
+#: :class:`~repro.storage.table.Table`; the rule engine (``source_tables``
+#: plus ``apply(change, lsn)``) is fed every post-swap data change of its
+#: sources, so operations of surviving old transactions keep flowing into
+#: the published tables.
 RebuildFn = Callable[[Database, TransformSwapRecord],
-                     Tuple[Dict[str, Table], Optional[object]]]
+                     Tuple[Dict[str, Table], object]]
 
 _REBUILDERS: Dict[str, RebuildFn] = {}
 
@@ -146,8 +149,9 @@ def restart(log: LogManager, metrics=None) -> Database:
                 # aborted old transactions also converge in the published
                 # tables.
                 for record in log.scan(undo_from + 1):
-                    for propagator in propagators:
-                        propagator.apply(record)
+                    change = data_change_of(record)
+                    if change is not None:
+                        _propagate(propagators, change, record.lsn)
             if obs.enabled:
                 pass_span.attrs["losers_rolled_back"] = len(losers)
 
@@ -253,6 +257,14 @@ def _redo_update(table: Table, change: UpdateRecord, lsn: int) -> None:
         table.update_rowid(existing.rowid, change.changes, lsn=lsn)
 
 
+def _propagate(engines: List[object], change: LogRecord, lsn: int) -> None:
+    """Run a post-swap data change through the rules of every replayed
+    swap that consumes its table."""
+    for engine in engines:
+        if change.table in engine.source_tables:
+            engine.apply(change, lsn)
+
+
 #: Data-change class -> reapply it to its table under the standard LSN
 #: guard.  The table copies what it keeps of an image, so the record's own
 #: dicts are passed as they are.
@@ -286,8 +298,8 @@ class _Redo:
             pass  # change to a transient (discarded) table
         else:
             _REDO_CHANGE[type(change)](table, change, record.lsn)
-        for propagator in self.propagators:
-            propagator.apply(record)
+        if self.propagators:
+            _propagate(self.propagators, change, record.lsn)
 
     def clr(self, record: CLRecord) -> None:
         if type(record.action) in _REDO_CHANGE:
@@ -323,13 +335,12 @@ class _Redo:
             raise RecoveryError(
                 f"no recovery rebuilder registered for transformation kind "
                 f"{record.transform_kind!r}")
-        published, propagator = rebuild(self.db, record)
+        published, engine = rebuild(self.db, record)
         for name in published:
             self.transient_names.discard(name)
             self.transient_names.discard(record.published.get(name, name))
         self.catalog.swap(record.retired, published, keep_zombies=True)
-        if propagator is not None:
-            self.propagators.append(propagator)
+        self.propagators.append(engine)
 
 
 #: Record class -> redo action.  A type-keyed table skips what it does not

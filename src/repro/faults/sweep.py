@@ -383,9 +383,17 @@ class ScenarioRun:
 
     # -- driving ---------------------------------------------------------
 
-    def execute(self) -> None:
+    def execute(self, until: Optional[Callable[["ScenarioRun"], bool]]
+                = None) -> None:
         """Run the full scenario; raises :class:`SimulatedCrashError`
-        when an armed crash fault fires."""
+        when an armed crash fault fires.
+
+        ``until`` parks the run mid-transformation: it is asked after
+        every step once the mutation script is used up, and a true
+        answer returns there (the long transaction still open, no
+        probes) -- e.g. under a policy that never synchronizes, "caught
+        up in PROPAGATING".
+        """
         workload = self.scenario.workload
         self._load(self.scenario)
         self.tf = self._build(self.scenario, self.options)
@@ -421,6 +429,8 @@ class ScenarioRun:
             if mutations and self.tf.phase in (Phase.POPULATING,
                                                Phase.PROPAGATING):
                 self._txn_do(*mutations.pop(0))
+            elif until is not None and not mutations and until(self):
+                return
             if l_active and self.strategy is SyncStrategy.BLOCKING_COMMIT \
                     and self.tf.phase is Phase.SYNCHRONIZING:
                 # Let the drain finish: commit L.
@@ -649,8 +659,9 @@ def sweep(operator: str, strategy: SyncStrategy,
     """Crash at every crossed injection site for one scenario.
 
     ``operator`` is a label of :data:`ALL_OPERATORS`.  Returns a
-    JSON-able report: per-site outcome (``ok`` / ``violation`` /
-    ``error`` / ``not_hit``) plus the recording pass's crossing counts.
+    JSON-able report: the sites the recording pass crossed (in
+    first-crossing order), and per site its outcome (``ok`` /
+    ``violation`` / ``error`` / ``not_hit``) and crossing count.
     Each armed pass crashes at the *middle* crossing of its site, placing
     the kill inside the interesting part of the scenario rather than at
     the very first crossing (often the bulk load).  Recovery always goes
@@ -708,6 +719,7 @@ def sweep(operator: str, strategy: SyncStrategy,
         "strategy": strategy.value,
         "flush_policy": policy_name(flush_policy),
         "workload_seed": workload_seed,
+        "crossed": list(hits),  # in first-crossing order
         "sites": sites,
         "site_count": len(sites),
         "violations": len(bad),

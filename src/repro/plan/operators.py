@@ -1,7 +1,7 @@
 """The operator registry behind the declarative migration plan API.
 
 Each entry of :data:`PLAN_OPERATORS` adapts one relational transformation
-to the plan machinery with three callables.  The registry is the one
+to the plan machinery with three entry points.  The registry is the one
 place that knows an operator: the validator, the executor, the scenario
 corpus (:mod:`repro.plan.corpus`) and the crash sweep and chaos layer
 built on it (:mod:`repro.faults.sweep`) all go through it.
@@ -15,11 +15,10 @@ built on it (:mod:`repro.faults.sweep`) all go through it.
   through a plan's steps (``schemas - retired + published``), which is
   how a step may legally reference a table *created by an earlier step*
   that does not exist in the live database yet.
-* ``build(db, params, options)`` -- construct the concrete
-  :class:`~repro.transform.base.Transformation` against the live
-  database.  Called by the executor at the start of each supervisor
-  attempt, so a retried step re-derives its spec from the then-current
-  catalog.
+* ``build(db, params, options)`` -- construct the entry's
+  ``transformation`` class against the live database.  Called by the
+  executor at the start of each supervisor attempt, so a retried step
+  re-derives its spec from the then-current catalog.
 * ``reference(schemas, params, rows_by_table)`` -- the offline oracle:
   the rows the step must publish, per published table, computed from
   plain row dicts of its sources by the reference operators of
@@ -31,16 +30,18 @@ built on it (:mod:`repro.faults.sweep`) all go through it.
 
 The registry is data the validator iterates over: ``required`` /
 ``optional`` param names yield key-enumerating errors for missing or
-unknown params, and ``supports_lazy`` lets ``population_mode="lazy"`` on
-an eager-only operator (e.g. the many-to-many join) fail at validation
-time rather than deep inside ``Transformation._begin_population``.
+unknown params, and ``supports_lazy`` (read off the transformation
+class's rule engine, where it is declared) lets
+``population_mode="lazy"`` on an eager-only operator (e.g. the
+many-to-many join) fail at validation time rather than deep inside
+``Transformation._begin_population``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.common.errors import SchemaError
 from repro.engine.database import Database
@@ -82,27 +83,46 @@ class PlanOperator:
 
     Attributes:
         name: Registry key, the ``operator`` string of a plan step.
-        supports_lazy: Whether the operator's rule engine can serve
-            migrate-on-read (``population_mode="lazy"``).
+        transformation: The :class:`Transformation` subclass ``build``
+            constructs.
         required: Param names every step using this operator must set.
         optional: Param names a step may set.
+        spec_of: ``(schemas, params) -> spec``, the one spec builder
+            behind ``derive``, ``build`` and ``reference``.
         derive: Schema-level dry run; see the module docstring.
-        build: Live transformation factory; see the module docstring.
         reference: Offline oracle of the published rows; see the module
             docstring.
+        tf_kwargs: ``params -> dict`` of the transformation constructor
+            keywords a step's params carry beyond the spec.
     """
 
     name: str
-    supports_lazy: bool
+    transformation: Type[Transformation]
     required: Tuple[str, ...]
     optional: Tuple[str, ...]
+    spec_of: Callable[[Schemas, Params], object]
     derive: Callable[[Schemas, Params], Derived]
-    build: Callable[[Database, Params, TransformOptions], Transformation]
     reference: Callable[[Schemas, Params, Tables], Tables]
+    tf_kwargs: Callable[[Params], Dict[str, object]] = lambda params: {}
+
+    def build(self, db: Database, params: Params,
+              options: TransformOptions) -> Transformation:
+        """Live transformation factory; see the module docstring.  The
+        spec comes from the live catalog through the same ``spec_of``
+        that ``derive`` and ``reference`` feed a simulated one."""
+        return self.transformation(
+            db, self.spec_of(live_schemas(db), params), options=options,
+            **self.tf_kwargs(params))
 
     @property
     def param_names(self) -> Tuple[str, ...]:
         return tuple(self.required) + tuple(self.optional)
+
+    @property
+    def supports_lazy(self) -> bool:
+        """Whether the operator's rule engine can serve migrate-on-read
+        (``population_mode="lazy"``)."""
+        return self.transformation.engine_class.supports_lazy
 
 
 def _schema_of(schemas: Schemas, name: object) -> TableSchema:
@@ -116,18 +136,6 @@ def _schema_of(schemas: Schemas, name: object) -> TableSchema:
 def live_schemas(db: Database) -> Schemas:
     """The live catalog in the shape ``derive`` takes a simulated one."""
     return {n: db.catalog.get(n).schema for n in db.catalog.table_names()}
-
-
-def _builder(spec_of: Callable[[Schemas, Params], object],
-             tf_class: type) -> Callable[..., Transformation]:
-    """``build`` of an operator whose transformation takes ``(db, spec,
-    options)``: the spec comes from the live catalog through the same
-    ``spec_of`` that ``derive`` and ``reference`` feed a simulated one."""
-    def build(db: Database, params: Params,
-              options: TransformOptions) -> Transformation:
-        return tf_class(db, spec_of(live_schemas(db), params),
-                        options=options)
-    return build
 
 
 def _predicate_of(params: Params) -> AttrPredicate:
@@ -206,15 +214,11 @@ def _derive_split(schemas: Schemas, params: Params) -> Derived:
             (spec.source_name,))
 
 
-def _build_split(db: Database, params: Params,
-                 options: TransformOptions) -> Transformation:
-    spec = _split_spec(live_schemas(db), params)
-    return SplitTransformation(
-        db, spec,
+def _split_kwargs(params: Params) -> Dict[str, object]:
+    return dict(
         check_consistency=bool(params.get("check_consistency", False)),
         on_inconsistent=params.get("on_inconsistent", "raise"),
-        materialize_r=bool(params.get("materialize_r", True)),
-        options=options)
+        materialize_r=bool(params.get("materialize_r", True)))
 
 
 def _reference_split(schemas: Schemas, params: Params,
@@ -328,56 +332,49 @@ def _reference_retype(schemas: Schemas, params: Params,
 
 PLAN_OPERATORS: Dict[str, PlanOperator] = {op.name: op for op in (
     PlanOperator(
-        name="foj", supports_lazy=True,
+        name="foj", transformation=FojTransformation,
         required=("r_name", "s_name", "target_name",
                   "join_attr_r", "join_attr_s"),
         optional=("r_attrs", "s_attrs"),
-        derive=_derive_foj,
-        build=_builder(_foj_spec, FojTransformation),
-        reference=_reference_foj),
+        spec_of=_foj_spec, derive=_derive_foj, reference=_reference_foj),
     PlanOperator(
-        name="foj_m2m", supports_lazy=False,
+        name="foj_m2m", transformation=Many2ManyFojTransformation,
         required=("r_name", "s_name", "target_name",
                   "join_attr_r", "join_attr_s"),
         optional=("r_attrs", "s_attrs"),
+        spec_of=partial(_foj_spec, many_to_many=True),
         derive=partial(_derive_foj, many_to_many=True),
-        build=_builder(partial(_foj_spec, many_to_many=True),
-                       Many2ManyFojTransformation),
         reference=partial(_reference_foj, many_to_many=True)),
     PlanOperator(
-        name="split", supports_lazy=True,
+        name="split", transformation=SplitTransformation,
         required=("source_name", "r_name", "s_name", "split_attr",
                   "s_attrs"),
         optional=("r_attrs", "check_consistency", "on_inconsistent",
                   "materialize_r"),
-        derive=_derive_split, build=_build_split,
-        reference=_reference_split),
+        spec_of=_split_spec, derive=_derive_split,
+        reference=_reference_split, tf_kwargs=_split_kwargs),
     PlanOperator(
-        name="explode", supports_lazy=True,
+        name="explode", transformation=ExplodeTransformation,
         required=("source_name", "target_name", "list_attr", "value_attr"),
         optional=("keep_attrs", "separator"),
-        derive=_derive_explode,
-        build=_builder(_explode_spec, ExplodeTransformation),
+        spec_of=_explode_spec, derive=_derive_explode,
         reference=_reference_explode),
     PlanOperator(
-        name="partition", supports_lazy=False,
+        name="partition", transformation=PartitionTransformation,
         required=("source_name", "a_name", "b_name", "predicate"),
         optional=(),
-        derive=_derive_partition,
-        build=_builder(_partition_spec, PartitionTransformation),
+        spec_of=_partition_spec, derive=_derive_partition,
         reference=_reference_partition),
     PlanOperator(
-        name="merge", supports_lazy=False,
+        name="merge", transformation=MergeTransformation,
         required=("a_name", "b_name", "target_name"),
         optional=(),
-        derive=_derive_merge,
-        build=_builder(_merge_spec, MergeTransformation),
+        spec_of=_merge_spec, derive=_derive_merge,
         reference=_reference_merge),
     PlanOperator(
-        name="retype", supports_lazy=True,
+        name="retype", transformation=RetypeTransformation,
         required=("source_name", "target_name", "attr"),
         optional=("cast", "default"),
-        derive=_derive_retype,
-        build=_builder(_retype_spec, RetypeTransformation),
+        spec_of=_retype_spec, derive=_derive_retype,
         reference=_reference_retype),
 )}

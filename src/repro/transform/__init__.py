@@ -1,17 +1,13 @@
 """The non-blocking schema transformation framework.
 
-Importing this package also registers the recovery rebuilders for every
-transformation kind (``"foj"``, ``"foj_m2m"``, ``"split"``,
-``"partition"``, ``"merge"``, ``"explode"``, ``"retype"``, ``"mv_foj"``),
-so ARIES restart can recompute published tables at a completed swap point
+Importing this package defines every transformation kind (``"foj"``,
+``"foj_m2m"``, ``"split"``, ``"partition"``, ``"merge"``, ``"explode"``,
+``"retype"``, ``"mv_foj"``), and defining a kind registers its
+:meth:`~repro.transform.base.Transformation.rebuild` with recovery, so
+ARIES restart can recompute published tables at a completed swap point
 (see :mod:`repro.engine.recovery`).
 """
 
-from typing import Dict, Tuple
-
-from repro.engine.database import Database
-from repro.engine.recovery import register_rebuilder
-from repro.storage.table import Table
 from repro.transform.analysis import (
     Decision,
     EstimatedTimePolicy,
@@ -38,29 +34,13 @@ from repro.transform.options import (
     TransformOptions,
     resolve_sync_strategy,
 )
-from repro.transform.foj import (
-    FojRuleEngine,
-    FojTransformation,
-    build_foj_table,
-    create_foj_target,
-    populate_foj_target,
-)
+from repro.transform.foj import FojRuleEngine, FojTransformation
 from repro.transform.foj_m2m import (
     Many2ManyFojRuleEngine,
     Many2ManyFojTransformation,
-    build_m2m_table,
 )
-from repro.transform.explode import (
-    ExplodeRuleEngine,
-    ExplodeTransformation,
-    build_explode_table,
-    populate_explode_target,
-)
-from repro.transform.retype import (
-    RetypeRuleEngine,
-    RetypeTransformation,
-    upsert_retyped_row,
-)
+from repro.transform.explode import ExplodeRuleEngine, ExplodeTransformation
+from repro.transform.retype import RetypeRuleEngine, RetypeTransformation
 from repro.transform.partition import (
     AttrPredicate,
     MergeRuleEngine,
@@ -78,12 +58,7 @@ from repro.transform.simple import (
     remove_attribute,
     rename_attribute,
 )
-from repro.transform.split import (
-    SplitRuleEngine,
-    SplitTransformation,
-    build_split_tables,
-    populate_split_targets,
-)
+from repro.transform.split import SplitRuleEngine, SplitTransformation
 from repro.transform.supervisor import TransformationSupervisor
 from repro.transform.sync import (
     LockMirror,
@@ -91,121 +66,7 @@ from repro.transform.sync import (
     build_sync_executor,
 )
 from repro.transform.view import MaterializedFojView, PublishKeepSync
-from repro.wal.records import TransformSwapRecord, data_change_of
 
-
-class _RecoveryPropagator:
-    """Feeds post-swap log records through a rule engine during restart."""
-
-    def __init__(self, engine: RuleEngine) -> None:
-        self.engine = engine
-
-    def apply(self, record) -> None:
-        """Apply one log record if it changes a source table."""
-        change = data_change_of(record)
-        if change is not None and \
-                change.table in self.engine.source_tables:
-            self.engine.apply(change, record.lsn)
-
-
-def _rebuild_foj(db: Database, record: TransformSwapRecord
-                 ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    r_rows = [dict(r.values) for r in db.catalog.get(spec.r_name).scan()]
-    s_rows = [dict(r.values) for r in db.catalog.get(spec.s_name).scan()]
-    table = build_foj_table(spec)
-    populate_foj_target(table, spec, r_rows, s_rows)
-    engine = FojRuleEngine(db, spec, table)
-    return {spec.target_name: table}, _RecoveryPropagator(engine)
-
-
-def _rebuild_foj_m2m(db: Database, record: TransformSwapRecord
-                     ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    r_rows = [dict(r.values) for r in db.catalog.get(spec.r_name).scan()]
-    s_rows = [dict(r.values) for r in db.catalog.get(spec.s_name).scan()]
-    table = build_m2m_table(spec)
-    populate_foj_target(table, spec, r_rows, s_rows)
-    engine = Many2ManyFojRuleEngine(db, spec, table)
-    return {spec.target_name: table}, _RecoveryPropagator(engine)
-
-
-def _rebuild_split(db: Database, record: TransformSwapRecord
-                   ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    source = db.catalog.get(spec.source_name)
-    rows = [r for r in source.scan()]
-    r_table, s_table = build_split_tables(spec)
-    populate_split_targets(
-        r_table, s_table, spec,
-        [dict(r.values) for r in rows], [r.lsn for r in rows])
-    engine = SplitRuleEngine(
-        db, spec, r_table, s_table,
-        check_consistency=bool(record.params.get("check_consistency")),
-        transform_id=record.transform_id)
-    return ({spec.r_name: r_table, spec.s_name: s_table},
-            _RecoveryPropagator(engine))
-
-
-def _rebuild_partition(db: Database, record: TransformSwapRecord
-                       ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    source = db.catalog.get(spec.source_name)
-    a_table = Table(source.schema.rename(spec.a_name))
-    b_table = Table(source.schema.rename(spec.b_name))
-    for row in source.scan():
-        side = a_table if spec.predicate(row.values) else b_table
-        side.insert_row(dict(row.values), lsn=row.lsn)
-    engine = PartitionRuleEngine(db, spec, a_table, b_table)
-    return ({spec.a_name: a_table, spec.b_name: b_table},
-            _RecoveryPropagator(engine))
-
-
-def _rebuild_merge(db: Database, record: TransformSwapRecord
-                   ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    a = db.catalog.get(spec.a_name)
-    b = db.catalog.get(spec.b_name)
-    target = Table(a.schema.rename(spec.target_name))
-    for source in (a, b):
-        for row in source.scan():
-            target.insert_row(dict(row.values), lsn=row.lsn)
-    engine = MergeRuleEngine(db, spec, target)
-    return {spec.target_name: target}, _RecoveryPropagator(engine)
-
-
-def _rebuild_explode(db: Database, record: TransformSwapRecord
-                     ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    source = db.catalog.get(spec.source_name)
-    rows = [r for r in source.scan()]
-    table = build_explode_table(spec)
-    populate_explode_target(table, spec,
-                            [dict(r.values) for r in rows],
-                            [r.lsn for r in rows])
-    engine = ExplodeRuleEngine(db, spec, table)
-    return {spec.target_name: table}, _RecoveryPropagator(engine)
-
-
-def _rebuild_retype(db: Database, record: TransformSwapRecord
-                    ) -> Tuple[Dict[str, Table], _RecoveryPropagator]:
-    spec = record.params["spec"]
-    source = db.catalog.get(spec.source_name)
-    table = Table(spec.target_schema(source.schema))
-    for row in source.scan():
-        upsert_retyped_row(table, spec, dict(row.values), row.lsn)
-    engine = RetypeRuleEngine(db, spec, table)
-    return {spec.target_name: table}, _RecoveryPropagator(engine)
-
-
-register_rebuilder("foj", _rebuild_foj)
-register_rebuilder("foj_m2m", _rebuild_foj_m2m)
-register_rebuilder("split", _rebuild_split)
-register_rebuilder("partition", _rebuild_partition)
-register_rebuilder("merge", _rebuild_merge)
-register_rebuilder("explode", _rebuild_explode)
-register_rebuilder("retype", _rebuild_retype)
-register_rebuilder("mv_foj", _rebuild_foj)  # the view rebuilds like a join
 
 __all__ = [
     "AttrPredicate",

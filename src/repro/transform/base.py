@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from contextlib import nullcontext
 from operator import sub
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.common.errors import (
     TransformationAbortedError,
@@ -48,8 +50,10 @@ from repro.common.errors import (
 from repro.concurrency.locks import LockMode, LockOrigin, record_resource
 from repro.engine.database import Database
 from repro.engine.fuzzy import FuzzyScan
+from repro.engine.recovery import register_rebuilder
 from repro.faults import DelayFault, FaultInjector, register_site
 from repro.obs import ConvergenceMonitor, Metrics
+from repro.obs.blame import PHASE_ROLES, ROLE_SWEEPER
 from repro.obs.spans import Span
 from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.table import Table
@@ -67,6 +71,7 @@ from repro.wal.records import (
     FuzzyMarkRecord,
     InsertRecord,
     LogRecord,
+    TransformSwapRecord,
     UpdateRecord,
 )
 
@@ -203,9 +208,10 @@ class RuleEngine:
     #: :class:`repro.transform.split.SplitRuleEngine`).
     marker_classes: Optional[Tuple[type, ...]] = None
 
-    #: Whether the engine implements :meth:`migrate_row` -- the
-    #: per-record population path lazy mode needs.  Engines without it
-    #: reject ``population_mode="lazy"`` at population begin.
+    #: Whether :meth:`migrate_row` may run in *any* row order, interleaved
+    #: with user access -- what ``population_mode="lazy"`` needs.  Engines
+    #: without it are rejected for lazy mode at population begin (and, via
+    #: the plan registry, at plan validation).
     supports_lazy: bool = False
 
     def apply(self, change: LogRecord,
@@ -260,17 +266,32 @@ class RuleEngine:
         return None
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
+                    lsn: int = NULL_LSN) -> None:
         """Transform one source row (its current snapshot) into the target.
 
-        The per-record population path of lazy mode: called once per
-        source rowid, by the miss hook or the background sweeper, with
-        the row's current values and LSN.  Must be idempotent and built
-        from the same state-driven / LSN-guarded primitives as the
-        propagation rules, so later log replay converges the result
-        exactly as it does for an eager fuzzy-scan image.
+        The one way a scanned source row enters a target: eager
+        population, the lazy sweeper and miss hook, and restart's
+        swap-point rebuild all call it once per source row, with the
+        row's values (a private copy the engine may keep) and LSN.  Must
+        be idempotent and built from the same state-driven / LSN-guarded
+        primitives as the propagation rules, so later log replay
+        converges the result whatever order the rows arrived in.
         """
         raise NotImplementedError
+
+    #: The name :meth:`Transformation._population_step` calls
+    #: :meth:`migrate_row` by -- the same function, never a second
+    #: implementation (``__init_subclass__`` keeps it so).  Per-call
+    #: instrumentation hung on the name ``migrate_row`` (the wall-clock
+    #: tracer counts those spans as rule work, i.e. propagation) thus
+    #: sees the on-demand migrations only, and a population step's time
+    #: stays in the step that spent it.
+    populate_row = migrate_row
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "migrate_row" in vars(cls):
+            cls.populate_row = vars(cls)["migrate_row"]
 
     def migration_partners(self, table_name: str,
                            values: Dict[str, object]
@@ -297,6 +318,10 @@ class Transformation:
 
     Args:
         db: The database to transform.
+        spec: The operator's specification (a frozen dataclass of
+            :mod:`repro.relational.spec` or :mod:`repro.transform.partition`);
+            it is what the swap log record carries, so restart recovery
+            can rebuild the published tables from it.
         options: A :class:`~repro.transform.options.TransformOptions`
             carrying every knob (sync strategy, shards, batch sizes,
             metrics, analysis policy, id).
@@ -306,23 +331,45 @@ class Transformation:
             one log cursor whatever they are set to, so the Section 3.4
             strategies and the lock mirroring are identical either way.
 
-    Subclass contract -- implement:
+    Subclass contract -- an operator is three things:
 
-    * :meth:`_create_targets` -- build target tables + indexes, return them
-      keyed by their *public* (post-swap) names;
-    * :meth:`_population_step` -- perform up to ``budget`` units of initial
-      population; return ``(units_done, finished)``;
-    * :meth:`_build_rule_engine` -- the operator's :class:`RuleEngine`;
-    * :attr:`source_tables` / :meth:`_swap_params`.
+    * :attr:`kind` and :attr:`source_tables`;
+    * :meth:`target_tables` -- the one builder of its target tables and
+      their indexes, keyed by *public* (post-swap) name; preparation
+      runs it against the catalog, restart rebuild detached;
+    * :attr:`engine_class` -- its :class:`RuleEngine`, constructed as
+      ``engine_class(db, spec, *targets)``, whose
+      :meth:`~RuleEngine.migrate_row` is how every scanned source row
+      enters the targets (:meth:`_population_step`: eager, lazy and
+      rebuild alike, calling it as ``populate_row``) and whose
+      ``apply`` / ``apply_run`` propagate the log.
+
+    Overridable where an operator needs more: :meth:`_create_targets` /
+    :meth:`_build_rule_engine` (the split's rename mode),
+    :meth:`_swap_params` (constructor keywords restart must replay),
+    and :meth:`_population_step` itself -- a join whose per-record path
+    costs more than a streamed one may stream its own population (the
+    FOJ's hash join), as long as that is its only copy of it.
     """
 
     #: Transformation kind registered with recovery (e.g. ``"foj"``).
     kind: str = ""
 
-    def __init__(self, db: Database,
+    #: The operator's :class:`RuleEngine` subclass.
+    engine_class: Type[RuleEngine] = RuleEngine
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Every kind is recoverable by construction: restart finds the
+        # class by the kind its swap record names.
+        if "kind" in vars(cls):
+            register_rebuilder(cls.kind, cls.rebuild)
+
+    def __init__(self, db: Database, spec: object,
                  options: Optional[TransformOptions] = None) -> None:
         self.options = options if options is not None else TransformOptions()
         self.db = db
+        self.spec = spec
         self.transform_id = self.options.transform_id or \
             f"{self.kind or 'tf'}-{next(_transform_counter)}"
         #: The analysis policy stays an attribute (unlike the other
@@ -356,7 +403,19 @@ class Transformation:
         #: Override parent for batch spans (the sync executors point it
         #: at the latched-window span while the window is open).
         self._span_parent_hint: Optional[Span] = None
-        self._attach_options()
+        # What the options carry for the database; faults and the flush
+        # policy are attached to the ``Database`` by whoever holds it.
+        if self.options.storage == "mvcc":
+            db.enable_mvcc()
+        if self.options.metrics is not None:
+            db.attach_metrics(self.options.metrics)
+        #: Observability registry, inherited from the database so one
+        #: attachment covers the engine and the transformation it runs.
+        self.metrics: Metrics = db.metrics
+        #: Per-iteration propagation-lag series (Section 3.3's three
+        #: analyses); populated by :meth:`_finish_iteration`.
+        self.convergence = ConvergenceMonitor(self.metrics,
+                                              self.transform_id)
         #: LSN of the begin fuzzy mark: the zero point of the
         #: produced-records side of the convergence series.
         self._propagation_base_lsn = NULL_LSN
@@ -393,40 +452,6 @@ class Transformation:
         attached after construction is honoured."""
         return self.db.faults
 
-    def apply_options(self, options: TransformOptions) -> None:
-        """Re-configure a transformation that has not started populating.
-
-        The supervisor uses this to override each attempt's factory
-        configuration wholesale.  Rejected once population has begun:
-        the shard map and the population scans are built from these
-        knobs.
-        """
-        self._expect(Phase.CREATED, Phase.PREPARED)
-        self.options = options
-        self.policy = options.policy or self.policy
-        if options.transform_id:
-            self.transform_id = options.transform_id
-        self._attach_options()
-
-    def _attach_options(self) -> None:
-        """Install what ``self.options`` carries for the database (MVCC
-        overlay, metrics) and rebuild what hangs off the result; shared
-        by construction and :meth:`apply_options`.  Faults and the flush
-        policy are attached to the ``Database`` by whoever holds it.
-        """
-        options, db = self.options, self.db
-        if options.storage == "mvcc":
-            db.enable_mvcc()
-        if options.metrics is not None:
-            db.attach_metrics(options.metrics)
-        #: Observability registry, inherited from the database so one
-        #: attachment covers the engine and the transformation it runs.
-        self.metrics: Metrics = db.metrics
-        #: Per-iteration propagation-lag series (Section 3.3's three
-        #: analyses); populated by :meth:`_finish_iteration`.
-        self.convergence = ConvergenceMonitor(self.metrics,
-                                              self.transform_id)
-
     # ------------------------------------------------------------------
     # Phase tracking + span lifecycle
     # ------------------------------------------------------------------
@@ -451,7 +476,6 @@ class Transformation:
         # held it.  Population and log propagation hold no engine
         # resources by construction (fuzzy reads, invisible targets) --
         # nonzero blame in those buckets is itself a red flag.
-        from repro.obs.blame import PHASE_ROLES
         role = PHASE_ROLES.get(new.value)
         if role is not None:
             metrics.blame.set_role(self.transform_id, role)
@@ -501,21 +525,37 @@ class Transformation:
         """Names of the tables being transformed away."""
         raise NotImplementedError
 
-    def _create_targets(self) -> Dict[str, Table]:
-        """Create target tables/indexes; return them by public name."""
+    @classmethod
+    def target_tables(cls, db: Database, spec: object,
+                      detached: bool = False) -> Dict[str, Table]:
+        """Build the operator's target tables + indexes, by public name.
+
+        The one target builder: preparation creates the tables in
+        ``db``'s catalog (logged, marked transient); restart's
+        swap-point rebuild asks for them ``detached`` -- plain
+        :class:`Table` objects outside catalog and log, which recovery
+        installs itself.  Implementations create each table through
+        :meth:`_new_table`.
+        """
         raise NotImplementedError
 
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        """Do up to ``budget`` population units; return (units, finished)."""
-        raise NotImplementedError
+    @staticmethod
+    def _new_table(db: Database, schema, detached: bool) -> Table:
+        return Table(schema) if detached \
+            else db.create_table(schema, transient=True)
+
+    def _create_targets(self) -> Dict[str, Table]:
+        """Create target tables/indexes; return them by public name."""
+        return self.target_tables(self.db, self.spec)
 
     def _build_rule_engine(self) -> RuleEngine:
         """Build the operator-specific propagation rule engine."""
-        raise NotImplementedError
+        return self.engine_class(self.db, self.spec, *self.targets.values())
 
     def _swap_params(self) -> Dict[str, object]:
-        """Operator parameters recorded in the swap log record."""
-        raise NotImplementedError
+        """Operator parameters recorded in the swap log record: the
+        constructor keywords :meth:`rebuild` replays at restart."""
+        return {"spec": self.spec}
 
     def _ready_to_synchronize(self) -> Tuple[bool, str]:
         """Operator veto on synchronization (e.g. outstanding U flags).
@@ -550,8 +590,7 @@ class Transformation:
         self._expect(Phase.CREATED)
         self._ensure_root_span()
         self.faults.fire(SITE_TF_PREPARE, transform=self.transform_id)
-        self.targets = self._create_targets()
-        self.engine = self._build_rule_engine()
+        self._wire(self._create_targets())
         self.phase = Phase.PREPARED
         self.faults.fire(SITE_TF_PREPARED, transform=self.transform_id)
 
@@ -583,11 +622,22 @@ class Transformation:
                              shards=shards)
             self._shard_applied = [0] * shards
         self._planner = ShardPlanner(shards)
-        for name in self.source_tables:
-            self._scans[name] = self._make_scan(self.db.catalog.get(name))
+        self._open_scans()
         if lazy:
             self._install_lazy_hook()
         self.phase = Phase.POPULATING
+
+    def _wire(self, targets: Dict[str, Table]) -> None:
+        """Adopt ``targets`` and build their rule engine.  With
+        :meth:`_open_scans` this is all :meth:`_population_step` reads,
+        so :meth:`prepare` / :meth:`_begin_population` and
+        :meth:`rebuild` set an instance up through the same two calls."""
+        self.targets = targets
+        self.engine = self._build_rule_engine()
+
+    def _open_scans(self) -> None:
+        for name in self.source_tables:
+            self._scans[name] = self._make_scan(self.db.catalog.get(name))
 
     def _make_scan(self, table: Table) -> FuzzyScan:
         """Build the population scan of one source table.
@@ -641,57 +691,62 @@ class Transformation:
             pass
         self._lazy_hook = None
 
-    def _source_scan(self, name: str) -> FuzzyScan:
-        """The population scan of one source table (for subclasses);
-        see :meth:`_make_scan`."""
-        return self._scans[name]
+    def _population_step(self, budget: int) -> Tuple[int, bool]:
+        """Do up to ``budget`` population units; return (units, finished).
 
-    def _lazy_population_step(self, budget: int) -> Tuple[int, bool]:
-        """Background-sweeper drain: migrate up to ``budget`` unmigrated
-        rows through the engine's per-record path.
-
-        The same ``step`` budget that throttles eager population
-        throttles the sweeper, so supervisor priority escalation applies
-        unchanged.  Finished when every source scan's cursor has met the
-        end of its rowid list (access-triggered migrations are
-        ``claim``-ed and skipped by the cursor, never double-applied).
+        One unit is one scanned source row, handed to the engine's
+        :meth:`RuleEngine.migrate_row` (under the loop's own name for
+        it, ``populate_row``) with the LSN of its last logged
+        operation (the initial-image state identifier).  The sources are
+        drained in :attr:`source_tables` order, each to exhaustion before
+        the next.  Lazy mode is this very loop as the background
+        sweeper: its scans skip what the miss hook claimed, and the
+        ``step`` budget that throttles eager population throttles the
+        drain, so supervisor priority escalation applies unchanged.
         """
-        from repro.obs.blame import ROLE_SWEEPER
+        assert self.engine is not None
+        migrate = self.engine.populate_row
+        sweeping = self._lazy_hook is not None
         units = 0
         # Blame: while the drain runs, anything held under the transform
         # id is the sweeper's doing, not generic population.
-        with self.metrics.blame.role(self.transform_id, ROLE_SWEEPER):
-            for name in self.source_tables:
-                sweeper = self._scans[name]
-                while units < budget:
-                    chunk = sweeper.next_chunk(budget - units)
-                    if not chunk:
-                        break
-                    for row in chunk:
-                        self._migrate_row(name, row)
-                    units += len(chunk)
-                    self.stats["lazy_sweep_rows"] += len(chunk)
-        finished = all(self._scans[name].exhausted
-                       for name in self.source_tables)
-        return units, finished
+        with self.metrics.blame.role(self.transform_id, ROLE_SWEEPER) \
+                if sweeping else nullcontext():
+            for name, scan in self._scans.items():
+                while units < budget and not scan.exhausted:
+                    # The chunk stays unnamed so it is freed before the
+                    # next one is snapshotted: keeping two alive read
+                    # 0.51 s against 0.42 s on a 50k-row split.
+                    for row in scan.next_chunk(budget - units):
+                        migrate(name, row.values, row.lsn)
+                        units += 1
+        if sweeping:
+            self.stats["lazy_sweep_rows"] += units
+            self.metrics.inc("tf.lazy.swept", units)
+        return units, all(scan.exhausted for scan in self._scans.values())
 
-    def _migrate_row(self, table_name: str, row, on_miss: bool = False
-                     ) -> None:
-        """Migrate one source-row snapshot through the engine.
+    @classmethod
+    def rebuild(cls, db: Database, record: TransformSwapRecord
+                ) -> Tuple[Dict[str, Table], RuleEngine]:
+        """Restart recovery's swap-point rebuild, for every kind.
 
-        Shared by the sweeper loop and the access-miss hook.  The
-        engine's :meth:`RuleEngine.migrate_row` is idempotent and built
-        from the propagation rules' primitives, so replaying the log
-        tail over an already-migrated row converges exactly as it does
-        over an eager fuzzy-scan image.
+        At the swap's log position the recovered source tables are
+        action-consistent with what was published, so the published
+        tables are recomputed by the operator's own population code: an
+        instance replayed from the swap record's params, detached
+        targets from :meth:`target_tables`, wired and scanned by the
+        same :meth:`_wire` / :meth:`_open_scans` preparation and
+        population begin use, and the sources fed through
+        :meth:`_population_step`.  The instance is never stepped; it
+        exists to run that code.  Returns the targets and the engine,
+        which recovery keeps feeding post-swap log records.
         """
-        assert self.engine is not None
-        self.engine.migrate_row(table_name, dict(row.values), row.lsn)
-        if on_miss:
-            self.stats["lazy_miss_migrations"] += 1
-            self.metrics.inc("tf.lazy.miss")
-        else:
-            self.metrics.inc("tf.lazy.swept")
+        tf = cls(db, options=TransformOptions(
+            transform_id=record.transform_id), **record.params)
+        tf._wire(cls.target_tables(db, tf.spec, detached=True))
+        tf._open_scans()
+        tf._population_step(sys.maxsize)
+        return tf.targets, tf.engine
 
     # ------------------------------------------------------------------
     # Phase 3: log propagation
@@ -939,10 +994,7 @@ class Transformation:
             # operator's population step is offered N x budget and the
             # step is charged the per-shard share.
             shards = self.options.shards
-            populate = self._lazy_population_step \
-                if self.options.population_mode == "lazy" \
-                else self._population_step
-            units, finished = populate(budget * shards)
+            units, finished = self._population_step(budget * shards)
             self.stats["population_units"] += units
             self.metrics.inc("tf.units." + Phase.POPULATING.value, units)
             if finished:

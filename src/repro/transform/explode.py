@@ -29,14 +29,13 @@ row", with no counter machinery needed.
 
 Because one source key owns its whole sibling group and nothing else,
 records route by source key under hash-sharded propagation, and
-:meth:`ExplodeRuleEngine.migrate_row` gives lazy (migrate-on-read)
-population the same idempotent upsert that eager population streams
-through.
+:meth:`ExplodeRuleEngine.migrate_row` is an idempotent upsert that
+serves eager and lazy (migrate-on-read) population alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.engine.database import Database
 from repro.relational.spec import ExplodeSpec
@@ -54,48 +53,6 @@ from repro.wal.records import (
 #: Index on the target's source-key columns: the rules look up a source
 #: row's whole sibling group ("children") without scanning the target.
 PARENT_INDEX = "__explode_parent__"
-
-
-def build_explode_table(spec: ExplodeSpec) -> Table:
-    """Build a detached, empty exploded table (recovery helper)."""
-    table = Table(spec.target_schema())
-    table.create_index(PARENT_INDEX, spec.source_key)
-    return table
-
-
-def create_explode_target(db: Database, spec: ExplodeSpec,
-                          transient: bool = True) -> Dict[str, Table]:
-    """Preparation step: create the exploded table and its parent index."""
-    target = db.create_table(spec.target_schema(), transient=transient)
-    target.create_index(PARENT_INDEX, spec.source_key)
-    return {spec.target_name: target}
-
-
-def upsert_exploded_row(target: Table, spec: ExplodeSpec,
-                        values: Dict[str, object], lsn: int) -> List[Tuple]:
-    """Insert one source row's children if absent (population upsert).
-
-    Shared by eager population and :meth:`ExplodeRuleEngine.migrate_row`;
-    idempotent, and children are stamped with the source row's LSN so the
-    propagation rules guard later replay exactly as over an eager image.
-    """
-    touched: List[Tuple] = []
-    for element in spec.elements(values):
-        key = spec.child_key(values, element)
-        if target.get(key) is None:
-            target.insert_row(spec.child_values(values, element), lsn=lsn)
-            touched.append(key)
-    return touched
-
-
-def populate_explode_target(target: Table, spec: ExplodeSpec,
-                            rows: List[Dict[str, object]],
-                            lsns: Optional[List[int]] = None) -> None:
-    """Insert the explosion of a row buffer (rebuild/baseline helper)."""
-    if lsns is None:
-        lsns = [0] * len(rows)
-    for values, lsn in zip(rows, lsns):
-        upsert_exploded_row(target, spec, values, lsn)
 
 
 class ExplodeRuleEngine(RuleEngine):
@@ -218,16 +175,21 @@ class ExplodeRuleEngine(RuleEngine):
                     self.spec.child_values(base, element), lsn=lsn)
                 touched.append((self.target, key))
 
-    # -- lazy (migrate-on-read) population -----------------------------------
+    # -- population -----------------------------------------------------------
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
-        """Migrate one source-row snapshot into its sibling group."""
-        if table_name != self.spec.source_name:
-            return []
-        keys = upsert_exploded_row(self.target, self.spec, dict(values),
-                                   lsn)
-        return [(self.target, key) for key in keys]
+                    lsn: int = NULL_LSN) -> None:
+        """Insert one source row's children if absent.
+
+        Idempotent, and children are stamped with the source row's LSN
+        so the propagation rules guard later replay exactly as over an
+        eager image.
+        """
+        spec, target = self.spec, self.target
+        for element in spec.elements(values):
+            if target.get(spec.child_key(values, element)) is None:
+                target.insert_row(spec.child_values(values, element),
+                                  lsn=lsn)
 
     # -- lock mapping (synchronization support) -------------------------------
 
@@ -263,32 +225,16 @@ class ExplodeTransformation(Transformation):
     """
 
     kind = "explode"
-
-    def __init__(self, db: Database, spec: ExplodeSpec, **kwargs) -> None:
-        super().__init__(db, **kwargs)
-        self.spec = spec
+    engine_class = ExplodeRuleEngine
 
     @property
     def source_tables(self) -> Tuple[str, ...]:
         return (self.spec.source_name,)
 
-    def _create_targets(self) -> Dict[str, Table]:
-        return create_explode_target(self.db, self.spec)
-
-    def _build_rule_engine(self) -> ExplodeRuleEngine:
-        return ExplodeRuleEngine(self.db, self.spec,
-                                 self.targets[self.spec.target_name])
-
-    def _swap_params(self) -> Dict[str, object]:
-        return {"spec": self.spec}
-
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        units = 0
-        target = self.targets[self.spec.target_name]
-        scan = self._source_scan(self.spec.source_name)
-        while units < budget and not scan.exhausted:
-            for row in scan.next_chunk(budget - units):
-                upsert_exploded_row(target, self.spec, dict(row.values),
-                                    row.lsn)
-                units += 1
-        return units, scan.exhausted
+    @classmethod
+    def target_tables(cls, db: Database, spec: ExplodeSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """The exploded table and its parent index."""
+        target = cls._new_table(db, spec.target_schema(), detached)
+        target.create_index(PARENT_INDEX, spec.source_key)
+        return {spec.target_name: target}

@@ -48,64 +48,102 @@ JOIN_INDEX = "__join__"
 SKEY_INDEX = "__skey__"
 
 
-def add_foj_indexes(table: Table, spec: FojSpec) -> None:
-    """Create T's rule-lookup indexes (join index + S-key index)."""
-    table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
-    if tuple(spec.s_key) != (spec.join_column,):
-        table.create_index(SKEY_INDEX, spec.s_key, unique=False)
+class FojHashJoin:
+    """The streamed full outer hash join of two source scans into T.
 
+    The FOJ's initial population, and its only copy: the online
+    transformation steps it under its budget, restart's swap-point
+    rebuild and the blocking baseline drive it to the end in one call.
+    It beats feeding the same rows one by one through
+    :meth:`FojRuleEngine.migrate_row` (which lazy population, needing
+    row-granular claims, still does) because a build/probe pass makes no
+    index lookups in T.
 
-def build_foj_table(spec: FojSpec) -> Table:
-    """Build a detached, indexed, empty T (recovery/baseline helper)."""
-    table = Table(spec.target_schema())
-    add_foj_indexes(table, spec)
-    return table
-
-
-def create_foj_target(db: Database, spec: FojSpec,
-                      transient: bool = True) -> Table:
-    """Preparation step: create T and the rule-lookup indexes."""
-    table = db.create_table(spec.target_schema(), transient=transient)
-    add_foj_indexes(table, spec)
-    return table
-
-
-def populate_foj_target(target: Table, spec: FojSpec,
-                        r_rows: List[Dict[str, object]],
-                        s_rows: List[Dict[str, object]]) -> None:
-    """Insert the full outer join of two row buffers into ``target``.
-
-    Used by recovery's swap-point rebuild and by the blocking baseline;
-    the online transformation streams the same logic through
-    :meth:`FojTransformation._population_step`.
+    Order: drain the S scan into a join-value hash, drain the R scan
+    into a buffer, stream the buffer through the hash inserting joined
+    rows, then insert ``t^null_x`` rows for unmatched S records.  One
+    unit is one row scanned, or one R row or leftover S row placed.
     """
-    s_by_join: Dict[object, List[Dict[str, object]]] = {}
-    for s in s_rows:
-        value = s.get(spec.join_attr_s)
-        s_by_join.setdefault(value, []).append(s)
-    matched = set()
-    for r in r_rows:
-        value = r.get(spec.join_attr_r)
-        matches = s_by_join.get(value, []) if value is not None else []
-        if matches:
-            matched.add(value)
-            for s in matches:
+
+    def __init__(self, target: Table, spec: FojSpec, r_scan, s_scan) -> None:
+        self.target = target
+        self.spec = spec
+        self.r_scan = r_scan
+        self.s_scan = s_scan
+        self._s_by_join: Dict[object, List[Dict[str, object]]] = {}
+        self._matched_joins: set = set()
+        self._r_buffer: List[Dict[str, object]] = []
+        self._r_pos = 0
+        self._leftover: Optional[List[Tuple[object, Dict[str, object]]]] = \
+            None
+        self._leftover_pos = 0
+
+    def step(self, budget: int) -> Tuple[int, bool]:
+        """Do up to ``budget`` units of the join; (units, finished)."""
+        units = 0
+        spec, target = self.spec, self.target
+        s_scan = self.s_scan
+        while units < budget and not s_scan.exhausted:
+            for row in s_scan.next_chunk(budget - units):
+                values = row.values
+                self._s_by_join.setdefault(
+                    values.get(spec.join_attr_s), []).append(values)
+                units += 1
+        if not s_scan.exhausted:
+            return units, False
+
+        r_scan = self.r_scan
+        while units < budget and not r_scan.exhausted:
+            for row in r_scan.next_chunk(budget - units):
+                self._r_buffer.append(row.values)
+                units += 1
+        if not r_scan.exhausted:
+            return units, False
+
+        while units < budget and self._r_pos < len(self._r_buffer):
+            r = self._r_buffer[self._r_pos]
+            self._r_pos += 1
+            units += 1
+            value = r.get(spec.join_attr_r)
+            matches = self._s_by_join.get(value, []) \
+                if value is not None else []
+            if matches:
+                self._matched_joins.add(value)
+                for s in matches:
+                    row = spec.r_part(r)
+                    row.update(spec.s_part(s))
+                    target.insert_row(row, meta={"r_null": False,
+                                                 "s_null": False})
+            else:
                 row = spec.r_part(r)
-                row.update(spec.s_part(s))
+                row.update(spec.null_s_part())
                 target.insert_row(row, meta={"r_null": False,
-                                             "s_null": False})
-        else:
-            row = spec.r_part(r)
-            row.update(spec.null_s_part())
-            target.insert_row(row, meta={"r_null": False, "s_null": True})
-    for value, group in s_by_join.items():
-        if value is not None and value in matched:
-            continue
-        for s in group:
+                                             "s_null": True})
+        if self._r_pos < len(self._r_buffer):
+            return units, False
+
+        if self._leftover is None:
+            self._leftover = [
+                (value, s)
+                for value, group in self._s_by_join.items()
+                if value is None or value not in self._matched_joins
+                for s in group
+            ]
+        while units < budget and self._leftover_pos < len(self._leftover):
+            value, s = self._leftover[self._leftover_pos]
+            self._leftover_pos += 1
+            units += 1
             row = spec.null_r_part()
             row[spec.join_column] = value
             row.update(spec.s_part(s))
             target.insert_row(row, meta={"r_null": True, "s_null": False})
+        finished = self._leftover_pos >= len(self._leftover)
+        if finished:
+            # Free the population buffers.
+            self._s_by_join = {}
+            self._r_buffer = []
+            self._leftover = []
+        return units, finished
 
 
 class FojRuleEngine(RuleEngine):
@@ -453,8 +491,9 @@ class FojRuleEngine(RuleEngine):
     supports_lazy = True
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
-        """Migrate one source-row snapshot into T (lazy population).
+                    lsn: int = NULL_LSN) -> None:
+        """Migrate one source-row snapshot into T (lazy population; eager
+        population streams :class:`FojHashJoin` instead).
 
         Reuses the state-driven tails of Rules 1 and 2, so a migrated
         record is indistinguishable from one the eager fuzzy scan would
@@ -462,41 +501,32 @@ class FojRuleEngine(RuleEngine):
         (Theorem 1).  The ``lsn`` is ignored like everywhere else in the
         FOJ rules -- a joined row has no single valid state identifier.
         """
-        touched: List[Tuple[Table, Tuple]] = []
+        touched: List[Tuple[Table, Tuple]] = []  # the rules' out-param
         spec = self.spec
         if table_name == spec.r_name:
             key = tuple(values.get(a) for a in spec.r_key)
-            if self.t.get(key) is not None:
-                return touched  # already migrated or replayed
-            self._attach_r_part(spec.r_part(values),
-                                values.get(spec.join_attr_r), touched)
+            if self.t.get(key) is None:  # else: migrated or replayed
+                self._attach_r_part(spec.r_part(values),
+                                    values.get(spec.join_attr_r), touched)
         elif table_name == spec.s_name:
             join_value = values.get(spec.join_attr_s)
             s_part = spec.s_part(values)
-            if join_value is None:
-                # Pre-existing NULL-join S rows join with rnull, exactly
-                # as the eager scan's leftover pass inserts them (Rule 2
-                # itself rejects NULL joins for *live* inserts).
-                row = spec.null_r_part()
-                row[spec.join_column] = None
-                row.update(s_part)
-                self._touch(touched, self._insert_t(row, True, False))
-                return touched
             # Rule 2's state-driven tail: fill every snull carrier of the
             # join value; insert t^null_x when nothing carries it.  An
             # already-attached S part leaves both branches idle.
+            # Pre-existing NULL-join S rows match nothing and join with
+            # rnull, exactly as the eager join's leftover pass inserts
+            # them (Rule 2 itself rejects NULL joins for *live* inserts).
             rows = self._rows_with_join(join_value)
             for row in rows:
                 if row.meta.get("s_null"):
                     self.t.update_rowid(row.rowid, s_part)
                     row.meta["s_null"] = False
-                    self._touch(touched, row)
             if not rows:
                 t_values = spec.null_r_part()
                 t_values[spec.join_column] = join_value
                 t_values.update(s_part)
-                self._touch(touched, self._insert_t(t_values, True, False))
-        return touched
+                self._insert_t(t_values, True, False)
 
     def migration_partners(self, table_name: str,
                            values: Dict[str, object]
@@ -565,106 +595,43 @@ class FojTransformation(Transformation):
     """
 
     kind = "foj"
+    engine_class = FojRuleEngine
+
+    #: The eager population's join state, once population has begun.
+    _join: Optional[FojHashJoin] = None
 
     def __init__(self, db: Database, spec: FojSpec, **kwargs) -> None:
         if spec.many_to_many:
             raise TransformationError(
                 "use Many2ManyFojTransformation for many-to-many joins")
-        super().__init__(db, **kwargs)
-        self.spec = spec
-        # Population streaming state.
-        self._s_by_join: Dict[object, List[Dict[str, object]]] = {}
-        self._matched_joins: set = set()
-        self._r_buffer: List[Dict[str, object]] = []
-        self._r_pos = 0
-        self._leftover: Optional[List[Tuple[object, Dict[str, object]]]] = \
-            None
-        self._leftover_pos = 0
+        super().__init__(db, spec, **kwargs)
 
     @property
     def source_tables(self) -> Tuple[str, ...]:
         return (self.spec.r_name, self.spec.s_name)
 
-    def _create_targets(self) -> Dict[str, Table]:
-        return {self.spec.target_name: create_foj_target(self.db, self.spec)}
-
-    def _build_rule_engine(self) -> FojRuleEngine:
-        return FojRuleEngine(self.db, self.spec,
-                             self.targets[self.spec.target_name])
-
-    def _swap_params(self) -> Dict[str, object]:
-        return {"spec": self.spec}
-
-    # -- initial population (streamed) ----------------------------------------
+    @classmethod
+    def target_tables(cls, db: Database, spec: FojSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """T with its rule-lookup indexes (join index + S-key index)."""
+        table = cls._new_table(db, spec.target_schema(), detached)
+        table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
+        if tuple(spec.s_key) != (spec.join_column,):
+            table.create_index(SKEY_INDEX, spec.s_key, unique=False)
+        return {spec.target_name: table}
 
     def _population_step(self, budget: int) -> Tuple[int, bool]:
-        """Stream the fuzzy scans through the join into T.
+        """Stream the fuzzy scans through :class:`FojHashJoin` into T.
 
-        Order: drain the S scan into a join-value hash, drain the R scan
-        into a buffer, stream the buffer through the hash inserting joined
-        rows, then insert ``t^null_x`` rows for unmatched S records.
+        The operator's choice, not an option: the join is the cheaper
+        way to place the same rows whenever the scans may be read in
+        bulk.  Lazy population may not (the miss hook claims single
+        rows), so it keeps the per-record path.
         """
-        units = 0
-        target = self.targets[self.spec.target_name]
-        s_scan = self._source_scan(self.spec.s_name)
-        while units < budget and not s_scan.exhausted:
-            for row in s_scan.next_chunk(budget - units):
-                values = row.values
-                self._s_by_join.setdefault(
-                    values.get(self.spec.join_attr_s), []).append(values)
-                units += 1
-        if not s_scan.exhausted:
-            return units, False
-
-        r_scan = self._source_scan(self.spec.r_name)
-        while units < budget and not r_scan.exhausted:
-            for row in r_scan.next_chunk(budget - units):
-                self._r_buffer.append(row.values)
-                units += 1
-        if not r_scan.exhausted:
-            return units, False
-
-        while units < budget and self._r_pos < len(self._r_buffer):
-            r = self._r_buffer[self._r_pos]
-            self._r_pos += 1
-            units += 1
-            value = r.get(self.spec.join_attr_r)
-            matches = self._s_by_join.get(value, []) \
-                if value is not None else []
-            if matches:
-                self._matched_joins.add(value)
-                for s in matches:
-                    row = self.spec.r_part(r)
-                    row.update(self.spec.s_part(s))
-                    target.insert_row(row, meta={"r_null": False,
-                                                 "s_null": False})
-            else:
-                row = self.spec.r_part(r)
-                row.update(self.spec.null_s_part())
-                target.insert_row(row, meta={"r_null": False,
-                                             "s_null": True})
-        if self._r_pos < len(self._r_buffer):
-            return units, False
-
-        if self._leftover is None:
-            self._leftover = [
-                (value, s)
-                for value, group in self._s_by_join.items()
-                if value is None or value not in self._matched_joins
-                for s in group
-            ]
-        while units < budget and self._leftover_pos < len(self._leftover):
-            value, s = self._leftover[self._leftover_pos]
-            self._leftover_pos += 1
-            units += 1
-            row = self.spec.null_r_part()
-            row[self.spec.join_column] = value
-            row.update(self.spec.s_part(s))
-            target.insert_row(row, meta={"r_null": True, "s_null": False})
-        finished = self._leftover_pos >= len(self._leftover)
-        if finished:
-            # Free the population buffers.
-            self._s_by_join = {}
-            self._r_buffer = []
-            self._leftover = []
-        return units, finished
+        if self._lazy_hook is not None:
+            return super()._population_step(budget)
+        if self._join is None:
+            self._join = FojHashJoin(
+                self.targets[self.spec.target_name], self.spec,
+                self._scans[self.spec.r_name], self._scans[self.spec.s_name])
+        return self._join.step(budget)

@@ -27,14 +27,14 @@ the deviation in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import SchemaError, TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine
+from repro.transform.base import RuleEngine, Transformation
 from repro.transform.foj import JOIN_INDEX, SKEY_INDEX, FojTransformation
 from repro.wal.records import (
     DeleteRecord,
@@ -46,38 +46,6 @@ from repro.wal.records import (
 #: Non-unique index over the R-identifying attributes of T (needed because
 #: T's primary key is the R-key + S-key concatenation).
 RKEY_INDEX = "__rkey__"
-
-
-def add_m2m_indexes(table: Table, spec: FojSpec) -> None:
-    """Create the many-to-many target's three lookup indexes."""
-    table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
-    table.create_index(SKEY_INDEX, spec.s_key, unique=False)
-    table.create_index(RKEY_INDEX, spec.r_key, unique=False)
-
-
-def _check_m2m_spec(spec: FojSpec) -> None:
-    if tuple(spec.s_key) == (spec.join_column,):
-        raise SchemaError(
-            "a many-to-many join requires S's identifying attributes to "
-            "differ from the join attribute (a unique join attribute is "
-            "the one-to-many case)")
-
-
-def build_m2m_table(spec: FojSpec) -> Table:
-    """Build a detached, indexed, empty m2m target (recovery helper)."""
-    _check_m2m_spec(spec)
-    table = Table(spec.target_schema())
-    add_m2m_indexes(table, spec)
-    return table
-
-
-def create_m2m_target(db: Database, spec: FojSpec,
-                      transient: bool = True) -> Table:
-    """Preparation step for the many-to-many join target."""
-    _check_m2m_spec(spec)
-    table = db.create_table(spec.target_schema(), transient=transient)
-    add_m2m_indexes(table, spec)
-    return table
 
 
 class Many2ManyFojRuleEngine(RuleEngine):
@@ -369,24 +337,26 @@ class Many2ManyFojTransformation(FojTransformation):
     """
 
     kind = "foj_m2m"
+    engine_class = Many2ManyFojRuleEngine
 
     def __init__(self, db: Database, spec: FojSpec, **kwargs) -> None:
         if not spec.many_to_many:
             raise TransformationError(
                 "spec must be derived with many_to_many=True")
-        # Bypass FojTransformation's one-to-many guard.
-        super(FojTransformation, self).__init__(db, **kwargs)
-        self.spec = spec
-        self._s_by_join = {}
-        self._matched_joins = set()
-        self._r_buffer = []
-        self._r_pos = 0
-        self._leftover = None
-        self._leftover_pos = 0
+        # Past FojTransformation's one-to-many guard.
+        Transformation.__init__(self, db, spec, **kwargs)
 
-    def _create_targets(self) -> Dict[str, Table]:
-        return {self.spec.target_name: create_m2m_target(self.db, self.spec)}
-
-    def _build_rule_engine(self) -> Many2ManyFojRuleEngine:
-        return Many2ManyFojRuleEngine(self.db, self.spec,
-                                      self.targets[self.spec.target_name])
+    @classmethod
+    def target_tables(cls, db: Database, spec: FojSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """T with its three lookup indexes (join, S-key, R-key)."""
+        if tuple(spec.s_key) == (spec.join_column,):
+            raise SchemaError(
+                "a many-to-many join requires S's identifying attributes "
+                "to differ from the join attribute (a unique join attribute "
+                "is the one-to-many case)")
+        table = cls._new_table(db, spec.target_schema(), detached)
+        table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
+        table.create_index(SKEY_INDEX, spec.s_key, unique=False)
+        table.create_index(RKEY_INDEX, spec.r_key, unique=False)
+        return {spec.target_name: table}

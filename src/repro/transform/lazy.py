@@ -8,8 +8,8 @@ starts empty and two producers fill it:
   read or update of a source record whose rowid is not yet migrated
   transforms exactly that record (and its join partners) through the
   operator's idempotent rule engine, inside the accessing transaction;
-* the **background sweeper**
-  (:meth:`~repro.transform.base.Transformation._lazy_population_step`),
+* the **background sweeper** -- the ordinary population step
+  (:meth:`~repro.transform.base.Transformation._population_step`),
   driven by the ordinary step budget, which drains everything nobody
   touches through the source tables' population scans
   (:class:`~repro.engine.fuzzy.FuzzyScan`) until their cursors meet the
@@ -75,7 +75,7 @@ class LazyMigrator:
 
     def _migrate_key(self, db, table_name: str, key: Tuple) -> None:
         tf = self.tf
-        scan = tf._source_scan(table_name)
+        scan = tf._scans[table_name]
         table = db.catalog.get(table_name)
         row = table.get(key)
         if row is None:
@@ -87,14 +87,15 @@ class LazyMigrator:
         try:
             tf.faults.fire(SITE_LAZY_MISS, transform=tf.transform_id,
                            table=table_name)
-            tf._migrate_row(table_name, row.snapshot(), on_miss=True)
+            tf.engine.migrate_row(table_name, dict(row.values), row.lsn)
         except BaseException:
             # Leave the rowid unclaimed so the sweeper still migrates it.
             scan.unclaim(row.rowid)
             raise
+        tf.stats["lazy_miss_migrations"] += 1
+        tf.metrics.inc("tf.lazy.miss")
         # Pull the record's join partners across too, so the accessing
         # transaction finds a complete target-side image.
-        engine = tf.engine
         for partner_table, partner_key in \
-                engine.migration_partners(table_name, dict(row.values)):
+                tf.engine.migration_partners(table_name, row.values):
             self._migrate_key(db, partner_table, tuple(partner_key))

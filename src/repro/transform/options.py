@@ -2,9 +2,7 @@
 
 :class:`TransformOptions` is the single, immutable bag of knobs accepted
 by :class:`~repro.transform.base.Transformation` (and hence the FOJ and
-split transformations), by
-:class:`~repro.transform.supervisor.TransformationSupervisor`, and by the
-simulator's scenario builders.  It replaces the per-call kwargs that used
+split transformations) and by the simulator's scenario builders.  It replaces the per-call kwargs that used
 to be scattered across constructors (``sync_strategy=``, ``shards=``,
 ``population_chunk=``, ...), which have been removed from the API.
 
@@ -16,7 +14,7 @@ enum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -161,22 +159,3 @@ class TransformOptions:
     def evolve(self, **changes: object) -> "TransformOptions":
         """Return a copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)
-
-    @classmethod
-    def field_names(cls) -> tuple:
-        """The option names, in declaration order (for shims/tests)."""
-        return tuple(f.name for f in fields(cls))
-
-
-def non_default_fields(options: TransformOptions) -> dict:
-    """Fields of ``options`` that differ from the defaults, as a dict.
-
-    The supervisor uses this to *merge* its override options over each
-    attempt's factory-built configuration: only knobs the caller
-    explicitly moved off their defaults win; everything else keeps the
-    factory's setting.
-    """
-    defaults = TransformOptions()
-    return {f.name: getattr(options, f.name)
-            for f in fields(TransformOptions)
-            if getattr(options, f.name) != getattr(defaults, f.name)}

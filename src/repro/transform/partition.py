@@ -42,6 +42,7 @@ from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 from repro.transform.base import RuleEngine, Transformation
 from repro.wal.records import (
+    NULL_LSN,
     DeleteRecord,
     InsertRecord,
     LogRecord,
@@ -250,6 +251,13 @@ class PartitionRuleEngine(RuleEngine):
                                 else side, change.key))
         return touched
 
+    def migrate_row(self, table_name: str, values: Dict[str, object],
+                    lsn: int = NULL_LSN) -> None:
+        """Insert one source row on the side the predicate chooses, unless
+        its key already lives on either side."""
+        if self._find(self.a.schema.key_of(values))[1] is None:
+            self._side_for(values).insert_row(values, lsn=lsn)
+
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
         if table_name != self.spec.source_name:
@@ -280,44 +288,20 @@ class PartitionTransformation(Transformation):
     """
 
     kind = "partition"
-
-    def __init__(self, db: Database, spec: PartitionSpec, **kwargs) -> None:
-        super().__init__(db, **kwargs)
-        self.spec = spec
+    engine_class = PartitionRuleEngine
 
     @property
     def source_tables(self) -> Tuple[str, ...]:
         return (self.spec.source_name,)
 
-    def _create_targets(self) -> Dict[str, Table]:
-        source_schema = self.db.catalog.get(self.spec.source_name).schema
-        a = self.db.create_table(source_schema.rename(self.spec.a_name),
-                                 transient=True)
-        b = self.db.create_table(source_schema.rename(self.spec.b_name),
-                                 transient=True)
-        return {self.spec.a_name: a, self.spec.b_name: b}
-
-    def _build_rule_engine(self) -> PartitionRuleEngine:
-        return PartitionRuleEngine(self.db, self.spec,
-                                   self.targets[self.spec.a_name],
-                                   self.targets[self.spec.b_name])
-
-    def _swap_params(self) -> Dict[str, object]:
-        return {"spec": self.spec}
-
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        units = 0
-        scan = self._source_scan(self.spec.source_name)
-        a = self.targets[self.spec.a_name]
-        b = self.targets[self.spec.b_name]
-        while units < budget and not scan.exhausted:
-            for row in scan.next_chunk(budget - units):
-                key = a.schema.key_of(row.values)
-                if a.get(key) is None and b.get(key) is None:
-                    side = a if self.spec.predicate(row.values) else b
-                    side.insert_row(dict(row.values), lsn=row.lsn)
-                units += 1
-        return units, scan.exhausted
+    @classmethod
+    def target_tables(cls, db: Database, spec: PartitionSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """A and B, both with the source's schema."""
+        source_schema = db.catalog.get(spec.source_name).schema
+        return {name: cls._new_table(db, source_schema.rename(name),
+                                     detached)
+                for name in (spec.a_name, spec.b_name)}
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +342,22 @@ class MergeRuleEngine(RuleEngine):
                 touched.append((self.t, change.key))
         return touched
 
+    def migrate_row(self, table_name: str, values: Dict[str, object],
+                    lsn: int = NULL_LSN) -> None:
+        """Insert one source row unless its key is already there.
+
+        Relies on population's scan order -- A to exhaustion, then B --
+        which is why the merge stays eager-only: with A complete, a B
+        row whose key is present means the key is in BOTH sources.  That
+        is no fuzzy artifact (the two scans are disjoint tables) but a
+        genuine precondition violation.
+        """
+        key = self.t.schema.key_of(values)
+        if self.t.get(key) is None:
+            self.t.insert_row(values, lsn=lsn)
+        elif table_name == self.spec.b_name:
+            raise InconsistentDataError((key,))
+
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
         if table_name in self.source_tables:
@@ -381,10 +381,10 @@ class MergeTransformation(Transformation):
     """
 
     kind = "merge"
+    engine_class = MergeRuleEngine
 
     def __init__(self, db: Database, spec: MergeSpec, **kwargs) -> None:
-        super().__init__(db, **kwargs)
-        self.spec = spec
+        super().__init__(db, spec, **kwargs)
         a_schema = db.catalog.get(spec.a_name).schema
         b_schema = db.catalog.get(spec.b_name).schema
         if a_schema.attribute_names != b_schema.attribute_names or \
@@ -392,45 +392,15 @@ class MergeTransformation(Transformation):
             raise SchemaError(
                 f"{spec.a_name!r} and {spec.b_name!r} are not "
                 "union-compatible")
-        self._scan_order = [spec.a_name, spec.b_name]
-        self._scan_index = 0
 
     @property
     def source_tables(self) -> Tuple[str, ...]:
         return (self.spec.a_name, self.spec.b_name)
 
-    def _create_targets(self) -> Dict[str, Table]:
-        schema = self.db.catalog.get(self.spec.a_name).schema
-        target = self.db.create_table(
-            schema.rename(self.spec.target_name), transient=True)
-        return {self.spec.target_name: target}
-
-    def _build_rule_engine(self) -> MergeRuleEngine:
-        return MergeRuleEngine(self.db, self.spec,
-                               self.targets[self.spec.target_name])
-
-    def _swap_params(self) -> Dict[str, object]:
-        return {"spec": self.spec}
-
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        units = 0
-        target = self.targets[self.spec.target_name]
-        while units < budget and self._scan_index < len(self._scan_order):
-            name = self._scan_order[self._scan_index]
-            scan = self._source_scan(name)
-            if scan.exhausted:
-                self._scan_index += 1
-                continue
-            for row in scan.next_chunk(budget - units):
-                key = target.schema.key_of(row.values)
-                existing = target.get(key)
-                if existing is None:
-                    target.insert_row(dict(row.values), lsn=row.lsn)
-                elif self._scan_index == 1:
-                    # Key present in BOTH sources: not a fuzzy artifact
-                    # (the two scans are disjoint tables) but a genuine
-                    # precondition violation.
-                    raise InconsistentDataError((key,))
-                units += 1
-        finished = self._scan_index >= len(self._scan_order)
-        return units, finished
+    @classmethod
+    def target_tables(cls, db: Database, spec: MergeSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """T, with A's schema."""
+        schema = db.catalog.get(spec.a_name).schema
+        return {spec.target_name: cls._new_table(
+            db, schema.rename(spec.target_name), detached)}

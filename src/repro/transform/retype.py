@@ -18,8 +18,8 @@ attached -- rather than silently guessing.
 
 Rows map one-to-one by an unchanged key, so records route by source key
 under hash-sharded propagation, and :meth:`RetypeRuleEngine.migrate_row`
-gives lazy (migrate-on-read) population the same idempotent upsert that
-eager population streams through.
+is an idempotent upsert that serves eager and lazy (migrate-on-read)
+population alike.
 """
 
 from __future__ import annotations
@@ -47,16 +47,6 @@ def _cast_row(spec: RetypeSpec, values: Dict[str, object],
         return spec.retype_row(values)
     except (TypeError, ValueError):
         raise InconsistentDataError(key)
-
-
-def upsert_retyped_row(target: Table, spec: RetypeSpec,
-                       values: Dict[str, object], lsn: int) -> bool:
-    """Insert one source row's retyped image if absent (population)."""
-    key = target.schema.key_of(values)
-    if target.get(key) is not None:
-        return False
-    target.insert_row(_cast_row(spec, values, key), lsn=lsn)
-    return True
 
 
 class RetypeRuleEngine(RuleEngine):
@@ -115,16 +105,15 @@ class RetypeRuleEngine(RuleEngine):
                 touched.append((self.target, key))
         return touched
 
-    # -- lazy (migrate-on-read) population -----------------------------------
+    # -- population -----------------------------------------------------------
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
-        """Migrate one source-row snapshot into the retyped copy."""
-        if table_name != self.spec.source_name:
-            return []
+                    lsn: int = NULL_LSN) -> None:
+        """Insert one source row's retyped image if absent."""
         key = self.target.schema.key_of(values)
-        upsert_retyped_row(self.target, self.spec, dict(values), lsn)
-        return [(self.target, key)]
+        if self.target.get(key) is None:
+            self.target.insert_row(_cast_row(self.spec, values, key),
+                                   lsn=lsn)
 
     # -- lock mapping (synchronization support) -------------------------------
 
@@ -159,35 +148,16 @@ class RetypeTransformation(Transformation):
     """
 
     kind = "retype"
-
-    def __init__(self, db: Database, spec: RetypeSpec, **kwargs) -> None:
-        super().__init__(db, **kwargs)
-        self.spec = spec
+    engine_class = RetypeRuleEngine
 
     @property
     def source_tables(self) -> Tuple[str, ...]:
         return (self.spec.source_name,)
 
-    def _create_targets(self) -> Dict[str, Table]:
-        source_schema = self.db.catalog.get(self.spec.source_name).schema
-        target = self.db.create_table(
-            self.spec.target_schema(source_schema), transient=True)
-        return {self.spec.target_name: target}
-
-    def _build_rule_engine(self) -> RetypeRuleEngine:
-        return RetypeRuleEngine(self.db, self.spec,
-                                self.targets[self.spec.target_name])
-
-    def _swap_params(self) -> Dict[str, object]:
-        return {"spec": self.spec}
-
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        units = 0
-        target = self.targets[self.spec.target_name]
-        scan = self._source_scan(self.spec.source_name)
-        while units < budget and not scan.exhausted:
-            for row in scan.next_chunk(budget - units):
-                upsert_retyped_row(target, self.spec, dict(row.values),
-                                   row.lsn)
-                units += 1
-        return units, scan.exhausted
+    @classmethod
+    def target_tables(cls, db: Database, spec: RetypeSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """A same-keyed copy of the source with the column retyped."""
+        source_schema = db.catalog.get(spec.source_name).schema
+        return {spec.target_name: cls._new_table(
+            db, spec.target_schema(source_schema), detached)}

@@ -30,7 +30,7 @@ paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.common.errors import (
     InconsistentDataError,
@@ -58,59 +58,6 @@ SOURCE_SPLIT_INDEX = "__split__"
 
 FLAG_CONSISTENT = "C"
 FLAG_UNKNOWN = "U"
-
-
-def build_split_tables(spec: SplitSpec) -> Tuple[Table, Table]:
-    """Build detached, empty R and S (recovery/baseline helper)."""
-    return Table(spec.r_schema()), Table(spec.s_schema())
-
-
-def create_split_targets(db: Database, spec: SplitSpec,
-                         transient: bool = True) -> Dict[str, Table]:
-    """Preparation step: create R and S."""
-    r_table = db.create_table(spec.r_schema(), transient=transient)
-    s_table = db.create_table(spec.s_schema(), transient=transient)
-    return {spec.r_name: r_table, spec.s_name: s_table}
-
-
-def populate_split_targets(r_table: Table, s_table: Table, spec: SplitSpec,
-                           t_rows: List[Dict[str, object]],
-                           lsns: Optional[List[int]] = None) -> None:
-    """Insert the split of a row buffer into R and S (rebuild/baseline).
-
-    ``lsns`` optionally carries the per-row LSNs of the source rows; the
-    record LSN machinery of Rules 8-11 needs them on the initial image.
-    """
-    if lsns is None:
-        lsns = [0] * len(t_rows)
-    for values, lsn in zip(t_rows, lsns):
-        upsert_split_row(r_table, s_table, spec, values, lsn)
-
-
-def upsert_split_row(r_table: Table, s_table: Table, spec: SplitSpec,
-                     t_values: Dict[str, object], lsn: int) -> None:
-    """Insert one source row's R part and merge its S part (population)."""
-    key = tuple(t_values[a] for a in spec.r_key)
-    if r_table.get(key) is not None:
-        return
-    split_value = spec.split_value(t_values)
-    if split_value[0] is None:
-        raise TransformationError(
-            "split transformation requires non-NULL split values "
-            f"(table {spec.source_name!r})")
-    r_table.insert_row(spec.r_part(t_values), lsn=lsn)
-    s_part = spec.s_part(t_values)
-    s_row = s_table.get(split_value)
-    if s_row is None:
-        s_table.insert_row(s_part, lsn=lsn,
-                           meta={"counter": 1, "flag": FLAG_CONSISTENT})
-    else:
-        s_row.meta["counter"] += 1
-        if lsn > s_row.lsn:
-            s_row.lsn = lsn
-        if s_row.values != s_part:
-            # Section 5.3: only records consistent in the fuzzy read keep C.
-            s_row.meta["flag"] = FLAG_UNKNOWN
 
 
 class SplitRuleEngine(RuleEngine):
@@ -381,26 +328,42 @@ class SplitRuleEngine(RuleEngine):
             key=repr,
         )
 
-    # -- lazy population (migrate-on-read) -----------------------------------
+    # -- population -----------------------------------------------------------
 
     supports_lazy = True
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
-        """Migrate one source-row snapshot into R and S (lazy population).
+                    lsn: int = NULL_LSN) -> None:
+        """Insert one source row's R part and merge its S part.
 
-        Delegates to :func:`upsert_split_row`, the same idempotent helper
-        eager population streams through: the R part is inserted once
-        (keyed on T's key), the S part merges via the duplicate counter
-        and the consistency flag, and both sides are stamped with the
-        row's LSN so Rules 8-11 later guard replay exactly as they do
-        over an eager fuzzy-scan image.
+        Idempotent: the R part is inserted once (keyed on T's key); the S
+        part merges via the duplicate counter.  Both sides are stamped
+        with the row's LSN -- the initial-image state identifier of its
+        R part, a contribution to the max-LSN of its S part -- so Rules
+        8-11 guard later replay whatever order the rows arrived in.
         """
-        if table_name != self.spec.source_name:
-            return []
-        key = tuple(values.get(a) for a in self.spec.r_key)
-        upsert_split_row(self.r, self.s, self.spec, values, lsn)
-        return [(self.r, key)]
+        spec, r_table, s_table = self.spec, self.r, self.s
+        if r_table.get(tuple(values[a] for a in spec.r_key)) is not None:
+            return
+        split_value = spec.split_value(values)
+        if split_value[0] is None:
+            raise TransformationError(
+                "split transformation requires non-NULL split values "
+                f"(table {spec.source_name!r})")
+        r_table.insert_row(spec.r_part(values), lsn=lsn)
+        s_part = spec.s_part(values)
+        s_row = s_table.get(split_value)
+        if s_row is None:
+            s_table.insert_row(s_part, lsn=lsn,
+                               meta={"counter": 1, "flag": FLAG_CONSISTENT})
+        else:
+            s_row.meta["counter"] += 1
+            if lsn > s_row.lsn:
+                s_row.lsn = lsn
+            if s_row.values != s_part:
+                # Section 5.3: only records consistent in the fuzzy read
+                # keep C.
+                s_row.meta["flag"] = FLAG_UNKNOWN
 
     # -- lock mapping (synchronization support) ------------------------------------------
 
@@ -470,6 +433,7 @@ class SplitTransformation(Transformation):
     """
 
     kind = "split"
+    engine_class = SplitRuleEngine
 
     def __init__(self, db: Database, spec: SplitSpec,
                  check_consistency: bool = False,
@@ -477,8 +441,7 @@ class SplitTransformation(Transformation):
                  materialize_r: bool = True, **kwargs) -> None:
         if on_inconsistent not in ("raise", "wait"):
             raise ValueError("on_inconsistent must be 'raise' or 'wait'")
-        super().__init__(db, **kwargs)
-        self.spec = spec
+        super().__init__(db, spec, **kwargs)
         self.check_consistency = check_consistency
         self.on_inconsistent = on_inconsistent
         self.materialize_r = materialize_r
@@ -509,9 +472,16 @@ class SplitTransformation(Transformation):
     def source_tables(self) -> Tuple[str, ...]:
         return (self.spec.source_name,)
 
+    @classmethod
+    def target_tables(cls, db: Database, spec: SplitSpec,
+                      detached: bool = False) -> Dict[str, Table]:
+        """R and S."""
+        return {spec.r_name: cls._new_table(db, spec.r_schema(), detached),
+                spec.s_name: cls._new_table(db, spec.s_schema(), detached)}
+
     def _create_targets(self) -> Dict[str, Table]:
         if self.materialize_r:
-            targets = create_split_targets(self.db, self.spec)
+            targets = super()._create_targets()
         else:
             # Alternative strategy: only S is a real target; P lives
             # outside the catalog (it is propagation bookkeeping).
@@ -563,28 +533,6 @@ class SplitTransformation(Transformation):
     def _swap_params(self) -> Dict[str, object]:
         return {"spec": self.spec,
                 "check_consistency": self.check_consistency}
-
-    # -- initial population ---------------------------------------------------
-
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        """Stream the fuzzy scan of T into R and S.
-
-        Each scanned row carries the LSN of its last logged operation,
-        which becomes the initial-image LSN of its R part and contributes
-        to the max-LSN of its S part.
-        """
-        units = 0
-        scan = self._source_scan(self.spec.source_name)
-        assert isinstance(self.engine, SplitRuleEngine)
-        r_table = self.engine.r        # R, or P in rename mode
-        s_table = self.engine.s
-        spec = self.engine.spec
-        while units < budget and not scan.exhausted:
-            for row in scan.next_chunk(budget - units):
-                upsert_split_row(r_table, s_table, spec, row.values,
-                                 row.lsn)
-                units += 1
-        return units, scan.exhausted
 
     # -- consistency checking hooks -----------------------------------------------
 

@@ -35,7 +35,6 @@ from repro.common.errors import (
 from repro.engine.database import Database
 from repro.obs.flight import FlightRecorder, SloMonitor, SloPolicy
 from repro.transform.base import Phase, Transformation
-from repro.transform.options import TransformOptions, non_default_fields
 
 
 class TransformationSupervisor:
@@ -44,8 +43,9 @@ class TransformationSupervisor:
     Args:
         db: The database being transformed (used for bookkeeping only; the
             factory builds transformations bound to it).
-        factory: Zero-argument callable returning a *fresh*
-            :class:`Transformation` for each attempt.  Fresh matters: an
+        factory: Zero-argument callable returning a *fresh*, fully
+            configured :class:`Transformation` for each attempt (the
+            factory alone decides an attempt's options).  Fresh matters: an
             aborted transformation cannot be restarted in place -- the
             paper's abort deletes the transformed tables, so every retry
             re-runs preparation and population.
@@ -61,13 +61,6 @@ class TransformationSupervisor:
         max_steps_per_attempt: Safety net against a wedged attempt.
         on_wait: Optional callback receiving each backoff duration in wait
             units (e.g. ``time.sleep`` or a simulator clock advance).
-        options: When given, merge these
-            :class:`~repro.transform.options.TransformOptions` over each
-            attempt's factory-built configuration before it populates:
-            fields moved off their defaults (shards, batch sizes, sync
-            strategy, ...) override the factory's; defaulted fields keep
-            the factory's setting.  ``None`` leaves the configuration
-            untouched.
         slo: Optional :class:`~repro.obs.flight.SloPolicy`: the driver
             feeds every step's convergence observation (estimated
             remaining records + the stalled flag) and, on retries, a
@@ -90,7 +83,6 @@ class TransformationSupervisor:
                  max_budget: int = 1 << 20,
                  max_steps_per_attempt: int = 1_000_000,
                  on_wait: Optional[Callable[[float], None]] = None,
-                 options: Optional[TransformOptions] = None,
                  slo: Optional[SloPolicy] = None,
                  flight: Optional[FlightRecorder] = None) -> None:
         if max_attempts < 1:
@@ -106,7 +98,6 @@ class TransformationSupervisor:
         self.max_budget = max_budget
         self.max_steps_per_attempt = max_steps_per_attempt
         self.on_wait = on_wait
-        self.options = options
         self.flight = flight
         #: Trips at most once per objective; inspect ``.trips`` after
         #: :meth:`run` (or pass ``flight`` to get them as moments).
@@ -139,15 +130,6 @@ class TransformationSupervisor:
                 self.stats["attempts"] = attempt
                 self.stats["final_budget"] = budget
                 tf = self.factory()
-                if self.options is not None:
-                    # Safe pre-population: the shard map and sync
-                    # executor are only built once the transformation
-                    # starts populating, so an attempt fresh from the
-                    # factory can still be re-configured.  Only knobs
-                    # explicitly moved off their defaults override.
-                    overrides = non_default_fields(self.options)
-                    if overrides:
-                        tf.apply_options(tf.options.evolve(**overrides))
                 span = self.metrics.begin_span(
                     "supervisor.attempt", parent=root,
                     attempt=attempt, budget=budget)

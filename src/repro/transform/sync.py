@@ -32,7 +32,7 @@ reached the transformed tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import TransformationStateError
 from repro.concurrency.locks import LockMode, LockOrigin, record_resource
@@ -111,16 +111,49 @@ def build_sync_executor(tf: Transformation,
 
 
 class _SyncExecutor:
-    """Shared machinery of the three strategies (stepwise state machine)."""
+    """The one handover, as a stepwise state machine.
+
+    Every strategy runs the same sequence: catch up with the log (inside
+    a brief source latch, or chasing the tail unlatched), then -- in the
+    step the catch-up completes -- materialize the old transactions'
+    locks, write the swap record, swap, and let the window go; old
+    transactions still alive keep the executor propagating in the
+    BACKGROUND phase until the last one ends.  The strategies are
+    settings of the class attributes below; blocking commit alone adds
+    states of its own, the block/drain prologue.
+
+    :meth:`step` is the exception-safe window for all of them: whatever
+    dies between taking a latch or block and releasing it -- injected
+    faults included -- goes through :meth:`cleanup` before propagating,
+    so no failure leaks a table latch, parks newcomers forever on a
+    blocked table, or leaves a lock mirror installed.
+    """
+
+    #: Open the window by latching the sources in the first step.  Else
+    #: there is no latch: the version flip chases the log tail with no
+    #: critical section at all; blocking commit opens a window of its
+    #: own kind, a block.
+    latches = True
+    #: Force the old transactions to abort right after the swap.
+    dooms = False
+    #: Keep old transactions running behind a two-way :class:`LockMirror`.
+    mirrors = False
+    #: Install the swap as a versioned catalog write (MVCC epochs).
+    flips = False
+    #: Retire the source tables (else publish the targets next to them).
+    retires = True
 
     def __init__(self, tf: Transformation) -> None:
         self.tf = tf
         self.db: Database = tf.db
         self.metrics = tf.metrics
         self.state = "start"
+        self.mirror: Optional[LockMirror] = None
         #: Units spent while the source tables were latched/blocked -- the
         #: quantity behind the paper's "< 1 ms" synchronization claim.
         self.latched_units = 0
+        #: Whether the latched/blocked critical section is open.
+        self._in_window = False
         self._window_reported = False
         #: Span covering the latched/blocked critical section; batch spans
         #: opened inside the window nest under it via the transformation's
@@ -135,6 +168,82 @@ class _SyncExecutor:
         """The database's fault injector (read dynamically)."""
         return self.tf.faults
 
+    # -- the state machine ------------------------------------------------------
+
+    @property
+    def urgent(self) -> bool:
+        """Whether the executor is inside its latched critical section."""
+        return self.latches and self.state in ("start", "final")
+
+    def step(self, budget: int) -> int:
+        """Advance the synchronization; returns units consumed."""
+        try:
+            return self._advance(budget)
+        except BaseException:
+            self.cleanup()
+            raise
+
+    def _advance(self, budget: int) -> int:
+        if self.state == "start":
+            if self.latches:
+                self._latch_sources()
+                self.state = "final"
+                self._note_latched(1)
+            else:
+                # No latch, no block, no window: go straight to the chase.
+                self.state = "chase"
+            return 1
+        if self.state in ("final", "chase"):
+            return self._hand_over(budget)
+        if self.state == "background":
+            return self._background_step(budget)
+        return 0
+
+    def _hand_over(self, budget: int) -> int:
+        """Catch up with the log; once caught up, swap and hand over.
+
+        From catch-up to the end of the step nothing interleaves: either
+        the sources are latched/blocked, or -- unlatched -- the engine
+        is cooperative and cannot run user operations inside one step,
+        so catch-up completeness still holds at the catalog write.
+        """
+        tf, db = self.tf, self.db
+        units, caught_up = self._final_propagation(budget)
+        if self._in_window:
+            self._note_latched(units)
+        if not caught_up:
+            return max(units, 1)
+        retired = tuple(tf.source_tables) if self.retires else ()
+        old_txns = db.txns.active_on(retired)
+        old_ids = tf._old_txn_ids = {t.txn_id for t in old_txns}
+        self._materialize_locks(old_txns)
+        tf._pre_swap()
+        self._write_swap_record(
+            retired, doomed=sorted(old_ids) if self.dooms else ())
+        if self.flips:
+            self._log_flip(retired, old_ids)
+        swap = db.catalog.flip if self.flips else db.catalog.swap
+        swap(retired, dict(tf.targets), keep_zombies=bool(old_txns))
+        self.faults.fire(SITE_SYNC_SWAPPED, transform=tf.transform_id)
+        if self.dooms:
+            self._doom(old_txns)
+        if self.mirrors and old_txns:
+            self.faults.fire(SITE_SYNC_MIRROR_INSTALL,
+                             transform=tf.transform_id)
+            self.mirror = LockMirror(tf)
+            db.lock_mirrors.append(self.mirror)
+        if self._in_window:
+            self._release_window()
+        if old_txns:
+            tf.phase = Phase.BACKGROUND
+            self.state = "background"
+        else:
+            self._finish()
+        if self.flips:
+            # Reclaim versions and epochs below the surviving pins.
+            db.mvcc.gc()
+        return max(units, 1)
+
     # -- building blocks ------------------------------------------------------
 
     def _source_objects(self) -> List[Table]:
@@ -142,6 +251,7 @@ class _SyncExecutor:
 
     def _open_window(self) -> None:
         """Trace the start of the latched/blocked critical section."""
+        self._in_window = True
         self.metrics.trace("sync.window.open",
                            transform=self.tf.transform_id,
                            strategy=self.tf.options.sync_strategy.value,
@@ -162,7 +272,7 @@ class _SyncExecutor:
                                     ROLE_LATCHED_WINDOW)
         for table in self._source_objects():
             # Engine-level latch entry point, symmetric with
-            # _unlatch_sources below -- both halves of the latched window
+            # _release_window below -- both halves of the latched window
             # go through Database-level bookkeeping.  Tracking each latch
             # as it is taken means cleanup() releases exactly what was
             # acquired even if this loop dies halfway.
@@ -170,20 +280,20 @@ class _SyncExecutor:
             self._latched_tables.append(table)
         self.faults.fire(SITE_SYNC_LATCHED, transform=self.tf.transform_id)
 
-    def _unlatch_sources(self, tables: Sequence[Table]) -> None:
+    def _release_window(self) -> None:
+        """The window's normal exit: drop the source latches."""
         self.faults.fire(SITE_SYNC_UNLATCH, transform=self.tf.transform_id)
-        for table in tables:
-            self.db.unlatch_table(table, self.tf.transform_id)
-            if table in self._latched_tables:
-                self._latched_tables.remove(table)
+        while self._latched_tables:
+            self.db.unlatch_table(self._latched_tables.pop(0),
+                                  self.tf.transform_id)
         self._close_latched_window()
 
     def cleanup(self) -> None:
         """Release every shared-system hold this executor may have.
 
-        Called from the exception-safe window wrappers in :meth:`step` and
-        from :meth:`Transformation.abort`, so no failure path -- injected
-        or organic -- can leak a table latch, a blocked table or an
+        Called from the exception-safe wrapper in :meth:`step` and from
+        :meth:`Transformation.abort`, so no failure path -- injected or
+        organic -- can leak a table latch, a blocked table or an
         installed lock mirror.  Idempotent.
         """
         for table in list(self._latched_tables):
@@ -194,7 +304,7 @@ class _SyncExecutor:
                    if self.db.catalog.is_blocked(name)]
         if blocked:
             self.db.unblock_tables(blocked)
-        self._background_done()
+        self._remove_mirror()
         self._close_latched_window()
 
     def _note_latched(self, units: float) -> None:
@@ -206,6 +316,7 @@ class _SyncExecutor:
 
     def _close_latched_window(self) -> None:
         """Report the finished critical-section window exactly once."""
+        self._in_window = False
         if self._window_reported:
             return
         self._window_reported = True
@@ -230,9 +341,6 @@ class _SyncExecutor:
         units = self.tf._propagate_batch(budget)
         caught_up = self.tf._remaining() == 0
         return units, caught_up
-
-    def _active_source_txns(self) -> List[Transaction]:
-        return self.db.txns.active_on(self.tf.source_tables)
 
     def _materialize_locks(self, txns: Sequence[Transaction]) -> None:
         """Install the maintained locks into the lock manager (Section 3.3:
@@ -268,12 +376,13 @@ class _SyncExecutor:
                         owner, record_resource(target.uid, t_key),
                         mode, LockOrigin.SOURCE_A)
 
-    def _write_swap_record(self, doomed: Sequence[int]) -> None:
+    def _write_swap_record(self, retired: Tuple[str, ...],
+                           doomed: Sequence[int]) -> None:
         self.faults.fire(SITE_SYNC_PRE_SWAP, transform=self.tf.transform_id)
         self.db.log.append(TransformSwapRecord(
             transform_id=self.tf.transform_id,
             transform_kind=self.tf.kind,
-            retired=tuple(self.tf.source_tables),
+            retired=retired,
             published={name: table.schema
                        for name, table in self.tf.targets.items()},
             params=self.tf._swap_params(),
@@ -282,10 +391,36 @@ class _SyncExecutor:
         self.faults.fire(SITE_SYNC_SWAP_LOGGED,
                          transform=self.tf.transform_id)
 
-    def _swap(self, keep_zombies: bool) -> None:
-        self.db.catalog.swap(self.tf.source_tables, dict(self.tf.targets),
-                             keep_zombies=keep_zombies)
-        self.faults.fire(SITE_SYNC_SWAPPED, transform=self.tf.transform_id)
+    def _log_flip(self, retired: Tuple[str, ...], old_ids: Set[int]) -> None:
+        """Log the catalog flip the swap is about to perform."""
+        mvcc = self.db.mvcc
+        assert mvcc is not None, "version_flip requires storage='mvcc'"
+        version = self.db.catalog.version + 1
+        self.faults.fire(SITE_MVCC_FLIP, transform=self.tf.transform_id,
+                         version=version)
+        self.db.log.append(CatalogFlipRecord(
+            transform_id=self.tf.transform_id, version=version,
+            retired=retired, published=tuple(self.tf.targets)))
+        # Writers active on the sources keep writing through the pinned
+        # epoch; everyone else pinned pre-flip is read-only on the old
+        # schema (first-updater-wins on conflict).
+        mvcc.write_through.update(old_ids)
+
+    def _doom(self, old_txns: Sequence[Transaction]) -> None:
+        """Force the old transactions to abort: doom them (their next
+        operation surfaces TransactionAbortedError) and roll them back
+        now so their CLRs and abort records enter the log for the
+        background propagator."""
+        self.faults.fire(SITE_SYNC_DOOM, transform=self.tf.transform_id,
+                         doomed=tuple(sorted(t.txn_id for t in old_txns)))
+        # Each abort used to force its own log flush -- N redundant
+        # flushes inside the latched window.  Coalescing defers them
+        # into one group flush when the window's work is logged.
+        with self.db.log.coalescing():
+            for txn in old_txns:
+                txn.doom(f"aborted by transformation "
+                         f"{self.tf.transform_id} (non-blocking abort)")
+                self.db.abort(txn)
 
     def _finish(self) -> None:
         self.faults.fire(SITE_SYNC_FINISH, transform=self.tf.transform_id)
@@ -310,21 +445,15 @@ class _SyncExecutor:
         old = self.tf._old_txn_ids
         all_finished = all(self.db.txns.get(i).is_finished for i in old)
         if all_finished and caught_up:
-            self._background_done()
+            self._remove_mirror()
             self._finish()
         return units
 
-    def _background_done(self) -> None:
-        """Strategy-specific cleanup before finishing (mirror removal)."""
-
-    @property
-    def urgent(self) -> bool:
-        """Whether the executor is inside its latched critical section."""
-        return self.state in ("start", "final")
-
-    def step(self, budget: int) -> int:
-        """Advance the synchronization; returns units consumed."""
-        raise NotImplementedError
+    def _remove_mirror(self) -> None:
+        if self.mirror is not None and \
+                self.mirror in self.db.lock_mirrors:
+            self.db.lock_mirrors.remove(self.mirror)
+            self.mirror = None
 
 
 class BlockingCommitSync(_SyncExecutor):
@@ -332,8 +461,12 @@ class BlockingCommitSync(_SyncExecutor):
 
     "This method does not follow the non-blocking requirement" -- it exists
     as the paper's own comparison point and is measured by the
-    blocking-baseline benchmark.
+    blocking-baseline benchmark.  Its window is a *block*, taken by a
+    prologue of two states of its own; from ``final`` on it is the
+    common handover.
     """
+
+    latches = False
 
     @property
     def urgent(self) -> bool:
@@ -342,18 +475,7 @@ class BlockingCommitSync(_SyncExecutor):
         # critical section.
         return self.state == "final"
 
-    def step(self, budget: int) -> int:
-        # The whole state machine runs with the source tables blocked from
-        # the first step on; any exception (injected fault included) must
-        # lift the block before propagating, or new transactions would be
-        # parked forever on an abandoned synchronization.
-        try:
-            return self._step_states(budget)
-        except BaseException:
-            self.cleanup()
-            raise
-
-    def _step_states(self, budget: int) -> int:
+    def _advance(self, budget: int) -> int:
         if self.state == "start":
             self.faults.fire(SITE_SYNC_BLOCK, transform=self.tf.transform_id)
             self.db.catalog.block(self.tf.source_tables)
@@ -365,23 +487,19 @@ class BlockingCommitSync(_SyncExecutor):
             return 1
         if self.state == "drain":
             self.faults.fire(SITE_SYNC_DRAIN, transform=self.tf.transform_id)
-            if self._active_source_txns():
+            if self.db.txns.active_on(self.tf.source_tables):
                 return 0  # waiting for old transactions to complete
             self.state = "final"
             self._open_window()
             return 1
-        if self.state == "final":
-            units, caught_up = self._final_propagation(budget)
-            self._note_latched(units)
-            if caught_up:
-                self.tf._pre_swap()
-                self._write_swap_record(doomed=())
-                self._swap(keep_zombies=False)
-                self.db.unblock_tables(self.tf.source_tables)
-                self._close_latched_window()
-                self._finish()
-            return max(units, 1)
-        return 0
+        return super()._advance(budget)
+
+    def _materialize_locks(self, txns: Sequence[Transaction]) -> None:
+        """Nothing to carry over: the drain left no old transaction."""
+
+    def _release_window(self) -> None:
+        self.db.unblock_tables(self.tf.source_tables)
+        self._close_latched_window()
 
 
 class NonBlockingAbortSync(_SyncExecutor):
@@ -393,58 +511,7 @@ class NonBlockingAbortSync(_SyncExecutor):
     are held by the propagator until it processes their abort records.
     """
 
-    def step(self, budget: int) -> int:
-        # Exception-safe latched window: whatever dies between
-        # _latch_sources() and _unlatch_sources() -- injected faults
-        # included -- must never leak a table latch.
-        try:
-            return self._step_states(budget)
-        except BaseException:
-            self.cleanup()
-            raise
-
-    def _step_states(self, budget: int) -> int:
-        if self.state == "start":
-            self._latch_sources()
-            self.state = "final"
-            self._note_latched(1)
-            return 1
-        if self.state == "final":
-            units, caught_up = self._final_propagation(budget)
-            self._note_latched(units)
-            if not caught_up:
-                return max(units, 1)
-            sources = self._source_objects()
-            old_txns = self._active_source_txns()
-            self.tf._old_txn_ids = {t.txn_id for t in old_txns}
-            self._materialize_locks(old_txns)
-            self.tf._pre_swap()
-            self._write_swap_record(doomed=sorted(self.tf._old_txn_ids))
-            self._swap(keep_zombies=bool(old_txns))
-            # Force the old transactions to abort: doom them (their next
-            # operation surfaces TransactionAbortedError) and roll them
-            # back now so their CLRs and abort records enter the log for
-            # the background propagator.
-            self.faults.fire(SITE_SYNC_DOOM, transform=self.tf.transform_id,
-                             doomed=tuple(sorted(self.tf._old_txn_ids)))
-            # Each abort used to force its own log flush -- N redundant
-            # flushes inside the latched window.  Coalescing defers them
-            # into one group flush when the window's work is logged.
-            with self.db.log.coalescing():
-                for txn in old_txns:
-                    txn.doom(f"aborted by transformation "
-                             f"{self.tf.transform_id} (non-blocking abort)")
-                    self.db.abort(txn)
-            self._unlatch_sources(sources)
-            if old_txns:
-                self.tf.phase = Phase.BACKGROUND
-                self.state = "background"
-            else:
-                self._finish()
-            return max(units, 1)
-        if self.state == "background":
-            return self._background_step(budget)
-        return 0
+    dooms = True
 
 
 class NonBlockingCommitSync(_SyncExecutor):
@@ -456,56 +523,7 @@ class NonBlockingCommitSync(_SyncExecutor):
     Figure 2 compatibility matrix on the transformed side.
     """
 
-    def __init__(self, tf: Transformation) -> None:
-        super().__init__(tf)
-        self.mirror: Optional[LockMirror] = None
-
-    def step(self, budget: int) -> int:
-        # Exception-safe latched window (see NonBlockingAbortSync.step).
-        try:
-            return self._step_states(budget)
-        except BaseException:
-            self.cleanup()
-            raise
-
-    def _step_states(self, budget: int) -> int:
-        if self.state == "start":
-            self._latch_sources()
-            self.state = "final"
-            self._note_latched(1)
-            return 1
-        if self.state == "final":
-            units, caught_up = self._final_propagation(budget)
-            self._note_latched(units)
-            if not caught_up:
-                return max(units, 1)
-            sources = self._source_objects()
-            old_txns = self._active_source_txns()
-            self.tf._old_txn_ids = {t.txn_id for t in old_txns}
-            self._materialize_locks(old_txns)
-            self.tf._pre_swap()
-            self._write_swap_record(doomed=())
-            self._swap(keep_zombies=bool(old_txns))
-            if old_txns:
-                self.faults.fire(SITE_SYNC_MIRROR_INSTALL,
-                                 transform=self.tf.transform_id)
-                self.mirror = LockMirror(self.tf)
-                self.db.lock_mirrors.append(self.mirror)
-                self.tf.phase = Phase.BACKGROUND
-                self.state = "background"
-            self._unlatch_sources(sources)
-            if not old_txns:
-                self._finish()
-            return max(units, 1)
-        if self.state == "background":
-            return self._background_step(budget)
-        return 0
-
-    def _background_done(self) -> None:
-        if self.mirror is not None and \
-                self.mirror in self.db.lock_mirrors:
-            self.db.lock_mirrors.remove(self.mirror)
-            self.mirror = None
+    mirrors = True
 
 
 class VersionFlipSync(NonBlockingCommitSync):
@@ -523,7 +541,8 @@ class VersionFlipSync(NonBlockingCommitSync):
     one ``step()``.  There is no latched window and no blocked table
     anywhere: ``latched_units`` stays 0 by construction, which is
     exactly the quantity the ablation benchmark compares against the
-    2006 design.
+    2006 design.  Without a critical section the executor is never
+    ``urgent``: the chase runs at normal background priority.
 
     Visibility after the flip is by snapshot, not by force:
 
@@ -541,66 +560,8 @@ class VersionFlipSync(NonBlockingCommitSync):
     :meth:`repro.storage.mvcc.MvccManager.gc`.
     """
 
-    @property
-    def urgent(self) -> bool:
-        # No latched critical section exists at any point: the chase
-        # runs at normal background priority until it catches up.
-        return False
-
-    def _step_states(self, budget: int) -> int:
-        if self.state == "start":
-            # No latch, no block, no window: go straight to the chase.
-            self.state = "chase"
-            return 1
-        if self.state == "chase":
-            units, caught_up = self._final_propagation(budget)
-            if not caught_up:
-                return max(units, 1)
-            mvcc = self.db.mvcc
-            assert mvcc is not None, \
-                "version_flip requires storage='mvcc'"
-            # From here to the end of the step is the atomic flip: the
-            # cooperative engine cannot interleave user operations
-            # inside one step, so catch-up completeness still holds at
-            # the catalog write below.
-            old_txns = self._active_source_txns()
-            self.tf._old_txn_ids = {t.txn_id for t in old_txns}
-            self._materialize_locks(old_txns)
-            self.tf._pre_swap()
-            self._write_swap_record(doomed=())
-            self.faults.fire(SITE_MVCC_FLIP,
-                             transform=self.tf.transform_id,
-                             version=self.db.catalog.version + 1)
-            self.db.log.append(CatalogFlipRecord(
-                transform_id=self.tf.transform_id,
-                version=self.db.catalog.version + 1,
-                retired=tuple(self.tf.source_tables),
-                published=tuple(self.tf.targets),
-            ))
-            # Writers active on the sources keep writing through the
-            # pinned epoch; everyone else pinned pre-flip is read-only
-            # on the old schema (first-updater-wins on conflict).
-            mvcc.write_through.update(self.tf._old_txn_ids)
-            self.db.catalog.flip(self.tf.source_tables,
-                                 dict(self.tf.targets),
-                                 keep_zombies=bool(old_txns))
-            self.faults.fire(SITE_SYNC_SWAPPED,
-                             transform=self.tf.transform_id)
-            if old_txns:
-                self.faults.fire(SITE_SYNC_MIRROR_INSTALL,
-                                 transform=self.tf.transform_id)
-                self.mirror = LockMirror(self.tf)
-                self.db.lock_mirrors.append(self.mirror)
-                self.tf.phase = Phase.BACKGROUND
-                self.state = "background"
-            else:
-                self._finish()
-            # Reclaim versions and epochs below the surviving pins.
-            mvcc.gc()
-            return max(units, 1)
-        if self.state == "background":
-            return self._background_step(budget)
-        return 0
+    latches = False
+    flips = True
 
 
 class LockMirror:

@@ -21,58 +21,23 @@ starts from a fuzzy, inconsistent image and converges through the log.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.common.errors import TransformationStateError
-from repro.engine.database import Database
-from repro.relational.spec import FojSpec
-from repro.storage.table import Table
-from repro.transform.base import Phase, Transformation
-from repro.transform.foj import FojRuleEngine, create_foj_target
+from repro.transform.base import Phase
 from repro.transform.foj import FojTransformation
 from repro.transform.sync import _SyncExecutor
-from repro.wal.records import TransformRetireRecord, TransformSwapRecord
+from repro.wal.records import TransformRetireRecord
 
 
 class PublishKeepSync(_SyncExecutor):
     """Synchronization that publishes the target and keeps the sources.
 
-    Same brief latch + final propagation as the non-blocking strategies,
-    but no schema swap, no zombies and no forced aborts: the sources stay,
-    and the transformed table becomes a published (deferred) view.
+    The common handover -- brief latch, final propagation, swap record --
+    with nothing retired: no zombies, nobody old to abort or mirror, and
+    restart recovery recomputes the view from the (intact) sources.  The
+    transformed table becomes a published (deferred) view.
     """
 
-    @property
-    def urgent(self) -> bool:
-        return self.state in ("start", "final")
-
-    def step(self, budget: int) -> int:
-        if self.state == "start":
-            self._latch_sources()
-            self.state = "final"
-            self.latched_units += 1
-            self.tf.stats["sync_latch_units"] += 1
-            return 1
-        if self.state == "final":
-            units, caught_up = self._final_propagation(budget)
-            self.latched_units += units
-            self.tf.stats["sync_latch_units"] += units
-            if caught_up:
-                sources = self._source_objects()
-                # A swap record with nothing retired: restart recovery
-                # recomputes the view from the (intact) sources.
-                self.db.log.append(TransformSwapRecord(
-                    transform_id=self.tf.transform_id,
-                    transform_kind=self.tf.kind,
-                    retired=(),
-                    published={name: table.schema
-                               for name, table in self.tf.targets.items()},
-                    params=self.tf._swap_params(),
-                ))
-                self._unlatch_sources(sources)
-                self._finish()
-            return max(units, 1)
-        return 0
+    retires = False
 
 
 class MaterializedFojView(FojTransformation):

@@ -13,7 +13,7 @@ import pytest
 from repro import Database, TableSchema
 from repro.common.errors import TransformationError
 from repro.relational.spec import FojSpec
-from repro.transform.foj import FojRuleEngine, create_foj_target
+from repro.transform.foj import FojRuleEngine, FojTransformation
 from repro.wal.records import (
     DeleteRecord,
     InsertRecord,
@@ -34,7 +34,7 @@ def make_engine():
     db.create_table(R)
     db.create_table(S)
     spec = FojSpec.derive(R, S, "T", "c", "c")
-    target = create_foj_target(db, spec)
+    target = FojTransformation.target_tables(db, spec)["T"]
     return FojRuleEngine(db, spec, target), target
 
 
@@ -320,7 +320,7 @@ def make_engine_nonkey_join():
     db.create_table(R)
     db.create_table(S2)
     spec = FojSpec.derive(R, S2, "T", "c", "c")
-    target = create_foj_target(db, spec)
+    target = FojTransformation.target_tables(db, spec)["T"]
     return FojRuleEngine(db, spec, target), target
 
 

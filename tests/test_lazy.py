@@ -197,7 +197,7 @@ def test_lazy_failed_miss_leaves_the_row_to_the_sweeper(foj_db):
         options=TransformOptions(population_chunk=2,
                                  population_mode="lazy"))
     _step_into_populating(tf)
-    scan = tf._source_scan("R")
+    scan = tf._scans["R"]
     rowid = foj_db.table("R").get((11,)).rowid
     with pytest.raises(TransformationError):
         _read(foj_db, "R", (11,))

@@ -8,8 +8,7 @@ from repro.common.errors import SchemaError
 from repro.relational.spec import FojSpec
 from repro.transform.foj_m2m import (
     Many2ManyFojRuleEngine,
-    build_m2m_table,
-    create_m2m_target,
+    Many2ManyFojTransformation,
 )
 from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
 
@@ -22,7 +21,7 @@ def make_engine():
     db.create_table(R)
     db.create_table(S)
     spec = FojSpec.derive(R, S, "T", "c", "c", many_to_many=True)
-    target = create_m2m_target(db, spec)
+    target = Many2ManyFojTransformation.target_tables(db, spec)["T"]
     return Many2ManyFojRuleEngine(db, spec, target), target
 
 
@@ -52,7 +51,8 @@ def test_spec_guard_rejects_join_keyed_s():
                                          primary_key=["c"]),
                           "T", "c", "c", many_to_many=True)
     with pytest.raises(SchemaError):
-        build_m2m_table(spec)
+        Many2ManyFojTransformation.target_tables(Database(), spec,
+                                                 detached=True)
 
 
 def test_insert_r_fans_out_to_all_matching_s():

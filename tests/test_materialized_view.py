@@ -16,12 +16,14 @@ from repro.common.errors import (
     DuplicateKeyError,
     LockWaitError,
     NoSuchRowError,
+    TransformationAbortedError,
     TransformationStateError,
 )
+from repro.faults import AbortFault, FaultInjector, FaultPlan
 from repro.relational import full_outer_join, rows_equal
 
 from tests.conftest import foj_spec, load_foj_data, values_of
-from repro.api import TransformOptions
+from repro.api import Metrics, TransformOptions
 
 
 def build(seed=1, n_r=15, n_s=6):
@@ -161,9 +163,30 @@ def test_restart_rebuilds_only_undropped_views():
 
 def test_sync_latch_is_brief():
     db, spec = build(n_r=40, n_s=15)
-    view = MaterializedFojView(db, spec)
+    metrics = Metrics()
+    view = MaterializedFojView(db, spec,
+                               options=TransformOptions(metrics=metrics))
     view.run()
-    assert view.stats["sync_latch_units"] < 50
+    assert 0 < view.stats["sync_latch_units"] < 50
+    # Accounted like every other strategy's window (_note_latched).
+    assert metrics.counter_value("sync.latched_units") == \
+        view.stats["sync_latch_units"]
+
+
+def test_failed_publication_releases_the_source_latches():
+    """A failure inside the latched window must not leave R and S
+    latched until somebody calls abort(): the view's synchronization
+    shares the exception-safe step of the other strategies."""
+    db, spec = build()
+    db.attach_faults(FaultInjector(
+        FaultPlan().arm("sync.final_propagation", AbortFault())))
+    view = MaterializedFojView(db, spec)
+    with pytest.raises(TransformationAbortedError):
+        view.run()
+    assert [db.locks.is_latched(db.table(name).uid)
+            for name in ("R", "S")] == [False, False]
+    with Session(db) as s:
+        s.update("R", (1,), {"b": "still-writable"})
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,7 @@
 """TransformOptions: validation, registry strings, and how options thread
 through transformations and the supervisor."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -22,7 +23,6 @@ from repro.api import (
     TransformOptions,
     resolve_sync_strategy,
 )
-from repro.transform.options import non_default_fields
 
 
 def build_db():
@@ -67,7 +67,7 @@ def test_invalid_options_raise_value_error(bad):
 def test_removed_option_fields_are_rejected():
     """``priority`` was read by nothing; faults and the flush policy
     belong to the ``Database`` the caller already holds."""
-    assert len(TransformOptions.field_names()) == 9
+    assert len(dataclasses.fields(TransformOptions)) == 9
     for gone in ({"priority": 0.5}, {"faults": None},
                  {"flush_policy": GROUP_FLUSH}):
         with pytest.raises(TypeError):
@@ -163,40 +163,11 @@ def test_propagation_batch_one_runs_and_converges():
     assert db.table("T").row_count > 0
 
 
-# -- supervisor override merge ----------------------------------------------
-
-
-def test_non_default_fields_only_reports_moved_knobs():
-    assert non_default_fields(TransformOptions()) == {}
-    moved = non_default_fields(
-        TransformOptions(shards=2, population_chunk=8))
-    assert moved == {"shards": 2, "population_chunk": 8}
-
-
-def test_supervisor_merges_options_over_factory():
-    """Supervisor options override only the knobs moved off defaults; the
-    factory's own configuration survives for the rest."""
-    db = build_db()
-    spec = foj_spec(db)
-
-    def factory():
-        return FojTransformation(db, spec, options=TransformOptions(
-            sync="nonblocking_commit", population_chunk=2))
-
-    sup = TransformationSupervisor(
-        db, factory, budget=512,
-        options=TransformOptions(propagation_batch=7))
-    tf = sup.run()
-    assert tf.done
-    assert tf.options.propagation_batch == 7  # supervisor override
-    assert tf.options.population_chunk == 2   # factory setting kept
-    assert tf.options.sync_strategy is SyncStrategy.NONBLOCKING_COMMIT
+# -- the supervisor takes no options: the factory configures each attempt ----
 
 
 def test_supervisor_shards_kwarg_removed():
     db = build_db()
-    with pytest.raises(TypeError):
-        TransformationSupervisor(db, lambda: None, shards=2)
-    sup = TransformationSupervisor(db, lambda: None,
-                                   options=TransformOptions(shards=2))
-    assert sup.options.shards == 2
+    for gone in ({"shards": 2}, {"options": TransformOptions(shards=2)}):
+        with pytest.raises(TypeError):
+            TransformationSupervisor(db, lambda: None, **gone)

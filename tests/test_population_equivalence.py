@@ -1,0 +1,193 @@
+"""One way into a target table, checked once for every operator.
+
+Eager population, the lazy sweep, restart's swap-point rebuild and the
+registry's offline ``reference`` must publish the same rows from the
+same quiescent seeds, for every scenario of :data:`repro.plan.CORPUS` --
+they are one path (``RuleEngine.migrate_row``, or the FOJ's streamed
+join) under three drivers.  The second half is the metamorphic check of
+the paper's propagation rules: they are idempotent by construction, so
+re-propagating any log slice from an earlier cursor must leave the
+targets unchanged.
+"""
+
+import random
+
+import pytest
+
+from repro.api import (
+    CORPUS,
+    PLAN_OPERATORS,
+    CrashFault,
+    Database,
+    FaultInjector,
+    FaultPlan,
+    FixedIterationsPolicy,
+    InconsistentDataError,
+    Phase,
+    SimulatedCrashError,
+    SyncStrategy,
+    TransformOptions,
+    restart,
+)
+from repro.faults import NULL_FAULTS
+from repro.faults.sweep import ScenarioRun
+from repro.plan.corpus import WORKLOAD_SCENARIOS
+from repro.wal.records import FuzzyMarkRecord
+
+BY_NAME = pytest.mark.parametrize("scenario", CORPUS, ids=lambda s: s.name)
+
+#: A finding of this module, reported and left alone (no rule rewrite
+#: rides along): the explode's NULL-element child -- what a NULL or
+#: element-free list explodes to -- has the key (source key, NULL), which
+#: the primary index does not hold, so ``target.get(key)`` never finds it
+#: and both ``migrate_row`` and the insert rule add a second one when
+#: they meet the same source row again.
+NULL_CHILD = pytest.mark.xfail(strict=True, reason=(
+    "explode: the NULL-element child is outside the primary index, so "
+    "re-applying a NULL-list row's migration / insert duplicates it"))
+
+
+def supports_lazy(scenario):
+    return all(PLAN_OPERATORS[step.operator].supports_lazy
+               for step in scenario.plan.steps)
+
+
+def run_steps(db, scenario, **options):
+    for step in scenario.plan.steps:
+        PLAN_OPERATORS[step.operator].build(
+            db, step.params, TransformOptions(**options)).run()
+
+
+def image(tables):
+    """Rows with their metadata (split counters and flags, FOJ null
+    markers), as a comparable multiset per table."""
+    return {name: sorted(((sorted(row.values.items()),
+                           sorted(row.meta.items()))
+                          for row in table.scan()), key=repr)
+            for name, table in tables.items()}
+
+
+# -- population equivalence --------------------------------------------------
+
+
+@BY_NAME
+def test_eager_population_publishes_the_reference_rows(scenario):
+    db = Database()
+    scenario.build(db)
+    run_steps(db, scenario, population_chunk=3)
+    assert scenario.verify(db) == []
+
+
+@BY_NAME
+def test_lazy_sweep_publishes_the_reference_rows(scenario):
+    if not supports_lazy(scenario):
+        pytest.skip("an operator of this plan is eager-only")
+    db = Database()
+    scenario.build(db)
+    run_steps(db, scenario, population_chunk=3, population_mode="lazy")
+    assert scenario.verify(db) == []
+
+
+@BY_NAME
+def test_restart_rebuild_publishes_the_reference_rows(scenario):
+    """Kill the last step right after its catalog swap: restart recomputes
+    every published table from the recovered sources."""
+    db = Database()
+    scenario.build(db)
+    db.attach_faults(FaultInjector(FaultPlan().arm(
+        "sync.swapped", CrashFault(), hit=len(scenario.plan.steps))))
+    with pytest.raises(SimulatedCrashError):
+        run_steps(db, scenario)
+    db.log.faults = NULL_FAULTS
+    assert scenario.verify(restart(db.log)) == []
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(s, id=s.name,
+                 marks=[NULL_CHILD] if s.name == "tags-explode" else [])
+    for s in CORPUS])
+def test_migrate_row_twice_equals_once(scenario):
+    db = Database()
+    scenario.build(db)
+    for step in scenario.plan.steps:
+        operator = PLAN_OPERATORS[step.operator]
+        tf = operator.build(db, step.params, TransformOptions())
+        tf.prepare()
+
+        def migrate_all():
+            for name in tf.source_tables:
+                for row in db.table(name).scan():
+                    tf.engine.migrate_row(name, dict(row.values), row.lsn)
+
+        if step.operator == "foj_m2m":
+            with pytest.raises(NotImplementedError):
+                migrate_all()  # the join only streams its population
+        else:
+            migrate_all()
+            once = image(tf.targets)
+            assert once == image(
+                {name: db.table(name) for name in tf.targets})
+            if step.operator == "merge":
+                # Declared eager-only for this reason: a B row finding
+                # its key present reads as "key in both sources".
+                with pytest.raises(InconsistentDataError):
+                    migrate_all()
+            else:
+                migrate_all()
+            assert image(tf.targets) == once
+        tf.abort()
+        operator.build(db, step.params, TransformOptions()).run()
+    assert scenario.verify(db) == []
+
+
+def test_population_calls_migrate_row_itself():
+    """``populate_row`` -- what the population loop calls -- is the very
+    function ``migrate_row`` names, on every engine: a second name (so
+    the wall-clock tracer's ``migrate_row`` spans stay on-demand
+    migrations), never a second implementation."""
+    engines = {operator.transformation.engine_class
+               for operator in PLAN_OPERATORS.values()}
+    assert len(engines) == len(PLAN_OPERATORS)
+    for engine in engines:
+        assert engine.populate_row is engine.migrate_row, engine
+
+
+# -- metamorphic idempotence of the propagation rules ------------------------
+
+
+@pytest.mark.parametrize("operator,seed", [
+    # The explode seeds whose rewind lands before a random insert of a
+    # NULL-list row.
+    pytest.param(operator, seed, marks=[NULL_CHILD] if operator == "explode"
+                 and seed in (2, 14, 16, 18, 19) else [])
+    for operator in sorted(WORKLOAD_SCENARIOS) for seed in range(20)])
+def test_repropagating_an_earlier_log_slice_changes_nothing(operator, seed):
+    """Run the operator's corpus workload (plus seeded mutations) under a
+    policy that never synchronizes, park it caught up in PROPAGATING,
+    rewind the cursor to a random LSN at or after the begin mark and
+    propagate again: Rules 1-11 (and their cousins) are idempotent, so
+    the targets come out unchanged."""
+    rng = random.Random(seed)
+    run = ScenarioRun(
+        WORKLOAD_SCENARIOS[operator], SyncStrategy.NONBLOCKING_ABORT,
+        overrides=dict(population_chunk=rng.randint(1, 6),
+                       propagation_batch=rng.choice((1, 3, 32)),
+                       policy=FixedIterationsPolicy(10 ** 9)),
+        workload_seed=seed)
+    log = run.db.log
+
+    def caught_up(run):
+        return run.tf.phase is Phase.PROPAGATING \
+            and run.tf._cursor > log.end_lsn
+
+    run.execute(until=caught_up)
+    tf = run.tf
+    begin_mark = next(
+        record.lsn for record in log.scan()
+        if isinstance(record, FuzzyMarkRecord) and record.phase == "begin"
+        and record.transform_id == tf.transform_id)
+    before = image(tf.targets)
+    tf._cursor = rng.randint(begin_mark, tf._cursor - 1)
+    while not caught_up(run):
+        tf.step(64)
+    assert image(tf.targets) == before

@@ -17,7 +17,6 @@ from repro import (
     Session,
     SplitTransformation,
     TableSchema,
-    TransformationSupervisor,
     restart,
 )
 from repro.common.errors import SimulatedCrashError
@@ -171,27 +170,6 @@ def test_shards_validation(split_db):
     load_split_data(split_db, n=5)
     with pytest.raises(ValueError):
         SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=0))
-    with pytest.raises(ValueError):
-        TransformationSupervisor(split_db, lambda: None, options=TransformOptions(shards=0))
-
-
-def test_supervisor_shards_knob_overrides_factory(split_db):
-    load_split_data(split_db, n=20)
-
-    def factory():
-        return SplitTransformation(split_db, split_spec(split_db),
-                                   options=TransformOptions(population_chunk=4))
-
-    sup = TransformationSupervisor(split_db, factory, budget=32, options=TransformOptions(shards=2))
-    tf = sup.run()
-    assert tf.done
-    assert tf.options.shards == 2
-    assert tf.options.population_chunk == 4
-    summary = tf.shard_summary()
-    assert [s["shard"] for s in summary] == [0, 1, "unrouted"]
-    # Both shards populated their own slice of the 20 rows.
-    assert sorted(s["population_rows"][0] for s in summary[:2])[0] > 0
-    assert sum(s["population_rows"][0] for s in summary[:2]) == 20
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.transform.split import (
     FLAG_CONSISTENT,
     FLAG_UNKNOWN,
     SplitRuleEngine,
-    create_split_targets,
+    SplitTransformation,
 )
 from repro.wal.records import (
     CCBeginRecord,
@@ -34,7 +34,7 @@ def make_engine(check_consistency=False):
     db = Database()
     db.create_table(T)
     spec = SplitSpec.derive(T, "Tr", "Ts", "zip", s_attrs=["city"])
-    targets = create_split_targets(db, spec)
+    targets = SplitTransformation.target_tables(db, spec)
     engine = SplitRuleEngine(db, spec, targets["Tr"], targets["Ts"],
                              check_consistency=check_consistency,
                              transform_id="tf-test")
