@@ -1,18 +1,131 @@
 """cProfile of one repetition of a ledger workload: the profile before code.
 
     python3 benchmarks/profile.py WORKLOAD [--seed N] [--top 30]
-        [--sort tottime|cumtime] [--quick]
+        [--sort tottime|cumtime] [--quick] [--heap]
 
 Builds the repetition the ledger would (``benchmarks.wallclock.workloads``,
 imported read-only), runs ``setup()`` unprofiled and ``timed(False)`` under
 ``cProfile``, verifies the output, and prints the top functions plus the
 total call count.  cProfile taxes every Python call and no native one, so
 shares shift: find candidates here, measure with ``benchmarks/pairs.py``.
+
+``--heap`` is the same "profile before code" for a memory claim: no
+cProfile; resident MB after ``setup()``, after ``timed(False)`` and after
+``verify()`` (the ledger's ``peak_rss_mb`` is the last column, the
+process's high-water mark), then a census of the database by component.
+The census is ``sys.getsizeof`` bytes, every object counted once, under
+the first component that reaches it (log before rows): an insert image
+the row shares with its log record is the log's.  It runs last because
+walking the heap allocates.
 """
 
 import argparse
 import os
 import sys
+
+_MB = 1024.0 * 1024.0
+
+
+def _resident_mb():
+    """(resident now, high-water mark) of this process, in MB."""
+    import resource
+    with open("/proc/self/statm") as statm:
+        pages = int(statm.read().split()[1])
+    return (pages * os.sysconf("SC_PAGE_SIZE") / _MB,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+
+
+def heap_census(db, extra_tables=()):
+    """``[(component, objects, bytes)]`` for everything ``db`` keeps.
+
+    ``extra_tables`` are tables something else still references (the
+    ledger keeps retired sources for its probe counts).
+    """
+    from repro.wal.records import LogRecord
+
+    seen = set()
+    rows = {}
+
+    def add(component, obj):
+        """Charge ``obj`` and what it contains to ``component``."""
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        entry = rows.setdefault(component, [0, 0])
+        entry[0] += 1
+        entry[1] += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                add(component, key)
+                add(component, value)
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            for item in obj:
+                add(component, item)
+
+    def add_record(record):
+        add("log: record objects", record)
+        for name in record.FIELDS:
+            value = getattr(record, name)
+            if isinstance(value, LogRecord):
+                add_record(value)
+            elif isinstance(value, dict):
+                add(f"log: images ({name})", value)
+            elif name in ("key", "split_value"):
+                add("log: keys", value)
+            else:
+                add("log: other payload", value)
+
+    for record in db.log.scan():
+        add_record(record)
+    tables = {id(t): t for t in extra_tables}
+    for name in db.catalog.table_names() + db.catalog.zombie_names():
+        table = db.catalog.get_any(name)
+        tables[id(table)] = table
+    for table in tables.values():
+        for row in table.rows.values():
+            add("rows: objects", row)
+            add("rows: values", row.values)
+            if row.meta is not None:
+                add("rows: meta", row.meta)
+        add("tables: rowid maps", table.rows)  # the rows are charged above
+        for index in table.indexes.values():
+            add("tables: indexes", index._map)
+    for txn in db.txns.active_txns():
+        add("transaction blocks", txn)
+        add("transaction blocks", txn.tables_touched)
+    return [(name, count, size)
+            for name, (count, size) in sorted(rows.items())]
+
+
+def heap_report(rep, args, out):
+    """Run one repetition as the ledger does, unprofiled, and print
+    where its bytes are."""
+    import gc
+
+    from benchmarks.wallclock.stats import GcWatch
+
+    rep.setup()
+    marks = [_resident_mb()]
+    gc.collect()
+    with GcWatch() as rep.watch:
+        rep.timed(False)
+    marks.append(_resident_mb())
+    rep.verify()
+    marks.append(_resident_mb())
+    db = getattr(rep, "db", None) or rep.recovered
+    census = heap_census(db, rep._probed.values())
+    print(f"heap of {args.workload} (seed {args.seed}, "
+          f"{'quick' if args.quick else 'paper'} sizes), MB", file=out)
+    for label, (now, peak) in zip(("set-up", "timed", "verify()"), marks):
+        print(f"  after {label:<9} resident {now:8.1f}   high-water "
+              f"{peak:8.1f}", file=out)
+    print(f"  {'component':<28}{'objects':>12}{'MB':>10}", file=out)
+    for name, count, size in census:
+        print(f"  {name:<28}{count:>12,}{size / _MB:>10.1f}", file=out)
+    total = sum(size for _name, _count, size in census)
+    print(f"  {'attributed':<28}{'':>12}{total / _MB:>10.1f}", file=out)
+    print(f"  {'resident after timed, rest':<28}{'':>12}"
+          f"{marks[1][0] - total / _MB:>10.1f}", file=out)
 
 
 def main(argv=None, out=sys.stdout):
@@ -34,10 +147,16 @@ def main(argv=None, out=sys.stdout):
                         default="tottime")
     parser.add_argument("--quick", action="store_true",
                         help="a tenth of the rows, as the ledger's --quick")
+    parser.add_argument("--heap", action="store_true",
+                        help="resident MB per stage and a census by "
+                             "component, instead of the cProfile")
     args = parser.parse_args(argv)
 
     sizes = QUICK_SIZES if args.quick else PAPER_SIZES
     rep = REPS[args.workload](rep_rng(args.seed, args.workload, 0), sizes)
+    if args.heap:
+        heap_report(rep, args, out)
+        return 0
     rep.setup()
     profiler = cProfile.Profile()
     with GcWatch() as rep.watch:

@@ -85,15 +85,15 @@ class Transaction:
 
 
 class TransactionManager:
-    """Allocates transaction ids and tracks all transaction control blocks."""
+    """Allocates transaction ids and holds the active-transaction table
+    (a finished transaction's block is its owner's; nothing asks by id)."""
 
     def __init__(self) -> None:
         self._next_id = 1
-        self._txns: Dict[int, Transaction] = {}
         #: The active-transaction table: control blocks not yet in a
-        #: terminal state, in begin order.  The queries below read this,
-        #: so their cost follows the transactions in flight, not every
-        #: transaction ever begun.
+        #: terminal state, in begin order.  Its size, and the cost of
+        #: every query below, follows the transactions in flight, not
+        #: every transaction ever begun.
         self._active: Dict[int, Transaction] = {}
 
     def begin(self, start_time: float = 0.0) -> Transaction:
@@ -106,7 +106,6 @@ class TransactionManager:
     def adopt(self, txn: Transaction) -> None:
         """Register a non-terminal control block (``begin``; restart
         recovery's rebuilt losers)."""
-        self._txns[txn.txn_id] = txn
         self._active[txn.txn_id] = txn
 
     def finished(self, txn: Transaction, state: TxnState) -> None:
@@ -116,16 +115,16 @@ class TransactionManager:
         self._active.pop(txn.txn_id, None)
 
     def get(self, txn_id: int) -> Transaction:
-        """Control block by id."""
+        """Control block of a transaction not yet in a terminal state."""
         try:
-            return self._txns[txn_id]
+            return self._active[txn_id]
         except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn_id}") \
-                from None
+            raise TransactionStateError(
+                f"unknown or finished transaction {txn_id}") from None
 
     def exists(self, txn_id: int) -> bool:
-        """Whether the id is known (active or finished)."""
-        return txn_id in self._txns
+        """Whether ``txn_id`` is still in the active-transaction table."""
+        return txn_id in self._active
 
     # -- active-transaction-table queries -------------------------------------
 
@@ -157,22 +156,15 @@ class TransactionManager:
         propagation start point then falls back to the fuzzy mark itself.
         """
         lsns = [
-            self._txns[i].first_lsn
+            self._active[i].first_lsn
             for i in txn_ids
-            if i in self._txns and self._txns[i].first_lsn != NULL_LSN
+            if i in self._active and self._active[i].first_lsn != NULL_LSN
         ]
         return min(lsns) if lsns else NULL_LSN
 
     def doom_transactions(self, txn_ids: Iterable[int], reason: str) -> None:
         """Doom every listed transaction (non-blocking abort sync)."""
         for txn_id in txn_ids:
-            txn = self._txns.get(txn_id)
+            txn = self._active.get(txn_id)
             if txn is not None:
                 txn.doom(reason)
-
-    def forget_finished(self, keep_last: int = 1000) -> None:
-        """Garbage-collect old terminal control blocks (long simulations)."""
-        finished = [i for i, t in self._txns.items() if t.is_finished]
-        if len(finished) > keep_last:
-            for txn_id in sorted(finished)[:-keep_last]:
-                del self._txns[txn_id]

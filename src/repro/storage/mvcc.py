@@ -254,7 +254,8 @@ class SnapshotScan(FuzzyScan):
         snap.rowid = rowid
         snap.values = dict(values)
         snap.lsn = lsn
-        snap.meta = dict(live.meta) if live is not None else {}
+        snap.meta = dict(live.meta) \
+            if live is not None and live.meta is not None else None
         return snap
 
 

@@ -11,8 +11,9 @@ machinery needs:
   state identifier).
 * ``meta`` -- side metadata owned by the transformation framework: the
   duplicate ``counter`` and C/U consistency ``flag`` of split S-records
-  (Sections 5, 5.3), and the ``r_null`` / ``s_null`` markers identifying
-  which side of a FOJ row is a NULL record.
+  (Sections 5, 5.3), and the ``r_null`` / ``s_null`` marker on a FOJ row
+  one side of which is a NULL record.  ``None`` on every other row --
+  source rows and joined FOJ rows carry no side dict at all.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Row:
         self.rowid: int = next(_rowid_counter)
         self.values = values
         self.lsn = lsn
-        self.meta: Dict[str, object] = meta if meta is not None else {}
+        self.meta = meta
 
     def snapshot(self) -> "Row":
         """Deep-enough copy for fuzzy reads: same rowid, copied values/meta.
@@ -53,7 +54,7 @@ class Row:
         copy.rowid = self.rowid
         copy.values = dict(self.values)
         copy.lsn = self.lsn
-        copy.meta = dict(self.meta)
+        copy.meta = dict(self.meta) if self.meta is not None else None
         return copy
 
     def get(self, attr: str) -> object:

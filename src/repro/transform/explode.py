@@ -35,7 +35,7 @@ serves eager and lazy (migrate-on-read) population alike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.relational.spec import ExplodeSpec
@@ -71,6 +71,15 @@ class ExplodeRuleEngine(RuleEngine):
     def _children(self, parent_key: Tuple) -> List[Row]:
         return self.target.lookup(PARENT_INDEX, tuple(parent_key))
 
+    def _child(self, values: Dict[str, object],
+               element: Optional[str]) -> Optional[Row]:
+        """The child of ``values``' source row holding ``element``, found
+        among its siblings: the NULL-element child's key ``(source key,
+        NULL)`` is outside the partial unique primary index, so
+        ``target.get`` never finds it."""
+        return next((c for c in self._children(self.spec.parent_key(values))
+                     if c.values.get(self.spec.value_attr) == element), None)
+
     # -- sharding -------------------------------------------------------------
 
     def shard_route(self, change: LogRecord):
@@ -104,7 +113,7 @@ class ExplodeRuleEngine(RuleEngine):
         """
         for element in self.spec.elements(change.values):
             key = self.spec.child_key(change.values, element)
-            child = self.target.get(key)
+            child = self._child(change.values, element)
             if child is None:
                 self.target.insert_row(
                     self.spec.child_values(change.values, element), lsn=lsn)
@@ -187,7 +196,7 @@ class ExplodeRuleEngine(RuleEngine):
         """
         spec, target = self.spec, self.target
         for element in spec.elements(values):
-            if target.get(spec.child_key(values, element)) is None:
+            if self._child(values, element) is None:
                 target.insert_row(spec.child_values(values, element),
                                   lsn=lsn)
 

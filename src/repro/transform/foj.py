@@ -11,10 +11,12 @@ record, the corresponding T records are already in the same or a newer
 state, so "record exists" / "join value matches" tests suffice to decide
 whether the operation is already reflected.
 
-NULL-record bookkeeping: every T row carries two metadata flags,
-``r_null`` and ``s_null``, marking which side (if any) is the paper's
-``rnull`` / ``snull`` record.  Attribute values alone cannot distinguish a
-NULL record from a record whose attributes are legitimately NULL.
+NULL-record bookkeeping: a T row one side of which is the paper's
+``rnull`` / ``snull`` record carries that side's flag in its metadata
+(``{"r_null": True}`` or ``{"s_null": True}``); a joined row carries no
+metadata at all.  Attribute values alone cannot distinguish a NULL record
+from a record whose attributes are legitimately NULL.  The flags are read
+through :func:`null_flag` only.
 
 Constraint honoured throughout: the join attribute of S must be non-NULL
 (it identifies an S record -- Section 4 treats it as a candidate-key-like
@@ -46,6 +48,12 @@ JOIN_INDEX = "__join__"
 #: Name of T's index over S's identifying attributes (created when they are
 #: not simply the join column).
 SKEY_INDEX = "__skey__"
+
+
+def null_flag(row: Row, flag: str) -> bool:
+    """Whether ``flag`` (``"r_null"`` / ``"s_null"``) is set on a T row."""
+    meta = row.meta
+    return meta is not None and meta.get(flag, False)
 
 
 class FojHashJoin:
@@ -112,13 +120,11 @@ class FojHashJoin:
                 for s in matches:
                     row = spec.r_part(r)
                     row.update(spec.s_part(s))
-                    target.insert_row(row, meta={"r_null": False,
-                                                 "s_null": False})
+                    target.insert_row(row)
             else:
                 row = spec.r_part(r)
                 row.update(spec.null_s_part())
-                target.insert_row(row, meta={"r_null": False,
-                                             "s_null": True})
+                target.insert_row(row, meta={"s_null": True})
         if self._r_pos < len(self._r_buffer):
             return units, False
 
@@ -136,7 +142,7 @@ class FojHashJoin:
             row = spec.null_r_part()
             row[spec.join_column] = value
             row.update(spec.s_part(s))
-            target.insert_row(row, meta={"r_null": True, "s_null": False})
+            target.insert_row(row, meta={"r_null": True})
         finished = self._leftover_pos >= len(self._leftover)
         if finished:
             # Free the population buffers.
@@ -185,7 +191,7 @@ class FojRuleEngine(RuleEngine):
         """
         index = SKEY_INDEX if self._has_skey_index else JOIN_INDEX
         return [row for row in self.t.lookup(index, key)
-                if not row.meta.get("s_null")]
+                if not null_flag(row, "s_null")]
 
     def _key_of(self, row: Row) -> Tuple:
         return self.t.schema.key_of(row.values)
@@ -193,10 +199,10 @@ class FojRuleEngine(RuleEngine):
     def _touch(self, touched: List[Tuple[Table, Tuple]], row: Row) -> None:
         touched.append((self.t, self._key_of(row)))
 
-    def _insert_t(self, values: Dict[str, object], r_null: bool,
-                  s_null: bool) -> Row:
-        return self.t.insert_row(values, meta={"r_null": r_null,
-                                               "s_null": s_null})
+    def _insert_t(self, values: Dict[str, object],
+                  null_side: Optional[str] = None) -> Row:
+        return self.t.insert_row(
+            values, meta={null_side: True} if null_side else None)
 
     def _r_changes(self, change: UpdateRecord) -> Dict[str, object]:
         return {k: v for k, v in change.changes.items()
@@ -297,25 +303,25 @@ class FojRuleEngine(RuleEngine):
                        touched: List[Tuple[Table, Tuple]]) -> None:
         """Shared tail of Rules 1 and 5: place an R part at a join value."""
         rows = self._rows_with_join(join_value)
-        null_r_row = next((r for r in rows if r.meta.get("r_null")), None)
+        null_r_row = next((r for r in rows if null_flag(r, "r_null")), None)
         if null_r_row is not None:
             # t^null_x found: "it is updated with the attribute values of
             # r^y_x to form t^y_x".
             self.t.update_rowid(null_r_row.rowid, r_part)
-            null_r_row.meta["r_null"] = False
+            null_r_row.meta = None
             self._touch(touched, null_r_row)
             return
-        donor = next((r for r in rows if not r.meta.get("s_null")), None)
+        donor = next((r for r in rows if not null_flag(r, "s_null")), None)
         if donor is not None:
             # t^v_x found: join the new R part with the s^x part of t^v_x.
             values = dict(r_part)
             values.update(self.spec.s_part_of_t(donor.values))
-            self._touch(touched, self._insert_t(values, False, False))
+            self._touch(touched, self._insert_t(values))
             return
         # No S record with this join value: join with snull.
         values = dict(r_part)
         values.update(self.spec.null_s_part())
-        self._touch(touched, self._insert_t(values, False, True))
+        self._touch(touched, self._insert_t(values, "s_null"))
 
     # -- Rule 2 (Insert s^x into S) ------------------------------------------------
 
@@ -333,15 +339,15 @@ class FojRuleEngine(RuleEngine):
         s_part = self.spec.s_part(change.values)
         rows = self._rows_with_join(join_value)
         for row in rows:
-            if row.meta.get("s_null"):
+            if null_flag(row, "s_null"):
                 self.t.update_rowid(row.rowid, s_part)
-                row.meta["s_null"] = False
+                row.meta = None
                 self._touch(touched, row)
         if not rows:
             values = self.spec.null_r_part()
             values[self.spec.join_column] = join_value
             values.update(s_part)
-            self._touch(touched, self._insert_t(values, True, False))
+            self._touch(touched, self._insert_t(values, "r_null"))
 
     # -- Rule 3 (Delete r^y from R) ---------------------------------------------------
 
@@ -352,7 +358,7 @@ class FojRuleEngine(RuleEngine):
         row = self.t.get(change.key)
         if row is None:
             return
-        if row.meta.get("s_null"):
+        if null_flag(row, "s_null"):
             self._touch(touched, row)
             self.t.delete_rowid(row.rowid)
             return
@@ -360,7 +366,7 @@ class FojRuleEngine(RuleEngine):
         s_part = self.spec.s_part_of_t(row.values)
         others = [
             r for r in self._rows_with_join(join_value)
-            if not r.meta.get("s_null") and r.rowid != row.rowid
+            if not null_flag(r, "s_null") and r.rowid != row.rowid
         ]
         self._touch(touched, row)
         self.t.delete_rowid(row.rowid)
@@ -368,7 +374,7 @@ class FojRuleEngine(RuleEngine):
             values = self.spec.null_r_part()
             values[self.spec.join_column] = join_value
             values.update(s_part)
-            self._touch(touched, self._insert_t(values, True, False))
+            self._touch(touched, self._insert_t(values, "r_null"))
 
     # -- Rule 4 (Delete s^x from S) -------------------------------------------------------
 
@@ -377,12 +383,12 @@ class FojRuleEngine(RuleEngine):
         """Delete ``t^null_x`` if present; strip the S side of every other
         carrier (they survive joined with snull)."""
         for row in self._rows_with_skey(change.key):
-            if row.meta.get("r_null"):
+            if null_flag(row, "r_null"):
                 self._touch(touched, row)
                 self.t.delete_rowid(row.rowid)
             else:
                 self.t.update_rowid(row.rowid, self.spec.null_s_part())
-                row.meta["s_null"] = True
+                row.meta = {"s_null": True}
                 self._touch(touched, row)
 
     # -- Rule 5 (Update join attribute of r^y_x to z) -----------------------------------------
@@ -406,17 +412,17 @@ class FojRuleEngine(RuleEngine):
         new_r_part.update(self._r_changes(change))
         new_join = change.changes[self.spec.join_attr_r]
 
-        if not row.meta.get("s_null"):
+        if not null_flag(row, "s_null"):
             s_part = self.spec.s_part_of_t(row.values)
             others = [
                 r for r in self._rows_with_join(old_join)
-                if not r.meta.get("s_null") and r.rowid != row.rowid
+                if not null_flag(r, "s_null") and r.rowid != row.rowid
             ]
             if not others:
                 values = self.spec.null_r_part()
                 values[self.spec.join_column] = old_join
                 values.update(s_part)
-                self._touch(touched, self._insert_t(values, True, False))
+                self._touch(touched, self._insert_t(values, "r_null"))
         self._touch(touched, row)
         self.t.delete_rowid(row.rowid)
         self._attach_r_part(new_r_part, new_join, touched)
@@ -440,20 +446,20 @@ class FojRuleEngine(RuleEngine):
                 "FOJ transformation requires non-NULL join values in "
                 f"{self.spec.s_name!r}")
         for row in carriers:
-            if row.meta.get("r_null"):
+            if null_flag(row, "r_null"):
                 self._touch(touched, row)
                 self.t.delete_rowid(row.rowid)
             else:
                 self.t.update_rowid(row.rowid, self.spec.null_s_part())
-                row.meta["s_null"] = True
+                row.meta = {"s_null": True}
                 self._touch(touched, row)
         rows_z = self._rows_with_join(new_join)
         filled = False
         has_real_s = False
         for row in rows_z:
-            if row.meta.get("s_null"):
+            if null_flag(row, "s_null"):
                 self.t.update_rowid(row.rowid, new_s_part)
-                row.meta["s_null"] = False
+                row.meta = None
                 self._touch(touched, row)
                 filled = True
             else:
@@ -462,7 +468,7 @@ class FojRuleEngine(RuleEngine):
             values = self.spec.null_r_part()
             values[self.spec.join_column] = new_join
             values.update(new_s_part)
-            self._touch(touched, self._insert_t(values, True, False))
+            self._touch(touched, self._insert_t(values, "r_null"))
 
     # -- Rule 7 (Update other attribute of r^y or s^x) ----------------------------------------------
 
@@ -519,14 +525,14 @@ class FojRuleEngine(RuleEngine):
             # them (Rule 2 itself rejects NULL joins for *live* inserts).
             rows = self._rows_with_join(join_value)
             for row in rows:
-                if row.meta.get("s_null"):
+                if null_flag(row, "s_null"):
                     self.t.update_rowid(row.rowid, s_part)
-                    row.meta["s_null"] = False
+                    row.meta = None
             if not rows:
                 t_values = spec.null_r_part()
                 t_values[spec.join_column] = join_value
                 t_values.update(s_part)
-                self._insert_t(t_values, True, False)
+                self._insert_t(t_values, "r_null")
 
     def migration_partners(self, table_name: str,
                            values: Dict[str, object]
@@ -569,7 +575,7 @@ class FojRuleEngine(RuleEngine):
         s_table = catalog.get_any(self.spec.s_name)
         result.append((r_table, tuple(key)))
         row = self.t.get(tuple(key))
-        if row is not None and not row.meta.get("s_null"):
+        if row is not None and not null_flag(row, "s_null"):
             s_key = tuple(row.values.get(a) for a in self.spec.s_key)
             if all(part is not None for part in s_key):
                 result.append((s_table, s_key))

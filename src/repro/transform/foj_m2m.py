@@ -27,7 +27,7 @@ the deviation in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SchemaError, TransformationError
 from repro.engine.database import Database
@@ -35,7 +35,8 @@ from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.transform.base import RuleEngine, Transformation
-from repro.transform.foj import JOIN_INDEX, SKEY_INDEX, FojTransformation
+from repro.transform.foj import (JOIN_INDEX, SKEY_INDEX, FojTransformation,
+                                 null_flag)
 from repro.wal.records import (
     DeleteRecord,
     InsertRecord,
@@ -84,10 +85,10 @@ class Many2ManyFojRuleEngine(RuleEngine):
     def _touch(self, touched: List[Tuple[Table, Tuple]], row: Row) -> None:
         touched.append((self.t, self._key_of(row)))
 
-    def _insert_t(self, values: Dict[str, object], r_null: bool,
-                  s_null: bool) -> Row:
-        return self.t.insert_row(values, meta={"r_null": r_null,
-                                               "s_null": s_null})
+    def _insert_t(self, values: Dict[str, object],
+                  null_side: Optional[str] = None) -> Row:
+        return self.t.insert_row(
+            values, meta={null_side: True} if null_side else None)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -142,13 +143,13 @@ class Many2ManyFojRuleEngine(RuleEngine):
         seen_skeys = set()
         matched = False
         for row in list(rows):
-            if row.meta.get("r_null"):
+            if null_flag(row, "r_null"):
                 # Unmatched S record: fill in the R part.
                 self.t.update_rowid(row.rowid, r_part)
-                row.meta["r_null"] = False
+                row.meta = None
                 self._touch(touched, row)
                 matched = True
-            elif not row.meta.get("s_null"):
+            elif not null_flag(row, "s_null"):
                 s_key = self._skey_of(row.values)
                 if s_key in seen_skeys:
                     continue
@@ -156,12 +157,12 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 new_values = dict(r_part)
                 new_values.update(self.spec.s_part_of_t(row.values))
                 self._touch(touched,
-                            self._insert_t(new_values, False, False))
+                            self._insert_t(new_values))
                 matched = True
         if not matched:
             new_values = dict(r_part)
             new_values.update(self.spec.null_s_part())
-            self._touch(touched, self._insert_t(new_values, False, True))
+            self._touch(touched, self._insert_t(new_values, "s_null"))
 
     def _delete_r(self, key: Tuple,
                   touched: List[Tuple[Table, Tuple]]) -> None:
@@ -169,13 +170,13 @@ class Many2ManyFojRuleEngine(RuleEngine):
         for each S record that would otherwise vanish from the join."""
         rows = self._rows_with_rkey(key)
         for row in list(rows):
-            if row.meta.get("s_null"):
+            if null_flag(row, "s_null"):
                 self._touch(touched, row)
                 self.t.delete_rowid(row.rowid)
                 continue
             s_key = self._skey_of(row.values)
             carriers = [r for r in self._rows_with_skey(s_key)
-                        if not r.meta.get("r_null") and r.rowid != row.rowid]
+                        if not null_flag(r, "r_null") and r.rowid != row.rowid]
             join_value = row.values.get(self.spec.join_column)
             s_part = self.spec.s_part_of_t(row.values)
             self._touch(touched, row)
@@ -185,7 +186,7 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 placeholder[self.spec.join_column] = join_value
                 placeholder.update(s_part)
                 self._touch(touched,
-                            self._insert_t(placeholder, True, False))
+                            self._insert_t(placeholder, "r_null"))
 
     def _update_r_join(self, change: UpdateRecord,
                        touched: List[Tuple[Table, Tuple]]) -> None:
@@ -232,12 +233,12 @@ class Many2ManyFojRuleEngine(RuleEngine):
         seen_rkeys = set()
         matched = False
         for row in list(rows):
-            if row.meta.get("s_null"):
+            if null_flag(row, "s_null"):
                 self.t.update_rowid(row.rowid, s_part)
-                row.meta["s_null"] = False
+                row.meta = None
                 self._touch(touched, row)
                 matched = True
-            elif not row.meta.get("r_null"):
+            elif not null_flag(row, "r_null"):
                 r_key = self._rkey_of(row.values)
                 if r_key in seen_rkeys:
                     continue
@@ -245,26 +246,26 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 new_values = self.spec.r_part_of_t(row.values)
                 new_values.update(s_part)
                 self._touch(touched,
-                            self._insert_t(new_values, False, False))
+                            self._insert_t(new_values))
                 matched = True
         if not matched:
             new_values = self.spec.null_r_part()
             if join_value is not None:
                 new_values[self.spec.join_column] = join_value
             new_values.update(s_part)
-            self._touch(touched, self._insert_t(new_values, True, False))
+            self._touch(touched, self._insert_t(new_values, "r_null"))
 
     def _delete_s(self, key: Tuple,
                   touched: List[Tuple[Table, Tuple]]) -> None:
         rows = self._rows_with_skey(key)
         for row in list(rows):
-            if row.meta.get("r_null"):
+            if null_flag(row, "r_null"):
                 self._touch(touched, row)
                 self.t.delete_rowid(row.rowid)
                 continue
             r_key = self._rkey_of(row.values)
             carriers = [r for r in self._rows_with_rkey(r_key)
-                        if not r.meta.get("s_null") and r.rowid != row.rowid]
+                        if not null_flag(r, "s_null") and r.rowid != row.rowid]
             r_part = self.spec.r_part_of_t(row.values)
             self._touch(touched, row)
             self.t.delete_rowid(row.rowid)
@@ -272,7 +273,7 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 placeholder = dict(r_part)
                 placeholder.update(self.spec.null_s_part())
                 self._touch(touched,
-                            self._insert_t(placeholder, False, True))
+                            self._insert_t(placeholder, "s_null"))
 
     def _update_s_join(self, change: UpdateRecord,
                        touched: List[Tuple[Table, Tuple]]) -> None:

@@ -443,7 +443,7 @@ class _SyncExecutor:
                          transform=self.tf.transform_id)
         units, caught_up = self._final_propagation(budget)
         old = self.tf._old_txn_ids
-        all_finished = all(self.db.txns.get(i).is_finished for i in old)
+        all_finished = not any(self.db.txns.exists(i) for i in old)
         if all_finished and caught_up:
             self._remove_mirror()
             self._finish()

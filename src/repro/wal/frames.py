@@ -17,8 +17,8 @@ segment on (simulated) disk is::
   or mis-frames the payload so the CRC fails).
 * **payload**: one byte record-kind code, the record's ``lsn``,
   ``prev_lsn`` and ``txn_id`` as zig-zag varints, then the record's
-  payload fields in dataclass declaration order, each encoded with the
-  tagged value codec below.
+  payload fields in the order of its class's ``FIELDS``, each encoded with
+  the tagged value codec below.
 
 The value codec covers everything the record classes of
 :mod:`repro.wal.records` actually store: ``None``, bools, arbitrary-size
@@ -448,13 +448,11 @@ def decode_value(data: bytes, pos: int) -> Tuple[object, int]:
 # Record payloads and frames
 # ---------------------------------------------------------------------------
 
-#: Record class -> (code, payload field names): every field but the three
-#: base ones, in dataclass declaration order, which is also the positional
-#: order of ``cls(txn_id, *payload)``.  Code -> (class, field count).
+#: Record class -> (code, payload field names): the class's ``FIELDS``,
+#: which is also the positional order of ``cls(txn_id, *payload)``.
+#: Code -> (class, field count).
 _ENCODE_PLANS: Dict[Type[LogRecord], Tuple[int, Tuple[str, ...]]] = {
-    cls: (code, tuple(f.name for f in dataclasses.fields(cls)
-                      if f.name not in ("lsn", "prev_lsn", "txn_id")))
-    for cls, code in RECORD_CODES.items()}
+    cls: (code, cls.FIELDS) for cls, code in RECORD_CODES.items()}
 _DECODE_PLANS: Dict[int, Tuple[Type[LogRecord], int]] = {
     code: (cls, len(fields)) for cls, (code, fields) in _ENCODE_PLANS.items()}
 

@@ -16,22 +16,23 @@ update / CLR / checkpoint), the transformation framework of the paper adds:
   ``CC: v is ok`` records bracketing a lock-free re-read of the source rows
   contributing to a suspect split record.
 
-Records are plain frozen dataclasses.  ``lsn`` and ``prev_lsn`` are filled
-in by :class:`repro.wal.log.LogManager` at append time; user code constructs
-records with the payload fields only.
+Records are mutable ``__slots__`` classes with hand-written constructors
+(the log is a main-memory engine's resident set: no ``__dict__`` per
+record).  Each class names its payload fields once, in ``FIELDS``: the
+positional order of ``cls(txn_id, *payload)`` and the field order of the
+durable frame.  ``lsn`` and ``prev_lsn`` are filled in by
+:class:`repro.wal.log.LogManager` at append time; user code constructs
+records with the payload fields only, by keyword.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional, Tuple
 
 #: LSN value used before a record has been appended, and as "nil" prev_lsn.
 NULL_LSN = 0
 
 
-@dataclass
 class LogRecord:
     """Base class of every log record.
 
@@ -44,9 +45,10 @@ class LogRecord:
             records.
     """
 
-    lsn: int = field(default=NULL_LSN, init=False)
-    prev_lsn: int = field(default=NULL_LSN, init=False)
-    txn_id: int = 0
+    __slots__ = ("lsn", "prev_lsn", "txn_id")
+
+    #: Payload field names in frame order (everything but the three above).
+    FIELDS: ClassVar[Tuple[str, ...]] = ()
 
     #: Short lowercase name of the record type, e.g. ``"insert"``;
     #: derived from the class name once, when the class is created.
@@ -56,13 +58,26 @@ class LogRecord:
         super().__init_subclass__(**kwargs)
         cls.kind = cls.__name__.replace("Record", "").lower()
 
+    def __init__(self, txn_id: int = 0) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+
+    def _body(self, names: Tuple[str, ...]) -> str:
+        return ", ".join(f"{n}={getattr(self, n)!r}"
+                         for n in names + self.FIELDS)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n)
+                   for n in LogRecord.__slots__ + self.FIELDS)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._body(LogRecord.__slots__)})"
+
     def describe(self) -> str:
         """One-line human-readable rendering used by debug dumps."""
-        fields = dataclasses.asdict(self)
-        fields.pop("lsn", None)
-        fields.pop("prev_lsn", None)
-        body = ", ".join(f"{k}={v!r}" for k, v in fields.items())
-        return f"[{self.lsn}] {self.kind}({body}) prev={self.prev_lsn}"
+        return (f"[{self.lsn}] {self.kind}({self._body(('txn_id',))}) "
+                f"prev={self.prev_lsn}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +85,24 @@ class LogRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BeginRecord(LogRecord):
     """Transaction start."""
 
+    __slots__ = ()
 
-@dataclass
+
 class CommitRecord(LogRecord):
     """Transaction committed; all of its locks may be released."""
 
+    __slots__ = ()
 
-@dataclass
+
 class AbortRecord(LogRecord):
     """Transaction abort has *started*; rollback (CLRs) follows."""
 
+    __slots__ = ()
 
-@dataclass
+
 class EndRecord(LogRecord):
     """Transaction fully finished (end record after commit or rollback).
 
@@ -100,7 +117,11 @@ class EndRecord(LogRecord):
             was rolled back.
     """
 
-    committed: bool = True
+    __slots__ = FIELDS = ("committed",)
+
+    def __init__(self, txn_id: int = 0, committed: bool = True) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.committed = committed
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +129,6 @@ class EndRecord(LogRecord):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class InsertRecord(LogRecord):
     """A row was inserted.  Carries the complete new row image.
 
@@ -119,12 +139,16 @@ class InsertRecord(LogRecord):
             also sufficient for undo, which deletes by key).
     """
 
-    table: str = ""
-    key: Tuple = ()
-    values: Dict = field(default_factory=dict)
+    __slots__ = FIELDS = ("table", "key", "values")
+
+    def __init__(self, txn_id: int = 0, table: str = "", key: Tuple = (),
+                 values: Optional[Dict] = None) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.table = table
+        self.key = key
+        self.values = {} if values is None else values
 
 
-@dataclass
 class DeleteRecord(LogRecord):
     """A row was deleted.
 
@@ -140,12 +164,16 @@ class DeleteRecord(LogRecord):
             beyond what an index lookup could also provide).
     """
 
-    table: str = ""
-    key: Tuple = ()
-    old_values: Dict = field(default_factory=dict)
+    __slots__ = FIELDS = ("table", "key", "old_values")
+
+    def __init__(self, txn_id: int = 0, table: str = "", key: Tuple = (),
+                 old_values: Optional[Dict] = None) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.table = table
+        self.key = key
+        self.old_values = {} if old_values is None else old_values
 
 
-@dataclass
 class UpdateRecord(LogRecord):
     """A row was updated in place.
 
@@ -163,13 +191,18 @@ class UpdateRecord(LogRecord):
             before the update (undo information).
     """
 
-    table: str = ""
-    key: Tuple = ()
-    changes: Dict = field(default_factory=dict)
-    old_values: Dict = field(default_factory=dict)
+    __slots__ = FIELDS = ("table", "key", "changes", "old_values")
+
+    def __init__(self, txn_id: int = 0, table: str = "", key: Tuple = (),
+                 changes: Optional[Dict] = None,
+                 old_values: Optional[Dict] = None) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.table = table
+        self.key = key
+        self.changes = {} if changes is None else changes
+        self.old_values = {} if old_values is None else old_values
 
 
-@dataclass
 class CLRecord(LogRecord):
     """Compensating Log Record, written while rolling back.
 
@@ -184,8 +217,13 @@ class CLRecord(LogRecord):
     aborted user transactions converge correctly in the transformed tables.
     """
 
-    action: Optional[LogRecord] = None
-    undo_next_lsn: int = NULL_LSN
+    __slots__ = FIELDS = ("action", "undo_next_lsn")
+
+    def __init__(self, txn_id: int = 0, action: Optional[LogRecord] = None,
+                 undo_next_lsn: int = NULL_LSN) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.action = action
+        self.undo_next_lsn = undo_next_lsn
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +231,6 @@ class CLRecord(LogRecord):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FuzzyMarkRecord(LogRecord):
     """Delimiter written by the transformation framework (Section 3.2/3.3).
 
@@ -207,12 +244,17 @@ class FuzzyMarkRecord(LogRecord):
             the mark was written (meaningful for ``"begin"`` marks).
     """
 
-    transform_id: str = ""
-    phase: str = "begin"
-    active_txns: Tuple[int, ...] = ()
+    __slots__ = FIELDS = ("transform_id", "phase", "active_txns")
+
+    def __init__(self, txn_id: int = 0, transform_id: str = "",
+                 phase: str = "begin",
+                 active_txns: Tuple[int, ...] = ()) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.transform_id = transform_id
+        self.phase = phase
+        self.active_txns = active_txns
 
 
-@dataclass
 class CCBeginRecord(LogRecord):
     """``Begin CC on v``: the consistency checker starts examining ``v``.
 
@@ -221,11 +263,15 @@ class CCBeginRecord(LogRecord):
         split_value: The split-attribute value under examination.
     """
 
-    transform_id: str = ""
-    split_value: Tuple = ()
+    __slots__ = FIELDS = ("transform_id", "split_value")
+
+    def __init__(self, txn_id: int = 0, transform_id: str = "",
+                 split_value: Tuple = ()) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.transform_id = transform_id
+        self.split_value = split_value
 
 
-@dataclass
 class CCOkRecord(LogRecord):
     """``CC: v is ok``: the re-read found the contributors consistent.
 
@@ -239,12 +285,17 @@ class CCOkRecord(LogRecord):
         image: The verified attribute mapping of the S-record.
     """
 
-    transform_id: str = ""
-    split_value: Tuple = ()
-    image: Dict = field(default_factory=dict)
+    __slots__ = FIELDS = ("transform_id", "split_value", "image")
+
+    def __init__(self, txn_id: int = 0, transform_id: str = "",
+                 split_value: Tuple = (),
+                 image: Optional[Dict] = None) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.transform_id = transform_id
+        self.split_value = split_value
+        self.image = {} if image is None else image
 
 
-@dataclass
 class CreateTableRecord(LogRecord):
     """DDL: a table was created.
 
@@ -256,26 +307,37 @@ class CreateTableRecord(LogRecord):
             in-flight transformation and restart it).
     """
 
-    schema: object = None
-    transient: bool = False
+    __slots__ = FIELDS = ("schema", "transient")
+
+    def __init__(self, txn_id: int = 0, schema: object = None,
+                 transient: bool = False) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.schema = schema
+        self.transient = transient
 
 
-@dataclass
 class DropTableRecord(LogRecord):
     """DDL: a table was dropped."""
 
-    table: str = ""
+    __slots__ = FIELDS = ("table",)
+
+    def __init__(self, txn_id: int = 0, table: str = "") -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.table = table
 
 
-@dataclass
 class RenameTableRecord(LogRecord):
     """DDL: a table was renamed."""
 
-    old_name: str = ""
-    new_name: str = ""
+    __slots__ = FIELDS = ("old_name", "new_name")
+
+    def __init__(self, txn_id: int = 0, old_name: str = "",
+                 new_name: str = "") -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.old_name = old_name
+        self.new_name = new_name
 
 
-@dataclass
 class TransformSwapRecord(LogRecord):
     """A transformation's synchronization swapped the schema (Section 3.4).
 
@@ -297,15 +359,22 @@ class TransformSwapRecord(LogRecord):
             (non-blocking abort strategy).
     """
 
-    transform_id: str = ""
-    transform_kind: str = ""
-    retired: Tuple[str, ...] = ()
-    published: Dict = field(default_factory=dict)
-    params: Dict = field(default_factory=dict)
-    doomed_txns: Tuple[int, ...] = ()
+    __slots__ = FIELDS = ("transform_id", "transform_kind", "retired", "published", "params", "doomed_txns")
+
+    def __init__(self, txn_id: int = 0, transform_id: str = "",
+                 transform_kind: str = "", retired: Tuple[str, ...] = (),
+                 published: Optional[Dict] = None,
+                 params: Optional[Dict] = None,
+                 doomed_txns: Tuple[int, ...] = ()) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.transform_id = transform_id
+        self.transform_kind = transform_kind
+        self.retired = retired
+        self.published = {} if published is None else published
+        self.params = {} if params is None else params
+        self.doomed_txns = doomed_txns
 
 
-@dataclass
 class TransformRetireRecord(LogRecord):
     """A published transformation artefact was retired (dropped).
 
@@ -320,10 +389,13 @@ class TransformRetireRecord(LogRecord):
         transform_id: Identifier of the retired transformation.
     """
 
-    transform_id: str = ""
+    __slots__ = FIELDS = ("transform_id",)
+
+    def __init__(self, txn_id: int = 0, transform_id: str = "") -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.transform_id = transform_id
 
 
-@dataclass
 class CheckpointRecord(LogRecord):
     """Fuzzy checkpoint: snapshot of the active-transaction table.
 
@@ -334,10 +406,14 @@ class CheckpointRecord(LogRecord):
             checkpoint time.
     """
 
-    active_txns: Dict[int, int] = field(default_factory=dict)
+    __slots__ = FIELDS = ("active_txns",)
+
+    def __init__(self, txn_id: int = 0,
+                 active_txns: Optional[Dict[int, int]] = None) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.active_txns = {} if active_txns is None else active_txns
 
 
-@dataclass
 class CatalogFlipRecord(LogRecord):
     """The versioned catalog write of an MVCC version-flip sync.
 
@@ -357,10 +433,16 @@ class CatalogFlipRecord(LogRecord):
         published: Public names the flip made visible.
     """
 
-    transform_id: str = ""
-    version: int = 0
-    retired: Tuple[str, ...] = ()
-    published: Tuple[str, ...] = ()
+    __slots__ = FIELDS = ("transform_id", "version", "retired", "published")
+
+    def __init__(self, txn_id: int = 0, transform_id: str = "",
+                 version: int = 0, retired: Tuple[str, ...] = (),
+                 published: Tuple[str, ...] = ()) -> None:
+        self.lsn, self.prev_lsn, self.txn_id = NULL_LSN, NULL_LSN, txn_id
+        self.transform_id = transform_id
+        self.version = version
+        self.retired = retired
+        self.published = published
 
 
 #: Record kinds whose payload describes a data change (directly or, for

@@ -13,7 +13,8 @@ import pytest
 from repro import Database, TableSchema
 from repro.common.errors import TransformationError
 from repro.relational.spec import FojSpec
-from repro.transform.foj import FojRuleEngine, FojTransformation
+from repro.transform.foj import (FojRuleEngine, FojTransformation,
+                                 null_flag)
 from repro.wal.records import (
     DeleteRecord,
     InsertRecord,
@@ -45,8 +46,8 @@ def put(target, values, r_null=False, s_null=False):
 
 def rows_of(target):
     return sorted(
-        ((tuple(sorted(r.values.items())), r.meta["r_null"],
-          r.meta["s_null"])
+        ((tuple(sorted(r.values.items())), null_flag(r, "r_null"),
+          null_flag(r, "s_null"))
          for r in target.scan()),
         key=repr)
 
@@ -80,7 +81,7 @@ def test_rule1_morphs_null_r_record():
     touched = engine.apply(insert_r(1, "b1", 10))
     row = t.get((1,))
     assert row.values == {"a": 1, "b": "b1", "c": 10, "d": "d"}
-    assert not row.meta["r_null"] and not row.meta["s_null"]
+    assert not null_flag(row, "r_null") and not null_flag(row, "s_null")
     assert t.row_count == 1
     assert (t, (1,)) in [(tab, key) for tab, key in touched]
 
@@ -99,14 +100,14 @@ def test_rule1_no_match_joins_with_snull():
     engine.apply(insert_r(1, "b1", 99))
     row = t.get((1,))
     assert row.values["d"] is None
-    assert row.meta["s_null"] and not row.meta["r_null"]
+    assert null_flag(row, "s_null") and not null_flag(row, "r_null")
 
 
 def test_rule1_null_join_value_joins_with_snull():
     engine, t = make_engine()
     engine.apply(insert_r(1, "b1", None))
     row = t.get((1,))
-    assert row.values["c"] is None and row.meta["s_null"]
+    assert row.values["c"] is None and null_flag(row, "s_null")
 
 
 def test_rule1_prefers_null_r_over_sibling_clone():
@@ -122,7 +123,7 @@ def test_rule1_sibling_all_snull_inserts_snull_row():
     put(t, {"a": 5, "b": "x", "c": 10, "d": None}, s_null=True)
     engine.apply(insert_r(1, "b1", 10))
     row = t.get((1,))
-    assert row.meta["s_null"]  # no real s^10 exists anywhere
+    assert null_flag(row, "s_null")  # no real s^10 exists anywhere
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_rule2_fills_all_snull_carriers():
     engine.apply(insert_s(10, "d10"))
     assert t.get((1,)).values["d"] == "d10"
     assert t.get((2,)).values["d"] == "d10"
-    assert not t.get((1,)).meta["s_null"]
+    assert not null_flag(t.get((1,)), "s_null")
     assert t.row_count == 2
 
 
@@ -153,7 +154,7 @@ def test_rule2_inserts_null_r_row_when_unmatched():
     engine.apply(insert_s(10, "d10"))
     assert t.row_count == 1
     row = next(iter(t.scan()))
-    assert row.meta["r_null"]
+    assert null_flag(row, "r_null")
     assert row.values == {"a": None, "b": None, "c": 10, "d": "d10"}
 
 
@@ -187,7 +188,7 @@ def test_rule3_preserves_last_s_carrier_as_null_r():
     engine.apply(DeleteRecord(txn_id=1, table="R", key=(1,)))
     assert t.row_count == 1
     row = next(iter(t.scan()))
-    assert row.meta["r_null"]
+    assert null_flag(row, "r_null")
     assert row.values["c"] == 10 and row.values["d"] == "d10"
 
 
@@ -220,7 +221,7 @@ def test_rule4_strips_s_part_of_carriers():
     for key in ((1,), (2,)):
         row = t.get(key)
         assert row.values["d"] is None
-        assert row.meta["s_null"]
+        assert null_flag(row, "s_null")
         assert row.values["c"] == 10  # the R-side join value stays
 
 
@@ -228,7 +229,7 @@ def test_rule4_ignored_when_no_carrier():
     engine, t = make_engine()
     put(t, {"a": 1, "b": "b", "c": 10, "d": None}, s_null=True)
     engine.apply(DeleteRecord(txn_id=1, table="S", key=(10,)))
-    assert t.get((1,)).meta["s_null"]  # unchanged
+    assert null_flag(t.get((1,)), "s_null")  # unchanged
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_rule5_moves_to_null_r_destination():
     assert t.row_count == 1
     row = t.get((1,))
     assert row.values == {"a": 1, "b": "b", "c": 20, "d": "d20"}
-    assert not row.meta["r_null"] and not row.meta["s_null"]
+    assert not null_flag(row, "r_null") and not null_flag(row, "s_null")
 
 
 def test_rule5_preserves_old_s_when_last_carrier():
@@ -268,11 +269,11 @@ def test_rule5_preserves_old_s_when_last_carrier():
     put(t, {"a": 1, "b": "b", "c": 10, "d": "d10"})
     engine.apply(upd_r_join(1, 10, 99))
     assert t.row_count == 2
-    placeholder = [r for r in t.scan() if r.meta["r_null"]][0]
+    placeholder = [r for r in t.scan() if null_flag(r, "r_null")][0]
     assert placeholder.values["c"] == 10
     assert placeholder.values["d"] == "d10"
     moved = t.get((1,))
-    assert moved.values["c"] == 99 and moved.meta["s_null"]
+    assert moved.values["c"] == 99 and null_flag(moved, "s_null")
 
 
 def test_rule5_no_placeholder_when_siblings_remain():
@@ -281,7 +282,7 @@ def test_rule5_no_placeholder_when_siblings_remain():
     put(t, {"a": 2, "b": "b", "c": 10, "d": "d10"})
     engine.apply(upd_r_join(1, 10, 99))
     assert t.row_count == 2
-    assert not any(r.meta["r_null"] for r in t.scan())
+    assert not any(null_flag(r, "r_null") for r in t.scan())
 
 
 def test_rule5_clones_destination_sibling_s_part():
@@ -305,7 +306,7 @@ def test_rule5_to_null_join_value():
     put(t, {"a": 1, "b": "b", "c": 10, "d": None}, s_null=True)
     engine.apply(upd_r_join(1, 10, None))
     row = t.get((1,))
-    assert row.values["c"] is None and row.meta["s_null"]
+    assert row.values["c"] is None and null_flag(row, "s_null")
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +337,10 @@ def test_rule6_detaches_and_reattaches():
     put(t, {"a": 2, "b": "b", "c": 20, "k": None, "d": None}, s_null=True)
     engine.apply(upd_s_join(7, 10, 20))
     r1 = t.get((1,))
-    assert r1.meta["s_null"] and r1.values["k"] is None
+    assert null_flag(r1, "s_null") and r1.values["k"] is None
     r2 = t.get((2,))
     assert r2.values["k"] == 7 and r2.values["d"] == "d7"
-    assert not r2.meta["s_null"]
+    assert not null_flag(r2, "s_null")
 
 
 def test_rule6_deletes_null_r_placeholder_and_creates_new():
@@ -348,7 +349,7 @@ def test_rule6_deletes_null_r_placeholder_and_creates_new():
     engine.apply(upd_s_join(7, 10, 20))
     assert t.row_count == 1
     row = next(iter(t.scan()))
-    assert row.meta["r_null"]
+    assert null_flag(row, "r_null")
     assert row.values["c"] == 20 and row.values["k"] == 7
 
 

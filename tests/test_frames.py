@@ -8,6 +8,7 @@ corrupt-tail / mid-log-quarantine trichotomy exactly.
 """
 
 import copy
+import inspect
 import os
 import struct
 import zlib
@@ -491,3 +492,76 @@ def test_subclass_values_frame_like_their_base_type():
     assert framed(collections.OrderedDict(a=1)) == framed({"a": 1})
     with pytest.raises(FrameCodecError):
         framed(object())
+
+
+# ---------------------------------------------------------------------------
+# The record classes' contract (what the codec and the engine rely on)
+# ---------------------------------------------------------------------------
+
+BY_CLASS = pytest.mark.parametrize("record", SAMPLE_RECORDS,
+                                   ids=lambda r: type(r).__name__)
+
+
+def _payload(record):
+    return [getattr(record, name) for name in type(record).FIELDS]
+
+
+@BY_CLASS
+def test_fields_are_the_slots_and_the_positional_order(record):
+    cls = type(record)
+    assert cls.__slots__ == cls.FIELDS
+    assert tuple(inspect.signature(cls).parameters) == \
+        ("txn_id",) + cls.FIELDS
+    assert not hasattr(record, "__dict__")
+
+
+@BY_CLASS
+def test_keyword_and_positional_construction_agree(record):
+    cls = type(record)
+    by_position = cls(record.txn_id, *_payload(record))
+    by_keyword = cls(txn_id=record.txn_id,
+                     **dict(zip(cls.FIELDS, _payload(record))))
+    assert (by_position.lsn, by_position.prev_lsn) == (0, 0)
+    assert by_position == by_keyword
+    by_position.lsn, by_position.prev_lsn = record.lsn, record.prev_lsn
+    assert by_position == record
+    with pytest.raises(TypeError):
+        cls(txn_id=1, no_such_field=2)
+    with pytest.raises(TypeError):
+        cls(lsn=1)  # assigned by the log manager, never constructed
+
+
+@BY_CLASS
+def test_default_instances_share_no_mutable_default(record):
+    cls = type(record)
+    one, other = cls(), cls()
+    assert one == other and one.txn_id == 0
+    for name in cls.FIELDS:
+        value = getattr(one, name)
+        if isinstance(value, (dict, list, set)):
+            assert value is not getattr(other, name), name
+
+
+@BY_CLASS
+def test_equality_repr_and_hash_are_the_dataclass_ones(record):
+    cls = type(record)
+    twin = copy.copy(record)
+    assert twin == record and not twin != record
+    twin.lsn = record.lsn + 1       # lsn and prev_lsn take part
+    assert twin != record and not twin == record
+    for name in ("txn_id",) + cls.FIELDS:
+        changed = copy.copy(record)
+        setattr(changed, name, "something else")
+        assert changed != record, name
+    assert record.__eq__(object()) is NotImplemented
+    assert repr(record) == "%s(%s)" % (cls.__name__, ", ".join(
+        f"{name}={getattr(record, name)!r}"
+        for name in ("lsn", "prev_lsn", "txn_id") + cls.FIELDS))
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_records_of_different_classes_are_never_equal():
+    assert BeginRecord(txn_id=3) != CommitRecord(txn_id=3)
+    assert repr(EndRecord(txn_id=3, committed=False)) == \
+        "EndRecord(lsn=0, prev_lsn=0, txn_id=3, committed=False)"

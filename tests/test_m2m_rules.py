@@ -6,6 +6,7 @@ import pytest
 from repro import Database, TableSchema
 from repro.common.errors import SchemaError
 from repro.relational.spec import FojSpec
+from repro.transform.foj import null_flag
 from repro.transform.foj_m2m import (
     Many2ManyFojRuleEngine,
     Many2ManyFojTransformation,
@@ -42,7 +43,7 @@ def ins_s(k, c, d):
 def full_rows(t):
     return sorted(
         ((r.values["a"], r.values["k"]) for r in t.scan()
-         if not r.meta["r_null"] and not r.meta["s_null"]),
+         if not null_flag(r, "r_null") and not null_flag(r, "s_null")),
         key=repr)
 
 
@@ -63,7 +64,7 @@ def test_insert_r_fans_out_to_all_matching_s():
     engine.apply(ins_r(1, "b1", 10))
     # Placeholder for s1 morphed; a new row pairs r1 with s2.
     assert (1, 1) in full_rows(t) and (1, 2) in full_rows(t)
-    assert not any(r.meta["r_null"] for r in t.scan())
+    assert not any(null_flag(r, "r_null") for r in t.scan())
 
 
 def test_insert_r_no_match_gets_snull_row():
@@ -101,7 +102,7 @@ def test_delete_r_preserves_each_orphaned_s():
     engine.apply(DeleteRecord(txn_id=1, table="R", key=(1,)))
     # s7 still carried by r2; s8 lost its only carrier -> placeholder.
     assert (2, 7) in full_rows(t)
-    placeholders = [r for r in t.scan() if r.meta["r_null"]]
+    placeholders = [r for r in t.scan() if null_flag(r, "r_null")]
     assert len(placeholders) == 1
     assert placeholders[0].values["k"] == 8
 
@@ -114,7 +115,7 @@ def test_delete_s_preserves_each_orphaned_r():
     engine.apply(DeleteRecord(txn_id=1, table="S", key=(7,)))
     # r2 still carried by its pairing with s8; r1 got a snull placeholder.
     assert (2, 8) in full_rows(t)
-    placeholders = [r for r in t.scan() if r.meta["s_null"]]
+    placeholders = [r for r in t.scan() if null_flag(r, "s_null")]
     assert len(placeholders) == 1
     assert placeholders[0].values["a"] == 1
 
@@ -128,7 +129,8 @@ def test_update_r_join_moves_all_pairings():
                               changes={"c": 20}, old_values={"c": 10}))
     # r1 now pairs with s5 at join 20; s7/s8 survive as placeholders.
     assert (1, 5) in full_rows(t)
-    orphans = sorted(r.values["k"] for r in t.scan() if r.meta["r_null"])
+    orphans = sorted(r.values["k"] for r in t.scan()
+                     if null_flag(r, "r_null"))
     assert orphans == [7, 8]
 
 
@@ -150,7 +152,8 @@ def test_update_s_join_moves_all_pairings():
                               changes={"c": 20}, old_values={"c": 10}))
     # s7 now joins r3 at 20; r1/r2 keep snull placeholders at join 10.
     assert (3, 7) in full_rows(t)
-    orphans = sorted(r.values["a"] for r in t.scan() if r.meta["s_null"])
+    orphans = sorted(r.values["a"] for r in t.scan()
+                     if null_flag(r, "s_null"))
     assert orphans == [1, 2]
 
 
@@ -175,14 +178,15 @@ def test_idempotent_reapplication():
     for record in (ins_r(2, "b2", 10), ins_s(8, 10, "d8"),
                    DeleteRecord(txn_id=1, table="R", key=(1,))):
         engine.apply(record)
-    snapshot = sorted((repr(sorted(r.values.items())), r.meta["r_null"],
-                       r.meta["s_null"]) for r in t.scan())
+    snapshot = sorted(
+        (repr(sorted(r.values.items())), null_flag(r, "r_null"),
+         null_flag(r, "s_null")) for r in t.scan())
     for record in (ins_r(2, "b2", 10), ins_s(8, 10, "d8"),
                    DeleteRecord(txn_id=1, table="R", key=(1,))):
         engine.apply(record)
     assert snapshot == sorted(
-        (repr(sorted(r.values.items())), r.meta["r_null"],
-         r.meta["s_null"]) for r in t.scan())
+        (repr(sorted(r.values.items())), null_flag(r, "r_null"),
+         null_flag(r, "s_null")) for r in t.scan())
 
 
 def test_lock_mappings():

@@ -36,17 +36,6 @@ from repro.wal.records import FuzzyMarkRecord
 
 BY_NAME = pytest.mark.parametrize("scenario", CORPUS, ids=lambda s: s.name)
 
-#: A finding of this module, reported and left alone (no rule rewrite
-#: rides along): the explode's NULL-element child -- what a NULL or
-#: element-free list explodes to -- has the key (source key, NULL), which
-#: the primary index does not hold, so ``target.get(key)`` never finds it
-#: and both ``migrate_row`` and the insert rule add a second one when
-#: they meet the same source row again.
-NULL_CHILD = pytest.mark.xfail(strict=True, reason=(
-    "explode: the NULL-element child is outside the primary index, so "
-    "re-applying a NULL-list row's migration / insert duplicates it"))
-
-
 def supports_lazy(scenario):
     return all(PLAN_OPERATORS[step.operator].supports_lazy
                for step in scenario.plan.steps)
@@ -62,7 +51,7 @@ def image(tables):
     """Rows with their metadata (split counters and flags, FOJ null
     markers), as a comparable multiset per table."""
     return {name: sorted(((sorted(row.values.items()),
-                           sorted(row.meta.items()))
+                           sorted((row.meta or {}).items()))
                           for row in table.scan()), key=repr)
             for name, table in tables.items()}
 
@@ -102,10 +91,7 @@ def test_restart_rebuild_publishes_the_reference_rows(scenario):
     assert scenario.verify(restart(db.log)) == []
 
 
-@pytest.mark.parametrize("scenario", [
-    pytest.param(s, id=s.name,
-                 marks=[NULL_CHILD] if s.name == "tags-explode" else [])
-    for s in CORPUS])
+@BY_NAME
 def test_migrate_row_twice_equals_once(scenario):
     db = Database()
     scenario.build(db)
@@ -156,10 +142,7 @@ def test_population_calls_migrate_row_itself():
 
 
 @pytest.mark.parametrize("operator,seed", [
-    # The explode seeds whose rewind lands before a random insert of a
-    # NULL-list row.
-    pytest.param(operator, seed, marks=[NULL_CHILD] if operator == "explode"
-                 and seed in (2, 14, 16, 18, 19) else [])
+    (operator, seed)
     for operator in sorted(WORKLOAD_SCENARIOS) for seed in range(20)])
 def test_repropagating_an_earlier_log_slice_changes_nothing(operator, seed):
     """Run the operator's corpus workload (plus seeded mutations) under a

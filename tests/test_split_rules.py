@@ -429,7 +429,8 @@ def _split_stream(rng, n):
 
 def _state(table):
     return sorted((sorted(row.values.items()), row.lsn,
-                   sorted(row.meta.items())) for row in table.scan())
+                   sorted((row.meta or {}).items()))
+                  for row in table.scan())
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -66,17 +66,6 @@ def test_doom_marks_only_unfinished():
     assert not t2.doomed
 
 
-def test_forget_finished_keeps_recent():
-    tm = TransactionManager()
-    txns = [tm.begin() for _ in range(10)]
-    for txn in txns[:8]:
-        tm.finished(txn, TxnState.COMMITTED)
-    tm.forget_finished(keep_last=3)
-    assert not tm.exists(txns[0].txn_id)
-    assert tm.exists(txns[7].txn_id)  # within keep_last
-    assert tm.exists(txns[9].txn_id)  # active, never dropped
-
-
 def test_repr_shows_state_and_doom():
     tm = TransactionManager()
     txn = tm.begin()
