@@ -1,13 +1,20 @@
 """cProfile of one repetition of a ledger workload: the profile before code.
 
     python3 benchmarks/profile.py WORKLOAD [--seed N] [--top 30]
-        [--sort tottime|cumtime] [--quick] [--heap]
+        [--sort tottime|cumtime] [--quick] [--heap | --drain]
 
 Builds the repetition the ledger would (``benchmarks.wallclock.workloads``,
 imported read-only), runs ``setup()`` unprofiled and ``timed(False)`` under
 ``cProfile``, verifies the output, and prints the top functions plus the
 total call count.  cProfile taxes every Python call and no native one, so
 shares shift: find candidates here, measure with ``benchmarks/pairs.py``.
+
+``--drain`` is the same for a propagation claim, on a workload whose
+set-up leaves its transformation paused on a log backlog
+(``foj_catchup``): it profiles only the transformation, stepped with the
+live budget to the swap with no user load, then verifies the published
+target.  Records propagated, wall seconds and records/s (all under
+cProfile) come before the top functions.
 
 ``--heap`` is the same "profile before code" for a memory claim: no
 cProfile; resident MB after ``setup()``, after ``timed(False)`` and after
@@ -128,6 +135,31 @@ def heap_report(rep, args, out):
           f"{marks[1][0] - total / _MB:>10.1f}", file=out)
 
 
+def drain(tf, profiler, args, out):
+    """Step ``tf`` with the live budget until it has swapped, under
+    ``profiler``, and print what it propagated and how fast."""
+    import time
+
+    from benchmarks.wallclock.config import TF_BUDGET_LIVE
+    from repro.transform.base import Phase
+
+    before = tf.stats["propagated_records"]
+    started = time.perf_counter()
+    profiler.enable()
+    try:
+        while tf.phase not in (Phase.BACKGROUND, Phase.DONE):
+            tf.step(TF_BUDGET_LIVE)
+    finally:
+        profiler.disable()
+    wall_s = time.perf_counter() - started
+    records = tf.stats["propagated_records"] - before
+    print(f"drain of {args.workload} (seed {args.seed}, "
+          f"{'quick' if args.quick else 'paper'} sizes) to the swap, "
+          f"step({TF_BUDGET_LIVE}), under cProfile: {records:,} records "
+          f"in {wall_s:.3f} s = {records / wall_s:,.0f} records/s",
+          file=out)
+
+
 def main(argv=None, out=sys.stdout):
     # Imported here, not at the top: run as a script, this file's directory
     # leads sys.path until the block below swaps it out, and ``cProfile``
@@ -147,9 +179,13 @@ def main(argv=None, out=sys.stdout):
                         default="tottime")
     parser.add_argument("--quick", action="store_true",
                         help="a tenth of the rows, as the ledger's --quick")
-    parser.add_argument("--heap", action="store_true",
-                        help="resident MB per stage and a census by "
-                             "component, instead of the cProfile")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--heap", action="store_true",
+                      help="resident MB per stage and a census by "
+                           "component, instead of the cProfile")
+    mode.add_argument("--drain", action="store_true",
+                      help="profile the paused transformation's drain to "
+                           "the swap, with no user load")
     args = parser.parse_args(argv)
 
     sizes = QUICK_SIZES if args.quick else PAPER_SIZES
@@ -159,12 +195,19 @@ def main(argv=None, out=sys.stdout):
         return 0
     rep.setup()
     profiler = cProfile.Profile()
-    with GcWatch() as rep.watch:
-        profiler.enable()
-        try:
-            rep.timed(False)
-        finally:
-            profiler.disable()
+    if args.drain:
+        tf = getattr(rep, "tf", None)
+        if tf is None:
+            parser.error(f"--drain: {args.workload} leaves no paused "
+                         f"transformation after set-up")
+        drain(tf, profiler, args, out)
+    else:
+        with GcWatch() as rep.watch:
+            profiler.enable()
+            try:
+                rep.timed(False)
+            finally:
+                profiler.disable()
     rep.verify()
     stats = pstats.Stats(profiler, stream=out)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)

@@ -270,10 +270,12 @@ class LockManager:
 
         Used by the synchronization step to *materialize* the locks the
         propagator maintained on the transformed tables during the
-        transformation (Section 3.3: "they are ignored for now").  By
-        construction, only mutually compatible source-origin locks are ever
-        materialized, and no native lock can exist yet because the
-        transformed table was not publicly visible.
+        transformation (Section 3.3: "they are ignored for now").  Only
+        source-origin locks are materialized, and those are mutually
+        compatible under Figure 2's rule -- so two proxy owners
+        co-holding X on one joined FOJ row (one from its R side, one from
+        its S side) is expected, not a conflict.  No native lock can
+        exist yet because the transformed table was not publicly visible.
         """
         state = self._resources.get(resource)
         own = None if state is None else _find(state.granted, txn_id)

@@ -39,7 +39,7 @@ from contextlib import nullcontext
 from operator import sub
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.common.errors import (
     TransformationAbortedError,
@@ -56,6 +56,7 @@ from repro.obs import ConvergenceMonitor, Metrics
 from repro.obs.blame import PHASE_ROLES, ROLE_SWEEPER
 from repro.obs.spans import Span
 from repro.shard import SITE_SHARD_PLAN, ShardPlanner
+from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.transform.analysis import (
     Decision,
@@ -154,7 +155,14 @@ class PropagatedLockTable:
         self._by_txn: Dict[int, Set[Tuple]] = {}
 
     def note(self, txn_id: int, table_uid: int, key: Tuple) -> None:
-        """Record that ``txn_id`` logically holds the transformed record."""
+        """Record that ``txn_id`` logically holds the transformed record.
+
+        Owner ``0`` is nobody.  A key with a NULL part is noted like any
+        other: the FOJ's ``t^null_x`` rows, the m2m placeholders and
+        explode's NULL-element child are read (and S-locked by key)
+        through the secondary indexes, so the lock is what keeps a
+        post-swap reader from seeing an open writer's row.
+        """
         if txn_id == 0:
             return
         resource = record_resource(table_uid, key)
@@ -180,6 +188,11 @@ class PropagatedLockTable:
         return sum(len(v) for v in self._by_txn.values())
 
 
+#: A rule's touched sink: ``(table, key)`` pairs for the propagated lock
+#: table, or ``None`` when the change's owner has finished.
+Touched = Optional[List[Tuple[Table, Tuple]]]
+
+
 #: Proxy lock-owner id for a transaction's propagated locks.  Kept disjoint
 #: from real transaction ids (which are positive).
 def proxy_owner(txn_id: int) -> int:
@@ -191,14 +204,22 @@ class RuleEngine:
     """Interface of the operator-specific log-propagation rules.
 
     Concrete engines (:mod:`repro.transform.foj`,
-    :mod:`repro.transform.split`, ...) implement the paper's numbered rules.
-    ``apply`` returns the list of transformed-table records the operation
-    touched, as ``(table, key)`` pairs, which the framework feeds into the
-    propagated lock table.
+    :mod:`repro.transform.split`, ...) implement the paper's numbered rules
+    and list them in one dispatch table, :attr:`_rules`, behind both
+    :meth:`apply` and :meth:`apply_run`.  A rule is called as
+    ``rule(change, lsn, touched)`` and reports every transformed-table
+    record it touched through :meth:`_touch` / :meth:`_touch_row` as a
+    ``(table, key)`` pair, which the framework feeds into the propagated
+    lock table -- or, when ``touched`` is ``None``, reports nothing and
+    builds no key: the owner has finished, so nobody can still hold it.
     """
 
     #: Names of the source tables whose log records this engine consumes.
     source_tables: Tuple[str, ...] = ()
+
+    #: ``(source table, record class) -> rule(change, lsn, touched)``;
+    #: a pair with no entry touches nothing.
+    _rules: Dict[Tuple[str, type], Callable] = {}
 
     #: Record classes :meth:`handle_marker` actually consumes, or ``None``
     #: for "unknown -- call it for every non-data record".  The
@@ -215,7 +236,7 @@ class RuleEngine:
     supports_lazy: bool = False
 
     def apply(self, change: LogRecord,
-              lsn: int) -> List[Tuple[Table, Tuple]]:
+              lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
         """Apply one data-change record; returns touched target records.
 
         Args:
@@ -226,26 +247,54 @@ class RuleEngine:
                 ignore it (Section 4.2: joined rows have no valid state
                 identifier).
         """
-        raise NotImplementedError
+        touched: List[Tuple[Table, Tuple]] = []
+        rule = self._rules.get((change.table, change.__class__))
+        if rule is not None:
+            rule(change, lsn, touched)
+        return touched
 
     def apply_run(self, table_name: str, kind: type,
                   items: Sequence[Tuple[LogRecord, int, int]]
-                  ) -> List[List[Tuple[Table, Tuple]]]:
+                  ) -> List[Sequence[Tuple[Table, Tuple]]]:
         """Apply a consecutive run of same-(table, rule) data changes.
 
-        ``items`` holds ``(change, lsn, txn_id)`` triples in LSN order,
-        exactly as the propagation loop collected them (the rules read
-        the first two; the owner id rides along for the loop's lock
-        bookkeeping); ``kind`` is the record class shared by every
-        change in the run.  The return value is the per-change
-        touched-record lists, positionally matching ``items``.  The
-        default simply loops :meth:`apply`; engines that keep a
-        (table, record class) rule table override this to resolve the
-        rule once per run (see
-        :meth:`repro.transform.foj.FojRuleEngine.apply_run`).
+        ``items`` holds ``(change, lsn, owner)`` triples in LSN order,
+        exactly as the propagation loop collected them; ``kind`` is the
+        record class shared by every change in the run, so the rule is
+        resolved once.  ``owner`` is the change's transaction while it
+        is still active, ``0`` once it has finished.  The return value
+        is the per-change touched records, positionally matching
+        ``items``: what :meth:`apply` returns for a live owner, and
+        nothing -- the rule ran without a touched sink -- for owner
+        ``0``, whose entries the propagated lock table would drop unread
+        at the owner's end record, which lies further down the log.
         """
-        apply_ = self.apply
-        return [apply_(change, lsn) for change, lsn, _txn_id in items]
+        rule = self._rules.get((table_name, kind))
+        if rule is None:
+            return [[] for _ in items]
+        out: List[Sequence[Tuple[Table, Tuple]]] = []
+        for change, lsn, owner in items:
+            if owner:
+                touched: List[Tuple[Table, Tuple]] = []
+                rule(change, lsn, touched)
+                out.append(touched)
+            else:
+                rule(change, lsn, None)
+                out.append(())
+        return out
+
+    @staticmethod
+    def _touch(touched: Touched, table: Table, key: Tuple) -> None:
+        """Report a touched target record, unless nobody can hold it."""
+        if touched is not None:
+            touched.append((table, key))
+
+    @staticmethod
+    def _touch_row(touched: Touched, table: Table, row: Row) -> None:
+        """:meth:`_touch` for a row in hand; its key is built only when
+        someone can hold it."""
+        if touched is not None:
+            touched.append((table, table.schema.key_of(row.values)))
 
     def handle_marker(self, record: LogRecord) -> None:
         """Consume a non-data record (CC marks etc.); default: ignore."""
@@ -784,7 +833,9 @@ class Transformation:
         cursor moves past the slice.  Runs never reorder records --
         grouping only amortizes dispatch -- so every slice size
         (``propagation_batch=1`` included) converges to the same target
-        state.
+        state.  Each change rides with its owner: the transaction id
+        while that transaction is active, ``0`` once it has finished
+        (see :meth:`RuleEngine.apply_run`).
 
         ``options.shards`` changes the *cost model*, not the order of
         work: records are still applied in LSN order on this thread,
@@ -807,6 +858,7 @@ class Transformation:
         handle_marker = engine.handle_marker
         apply_group = self._apply_group
         on_txn_end = self._on_txn_end
+        live = self.db.txns.exists
         batch_size = self.options.propagation_batch
         skip_cost = self.SKIP_UNIT_COST
         # Engines declare which non-data records handle_marker consumes;
@@ -877,7 +929,9 @@ class Transformation:
                         if not run:
                             run_table = change.table
                             run_kind = change.__class__
-                        run.append((change, record.lsn, record.txn_id))
+                        owner = record.txn_id
+                        run.append((change, record.lsn,
+                                    owner if live(owner) else 0))
                     else:
                         skips += 1
                 if run:
@@ -900,7 +954,7 @@ class Transformation:
         """Apply one consecutive (table, rule) run; returns the *serial*
         units it cost.
 
-        ``items`` holds ``(change, lsn, txn_id)`` triples in LSN order.
+        ``items`` holds ``(change, lsn, owner)`` triples in LSN order.
         The touched target records feed the propagated lock table.  With
         one shard account every apply is serial; with several, each
         change the engine routes (:meth:`RuleEngine.shard_route`) is
@@ -911,9 +965,9 @@ class Transformation:
         assert self.engine is not None
         touched_lists = self.engine.apply_run(table_name, kind, items)
         note = self.locks_held.note
-        for (_change, _lsn, txn_id), touched in zip(items, touched_lists):
+        for (_change, _lsn, owner), touched in zip(items, touched_lists):
             for table, key in touched:
-                note(txn_id, table.uid, key)
+                note(owner, table.uid, key)
         if self.metrics.enabled:
             self.metrics.observe("tf.batch.group_size", len(items))
         shard_applied = self._shard_applied

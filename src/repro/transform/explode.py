@@ -41,7 +41,7 @@ from repro.engine.database import Database
 from repro.relational.spec import ExplodeSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Transformation
+from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.wal.records import (
     NULL_LSN,
     DeleteRecord,
@@ -67,6 +67,9 @@ class ExplodeRuleEngine(RuleEngine):
         self.spec = spec
         self.target = target
         self.source_tables = (spec.source_name,)
+        self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
+                       (spec.source_name, DeleteRecord): self._rule_delete,
+                       (spec.source_name, UpdateRecord): self._rule_update}
 
     def _children(self, parent_key: Tuple) -> List[Row]:
         return self.target.lookup(PARENT_INDEX, tuple(parent_key))
@@ -88,22 +91,8 @@ class ExplodeRuleEngine(RuleEngine):
 
     # -- rules ----------------------------------------------------------------
 
-    def apply(self, change: LogRecord,
-              lsn: int) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged source operation to the sibling group."""
-        touched: List[Tuple[Table, Tuple]] = []
-        if change.table != self.spec.source_name:
-            return touched
-        if isinstance(change, InsertRecord):
-            self._rule_insert(change, lsn, touched)
-        elif isinstance(change, DeleteRecord):
-            self._rule_delete(change, lsn, touched)
-        elif isinstance(change, UpdateRecord):
-            self._rule_update(change, lsn, touched)
-        return touched
-
     def _rule_insert(self, change: InsertRecord, lsn: int,
-                     touched: List[Tuple[Table, Tuple]]) -> None:
+                     touched: Touched) -> None:
         """One child per element, each guarded per-child.
 
         A child already present with a higher LSN came from a newer
@@ -112,29 +101,28 @@ class ExplodeRuleEngine(RuleEngine):
         the newer update/delete record reaches it in LSN order.
         """
         for element in self.spec.elements(change.values):
-            key = self.spec.child_key(change.values, element)
             child = self._child(change.values, element)
             if child is None:
-                self.target.insert_row(
+                child = self.target.insert_row(
                     self.spec.child_values(change.values, element), lsn=lsn)
-                touched.append((self.target, key))
             elif child.lsn < lsn:
                 self.target.update_rowid(
                     child.rowid,
                     self.spec.child_values(change.values, element), lsn=lsn)
-                touched.append((self.target, key))
+            else:
+                continue
+            self._touch_row(touched, self.target, child)
 
     def _rule_delete(self, change: DeleteRecord, lsn: int,
-                     touched: List[Tuple[Table, Tuple]]) -> None:
+                     touched: Touched) -> None:
         """Remove every child of the source key not newer than the delete."""
         for child in list(self._children(change.key)):
             if child.lsn < lsn:
-                key = self.target.schema.key_of(child.values)
                 self.target.delete_rowid(child.rowid)
-                touched.append((self.target, key))
+                self._touch_row(touched, self.target, child)
 
     def _rule_update(self, change: UpdateRecord, lsn: int,
-                     touched: List[Tuple[Table, Tuple]]) -> None:
+                     touched: Touched) -> None:
         """Apply kept changes to all children; reconcile a list rewrite.
 
         With the null-padding invariant a live source row always has at
@@ -151,10 +139,9 @@ class ExplodeRuleEngine(RuleEngine):
                 return
             for child in children:
                 if child.lsn < lsn:
-                    key = self.target.schema.key_of(child.values)
                     self.target.update_rowid(child.rowid, dict(kept),
                                              lsn=lsn)
-                    touched.append((self.target, key))
+                    self._touch_row(touched, self.target, child)
             return
         # List rewrite: rebuild the source image from any child's kept
         # columns + the update's changes, then reconcile the group.
@@ -165,7 +152,6 @@ class ExplodeRuleEngine(RuleEngine):
         wanted = set(new_elements)
         for child in children:
             element = child.values.get(self.spec.value_attr)
-            key = self.target.schema.key_of(child.values)
             if child.lsn >= lsn:
                 continue
             if element in wanted:
@@ -174,15 +160,14 @@ class ExplodeRuleEngine(RuleEngine):
                     lsn=lsn)
             else:
                 self.target.delete_rowid(child.rowid)
-            touched.append((self.target, key))
+            self._touch_row(touched, self.target, child)
         have = {c.values.get(self.spec.value_attr)
                 for c in self._children(change.key)}
         for element in new_elements:
             if element not in have:
-                key = self.spec.child_key(base, element)
-                self.target.insert_row(
+                child = self.target.insert_row(
                     self.spec.child_values(base, element), lsn=lsn)
-                touched.append((self.target, key))
+                self._touch_row(touched, self.target, child)
 
     # -- population -----------------------------------------------------------
 

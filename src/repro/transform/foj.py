@@ -26,14 +26,14 @@ joined with ``snull``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Transformation
+from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.wal.records import (
     NULL_LSN,
     DeleteRecord,
@@ -54,6 +54,22 @@ def null_flag(row: Row, flag: str) -> bool:
     """Whether ``flag`` (``"r_null"`` / ``"s_null"``) is set on a T row."""
     meta = row.meta
     return meta is not None and meta.get(flag, False)
+
+
+def side_changes(changes: Dict[str, object],
+                 attrs: Set[str]) -> Dict[str, object]:
+    """The part of an update's ``changes`` on one side's ``attrs``: the
+    record's own dict when all of it belongs there (callers only read
+    it), else a filtered copy."""
+    if attrs.issuperset(changes):
+        return changes
+    return {k: v for k, v in changes.items() if k in attrs}
+
+
+def moves_join(change: UpdateRecord, join_attr: str) -> bool:
+    """Whether an update changes the value of the join attribute."""
+    return join_attr in change.changes and \
+        change.changes[join_attr] != change.old_values.get(join_attr)
 
 
 class FojHashJoin:
@@ -163,8 +179,6 @@ class FojRuleEngine(RuleEngine):
         self._r_attr_set = set(spec.r_attrs)
         self._s_attr_set = set(spec.s_attrs)
         self._has_skey_index = SKEY_INDEX in target.indexes
-        #: (source table, record class) -> rule: the one dispatch table
-        #: behind :meth:`apply` and :meth:`apply_run`.
         self._rules = {
             (spec.r_name, InsertRecord): self._rule1_insert_r,
             (spec.r_name, DeleteRecord): self._rule3_delete_r,
@@ -196,21 +210,10 @@ class FojRuleEngine(RuleEngine):
     def _key_of(self, row: Row) -> Tuple:
         return self.t.schema.key_of(row.values)
 
-    def _touch(self, touched: List[Tuple[Table, Tuple]], row: Row) -> None:
-        touched.append((self.t, self._key_of(row)))
-
     def _insert_t(self, values: Dict[str, object],
                   null_side: Optional[str] = None) -> Row:
         return self.t.insert_row(
             values, meta={null_side: True} if null_side else None)
-
-    def _r_changes(self, change: UpdateRecord) -> Dict[str, object]:
-        return {k: v for k, v in change.changes.items()
-                if k in self._r_attr_set}
-
-    def _s_changes(self, change: UpdateRecord) -> Dict[str, object]:
-        return {k: v for k, v in change.changes.items()
-                if k in self._s_attr_set}
 
     # -- sharding (repro.shard) ---------------------------------------------
 
@@ -232,64 +235,35 @@ class FojRuleEngine(RuleEngine):
 
     # -- dispatch -----------------------------------------------------------
 
-    def apply(self, change: LogRecord,
-              lsn: int = 0) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged source-table operation to T.
+    # The framework's dispatch over ``_rules``, bound in this class body
+    # because per-engine instrumentation patches these names through
+    # ``vars(cls)``.  The ``lsn`` is ignored by every FOJ rule: a joined
+    # row has no single valid state identifier (Section 4.2).
+    apply = RuleEngine.apply
+    apply_run = RuleEngine.apply_run
 
-        The ``lsn`` is accepted for interface uniformity and ignored: a
-        joined row has no single valid state identifier (Section 4.2), so
-        the FOJ rules are purely state-driven.  A record no rule covers
-        (another table, another record class) touches nothing.
-        """
-        touched: List[Tuple[Table, Tuple]] = []
-        rule = self._rules.get((change.table, change.__class__))
-        if rule is not None:
-            rule(change, touched)
-        return touched
-
-    def apply_run(self, table_name: str, kind: type,
-                  items) -> List[List[Tuple[Table, Tuple]]]:
-        """Batched dispatch: one rule lookup for the whole run.
-
-        Records stay in LSN order; only the lookup :meth:`apply` makes
-        per record is hoisted out of the loop.
-        """
-        rule = self._rules.get((table_name, kind))
-        if rule is None:
-            return [[] for _ in items]
-        out: List[List[Tuple[Table, Tuple]]] = []
-        for item in items:
-            touched: List[Tuple[Table, Tuple]] = []
-            rule(item[0], touched)
-            out.append(touched)
-        return out
-
-    def _rules5_7_update_r(self, change: UpdateRecord,
-                           touched: List[Tuple[Table, Tuple]]) -> None:
+    def _rules5_7_update_r(self, change: UpdateRecord, _lsn: int,
+                           touched: Touched) -> None:
         """An R update that changes the join attribute moves the row
         (Rule 5); any other one updates it in place (Rule 7)."""
-        join_attr = self.spec.join_attr_r
-        if join_attr in change.changes and change.changes[join_attr] != \
-                change.old_values.get(join_attr):
+        if moves_join(change, self.spec.join_attr_r):
             self._rule5_update_r_join(change, touched)
         else:
             self._rule7_update_r_other(change, touched)
 
-    def _rules6_7_update_s(self, change: UpdateRecord,
-                           touched: List[Tuple[Table, Tuple]]) -> None:
+    def _rules6_7_update_s(self, change: UpdateRecord, _lsn: int,
+                           touched: Touched) -> None:
         """An S update that changes the join attribute re-attaches the S
         record (Rule 6); any other one updates its carriers (Rule 7)."""
-        join_attr = self.spec.join_attr_s
-        if join_attr in change.changes and change.changes[join_attr] != \
-                change.old_values.get(join_attr):
+        if moves_join(change, self.spec.join_attr_s):
             self._rule6_update_s_join(change, touched)
         else:
             self._rule7_update_s_other(change, touched)
 
     # -- Rule 1 (Insert r^y_x into R) ------------------------------------------
 
-    def _rule1_insert_r(self, change: InsertRecord,
-                        touched: List[Tuple[Table, Tuple]]) -> None:
+    def _rule1_insert_r(self, change: InsertRecord, _lsn: int,
+                        touched: Touched) -> None:
         """If t^y exists, ignore (Theorem 1).  Otherwise join the new R row
         with the S part found through the join index: morph ``t^null_x``,
         clone the S part of a ``t^v_x``, or fall back to ``snull``."""
@@ -300,7 +274,7 @@ class FojRuleEngine(RuleEngine):
         self._attach_r_part(r_part, join_value, touched)
 
     def _attach_r_part(self, r_part: Dict[str, object], join_value: object,
-                       touched: List[Tuple[Table, Tuple]]) -> None:
+                       touched: Touched) -> None:
         """Shared tail of Rules 1 and 5: place an R part at a join value."""
         rows = self._rows_with_join(join_value)
         null_r_row = next((r for r in rows if null_flag(r, "r_null")), None)
@@ -309,24 +283,24 @@ class FojRuleEngine(RuleEngine):
             # r^y_x to form t^y_x".
             self.t.update_rowid(null_r_row.rowid, r_part)
             null_r_row.meta = None
-            self._touch(touched, null_r_row)
+            self._touch_row(touched, self.t, null_r_row)
             return
         donor = next((r for r in rows if not null_flag(r, "s_null")), None)
         if donor is not None:
             # t^v_x found: join the new R part with the s^x part of t^v_x.
             values = dict(r_part)
             values.update(self.spec.s_part_of_t(donor.values))
-            self._touch(touched, self._insert_t(values))
+            self._touch_row(touched, self.t, self._insert_t(values))
             return
         # No S record with this join value: join with snull.
         values = dict(r_part)
         values.update(self.spec.null_s_part())
-        self._touch(touched, self._insert_t(values, "s_null"))
+        self._touch_row(touched, self.t, self._insert_t(values, "s_null"))
 
     # -- Rule 2 (Insert s^x into S) ------------------------------------------------
 
-    def _rule2_insert_s(self, change: InsertRecord,
-                        touched: List[Tuple[Table, Tuple]]) -> None:
+    def _rule2_insert_s(self, change: InsertRecord, _lsn: int,
+                        touched: Touched) -> None:
         """Update every t joined with snull at this join value; records
         already joined with a real S record are up to date (Theorem 1).
         Insert ``t^null_x`` if nothing carries the join value."""
@@ -342,24 +316,24 @@ class FojRuleEngine(RuleEngine):
             if null_flag(row, "s_null"):
                 self.t.update_rowid(row.rowid, s_part)
                 row.meta = None
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
         if not rows:
             values = self.spec.null_r_part()
             values[self.spec.join_column] = join_value
             values.update(s_part)
-            self._touch(touched, self._insert_t(values, "r_null"))
+            self._touch_row(touched, self.t, self._insert_t(values, "r_null"))
 
     # -- Rule 3 (Delete r^y from R) ---------------------------------------------------
 
-    def _rule3_delete_r(self, change: DeleteRecord,
-                        touched: List[Tuple[Table, Tuple]]) -> None:
+    def _rule3_delete_r(self, change: DeleteRecord, _lsn: int,
+                        touched: Touched) -> None:
         """Delete t^y; if it was the only carrier of its S record, leave a
         ``t^null_x`` behind so the full outer join keeps the S side."""
         row = self.t.get(change.key)
         if row is None:
             return
         if null_flag(row, "s_null"):
-            self._touch(touched, row)
+            self._touch_row(touched, self.t, row)
             self.t.delete_rowid(row.rowid)
             return
         join_value = row.values.get(self.spec.join_column)
@@ -368,33 +342,33 @@ class FojRuleEngine(RuleEngine):
             r for r in self._rows_with_join(join_value)
             if not null_flag(r, "s_null") and r.rowid != row.rowid
         ]
-        self._touch(touched, row)
+        self._touch_row(touched, self.t, row)
         self.t.delete_rowid(row.rowid)
         if not others:
             values = self.spec.null_r_part()
             values[self.spec.join_column] = join_value
             values.update(s_part)
-            self._touch(touched, self._insert_t(values, "r_null"))
+            self._touch_row(touched, self.t, self._insert_t(values, "r_null"))
 
     # -- Rule 4 (Delete s^x from S) -------------------------------------------------------
 
-    def _rule4_delete_s(self, change: DeleteRecord,
-                        touched: List[Tuple[Table, Tuple]]) -> None:
+    def _rule4_delete_s(self, change: DeleteRecord, _lsn: int,
+                        touched: Touched) -> None:
         """Delete ``t^null_x`` if present; strip the S side of every other
         carrier (they survive joined with snull)."""
         for row in self._rows_with_skey(change.key):
             if null_flag(row, "r_null"):
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 self.t.delete_rowid(row.rowid)
             else:
                 self.t.update_rowid(row.rowid, self.spec.null_s_part())
                 row.meta = {"s_null": True}
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
 
     # -- Rule 5 (Update join attribute of r^y_x to z) -----------------------------------------
 
     def _rule5_update_r_join(self, change: UpdateRecord,
-                             touched: List[Tuple[Table, Tuple]]) -> None:
+                             touched: Touched) -> None:
         """Move t^y from join value x to z, preserving s^x if t^y was its
         only carrier, and attaching the R part at z as in Rule 1.
 
@@ -409,7 +383,7 @@ class FojRuleEngine(RuleEngine):
         if row.values.get(self.spec.join_column) != old_join:
             return  # newer state already reflected
         new_r_part = self.spec.r_part_of_t(row.values)
-        new_r_part.update(self._r_changes(change))
+        new_r_part.update(side_changes(change.changes, self._r_attr_set))
         new_join = change.changes[self.spec.join_attr_r]
 
         if not null_flag(row, "s_null"):
@@ -422,15 +396,16 @@ class FojRuleEngine(RuleEngine):
                 values = self.spec.null_r_part()
                 values[self.spec.join_column] = old_join
                 values.update(s_part)
-                self._touch(touched, self._insert_t(values, "r_null"))
-        self._touch(touched, row)
+                self._touch_row(touched, self.t,
+                                self._insert_t(values, "r_null"))
+        self._touch_row(touched, self.t, row)
         self.t.delete_rowid(row.rowid)
         self._attach_r_part(new_r_part, new_join, touched)
 
     # -- Rule 6 (Update join attribute of s^x to z) -----------------------------------------------
 
     def _rule6_update_s_join(self, change: UpdateRecord,
-                             touched: List[Tuple[Table, Tuple]]) -> None:
+                             touched: Touched) -> None:
         """Detach s from its carriers at x (delete ``t^null_x``, null the S
         side of the rest), then attach it at z (fill snull carriers, or
         insert ``t^null_z``).  The S attribute values not present in the log
@@ -439,7 +414,7 @@ class FojRuleEngine(RuleEngine):
         if not carriers:
             return  # nothing carries s^x: newer state (Theorem 1)
         new_s_part = self.spec.s_part_of_t(carriers[0].values)
-        new_s_part.update(self._s_changes(change))
+        new_s_part.update(side_changes(change.changes, self._s_attr_set))
         new_join = change.changes[self.spec.join_attr_s]
         if new_join is None:
             raise TransformationError(
@@ -447,12 +422,12 @@ class FojRuleEngine(RuleEngine):
                 f"{self.spec.s_name!r}")
         for row in carriers:
             if null_flag(row, "r_null"):
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 self.t.delete_rowid(row.rowid)
             else:
                 self.t.update_rowid(row.rowid, self.spec.null_s_part())
                 row.meta = {"s_null": True}
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
         rows_z = self._rows_with_join(new_join)
         filled = False
         has_real_s = False
@@ -460,7 +435,7 @@ class FojRuleEngine(RuleEngine):
             if null_flag(row, "s_null"):
                 self.t.update_rowid(row.rowid, new_s_part)
                 row.meta = None
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 filled = True
             else:
                 has_real_s = True  # already joined with an s^z: unmodified
@@ -468,29 +443,29 @@ class FojRuleEngine(RuleEngine):
             values = self.spec.null_r_part()
             values[self.spec.join_column] = new_join
             values.update(new_s_part)
-            self._touch(touched, self._insert_t(values, "r_null"))
+            self._touch_row(touched, self.t, self._insert_t(values, "r_null"))
 
     # -- Rule 7 (Update other attribute of r^y or s^x) ----------------------------------------------
 
     def _rule7_update_r_other(self, change: UpdateRecord,
-                              touched: List[Tuple[Table, Tuple]]) -> None:
+                              touched: Touched) -> None:
         """Update the R side of t^y in place; ignore if absent."""
         row = self.t.get(change.key)
         if row is None:
             return
-        r_changes = self._r_changes(change)
+        r_changes = side_changes(change.changes, self._r_attr_set)
         if r_changes:
             self.t.update_rowid(row.rowid, r_changes)
-        self._touch(touched, row)
+        self._touch_row(touched, self.t, row)
 
     def _rule7_update_s_other(self, change: UpdateRecord,
-                              touched: List[Tuple[Table, Tuple]]) -> None:
+                              touched: Touched) -> None:
         """Update the S side of every carrier of s^x; ignore if none."""
-        s_changes = self._s_changes(change)
+        s_changes = side_changes(change.changes, self._s_attr_set)
         for row in self._rows_with_skey(change.key):
             if s_changes:
                 self.t.update_rowid(row.rowid, s_changes)
-            self._touch(touched, row)
+            self._touch_row(touched, self.t, row)
 
     # -- lazy population (migrate-on-read) -----------------------------------
 
@@ -507,13 +482,12 @@ class FojRuleEngine(RuleEngine):
         (Theorem 1).  The ``lsn`` is ignored like everywhere else in the
         FOJ rules -- a joined row has no single valid state identifier.
         """
-        touched: List[Tuple[Table, Tuple]] = []  # the rules' out-param
         spec = self.spec
         if table_name == spec.r_name:
             key = tuple(values.get(a) for a in spec.r_key)
             if self.t.get(key) is None:  # else: migrated or replayed
                 self._attach_r_part(spec.r_part(values),
-                                    values.get(spec.join_attr_r), touched)
+                                    values.get(spec.join_attr_r), None)
         elif table_name == spec.s_name:
             join_value = values.get(spec.join_attr_s)
             s_part = spec.s_part(values)

@@ -34,15 +34,10 @@ from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Transformation
+from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.transform.foj import (JOIN_INDEX, SKEY_INDEX, FojTransformation,
-                                 null_flag)
-from repro.wal.records import (
-    DeleteRecord,
-    InsertRecord,
-    LogRecord,
-    UpdateRecord,
-)
+                                 moves_join, null_flag, side_changes)
+from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
 
 #: Non-unique index over the R-identifying attributes of T (needed because
 #: T's primary key is the R-key + S-key concatenation).
@@ -59,6 +54,14 @@ class Many2ManyFojRuleEngine(RuleEngine):
         self.source_tables = (spec.r_name, spec.s_name)
         self._r_attr_set = set(spec.r_attrs)
         self._s_attr_set = set(spec.s_attrs)
+        self._rules = {
+            (spec.r_name, InsertRecord): self._insert_r,
+            (spec.r_name, DeleteRecord): self._rule_delete_r,
+            (spec.r_name, UpdateRecord): self._update_r,
+            (spec.s_name, InsertRecord): self._insert_s,
+            (spec.s_name, DeleteRecord): self._rule_delete_s,
+            (spec.s_name, UpdateRecord): self._update_s,
+        }
 
     # -- helpers ------------------------------------------------------------
 
@@ -82,54 +85,19 @@ class Many2ManyFojRuleEngine(RuleEngine):
     def _key_of(self, row: Row) -> Tuple:
         return self.t.schema.key_of(row.values)
 
-    def _touch(self, touched: List[Tuple[Table, Tuple]], row: Row) -> None:
-        touched.append((self.t, self._key_of(row)))
-
     def _insert_t(self, values: Dict[str, object],
                   null_side: Optional[str] = None) -> Row:
         return self.t.insert_row(
             values, meta={null_side: True} if null_side else None)
 
-    # -- dispatch --------------------------------------------------------------
+    # -- R side (the LSN is ignored, as in every FOJ rule) -------------------
 
-    def apply(self, change: LogRecord,
-              lsn: int = 0) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged source-table operation to T (LSN ignored)."""
-        touched: List[Tuple[Table, Tuple]] = []
-        spec = self.spec
-        if change.table == spec.r_name:
-            if isinstance(change, InsertRecord):
-                self._insert_r(change.values, touched)
-            elif isinstance(change, DeleteRecord):
-                self._delete_r(change.key, touched)
-            elif isinstance(change, UpdateRecord):
-                if spec.join_attr_r in change.changes and \
-                        change.changes[spec.join_attr_r] != \
-                        change.old_values.get(spec.join_attr_r):
-                    self._update_r_join(change, touched)
-                else:
-                    self._update_r_other(change, touched)
-        elif change.table == spec.s_name:
-            if isinstance(change, InsertRecord):
-                self._insert_s(change.values, touched)
-            elif isinstance(change, DeleteRecord):
-                self._delete_s(change.key, touched)
-            elif isinstance(change, UpdateRecord):
-                if spec.join_attr_s in change.changes and \
-                        change.changes[spec.join_attr_s] != \
-                        change.old_values.get(spec.join_attr_s):
-                    self._update_s_join(change, touched)
-                else:
-                    self._update_s_other(change, touched)
-        return touched
-
-    # -- R side ----------------------------------------------------------------
-
-    def _insert_r(self, values: Dict[str, object],
-                  touched: List[Tuple[Table, Tuple]]) -> None:
+    def _insert_r(self, change: InsertRecord, _lsn: int,
+                  touched: Touched) -> None:
         """"A t^{yv}_z record has to be inserted for every matching record
         s^v_x": morph the placeholders of unmatched S records, clone the S
         part of matched ones, or fall back to a single snull row."""
+        values = change.values
         r_key = self._rkey_of(values)
         if self._rows_with_rkey(r_key):
             return  # Theorem 1: already reflected
@@ -138,7 +106,7 @@ class Many2ManyFojRuleEngine(RuleEngine):
         self._attach_r_part(r_part, join_value, touched)
 
     def _attach_r_part(self, r_part: Dict[str, object], join_value: object,
-                       touched: List[Tuple[Table, Tuple]]) -> None:
+                       touched: Touched) -> None:
         rows = self._rows_with_join(join_value)
         seen_skeys = set()
         matched = False
@@ -147,7 +115,7 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 # Unmatched S record: fill in the R part.
                 self.t.update_rowid(row.rowid, r_part)
                 row.meta = None
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 matched = True
             elif not null_flag(row, "s_null"):
                 s_key = self._skey_of(row.values)
@@ -156,22 +124,22 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 seen_skeys.add(s_key)
                 new_values = dict(r_part)
                 new_values.update(self.spec.s_part_of_t(row.values))
-                self._touch(touched,
-                            self._insert_t(new_values))
+                self._touch_row(touched, self.t, self._insert_t(new_values))
                 matched = True
         if not matched:
             new_values = dict(r_part)
             new_values.update(self.spec.null_s_part())
-            self._touch(touched, self._insert_t(new_values, "s_null"))
+            self._touch_row(touched, self.t,
+                            self._insert_t(new_values, "s_null"))
 
     def _delete_r(self, key: Tuple,
-                  touched: List[Tuple[Table, Tuple]]) -> None:
+                  touched: Touched) -> None:
         """Delete every row the R record contributed to; keep a placeholder
         for each S record that would otherwise vanish from the join."""
         rows = self._rows_with_rkey(key)
         for row in list(rows):
             if null_flag(row, "s_null"):
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 self.t.delete_rowid(row.rowid)
                 continue
             s_key = self._skey_of(row.values)
@@ -179,17 +147,28 @@ class Many2ManyFojRuleEngine(RuleEngine):
                         if not null_flag(r, "r_null") and r.rowid != row.rowid]
             join_value = row.values.get(self.spec.join_column)
             s_part = self.spec.s_part_of_t(row.values)
-            self._touch(touched, row)
+            self._touch_row(touched, self.t, row)
             self.t.delete_rowid(row.rowid)
             if not carriers:
                 placeholder = self.spec.null_r_part()
                 placeholder[self.spec.join_column] = join_value
                 placeholder.update(s_part)
-                self._touch(touched,
-                            self._insert_t(placeholder, "r_null"))
+                self._touch_row(touched, self.t,
+                                self._insert_t(placeholder, "r_null"))
+
+    def _rule_delete_r(self, change: DeleteRecord, _lsn: int,
+                       touched: Touched) -> None:
+        self._delete_r(change.key, touched)
+
+    def _update_r(self, change: UpdateRecord, _lsn: int,
+                  touched: Touched) -> None:
+        if moves_join(change, self.spec.join_attr_r):
+            self._update_r_join(change, touched)
+        else:
+            self._update_r_other(change, touched)
 
     def _update_r_join(self, change: UpdateRecord,
-                       touched: List[Tuple[Table, Tuple]]) -> None:
+                       touched: Touched) -> None:
         """Per the sketch: delete all T rows the R record contributed to
         (ensuring the continued existence of their S counterparts), then
         insert the new join matches."""
@@ -200,26 +179,24 @@ class Many2ManyFojRuleEngine(RuleEngine):
         if rows[0].values.get(self.spec.join_column) != old_join:
             return  # newer state already reflected
         new_r_part = self.spec.r_part_of_t(rows[0].values)
-        for attr, value in change.changes.items():
-            if attr in self._r_attr_set:
-                new_r_part[attr] = value
+        new_r_part.update(side_changes(change.changes, self._r_attr_set))
         self._delete_r(change.key, touched)
         self._attach_r_part(new_r_part,
                             change.changes[self.spec.join_attr_r], touched)
 
     def _update_r_other(self, change: UpdateRecord,
-                        touched: List[Tuple[Table, Tuple]]) -> None:
-        r_changes = {k: v for k, v in change.changes.items()
-                     if k in self._r_attr_set}
+                        touched: Touched) -> None:
+        r_changes = side_changes(change.changes, self._r_attr_set)
         for row in self._rows_with_rkey(change.key):
             if r_changes:
                 self.t.update_rowid(row.rowid, r_changes)
-            self._touch(touched, row)
+            self._touch_row(touched, self.t, row)
 
     # -- S side (mirror image) ------------------------------------------------------
 
-    def _insert_s(self, values: Dict[str, object],
-                  touched: List[Tuple[Table, Tuple]]) -> None:
+    def _insert_s(self, change: InsertRecord, _lsn: int,
+                  touched: Touched) -> None:
+        values = change.values
         s_key = self._skey_of(values)
         if self._rows_with_skey(s_key):
             return
@@ -228,7 +205,7 @@ class Many2ManyFojRuleEngine(RuleEngine):
         self._attach_s_part(s_part, join_value, touched)
 
     def _attach_s_part(self, s_part: Dict[str, object], join_value: object,
-                       touched: List[Tuple[Table, Tuple]]) -> None:
+                       touched: Touched) -> None:
         rows = self._rows_with_join(join_value)
         seen_rkeys = set()
         matched = False
@@ -236,7 +213,7 @@ class Many2ManyFojRuleEngine(RuleEngine):
             if null_flag(row, "s_null"):
                 self.t.update_rowid(row.rowid, s_part)
                 row.meta = None
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 matched = True
             elif not null_flag(row, "r_null"):
                 r_key = self._rkey_of(row.values)
@@ -245,38 +222,49 @@ class Many2ManyFojRuleEngine(RuleEngine):
                 seen_rkeys.add(r_key)
                 new_values = self.spec.r_part_of_t(row.values)
                 new_values.update(s_part)
-                self._touch(touched,
-                            self._insert_t(new_values))
+                self._touch_row(touched, self.t, self._insert_t(new_values))
                 matched = True
         if not matched:
             new_values = self.spec.null_r_part()
             if join_value is not None:
                 new_values[self.spec.join_column] = join_value
             new_values.update(s_part)
-            self._touch(touched, self._insert_t(new_values, "r_null"))
+            self._touch_row(touched, self.t,
+                            self._insert_t(new_values, "r_null"))
 
     def _delete_s(self, key: Tuple,
-                  touched: List[Tuple[Table, Tuple]]) -> None:
+                  touched: Touched) -> None:
         rows = self._rows_with_skey(key)
         for row in list(rows):
             if null_flag(row, "r_null"):
-                self._touch(touched, row)
+                self._touch_row(touched, self.t, row)
                 self.t.delete_rowid(row.rowid)
                 continue
             r_key = self._rkey_of(row.values)
             carriers = [r for r in self._rows_with_rkey(r_key)
                         if not null_flag(r, "s_null") and r.rowid != row.rowid]
             r_part = self.spec.r_part_of_t(row.values)
-            self._touch(touched, row)
+            self._touch_row(touched, self.t, row)
             self.t.delete_rowid(row.rowid)
             if not carriers:
                 placeholder = dict(r_part)
                 placeholder.update(self.spec.null_s_part())
-                self._touch(touched,
-                            self._insert_t(placeholder, "s_null"))
+                self._touch_row(touched, self.t,
+                                self._insert_t(placeholder, "s_null"))
+
+    def _rule_delete_s(self, change: DeleteRecord, _lsn: int,
+                       touched: Touched) -> None:
+        self._delete_s(change.key, touched)
+
+    def _update_s(self, change: UpdateRecord, _lsn: int,
+                  touched: Touched) -> None:
+        if moves_join(change, self.spec.join_attr_s):
+            self._update_s_join(change, touched)
+        else:
+            self._update_s_other(change, touched)
 
     def _update_s_join(self, change: UpdateRecord,
-                       touched: List[Tuple[Table, Tuple]]) -> None:
+                       touched: Touched) -> None:
         rows = self._rows_with_skey(change.key)
         if not rows:
             return
@@ -284,21 +272,18 @@ class Many2ManyFojRuleEngine(RuleEngine):
         if rows[0].values.get(self.spec.join_column) != old_join:
             return
         new_s_part = self.spec.s_part_of_t(rows[0].values)
-        for attr, value in change.changes.items():
-            if attr in self._s_attr_set:
-                new_s_part[attr] = value
+        new_s_part.update(side_changes(change.changes, self._s_attr_set))
         self._delete_s(change.key, touched)
         self._attach_s_part(new_s_part,
                             change.changes[self.spec.join_attr_s], touched)
 
     def _update_s_other(self, change: UpdateRecord,
-                        touched: List[Tuple[Table, Tuple]]) -> None:
-        s_changes = {k: v for k, v in change.changes.items()
-                     if k in self._s_attr_set}
+                        touched: Touched) -> None:
+        s_changes = side_changes(change.changes, self._s_attr_set)
         for row in self._rows_with_skey(change.key):
             if s_changes:
                 self.t.update_rowid(row.rowid, s_changes)
-            self._touch(touched, row)
+            self._touch_row(touched, self.t, row)
 
     # -- lock mapping -------------------------------------------------------------------
 

@@ -40,12 +40,11 @@ from repro.engine.database import Database
 from repro.storage.row import Row
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Transformation
+from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.wal.records import (
     NULL_LSN,
     DeleteRecord,
     InsertRecord,
-    LogRecord,
     UpdateRecord,
 )
 
@@ -206,6 +205,9 @@ class PartitionRuleEngine(RuleEngine):
         self.a = a_table
         self.b = b_table
         self.source_tables = (spec.source_name,)
+        self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
+                       (spec.source_name, DeleteRecord): self._rule_delete,
+                       (spec.source_name, UpdateRecord): self._rule_update}
 
     def _find(self, key: Tuple) -> Tuple[Optional[Table], Optional[Row]]:
         row = self.a.get(key)
@@ -219,37 +221,34 @@ class PartitionRuleEngine(RuleEngine):
     def _side_for(self, values: Dict[str, object]) -> Table:
         return self.a if self.spec.predicate(values) else self.b
 
-    def apply(self, change: LogRecord,
-              lsn: int) -> List[Tuple[Table, Tuple]]:
-        """Route one logged source operation to the proper side."""
-        touched: List[Tuple[Table, Tuple]] = []
-        if change.table != self.spec.source_name:
-            return touched
-        if isinstance(change, InsertRecord):
-            side, row = self._find(change.key)
-            if row is None:
-                side = self._side_for(change.values)
-                side.insert_row(dict(change.values), lsn=lsn)
-                touched.append((side, change.key))
-        elif isinstance(change, DeleteRecord):
-            side, row = self._find(change.key)
-            if row is not None and row.lsn < lsn:
-                side.delete_rowid(row.rowid)
-                touched.append((side, change.key))
-        elif isinstance(change, UpdateRecord):
-            side, row = self._find(change.key)
-            if row is not None and row.lsn < lsn:
-                side.update_rowid(row.rowid, dict(change.changes), lsn=lsn)
-                target_side = self._side_for(row.values)
-                if target_side is not side:
-                    # The predicate's verdict flipped: move the row.
-                    values = dict(row.values)
-                    side.delete_rowid(row.rowid)
-                    target_side.insert_row(values, lsn=lsn)
-                    touched.append((side, change.key))
-                touched.append((target_side if target_side is not side
-                                else side, change.key))
-        return touched
+    def _rule_insert(self, change: InsertRecord, lsn: int,
+                     touched: Touched) -> None:
+        if self._find(change.key)[1] is None:
+            side = self._side_for(change.values)
+            side.insert_row(dict(change.values), lsn=lsn)
+            self._touch(touched, side, change.key)
+
+    def _rule_delete(self, change: DeleteRecord, lsn: int,
+                     touched: Touched) -> None:
+        side, row = self._find(change.key)
+        if row is not None and row.lsn < lsn:
+            side.delete_rowid(row.rowid)
+            self._touch(touched, side, change.key)
+
+    def _rule_update(self, change: UpdateRecord, lsn: int,
+                     touched: Touched) -> None:
+        side, row = self._find(change.key)
+        if row is None or row.lsn >= lsn:
+            return
+        side.update_rowid(row.rowid, dict(change.changes), lsn=lsn)
+        target_side = self._side_for(row.values)
+        if target_side is not side:
+            # The predicate's verdict flipped: move the row.
+            values = dict(row.values)
+            side.delete_rowid(row.rowid)
+            target_side.insert_row(values, lsn=lsn)
+            self._touch(touched, side, change.key)
+        self._touch(touched, target_side, change.key)
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
                     lsn: int = NULL_LSN) -> None:
@@ -318,29 +317,31 @@ class MergeRuleEngine(RuleEngine):
         self.spec = spec
         self.t = target
         self.source_tables = (spec.a_name, spec.b_name)
+        self._rules = {
+            (name, kind): rule for name in self.source_tables
+            for kind, rule in ((InsertRecord, self._rule_insert),
+                               (DeleteRecord, self._rule_delete),
+                               (UpdateRecord, self._rule_update))}
 
-    def apply(self, change: LogRecord,
-              lsn: int) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged operation from either source to the target."""
-        touched: List[Tuple[Table, Tuple]] = []
-        if change.table not in self.source_tables:
-            return touched
-        if isinstance(change, InsertRecord):
-            if self.t.get(change.key) is None:
-                self.t.insert_row(dict(change.values), lsn=lsn)
-                touched.append((self.t, change.key))
-        elif isinstance(change, DeleteRecord):
-            row = self.t.get(change.key)
-            if row is not None and row.lsn < lsn:
-                self.t.delete_rowid(row.rowid)
-                touched.append((self.t, change.key))
-        elif isinstance(change, UpdateRecord):
-            row = self.t.get(change.key)
-            if row is not None and row.lsn < lsn:
-                self.t.update_rowid(row.rowid, dict(change.changes),
-                                    lsn=lsn)
-                touched.append((self.t, change.key))
-        return touched
+    def _rule_insert(self, change: InsertRecord, lsn: int,
+                     touched: Touched) -> None:
+        if self.t.get(change.key) is None:
+            self.t.insert_row(dict(change.values), lsn=lsn)
+            self._touch(touched, self.t, change.key)
+
+    def _rule_delete(self, change: DeleteRecord, lsn: int,
+                     touched: Touched) -> None:
+        row = self.t.get(change.key)
+        if row is not None and row.lsn < lsn:
+            self.t.delete_rowid(row.rowid)
+            self._touch(touched, self.t, change.key)
+
+    def _rule_update(self, change: UpdateRecord, lsn: int,
+                     touched: Touched) -> None:
+        row = self.t.get(change.key)
+        if row is not None and row.lsn < lsn:
+            self.t.update_rowid(row.rowid, dict(change.changes), lsn=lsn)
+            self._touch(touched, self.t, change.key)
 
     def migrate_row(self, table_name: str, values: Dict[str, object],
                     lsn: int = NULL_LSN) -> None:

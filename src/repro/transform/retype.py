@@ -30,7 +30,7 @@ from repro.common.errors import InconsistentDataError
 from repro.engine.database import Database
 from repro.relational.spec import RetypeSpec
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Transformation
+from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.wal.records import (
     NULL_LSN,
     DeleteRecord,
@@ -61,6 +61,9 @@ class RetypeRuleEngine(RuleEngine):
         self.spec = spec
         self.target = target
         self.source_tables = (spec.source_name,)
+        self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
+                       (spec.source_name, DeleteRecord): self._rule_delete,
+                       (spec.source_name, UpdateRecord): self._rule_update}
 
     # -- sharding -------------------------------------------------------------
 
@@ -70,40 +73,38 @@ class RetypeRuleEngine(RuleEngine):
 
     # -- rules ----------------------------------------------------------------
 
-    def apply(self, change: LogRecord,
-              lsn: int) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged source operation to the retyped copy."""
-        touched: List[Tuple[Table, Tuple]] = []
-        if change.table != self.spec.source_name:
-            return touched
+    def _rule_insert(self, change: InsertRecord, lsn: int,
+                     touched: Touched) -> None:
         key = tuple(change.key)
-        if isinstance(change, InsertRecord):
-            row = self.target.get(key)
-            if row is None:
-                self.target.insert_row(
-                    _cast_row(self.spec, dict(change.values), key), lsn=lsn)
-                touched.append((self.target, key))
-            elif row.lsn < lsn:
-                self.target.update_rowid(
-                    row.rowid,
-                    _cast_row(self.spec, dict(change.values), key), lsn=lsn)
-                touched.append((self.target, key))
-        elif isinstance(change, DeleteRecord):
-            row = self.target.get(key)
-            if row is not None and row.lsn < lsn:
-                self.target.delete_rowid(row.rowid)
-                touched.append((self.target, key))
-        elif isinstance(change, UpdateRecord):
-            row = self.target.get(key)
-            if row is not None and row.lsn < lsn:
-                try:
-                    changes = self.spec.retype_changes(
-                        dict(change.changes))
-                except (TypeError, ValueError):
-                    raise InconsistentDataError(key)
-                self.target.update_rowid(row.rowid, changes, lsn=lsn)
-                touched.append((self.target, key))
-        return touched
+        row = self.target.get(key)
+        if row is not None and row.lsn >= lsn:
+            return
+        image = _cast_row(self.spec, dict(change.values), key)
+        if row is None:
+            self.target.insert_row(image, lsn=lsn)
+        else:
+            self.target.update_rowid(row.rowid, image, lsn=lsn)
+        self._touch(touched, self.target, key)
+
+    def _rule_delete(self, change: DeleteRecord, lsn: int,
+                     touched: Touched) -> None:
+        key = tuple(change.key)
+        row = self.target.get(key)
+        if row is not None and row.lsn < lsn:
+            self.target.delete_rowid(row.rowid)
+            self._touch(touched, self.target, key)
+
+    def _rule_update(self, change: UpdateRecord, lsn: int,
+                     touched: Touched) -> None:
+        key = tuple(change.key)
+        row = self.target.get(key)
+        if row is not None and row.lsn < lsn:
+            try:
+                changes = self.spec.retype_changes(dict(change.changes))
+            except (TypeError, ValueError):
+                raise InconsistentDataError(key)
+            self.target.update_rowid(row.rowid, changes, lsn=lsn)
+            self._touch(touched, self.target, key)
 
     # -- population -----------------------------------------------------------
 

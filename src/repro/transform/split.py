@@ -40,7 +40,7 @@ from repro.engine.database import Database
 from repro.relational.spec import SplitSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Transformation
+from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.wal.records import (
     NULL_LSN,
     CCBeginRecord,
@@ -83,8 +83,6 @@ class SplitRuleEngine(RuleEngine):
         #: whether a propagated operation has touched them since the CC
         #: begin mark ("dirty").
         self._cc_inflight: Dict[Tuple, bool] = {}
-        #: (source table, record class) -> rule: the one dispatch table
-        #: behind :meth:`apply` and :meth:`apply_run`.
         self._rules = {
             (spec.source_name, InsertRecord): self._rule8_insert,
             (spec.source_name, DeleteRecord): self._rule9_delete,
@@ -134,53 +132,29 @@ class SplitRuleEngine(RuleEngine):
 
     # -- dispatch -------------------------------------------------------------
 
-    def apply(self, change: LogRecord,
-              lsn: int) -> List[Tuple[Table, Tuple]]:
-        """Apply one logged source-table operation to R and S.
-
-        A record no rule covers (another table, another record class)
-        touches nothing.
-        """
-        touched: List[Tuple[Table, Tuple]] = []
-        rule = self._rules.get((change.table, change.__class__))
-        if rule is not None:
-            rule(change, lsn, touched)
-        return touched
-
-    def apply_run(self, table_name: str, kind: type,
-                  items) -> List[List[Tuple[Table, Tuple]]]:
-        """Batched dispatch: one rule lookup for the whole run.
-
-        Records stay in LSN order; only the lookup :meth:`apply` makes
-        per record is hoisted out of the loop.
-        """
-        rule = self._rules.get((table_name, kind))
-        if rule is None:
-            return [[] for _ in items]
-        out: List[List[Tuple[Table, Tuple]]] = []
-        for item in items:
-            touched: List[Tuple[Table, Tuple]] = []
-            rule(item[0], item[1], touched)
-            out.append(touched)
-        return out
+    # The framework's dispatch over ``_rules``, bound in this class body
+    # because per-engine instrumentation patches these names through
+    # ``vars(cls)``.
+    apply = RuleEngine.apply
+    apply_run = RuleEngine.apply_run
 
     # -- Rule 8 (Insert t^y_x into T) ---------------------------------------------
 
     def _rule8_insert(self, change: InsertRecord, lsn: int,
-                      touched: List[Tuple[Table, Tuple]]) -> None:
+                      touched: Touched) -> None:
         """Insert the R part unless already present; then merge the S part
         (bump counter / raise LSN of an existing S row, else insert it)."""
         if self.r.get(change.key) is not None:
             return  # Theorem 1: already reflected
         split_key = self._split_key_of_values(change.values)
         self.r.insert_row(self.spec.r_part(change.values), lsn=lsn)
-        touched.append((self.r, change.key))
+        self._touch(touched, self.r, change.key)
         self._merge_s_contribution(split_key, self.spec.s_part(change.values),
                                    lsn, touched)
 
     def _merge_s_contribution(self, split_key: Tuple,
                               s_part: Dict[str, object], lsn: int,
-                              touched: List[Tuple[Table, Tuple]]) -> None:
+                              touched: Touched) -> None:
         s_row = self.s.get(split_key)
         if s_row is None:
             self.s.insert_row(s_part, lsn=lsn,
@@ -194,12 +168,12 @@ class SplitRuleEngine(RuleEngine):
                 # record with the same split value changes a C-flag into U."
                 s_row.meta["flag"] = FLAG_UNKNOWN
         self._mark_dirty(split_key)
-        touched.append((self.s, split_key))
+        self._touch(touched, self.s, split_key)
 
     # -- Rule 9 (Delete t^y from T) ----------------------------------------------------
 
     def _rule9_delete(self, change: DeleteRecord, lsn: int,
-                      touched: List[Tuple[Table, Tuple]]) -> None:
+                      touched: Touched) -> None:
         """Delete the R part if its LSN is older than the operation; drop
         one contribution from the S row (removing it at counter zero).
 
@@ -212,11 +186,11 @@ class SplitRuleEngine(RuleEngine):
             return
         split_key = (r_row.values.get(self.spec.split_attr),)
         self.r.delete_rowid(r_row.rowid)
-        touched.append((self.r, change.key))
+        self._touch(touched, self.r, change.key)
         self._drop_s_contribution(split_key, lsn, touched)
 
     def _drop_s_contribution(self, split_key: Tuple, lsn: int,
-                             touched: List[Tuple[Table, Tuple]]) -> None:
+                             touched: Touched) -> None:
         s_row = self.s.get(split_key)
         if s_row is None:
             return  # defensive: invariant says it exists
@@ -226,12 +200,12 @@ class SplitRuleEngine(RuleEngine):
         if s_row.meta["counter"] <= 0:
             self.s.delete_rowid(s_row.rowid)
         self._mark_dirty(split_key)
-        touched.append((self.s, split_key))
+        self._touch(touched, self.s, split_key)
 
     # -- Rules 10 & 11 (Update t^y) ---------------------------------------------------------
 
     def _rules10_11_update(self, change: UpdateRecord, lsn: int,
-                           touched: List[Tuple[Table, Tuple]]) -> None:
+                           touched: Touched) -> None:
         """Rule 10: apply the R part if the stored LSN is older, stamping
         the new LSN even when no R attribute changed.  Rule 11: propagate
         the S part only when Rule 10 applied, guarded by the S row's LSN
@@ -243,7 +217,7 @@ class SplitRuleEngine(RuleEngine):
         old_split = (r_row.values.get(self.spec.split_attr),)
         r_changes = self._r_changes(change)
         self.r.update_rowid(r_row.rowid, r_changes, lsn=lsn)
-        touched.append((self.r, change.key))
+        self._touch(touched, self.r, change.key)
 
         s_changes = self._s_changes(change)
         if not s_changes:
@@ -257,7 +231,7 @@ class SplitRuleEngine(RuleEngine):
 
     def _update_s_values(self, split_key: Tuple,
                          s_changes: Dict[str, object], lsn: int,
-                         touched: List[Tuple[Table, Tuple]]) -> None:
+                         touched: Touched) -> None:
         s_row = self.s.get(split_key)
         if s_row is None or s_row.lsn >= lsn:
             return  # value update already reflected (S-side LSN guard)
@@ -272,11 +246,11 @@ class SplitRuleEngine(RuleEngine):
                 # all non-key attributes of a record with a counter of 1."
                 s_row.meta["flag"] = FLAG_CONSISTENT
         self._mark_dirty(split_key)
-        touched.append((self.s, split_key))
+        self._touch(touched, self.s, split_key)
 
     def _move_s_contribution(self, old_split: Tuple,
                              s_changes: Dict[str, object], lsn: int,
-                             touched: List[Tuple[Table, Tuple]]) -> None:
+                             touched: Touched) -> None:
         new_value = s_changes[self.spec.split_attr]
         if new_value is None:
             raise TransformationError(

@@ -22,10 +22,7 @@ from repro.wal.records import (
     LogRecord,
     UpdateRecord,
 )
-from tests.dispatch_contract import (
-    touched_in_random_runs,
-    touched_per_record,
-)
+from tests.dispatch_contract import check_dispatch_contract
 
 T = TableSchema("T", ["id", "name", "zip", "city"], primary_key=["id"])
 
@@ -436,14 +433,14 @@ def _state(table):
 @pytest.mark.parametrize("seed", range(6))
 def test_apply_run_in_any_split_equals_apply_per_record(seed):
     rng = random.Random(seed)
-    stream = _split_stream(rng, 300)
-    one, r_one, s_one = make_engine(check_consistency=True)
-    run, r_run, s_run = make_engine(check_consistency=True)
-    expected = touched_per_record(one, stream)
-    assert touched_in_random_runs(run, stream, rng) == expected
+
+    def make():
+        engine, r, s = make_engine(check_consistency=True)
+        return engine, [r, s]
+
+    expected = check_dispatch_contract(make, _split_stream(rng, 300), rng,
+                                       _state)
     assert any(len(touched) > 2 for touched in expected)   # a split move
-    assert _state(r_run) == _state(r_one)
-    assert _state(s_run) == _state(s_one)
 
 
 def test_unknown_table_or_record_class_touches_nothing():
