@@ -288,6 +288,9 @@ class Database:
                 continue
             compensation = self._compensation_of(record)
             if compensation is not None:
+                # Against the table's current name (an in-place swap
+                # may have renamed it since, see Catalog.name_at).
+                compensation.table = self.catalog.name_at(record.table, lsn)
                 if self.faults.enabled:
                     self.faults.fire(SITE_TXN_ROLLBACK_CLR,
                                      txn_id=txn.txn_id, undo_lsn=lsn)
@@ -372,7 +375,9 @@ class Database:
 
         Old transactions (those that touched a source table before a
         non-blocking swap) keep seeing their table under its original name
-        through the zombie namespace; everyone else sees the public catalog.
+        through the zombie namespace -- an in-place zombie under the name
+        the swap gave it (:meth:`Catalog.name_at`), which the swap notes
+        in their ``tables_touched``; everyone else sees the public catalog.
         Blocked tables (blocking-commit synchronization) park transactions
         that have not already accessed them.  Under MVCC, a transaction
         whose snapshot pinned an older catalog epoch resolves through the
@@ -383,9 +388,11 @@ class Database:
             pinned = self._resolve_pinned_epoch(txn, name, for_write)
             if pinned is not None:
                 return pinned
+        touched = self.catalog.name_at(name)
+        if touched in txn.tables_touched:
+            return self.catalog.get_any(touched)
         if self.catalog.exists(name):
-            if self.catalog.is_blocked(name) and \
-                    name not in txn.tables_touched:
+            if self.catalog.is_blocked(name):
                 if self.locks.locks_of(txn.txn_id):
                     # Liveness: a newcomer holding locks on other tables
                     # must not park here -- a draining old transaction may
@@ -410,8 +417,6 @@ class Database:
                     "blocked")
                 raise LockWaitError(("blocked", name), txn.txn_id)
             return self.catalog.get(name)
-        if self.catalog.is_zombie(name) and name in txn.tables_touched:
-            return self.catalog.get_any(name)
         raise NoSuchTableError(name)
 
     def _resolve_pinned_epoch(self, txn: Transaction, name: str,

@@ -336,10 +336,12 @@ class _Redo:
                 f"no recovery rebuilder registered for transformation kind "
                 f"{record.transform_kind!r}")
         published, engine = rebuild(self.db, record)
-        for name in published:
-            self.transient_names.discard(name)
-            self.transient_names.discard(record.published.get(name, name))
-        self.catalog.swap(record.retired, published, keep_zombies=True)
+        for name, table in published.items():
+            self.transient_names -= {name, table.name}
+        self.catalog.swap(record.retired, published, keep_zombies=True,
+                          lsn=record.lsn)
+        for name in set(record.retired) & set(published):
+            engine.rename_source(name, self.catalog.name_at(name))
         self.propagators.append(engine)
 
 

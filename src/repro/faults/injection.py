@@ -314,11 +314,6 @@ class FaultInjector:
                 return arming.fault.trigger(site, ctx)
         return None
 
-    def reset_counts(self) -> None:
-        """Forget crossings and firings (armings keep their fired totals)."""
-        self.hits.clear()
-        self.fired.clear()
-
 
 class _NullFaults(FaultInjector):
     """The shared disabled injector: :meth:`fire` is a no-op.

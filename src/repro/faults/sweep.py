@@ -283,6 +283,9 @@ class ScenarioRun:
         self.db = Database(log=self.log, metrics=metrics,
                            faults=self.faults)
         self.shadow = _Shadow()
+        #: Writes into published tables, kept apart: an in-place change
+        #: publishes under its source's name.
+        self.published_shadow = _Shadow()
         self.tf: Optional[Transformation] = None
 
     # -- committed-state bookkeeping ------------------------------------
@@ -290,6 +293,12 @@ class ScenarioRun:
     def _apply(self, txn: Transaction, op: Tuple) -> None:
         kind, table_name = op[0], op[1]
         schema = self.db.catalog.get_any(table_name).schema
+        tf = self.tf
+        # Old transactions keep an in-place source (Catalog.name_at).
+        published = tf is not None and table_name in tf.targets \
+            and tf.phase in (Phase.BACKGROUND, Phase.DONE) \
+            and self.db.catalog.name_at(table_name) not in txn.tables_touched
+        shadow = self.published_shadow if published else self.shadow
         if kind == "i":
             payload = schema.normalize(op[2])
             key = schema.key_of(payload)
@@ -302,7 +311,7 @@ class ScenarioRun:
             self.db.delete(txn, table_name, key)
         else:  # pragma: no cover - script bug
             raise ValueError(f"unknown op kind {kind!r}")
-        self.shadow.record(txn.txn_id, kind, table_name, key, payload)
+        shadow.record(txn.txn_id, kind, table_name, key, payload)
 
     def _txn_do(self, ops: Sequence[Tuple], abort: bool = False) -> None:
         txn = self.db.begin()
@@ -472,8 +481,9 @@ class ScenarioRun:
         tables (probes).
         """
         state = self.shadow.resolve(log)
+        direct = self.published_shadow.resolve(log)
 
-        def rows(name: str) -> List[RowDict]:
+        def rows(name: str, state=state) -> List[RowDict]:
             return [dict(v) for v in state.get(name, {}).values()]
 
         visible = _visible_tables(log)
@@ -482,7 +492,7 @@ class ScenarioRun:
         published = self.scenario.fold(
             {schema.name: rows(schema.name)
              for schema, _ in self.scenario.seeds}) if swapped else {}
-        return {name: published.get(name, []) + rows(name)
+        return {name: published.get(name, rows(name)) + rows(name, direct)
                 for name in visible}
 
 

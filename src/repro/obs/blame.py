@@ -78,11 +78,6 @@ ROLE_RECOVERY = "recovery"
 ROLES = (ROLE_USER, ROLE_POPULATE, ROLE_PROPAGATE, ROLE_SYNC,
          ROLE_LATCHED_WINDOW, ROLE_LAZY_MISS, ROLE_SWEEPER, ROLE_RECOVERY)
 
-#: Wait channels, i.e. which engine mechanism parked the waiter.
-CHANNEL_LOCK = "lock"
-CHANNEL_LATCH = "latch"
-CHANNEL_BLOCKED = "blocked"
-
 #: Transformation life-cycle phase (by its ``Phase.value`` string) to the
 #: blame role a resource held under the transform id carries during that
 #: phase.  Keyed by value so this module needs no import of the

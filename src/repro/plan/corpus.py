@@ -287,14 +287,14 @@ _EVT_B = TableSchema("evt_b", ["eid", "payload"], primary_key=("eid",))
 _EVT_A_ROWS = tuple({"eid": i, "payload": f"a{i}"} for i in (2, 4, 6, 8))
 _EVT_B_ROWS = tuple({"eid": i, "payload": f"b{i}"} for i in (1, 3, 5, 7))
 
-_READING = TableSchema("reading", ["rid", "label", "value"],
+_READING = TableSchema("reading", ["rid", "label", "value", "note"],
                        primary_key=("rid",))
 _READING_ROWS = (
-    {"rid": 1, "label": "t0", "value": "17"},
-    {"rid": 2, "label": "t1", "value": " 42 "},      # cast strips blanks
-    {"rid": 3, "label": "t2", "value": None},        # takes the new default
-    {"rid": 4, "label": "t3", "value": "0"},
-    {"rid": 5, "label": "t4", "value": "-3"},
+    {"rid": 1, "label": "t0", "value": "17", "note": "n0"},
+    {"rid": 2, "label": "t1", "value": " 42 ", "note": None},  # blanks
+    {"rid": 3, "label": "t2", "value": None, "note": "n2"},  # new default
+    {"rid": 4, "label": "t3", "value": "0", "note": "n3"},
+    {"rid": 5, "label": "t4", "value": "-3", "note": "n4"},
 )
 
 
@@ -523,14 +523,18 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                                       "payload": f"r{i}"})),
     CorpusScenario(
         name="retype-default",
-        challenge="change a field's type and its NULL default",
+        challenge="change a field's type and its NULL default; add, "
+                  "rename and remove fields",
         seeds=((_READING, _READING_ROWS),),
         plan=MigrationPlan.single(
             "corpus.retype-default", "retype",
-            {"source_name": "reading", "target_name": "reading_v2",
-             "attr": "value", "cast": "int", "default": 0},
-            description="retype reading.value from string to int, "
-                        "NULLs become 0"),
+            {"source_name": "reading", "target_name": "reading",
+             "attr": "value", "cast": "int", "default": 0,
+             "rename": {"label": "name"}, "add": {"unit": "C"},
+             "drop": ["note"]},
+            description="retype reading.value from string to int (NULLs "
+                        "become 0), rename label to name, add unit, drop "
+                        "note -- in place"),
         workload=Workload(
             script=(
                 # Retyped-column change: the rule must cast it in flight.
@@ -538,15 +542,17 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                 _txn(_ins("reading", rid=20, label="t20", value=" 99")),
                 _txn(_del("reading", 4)),
                 _txn(_upd("reading", 3, label="mX"), abort=True),
-                _txn(_upd("reading", 5, value=None)),
+                _txn(_upd("reading", 5, value=None, note="n5")),
                 _txn(_ins("reading", rid=21, label="t21", value=None)),
             ),
+            # The long transaction writes the old shape through the
+            # in-place zombie, dropped column included.
             long_op=_upd("reading", 1, label="L0"),
-            long_post_swap_op=_upd("reading", 1, label="Lz"),
+            long_post_swap_op=_upd("reading", 1, label="Lz", note="nz"),
             lazy_reads=(("reading", (2,)), ("reading", (4,)),
                         ("reading", (5,))),
-            probes=(_ins("reading_v2", rid=95001, label="probe",
-                         value=95001),),
+            probes=(_ins("reading", rid=95001, name="probe",
+                         value=95001, unit="K"),),
             scratch=("reading", "label"),
             fresh_row=lambda rng, i: {
                 "rid": 100 + i, "label": f"r{i}",

@@ -313,8 +313,10 @@ def _reference_merge(schemas: Schemas, params: Params,
 def _retype_spec(schemas: Schemas, params: Params) -> RetypeSpec:
     source_schema = _schema_of(schemas, params["source_name"])
     return RetypeSpec.derive(
-        source_schema, params["target_name"], params["attr"],
-        cast=params.get("cast", "str"), default=params.get("default"))
+        source_schema, params["target_name"], params.get("attr"),
+        cast=params.get("cast", "str"), default=params.get("default"),
+        rename=params.get("rename", ()), add=params.get("add", ()),
+        drop=params.get("drop", ()))
 
 
 def _derive_retype(schemas: Schemas, params: Params) -> Derived:
@@ -373,8 +375,8 @@ PLAN_OPERATORS: Dict[str, PlanOperator] = {op.name: op for op in (
         reference=_reference_merge),
     PlanOperator(
         name="retype", transformation=RetypeTransformation,
-        required=("source_name", "target_name", "attr"),
-        optional=("cast", "default"),
+        required=("source_name", "target_name"),
+        optional=("attr", "cast", "default", "rename", "add", "drop"),
         spec_of=_retype_spec, derive=_derive_retype,
         reference=_reference_retype),
 )}

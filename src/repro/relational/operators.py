@@ -133,7 +133,7 @@ def explode(spec: ExplodeSpec,
 
 def retype(spec: RetypeSpec,
            source_rows: Iterable[RowDict]) -> List[RowDict]:
-    """Retype a row collection per ``spec``.
+    """Map a row collection through ``spec``'s column map.
 
     A value the named cast cannot parse raises
     :class:`InconsistentDataError` carrying the offending row's retyped

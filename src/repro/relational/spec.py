@@ -15,18 +15,19 @@ attribute (as in the paper's Figure 1, where R.c joins S.c into T.c).
 Beyond the paper's pair, the corpus operators follow the same shape: an
 **explode** (:class:`ExplodeSpec`) unnests a multi-value column into one
 row per element (the inverse-cardinality cousin of the split), and a
-**retype** (:class:`RetypeSpec`) rewrites one column through a named cast
-with a new NULL default.  Both stay declarative -- plain data, no
-callables -- so they survive the WAL frame codec and the JSON plan codec.
+**retype** (:class:`RetypeSpec`) maps columns: one cast with a new NULL
+default, renames, added and dropped columns.  Both stay declarative --
+plain data, no callables -- so they survive the WAL frame codec and the
+JSON plan codec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import SchemaError
-from repro.storage.schema import TableSchema
+from repro.storage.schema import Attribute, FunctionalDependency, TableSchema
 
 
 @dataclass(frozen=True)
@@ -389,11 +390,6 @@ class ExplodeSpec:
         """The source-key tuple of a row image."""
         return tuple(values.get(a) for a in self.source_key)
 
-    def child_key(self, values: Dict[str, object],
-                  element: Optional[str]) -> Tuple:
-        """Target key of the child for one element."""
-        return self.parent_key(values) + (element,)
-
     def child_values(self, values: Dict[str, object],
                      element: Optional[str]) -> Dict[str, object]:
         """The child row for one element of a source row image."""
@@ -420,54 +416,91 @@ RETYPE_CASTS: Dict[str, Callable[[object], object]] = {
 
 @dataclass(frozen=True)
 class RetypeSpec:
-    """Specification of a column retype / default change (corpus operator).
+    """Specification of a column map (corpus operator; also the Section
+    2.4 attribute DDL, published in place: ``target_name == source_name``).
 
-    The target table has the source's schema and key; one non-key column
-    is rewritten through a named cast from :data:`RETYPE_CASTS`, and NULL
-    values are replaced by a new default.  A value the cast cannot parse
-    is the retype analogue of the paper's Example 1 dirty data: the
-    transformation surfaces it as
-    :class:`~repro.common.errors.InconsistentDataError` instead of
-    guessing.
+    The target table has the source's rows and key under the map: one
+    non-key column may be rewritten through a named cast from
+    :data:`RETYPE_CASTS` with NULLs replaced by a new default, and columns
+    renamed (a renamed key column keeps its key position), added with a
+    default or dropped.  A value the cast cannot parse is the retype
+    analogue of the paper's Example 1 dirty data: the transformation
+    surfaces it as :class:`~repro.common.errors.InconsistentDataError`
+    instead of guessing.
 
     Attributes:
         source_name: The table being retyped.
         target_name: The retyped copy.
-        attr: The column rewritten (must not be part of the key).
+        attr: The column rewritten (must not be part of the key);
+            ``None`` casts nothing.
         cast: A key of :data:`RETYPE_CASTS`.
         default: Replacement for NULL values (the default-change half;
             ``None`` keeps NULLs).
+        rename: ``(old, new)`` column-name pairs.
+        add: ``(name, default)`` pairs of appended columns.
+        drop: Non-key columns left out of the target.
     """
 
     source_name: str
     target_name: str
-    attr: str
+    attr: Optional[str] = None
     cast: str = "str"
     default: Optional[object] = None
+    rename: Tuple[Tuple[str, str], ...] = ()
+    add: Tuple[Tuple[str, object], ...] = ()
+    drop: Tuple[str, ...] = ()
 
     @staticmethod
-    def derive(source_schema: TableSchema, target_name: str, attr: str,
-               cast: str = "str",
-               default: Optional[object] = None) -> "RetypeSpec":
-        """Build a spec from the source schema, validating eagerly."""
-        if not source_schema.has_attribute(attr):
-            raise SchemaError(f"{source_schema.name!r} has no {attr!r}")
-        if attr in source_schema.primary_key:
-            raise SchemaError(
-                f"cannot retype key attribute {attr!r} of "
-                f"{source_schema.name!r} (the cast would rewrite row "
-                "identity)")
+    def derive(source_schema: TableSchema, target_name: str,
+               attr: Optional[str] = None, cast: str = "str",
+               default: Optional[object] = None,
+               rename: Mapping[str, str] = (), add: Mapping[str, object] = (),
+               drop: Sequence[str] = ()) -> "RetypeSpec":
+        """Build a spec from the source schema, validating eagerly
+        (``rename`` and ``add`` take a mapping or a sequence of pairs)."""
+        name, renamed = source_schema.name, dict(rename)
+        mapped = [*renamed, *drop] + ([attr] if attr is not None else [])
+        for column in mapped:
+            if not source_schema.has_attribute(column):
+                raise SchemaError(f"{name!r} has no attribute {column!r}")
+        for column in [*drop, attr]:
+            if source_schema.is_key_attribute(column):
+                raise SchemaError(
+                    f"cannot drop or retype key attribute {column!r} of "
+                    f"{name!r} (it would rewrite row identity)")
+        if len(set(mapped)) < len(mapped):
+            raise SchemaError(f"an attribute of {name!r} is mapped twice: "
+                              f"{sorted(mapped)}")
         if cast not in RETYPE_CASTS:
             raise SchemaError(
                 f"unknown cast {cast!r}; available: "
                 f"{sorted(RETYPE_CASTS)}")
-        return RetypeSpec(source_name=source_schema.name,
-                          target_name=target_name, attr=attr, cast=cast,
-                          default=default)
+        spec = RetypeSpec(name, target_name, attr, cast, default,
+                          tuple(renamed.items()), tuple(dict(add).items()),
+                          tuple(drop))
+        spec.target_schema(source_schema)  # rejects a name taken twice
+        return spec
 
     def target_schema(self, source_schema: TableSchema) -> TableSchema:
-        """Schema of the retyped table (source schema, new name)."""
-        return source_schema.rename(self.target_name)
+        """Schema of the retyped table: the source's under the map."""
+        renamed = dict(self.rename)
+        kept = set(source_schema.attribute_names) - set(self.drop)
+
+        def mapped(columns: Sequence[str]) -> Tuple[str, ...]:
+            return tuple(renamed.get(c, c) for c in columns)
+
+        return TableSchema(
+            self.target_name,
+            [Attribute(renamed.get(a.name, a.name), a.nullable)
+             for a in source_schema.attributes if a.name in kept]
+            + [column for column, _ in self.add],
+            mapped(source_schema.primary_key),
+            [mapped(ck) for ck in source_schema.candidate_keys
+             if kept.issuperset(ck)],
+            [FunctionalDependency(mapped(fd.determinants),
+                                  mapped(fd.dependents))
+             for fd in source_schema.functional_deps
+             if kept.issuperset(fd.determinants + fd.dependents)])
 
     # -- row plumbing -------------------------------------------------------------
 
@@ -477,15 +510,18 @@ class RetypeSpec:
             return self.default
         return RETYPE_CASTS[self.cast](value)
 
-    def retype_row(self, values: Dict[str, object]) -> Dict[str, object]:
-        """A source row image with the retyped column rewritten."""
-        out = dict(values)
-        out[self.attr] = self.cast_value(values.get(self.attr))
+    def retype_changes(self, changes: Dict[str, object]) -> Dict[str, object]:
+        """An update's changes (or a row image) under the column map."""
+        renamed = dict(self.rename)
+        out = {renamed.get(k, k): v for k, v in changes.items()
+               if k not in self.drop}
+        if self.attr in changes:
+            out[renamed.get(self.attr, self.attr)] = \
+                self.cast_value(changes[self.attr])
         return out
 
-    def retype_changes(self, changes: Dict[str, object]) -> Dict[str, object]:
-        """An update's changes with the retyped column rewritten."""
-        out = dict(changes)
-        if self.attr in out:
-            out[self.attr] = self.cast_value(out[self.attr])
+    def retype_row(self, values: Dict[str, object]) -> Dict[str, object]:
+        """A source row image under the column map, added columns set."""
+        out = self.retype_changes(values)
+        out.update(self.add)
         return out

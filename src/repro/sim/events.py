@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 
 class Simulator:
@@ -30,10 +30,6 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._queue, (self.now + delay, next(self._seq), fn))
-
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at an absolute virtual time (>= now)."""
-        self.schedule(max(0.0, time - self.now), fn)
 
     @property
     def pending(self) -> int:

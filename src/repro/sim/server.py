@@ -252,11 +252,6 @@ class Server:
 
     # -- introspection -------------------------------------------------------------
 
-    @property
-    def queue_length(self) -> int:
-        """Number of queued (not yet started) user operations."""
-        return len(self._queue)
-
     def utilization(self) -> float:
         """Fraction of elapsed time the server spent busy."""
         if self.sim.now <= 0:

@@ -26,14 +26,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.common.errors import (
-    DuplicateTableError,
-    NoSuchTableError,
-    SchemaError,
-)
+from repro.common.errors import DuplicateTableError, NoSuchTableError
 from repro.faults import NULL_FAULTS
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
+from repro.wal.records import NULL_LSN
 
 
 class Catalog:
@@ -48,6 +45,9 @@ class Catalog:
         #: Frozen name -> table mappings of superseded epochs, by the
         #: version number they were current under.
         self._epochs: Dict[int, Dict[str, Table]] = {}
+        #: Public name -> (zombie name, swap LSN) of a source a swap
+        #: retired and republished in place (see :meth:`swap`).
+        self._shadowed: Dict[str, Tuple[str, int]] = {}
         #: Fault injector stamped onto every table registered here.
         self.faults = NULL_FAULTS
 
@@ -149,8 +149,12 @@ class Catalog:
     # -- transformation swap ------------------------------------------------------------
 
     def swap(self, retire: Iterable[str], publish: Dict[str, Table],
-             keep_zombies: bool) -> None:
+             keep_zombies: bool, lsn: int = NULL_LSN) -> None:
         """Atomically retire source tables and publish transformed ones.
+
+        A name both retired and published is a change *in place*: its
+        zombie is renamed ``name@lsn`` (see :meth:`name_at`), so old
+        transactions' records name the source, not the published table.
 
         Args:
             retire: Names of the source tables to remove from the visible
@@ -161,6 +165,7 @@ class Catalog:
                 :meth:`get_any` for transactions that were already active on
                 them (non-blocking strategies); if false they are dropped
                 outright (blocking commit, where no such transaction exists).
+            lsn: The swap's log position (names in-place zombies).
         """
         retire_list = list(retire)
         for name in retire_list:
@@ -175,7 +180,10 @@ class Catalog:
             table = self._tables.pop(name)
             self._blocked.discard(name)
             if keep_zombies:
-                self._zombies[name] = table
+                if name in publish:
+                    self._shadowed[name] = (f"{name}@{lsn}", lsn)
+                    table.rename(f"{name}@{lsn}")
+                self._zombies[table.name] = table
         for public, table in publish.items():
             if table.name != public:
                 # The table was built under an internal working name;
@@ -184,9 +192,18 @@ class Catalog:
                 table.rename(public)
             self._tables[public] = table
 
+    def name_at(self, name: str, lsn: int = NULL_LSN) -> str:
+        """The current name of the table ``name`` denoted at log position
+        ``lsn`` (by default: before any swap) -- its zombie's, if a swap
+        since retired and republished ``name`` in place."""
+        shadow = self._shadowed.get(name)
+        return shadow[0] if shadow is not None and lsn < shadow[1] else name
+
     def drop_zombie(self, name: str) -> None:
         """Discard a zombie table once no old transaction can touch it."""
         self._zombies.pop(name, None)
+        self._shadowed = {public: shadow for public, shadow
+                          in self._shadowed.items() if shadow[0] != name}
 
     # -- versioned epochs (MVCC version flip) --------------------------------
 
@@ -196,7 +213,7 @@ class Catalog:
         return self._version
 
     def flip(self, retire: Iterable[str], publish: Dict[str, Table],
-             keep_zombies: bool = True) -> int:
+             keep_zombies: bool = True, lsn: int = NULL_LSN) -> int:
         """Install a schema change as a versioned catalog write.
 
         Freezes the current visible mapping as the epoch for
@@ -215,7 +232,7 @@ class Catalog:
         self._epochs[self._version] = {
             name: t for name, t in self._tables.items()
             if id(t) not in published}
-        self.swap(retire, publish, keep_zombies)
+        self.swap(retire, publish, keep_zombies, lsn)
         self._version += 1
         return self._version
 

@@ -152,10 +152,6 @@ class VersionedTable:
         else:
             chain.append((commit_lsn, values))
 
-    def forget(self, key: Tuple) -> None:
-        """Drop the whole chain for ``key`` (testing/GC helper)."""
-        self._chains.pop(key, None)
-
     # -- reads ------------------------------------------------------------
 
     def read_as_of(self, key: Tuple, read_lsn: int) -> Optional[object]:
@@ -174,10 +170,6 @@ class VersionedTable:
                 break
             visible = (lsn, values)
         return visible
-
-    def chain_of(self, key: Tuple) -> List[Tuple[int, object]]:
-        """The raw chain (read-only use; tests and GC accounting)."""
-        return list(self._chains.get(key, ()))
 
     def version_count(self) -> int:
         """Total chain entries across all keys."""

@@ -40,7 +40,13 @@ from repro.transform.foj_m2m import (
     Many2ManyFojTransformation,
 )
 from repro.transform.explode import ExplodeRuleEngine, ExplodeTransformation
-from repro.transform.retype import RetypeRuleEngine, RetypeTransformation
+from repro.transform.retype import (
+    RetypeRuleEngine,
+    RetypeTransformation,
+    add_attribute,
+    remove_attribute,
+    rename_attribute,
+)
 from repro.transform.partition import (
     AttrPredicate,
     MergeRuleEngine,
@@ -52,11 +58,6 @@ from repro.transform.partition import (
     PREDICATE_OPS,
     merge_rows,
     partition_rows,
-)
-from repro.transform.simple import (
-    add_attribute,
-    remove_attribute,
-    rename_attribute,
 )
 from repro.transform.split import SplitRuleEngine, SplitTransformation
 from repro.transform.supervisor import TransformationSupervisor

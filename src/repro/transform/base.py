@@ -296,6 +296,14 @@ class RuleEngine:
         if touched is not None:
             touched.append((table, table.schema.key_of(row.values)))
 
+    def rename_source(self, old: str, new: str) -> None:
+        """Consume source ``old``'s records under ``new`` from now on
+        (an in-place swap's zombie name, see ``Catalog.name_at``)."""
+        self.source_tables = tuple(new if name == old else name
+                                   for name in self.source_tables)
+        self._rules = {(new if table == old else table, kind): rule
+                       for (table, kind), rule in self._rules.items()}
+
     def handle_marker(self, record: LogRecord) -> None:
         """Consume a non-data record (CC marks etc.); default: ignore."""
 

@@ -168,8 +168,9 @@ class FojHashJoin:
         return units, finished
 
 
-class FojRuleEngine(RuleEngine):
-    """Log-propagation rules 1-7 for a one-to-many full outer join."""
+class JoinRuleEngine(RuleEngine):
+    """What the one-to-many and the many-to-many FOJ rules share: the
+    target ``t`` and the helpers over it."""
 
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
         self.db = db
@@ -178,6 +179,27 @@ class FojRuleEngine(RuleEngine):
         self.source_tables = (spec.r_name, spec.s_name)
         self._r_attr_set = set(spec.r_attrs)
         self._s_attr_set = set(spec.s_attrs)
+
+    def _rows_with_join(self, value: object) -> List[Row]:
+        """All T rows whose join column holds ``value`` (none for NULL)."""
+        if value is None:
+            return []
+        return self.t.lookup(JOIN_INDEX, (value,))
+
+    def _key_of(self, row: Row) -> Tuple:
+        return self.t.schema.key_of(row.values)
+
+    def _insert_t(self, values: Dict[str, object],
+                  null_side: Optional[str] = None) -> Row:
+        return self.t.insert_row(
+            values, meta={null_side: True} if null_side else None)
+
+
+class FojRuleEngine(JoinRuleEngine):
+    """Log-propagation rules 1-7 for a one-to-many full outer join."""
+
+    def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
+        super().__init__(db, spec, target)
         self._has_skey_index = SKEY_INDEX in target.indexes
         self._rules = {
             (spec.r_name, InsertRecord): self._rule1_insert_r,
@@ -190,12 +212,6 @@ class FojRuleEngine(RuleEngine):
 
     # -- helpers -----------------------------------------------------------
 
-    def _rows_with_join(self, value: object) -> List[Row]:
-        """All T rows whose join column holds ``value`` (none for NULL)."""
-        if value is None:
-            return []
-        return self.t.lookup(JOIN_INDEX, (value,))
-
     def _rows_with_skey(self, key: Tuple) -> List[Row]:
         """All T rows containing the S record identified by ``key``.
 
@@ -206,14 +222,6 @@ class FojRuleEngine(RuleEngine):
         index = SKEY_INDEX if self._has_skey_index else JOIN_INDEX
         return [row for row in self.t.lookup(index, key)
                 if not null_flag(row, "s_null")]
-
-    def _key_of(self, row: Row) -> Tuple:
-        return self.t.schema.key_of(row.values)
-
-    def _insert_t(self, values: Dict[str, object],
-                  null_side: Optional[str] = None) -> Row:
-        return self.t.insert_row(
-            values, meta={null_side: True} if null_side else None)
 
     # -- sharding (repro.shard) ---------------------------------------------
 

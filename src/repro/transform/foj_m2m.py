@@ -27,16 +27,17 @@ the deviation in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import SchemaError, TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Touched, Transformation
+from repro.transform.base import Touched, Transformation
 from repro.transform.foj import (JOIN_INDEX, SKEY_INDEX, FojTransformation,
-                                 moves_join, null_flag, side_changes)
+                                 JoinRuleEngine, moves_join, null_flag,
+                                 side_changes)
 from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
 
 #: Non-unique index over the R-identifying attributes of T (needed because
@@ -44,16 +45,11 @@ from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
 RKEY_INDEX = "__rkey__"
 
 
-class Many2ManyFojRuleEngine(RuleEngine):
+class Many2ManyFojRuleEngine(JoinRuleEngine):
     """Symmetric propagation rules for the many-to-many full outer join."""
 
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
-        self.db = db
-        self.spec = spec
-        self.t = target
-        self.source_tables = (spec.r_name, spec.s_name)
-        self._r_attr_set = set(spec.r_attrs)
-        self._s_attr_set = set(spec.s_attrs)
+        super().__init__(db, spec, target)
         self._rules = {
             (spec.r_name, InsertRecord): self._insert_r,
             (spec.r_name, DeleteRecord): self._rule_delete_r,
@@ -64,11 +60,6 @@ class Many2ManyFojRuleEngine(RuleEngine):
         }
 
     # -- helpers ------------------------------------------------------------
-
-    def _rows_with_join(self, value: object) -> List[Row]:
-        if value is None:
-            return []
-        return self.t.lookup(JOIN_INDEX, (value,))
 
     def _rows_with_rkey(self, key: Tuple) -> List[Row]:
         return self.t.lookup(RKEY_INDEX, tuple(key))
@@ -81,14 +72,6 @@ class Many2ManyFojRuleEngine(RuleEngine):
 
     def _rkey_of(self, values: Dict[str, object]) -> Tuple:
         return tuple(values.get(a) for a in self.spec.r_key)
-
-    def _key_of(self, row: Row) -> Tuple:
-        return self.t.schema.key_of(row.values)
-
-    def _insert_t(self, values: Dict[str, object],
-                  null_side: Optional[str] = None) -> Row:
-        return self.t.insert_row(
-            values, meta={null_side: True} if null_side else None)
 
     # -- R side (the LSN is ignored, as in every FOJ rule) -------------------
 

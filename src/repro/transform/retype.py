@@ -1,9 +1,10 @@
-"""Column retype / default-change transformation (corpus operator).
+"""Column map transformation: retype, default change, attribute DDL.
 
 Rewrites one non-key column of a table through a named cast (see
-:data:`~repro.relational.spec.RETYPE_CASTS`) and replaces NULLs with a
-new default, online: the target is a same-keyed copy of the source, so
-the propagation rules are the one-to-one LSN-guarded kind (like the
+:data:`~repro.relational.spec.RETYPE_CASTS`), replaces NULLs with a new
+default, and renames, adds or drops columns, online: the target is a
+same-keyed copy of the source under the spec's column map, so the
+propagation rules are the one-to-one LSN-guarded kind (like the
 horizontal merge's, minus the second source):
 
 * insert: cast and insert if absent;
@@ -20,11 +21,16 @@ Rows map one-to-one by an unchanged key, so records route by source key
 under hash-sharded propagation, and :meth:`RetypeRuleEngine.migrate_row`
 is an idempotent upsert that serves eager and lazy (migrate-on-read)
 population alike.
+
+The Section 2.4 attribute DDL (:func:`add_attribute`, ...) is this
+operator published in place: a full online copy, logged and redone at
+restart like any other, not an O(1) edit of the table description
+(which left nothing in the log to redo).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.common.errors import InconsistentDataError
 from repro.engine.database import Database
@@ -40,11 +46,11 @@ from repro.wal.records import (
 )
 
 
-def _cast_row(spec: RetypeSpec, values: Dict[str, object],
-              key: Tuple) -> Dict[str, object]:
-    """Retype one row image, surfacing unparseable values."""
+def _mapped(convert: Callable, values: Dict[str, object],
+            key: Tuple) -> Dict[str, object]:
+    """``convert`` one image, surfacing unparseable values."""
     try:
-        return spec.retype_row(values)
+        return convert(values)
     except (TypeError, ValueError):
         raise InconsistentDataError(key)
 
@@ -61,6 +67,8 @@ class RetypeRuleEngine(RuleEngine):
         self.spec = spec
         self.target = target
         self.source_tables = (spec.source_name,)
+        #: A rename may map the key columns, never their values.
+        self._source_key_of = db.catalog.get(spec.source_name).schema.key_of
         self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
                        (spec.source_name, DeleteRecord): self._rule_delete,
                        (spec.source_name, UpdateRecord): self._rule_update}
@@ -79,7 +87,7 @@ class RetypeRuleEngine(RuleEngine):
         row = self.target.get(key)
         if row is not None and row.lsn >= lsn:
             return
-        image = _cast_row(self.spec, dict(change.values), key)
+        image = _mapped(self.spec.retype_row, change.values, key)
         if row is None:
             self.target.insert_row(image, lsn=lsn)
         else:
@@ -99,11 +107,8 @@ class RetypeRuleEngine(RuleEngine):
         key = tuple(change.key)
         row = self.target.get(key)
         if row is not None and row.lsn < lsn:
-            try:
-                changes = self.spec.retype_changes(dict(change.changes))
-            except (TypeError, ValueError):
-                raise InconsistentDataError(key)
-            self.target.update_rowid(row.rowid, changes, lsn=lsn)
+            self.target.update_rowid(row.rowid, _mapped(
+                self.spec.retype_changes, change.changes, key), lsn=lsn)
             self._touch(touched, self.target, key)
 
     # -- population -----------------------------------------------------------
@@ -111,16 +116,16 @@ class RetypeRuleEngine(RuleEngine):
     def migrate_row(self, table_name: str, values: Dict[str, object],
                     lsn: int = NULL_LSN) -> None:
         """Insert one source row's retyped image if absent."""
-        key = self.target.schema.key_of(values)
+        key = self._source_key_of(values)
         if self.target.get(key) is None:
-            self.target.insert_row(_cast_row(self.spec, values, key),
-                                   lsn=lsn)
+            self.target.insert_row(
+                _mapped(self.spec.retype_row, values, key), lsn=lsn)
 
-    # -- lock mapping (synchronization support) -------------------------------
+    # -- lock mapping (by ``source_tables``: an in-place source's zombie) -----
 
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name != self.spec.source_name:
+        if table_name not in self.source_tables:
             return []
         return [(self.target, tuple(key))]
 
@@ -128,12 +133,12 @@ class RetypeRuleEngine(RuleEngine):
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
         if table_name != self.target.name:
             return []
-        source = self.db.catalog.get_any(self.spec.source_name)
+        source = self.db.catalog.get_any(self.source_tables[0])
         return [(source, tuple(key))]
 
 
 class RetypeTransformation(Transformation):
-    """Online, non-blocking column retype / default change.
+    """Online, non-blocking column map (retype, default, attribute DDL).
 
     Example::
 
@@ -158,7 +163,43 @@ class RetypeTransformation(Transformation):
     @classmethod
     def target_tables(cls, db: Database, spec: RetypeSpec,
                       detached: bool = False) -> Dict[str, Table]:
-        """A same-keyed copy of the source with the column retyped."""
-        source_schema = db.catalog.get(spec.source_name).schema
-        return {spec.target_name: cls._new_table(
-            db, spec.target_schema(source_schema), detached)}
+        """A same-keyed copy of the source under the column map, with the
+        source's secondary indexes re-declared through it (an index
+        over a dropped column is not).  An in-place target is built
+        under a working name; the swap publishes it under the source's.
+        """
+        source = db.catalog.get(spec.source_name)
+        schema = spec.target_schema(source.schema)
+        if spec.target_name == spec.source_name:
+            schema = schema.rename(f"{spec.source_name}#{cls.kind}")
+        target = cls._new_table(db, schema, detached)
+        renamed = dict(spec.rename)
+        for name, index in source.indexes.items():
+            if not name.startswith("__") \
+                    and set(spec.drop).isdisjoint(index.attrs):
+                target.create_index(
+                    name, [renamed.get(a, a) for a in index.attrs],
+                    unique=index.unique)
+        return {spec.target_name: target}
+
+
+def _in_place(db: Database, table_name: str, **column_map) -> None:
+    RetypeTransformation(db, RetypeSpec.derive(
+        db.catalog.get(table_name).schema, table_name, **column_map)).run()
+
+
+def add_attribute(db: Database, table_name: str, attr_name: str,
+                  default: object = None) -> None:
+    """Add a nullable attribute, online; existing rows get ``default``."""
+    _in_place(db, table_name, add={attr_name: default})
+
+
+def remove_attribute(db: Database, table_name: str, attr_name: str) -> None:
+    """Remove a non-key attribute (and any index over it), online."""
+    _in_place(db, table_name, drop=(attr_name,))
+
+
+def rename_attribute(db: Database, table_name: str, old_name: str,
+                     new_name: str) -> None:
+    """Rename an attribute, online; key and indexes follow the name."""
+    _in_place(db, table_name, rename={old_name: new_name})

@@ -30,7 +30,7 @@ paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import (
     InconsistentDataError,
@@ -38,7 +38,6 @@ from repro.common.errors import (
 )
 from repro.engine.database import Database
 from repro.relational.spec import SplitSpec
-from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.transform.base import RuleEngine, Touched, Transformation
 from repro.wal.records import (
@@ -102,10 +101,6 @@ class SplitRuleEngine(RuleEngine):
     def _mark_dirty(self, split_key: Tuple) -> None:
         if split_key in self._cc_inflight:
             self._cc_inflight[split_key] = True
-
-    def _flag(self, s_row: Row, flag: str) -> None:
-        if self.check_consistency:
-            s_row.meta["flag"] = flag
 
     def _s_changes(self, change: UpdateRecord) -> Dict[str, object]:
         return {k: v for k, v in change.changes.items()

@@ -218,12 +218,21 @@ class _SyncExecutor:
         old_ids = tf._old_txn_ids = {t.txn_id for t in old_txns}
         self._materialize_locks(old_txns)
         tf._pre_swap()
-        self._write_swap_record(
+        swap_lsn = self._write_swap_record(
             retired, doomed=sorted(old_ids) if self.dooms else ())
         if self.flips:
             self._log_flip(retired, old_ids)
         swap = db.catalog.flip if self.flips else db.catalog.swap
-        swap(retired, dict(tf.targets), keep_zombies=bool(old_txns))
+        swap(retired, dict(tf.targets), keep_zombies=bool(old_txns),
+             lsn=swap_lsn)
+        for name in set(retired) & set(tf.targets):
+            # An in-place source lives on under its zombie name: the rules
+            # and the old transactions follow it there.
+            zombie = db.catalog.name_at(name)
+            tf.engine.rename_source(name, zombie)
+            for txn in old_txns:
+                if name in txn.tables_touched:
+                    txn.tables_touched.add(zombie)
         self.faults.fire(SITE_SYNC_SWAPPED, transform=tf.transform_id)
         if self.dooms:
             self._doom(old_txns)
@@ -377,9 +386,9 @@ class _SyncExecutor:
                         mode, LockOrigin.SOURCE_A)
 
     def _write_swap_record(self, retired: Tuple[str, ...],
-                           doomed: Sequence[int]) -> None:
+                           doomed: Sequence[int]) -> int:
         self.faults.fire(SITE_SYNC_PRE_SWAP, transform=self.tf.transform_id)
-        self.db.log.append(TransformSwapRecord(
+        lsn = self.db.log.append(TransformSwapRecord(
             transform_id=self.tf.transform_id,
             transform_kind=self.tf.kind,
             retired=retired,
@@ -390,6 +399,7 @@ class _SyncExecutor:
         ))
         self.faults.fire(SITE_SYNC_SWAP_LOGGED,
                          transform=self.tf.transform_id)
+        return lsn
 
     def _log_flip(self, retired: Tuple[str, ...], old_ids: Set[int]) -> None:
         """Log the catalog flip the swap is about to perform."""
@@ -425,7 +435,7 @@ class _SyncExecutor:
     def _finish(self) -> None:
         self.faults.fire(SITE_SYNC_FINISH, transform=self.tf.transform_id)
         records = []
-        for name in self.tf.source_tables:
+        for name in map(self.db.catalog.name_at, self.tf.source_tables):
             if self.db.catalog.is_zombie(name):
                 self.db.catalog.drop_zombie(name)
                 records.append(DropTableRecord(table=name))
@@ -586,7 +596,7 @@ class LockMirror:
     def __init__(self, tf: Transformation) -> None:
         self.tf = tf
         self.engine = tf.engine
-        self.source_names = set(tf.source_tables)
+        self.source_names = set(tf.engine.source_tables)
         self.target_names = {t.name for t in tf.targets.values()}
 
     def on_lock(self, db: Database, txn: Transaction, table: Table,

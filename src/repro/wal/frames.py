@@ -418,7 +418,12 @@ def _dec_dataclass(data: bytes, pos: int) -> Tuple[object, int]:
         raise FrameCodecError(f"unknown payload dataclass {class_name!r}")
     values, pos = _dec_list(data, pos)
     fields = dataclasses.fields(cls)
-    if len(values) != len(fields):
+    # A class may grow trailing fields with defaults: an older frame
+    # leaves them out and decodes to their defaults.
+    if len(values) > len(fields) or any(
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+            for f in fields[len(values):]):
         raise FrameCodecError(
             f"{class_name} field count changed: frame has {len(values)}, "
             f"class has {len(fields)}")

@@ -16,8 +16,10 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import (Database, RetypeTransformation, Session,
+                       restart_from_disk)
 from repro.common.errors import LogCorruptionError
-from repro.relational.spec import FojSpec, SplitSpec
+from repro.relational.spec import FojSpec, RetypeSpec, SplitSpec
 from repro.storage.schema import TableSchema
 from repro.wal import (
     FRAME_HEADER_SIZE,
@@ -37,7 +39,9 @@ from repro.wal import (
     FrameCodecError,
     FuzzyMarkRecord,
     InsertRecord,
+    LogManager,
     RenameTableRecord,
+    SimulatedDisk,
     TransformRetireRecord,
     TransformSwapRecord,
     UpdateRecord,
@@ -211,6 +215,73 @@ def test_spec_dataclass_round_trip():
     record.lsn = 1
     decoded = decode_record(encode_record(record))
     assert decoded.params["spec"] == _FOJ_SPEC
+
+
+def _spec_value(spec, values):
+    """``spec``'s frame bytes as a class with ``values`` as its fields
+    would have written them."""
+    out = bytearray(b"\x0c")  # the dataclass tag
+    encode_value(out, type(spec).__name__)
+    out.append(len(values))
+    for value in values:
+        encode_value(out, value)
+    return bytes(out)
+
+
+def _respec(payload, spec, field_values):
+    """``payload`` with its one encoded ``spec`` re-encoded with
+    ``field_values`` (e.g. the five fields ``RetypeSpec`` once had)."""
+    whole = bytearray()
+    encode_value(whole, spec)
+    assert payload.count(bytes(whole)) == 1
+    return payload.replace(bytes(whole), _spec_value(spec, field_values))
+
+
+def _retype_swap_payload(spec, field_values):
+    record = TransformSwapRecord(
+        txn_id=0, transform_id="tf", transform_kind="retype",
+        retired=(spec.source_name,), published={}, params={"spec": spec},
+        doomed_txns=())
+    record.lsn = 1
+    return _respec(encode_record(record), spec, field_values)
+
+
+_RETYPE_SPEC = RetypeSpec("reading", "reading_v2", "value", "int", 0)
+_PARENT_FIELDS = ("reading", "reading_v2", "value", "int", 0)
+
+
+def test_a_spec_frame_missing_trailing_fields_decodes_to_defaults():
+    decoded = decode_record(_retype_swap_payload(_RETYPE_SPEC,
+                                                 _PARENT_FIELDS))
+    spec = decoded.params["spec"]
+    assert spec == _RETYPE_SPEC
+    assert (spec.rename, spec.add, spec.drop) == ((), (), ())
+    with pytest.raises(FrameCodecError):  # a field without a default
+        decode_record(_retype_swap_payload(_RETYPE_SPEC, ("reading",)))
+    with pytest.raises(FrameCodecError):  # more fields than the class
+        decode_record(_retype_swap_payload(
+            _RETYPE_SPEC, _PARENT_FIELDS + ((), (), (), "extra")))
+
+
+def test_restart_rebuilds_from_a_parent_shaped_retype_swap_frame():
+    db = Database(log=LogManager())
+    db.create_table(TableSchema("reading", ["rid", "value"],
+                                primary_key=["rid"]))
+    with Session(db) as s:
+        s.insert("reading", {"rid": 1, "value": " 7"})
+        s.insert("reading", {"rid": 2, "value": None})
+    RetypeTransformation(db, _RETYPE_SPEC).run()
+    frames = []
+    for record in db.log.scan():
+        payload = encode_record(record)
+        if isinstance(record, TransformSwapRecord):
+            payload = _respec(payload, _RETYPE_SPEC, _PARENT_FIELDS)
+        frames.append(_crc_valid_frame(payload))
+    disk = SimulatedDisk()
+    disk.reopen(SEGMENT_HEADER + b"".join(frames))
+    table = restart_from_disk(disk).table("reading_v2")
+    assert sorted((r.values["rid"], r.values["value"])
+                  for r in table.scan()) == [(1, 7), (2, 0)]
 
 
 def test_unframeable_value_raises_at_encode_time():

@@ -111,8 +111,8 @@ def test_migrate_row_twice_equals_once(scenario):
         else:
             migrate_all()
             once = image(tf.targets)
-            assert once == image(
-                {name: db.table(name) for name in tf.targets})
+            assert once == image({name: db.table(table.name)
+                                  for name, table in tf.targets.items()})
             if step.operator == "merge":
                 # Declared eager-only for this reason: a B row finding
                 # its key present reads as "key in both sources".

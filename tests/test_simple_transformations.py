@@ -1,5 +1,6 @@
-"""Tests for the simple (Section 2.4) transformations: add/remove/rename
-attributes, online."""
+"""Tests for the Section 2.4 attribute DDL: add/remove/rename attributes,
+online.  Each is a ``retype`` column map published in place, so it is
+logged, locked and redone at restart like every other transformation."""
 
 import pytest
 
@@ -11,16 +12,28 @@ from repro import (
     remove_attribute,
     rename_attribute,
 )
+from repro.api import RetypeSpec, RetypeTransformation, TransformOptions
 from repro.common.errors import SchemaError
+from repro.engine import restart_from_disk
+from repro.transform import Phase
+from repro.wal import LogManager, SimulatedDisk
 
 
-def make_db():
-    db = Database()
+def make_db(log=None):
+    db = Database(log=log)
     db.create_table(TableSchema("t", ["id", "a", "b"], primary_key=["id"]))
     with Session(db) as s:
         s.insert("t", {"id": 1, "a": "x", "b": "y"})
         s.insert("t", {"id": 2, "a": "z", "b": "w"})
     return db
+
+
+def rejects(db, ddl, *args):
+    """``ddl`` raises SchemaError before it writes any log record."""
+    end = db.log.end_lsn
+    with pytest.raises(SchemaError):
+        ddl(db, "t", *args)
+    assert db.log.end_lsn == end
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +54,7 @@ def test_add_attribute_with_default():
 
 def test_add_attribute_duplicate_rejected():
     db = make_db()
-    with pytest.raises(SchemaError):
-        add_attribute(db, "t", "a")
+    rejects(db, add_attribute, "a")
 
 
 # ---------------------------------------------------------------------------
@@ -50,42 +62,27 @@ def test_add_attribute_duplicate_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_remove_attribute_lazy_changes_description_only():
-    """Section 2.4: removal 'can be performed by changing the table
-    description only, thus leaving the physical records unchanged'."""
+def test_remove_attribute_strips_values():
     db = make_db()
     remove_attribute(db, "t", "b")
-    schema = db.table("t").schema
-    assert not schema.has_attribute("b")
-    # Physical values still present (lazy) ...
-    assert db.table("t").get((1,)).values.get("b") == "y"
-    # ... but the schema no longer admits them in new rows or updates.
-    with pytest.raises(SchemaError):
-        with Session(db) as s:
-            s.update("t", (1,), {"b": "nope"})
-    with Session(db) as s:
-        s.insert("t", {"id": 3, "a": "ok"})
-
-
-def test_remove_attribute_eager_strips_values():
-    db = make_db()
-    remove_attribute(db, "t", "b", eager=True)
+    assert db.table("t").schema.attribute_names == ("id", "a")
     assert all("b" not in r.values for r in db.table("t").scan())
 
 
 def test_remove_attribute_drops_covering_index():
     db = make_db()
     db.table("t").create_index("by_b", ["b"])
+    db.table("t").create_index("by_a", ["a"])
     remove_attribute(db, "t", "b")
     assert "by_b" not in db.table("t").indexes
+    assert [r.values["id"] for r in db.table("t").lookup("by_a", ("z",))] \
+        == [2]
 
 
 def test_remove_attribute_rejects_key_and_missing():
     db = make_db()
-    with pytest.raises(SchemaError):
-        remove_attribute(db, "t", "id")
-    with pytest.raises(SchemaError):
-        remove_attribute(db, "t", "nope")
+    rejects(db, remove_attribute, "id")
+    rejects(db, remove_attribute, "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +116,63 @@ def test_rename_attribute_in_primary_key():
 
 def test_rename_attribute_validations():
     db = make_db()
-    with pytest.raises(SchemaError):
-        rename_attribute(db, "t", "nope", "x")
-    with pytest.raises(SchemaError):
-        rename_attribute(db, "t", "a", "b")
+    rejects(db, rename_attribute, "nope", "x")
+    rejects(db, rename_attribute, "a", "b")
+
+
+# ---------------------------------------------------------------------------
+# durability and old transactions
+# ---------------------------------------------------------------------------
+
+
+def test_attribute_ddl_survives_restart():
+    disk = SimulatedDisk()
+    db = make_db(LogManager(disk=disk))
+    add_attribute(db, "t", "c")
+    rename_attribute(db, "t", "b", "bb")
+    with Session(db) as s:
+        s.update("t", (1,), {"c": 5, "bb": "yy"})
+    db.log.flush()
+    table = restart_from_disk(disk).table("t")
+    assert table.schema.attribute_names == ("id", "a", "bb", "c")
+    assert table.get((1,)).values == {"id": 1, "a": "x", "bb": "yy", "c": 5}
+    assert table.get((2,)).values == {"id": 2, "a": "z", "bb": "w",
+                                      "c": None}
+
+
+def test_removed_attribute_stays_removed_after_restart():
+    disk = SimulatedDisk()
+    db = make_db(LogManager(disk=disk))
+    remove_attribute(db, "t", "b")
+    db.log.flush()
+    table = restart_from_disk(disk).table("t")
+    assert table.schema.attribute_names == ("id", "a")
+    assert all("b" not in r.values for r in table.scan())
+
+
+def test_old_transaction_writes_through_the_in_place_zombie():
+    """Non-blocking commit: a transaction that wrote ``t`` before an
+    in-place rename keeps writing the old shape under the old column
+    name; its rows reach the published table renamed, while a new
+    transaction writes the new shape under the same table name."""
+    disk = SimulatedDisk()
+    db = make_db(LogManager(disk=disk))
+    old = db.begin()
+    db.update(old, "t", (1,), {"b": "y1"})
+    tf = RetypeTransformation(
+        db, RetypeSpec.derive(db.table("t").schema, "t", rename={"b": "bb"}),
+        options=TransformOptions(sync="nonblocking_commit"))
+    while tf.phase is not Phase.BACKGROUND:
+        tf.step(64)
+    db.update(old, "t", (1,), {"b": "y2"})
+    with Session(db) as s:
+        s.update("t", (2,), {"bb": "w2"})
+    db.commit(old)
+    tf.run()
+    rows = {r.values["id"]: r.values for r in db.table("t").scan()}
+    assert rows == {1: {"id": 1, "a": "x", "bb": "y2"},
+                    2: {"id": 2, "a": "z", "bb": "w2"}}
+    assert db.catalog.zombie_names() == []
+    db.log.flush()
+    recovered = restart_from_disk(disk).table("t")
+    assert {r.values["id"]: r.values for r in recovered.scan()} == rows
