@@ -54,7 +54,6 @@ SIZES = (15_000, 60_000)
 N_ZIP = 50
 SEED = 7
 STEP_BUDGET = 64
-POPULATION_CHUNK = 64
 #: Reads timed for the JIT tail-latency distribution.
 LATENCY_SAMPLE = 200
 
@@ -81,8 +80,7 @@ def _build(n_rows: int):
 def _make_tf(db, spec, mode: str) -> SplitTransformation:
     return SplitTransformation(
         db, spec,
-        options=TransformOptions(population_chunk=POPULATION_CHUNK,
-                                 population_mode=mode))
+        options=TransformOptions(population_mode=mode))
 
 
 def _read(db, key) -> float:
@@ -181,7 +179,6 @@ def check_and_save(result: Dict[str, object],
         "sizes": list(by_size),
         "seed": SEED,
         "step_budget": STEP_BUDGET,
-        "population_chunk": POPULATION_CHUNK,
         "ttfrt_units": {str(n): {m: by_size[n][m]["ttfrt_units"]
                                  for m in ("eager", "lazy")}
                         for n in by_size},

@@ -141,8 +141,7 @@ def _run_arm_deterministic(arm: str, workload_seed: int) -> Dict[str, object]:
     spec = FojSpec.derive(db.table("R").schema, db.table("S").schema,
                           "T", "c", "c")
     options = ARMS[arm] or TransformOptions()
-    tf = FojTransformation(db, spec,
-                           options=options.evolve(population_chunk=7))
+    tf = FojTransformation(db, spec, options=options)
     for i in range(120):
         kind = rng.choice(_OPS)
         key, join_value = rng.randrange(40), rng.randrange(12)

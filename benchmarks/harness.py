@@ -395,7 +395,7 @@ def observability_smoke(rows: int = 400,
                                 s_name="T_s", split_attr="grp",
                                 s_attrs=["info"])
         tf = SplitTransformation(db, spec, options=TransformOptions(
-            sync=strategy, population_chunk=64))
+            sync=strategy))
         # A transaction kept open across synchronization makes the
         # non-blocking strategies exercise their BACKGROUND phase (the
         # blocking strategy must see it end before its drain completes).

@@ -24,7 +24,6 @@ from repro.api import (
     NoSuchRowError,
     Session,
     TableSchema,
-    TransformOptions,
     full_outer_join,
     rows_equal,
 )
@@ -54,8 +53,7 @@ def main() -> None:
                           db.table("branch").schema,
                           target_name="account_report",
                           join_attr_r="branch_id", join_attr_s="branch_id")
-    view = MaterializedFojView(
-        db, spec, options=TransformOptions(population_chunk=32))
+    view = MaterializedFojView(db, spec)
 
     # Build the view while banking transactions run.
     banked = 0

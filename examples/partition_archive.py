@@ -22,7 +22,6 @@ from repro.api import (
     PartitionTransformation,
     Session,
     TableSchema,
-    TransformOptions,
     rows_equal,
 )
 
@@ -46,8 +45,7 @@ def main() -> None:
         "orders", "orders_archive", "orders_active",
         predicate=lambda row: row["status"] == "closed",
         predicate_desc="status == 'closed'")
-    transformation = PartitionTransformation(
-        db, spec, options=TransformOptions(population_chunk=16))
+    transformation = PartitionTransformation(db, spec)
 
     processed = migrated = 0
     while not transformation.done:

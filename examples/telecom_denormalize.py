@@ -101,8 +101,7 @@ def main() -> None:
         target_name="subscriber_denorm",
         join_attr_r="plan_id", join_attr_s="plan_id")
     transformation = FojTransformation(
-        db, spec, options=TransformOptions(
-            sync="nonblocking_abort", population_chunk=32))
+        db, spec, options=TransformOptions(sync="nonblocking_abort"))
 
     rated = aborted = latched = steps = 0
     # Interleave: one rating transaction, one small transformation step.

@@ -13,7 +13,7 @@ external callers should use::
     db = Database()
     ...
     tf = FojTransformation(db, spec, options=TransformOptions(
-        sync="nonblocking_commit", shards=4, propagation_batch=64))
+        sync="nonblocking_commit", shards=4))
     tf.run()
 
 Everything here is re-exported from its home module; the deep import
@@ -24,9 +24,10 @@ compatibility promise.
 
 Configuration goes through :class:`TransformOptions` -- a frozen
 dataclass bundling the synchronization strategy (selectable by registry
-string, e.g. ``sync="nonblocking_commit"``), shard count, population and
-propagation batch sizes, the group-commit :class:`FlushPolicy`,
-simulator priority, and observability/fault attachments.
+string, e.g. ``sync="nonblocking_commit"``), shard count, population
+mode, storage backend, analysis policy and the metrics attachment.
+How much work a step does is the ``step(budget)`` argument; faults and
+the group-commit :class:`FlushPolicy` attach to the ``Database``.
 
 Multi-step schema changes go through the declarative plan API
 (:mod:`repro.plan`): build a :class:`MigrationPlan` (or decode one from

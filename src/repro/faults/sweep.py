@@ -270,8 +270,8 @@ class ScenarioRun:
             else "latch"
         self.options = TransformOptions(
             sync=strategy, storage=storage,
-            policy=RemainingRecordsPolicy(max_remaining=2, patience=200),
-            population_chunk=4).evolve(**(overrides or {}))
+            policy=RemainingRecordsPolicy(max_remaining=2, patience=200)
+        ).evolve(**(overrides or {}))
         self.workload_seed = workload_seed
         self.faults = faults if faults is not None else FaultInjector()
         self.disk = SimulatedDisk()
@@ -385,8 +385,7 @@ class ScenarioRun:
         """
         self._load(BYSTANDER)
         throwaway = self._build(BYSTANDER, TransformOptions(
-            sync=self.strategy, storage=self.options.storage,
-            population_chunk=2))
+            sync=self.strategy, storage=self.options.storage))
         throwaway.step(1)
         throwaway.abort()
 

@@ -130,15 +130,14 @@ class BlameBoard:
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] = None,
-                 edge_capacity: int = 4096) -> None:
-        if edge_capacity < 1:
-            raise ValueError("edge_capacity must be >= 1")
+    #: Wait edges retained (oldest dropped and counted beyond it).
+    EDGE_CAPACITY = 4096
+
+    def __init__(self, clock: Callable[[], float] = None) -> None:
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._edge_capacity = edge_capacity
         self._roles: Dict[object, str] = {}
         self._open: Dict[Tuple[object, object], _OpenWait] = {}
-        self.edges: deque = deque(maxlen=edge_capacity)
+        self.edges: deque = deque(maxlen=self.EDGE_CAPACITY)
         self.edges_dropped = 0
         self.edges_total = 0
         self.total_wait_ms = 0.0
@@ -217,7 +216,7 @@ class BlameBoard:
             if txn_slot is not None:
                 txn_slot[role] = txn_slot.get(role, 0.0) + share
         self.edges_total += 1
-        if len(self.edges) == self._edge_capacity:
+        if len(self.edges) == self.EDGE_CAPACITY:
             self.edges_dropped += 1
         self.edges.append({
             "waiter": waiter,
@@ -288,7 +287,7 @@ class _NullBlameBoard(BlameBoard):
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(clock=lambda: 0.0, edge_capacity=1)
+        super().__init__(clock=lambda: 0.0)
 
     def set_role(self, owner: object, role: str) -> None:  # noqa: D102
         return None

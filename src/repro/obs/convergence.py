@@ -86,17 +86,15 @@ class ConvergenceMonitor:
         metrics: Registry receiving the ``tf.lag.*`` gauge series; points
             are recorded regardless, gauges only while it is enabled.
         transform_id: Stamped into the gauge trace for multi-transform runs.
-        capacity: Bound on retained points (oldest dropped beyond it; a
-            starving transformation can iterate indefinitely).
     """
 
-    def __init__(self, metrics: "Metrics", transform_id: str = "",
-                 capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    #: Bound on retained points (oldest dropped beyond it; a starving
+    #: transformation can iterate indefinitely).
+    CAPACITY = 4096
+
+    def __init__(self, metrics: "Metrics", transform_id: str = "") -> None:
         self.metrics = metrics
         self.transform_id = transform_id
-        self.capacity = capacity
         self._points: List[ConvergencePoint] = []
         #: Points discarded because the bound was hit.
         self.dropped = 0
@@ -120,7 +118,7 @@ class ConvergenceMonitor:
             est_remaining_units=lag * per_record,
             decision=decision,
         )
-        if len(self._points) >= self.capacity:
+        if len(self._points) >= self.CAPACITY:
             self._points.pop(0)
             self.dropped += 1
         self._points.append(point)

@@ -38,16 +38,14 @@ class FlightRecorder:
     Args:
         metrics: The registry to read spans/trace/blame from (the no-op
             singleton yields empty bundles but never fails).
-        capacity: Moment-ring bound (snapshots + notable events).
     """
 
-    def __init__(self, metrics: Optional[Metrics] = None,
-                 capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    #: Moment-ring bound (snapshots + notable events).
+    CAPACITY = 128
+
+    def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.capacity = capacity
-        self._moments: deque = deque(maxlen=capacity)
+        self._moments: deque = deque(maxlen=self.CAPACITY)
         self.recorded = 0
         self.dropped = 0
 
@@ -55,7 +53,7 @@ class FlightRecorder:
 
     def note(self, kind: str, **fields: object) -> None:
         """Record one notable moment (bounded, oldest dropped)."""
-        if len(self._moments) == self.capacity:
+        if len(self._moments) == self.CAPACITY:
             self.dropped += 1
         self.recorded += 1
         self._moments.append({"t": self.metrics.now(), "kind": kind,

@@ -17,7 +17,7 @@ Design notes:
 * names are dotted strings (``"wal.appends"``, ``"sync.latched_window"``);
   instruments are created lazily on first use;
 * histograms keep exact count/total/min/max plus a bounded sample ring for
-  percentiles -- memory stays O(sample_cap) per histogram;
+  percentiles -- memory stays O(``Histogram.SAMPLE_CAP``) per histogram;
 * the clock is pluggable so the simulator can record *virtual* time
   (``Metrics(clock=lambda: sim.now)``); the default is wall time;
 * :meth:`Metrics.snapshot` renders everything into plain dicts, ready for
@@ -59,8 +59,11 @@ class Histogram:
 
     ``count``/``total``/``min``/``max`` and the fixed-bound bucket counts
     are exact over every observation; percentiles are computed from the
-    most recent ``sample_cap`` samples.
+    most recent :attr:`SAMPLE_CAP` samples.
     """
+
+    #: Samples retained for percentiles.
+    SAMPLE_CAP = 512
 
     #: Fixed upper bounds of the exact bucket counts (the last bucket is
     #: the +Inf overflow).  Chosen for millisecond-scale latencies; the
@@ -73,13 +76,13 @@ class Histogram:
     __slots__ = ("name", "count", "total", "min", "max", "_samples",
                  "bucket_counts")
 
-    def __init__(self, name: str, sample_cap: int = 512) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._samples: Deque[float] = deque(maxlen=sample_cap)
+        self._samples: Deque[float] = deque(maxlen=self.SAMPLE_CAP)
         #: Per-bucket observation counts; one slot past the bounds for
         #: the overflow bucket.
         self.bucket_counts: List[int] = [0] * (len(self.BUCKET_BOUNDS) + 1)
@@ -157,10 +160,14 @@ class Gauge:
 
     __slots__ = ("name", "value", "_series")
 
-    def __init__(self, name: str, series_cap: int = 1024) -> None:
+    #: History points retained.
+    SERIES_CAP = 1024
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-        self._series: Deque[Tuple[float, float]] = deque(maxlen=series_cap)
+        self._series: Deque[Tuple[float, float]] = deque(
+            maxlen=self.SERIES_CAP)
 
     def set(self, value: float, t: float) -> None:
         """Record the current level at clock reading ``t``."""
@@ -184,36 +191,28 @@ class Metrics:
             (instruments are still creatable for introspection).
         clock: Timestamp source for trace events, spans and :meth:`now`;
             defaults to :func:`time.perf_counter`.
-        trace_capacity: Ring size for trace events.
-        sample_cap: Per-histogram percentile sample retention.
-        span_capacity: Span retention bound (earliest kept, see
-            :class:`~repro.obs.spans.SpanTracker`).
-        gauge_series_cap: Per-gauge history retention.
-        blame_edge_capacity: Wait-edge retention on the blame board.
+
+    Every retention bound is a constant of the instrument that keeps it
+    (``EventRing.CAPACITY``, ``Histogram.SAMPLE_CAP``,
+    ``SpanTracker.CAPACITY``, ``Gauge.SERIES_CAP``,
+    ``BlameBoard.EDGE_CAPACITY``).
     """
 
     def __init__(self, enabled: bool = True,
-                 clock: Optional[Callable[[], float]] = None,
-                 trace_capacity: int = 1024,
-                 sample_cap: int = 512,
-                 span_capacity: int = 8192,
-                 gauge_series_cap: int = 1024,
-                 blame_edge_capacity: int = 4096) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.enabled = enabled
         self._clock = clock if clock is not None else time.perf_counter
-        self._sample_cap = sample_cap
-        self._gauge_series_cap = gauge_series_cap
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self.ring = EventRing(trace_capacity)
+        self.ring = EventRing()
         #: Hierarchical span tracker sharing this registry's clock.
-        self.spans = SpanTracker(self._clock, span_capacity)
+        self.spans = SpanTracker(self._clock)
         # Deferred import: repro.obs.blame reuses Histogram from this
         # module, so the board is bound at construction time instead.
         from repro.obs.blame import BlameBoard
         #: Interference attribution board sharing this registry's clock.
-        self.blame = BlameBoard(self._clock, blame_edge_capacity)
+        self.blame = BlameBoard(self._clock)
 
     # -- instruments --------------------------------------------------------
 
@@ -228,15 +227,14 @@ class Metrics:
         """The histogram with this name (created on first use)."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(
-                name, self._sample_cap)
+            histogram = self._histograms[name] = Histogram(name)
         return histogram
 
     def gauge(self, name: str) -> Gauge:
         """The gauge with this name (created on first use)."""
         gauge = self._gauges.get(name)
         if gauge is None:
-            gauge = self._gauges[name] = Gauge(name, self._gauge_series_cap)
+            gauge = self._gauges[name] = Gauge(name)
         return gauge
 
     # -- recording ----------------------------------------------------------
@@ -326,8 +324,8 @@ class Metrics:
         self._counters.clear()
         self._histograms.clear()
         self._gauges.clear()
-        self.ring = EventRing(self.ring.capacity)
-        self.spans = SpanTracker(self._clock, self.spans.capacity)
+        self.ring = EventRing()
+        self.spans = SpanTracker(self._clock)
         self.blame.reset()
 
 
@@ -340,8 +338,7 @@ class _NullMetrics(Metrics):
     """
 
     def __init__(self) -> None:
-        super().__init__(enabled=False, trace_capacity=1, span_capacity=1,
-                         blame_edge_capacity=1)
+        super().__init__(enabled=False)
         from repro.obs.blame import NULL_BLAME
         self.blame = NULL_BLAME
 

@@ -25,7 +25,7 @@ The tracker supports two usage shapes, because the transformation is a
   for intervals that cross many ``step()`` calls (a phase, an iteration,
   the latched window), with the parent passed explicitly.
 
-Retention is bounded: once ``capacity`` spans have been started, further
+Retention is bounded: once ``CAPACITY`` spans have been started, further
 ``begin`` calls return the shared :data:`NULL_SPAN` and are counted in
 :attr:`SpanTracker.dropped` -- the *earliest* spans survive, so the root
 structure of a long run is never evicted (the opposite policy from the
@@ -122,16 +122,14 @@ class SpanTracker:
 
     Args:
         clock: Timestamp source (the owning ``Metrics``'s clock).
-        capacity: Maximum spans retained; further starts are dropped and
-            counted (earliest-kept policy, see the module docstring).
     """
 
-    def __init__(self, clock: Callable[[], float],
-                 capacity: int = 8192) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    #: Maximum spans retained; further starts are dropped and counted
+    #: (earliest-kept policy, see the module docstring).
+    CAPACITY = 8192
+
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.capacity = capacity
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._ids = itertools.count(1)
@@ -152,7 +150,7 @@ class SpanTracker:
                 context-manager span, or root when none is active.
         """
         self.started += 1
-        if len(self._spans) >= self.capacity:
+        if len(self._spans) >= self.CAPACITY:
             self.dropped += 1
             return NULL_SPAN
         if parent is None and self._stack:
@@ -253,7 +251,7 @@ class _NullSpanTracker(SpanTracker):
     """Disabled tracker: every operation is a no-op returning inert spans."""
 
     def __init__(self) -> None:
-        super().__init__(lambda: 0.0, capacity=1)
+        super().__init__(lambda: 0.0)
 
     def begin(self, name: str, parent: Optional[Span] = None,
               **attrs: object) -> Span:  # noqa: D102

@@ -31,11 +31,11 @@ class TraceEvent:
 class EventRing:
     """Fixed-capacity ring of :class:`TraceEvent` (oldest evicted first)."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+    #: Events retained.
+    CAPACITY = 1024
+
+    def __init__(self) -> None:
+        self._events: Deque[TraceEvent] = deque(maxlen=self.CAPACITY)
         #: Total events ever appended (including evicted ones).
         self.appended = 0
         #: Events evicted by the bound -- non-zero means the flight
@@ -44,7 +44,7 @@ class EventRing:
 
     def append(self, event: TraceEvent) -> None:
         """Record one event, evicting the oldest if full."""
-        if len(self._events) == self.capacity:
+        if len(self._events) == self.CAPACITY:
             self.dropped += 1
         self._events.append(event)
         self.appended += 1

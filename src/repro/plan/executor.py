@@ -58,20 +58,14 @@ class PlanExecutor:
             registry per step, yielding per-step snapshots and blame
             breakdowns in the report (the database's original registry is
             restored afterwards).
-        supervisor_kwargs: Extra keyword arguments forwarded to every
-            step's :class:`TransformationSupervisor` (budget,
-            max_attempts, backoff knobs, ...).
     """
 
     def __init__(self, db: Database, plan: MigrationPlan, *,
-                 validate: bool = True, observe: bool = False,
-                 supervisor_kwargs: Optional[Dict[str, object]] = None
-                 ) -> None:
+                 validate: bool = True, observe: bool = False) -> None:
         self.db = db
         self.plan = plan
         self.validate = validate
         self.observe = observe
-        self.supervisor_kwargs = dict(supervisor_kwargs or {})
 
     # -- resume ----------------------------------------------------------
 
@@ -155,8 +149,7 @@ class PlanExecutor:
         def factory() -> Transformation:
             return op.build(self.db, step.params, options)
 
-        supervisor = TransformationSupervisor(self.db, factory,
-                                              **self.supervisor_kwargs)
+        supervisor = TransformationSupervisor(self.db, factory)
         supervisor.run()
         snapshot = metrics.snapshot() if metrics is not None else None
         report: Dict[str, object] = {
@@ -198,8 +191,7 @@ class PlanExecutor:
 
 
 def run_plan(db: Database, plan: MigrationPlan, *, resume: bool = False,
-             validate: bool = True, observe: bool = False,
-             supervisor_kwargs: Optional[Dict[str, object]] = None
+             validate: bool = True, observe: bool = False
              ) -> Dict[str, object]:
     """Validate and execute ``plan`` against ``db``; returns the report.
 
@@ -212,9 +204,8 @@ def run_plan(db: Database, plan: MigrationPlan, *, resume: bool = False,
     ``run_plan(db, plan, resume=True)``: completed steps are replayed
     from their WAL swap records and the in-flight step re-runs.
     """
-    return PlanExecutor(db, plan, validate=validate, observe=observe,
-                        supervisor_kwargs=supervisor_kwargs).run(
-                            resume=resume)
+    return PlanExecutor(db, plan, validate=validate,
+                        observe=observe).run(resume=resume)
 
 
 class PlanStepper:

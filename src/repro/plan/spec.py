@@ -39,8 +39,7 @@ from repro.common.errors import PlanValidationError
 #: policy objects and ``transform_id`` (the executor derives it from
 #: plan id + step id) are excluded.
 PLAN_OPTION_FIELDS: Tuple[str, ...] = (
-    "sync", "shards", "population_chunk", "propagation_batch",
-    "population_mode", "storage",
+    "sync", "shards", "population_mode", "storage",
 )
 
 

@@ -221,8 +221,8 @@ class SnapshotScan(FuzzyScan):
     """
 
     def __init__(self, versioned: VersionedTable, handle: SnapshotHandle,
-                 chunk_size: int = 256, **scan_options) -> None:
-        super().__init__(versioned.table, chunk_size, **scan_options)
+                 **scan_options) -> None:
+        super().__init__(versioned.table, **scan_options)
         self.versioned = versioned
         self.handle = handle
         rows, key_of = self.table.rows, self.table.schema.key_of

@@ -380,13 +380,14 @@ class Transformation:
             it is what the swap log record carries, so restart recovery
             can rebuild the published tables from it.
         options: A :class:`~repro.transform.options.TransformOptions`
-            carrying every knob (sync strategy, shards, batch sizes,
-            metrics, analysis policy, id).
-            ``options.shards`` and ``options.propagation_batch`` are
-            parameter values of the one propagation loop
-            (:meth:`_propagate_batch`), not separate pipelines: there is
-            one log cursor whatever they are set to, so the Section 3.4
-            strategies and the lock mirroring are identical either way.
+            carrying the configuration (sync strategy, shards, metrics,
+            analysis policy, id, population mode, storage).
+            ``options.shards`` is a parameter value of the one
+            propagation loop (:meth:`_propagate_batch`), not a separate
+            pipeline: there is one log cursor whatever it is set to, so
+            the Section 3.4 strategies and the lock mirroring are
+            identical either way.  How much one :meth:`step` does is its
+            ``budget`` argument, not an option.
 
     Subclass contract -- an operator is three things:
 
@@ -699,11 +700,12 @@ class Transformation:
     def _make_scan(self, table: Table) -> FuzzyScan:
         """Build the population scan of one source table.
 
-        Every mode gets the one chunk source, :class:`FuzzyScan`, with
-        the options as parameters: the shard map to charge handed-out
-        rows to, and -- under lazy population -- hand-outs recorded as
-        claims, so the miss hook and the background drain migrate each
-        row exactly once.  Only the read rule varies.  Latch storage, and
+        Every mode gets the one chunk source, :class:`FuzzyScan`, at its
+        default chunk size (the population loop caps each chunk at the
+        step's remaining budget), with the options as parameters: the
+        shard map to charge handed-out rows to, and -- under lazy
+        population -- hand-outs recorded as claims, so the miss hook and
+        the background drain migrate each row exactly once.  Only the read rule varies.  Latch storage, and
         lazy population (whose miss hook can only see live rows), read
         dirty: the paper's fuzzy read, repaired later by LSN-guarded
         propagation.  Eager MVCC population pins one snapshot (first
@@ -721,9 +723,8 @@ class Transformation:
             if self._population_snapshot is None:
                 self._population_snapshot = mvcc.pin(owner=self.transform_id)
             return SnapshotScan(mvcc.versioned(table),
-                                self._population_snapshot,
-                                options.population_chunk, **scan_options)
-        return FuzzyScan(table, options.population_chunk, **scan_options)
+                                self._population_snapshot, **scan_options)
+        return FuzzyScan(table, **scan_options)
 
     def _release_population_snapshot(self) -> None:
         """Unpin the population snapshot (population done, or abort)."""
@@ -827,6 +828,12 @@ class Transformation:
     #: capacity.
     SKIP_UNIT_COST = 0.25
 
+    #: Most log records fetched and grouped per slice of the tail.  The
+    #: step budget caps a slice further, so a budget below it gives
+    #: smaller slices of the same loop; grouping never reorders records,
+    #: so the slice size only changes how much dispatch is amortized.
+    PROPAGATION_SLICE = 32
+
     def _propagate_batch(self, budget: float) -> float:
         """Propagate records toward the iteration target, spending up to
         ``budget`` cost units; returns the units consumed (an applied
@@ -835,13 +842,13 @@ class Transformation:
         The one log-tail consumer: the step driver, the synchronization
         executors' final propagation and view maintenance all come
         through here.  The tail is fetched in slices of up to
-        ``options.propagation_batch`` records, each record is classified
-        once by class identity, consecutive (table, rule) runs are
-        applied through the engine's batch entry point, and the single
-        cursor moves past the slice.  Runs never reorder records --
-        grouping only amortizes dispatch -- so every slice size
-        (``propagation_batch=1`` included) converges to the same target
-        state.  Each change rides with its owner: the transaction id
+        :data:`PROPAGATION_SLICE` records (fewer when the budget left is
+        smaller), each record is classified once by class identity,
+        consecutive (table, rule) runs are applied through the engine's
+        batch entry point, and the single cursor moves past the slice.
+        Runs never reorder records -- grouping only amortizes dispatch --
+        so every step budget converges to the same target state.  Each
+        change rides with its owner: the transaction id
         while that transaction is active, ``0`` once it has finished
         (see :meth:`RuleEngine.apply_run`).
 
@@ -867,7 +874,7 @@ class Transformation:
         apply_group = self._apply_group
         on_txn_end = self._on_txn_end
         live = self.db.txns.exists
-        batch_size = self.options.propagation_batch
+        slice_size = self.PROPAGATION_SLICE
         skip_cost = self.SKIP_UNIT_COST
         # Engines declare which non-data records handle_marker consumes;
         # an engine that never overrode it consumes none.  None means
@@ -888,7 +895,7 @@ class Transformation:
             while units < budget and self._cursor <= end:
                 # Cap the slice so a fully-applied one lands within one
                 # unit of the budget.
-                take = min(batch_size, int(budget - units) + 1)
+                take = min(slice_size, int(budget - units) + 1)
                 hi = min(end, self._cursor + take - 1)
                 batch = log.records_slice(self._cursor, hi)
                 fire(SITE_TF_PROPAGATE_GROUP, transform=self.transform_id,
@@ -1169,14 +1176,19 @@ class Transformation:
             self._begin_iteration()
 
     def _start_synchronization(self) -> None:
-        from repro.transform.sync import build_sync_executor
         strategy = self.options.sync_strategy
         self.faults.fire(SITE_TF_SYNC_ENTER, transform=self.transform_id,
                          strategy=strategy.value)
-        self._sync_executor = build_sync_executor(self, strategy)
+        self._sync_executor = self._build_sync_executor(strategy)
         self.phase = Phase.SYNCHRONIZING
         self.metrics.trace("tf.sync.start", transform=self.transform_id,
                            strategy=strategy.value)
+
+    def _build_sync_executor(self, strategy: SyncStrategy):
+        """The executor :meth:`_start_synchronization` hands over to;
+        an operator that publishes differently overrides only this."""
+        from repro.transform.sync import build_sync_executor
+        return build_sync_executor(self, strategy)
 
     # ------------------------------------------------------------------
     # Completion / abort

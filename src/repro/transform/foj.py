@@ -578,8 +578,7 @@ class FojTransformation(Transformation):
     Args:
         db: The database.
         spec: The join specification (see :class:`FojSpec.derive`).
-        **kwargs: Forwarded to :class:`Transformation` (policy, strategy,
-            chunk size, ...).
+        **kwargs: Forwarded to :class:`Transformation` (``options``).
     """
 
     kind = "foj"

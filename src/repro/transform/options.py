@@ -4,7 +4,9 @@
 by :class:`~repro.transform.base.Transformation` (and hence the FOJ and
 split transformations) and by the simulator's scenario builders.  It replaces the per-call kwargs that used
 to be scattered across constructors (``sync_strategy=``, ``shards=``,
-``population_chunk=``, ...), which have been removed from the API.
+...), which have been removed from the API.  How much work one step does
+is not an option: it is the ``step(budget)`` argument, the paper's
+transformation priority.
 
 Synchronization strategies are selectable by *registry string* as well as
 by enum member -- ``TransformOptions(sync="nonblocking_commit")`` -- so
@@ -37,11 +39,6 @@ class SyncStrategy(Enum):
 #: Registry of synchronization strategies addressable by string.  The
 #: strings are the Section 3.4 names, identical to the enum values.
 SYNC_STRATEGIES = {member.value: member for member in SyncStrategy}
-
-#: Default number of log records fetched and grouped per propagation
-#: slice (`propagation_batch`); 1 is the same loop with one-record
-#: slices (nothing to group, so no dispatch is amortized).
-DEFAULT_PROPAGATION_BATCH = 32
 
 #: Initial-population modes: ``"eager"`` is the paper's fuzzy snapshot
 #: scan (Section 3.2); ``"lazy"`` starts the target empty and migrates
@@ -92,11 +89,6 @@ class TransformOptions:
             scanned once, in table order, and the log read once, in LSN
             order, through one cursor; 1 is the paper's sequential
             pipeline and keeps no accounts.
-        population_chunk: Rows per fuzzy-scan population chunk.
-        propagation_batch: Log records fetched per propagation slice and
-            grouped into consecutive (table, rule) runs.  A parameter of
-            the one propagation loop: 1 means one-record slices and
-            converges to the same target rows as any other value.
         metrics: Observability registry attached to the database
             (``None`` leaves the current attachment untouched).
         policy: End-of-iteration analysis policy (Section 3.3 analyses);
@@ -115,8 +107,6 @@ class TransformOptions:
 
     sync: Union[SyncStrategy, str] = SyncStrategy.NONBLOCKING_ABORT
     shards: int = 1
-    population_chunk: int = 256
-    propagation_batch: int = DEFAULT_PROPAGATION_BATCH
     metrics: Optional[Metrics] = None
     policy: Optional[PropagationPolicy] = None
     transform_id: Optional[str] = None
@@ -129,14 +119,6 @@ class TransformOptions:
         resolve_sync_strategy(self.sync)
         if int(self.shards) < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if int(self.population_chunk) < 1:
-            raise ValueError(
-                f"population_chunk must be >= 1, "
-                f"got {self.population_chunk}")
-        if int(self.propagation_batch) < 1:
-            raise ValueError(
-                f"propagation_batch must be >= 1, "
-                f"got {self.propagation_batch}")
         if self.population_mode not in POPULATION_MODES:
             raise ValueError(
                 f"unknown population_mode {self.population_mode!r}; "

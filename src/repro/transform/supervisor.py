@@ -14,7 +14,7 @@ Priority escalation: the per-step budget is the system's priority proxy
 (the simulator grants the background process ``budget`` work units per
 scheduling slot).  A :class:`~repro.common.errors.TransformationStarvedError`
 -- or a step report flagged ``stalled`` -- multiplies the budget by
-``escalation_factor`` before the retry, reproducing the paper's
+:attr:`~TransformationSupervisor.ESCALATION_FACTOR` before the retry, reproducing the paper's
 "restart it later [at a higher priority]" loop.  Hard aborts
 (plain :class:`~repro.common.errors.TransformationAbortedError`) retry at
 the same priority.
@@ -49,16 +49,9 @@ class TransformationSupervisor:
             aborted transformation cannot be restarted in place -- the
             paper's abort deletes the transformed tables, so every retry
             re-runs preparation and population.
-        budget: Initial per-step budget (the priority proxy).
-        max_attempts: Give up (re-raising the last abort) after this many
-            failed attempts.
-        backoff_base: Wait units before the first retry.
-        backoff_factor: Multiplier applied to the wait per failed attempt.
-        backoff_cap: Upper bound on a single wait.
-        escalation_factor: Budget multiplier applied after a starvation
-            abort (stall), the Section 3.3 priority escalation.
-        max_budget: Ceiling for the escalated budget.
-        max_steps_per_attempt: Safety net against a wedged attempt.
+        budget: Initial per-step budget (the priority proxy, the one
+            throttle: retry and escalation sizes are the class constants
+            below).
         on_wait: Optional callback receiving each backoff duration in wait
             units (e.g. ``time.sleep`` or a simulator clock advance).
         slo: Optional :class:`~repro.obs.flight.SloPolicy`: the driver
@@ -72,31 +65,29 @@ class TransformationSupervisor:
             SLO monitor records trips into.
     """
 
+    #: Give up (re-raising the last abort) after this many failed attempts.
+    MAX_ATTEMPTS = 8
+    #: Wait units before the first retry, the multiplier applied to the
+    #: wait per failed attempt, and the upper bound on a single wait.
+    BACKOFF_BASE = 1.0
+    BACKOFF_FACTOR = 2.0
+    BACKOFF_CAP = 60.0
+    #: Budget multiplier applied after a starvation abort (stall), the
+    #: Section 3.3 priority escalation, and the escalated budget's ceiling.
+    ESCALATION_FACTOR = 4
+    MAX_BUDGET = 1 << 20
+    #: Safety net against a wedged attempt.
+    MAX_STEPS_PER_ATTEMPT = 1_000_000
+
     def __init__(self, db: Database,
                  factory: Callable[[], Transformation], *,
                  budget: int = 256,
-                 max_attempts: int = 8,
-                 backoff_base: float = 1.0,
-                 backoff_factor: float = 2.0,
-                 backoff_cap: float = 60.0,
-                 escalation_factor: int = 4,
-                 max_budget: int = 1 << 20,
-                 max_steps_per_attempt: int = 1_000_000,
                  on_wait: Optional[Callable[[float], None]] = None,
                  slo: Optional[SloPolicy] = None,
                  flight: Optional[FlightRecorder] = None) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.db = db
         self.factory = factory
         self.budget = budget
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_cap = backoff_cap
-        self.escalation_factor = escalation_factor
-        self.max_budget = max_budget
-        self.max_steps_per_attempt = max_steps_per_attempt
         self.on_wait = on_wait
         self.flight = flight
         #: Trips at most once per objective; inspect ``.trips`` after
@@ -119,14 +110,15 @@ class TransformationSupervisor:
 
     def run(self) -> Transformation:
         """Drive attempts until one completes; returns the completed
-        transformation.  Re-raises the last abort after ``max_attempts``."""
+        transformation.  Re-raises the last abort after
+        :attr:`MAX_ATTEMPTS`."""
         budget = self.budget
-        wait = self.backoff_base
+        wait = self.BACKOFF_BASE
         last_error: Optional[TransformationAbortedError] = None
         root = self.metrics.begin_span("supervisor",
-                                       max_attempts=self.max_attempts)
+                                       max_attempts=self.MAX_ATTEMPTS)
         try:
-            for attempt in range(1, self.max_attempts + 1):
+            for attempt in range(1, self.MAX_ATTEMPTS + 1):
                 self.stats["attempts"] = attempt
                 self.stats["final_budget"] = budget
                 tf = self.factory()
@@ -153,8 +145,8 @@ class TransformationSupervisor:
                                          "outcome": "starved"})
                     self._ensure_aborted(tf)
                     self._attempt_over(span, attempt, budget, "starved")
-                    escalated = min(self.max_budget,
-                                    budget * self.escalation_factor)
+                    escalated = min(self.MAX_BUDGET,
+                                    budget * self.ESCALATION_FACTOR)
                     if self.metrics.enabled:
                         self.metrics.inc("supervisor.escalations")
                         self.metrics.trace("supervisor.escalate",
@@ -169,7 +161,7 @@ class TransformationSupervisor:
                                          "outcome": "aborted"})
                     self._ensure_aborted(tf)
                     self._attempt_over(span, attempt, budget, "aborted")
-                if attempt < self.max_attempts:
+                if attempt < self.MAX_ATTEMPTS:
                     if self.slo_monitor is not None and \
                             self.metrics.enabled:
                         # A retry boundary is the natural latency
@@ -183,7 +175,7 @@ class TransformationSupervisor:
                         self.metrics.trace("supervisor.backoff",
                                            attempt=attempt, wait=wait)
                     self._wait(wait)
-                    wait = min(self.backoff_cap, wait * self.backoff_factor)
+                    wait = min(self.BACKOFF_CAP, wait * self.BACKOFF_FACTOR)
             assert last_error is not None
             raise last_error
         finally:
@@ -202,7 +194,7 @@ class TransformationSupervisor:
 
     def _drive(self, tf: Transformation, budget: int) -> None:
         """One attempt: step until done; abort + raise on stall."""
-        for _ in range(self.max_steps_per_attempt):
+        for _ in range(self.MAX_STEPS_PER_ATTEMPT):
             report = tf.step(budget)
             if self.slo_monitor is not None:
                 remaining = report.info.get("remaining")
@@ -219,7 +211,7 @@ class TransformationSupervisor:
                     "(Section 3.3); escalating priority")
         tf.abort()
         raise TransformationAbortedError(
-            f"{tf.transform_id}: exceeded {self.max_steps_per_attempt} "
+            f"{tf.transform_id}: exceeded {self.MAX_STEPS_PER_ATTEMPT} "
             "steps in one attempt")
 
     def _ensure_aborted(self, tf: Transformation) -> None:

@@ -60,9 +60,8 @@ class MaterializedFojView(FojTransformation):
 
     kind = "mv_foj"
 
-    def _start_synchronization(self) -> None:
-        self._sync_executor = PublishKeepSync(self)
-        self.phase = Phase.SYNCHRONIZING
+    def _build_sync_executor(self, strategy) -> PublishKeepSync:
+        return PublishKeepSync(self)
 
     # -- post-publication maintenance -----------------------------------------
 

@@ -90,8 +90,7 @@ class FlushPolicy:
 #: The default, non-coalescing policy: every flush request flushes.
 IMMEDIATE_FLUSH = FlushPolicy()
 
-#: A reasonable group-commit policy for batched runs (see
-#: ``benchmarks/bench_batching.py``).
+#: A reasonable group-commit policy for batched runs.
 GROUP_FLUSH = FlushPolicy(max_pending_requests=8, max_pending_records=64)
 
 

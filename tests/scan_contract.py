@@ -43,7 +43,7 @@ class ScanCase:
         planner = ShardPlanner(self.shards)
         if self.kind == "snapshot":
             return SnapshotScan(db.mvcc.versioned(table), db.mvcc.pin(),
-                                chunk_size, planner=planner)
+                                chunk_size=chunk_size, planner=planner)
         return FuzzyScan(table, chunk_size, planner=planner,
                          claim_handouts=self.kind == "claims")
 

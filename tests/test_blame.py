@@ -141,16 +141,18 @@ def test_end_wait_on_unknown_edge_is_a_noop():
 
 def test_edge_ring_is_bounded_and_counts_drops():
     clock = _Clock()
-    board = BlameBoard(clock, edge_capacity=2)
-    for i in range(3):
+    board = BlameBoard(clock)
+    cap = BlameBoard.EDGE_CAPACITY
+    for i in range(cap + 1):
         board.begin_wait(i + 1, "r", holders=[9], channel="lock")
         clock.t += 1.0
         board.end_wait(i + 1, "r")
-    assert board.edges_total == 3
-    assert len(board.edges) == 2
+    assert board.edges_total == cap + 1
+    assert len(board.edges) == cap
     assert board.edges_dropped == 1
     snap = board.snapshot()["edges"]
-    assert snap == {"recorded": 3, "retained": 2, "dropped": 1, "open": 0}
+    assert snap == {"recorded": cap + 1, "retained": cap, "dropped": 1,
+                    "open": 0}
 
 
 def test_snapshot_shape_is_reporting_complete():

@@ -164,7 +164,7 @@ def test_abort_fault_aborts_transformation_cleanly():
     db = make_foj_db()
     db.attach_faults(FaultInjector(
         FaultPlan().arm("tf.populate.chunk", AbortFault(), hit=2)))
-    tf = FojTransformation(db, foj_spec(db), options=TransformOptions(population_chunk=4))
+    tf = FojTransformation(db, foj_spec(db))
     tf.step(4)                  # one chunk: the site fires per chunk
     with pytest.raises(TransformationAbortedError):
         for _ in range(100):
@@ -286,7 +286,7 @@ def _drive_until(tf, phase, budget=4, limit=100000):
 def test_abort_leaves_zero_residue(phase):
     db = make_foj_db()
     tf = FojTransformation(db, foj_spec(db),
-                           options=TransformOptions(sync=SyncStrategy.BLOCKING_COMMIT, population_chunk=4))
+                           options=TransformOptions(sync=SyncStrategy.BLOCKING_COMMIT))
     held = None
     if phase is Phase.PREPARED:
         tf.prepare()
@@ -341,17 +341,18 @@ def test_supervisor_escalates_priority_after_starvation():
         policy = policies.pop(0) if policies else RemainingRecordsPolicy()
         return FojTransformation(db, foj_spec(db), options=TransformOptions(policy=policy))
 
-    sup = TransformationSupervisor(
-        db, factory, budget=64, escalation_factor=4, backoff_base=1.0,
-        backoff_factor=2.0, on_wait=waits.append)
+    sup = TransformationSupervisor(db, factory, budget=64,
+                                   on_wait=waits.append)
     tf = sup.run()
     assert tf.phase is Phase.DONE
     assert sup.stats["attempts"] == 3
     assert sup.stats["starvations"] == 2
     # Two escalations: 64 -> 256 -> 1024 (the Section 3.3 "restart it
     # with a higher priority").
-    assert sup.stats["final_budget"] == 64 * 4 * 4
-    assert waits == [1.0, 2.0]  # exponential backoff
+    factor = TransformationSupervisor.ESCALATION_FACTOR
+    assert sup.stats["final_budget"] == 64 * factor ** 2
+    base = TransformationSupervisor.BACKOFF_BASE
+    assert waits == [base, base * TransformationSupervisor.BACKOFF_FACTOR]
     assert [h["outcome"] for h in sup.history] == \
         ["starved", "starved", "done"]
     assert rows_equal(values_of(db, "T"), expected)
@@ -367,14 +368,14 @@ def test_supervisor_survives_abort_fault_storm():
     waits = []
     sup = TransformationSupervisor(
         db, lambda: FojTransformation(db, foj_spec(db)),
-        budget=32, escalation_factor=4, max_attempts=8,
-        on_wait=waits.append)
+        budget=32, on_wait=waits.append)
     tf = sup.run()
     assert tf.phase is Phase.DONE
     assert sup.stats["attempts"] == 4
     assert sup.stats["aborts"] == 3
     assert sup.stats["starvations"] == 3
-    assert sup.stats["final_budget"] == 32 * 4 ** 3
+    assert sup.stats["final_budget"] == \
+        32 * TransformationSupervisor.ESCALATION_FACTOR ** 3
     assert len(waits) == 3
     assert rows_equal(values_of(db, "T"), expected)
 
@@ -384,11 +385,10 @@ def test_supervisor_gives_up_after_max_attempts():
     db.attach_faults(FaultInjector(FaultPlan().arm(
         "tf.populate.chunk", AbortFault(), hit=1, times=10 ** 9)))
     sup = TransformationSupervisor(
-        db, lambda: FojTransformation(db, foj_spec(db)),
-        budget=32, max_attempts=3)
+        db, lambda: FojTransformation(db, foj_spec(db)), budget=32)
     with pytest.raises(TransformationAbortedError):
         sup.run()
-    assert sup.stats["attempts"] == 3
+    assert sup.stats["attempts"] == TransformationSupervisor.MAX_ATTEMPTS
     # The last failed attempt still left no residue behind.
     assert sorted(db.catalog.table_names()) == ["R", "S"]
     assert not db.locks._latches

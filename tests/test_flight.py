@@ -42,12 +42,13 @@ class _Clock:
 
 
 def test_moment_ring_is_bounded_and_counts_drops():
-    flight = FlightRecorder(capacity=2)
-    for i in range(3):
+    flight = FlightRecorder()
+    cap = FlightRecorder.CAPACITY
+    for i in range(cap + 1):
         flight.note("step", i=i)
-    assert flight.recorded == 3
+    assert flight.recorded == cap + 1
     assert flight.dropped == 1
-    assert [m["i"] for m in flight.moments()] == [1, 2]  # oldest dropped
+    assert [m["i"] for m in flight.moments()] == list(range(1, cap + 1))
 
 
 def test_note_fault_records_the_crossing():
@@ -206,8 +207,8 @@ def test_supervisor_feeds_the_slo_monitor():
 
     flight = FlightRecorder(db.metrics)
     sup = TransformationSupervisor(
-        db, factory, budget=64, backoff_base=0.0,
-        slo=SloPolicy(starvation=True), flight=flight)
+        db, factory, budget=64, slo=SloPolicy(starvation=True),
+        flight=flight)
     tf = sup.run()
     assert tf.phase is Phase.DONE
     # The starved first attempt tripped the starvation objective, the

@@ -148,8 +148,7 @@ def test_lazy_read_migrates_the_record_just_in_time(foj_db):
     spec = foj_spec(foj_db)
     tf = FojTransformation(
         foj_db, spec,
-        options=TransformOptions(population_chunk=2,
-                                 population_mode="lazy"))
+        options=TransformOptions(population_mode="lazy"))
     _step_into_populating(tf)
     assert len(foj_db.access_hooks) == 1
     # The last-inserted R row is far past the sweeper's cursor.
@@ -169,7 +168,7 @@ def test_lazy_miss_is_idempotent_per_record(foj_db):
     load_foj_data(foj_db, n_r=20, n_s=5)
     tf = FojTransformation(
         foj_db, foj_spec(foj_db),
-        options=TransformOptions(population_chunk=2, metrics=Metrics(),
+        options=TransformOptions(metrics=Metrics(),
                                  population_mode="lazy"))
     _step_into_populating(tf)
     _read(foj_db, "R", (19,))
@@ -194,8 +193,7 @@ def test_lazy_failed_miss_leaves_the_row_to_the_sweeper(foj_db):
         FaultPlan().arm("lazy.miss.transform", AbortFault(), hit=1)))
     tf = FojTransformation(
         foj_db, spec,
-        options=TransformOptions(population_chunk=2,
-                                 population_mode="lazy"))
+        options=TransformOptions(population_mode="lazy"))
     _step_into_populating(tf)
     scan = tf._scans["R"]
     rowid = foj_db.table("R").get((11,)).rowid
@@ -215,8 +213,7 @@ def test_lazy_update_also_triggers_migration(foj_db):
     spec = foj_spec(foj_db)
     tf = FojTransformation(
         foj_db, spec,
-        options=TransformOptions(population_chunk=2,
-                                 population_mode="lazy"))
+        options=TransformOptions(population_mode="lazy"))
     _step_into_populating(tf)
     with Session(foj_db) as s:
         s.update("R", (24,), {"b": "touched"})
@@ -230,8 +227,7 @@ def test_lazy_hook_removed_on_abort(foj_db):
     load_foj_data(foj_db, n_r=10, n_s=4)
     tf = FojTransformation(
         foj_db, foj_spec(foj_db),
-        options=TransformOptions(population_chunk=2,
-                                 population_mode="lazy"))
+        options=TransformOptions(population_mode="lazy"))
     _step_into_populating(tf)
     assert len(foj_db.access_hooks) == 1
     tf.abort()
@@ -245,8 +241,7 @@ def test_lazy_sweep_and_miss_stats_partition_the_table(foj_db):
     load_foj_data(foj_db, n_r=20, n_s=5)
     tf = FojTransformation(
         foj_db, foj_spec(foj_db),
-        options=TransformOptions(population_chunk=2,
-                                 population_mode="lazy"))
+        options=TransformOptions(population_mode="lazy"))
     _step_into_populating(tf)
     for key in (15, 16, 17):
         _read(foj_db, "R", (key,))
@@ -260,8 +255,7 @@ def test_lazy_sweep_and_miss_stats_partition_the_table(foj_db):
 
 def test_eager_mode_installs_no_hooks(foj_db):
     load_foj_data(foj_db, n_r=10, n_s=4)
-    tf = FojTransformation(foj_db, foj_spec(foj_db),
-                           options=TransformOptions(population_chunk=2))
+    tf = FojTransformation(foj_db, foj_spec(foj_db))
     _step_into_populating(tf)
     assert foj_db.access_hooks == []
     tf.run()
@@ -274,8 +268,7 @@ def test_lazy_split_read_migrates_row_and_counter(split_db):
     spec = split_spec(split_db)
     tf = SplitTransformation(
         split_db, spec,
-        options=TransformOptions(population_chunk=2,
-                                 population_mode="lazy"))
+        options=TransformOptions(population_mode="lazy"))
     _step_into_populating(tf)
     _read(split_db, "T", (29,))
     assert tf.stats["lazy_miss_migrations"] == 1
@@ -319,7 +312,7 @@ def _run_lazy_foj_pipeline(script, mode, shards):
                           "T", "c", "c")
     tf = FojTransformation(
         db, spec,
-        options=TransformOptions(population_chunk=3, shards=shards,
+        options=TransformOptions(shards=shards,
                                  population_mode=mode))
     for i, (kind, key, join_value, budget) in enumerate(script):
         _apply_lazy_foj_op(db, kind, key, join_value, i)
@@ -366,7 +359,7 @@ def _run_lazy_split_pipeline(script, mode, shards):
                             s_attrs=["city"])
     tf = SplitTransformation(
         db, spec,
-        options=TransformOptions(population_chunk=3, shards=shards,
+        options=TransformOptions(shards=shards,
                                  population_mode=mode))
     for i, (kind, key, z, budget) in enumerate(script):
         try:

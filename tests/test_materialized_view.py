@@ -16,10 +16,11 @@ from repro.common.errors import (
     DuplicateKeyError,
     LockWaitError,
     NoSuchRowError,
+    SimulatedCrashError,
     TransformationAbortedError,
     TransformationStateError,
 )
-from repro.faults import AbortFault, FaultInjector, FaultPlan
+from repro.faults import AbortFault, CrashFault, FaultInjector, FaultPlan
 from repro.relational import full_outer_join, rows_equal
 
 from tests.conftest import foj_spec, load_foj_data, values_of
@@ -189,11 +190,26 @@ def test_failed_publication_releases_the_source_latches():
         s.update("R", (1,), {"b": "still-writable"})
 
 
+def test_view_synchronization_enters_through_the_framework():
+    """Regression: the view skipped ``tf.sync.enter`` and the
+    ``tf.sync.start`` event by building its executor itself."""
+    db, spec = build()
+    metrics = Metrics()
+    MaterializedFojView(db, spec,
+                        options=TransformOptions(metrics=metrics)).run()
+    assert len(metrics.events("tf.sync.start")) == 1
+    db, spec = build()
+    db.attach_faults(FaultInjector(FaultPlan().arm("tf.sync.enter",
+                                                   CrashFault())))
+    with pytest.raises(SimulatedCrashError):
+        MaterializedFojView(db, spec).run()
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_interleaved_build_and_maintenance(seed):
     rng = random.Random(seed)
     db, spec = build(seed=seed, n_r=25, n_s=10)
-    view = MaterializedFojView(db, spec, options=TransformOptions(population_chunk=4))
+    view = MaterializedFojView(db, spec)
     next_a = [500]
 
     def churn():

@@ -48,25 +48,22 @@ def test_histogram_statistics():
 
 
 def test_histogram_sample_cap_keeps_exact_aggregates():
-    h = Histogram("h", sample_cap=8)
-    for v in range(100):
+    h = Histogram("h")
+    n = Histogram.SAMPLE_CAP + 100
+    for v in range(n):
         h.observe(float(v))
-    assert h.count == 100           # exact, despite bounded samples
-    assert h.max == 99.0
-    assert h.percentile(0) == 92.0  # only the tail retained for percentiles
+    assert h.count == n             # exact, despite bounded samples
+    assert h.max == n - 1.0
+    assert h.percentile(0) == 100.0  # only the tail retained for percentiles
 
 
 def test_event_ring_bounded():
-    ring = EventRing(capacity=3)
-    for i in range(5):
+    ring = EventRing()
+    n = EventRing.CAPACITY + 2
+    for i in range(n):
         ring.append(TraceEvent(ts=float(i), kind="k", fields={"i": i}))
-    assert ring.appended == 5
-    assert [e.fields["i"] for e in ring.events()] == [2, 3, 4]
-
-
-def test_event_ring_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        EventRing(capacity=0)
+    assert ring.appended == n
+    assert [e.fields["i"] for e in ring.events()] == list(range(2, n))
 
 
 def test_metrics_counters_histograms_and_trace():
@@ -198,9 +195,9 @@ def test_transformation_metrics_per_strategy(strategy):
     spec = split_spec(db)
     if strategy is SyncStrategy.VERSION_FLIP:
         tf = SplitTransformation(db, spec, options=TransformOptions(
-            sync=strategy, storage="mvcc", population_chunk=8))
+            sync=strategy, storage="mvcc"))
     else:
-        tf = SplitTransformation(db, spec, options=TransformOptions(sync=strategy, population_chunk=8))
+        tf = SplitTransformation(db, spec, options=TransformOptions(sync=strategy))
     tf.run()
     assert tf.done
     assert m.counter_value("tf.steps") > 0

@@ -1,8 +1,9 @@
 """TransformOptions: validation, registry strings, and how options thread
 through transformations and the supervisor."""
 
-import dataclasses
+import inspect
 import warnings
+from functools import partial
 
 import pytest
 
@@ -11,8 +12,9 @@ from repro.api import (
     FlushPolicy,
     FojSpec,
     FojTransformation,
-    GROUP_FLUSH,
     Metrics,
+    MigrationPlan,
+    PlanExecutor,
     Session,
     SplitSpec,
     SplitTransformation,
@@ -22,7 +24,10 @@ from repro.api import (
     TransformationSupervisor,
     TransformOptions,
     resolve_sync_strategy,
+    run_plan,
 )
+from repro.obs import (BlameBoard, ConvergenceMonitor, EventRing,
+                       FlightRecorder, Gauge, Histogram, SpanTracker)
 
 
 def build_db():
@@ -49,13 +54,12 @@ def test_defaults_are_valid_and_frozen():
     opts = TransformOptions()
     assert opts.sync_strategy is SyncStrategy.NONBLOCKING_ABORT
     assert opts.shards == 1
-    assert opts.propagation_batch > 1  # batching is on by default
     with pytest.raises(AttributeError):
         opts.shards = 2
 
 
 @pytest.mark.parametrize("bad", [
-    {"shards": 0}, {"population_chunk": 0}, {"propagation_batch": 0},
+    {"shards": 0}, {"shards": -1}, {"sync": "version_flip"},
     {"population_mode": "on_demand"}, {"storage": "lsm"},
     {"sync": "no_such_strategy"},
 ])
@@ -65,13 +69,44 @@ def test_invalid_options_raise_value_error(bad):
 
 
 def test_removed_option_fields_are_rejected():
-    """``priority`` was read by nothing; faults and the flush policy
-    belong to the ``Database`` the caller already holds."""
-    assert len(dataclasses.fields(TransformOptions)) == 9
-    for gone in ({"priority": 0.5}, {"faults": None},
-                 {"flush_policy": GROUP_FLUSH}):
-        with pytest.raises(TypeError):
-            TransformOptions(**gone)
+    """The knob census, one row per configuration surface: exactly these
+    keywords are accepted and every retired one raises ``TypeError``.
+    The ``step(budget)`` argument is the one throttle; chunk and slice
+    sizes, retention bounds and retry sizes are constants of the code
+    that uses them; faults and the flush policy belong to the
+    ``Database`` the caller already holds."""
+    db = build_db()
+    plan = MigrationPlan.single("census", "foj", {
+        "r_name": "R", "s_name": "S", "target_name": "T",
+        "join_attr_r": "c", "join_attr_s": "c"})
+    clock = lambda: 0.0  # noqa: E731
+    census = [  # (surface, the keywords it accepts, retired keywords)
+        (TransformOptions, "sync shards metrics policy transform_id "
+         "population_mode storage", "population_chunk propagation_batch "
+         "priority faults flush_policy"),
+        (Metrics, "enabled clock", "trace_capacity sample_cap "
+         "span_capacity gauge_series_cap blame_edge_capacity"),
+        (partial(TransformationSupervisor, db, lambda: None),
+         "budget on_wait slo flight", "max_attempts backoff_base "
+         "backoff_factor backoff_cap escalation_factor max_budget "
+         "max_steps_per_attempt"),
+        (partial(PlanExecutor, db, plan), "validate observe",
+         "supervisor_kwargs"),
+        (partial(run_plan, db, plan), "resume validate observe",
+         "supervisor_kwargs"),
+        (EventRing, "", "capacity"),
+        (partial(SpanTracker, clock), "", "capacity"),
+        (partial(BlameBoard, clock), "", "edge_capacity"),
+        (partial(Histogram, "h"), "", "sample_cap"),
+        (partial(Gauge, "g"), "", "series_cap"),
+        (partial(ConvergenceMonitor, Metrics(), "tf"), "", "capacity"),
+        (partial(FlightRecorder, Metrics()), "", "capacity"),
+    ]
+    for make, accepted, retired in census:
+        assert list(inspect.signature(make).parameters) == accepted.split()
+        for name in retired.split():
+            with pytest.raises(TypeError):
+                make(**{name: 1})
 
 
 def test_evolve_revalidates():
@@ -135,8 +170,7 @@ def test_construction_emits_no_warnings():
     db = build_db()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        FojTransformation(db, foj_spec(db),
-                          options=TransformOptions(population_chunk=5))
+        FojTransformation(db, foj_spec(db))
 
 
 # -- options threading -------------------------------------------------------
@@ -153,14 +187,6 @@ def test_metrics_attach_through_options_flush_policy_on_database():
     assert db.metrics is metrics
     tf.run()
     assert metrics.counter_value("wal.appends") > 0
-
-
-def test_propagation_batch_one_runs_and_converges():
-    db = build_db()
-    tf = FojTransformation(db, foj_spec(db), options=TransformOptions(
-        propagation_batch=1, population_chunk=2))
-    tf.run()
-    assert db.table("T").row_count > 0
 
 
 # -- the supervisor takes no options: the factory configures each attempt ----

@@ -95,7 +95,7 @@ def test_partition_interleaved_converges(seed):
     rng = random.Random(seed)
     db = make_db(n=25, seed=seed)
     spec = spec_for(db)
-    tf = PartitionTransformation(db, spec, options=TransformOptions(population_chunk=4))
+    tf = PartitionTransformation(db, spec)
     next_id = [100]
     for _ in range(100):
         try:
@@ -191,7 +191,7 @@ def test_merge_interleaved_converges(seed):
     rng = random.Random(seed)
     db = make_merge_db(seed=seed)
     spec = MergeSpec("a", "b", "merged")
-    tf = MergeTransformation(db, spec, options=TransformOptions(population_chunk=3))
+    tf = MergeTransformation(db, spec)
     next_a, next_b = [50], [150]
     for _ in range(80):
         try:

@@ -63,7 +63,7 @@ def image(tables):
 def test_eager_population_publishes_the_reference_rows(scenario):
     db = Database()
     scenario.build(db)
-    run_steps(db, scenario, population_chunk=3)
+    run_steps(db, scenario)
     assert scenario.verify(db) == []
 
 
@@ -73,7 +73,7 @@ def test_lazy_sweep_publishes_the_reference_rows(scenario):
         pytest.skip("an operator of this plan is eager-only")
     db = Database()
     scenario.build(db)
-    run_steps(db, scenario, population_chunk=3, population_mode="lazy")
+    run_steps(db, scenario, population_mode="lazy")
     assert scenario.verify(db) == []
 
 
@@ -153,9 +153,7 @@ def test_repropagating_an_earlier_log_slice_changes_nothing(operator, seed):
     rng = random.Random(seed)
     run = ScenarioRun(
         WORKLOAD_SCENARIOS[operator], SyncStrategy.NONBLOCKING_ABORT,
-        overrides=dict(population_chunk=rng.randint(1, 6),
-                       propagation_batch=rng.choice((1, 3, 32)),
-                       policy=FixedIterationsPolicy(10 ** 9)),
+        overrides=dict(policy=FixedIterationsPolicy(10 ** 9)),
         workload_seed=seed)
     log = run.db.log
 
@@ -171,6 +169,7 @@ def test_repropagating_an_earlier_log_slice_changes_nothing(operator, seed):
         and record.transform_id == tf.transform_id)
     before = image(tf.targets)
     tf._cursor = rng.randint(begin_mark, tf._cursor - 1)
+    budget = rng.choice((1, 3, 64))
     while not caught_up(run):
-        tf.step(64)
+        tf.step(budget)
     assert image(tf.targets) == before

@@ -11,7 +11,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import TransformOptions
 from repro import (
     Database,
     FojSpec,
@@ -105,7 +104,7 @@ def test_foj_converges_for_any_history(script):
     db = build_foj_db(script)
     spec = FojSpec.derive(db.table("R").schema, db.table("S").schema,
                           "T", "c", "c")
-    tf = FojTransformation(db, spec, options=TransformOptions(population_chunk=3))
+    tf = FojTransformation(db, spec)
     for i, (kind, key, join_value, budget) in enumerate(script):
         apply_foj_op(db, kind, key, join_value, i)
         if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
@@ -137,7 +136,7 @@ def test_split_converges_for_any_fd_consistent_history(script):
             s.insert("T", {"id": i, "name": i, "zip": z, "city": city[z]})
     spec = SplitSpec.derive(db.table("T").schema, "Tr", "Ts", "zip",
                             s_attrs=["city"])
-    tf = SplitTransformation(db, spec, options=TransformOptions(population_chunk=3))
+    tf = SplitTransformation(db, spec)
     for i, (kind, key, z, budget) in enumerate(script):
         try:
             if kind == "ins":
@@ -274,7 +273,7 @@ def test_partition_converges_for_any_history(script):
     spec = PartitionSpec("T", "A", "B",
                          predicate=lambda r: r["grp"] == 0,
                          predicate_desc="grp == 0")
-    tf = PartitionTransformation(db, spec, options=TransformOptions(population_chunk=3))
+    tf = PartitionTransformation(db, spec)
     for i, (kind, key, grp, budget) in enumerate(script):
         try:
             if kind == "ins":
@@ -317,8 +316,7 @@ def test_merge_converges_for_any_history(script):
         for i in range(8):
             s.insert("A", {"k": i, "v": f"a{i}"})
             s.insert("B", {"k": 100 + i, "v": f"b{i}"})
-    tf = MergeTransformation(db, MergeSpec("A", "B", "M"),
-                             options=TransformOptions(population_chunk=3))
+    tf = MergeTransformation(db, MergeSpec("A", "B", "M"))
     next_a, next_b = [20], [120]
     for i, (kind, key, budget) in enumerate(script):
         try:
@@ -351,28 +349,26 @@ def test_merge_converges_for_any_history(script):
 # ---------------------------------------------------------------------------
 
 
-def _run_foj_pipeline(script, shards, batch=None, storage="latch"):
+def _run_foj_pipeline(script, shards, budget=None, storage="latch"):
     """Drive one FOJ pipeline over ``script``; returns (T rows, oracle).
 
-    The op sequence and step budgets are fixed by the script, so two
-    pipelines run over the same script see identical workloads -- the
-    only degrees of freedom are the shard count, propagation batch and
-    storage backend (``storage="mvcc"`` selects snapshot population plus
-    the version-flip synchronization).
+    The op sequence is fixed by the script, so two pipelines run over the
+    same script see identical workloads -- the only degrees of freedom
+    are the shard count, the storage backend (``storage="mvcc"`` selects
+    snapshot population plus the version-flip synchronization) and
+    ``budget``, which replaces the script's step budgets when given.
     """
     db = build_foj_db(script)
     spec = FojSpec.derive(db.table("R").schema, db.table("S").schema,
                           "T", "c", "c")
-    options = TransformOptions(population_chunk=3, shards=shards)
+    options = TransformOptions(shards=shards)
     if storage == "mvcc":
         options = options.evolve(sync="version_flip", storage="mvcc")
-    if batch is not None:
-        options = options.evolve(propagation_batch=batch)
     tf = FojTransformation(db, spec, options=options)
-    for i, (kind, key, join_value, budget) in enumerate(script):
+    for i, (kind, key, join_value, step_budget) in enumerate(script):
         apply_foj_op(db, kind, key, join_value, i)
         if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(budget)
+            tf.step(budget or step_budget)
     r_rows, s_rows = values_of(db, "R"), values_of(db, "S")
     tf.run()
     return values_of(db, "T"), full_outer_join(spec, r_rows, s_rows)
@@ -391,9 +387,10 @@ def test_sharded_foj_identical_to_sequential(script, shards):
     assert rows_equal(sharded_rows, sharded_oracle)
 
 
-def _run_split_pipeline(script, shards, batch=None, storage="latch"):
+def _run_split_pipeline(script, shards, budget=None, storage="latch"):
     """Drive one split pipeline over ``script``; returns
-    (Tr rows, Ts rows, Ts counters, final T rows)."""
+    (Tr rows, Ts rows, Ts counters, final T rows).  ``budget`` as in
+    :func:`_run_foj_pipeline`."""
     db = Database()
     db.create_table(TableSchema("T", ["id", "name", "zip", "city"],
                                 primary_key=["id"]))
@@ -404,13 +401,11 @@ def _run_split_pipeline(script, shards, batch=None, storage="latch"):
             s.insert("T", {"id": i, "name": i, "zip": z, "city": city[z]})
     spec = SplitSpec.derive(db.table("T").schema, "Tr", "Ts", "zip",
                             s_attrs=["city"])
-    options = TransformOptions(population_chunk=3, shards=shards)
+    options = TransformOptions(shards=shards)
     if storage == "mvcc":
         options = options.evolve(sync="version_flip", storage="mvcc")
-    if batch is not None:
-        options = options.evolve(propagation_batch=batch)
     tf = SplitTransformation(db, spec, options=options)
-    for i, (kind, key, z, budget) in enumerate(script):
+    for i, (kind, key, z, step_budget) in enumerate(script):
         try:
             if kind == "ins":
                 with Session(db) as s:
@@ -435,7 +430,7 @@ def _run_split_pipeline(script, shards, batch=None, storage="latch"):
         except (NoSuchRowError, DuplicateKeyError):
             pass
         if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(budget)
+            tf.step(budget or step_budget)
     t_rows = values_of(db, "T")
     tf.run()
     return (values_of(db, "Tr"), values_of(db, "Ts"),
@@ -468,7 +463,7 @@ def test_materialized_view_converges_for_any_history(script):
     db = build_foj_db(script)
     spec = FojSpec.derive(db.table("R").schema, db.table("S").schema,
                           "V", "c", "c")
-    view = MaterializedFojView(db, spec, options=TransformOptions(population_chunk=3))
+    view = MaterializedFojView(db, spec)
     half = len(script) // 2
     for i, (kind, key, join_value, budget) in enumerate(script[:half]):
         apply_foj_op(db, kind, key, join_value, i)
@@ -485,40 +480,40 @@ def test_materialized_view_converges_for_any_history(script):
 
 
 # ---------------------------------------------------------------------------
-# Batched propagation equivalence (propagation_batch)
+# Step-budget equivalence (the one throttle)
 # ---------------------------------------------------------------------------
 
 
 @given(st.lists(op_strategy, min_size=0, max_size=40),
-       st.sampled_from([7, 64]),
+       st.sampled_from([1, 7, 64]),
        st.sampled_from([1, 3]))
 @settings(max_examples=30, deadline=None)
-def test_batched_foj_identical_to_record_at_a_time(script, batch, shards):
-    """Vectorized propagation (grouping consecutive (table, rule) runs)
-    is row-for-row identical to the record-at-a-time loop (batch=1) under
-    any concurrent history, sequential and sharded alike."""
-    base_rows, base_oracle = _run_foj_pipeline(script, shards, batch=1)
-    fast_rows, fast_oracle = _run_foj_pipeline(script, shards, batch=batch)
-    assert rows_equal(base_oracle, fast_oracle)  # same final sources
-    assert rows_equal(fast_rows, base_rows)
-    assert rows_equal(fast_rows, fast_oracle)
+def test_step_budget_foj_identical_to_run(script, budget, shards):
+    """Every step budget converges row-for-row to what the script's
+    budgets reach under the same history, sequential and sharded alike:
+    budget 1 cuts one-record slices and chunks, 64 two full
+    ``PROPAGATION_SLICE`` slices; grouping never reorders records."""
+    base_rows, base_oracle = _run_foj_pipeline(script, shards)
+    rows, oracle = _run_foj_pipeline(script, shards, budget=budget)
+    assert rows_equal(base_oracle, oracle)  # same final sources
+    assert rows_equal(rows, base_rows)
+    assert rows_equal(rows, oracle)
 
 
 @given(st.lists(split_op_strategy, min_size=0, max_size=40),
-       st.sampled_from([7, 64]),
+       st.sampled_from([1, 7, 64]),
        st.sampled_from([1, 3]))
 @settings(max_examples=30, deadline=None)
-def test_batched_split_identical_to_record_at_a_time(script, batch, shards):
+def test_step_budget_split_identical_to_run(script, budget, shards):
     """Same equivalence for the split pipeline, including the S-table
     reference counters Rules 8--11 maintain."""
     base_r, base_s, base_counters, base_t = \
-        _run_split_pipeline(script, shards, batch=1)
-    fast_r, fast_s, fast_counters, fast_t = \
-        _run_split_pipeline(script, shards, batch=batch)
-    assert rows_equal(base_t, fast_t)  # same final sources
-    assert rows_equal(fast_r, base_r)
-    assert rows_equal(fast_s, base_s)
-    assert fast_counters == base_counters
+        _run_split_pipeline(script, shards)
+    r, s, counters, t = _run_split_pipeline(script, shards, budget=budget)
+    assert rows_equal(base_t, t)  # same final sources
+    assert rows_equal(r, base_r)
+    assert rows_equal(s, base_s)
+    assert counters == base_counters
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +565,7 @@ def test_reader_pinned_before_flip_never_observes_new_schema(script):
     spec = FojSpec.derive(db.table("R").schema, db.table("S").schema,
                           "T", "c", "c")
     tf = FojTransformation(db, spec, options=TransformOptions(
-        population_chunk=3, sync="version_flip", storage="mvcc"))
+        sync="version_flip", storage="mvcc"))
     for i, (kind, key, join_value, budget) in enumerate(script):
         apply_foj_op(db, kind, key, join_value, i)
         if not tf.done and tf.phase is not Phase.SYNCHRONIZING:

@@ -254,9 +254,8 @@ def test_supervisor_retries_and_escalations_are_observable():
         policy = policies.pop(0) if policies else RemainingRecordsPolicy()
         return FojTransformation(db, foj_spec(db), options=TransformOptions(policy=policy))
 
-    sup = TransformationSupervisor(
-        db, factory, budget=64, escalation_factor=4, backoff_base=1.0,
-        backoff_factor=2.0, max_attempts=8, on_wait=lambda w: None)
+    sup = TransformationSupervisor(db, factory, budget=64,
+                                   on_wait=lambda w: None)
     tf = sup.run()
     assert tf.phase is Phase.DONE
 

@@ -112,7 +112,7 @@ def test_shards_n_hands_rows_out_in_shards_1_order():
 def test_sharded_population_matches_sequential(foj_db):
     load_foj_data(foj_db, n_r=25, n_s=6)
     spec = foj_spec(foj_db)
-    tf = FojTransformation(foj_db, spec, options=TransformOptions(shards=3, population_chunk=4))
+    tf = FojTransformation(foj_db, spec, options=TransformOptions(shards=3))
     tf.run()
     assert rows_equal(
         values_of(foj_db, "T"),
@@ -225,13 +225,14 @@ def _catch_up(tf, budget, max_steps=2000):
     raise AssertionError(f"did not catch up; remaining={tf._remaining()}")
 
 
-@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("budget", [1, 32])
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-def test_log_tail_is_read_once(foj_db, monkeypatch, shards, batch):
-    """Every shard count and slice size fetches each record of the
-    shared log exactly once: there is one cursor, not one per shard."""
+def test_log_tail_is_read_once(foj_db, monkeypatch, shards, budget):
+    """Every shard count and step budget (hence slice size) fetches each
+    record of the shared log exactly once: there is one cursor, not one
+    per shard."""
     load_foj_data(foj_db, n_r=24, n_s=6)
-    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TransformOptions(shards=shards, propagation_batch=batch, population_chunk=8, policy=FixedIterationsPolicy(10**9)))
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TransformOptions(shards=shards, policy=FixedIterationsPolicy(10**9)))
     _catch_up(tf, 64)
     _foj_tail(foj_db, 24)
     tail = tf._remaining()
@@ -252,25 +253,26 @@ def test_log_tail_is_read_once(foj_db, monkeypatch, shards, batch):
     monkeypatch.setattr(LogManager, "records_slice", counting_slice)
     monkeypatch.setattr(LogManager, "record_at", counting_at)
     before = tf.stats["propagated_records"]
-    _catch_up(tf, 16)
+    _catch_up(tf, budget)
     propagated = tf.stats["propagated_records"] - before
     assert propagated >= tail
     assert len(fetched) == propagated
     assert len(set(fetched)) == len(fetched)
 
 
-@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("budget", [1, 7, 64])
 @pytest.mark.parametrize("shards", [1, 3])
 def test_propagation_step_stays_within_one_unit_of_budget(foj_db, shards,
-                                                          batch):
+                                                          budget):
     """The slice cap bounds a step's overshoot: at most one unit past
-    the budget, for every slice size and shard count."""
+    the budget, for budgets below, near and above ``PROPAGATION_SLICE``
+    and every shard count."""
     load_foj_data(foj_db, n_r=24, n_s=6)
-    budget = 10
-    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TransformOptions(shards=shards, propagation_batch=batch, population_chunk=8, policy=FixedIterationsPolicy(4)))
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TransformOptions(shards=shards, policy=FixedIterationsPolicy(4)))
     while tf.phase is not Phase.PROPAGATING:
         tf.step(64)
-    _foj_tail(foj_db, 24)
+    for _ in range(4):  # a tail longer than the largest budget
+        _foj_tail(foj_db, 24)
     spent = []
 
     def check(entered, report):
@@ -288,7 +290,7 @@ def test_foj_s_update_is_applied_exactly_once_under_shards(foj_db):
     exactly once, and reaches every carrier row."""
     load_foj_data(foj_db, n_r=30, n_s=6)
     spec = foj_spec(foj_db)
-    tf = FojTransformation(foj_db, spec, options=TransformOptions(shards=2, population_chunk=4, policy=FixedIterationsPolicy(4)))
+    tf = FojTransformation(foj_db, spec, options=TransformOptions(shards=2, policy=FixedIterationsPolicy(4)))
     s_key = next(iter(values_of(foj_db, "S")))["c"]
     tf.prepare()
     s_applies = []
@@ -324,7 +326,7 @@ def test_split_updates_route_without_barriers(split_db):
     """Every split data change has a single-shard home: all applies are
     charged to a shard account, none serially."""
     load_split_data(split_db, n=30, n_zip=5)
-    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, population_chunk=4, policy=FixedIterationsPolicy(3)))
+    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, policy=FixedIterationsPolicy(3)))
 
     def update_t(i):
         def run():
@@ -348,7 +350,7 @@ def test_single_cursor_and_global_convergence_under_shards(split_db):
     right for ``shards > 1`` at every step of propagation."""
     load_split_data(split_db, n=30, n_zip=5)
     db = split_db
-    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=3, population_chunk=4, policy=FixedIterationsPolicy(6)))
+    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=3, policy=FixedIterationsPolicy(6)))
 
     def update_t(i):
         def run():
@@ -391,7 +393,7 @@ def test_merge_hands_over_to_unchanged_sync(split_db):
     """A sharded run reaches the unchanged Section 3.4 executors through
     the one cursor and converges to the relational oracle."""
     load_split_data(split_db, n=25)
-    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=4, population_chunk=4))
+    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=4))
     tf.run()
     assert tf.done
     r_rows, s_rows, counters, _ = split(
@@ -414,7 +416,7 @@ def test_sharded_run_reports_per_shard_summary(split_db):
     convergence series describes the one cursor."""
     load_split_data(split_db, n=25)
     db = split_db
-    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=2, population_chunk=4, policy=FixedIterationsPolicy(4)))
+    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=2, policy=FixedIterationsPolicy(4)))
 
     def update_t(i):
         def run():
@@ -439,7 +441,7 @@ def test_idle_shards_still_run_policy_analysis(split_db):
     through its policy, or a fixed-iterations policy would never
     release it."""
     load_split_data(split_db, n=12)
-    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, population_chunk=6, policy=FixedIterationsPolicy(5)))
+    tf = SplitTransformation(split_db, split_spec(split_db), options=TransformOptions(shards=2, policy=FixedIterationsPolicy(5)))
     tf.run()  # would spin forever if idle iterations were skipped
     assert tf.done
 
@@ -468,7 +470,7 @@ def test_crash_mid_shard_recovers_committed_state(site, hit):
             s.insert("T", {"id": i, "name": f"n{i}", "zip": z,
                            "city": f"C{z}"})
     committed = values_of(db, "T")
-    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=2, population_chunk=3))
+    tf = SplitTransformation(db, split_spec(db), options=TransformOptions(shards=2))
 
     def mutate(i):
         def run():
@@ -479,7 +481,8 @@ def test_crash_mid_shard_recovers_committed_state(site, hit):
         return run
 
     with pytest.raises(SimulatedCrashError):
-        _drive_with_workload(db, tf, [mutate(0), mutate(1), mutate(2)])
+        _drive_with_workload(db, tf, [mutate(0), mutate(1), mutate(2)],
+                             budget=3)  # several population chunks
     db.log.faults = FaultInjector()  # the log survives the crash
     recovered = restart(db.log)
     # Transient targets are discarded; committed sources are intact.

@@ -86,18 +86,16 @@ def test_span_end_is_idempotent():
 
 
 def test_span_retention_keeps_earliest_and_counts_drops():
-    tracker = SpanTracker(ticking_clock(), capacity=2)
-    first = tracker.begin("first")
-    second = tracker.begin("second")
-    third = tracker.begin("third")
-    assert third is NULL_SPAN
-    assert [s.name for s in tracker.spans()] == ["first", "second"]
-    assert tracker.summary() == {"started": 3, "retained": 2, "open": 2,
-                                 "dropped": 1}
+    tracker = SpanTracker(ticking_clock())
+    cap = SpanTracker.CAPACITY
+    kept = [tracker.begin(f"s{i}") for i in range(cap)]
+    extra = tracker.begin("extra")
+    assert extra is NULL_SPAN and tracker.spans()[0].name == "s0"
+    assert tracker.summary() == {"started": cap + 1, "retained": cap,
+                                 "open": cap, "dropped": 1}
     # Ending the dropped span is inert; ending retained ones works.
-    tracker.end(third)
-    tracker.end(first)
-    tracker.end(second)
+    for span in kept + [extra]:
+        tracker.end(span)
     assert tracker.summary()["open"] == 0
 
 
@@ -130,11 +128,6 @@ def test_span_find_and_name_filter():
     tracker.clear()
     assert len(tracker) == 0
     assert tracker.summary()["started"] == 3
-
-
-def test_tracker_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        SpanTracker(ticking_clock(), capacity=0)
 
 
 def test_metrics_span_api_and_snapshot_accounting():
@@ -202,14 +195,13 @@ def test_convergence_starvation_signal():
 
 def test_convergence_capacity_drops_oldest():
     m = Metrics(enabled=True, clock=ticking_clock())
-    mon = ConvergenceMonitor(m, capacity=2)
-    for i in range(1, 5):
+    mon = ConvergenceMonitor(m)
+    last = ConvergenceMonitor.CAPACITY + 2
+    for i in range(1, last + 1):
         mon.observe_iteration(iteration=i, produced=i, consumed=i, lag=0,
                               records=1, units=1.0, decision="iterate")
     assert mon.dropped == 2
-    assert [p.iteration for p in mon.points] == [3, 4]
-    with pytest.raises(ValueError):
-        ConvergenceMonitor(m, capacity=0)
+    assert [p.iteration for p in mon.points] == list(range(3, last + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +210,14 @@ def test_convergence_capacity_drops_oldest():
 
 
 def test_gauge_series_and_bound():
-    g = Gauge("g", series_cap=3)
-    for i in range(5):
+    g = Gauge("g")
+    n = Gauge.SERIES_CAP + 2
+    for i in range(n):
         g.set(float(i), t=float(i * 10))
-    assert g.value == 4.0
-    assert g.series() == [{"t": 20.0, "value": 2.0},
-                          {"t": 30.0, "value": 3.0},
-                          {"t": 40.0, "value": 4.0}]
-    assert g.as_dict()["value"] == 4.0
+    assert g.value == n - 1.0
+    assert g.series() == [{"t": i * 10.0, "value": float(i)}
+                          for i in range(2, n)]     # oldest dropped
+    assert g.as_dict()["value"] == n - 1.0
 
 
 def test_metrics_gauge_uses_registry_clock():
@@ -281,12 +273,13 @@ def test_histogram_p999_and_bucket_bounds():
 
 def test_span_tracker_dropped_counter_accumulates():
     clock = ticking_clock()
-    tracker = SpanTracker(clock, 2)
-    for i in range(5):
+    tracker = SpanTracker(clock)
+    cap = SpanTracker.CAPACITY
+    for i in range(cap + 3):
         tracker.end(tracker.begin(f"s{i}"))
     summary = tracker.summary()
-    assert summary["started"] == 5
-    assert summary["retained"] == 2
+    assert summary["started"] == cap + 3
+    assert summary["retained"] == cap
     assert summary["dropped"] == 3  # earliest-kept: silently shed spans
     assert summary["open"] == 0
 
@@ -315,21 +308,24 @@ def test_histogram_single_sample_percentiles_collapse():
 
 
 def test_event_ring_dropped_counter():
-    ring = EventRing(capacity=3)
+    ring = EventRing()
     assert ring.dropped == 0
-    for i in range(5):
+    n = EventRing.CAPACITY + 2
+    for i in range(n):
         ring.append(TraceEvent(ts=float(i), kind="k", fields={"i": i}))
-    assert ring.appended == 5
+    assert ring.appended == n
     assert ring.dropped == 2
-    assert len(ring) == 3
+    assert len(ring) == EventRing.CAPACITY
 
 
 def test_event_ring_dropped_reaches_snapshot():
-    m = Metrics(enabled=True, trace_capacity=2, clock=ticking_clock())
-    for i in range(5):
+    m = Metrics(enabled=True, clock=ticking_clock())
+    n = EventRing.CAPACITY + 3
+    for i in range(n):
         m.trace("evt", i=i)
     trace = m.snapshot()["trace"]
-    assert trace == {"retained": 2, "appended": 5, "dropped": 3}
+    assert trace == {"retained": EventRing.CAPACITY, "appended": n,
+                     "dropped": 3}
 
 
 # ---------------------------------------------------------------------------

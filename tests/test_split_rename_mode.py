@@ -108,7 +108,7 @@ def test_interleaved_converges(seed):
     rng = random.Random(seed + 40)
     db = make_db(n=25, seed=seed)
     spec = make_spec(db)
-    tf = make_tf(db, spec, population_chunk=4)
+    tf = make_tf(db, spec)
     next_id = [100]
     for _ in range(100):
         try:

@@ -84,7 +84,7 @@ def test_explode_interleaved_converges(seed):
     db = make_db(n=20, seed=seed)
     spec = spec_for(db)
     tf = ExplodeTransformation(
-        db, spec, options=TransformOptions(population_chunk=4))
+        db, spec)
     next_id = [100]
     for _ in range(90):
         try:

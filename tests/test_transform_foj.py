@@ -82,7 +82,7 @@ def test_stepwise_driving_with_small_budgets(foj_db):
     load_foj_data(foj_db)
     spec = foj_spec(foj_db)
     r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
-    tf = FojTransformation(foj_db, spec, options=TransformOptions(population_chunk=3))
+    tf = FojTransformation(foj_db, spec)
     steps = 0
     while not tf.step(2).done:
         steps += 1
@@ -98,7 +98,7 @@ def test_interleaved_workload_converges(foj_db):
     rng = random.Random(7)
     load_foj_data(foj_db, n_r=30, n_s=10)
     spec = foj_spec(foj_db)
-    tf = FojTransformation(foj_db, spec, options=TransformOptions(population_chunk=5))
+    tf = FojTransformation(foj_db, spec)
     next_a = [1000]
 
     def one_txn():
@@ -246,7 +246,7 @@ def test_m2m_requires_m2m_spec():
 def test_m2m_interleaved_converges(seed):
     db, spec = make_m2m_db(seed=seed)
     rng = random.Random(seed + 50)
-    tf = Many2ManyFojTransformation(db, spec, options=TransformOptions(population_chunk=4))
+    tf = Many2ManyFojTransformation(db, spec)
     next_a, next_k = [1000], [1000]
 
     def one_txn():

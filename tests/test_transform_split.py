@@ -45,7 +45,7 @@ def test_counter_invariant_after_interleaving(split_db):
     rng = random.Random(11)
     load_split_data(split_db, n=30, n_zip=4)
     spec = split_spec(split_db)
-    tf = SplitTransformation(split_db, spec, options=TransformOptions(population_chunk=5))
+    tf = SplitTransformation(split_db, spec)
     next_id = [1000]
     for _ in range(120):
         try:
@@ -124,8 +124,7 @@ def test_cc_detects_population_fuzz_and_repairs(split_db):
     a U flag from the fuzzy read; the CC verifies and clears it."""
     load_split_data(split_db, n=10, n_zip=2)
     spec = split_spec(split_db)
-    tf = SplitTransformation(split_db, spec, check_consistency=True,
-                             options=TransformOptions(population_chunk=2))
+    tf = SplitTransformation(split_db, spec, check_consistency=True)
     # During population, rename a whole city (consistently).
     while tf.phase is not Phase.POPULATING:
         tf.step(1)
@@ -208,7 +207,7 @@ def test_interleaved_split_converges(split_db, seed):
     rng = random.Random(seed)
     load_split_data(split_db, n=25, n_zip=5, seed=seed)
     spec = split_spec(split_db)
-    tf = SplitTransformation(split_db, spec, options=TransformOptions(population_chunk=4))
+    tf = SplitTransformation(split_db, spec)
     current_city = {7000 + i: f"C{7000 + i}" for i in range(5)}
     next_id = [1000]
 
