@@ -1,9 +1,10 @@
 """Seeded crash x disk-fault chaos soak (``python -m benchmarks.chaos_soak``).
 
 Each seed drives one :func:`repro.faults.chaos.chaos_run` experiment: a
-randomized draw of sweep label (every registered plan operator's corpus
-scenario and its ``:lazy`` / ``@N`` variants), strategy, flush policy
-and workload, a crash armed at
+randomized run description (:func:`repro.faults.chaos.draw_config`:
+every registered plan operator's corpus scenario, strategy x storage,
+population mode, shards, step budgets, flush policy and a generated
+history), a crash armed at
 a random crossing of a random injection site, and (three times out of
 four) a disk fault -- torn write, lying fsync or bit flip -- armed on the
 ``disk.sync`` site before the crash.  After the kill the log is salvaged

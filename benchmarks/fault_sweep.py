@@ -2,8 +2,9 @@
 
 Runs :func:`repro.faults.sweep.run_sweep` over every sweep label -- each
 workload-carrying scenario of :data:`repro.plan.CORPUS` (one per
-registered plan operator) plus its ``:lazy`` / ``@N`` variants -- x
-synchronization strategy: for each injection site the scenario crosses, the system is killed there once, the log is
+registered plan operator) plus its ``:lazy`` / ``:view`` / ``@N``
+variants -- x synchronization strategy: for each injection site the
+scenario crosses, the system is killed there once, the log is
 salvaged from the simulated disk's crash image, ARIES restart runs on
 the surviving flushed prefix and the recovery invariants are checked
 (committed-and-flushed data preserved byte-for-byte, transient targets
@@ -50,7 +51,7 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     """
     from repro.common.errors import SimulatedCrashError
     from repro.faults.injection import CrashFault, FaultInjector, FaultPlan
-    from repro.faults.sweep import ScenarioRun, parse_label
+    from repro.faults.sweep import ScenarioRun, sweep_config
     from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import Metrics
     from repro.transform.base import SyncStrategy
@@ -68,9 +69,8 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     flight = FlightRecorder(metrics)
     injector = FaultInjector(plan)
     injector.on_fire = flight.note_fault
-    scenario, overrides = parse_label(combo["operator"])
-    run = ScenarioRun(scenario, SyncStrategy(combo["strategy"]), overrides,
-                      injector, metrics=metrics)
+    config = sweep_config(combo["operator"], SyncStrategy(combo["strategy"]))
+    run = ScenarioRun(config, injector, metrics=metrics)
     try:
         run.execute()
     except SimulatedCrashError:

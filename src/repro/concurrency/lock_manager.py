@@ -171,7 +171,8 @@ class LockManager:
         return self._claim(state, txn_id, resource, mode, origin)
 
     def _claim(self, state: _ResourceState, txn_id: int, resource: tuple,
-               mode: LockMode, origin: LockOrigin) -> bool:
+               mode: LockMode, origin: LockOrigin,
+               queued: bool = False) -> bool:
         """Take ``mode`` now if the rules allow it; ``False``: must wait.
 
         The one statement of the grant and upgrade rules.  A transaction
@@ -180,7 +181,8 @@ class LockManager:
         (waiters do not count: upgrades overtake), carrying a source
         origin.  A newcomer must be compatible with every holder and --
         FIFO fairness -- with every queued request, and never overtakes a
-        request of its own.
+        request of its own; ``queued`` marks the head of the queue being
+        granted (:meth:`_promote`), which no queued request precedes.
         """
         granted = state.granted
         own = _find(state.granted, txn_id)
@@ -188,7 +190,7 @@ class LockManager:
             for holder in granted:
                 if not compatible(holder.mode, holder.origin, mode, origin):
                     return False
-            for waiter in state.waiting or ():
+            for waiter in () if queued else state.waiting or ():
                 if waiter.txn_id == txn_id or not compatible(
                         waiter.mode, waiter.origin, mode, origin):
                     return False
@@ -340,27 +342,17 @@ class LockManager:
         """Grant the queued requests now compatible, strictly FIFO, and
         drop the entry once nothing is left of it; return woken txns."""
         woken: List[int] = []
-        granted, queue = state.granted, state.waiting
+        queue = state.waiting
         while queue:
             waiter = queue[0]
-            own = None
-            for holder in granted:
-                if holder.txn_id == waiter.txn_id:
-                    own = holder
-                elif not compatible(holder.mode, holder.origin,
-                                    waiter.mode, waiter.origin):
-                    return woken  # nobody overtakes the blocked head
+            if not self._claim(state, waiter.txn_id, resource, waiter.mode,
+                               waiter.origin, queued=True):
+                return woken  # nobody overtakes the blocked head
             queue.popleft()
-            if own is not None:
-                own.mode = own.mode.join(waiter.mode)
-            else:
-                waiter.granted = True
-                granted.append(waiter)
-                _note(self._txn_resources, waiter.txn_id, resource)
             _forget(self._txn_waiting, waiter.txn_id, resource)
             self.metrics.blame.end_wait(waiter.txn_id, resource)
             woken.append(waiter.txn_id)
-        if not granted:
+        if not state.granted:
             del self._resources[resource]
         return woken
 

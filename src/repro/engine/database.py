@@ -534,12 +534,16 @@ class Database:
 
         Takes an exclusive record lock on the new key, logs an insert
         record with the full row image, applies it, and fires triggers.
+        A duplicate primary or candidate key is refused before anything
+        is logged: the rollback of a logged insert would delete the row
+        already there.
         """
         self._require_active(txn)
         table = self._resolve(txn, table_name, for_write=True)
         normalized = table.schema.normalize(values)
         key = table.schema.key_of(normalized)
         self._lock_record(txn, table, key, LockMode.X)
+        table.check_unique(normalized)
         record = InsertRecord(txn_id=txn.txn_id, table=table.name,
                               key=key, values=normalized)
         lsn = self.log.append(record, prev_lsn=txn.last_lsn)
@@ -628,8 +632,7 @@ class Database:
         rows = table.lookup(index_name, tuple(key))
         result = []
         for row in rows:
-            pk = table.schema.key_of(row.values)
-            self._lock_record(txn, table, pk, LockMode.S)
+            self._lock_record(txn, table, table.lock_key(row), LockMode.S)
             result.append(dict(row.values))
         txn.tables_touched.add(table.name)
         self.stats["read"] += 1

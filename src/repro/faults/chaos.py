@@ -1,12 +1,12 @@
 """Seeded chaos runs: crash sites composed with disk faults.
 
-One :func:`chaos_run` draws a full experiment from a single seed -- the
-sweep label (any of :data:`repro.faults.sweep.ALL_OPERATORS`: every
-registered plan operator's corpus scenario and its ``:lazy`` / ``@N``
-variants), synchronization strategy, group-commit flush policy, a
-randomized workload, a crash point (any injection site the scenario
-crosses, at a random crossing) and optionally one disk fault armed on
-the ``disk.sync`` site before the crash:
+One :func:`chaos_run` draws a full experiment from a single seed -- a
+run description (:func:`draw_config`: any registered plan operator's
+corpus scenario, any legal (strategy, storage) pair, population mode,
+shards, step budgets, synchronization threshold, group-commit flush
+policy and a generated history), a crash point (any injection site the
+scenario crosses, at a random crossing) and optionally one disk fault
+armed on the ``disk.sync`` site before the crash:
 
 * :class:`~repro.faults.TornWriteFault` -- the kill cuts the final
   flush mid-frame; salvage must truncate the torn tail and recovery must
@@ -42,14 +42,17 @@ from repro.faults.injection import (
     TornWriteFault,
 )
 from repro.faults.sweep import (
-    ALL_OPERATORS,
-    ALL_STRATEGIES,
+    PAIRS,
+    RunConfig,
     check_byte_identity,
     check_recovered,
     check_salvage,
+    draw_history,
     policy_name,
     recording_pass,
 )
+from repro.plan.corpus import WORKLOAD_SCENARIOS
+from repro.plan.operators import PLAN_OPERATORS
 from repro.wal.durable import SITE_DISK_SYNC, _frame_regions
 from repro.wal.log import (
     GROUP_FLUSH,
@@ -68,6 +71,39 @@ CHAOS_POLICIES = (
 )
 
 _FAULT_KINDS = ("none", "torn_write", "lost_flush", "bit_flip")
+
+#: Shard counts the draws choose from.
+SHARDS = (1, 2, 3, 7)
+
+#: Synchronization thresholds the draws choose from: never while user
+#: transactions arrive, or after the first pass with the rest as backlog.
+BACKLOGS = (2, 64)
+
+
+def draw_config(rng: random.Random, history_len: int = 6) -> RunConfig:
+    """A run description drawn from ``rng``: operator, (strategy,
+    storage) pair, population mode (lazy where the operator supports it,
+    the FOJ also as a materialized view), shards, one to three step
+    budgets, synchronization threshold, flush policy and up to
+    ``history_len`` generated transactions."""
+    operator = rng.choice(sorted(WORKLOAD_SCENARIOS))
+    strategy, storage = rng.choice(PAIRS)
+    modes = [("eager", False)]
+    if PLAN_OPERATORS[operator].supports_lazy:
+        modes.append(("lazy", False))
+    if ":view" in WORKLOAD_SCENARIOS[operator].workload.variants:
+        modes.append(("eager", True))
+    population, view = rng.choice(modes)
+    return RunConfig(
+        WORKLOAD_SCENARIOS[operator], strategy, storage, population, view,
+        shards=rng.choice(SHARDS),
+        # Log-uniform over 1..64: a third of the budgets are at most 4,
+        # small enough for the history to interleave with population.
+        budgets=tuple(round(64 ** rng.random())
+                      for _ in range(rng.randint(1, 3))),
+        max_remaining=rng.choice(BACKLOGS),
+        flush_policy=rng.choice(CHAOS_POLICIES),
+        history=draw_history(rng, history_len))
 
 
 def chaos_run(seed: int, metrics=None,
@@ -88,25 +124,24 @@ def chaos_run(seed: int, metrics=None,
     fault acts (a crash fault never returns control).
     """
     rng = random.Random(seed)
-    operator = rng.choice(ALL_OPERATORS)
-    strategy = rng.choice(ALL_STRATEGIES)
-    policy = rng.choice(CHAOS_POLICIES)
-    workload_seed = rng.randrange(1 << 16)
+    config = draw_config(rng)
 
     report: Dict[str, object] = {
         "seed": seed,
-        "operator": operator,
-        "strategy": strategy.value,
-        "flush_policy": policy_name(policy),
-        "workload_seed": workload_seed,
+        "operator": config.label,
+        "strategy": config.strategy.value,
+        "storage": config.storage,
+        "budgets": list(config.budgets),
+        "max_remaining": config.max_remaining,
+        "flush_policy": policy_name(config.flush_policy),
+        "history": len(config.history),
         "repro": f"python -m benchmarks.chaos_soak --seed {seed}",
         "violations": [],
     }
     violations: List[str] = report["violations"]
 
     # Recording pass: learn which sites this configuration crosses.
-    make_run, hits, baseline = recording_pass(
-        operator, strategy, policy, workload_seed)
+    make_run, hits, baseline = recording_pass(config)
     if baseline:
         report["outcome"] = "baseline_broken"
         violations.extend(f"fault-free baseline: {b}" for b in baseline)

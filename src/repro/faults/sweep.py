@@ -46,19 +46,40 @@ The expected catalog is likewise derived from the salvaged log (DDL
 replay mirroring recovery's redo pass): a ``CREATE TABLE`` whose record
 never reached the disk must not resurface after recovery.
 
-``workload_seed`` appends seeded random mutations to the scripted
-workload, so harnesses (the chaos layer, the soak benchmark) can sweep
-randomized workloads that are still perfectly reproducible from the seed.
+One frozen :class:`RunConfig` describes a run: scenario, strategy,
+storage, population mode, shards, step budgets, flush policy and a
+generated history (:func:`draw_history`) run ahead of the scripted
+workload.  Three producers build it: :func:`parse_label` for the sweep,
+:func:`repro.faults.chaos.draw_config` for the seeded chaos soak, and the
+hypothesis strategy of ``tests/test_matrix.py``.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.common.errors import LogCorruptionError, SimulatedCrashError
+from repro.common.errors import (
+    DuplicateKeyError,
+    LockWaitError,
+    LogCorruptionError,
+    NoSuchRowError,
+    SimulatedCrashError,
+)
 from repro.engine.database import Database, Transaction
 from repro.engine.recovery import restart
 from repro.faults.injection import (
@@ -71,13 +92,16 @@ from repro.plan.corpus import (
     BYSTANDER,
     WORKLOAD_SCENARIOS,
     CorpusScenario,
-    Txn,
     diff_tables,
 )
 from repro.plan.operators import PLAN_OPERATORS
+from repro.relational.spec import SplitSpec
+from repro.storage.schema import TableSchema
 from repro.transform.analysis import RemainingRecordsPolicy
 from repro.transform.base import Phase, SyncStrategy, Transformation
-from repro.transform.options import TransformOptions
+from repro.transform.foj import FojTransformation
+from repro.transform.options import STORAGE_BACKENDS, TransformOptions
+from repro.transform.view import MaterializedFojView
 from repro.wal.durable import SimulatedDisk
 from repro.wal.frames import SEGMENT_HEADER, encode_frame
 from repro.wal.log import IMMEDIATE_FLUSH, FlushPolicy, LogManager
@@ -102,9 +126,11 @@ RowDict = Dict[str, object]
 #: with access-triggered population (``population_mode="lazy"``),
 #: interleaving user reads with small sweep steps so the migrate-on-read
 #: crash site (``lazy.miss.transform``) is crossed between sweep chunks.
-#: Population chunks have one site in every mode -- ``tf.populate.chunk``,
-#: fired by the one scan -- and the two notations compose
-#: (``split:lazy@3``).
+#: ``foj:view`` builds the join as a published
+#: :class:`~repro.transform.view.MaterializedFojView` that keeps its
+#: sources.  Population chunks have one site in every mode --
+#: ``tf.populate.chunk``, fired by the one scan -- and the notations
+#: compose (``split:lazy@3``).
 ALL_OPERATORS: Tuple[str, ...] = tuple(
     operator + suffix
     for operator, scenario in WORKLOAD_SCENARIOS.items()
@@ -114,34 +140,129 @@ ALL_OPERATORS: Tuple[str, ...] = tuple(
 #: MVCC version flip (snapshot storage, no latched window anywhere).
 ALL_STRATEGIES: Tuple[SyncStrategy, ...] = tuple(SyncStrategy)
 
-_STEP_BUDGET = 24
+#: Every legal (strategy, storage) pair: the version flip needs the MVCC
+#: backend, the paper's three strategies run on either.
+PAIRS: Tuple[Tuple[SyncStrategy, str], ...] = tuple(
+    (strategy, storage) for strategy in SyncStrategy
+    for storage in STORAGE_BACKENDS
+    if storage == "mvcc" or strategy is not SyncStrategy.VERSION_FLIP)
+
 _MAX_STEPS = 3000
 
+#: What a generated transaction does: see :func:`draw_history`.
+HISTORY_KINDS = ("insert", "update", "delete", "abort", "read")
 
-def parse_label(label: str) -> Tuple[CorpusScenario, Dict[str, object]]:
-    """Resolve ``operator[:lazy][@N]`` to a scenario and option overrides.
+#: A generated history: ``(kind, salt)`` per transaction, resolved
+#: against the committed state when the run reaches it.
+History = Tuple[Tuple[str, int], ...]
 
-    The one place the suffix notation is parsed; ``:lazy`` is accepted
-    iff the registry says the operator ``supports_lazy``.
+
+def draw_history(rng: random.Random, max_len: int) -> History:
+    """Up to ``max_len`` generated transactions, drawn from ``rng``.
+
+    Each entry is a kind of :data:`HISTORY_KINDS` and a salt; the salt
+    seeds the choices a run makes when it reaches the entry (table, key,
+    values), so the history is plain data -- the same description replays
+    the same history -- while every value still comes from the rows
+    committed at that moment (see :meth:`ScenarioRun.perform`).
+    """
+    return tuple((rng.choice(HISTORY_KINDS), rng.randrange(1 << 16))
+                 for _ in range(rng.randint(0, max_len)))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a :class:`ScenarioRun` varies, as one frozen value.
+
+    Attributes:
+        scenario: A workload-carrying, single-step corpus scenario.
+        strategy: Synchronization strategy.
+        storage: ``"latch"`` or ``"mvcc"`` -- any pair of :data:`PAIRS`.
+        population: ``"eager"``, or ``"lazy"`` where the operator
+            ``supports_lazy``.
+        view: Build the scenario's join as a published
+            :class:`~repro.transform.view.MaterializedFojView` (the
+            sources stay), checked after ``refresh()``.
+        shards: Shard accounts (:mod:`repro.shard`).
+        budgets: Step budgets, used round-robin one per step.
+        max_remaining: Synchronize once at most this many log records
+            remain (Section 3.3).  At 2 the transformation cannot
+            synchronize while user transactions keep arriving; at 64 it
+            does after its first propagation pass, and the transactions
+            still waiting land in the final, latched propagation (a
+            view's: after the publication, see :meth:`ScenarioRun.execute`).
+        flush_policy: Group-commit policy of the run's log.
+        history: Generated transactions, run ahead of the scripted ones
+            (the first before the transformation's first step).
+    """
+
+    scenario: CorpusScenario = field(repr=False)
+    strategy: SyncStrategy = SyncStrategy.NONBLOCKING_ABORT
+    storage: str = "latch"
+    population: str = "eager"
+    view: bool = False
+    shards: int = 1
+    budgets: Tuple[int, ...] = (24,)
+    max_remaining: int = 2
+    flush_policy: FlushPolicy = IMMEDIATE_FLUSH
+    history: History = ()
+
+    def __post_init__(self) -> None:
+        scenario = self.scenario
+        if scenario.workload is None or len(scenario.plan.steps) != 1:
+            raise ValueError(
+                f"scenario {scenario.name!r} is not sweepable: it needs a "
+                "workload and a single-step plan")
+        # TransformOptions validates the rest when the run is built.
+        operator = PLAN_OPERATORS[scenario.plan.steps[0].operator]
+        if self.population == "lazy" and not operator.supports_lazy:
+            raise ValueError(f"operator {operator.name!r} is eager-only")
+        if self.view and (operator.transformation is not FojTransformation
+                          or self.population != "eager"):
+            raise ValueError(
+                f"a materialized view is an eager one-to-many join, not "
+                f"{operator.name!r} / {self.population!r}")
+
+    @property
+    def operator(self) -> str:
+        """The plan operator the scenario exercises."""
+        return self.scenario.plan.steps[0].operator
+
+    @property
+    def label(self) -> str:
+        """The sweep label (``operator[:lazy|:view][@N]``)."""
+        mode = ":view" if self.view else \
+            ":lazy" if self.population == "lazy" else ""
+        return self.operator + mode + \
+            (f"@{self.shards}" if self.shards > 1 else "")
+
+
+def parse_label(label: str) -> RunConfig:
+    """Resolve ``operator[:lazy|:view][@N]`` to a run description.
+
+    The one place the suffix notation is parsed; :class:`RunConfig`
+    rejects a mode the operator cannot run.
     """
     base, at, shards = label.partition("@")
     operator, _, mode = base.partition(":")
-    if operator not in WORKLOAD_SCENARIOS or mode not in ("", "lazy") \
+    if operator not in WORKLOAD_SCENARIOS \
+            or mode not in ("", "lazy", "view") \
             or (at and not shards.isdigit()):
         raise ValueError(
             f"unknown sweep operator {label!r}; available: "
-            f"{sorted(WORKLOAD_SCENARIOS)} with an optional ':lazy' "
-            "and '@<shards>' suffix")
-    if mode and not PLAN_OPERATORS[operator].supports_lazy:
-        raise ValueError(
-            f"operator {operator!r} is eager-only; {label!r} cannot "
-            "run with lazy population")
-    overrides: Dict[str, object] = {}
-    if mode:
-        overrides["population_mode"] = mode
-    if at:
-        overrides["shards"] = int(shards)
-    return WORKLOAD_SCENARIOS[operator], overrides
+            f"{sorted(WORKLOAD_SCENARIOS)} with an optional ':lazy' / "
+            "':view' and '@<shards>' suffix")
+    return RunConfig(WORKLOAD_SCENARIOS[operator],
+                     population="lazy" if mode == "lazy" else "eager",
+                     view=mode == "view", shards=int(shards or 1))
+
+
+def sweep_config(label: str, strategy: SyncStrategy) -> RunConfig:
+    """The sweep's configuration of ``label`` under ``strategy``: the
+    storage each strategy was designed on (MVCC for the flip)."""
+    return replace(parse_label(label), strategy=strategy,
+                   storage="mvcc" if strategy is SyncStrategy.VERSION_FLIP
+                   else "latch")
 
 
 # ---------------------------------------------------------------------------
@@ -235,49 +356,71 @@ def _visible_tables(log: LogManager) -> Set[str]:
     return visible
 
 
+def _non_key(schema: TableSchema) -> List[str]:
+    return [a for a in schema.attribute_names if a not in schema.primary_key]
+
+
+def _borrow(rng: random.Random, schema: TableSchema, donors: List[RowDict],
+            own: Optional[RowDict], determinant: str,
+            together: FrozenSet[str]) -> RowDict:
+    """Non-key values taken from a random row of ``donors``: all of them
+    for an insert (``own`` is ``None``), a random subset for an update of
+    ``own`` -- all of ``together``, the declared dependency, when it takes
+    the ``determinant``, so a row moves to the donor's group whole."""
+    attrs = _non_key(schema)
+    donor = rng.choice(donors)
+    picked = set(attrs) if own is None else \
+        {a for a in attrs if rng.random() < 0.5} or {rng.choice(attrs)}
+    if determinant in picked:
+        picked |= together
+    return {a: donor[a] for a in attrs if a in picked}
+
+
+def _declared_dependency(scenario: CorpusScenario
+                         ) -> Tuple[str, str, FrozenSet[str]]:
+    """The functional dependency ``scenario``'s operator declares -- the
+    split's split key -> ``s_attrs`` (Section 5.2) -- as its table, its
+    determinant and the attributes that move together; none for the
+    other operators."""
+    step = scenario.plan.steps[0]
+    spec = PLAN_OPERATORS[step.operator].spec_of(
+        {schema.name: schema for schema, _ in scenario.seeds}, step.params)
+    if isinstance(spec, SplitSpec):
+        return spec.source_name, spec.split_attr, \
+            frozenset((spec.split_attr, *spec.s_attrs))
+    return "", "", frozenset()
+
+
 # ---------------------------------------------------------------------------
 # The scenario
 # ---------------------------------------------------------------------------
 
 
 class ScenarioRun:
-    """One deterministic execution of a corpus scenario's workload.
+    """One deterministic execution of a :class:`RunConfig`: the one model
+    of "a transformation beside a user history".
 
-    The same script runs for the recording pass and for every armed pass;
-    an armed :class:`CrashFault` leaves the prefix bit-identical, so site
-    crossing counts from the recording pass predict exactly where each
-    armed pass dies.  ``overrides`` are :class:`TransformOptions` fields
-    laid over the run's own (what a label's ``:lazy`` / ``@N`` suffix
-    parses to, see :func:`parse_label`).  The log writes through a fresh
-    :class:`SimulatedDisk` under ``flush_policy`` (immediate by default);
-    ``workload_seed`` appends seeded random mutations to the script.
+    The same description runs for the recording pass and for every armed
+    pass; an armed :class:`CrashFault` leaves the prefix bit-identical, so
+    site crossing counts from the recording pass predict exactly where
+    each armed pass dies.  The log writes through a fresh
+    :class:`SimulatedDisk` under the description's flush policy.
     """
 
-    def __init__(self, scenario: CorpusScenario, strategy: SyncStrategy,
-                 overrides: Optional[Dict[str, object]] = None,
+    def __init__(self, config: RunConfig,
                  faults: Optional[FaultInjector] = None,
-                 flush_policy: Optional[FlushPolicy] = None,
-                 workload_seed: Optional[int] = None,
                  metrics=None) -> None:
-        if scenario.workload is None or len(scenario.plan.steps) != 1:
-            raise ValueError(
-                f"scenario {scenario.name!r} is not sweepable: it needs a "
-                "workload and a single-step plan")
-        self.scenario = scenario
-        self.strategy = strategy
-        # Version flip needs the MVCC backend; the rest run the paper's.
-        storage = "mvcc" if strategy is SyncStrategy.VERSION_FLIP \
-            else "latch"
+        self.config = config
+        self.scenario = config.scenario
+        self.strategy = config.strategy
         self.options = TransformOptions(
-            sync=strategy, storage=storage,
-            policy=RemainingRecordsPolicy(max_remaining=2, patience=200)
-        ).evolve(**(overrides or {}))
-        self.workload_seed = workload_seed
+            sync=config.strategy, storage=config.storage,
+            shards=config.shards, population_mode=config.population,
+            policy=RemainingRecordsPolicy(config.max_remaining, patience=200))
         self.faults = faults if faults is not None else FaultInjector()
         self.disk = SimulatedDisk()
-        self.log = LogManager(
-            disk=self.disk, flush_policy=flush_policy
-            if flush_policy is not None else IMMEDIATE_FLUSH)
+        self.log = LogManager(disk=self.disk,
+                              flush_policy=config.flush_policy)
         # An observed run (chaos postmortems, interference probes) passes
         # a Metrics registry; the stock sweep stays on the null registry.
         self.db = Database(log=self.log, metrics=metrics,
@@ -287,6 +430,20 @@ class ScenarioRun:
         #: publishes under its source's name.
         self.published_shadow = _Shadow()
         self.tf: Optional[Transformation] = None
+        #: The long-lived transaction of the workload, once begun.
+        self.long_txn: Optional[Transaction] = None
+        #: Keys each source table has held, in first-seen order, and the
+        #: count of fresh keys handed out (see :meth:`perform`).
+        self._keys: Dict[str, List[Tuple]] = {
+            schema.name: [schema.key_of(row) for row in rows]
+            for schema, rows in config.scenario.seeds}
+        self._fresh = 0
+        #: The declared dependency the history keeps (see _borrow).
+        self._dependency = _declared_dependency(config.scenario)
+        #: Breaches of the between-step invariants (see _check_step).
+        self.step_violations: List[str] = []
+        self._last_cursor = 0
+        self._row_lsns: Dict[Tuple[int, int], int] = {}
 
     # -- committed-state bookkeeping ------------------------------------
 
@@ -309,24 +466,52 @@ class ScenarioRun:
         elif kind == "d":
             key, payload = tuple(op[2]), None
             self.db.delete(txn, table_name, key)
+        elif kind == "r":
+            self.db.read(txn, table_name, tuple(op[2]))
+            return
         else:  # pragma: no cover - script bug
             raise ValueError(f"unknown op kind {kind!r}")
         shadow.record(txn.txn_id, kind, table_name, key, payload)
 
-    def _txn_do(self, ops: Sequence[Tuple], abort: bool = False) -> None:
+    def _txn_do(self, ops: Iterable[Tuple], abort: bool = False,
+                tolerant: bool = False) -> None:
+        """One user transaction; the shadow counts commits only.
+
+        A ``tolerant`` one -- generated, or scripted for the seeds alone
+        but run after a generated history -- aborts on a duplicate key, a
+        missing row or a lock held elsewhere (the long transaction), and
+        when it would leave the declared dependency broken.
+        """
         txn = self.db.begin()
-        for op in ops:
-            self._apply(txn, op)
-        if abort:
+        try:
+            for op in ops:
+                self._apply(txn, op)
+        except (DuplicateKeyError, NoSuchRowError, LockWaitError):
+            if not tolerant:
+                raise
+            abort = True
+        if abort or tolerant and self._dependency_broken():
             self.db.abort(txn)
         else:
             self.db.commit(txn)
 
+    def _dependency_broken(self) -> bool:
+        """Whether two rows agree on the declared dependency's
+        determinant but not on the attributes it determines."""
+        table, determinant, together = self._dependency
+        image: Dict[object, Tuple] = {}
+        return bool(together) and any(
+            image.setdefault(row.values[determinant], values) != values
+            for row in self.db.table(table).scan()
+            for values in [tuple(row.values[a] for a in sorted(together))])
+
     # -- the script ------------------------------------------------------
 
-    def _load(self, scenario: CorpusScenario) -> None:
-        """Create ``scenario``'s source tables and bulk-load its seeds in
-        one user transaction (an armed crash can fire inside it)."""
+    def load(self, scenario: Optional[CorpusScenario] = None) -> None:
+        """Create ``scenario``'s (default: the run's) source tables and
+        bulk-load its seeds in one user transaction (an armed crash can
+        fire inside it)."""
+        scenario = scenario or self.scenario
         for schema, _ in scenario.seeds:
             self.db.create_table(schema)
         self._txn_do([("i", schema.name, dict(values))
@@ -336,42 +521,98 @@ class ScenarioRun:
     def _build(self, scenario: CorpusScenario,
                options: TransformOptions) -> Transformation:
         step = scenario.plan.steps[0]
-        return PLAN_OPERATORS[step.operator].build(
-            self.db, step.params, options)
+        operator = PLAN_OPERATORS[step.operator]
+        if self.config.view and scenario is self.scenario:
+            operator = replace(operator, transformation=MaterializedFojView)
+        return operator.build(self.db, step.params, options)
 
-    def _random_mutations(self) -> List[Txn]:
-        """Seeded extra transactions appended to the scripted workload.
+    # -- the generated history -------------------------------------------
 
-        Inserts use a key range (100+) disjoint from the script; updates
-        rewrite the workload's scratch attribute on
-        :meth:`~repro.plan.corpus.CorpusScenario.safe_keys`; deletes only
-        remove rows this generator itself committed.
+    def perform(self, kind: str, salt: int) -> None:
+        """Run one generated transaction (an entry of :func:`draw_history`):
+        one to three operations of ``kind``, an ``"abort"`` being updates
+        rolled back at the end."""
+        self._txn_do(self._generate(kind, random.Random(salt)),
+                     abort=kind == "abort", tolerant=True)
+
+    def _generate(self, kind: str, rng: random.Random) -> Iterator[Tuple]:
+        """The operations of one generated transaction, each built from
+        the state the previous one left.
+
+        Each picks a source table and a key -- one the table has held
+        (seeded, committed, deleted) or a fresh one, unique across every
+        table so that merged sources stay disjoint -- and, for writes,
+        values borrowed from rows in that table right now: an insert
+        copies one row's non-key values, an update takes some of another
+        row's.  Borrowing keeps every value legal for its column (join
+        values, predicate verdicts, lists, NULLs); the declared
+        dependency holds at every commit -- a row changes group whole,
+        and a group's dependent value changes on all its rows at once.
         """
-        if self.workload_seed is None:
-            return []
-        rng = random.Random(self.workload_seed)
-        workload = self.scenario.workload
-        table, scratch_attr = workload.scratch
-        safe_keys = self.scenario.safe_keys()
-        key_of = self.db.catalog.get_any(table).schema.key_of
-        mutations: List[Txn] = []
-        own_keys: List[Tuple] = []
-        for i in range(rng.randint(2, 6)):
-            choice = rng.random()
-            abort = False
-            if choice < 0.45 or not own_keys:
-                row = workload.fresh_row(rng, i)
-                abort = rng.random() < 0.2
-                if not abort:
-                    own_keys.append(key_of(row))
-                op = ("i", table, row)
-            elif choice < 0.8:
-                op = ("u", table, rng.choice(safe_keys),
-                      {scratch_attr: f"z{i}"})
+        for _ in range(rng.randint(1, 3)):
+            schema = rng.choice(self.scenario.seeds)[0]
+            name = schema.name
+            rows = [dict(row.values) for row in self.db.table(name).scan()]
+            known = self._keys[name]
+            known.extend(key for key in map(schema.key_of, rows)
+                         if key not in known)
+            if rng.random() < (0.6 if kind == "insert" else 0.1):
+                self._fresh += 1
+                key = tuple(1000 + self._fresh if isinstance(part, int)
+                            else f"k{self._fresh}" for part in known[0])
+                known.append(key)
             else:
-                op = ("d", table, own_keys.pop(0))
-            mutations.append(((op,), abort))
-        return mutations
+                key = rng.choice(known)
+            if kind in ("read", "delete"):
+                yield kind[0], name, key
+                continue
+            own = next((r for r in rows if schema.key_of(r) == key), None)
+            donors = [r for r in rows if r is not own] or \
+                [dict(r) for s, seed in self.scenario.seeds
+                 if s is schema for r in seed]
+            table, determinant, together = self._dependency
+            if name != table:
+                determinant, together = "", frozenset()
+            values = _borrow(rng, schema, donors,
+                             None if kind == "insert" else own,
+                             determinant, together)
+            if kind == "insert":
+                values.update(zip(schema.primary_key, key))
+                yield "i", name, values
+                continue
+            yield "u", name, key, values
+            rewritten = {a: v for a, v in values.items() if a in together}
+            if own is not None and rewritten and determinant not in values:
+                # A dependent value rewritten in place: every other row of
+                # the group follows in the same transaction (Section 5.2).
+                for row in rows:
+                    if row is not own and \
+                            row[determinant] == own[determinant]:
+                        yield "u", name, schema.key_of(row), rewritten
+
+    def _check_step(self) -> None:
+        """Invariants between two steps: the propagator's cursor never
+        moves back, and neither does the state identifier (LSN) of a
+        target row -- what the LSN guards of Section 5's rules promise.
+        A breach is kept for :func:`check_completed`.  An armed pass
+        repeats its fault-free recording up to the crash, so only
+        fault-free runs check."""
+        tf = self.tf
+        if self.faults.plan.armed:
+            return
+        if tf._cursor < self._last_cursor:
+            self.step_violations.append(
+                f"cursor moved back: {self._last_cursor} -> {tf._cursor}")
+        self._last_cursor = tf._cursor
+        for table in tf.targets.values():
+            for row in table.rows.values():
+                seen = self._row_lsns.setdefault((table.uid, row.rowid),
+                                                 row.lsn)
+                if row.lsn < seen:
+                    self.step_violations.append(
+                        f"{table.name} row {dict(row.values)}: LSN "
+                        f"{seen} -> {row.lsn}")
+                self._row_lsns[table.uid, row.rowid] = row.lsn
 
     def _abort_episode(self) -> None:
         """Start a throwaway transformation, then abort it.
@@ -383,7 +624,7 @@ class ScenarioRun:
         source state, with the transient target discarded.  The
         throwaway is the first step of the corpus's bystander scenario.
         """
-        self._load(BYSTANDER)
+        self.load(BYSTANDER)
         throwaway = self._build(BYSTANDER, TransformOptions(
             sync=self.strategy, storage=self.options.storage))
         throwaway.step(1)
@@ -396,23 +637,38 @@ class ScenarioRun:
         """Run the full scenario; raises :class:`SimulatedCrashError`
         when an armed crash fault fires.
 
-        ``until`` parks the run mid-transformation: it is asked after
-        every step once the mutation script is used up, and a true
-        answer returns there (the long transaction still open, no
-        probes) -- e.g. under a policy that never synchronizes, "caught
-        up in PROPAGATING".
+        One transaction of the generated history, then of the script,
+        runs after every step while the transformation populates and
+        propagates; those still waiting when synchronization starts all
+        run before its first step, a backlog for the final propagation
+        under the latch -- or, for a view, after its publication, beside
+        budgeted maintenance.  ``until`` parks the run mid-transformation: it
+        is asked after every step once both are used up, and a true
+        answer returns there (the long transaction still open, no probes)
+        -- e.g. under a policy that never synchronizes, "caught up in
+        PROPAGATING".
         """
         workload = self.scenario.workload
-        self._load(self.scenario)
+        self.load()
         self.tf = self._build(self.scenario, self.options)
         self._abort_episode()
-        mutations = list(workload.script) + self._random_mutations()
+        mutations = [partial(self.perform, *entry)
+                     for entry in self.config.history]
+        mutations += [partial(self._txn_do, *txn, tolerant=bool(mutations))
+                      for txn in workload.script]
+        budgets = self.config.budgets
 
         # The long-lived transaction the synchronization strategies
         # disagree about: drained (blocking commit), doomed (non-blocking
         # abort) or carried across the swap (non-blocking commit).
-        l_txn = self.db.begin()
+        l_txn = self.long_txn = self.db.begin()
         self._apply(l_txn, workload.long_op)
+        if self.config.history:
+            # The history starts inside the window the propagator replays
+            # from -- L's first write, before the begin mark -- so the
+            # fuzzy copy already reflects records that are replayed: the
+            # LSN guards of Section 5 at work.
+            mutations.pop(0)()
 
         if self.options.population_mode == "lazy":
             # One deliberately tiny first step keeps POPULATING open
@@ -427,8 +683,9 @@ class ScenarioRun:
             self.db.commit(txn)
 
         l_active = True
-        for _ in range(_MAX_STEPS):
-            report = self.tf.step(_STEP_BUDGET)
+        for i in range(_MAX_STEPS):
+            report = self.tf.step(budgets[i % len(budgets)])
+            self._check_step()
             if l_active and (l_txn.doomed or l_txn.is_finished):
                 # Non-blocking abort doomed and rolled back L.
                 l_active = False
@@ -436,7 +693,11 @@ class ScenarioRun:
                 break
             if mutations and self.tf.phase in (Phase.POPULATING,
                                                Phase.PROPAGATING):
-                self._txn_do(*mutations.pop(0))
+                mutations.pop(0)()
+            elif mutations and self.tf.phase is Phase.SYNCHRONIZING \
+                    and not self.config.view:
+                while mutations:
+                    mutations.pop(0)()
             elif until is not None and not mutations and until(self):
                 return
             if l_active and self.strategy is SyncStrategy.BLOCKING_COMMIT \
@@ -460,11 +721,24 @@ class ScenarioRun:
                 f"scenario did not finish within {_MAX_STEPS} steps "
                 f"({self.scenario.name}/{self.strategy.value}, "
                 f"phase {self.tf.phase.value})")
+        if self.config.view:
+            # A published view is maintained after the fact: what still
+            # waits commits beside budgeted maintenance.
+            for i, mutation in enumerate(mutations):
+                mutation()
+                self.tf.maintain(budgets[i % len(budgets)])
+        if l_active:
+            # A view retires nothing, so L is nobody's old transaction: it
+            # simply writes its sources again and commits.
+            self._apply(l_txn, workload.long_post_swap_op)
+            self.db.commit(l_txn)
 
         # Post-swap probes: plain user transactions against the published
         # schema (their redo must land in recovery's rebuilt tables).
         for probe in workload.probes:
             self._txn_do([probe])
+        if self.config.view:
+            self.tf.refresh()
 
     # -- expectations ----------------------------------------------------
 
@@ -510,6 +784,34 @@ def _check_data(run: ScenarioRun, db: Database, log: LogManager,
             f"expected {sorted(expected)}")
         return
     violations.extend(diff_tables(db, expected))
+
+
+def _check_engine(db: Database, violations: List[str]) -> None:
+    """The side tables hold only what is still alive: the transaction
+    table lists unfinished transactions only, and every lock-table entry
+    belongs to one of them, natively or through its proxy owner."""
+    finished = [t.txn_id for t in db.txns.active_txns() if t.is_finished]
+    if finished:
+        violations.append(
+            f"finished transactions listed as active: {finished}")
+    stale = sorted({(request.txn_id, repr(resource))
+                    for resource, state in db.locks._resources.items()
+                    for request in (*state.granted, *(state.waiting or ()))
+                    if not db.txns.exists(abs(request.txn_id))})
+    if stale:
+        violations.append(f"locks of finished transactions: {stale}")
+
+
+def _check_transformation(tf: Transformation, log: LogManager,
+                          violations: List[str]) -> None:
+    """The propagator's cursor never passes the log's end, and a finished
+    transformation keeps no propagated lock."""
+    if tf._cursor > log.end_lsn + 1:
+        violations.append(
+            f"cursor {tf._cursor} is past the log end {log.end_lsn}")
+    if tf.phase is Phase.DONE and len(tf.locks_held):
+        violations.append(
+            f"{len(tf.locks_held)} propagated locks kept at DONE")
 
 
 def _probe_writes(db: Database, violations: List[str]) -> None:
@@ -595,6 +897,7 @@ def check_recovered(run: ScenarioRun, recovered: Database,
         violations.append(
             f"zombie tables survived recovery: "
             f"{recovered.catalog.zombie_names()}")
+    _check_engine(recovered, violations)
 
     _check_data(run, recovered, log, violations)
     _probe_writes(recovered, violations)
@@ -605,7 +908,9 @@ def check_recovered(run: ScenarioRun, recovered: Database,
 
 
 def check_completed(run: ScenarioRun) -> List[str]:
-    """Sanity checks on a fault-free (recording) scenario execution."""
+    """The model's verdict on a fault-free scenario execution: published
+    tables equal the reference folded over the committed sources, and
+    the engine and transformation invariants hold."""
     violations: List[str] = []
     db = run.db
     if db.txns.active_txns():
@@ -614,6 +919,10 @@ def check_completed(run: ScenarioRun) -> List[str]:
             f"{sorted(t.txn_id for t in db.txns.active_txns())}")
     if db.locks._latches:
         violations.append(f"latches leaked: {db.locks._latches}")
+    _check_engine(db, violations)
+    violations.extend(run.step_violations)
+    if run.tf is not None:
+        _check_transformation(run.tf, run.log, violations)
     run.log.drain_flushes()
     if run.log.flushed_lsn != run.log.end_lsn:
         violations.append(
@@ -635,9 +944,7 @@ def policy_name(policy: Optional[FlushPolicy]) -> str:
             f"{policy.max_pending_records})")
 
 
-def recording_pass(label: str, strategy: SyncStrategy,
-                   flush_policy: Optional[FlushPolicy] = None,
-                   workload_seed: Optional[int] = None
+def recording_pass(config: RunConfig
                    ) -> Tuple[Callable[..., ScenarioRun], Dict[str, int],
                               List[str]]:
     """The prologue of every crash experiment on one configuration.
@@ -649,10 +956,7 @@ def recording_pass(label: str, strategy: SyncStrategy,
     fault-free baseline check (empty unless the scenario itself is
     broken).
     """
-    scenario, overrides = parse_label(label)
-    make_run = partial(ScenarioRun, scenario, strategy, overrides,
-                       flush_policy=flush_policy,
-                       workload_seed=workload_seed)
+    make_run = partial(ScenarioRun, config)
     recording = make_run(FaultInjector(FaultPlan()))
     recording.execute()
     # Snapshot before the baseline check: its drain crosses flush/disk
@@ -662,13 +966,10 @@ def recording_pass(label: str, strategy: SyncStrategy,
     return make_run, hits, check_completed(recording)
 
 
-def sweep(operator: str, strategy: SyncStrategy,
-          flush_policy: Optional[FlushPolicy] = None,
-          workload_seed: Optional[int] = None) -> Dict[str, object]:
-    """Crash at every crossed injection site for one scenario.
+def sweep(config: RunConfig) -> Dict[str, object]:
+    """Crash at every crossed injection site for one configuration.
 
-    ``operator`` is a label of :data:`ALL_OPERATORS`.  Returns a
-    JSON-able report: the sites the recording pass crossed (in
+    Returns a JSON-able report: the sites the recording pass crossed (in
     first-crossing order), and per site its outcome (``ok`` /
     ``violation`` / ``error`` / ``not_hit``) and crossing count.
     Each armed pass crashes at the *middle* crossing of its site, placing
@@ -678,11 +979,10 @@ def sweep(operator: str, strategy: SyncStrategy,
     the flushed prefix survives -- under a coalescing ``flush_policy``
     that legitimately excludes deferred commits.
     """
-    make_run, hits, baseline = recording_pass(
-        operator, strategy, flush_policy, workload_seed)
+    make_run, hits, baseline = recording_pass(config)
     if baseline:
         raise AssertionError(
-            f"fault-free scenario {operator}/{strategy.value} is broken: "
+            f"fault-free scenario {config} is broken: "
             + "; ".join(baseline))
 
     sites: List[Dict[str, object]] = []
@@ -724,10 +1024,10 @@ def sweep(operator: str, strategy: SyncStrategy,
 
     bad = [s for s in sites if s["outcome"] != "ok"]
     return {
-        "operator": operator,
-        "strategy": strategy.value,
-        "flush_policy": policy_name(flush_policy),
-        "workload_seed": workload_seed,
+        "operator": config.label,
+        "strategy": config.strategy.value,
+        "storage": config.storage,
+        "flush_policy": policy_name(config.flush_policy),
         "crossed": list(hits),  # in first-crossing order
         "sites": sites,
         "site_count": len(sites),
@@ -746,8 +1046,8 @@ def run_sweep(operators: Sequence[str] = ALL_OPERATORS,
     reached is dead crash-test surface and should fail loudly in the
     benchmark harness.
     """
-    combos = [sweep(op, strategy)
-              for op in operators for strategy in strategies]
+    combos = [sweep(sweep_config(label, strategy))
+              for label in operators for strategy in strategies]
     covered = sorted({s["site"] for c in combos for s in c["sites"]})
     layers = Counter(SITE_REGISTRY[site][0] for site in covered)
     registered = Counter(layer for layer, _ in SITE_REGISTRY.values())

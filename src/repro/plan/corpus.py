@@ -32,9 +32,8 @@ beside the scenario under test.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.plan.operators import PLAN_OPERATORS
@@ -84,26 +83,18 @@ class Workload:
         long_post_swap_op: Its second write, after the swap, when the
             strategy lets it live on (zombie namespace / pinned epoch).
         probes: Inserts into the published tables after the change.
-        scratch: ``(table, attribute)`` the seeded random updates
-            rewrite -- a name-like attribute no dependency hangs off
-            (for the split, never the shared dependent attribute, which
-            would wedge the consistency checker's wait loop).
-        fresh_row: ``(rng, i) -> values`` of the ``i``-th seeded random
-            insert into the scratch table (keys 100+, disjoint from the
-            script's).
         lazy_reads: ``(table, key)`` reads issued after the first tiny
             step of a ``:lazy`` run: they miss into unmigrated records.
         variants: Option suffixes the sweep runs beside the plain
             scenario: ``"@N"`` is ``shards=N``, ``":lazy"`` is
-            ``population_mode="lazy"``; they compose (``":lazy@3"``).
+            ``population_mode="lazy"``, ``":view"`` builds the join as a
+            published materialized view; they compose (``":lazy@3"``).
     """
 
     script: Tuple[Txn, ...]
     long_op: Op
     long_post_swap_op: Op
     probes: Tuple[Op, ...]
-    scratch: Tuple[str, str]
-    fresh_row: Callable[[random.Random, int], Row]
     lazy_reads: Tuple[Tuple[str, Tuple], ...] = ()
     variants: Tuple[str, ...] = ()
 
@@ -187,17 +178,6 @@ class CorpusScenario:
         """Compare the database against the oracle; returns mismatches."""
         return [f"{self.name}: {problem}"
                 for problem in diff_tables(db, self.expected())]
-
-    def safe_keys(self) -> List[Tuple]:
-        """Scratch-table seed keys a random update may touch: those the
-        script never deletes and the long transaction never locks."""
-        workload = self.workload
-        table = workload.scratch[0]
-        taken = {tuple(workload.long_op[2])} | {
-            tuple(op[2]) for op in workload.ops()
-            if op[0] == "d" and op[1] == table}
-        return [key for schema, rows in self.seeds if schema.name == table
-                for key in map(schema.key_of, rows) if key not in taken]
 
 
 # -- seeds -------------------------------------------------------------------
@@ -332,11 +312,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                         ("pub", ("p2",))),
             probes=(_ins("book_pub", bid=95001, title="probe",
                          pub_id="p-probe"),),
-            scratch=("book", "title"),
-            fresh_row=lambda rng, i: {
-                "bid": 100 + i, "title": f"r{i}",
-                "pub_id": rng.choice(("p1", "p2", "p3", "p7", "p9"))},
-            variants=("@2", ":lazy"))),
+            variants=("@2", ":lazy", ":view"))),
     CorpusScenario(
         name="associate-m2m",
         challenge="inline a many-to-many association (join on an "
@@ -366,11 +342,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             long_op=_upd("author", 1, aname="L0"),
             long_post_swap_op=_upd("author", 1, aname="Lz"),
             probes=(_ins("author_venue", aid=95001, aname="probe",
-                         topic="probe", vid="v-probe", vname="probe"),),
-            scratch=("author", "aname"),
-            fresh_row=lambda rng, i: {
-                "aid": 100 + i, "aname": f"r{i}", "topic": rng.choice(
-                    ("wal", "mvcc", "gc", "locks", "sql"))})),
+                         topic="probe", vid="v-probe", vname="probe"),),)),
     CorpusScenario(
         name="normalize-split",
         challenge="normalize a denormalized table (extract a dependency)",
@@ -408,11 +380,6 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             probes=(_ins("track_base", tid=95001, title="probe",
                          album="probe-lp"),
                     _ins("album", album="probe-lp2", artist="probe")),
-            scratch=("track", "title"),
-            # artist depends on album, as the split's dependency demands.
-            fresh_row=lambda rng, i: (lambda album: {
-                "tid": 100 + i, "title": f"r{i}", "album": album,
-                "artist": f"by {album}"})(f"LP{rng.randint(0, 3)}"),
             variants=("@3", ":lazy@3"))),
     CorpusScenario(
         name="chain-foj-split",
@@ -465,10 +432,6 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             long_post_swap_op=_upd("doc", 1, title="Lz"),
             lazy_reads=(("doc", (2,)), ("doc", (4,)), ("doc", (5,))),
             probes=(_ins("doc_tag", id=95001, title="probe", tag="p"),),
-            scratch=("doc", "title"),
-            fresh_row=lambda rng, i: {
-                "id": 100 + i, "title": f"r{i}", "tags": rng.choice(
-                    ("wal", "wal,log", None, "gc,sql", "log,schema,mvcc"))},
             variants=(":lazy@2",))),
     CorpusScenario(
         name="archive-partition",
@@ -493,11 +456,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             long_op=_upd("orders", 1, qty=100),
             long_post_swap_op=_upd("orders", 1, qty=101),
             probes=(_ins("orders_eu", oid=95001, region="eu", qty=1),
-                    _ins("orders_intl", oid=95002, region="us", qty=2)),
-            scratch=("orders", "qty"),
-            fresh_row=lambda rng, i: {
-                "oid": 100 + i, "qty": i,
-                "region": rng.choice(("eu", "us", "ap", None))})),
+                    _ins("orders_intl", oid=95002, region="us", qty=2)),)),
     CorpusScenario(
         name="reunify-merge",
         challenge="reunify a previously partitioned pair of tables",
@@ -517,10 +476,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             ),
             long_op=_upd("evt_a", 2, payload="L0"),
             long_post_swap_op=_upd("evt_a", 2, payload="Lz"),
-            probes=(_ins("evt", eid=95001, payload="probe"),),
-            scratch=("evt_a", "payload"),
-            fresh_row=lambda rng, i: {"eid": 100 + i,
-                                      "payload": f"r{i}"})),
+            probes=(_ins("evt", eid=95001, payload="probe"),),)),
     CorpusScenario(
         name="retype-default",
         challenge="change a field's type and its NULL default; add, "
@@ -553,10 +509,6 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                         ("reading", (5,))),
             probes=(_ins("reading", rid=95001, name="probe",
                          value=95001, unit="K"),),
-            scratch=("reading", "label"),
-            fresh_row=lambda rng, i: {
-                "rid": 100 + i, "label": f"r{i}",
-                "value": str(rng.randint(0, 99))},
             variants=(":lazy",))),
 )
 

@@ -56,6 +56,10 @@ class Table:
 
     _uid_counter = 0
 
+    #: Attributes that tell apart rows whose primary key has a NULL part
+    #: (the FOJ's ``t^null_x`` rows, one per join value ``x``).
+    null_key_attrs: Tuple[str, ...] = ()
+
     def __init__(self, schema: TableSchema) -> None:
         Table._uid_counter += 1
         #: Stable physical identity, independent of renames; lock-manager
@@ -151,13 +155,7 @@ class Table:
             faults.fire(SITE_TABLE_INSERT, table=self.name)
         normalized = self.schema.normalize(values)
         row = Row(normalized, lsn=lsn, meta=meta)
-        keyed = []
-        for index in self.indexes.values():
-            key = index_key(normalized, index.attrs)
-            if key is not None:
-                if index.unique and index.contains(key):
-                    raise DuplicateKeyError(self.name, key)
-                keyed.append((index, key))
+        keyed = self.check_unique(normalized)
         rowid = row.rowid
         self.rows[rowid] = row
         if faults.enabled:
@@ -166,6 +164,20 @@ class Table:
         for index, key in keyed:
             index.add(key, rowid)
         return row
+
+    def check_unique(self, values: Dict[str, object]
+                     ) -> List[Tuple[HashIndex, Tuple]]:
+        """Each index with its key for the normalized ``values``; raises
+        :class:`DuplicateKeyError` when a unique index holds that key
+        already.  Modifies nothing."""
+        keyed = []
+        for index in self.indexes.values():
+            key = index_key(values, index.attrs)
+            if key is not None:
+                if index.unique and index.contains(key):
+                    raise DuplicateKeyError(self.name, key)
+                keyed.append((index, key))
+        return keyed
 
     def delete_rowid(self, rowid: int) -> Row:
         """Delete a row by physical id; returns the removed row."""
@@ -263,6 +275,15 @@ class Table:
         """Row with the given primary-key tuple, or ``None``."""
         rowids = self._primary.lookup(key)
         return self.rows[rowids[0]] if rowids else None
+
+    def lock_key(self, row: Row) -> Tuple:
+        """The key a record lock on ``row`` names: its primary key, or --
+        when part of that key is NULL -- the key extended by
+        :attr:`null_key_attrs`, so such rows do not share one lock."""
+        key = self.schema.key_of(row.values)
+        if None in key:
+            return key + tuple(row.values.get(a) for a in self.null_key_attrs)
+        return key
 
     def require(self, key: Tuple) -> Row:
         """Row with the given primary key; raises if absent."""

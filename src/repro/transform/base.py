@@ -291,10 +291,11 @@ class RuleEngine:
 
     @staticmethod
     def _touch_row(touched: Touched, table: Table, row: Row) -> None:
-        """:meth:`_touch` for a row in hand; its key is built only when
+        """:meth:`_touch` for a row in hand; its lock key
+        (:meth:`~repro.storage.table.Table.lock_key`) is built only when
         someone can hold it."""
         if touched is not None:
-            touched.append((table, table.schema.key_of(row.values)))
+            touched.append((table, table.lock_key(row)))
 
     def rename_source(self, old: str, new: str) -> None:
         """Consume source ``old``'s records under ``new`` from now on

@@ -543,7 +543,7 @@ class FojRuleEngine(JoinRuleEngine):
         if table_name == self.spec.r_name:
             return [(self.t, tuple(key))]
         if table_name == self.spec.s_name:
-            return [(self.t, self._key_of(row))
+            return [(self.t, self.t.lock_key(row))
                     for row in self._rows_with_skey(key)]
         return []
 
@@ -555,7 +555,7 @@ class FojRuleEngine(JoinRuleEngine):
         catalog = self.db.catalog
         r_table = catalog.get_any(self.spec.r_name)
         s_table = catalog.get_any(self.spec.s_name)
-        result.append((r_table, tuple(key)))
+        result.append((r_table, tuple(key)[:len(self.spec.r_key)]))
         row = self.t.get(tuple(key))
         if row is not None and not null_flag(row, "s_null"):
             s_key = tuple(row.values.get(a) for a in self.spec.s_key)
@@ -602,6 +602,7 @@ class FojTransformation(Transformation):
                       detached: bool = False) -> Dict[str, Table]:
         """T with its rule-lookup indexes (join index + S-key index)."""
         table = cls._new_table(db, spec.target_schema(), detached)
+        table.null_key_attrs = (spec.join_column,)
         table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
         if tuple(spec.s_key) != (spec.join_column,):
             table.create_index(SKEY_INDEX, spec.s_key, unique=False)

@@ -2,9 +2,10 @@
 operator's rule engine, on the log of its corpus scenario.
 
 Each stream is a real history: the scenario's seed inserts, its scripted
-transactions (aborts included, so CLRs arrive unwrapped as the
-propagation loop hands them over) and seeded random writes, replayed from
-empty targets.  ``apply_run`` for a live owner must touch what ``apply``
+transactions and a generated history (aborts included, so CLRs arrive
+unwrapped as the propagation loop hands them over), as the one model
+(:class:`repro.faults.sweep.ScenarioRun`) writes it, replayed from empty
+targets.  ``apply_run`` for a live owner must touch what ``apply``
 touches record by record; for owner ``0`` it must touch nothing and leave
 the same rows."""
 
@@ -12,8 +13,9 @@ import random
 
 import pytest
 
-from repro import Database
+from repro.faults.sweep import RunConfig, ScenarioRun, draw_history
 from repro.plan import PLAN_OPERATORS, WORKLOAD_SCENARIOS
+from repro.transform.analysis import FixedIterationsPolicy
 from repro.transform.options import TransformOptions
 from repro.wal.records import CLRecord, DeleteRecord, InsertRecord, \
     UpdateRecord
@@ -22,49 +24,14 @@ from tests.dispatch_contract import check_dispatch_contract
 DATA = (InsertRecord, UpdateRecord, DeleteRecord)
 
 
-def _run_txn(db, ops, abort):
-    txn = db.begin()
-    for op in ops:
-        if op[0] == "i":
-            db.insert(txn, op[1], dict(op[2]))
-        elif op[0] == "u":
-            db.update(txn, op[1], tuple(op[2]), dict(op[3]))
-        else:
-            db.delete(txn, op[1], tuple(op[2]))
-    (db.abort if abort else db.commit)(txn)
-
-
-def _history(scenario, rng):
-    """The scenario's sources after seeds, script and 40 random
-    transactions on its scratch table."""
-    db = Database()
-    scenario.build(db)
-    workload = scenario.workload
-    for ops, abort in workload.script:
-        _run_txn(db, ops, abort)
-    _run_txn(db, [workload.long_op], False)
-    table, attr = workload.scratch
-    schema = db.catalog.get(table).schema
-    live = list(scenario.safe_keys())
-    for i in range(40):
-        ops, inserted, deleted = [], [], []
-        for j in range(rng.randint(1, 3)):
-            roll = rng.random()
-            if roll < 0.4 or not live:
-                values = workload.fresh_row(rng, 10 * i + j)
-                ops.append(("i", table, values))
-                inserted.append(schema.key_of(values))
-            elif roll < 0.8:
-                ops.append(("u", table, rng.choice(live),
-                            {attr: f"x{i}.{j}"}))
-            else:
-                key = live.pop(rng.randrange(len(live)))
-                ops.append(("d", table, key))
-                deleted.append(key)
-        abort = rng.random() < 0.25
-        _run_txn(db, ops, abort)
-        live.extend(deleted if abort else inserted)
-    return db
+def _history(scenario, seed):
+    """The scenario's sources after seeds, script and a 40-transaction
+    generated history, parked before the transformation synchronizes."""
+    run = ScenarioRun(RunConfig(scenario, history=draw_history(
+        random.Random(seed), 40)))
+    run.options = run.options.evolve(policy=FixedIterationsPolicy(10 ** 9))
+    run.execute(until=lambda run: True)
+    return run.db
 
 
 def _state(table):
@@ -79,7 +46,7 @@ def test_apply_run_owner_contract(operator, seed):
     scenario = WORKLOAD_SCENARIOS[operator]
     step = scenario.plan.steps[0]
     rng = random.Random(seed)
-    db = _history(scenario, rng)
+    db = _history(scenario, seed)
 
     def make():
         tf = PLAN_OPERATORS[step.operator].build(db, step.params,

@@ -7,6 +7,7 @@ import pytest
 from repro import Database, Session, TableSchema
 from repro.common.errors import (
     DeadlockError,
+    DuplicateKeyError,
     LockWaitError,
     NoSuchRowError,
     NoSuchTableError,
@@ -240,6 +241,26 @@ def test_abort_end_record_not_committed():
     db.abort(txn)
     end = [r for r in db.log.scan() if isinstance(r, EndRecord)][-1]
     assert not end.committed
+
+
+@pytest.mark.parametrize("duplicate", [{"id": 1, "x": "other"},
+                                       {"id": 2, "x": "mail"}],
+                         ids=["primary-key", "candidate-key"])
+def test_refused_duplicate_insert_leaves_the_committed_row(duplicate):
+    """A duplicate is refused before it is logged, so aborting the
+    refusing transaction writes no CLR against the committed row."""
+    db = Database()
+    db.create_table(TableSchema("t", ["id", "x"], primary_key=["id"],
+                                candidate_keys=[["x"]]))
+    with Session(db) as s:
+        s.insert("t", {"id": 1, "x": "mail"})
+    txn = db.begin()
+    with pytest.raises(DuplicateKeyError):
+        db.insert(txn, "t", duplicate)
+    db.abort(txn)
+    assert values_of(db, "t") == [{"id": 1, "x": "mail"}]
+    assert not any(isinstance(r, InsertRecord) and r.txn_id == txn.txn_id
+                   for r in db.log.scan())
 
 
 def test_abort_is_idempotent_and_commit_after_abort_rejected():

@@ -7,12 +7,13 @@ join partners), while the budgeted background sweep drains everything
 nobody touches through the one population scan
 (:class:`~repro.engine.fuzzy.FuzzyScan`, hand-outs claimed).  The central property mirrors the
 eager suite's: for ANY interleaved history -- now including reads that
-fire the miss hook mid-population -- lazy converges to the identical
-target as eager population.
+fire the miss hook mid-population -- lazy converges to the reference
+target, as eager population does: two configurations of the one model
+(``tests/model.py``).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro import (
     Database,
@@ -20,16 +21,11 @@ from repro import (
     FojTransformation,
     Phase,
     Session,
-    SplitSpec,
     SplitTransformation,
     TableSchema,
     TransformOptions,
 )
-from repro.common.errors import (
-    DuplicateKeyError,
-    NoSuchRowError,
-    TransformationError,
-)
+from repro.common.errors import TransformationError
 from repro.relational import full_outer_join, rows_equal, split
 from repro.faults import AbortFault, FaultInjector, FaultPlan
 from repro.obs import Metrics
@@ -43,7 +39,7 @@ from tests.conftest import (
     table_counters,
     values_of,
 )
-from tests.test_property import apply_foj_op, build_foj_db
+from tests.model import backlogged, check_model
 
 
 def _read(db, table_name, key):
@@ -281,131 +277,17 @@ def test_lazy_split_read_migrates_row_and_counter(split_db):
 
 
 # ---------------------------------------------------------------------------
-# Property: lazy == eager for any history (reads included)
+# Property: lazy converges like eager for any history (reads included)
 # ---------------------------------------------------------------------------
 
-lazy_foj_op = st.tuples(
-    st.sampled_from([
-        "ins_r", "del_r", "upd_r_join", "upd_r_other",
-        "ins_s", "del_s", "upd_s_other",
-        "abort_ins_r", "abort_upd_r",
-        "read_r", "read_s",
-    ]),
-    st.integers(0, 39),       # key selector
-    st.integers(0, 9),        # join value selector
-    st.integers(1, 24),       # transformation step budget
-)
+
+@given(backlogged("foj", population="lazy", shards=(1, 3)))
+@settings(max_examples=10, deadline=None)
+def test_lazy_foj_identical_to_eager(config):
+    check_model(config)
 
 
-def _apply_lazy_foj_op(db, kind, key, join_value, counter):
-    if kind == "read_r":
-        _read(db, "R", (key % 14,))
-    elif kind == "read_s":
-        _read(db, "S", (join_value,))
-    else:
-        apply_foj_op(db, kind, key, join_value, counter)
-
-
-def _run_lazy_foj_pipeline(script, mode, shards):
-    db = build_foj_db(script)
-    spec = FojSpec.derive(db.table("R").schema, db.table("S").schema,
-                          "T", "c", "c")
-    tf = FojTransformation(
-        db, spec,
-        options=TransformOptions(shards=shards,
-                                 population_mode=mode))
-    for i, (kind, key, join_value, budget) in enumerate(script):
-        _apply_lazy_foj_op(db, kind, key, join_value, i)
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(budget)
-    r_rows, s_rows = values_of(db, "R"), values_of(db, "S")
-    tf.run()
-    return values_of(db, "T"), full_outer_join(spec, r_rows, s_rows)
-
-
-@given(st.lists(lazy_foj_op, min_size=0, max_size=40),
-       st.sampled_from([1, 3]))
-@settings(max_examples=30, deadline=None)
-def test_lazy_foj_identical_to_eager(script, shards):
-    """Lazy population (misses + sweeper, any interleaving) produces
-    row-for-row the same FOJ target as the eager fuzzy scan."""
-    eager_rows, eager_oracle = _run_lazy_foj_pipeline(script, "eager",
-                                                      shards)
-    lazy_rows, lazy_oracle = _run_lazy_foj_pipeline(script, "lazy", shards)
-    assert rows_equal(eager_oracle, lazy_oracle)  # same final sources
-    assert rows_equal(lazy_rows, eager_rows)
-    assert rows_equal(lazy_rows, lazy_oracle)
-
-
-lazy_split_op = st.tuples(
-    st.sampled_from(["ins", "del", "move", "upd_name", "abort_move",
-                     "read"]),
-    st.integers(0, 39),
-    st.integers(0, 5),
-    st.integers(1, 24),
-)
-
-
-def _run_lazy_split_pipeline(script, mode, shards):
-    db = Database()
-    db.create_table(TableSchema("T", ["id", "name", "zip", "city"],
-                                primary_key=["id"]))
-    city = {z: f"C{z}" for z in range(6)}
-    with Session(db) as s:
-        for i in range(12):
-            z = i % 6
-            s.insert("T", {"id": i, "name": i, "zip": z, "city": city[z]})
-    spec = SplitSpec.derive(db.table("T").schema, "Tr", "Ts", "zip",
-                            s_attrs=["city"])
-    tf = SplitTransformation(
-        db, spec,
-        options=TransformOptions(shards=shards,
-                                 population_mode=mode))
-    for i, (kind, key, z, budget) in enumerate(script):
-        try:
-            if kind == "ins":
-                with Session(db) as s:
-                    s.insert("T", {"id": 100 + i, "name": i, "zip": z,
-                                   "city": city[z]})
-            elif kind == "del":
-                with Session(db) as s:
-                    s.delete("T", (key % 12,))
-            elif kind == "move":
-                with Session(db) as s:
-                    s.update("T", (key % 12,), {"zip": z, "city": city[z]})
-            elif kind == "upd_name":
-                with Session(db) as s:
-                    s.update("T", (key % 12,), {"name": f"n{i}"})
-            elif kind == "abort_move":
-                txn = db.begin()
-                try:
-                    db.update(txn, "T", (key % 12,),
-                              {"zip": z, "city": city[z]})
-                finally:
-                    db.abort(txn)
-            elif kind == "read":
-                _read(db, "T", (key % 14,))
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(budget)
-    t_rows = values_of(db, "T")
-    tf.run()
-    return (values_of(db, "Tr"), values_of(db, "Ts"),
-            table_counters(db, "Ts"), t_rows)
-
-
-@given(st.lists(lazy_split_op, min_size=0, max_size=40),
-       st.sampled_from([1, 3]))
-@settings(max_examples=30, deadline=None)
-def test_lazy_split_identical_to_eager(script, shards):
-    """Same equivalence for the split pipeline, including the S-table
-    reference counters the LSN-guarded Rules 8--11 maintain."""
-    base_r, base_s, base_counters, base_t = \
-        _run_lazy_split_pipeline(script, "eager", shards)
-    lazy_r, lazy_s, lazy_counters, lazy_t = \
-        _run_lazy_split_pipeline(script, "lazy", shards)
-    assert rows_equal(base_t, lazy_t)  # same final sources
-    assert rows_equal(lazy_r, base_r)
-    assert rows_equal(lazy_s, base_s)
-    assert lazy_counters == base_counters
+@given(backlogged("split", population="lazy", shards=(1, 3)))
+@settings(max_examples=10, deadline=None)
+def test_lazy_split_identical_to_eager(config):
+    check_model(config)

@@ -284,6 +284,18 @@ def test_try_acquire_upgrade_follows_the_one_claim_rule():
     assert lm.waiting_txns() == {1}
 
 
+def test_queued_upgrade_keeps_its_source_origin():
+    """An upgrade granted from the queue goes through the same claim rule
+    as one granted at once: it carries the request's source origin."""
+    lm = LockManager()
+    lm.acquire(-1, RES, S)
+    lm.acquire(2, RES, S)
+    with pytest.raises(LockWaitError):
+        lm.acquire(-1, RES, X, LockOrigin.SOURCE_A)  # waits for 2's S
+    assert lm.release(2, RES) == [-1]
+    assert lm.holders(RES) == [LockRequest(-1, X, LockOrigin.SOURCE_A, True)]
+
+
 def test_release_of_the_last_lock_leaves_no_residue():
     lm = LockManager()
     lm.acquire(1, RES, X)
@@ -439,8 +451,9 @@ class NaiveLocks:
             own = self._of(held, waiter)
             if own is None:
                 held.append([waiter, mode, origin])
-            else:
-                own[1] = own[1].join(mode)
+            else:  # the acquire rule: an upgrade carries a source origin
+                own[1:] = [own[1].join(mode),
+                           origin if origin.is_source else own[2]]
             woken.append(waiter)
         return woken
 

@@ -1,7 +1,5 @@
 """Tests for non-blocking materialized-view construction (§7 extension)."""
 
-import random
-
 import pytest
 
 from repro import (
@@ -13,9 +11,6 @@ from repro import (
     restart,
 )
 from repro.common.errors import (
-    DuplicateKeyError,
-    LockWaitError,
-    NoSuchRowError,
     SimulatedCrashError,
     TransformationAbortedError,
     TransformationStateError,
@@ -24,6 +19,7 @@ from repro.faults import AbortFault, CrashFault, FaultInjector, FaultPlan
 from repro.relational import full_outer_join, rows_equal
 
 from tests.conftest import foj_spec, load_foj_data, values_of
+from tests.model import check_model, seeded
 from repro.api import Metrics, TransformOptions
 
 
@@ -207,44 +203,7 @@ def test_view_synchronization_enters_through_the_framework():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_interleaved_build_and_maintenance(seed):
-    rng = random.Random(seed)
-    db, spec = build(seed=seed, n_r=25, n_s=10)
-    view = MaterializedFojView(db, spec)
-    next_a = [500]
+    """Writes beside the build, then beside budgeted maintenance."""
+    check_model(seeded("foj", seed, view=True, max_remaining=64))
 
-    def churn():
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                if k < 0.25:
-                    s.insert("R", {"a": next_a[0], "b": 0,
-                                   "c": rng.randrange(13)})
-                    next_a[0] += 1
-                elif k < 0.5:
-                    s.update("R", (rng.randrange(25),),
-                             {"c": rng.randrange(13)})
-                elif k < 0.7:
-                    s.delete("R", (rng.randrange(25),))
-                elif k < 0.85:
-                    s.update("S", (rng.randrange(13),),
-                             {"d": rng.random()})
-                else:
-                    s.delete("S", (rng.randrange(13),))
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        except LockWaitError:
-            # Brushed the brief publication latch; this single-threaded
-            # driver just drops the transaction and moves on.
-            pass
 
-    for _ in range(80):
-        churn()
-        if not view.published:
-            view.step(rng.randrange(1, 12))
-    view.run()
-    # Keep churning after publication; deferred maintenance catches up.
-    for _ in range(40):
-        churn()
-        view.maintain(rng.randrange(1, 12))
-    view.refresh()
-    assert rows_equal(values_of(db, "v"), oracle(db, spec))

@@ -19,11 +19,11 @@ from repro import (
     TableSchema,
     restart,
 )
-from repro.common.errors import DuplicateKeyError, NoSuchRowError
 from repro.relational import rows_equal
 from repro.transform.partition import merge_rows, partition_rows
 
 from tests.conftest import values_of
+from tests.model import check_model, seeded
 from repro.api import TransformOptions
 
 SCHEMA = TableSchema("orders", ["oid", "region", "amount"],
@@ -92,37 +92,7 @@ def test_partition_update_moves_row_between_sides():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_partition_interleaved_converges(seed):
-    rng = random.Random(seed)
-    db = make_db(n=25, seed=seed)
-    spec = spec_for(db)
-    tf = PartitionTransformation(db, spec)
-    next_id = [100]
-    for _ in range(100):
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                region = rng.choice(["eu", "us", "asia"])
-                if k < 0.3:
-                    s.insert("orders", {"oid": next_id[0],
-                                        "region": region, "amount": 1})
-                    next_id[0] += 1
-                elif k < 0.55:
-                    s.delete("orders", (rng.randrange(25),))
-                elif k < 0.8:
-                    s.update("orders", (rng.randrange(25),),
-                             {"region": region})
-                else:
-                    s.update("orders", (rng.randrange(25),),
-                             {"amount": rng.randrange(1000)})
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(rng.randrange(1, 12))
-    t_rows = values_of(db, "orders")
-    tf.run()
-    a_rows, b_rows = partition_rows(spec, t_rows)
-    assert rows_equal(values_of(db, "orders_eu"), a_rows)
-    assert rows_equal(values_of(db, "orders_row"), b_rows)
+    check_model(seeded("partition", seed))
 
 
 def test_partition_recovery_rebuilds_after_swap():
@@ -188,37 +158,7 @@ def test_merge_oracle_detects_collision():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_merge_interleaved_converges(seed):
-    rng = random.Random(seed)
-    db = make_merge_db(seed=seed)
-    spec = MergeSpec("a", "b", "merged")
-    tf = MergeTransformation(db, spec)
-    next_a, next_b = [50], [150]
-    for _ in range(80):
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                if k < 0.25:
-                    s.insert("a", {"k": next_a[0], "v": "na"})
-                    next_a[0] += 1
-                elif k < 0.5:
-                    s.insert("b", {"k": next_b[0], "v": "nb"})
-                    next_b[0] += 1
-                elif k < 0.65:
-                    s.delete("a", (rng.randrange(12),))
-                elif k < 0.8:
-                    s.update("b", (100 + rng.randrange(12),),
-                             {"v": f"u{rng.random():.2f}"})
-                else:
-                    s.update("a", (rng.randrange(12),),
-                             {"v": f"u{rng.random():.2f}"})
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(rng.randrange(1, 10))
-    a_rows, b_rows = values_of(db, "a"), values_of(db, "b")
-    tf.run()
-    expected = merge_rows(a_rows, b_rows, lambda v: (v["k"],))
-    assert rows_equal(values_of(db, "merged"), expected)
+    check_model(seeded("merge", seed))
 
 
 def test_merge_recovery_rebuilds_after_swap():

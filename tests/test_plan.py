@@ -1,7 +1,6 @@
 """Tests for the declarative migration plan API (repro.plan)."""
 
 import json
-import random
 
 import pytest
 
@@ -27,7 +26,12 @@ from repro import (
     run_plan,
     split,
 )
-from repro.faults.sweep import ALL_OPERATORS, ScenarioRun, parse_label
+from repro.faults.sweep import (
+    ALL_OPERATORS,
+    RunConfig,
+    ScenarioRun,
+    parse_label,
+)
 from repro.plan import WORKLOAD_SCENARIOS, get_scenario
 from repro.relational import FojSpec, SplitSpec
 
@@ -375,8 +379,10 @@ def test_reference_agrees_with_derive(scenario):
 def test_every_plan_operator_has_a_workload_scenario():
     assert sorted(WORKLOAD_SCENARIOS) == sorted(PLAN_OPERATORS)
     # ... and the sweep labels are those operators plus suffix variants.
-    assert {parse_label(label)[0].plan.steps[0].operator
+    assert {parse_label(label).operator
             for label in ALL_OPERATORS} == set(PLAN_OPERATORS)
+    assert [parse_label(label).label for label in ALL_OPERATORS] == \
+        list(ALL_OPERATORS)
     for scenario in WORKLOAD_SCENARIOS.values():
         assert scenario in CORPUS and len(scenario.plan.steps) == 1
 
@@ -384,13 +390,13 @@ def test_every_plan_operator_has_a_workload_scenario():
 @pytest.mark.parametrize("operator", sorted(PLAN_OPERATORS))
 def test_lazy_label_accepted_iff_operator_supports_lazy(operator):
     if PLAN_OPERATORS[operator].supports_lazy:
-        scenario, overrides = parse_label(f"{operator}:lazy@2")
-        assert scenario is WORKLOAD_SCENARIOS[operator]
-        assert overrides == {"population_mode": "lazy", "shards": 2}
+        config = parse_label(f"{operator}:lazy@2")
+        assert config.scenario is WORKLOAD_SCENARIOS[operator]
+        assert (config.population, config.shards) == ("lazy", 2)
     else:
         with pytest.raises(ValueError, match="eager-only"):
             parse_label(f"{operator}:lazy")
-    assert parse_label(operator) == (WORKLOAD_SCENARIOS[operator], {})
+    assert parse_label(operator) == RunConfig(WORKLOAD_SCENARIOS[operator])
 
 
 @pytest.mark.parametrize("label", ["join", "foj:eager", "foj@", "foj@x",
@@ -402,7 +408,7 @@ def test_unknown_sweep_labels_are_rejected(label):
 
 def test_scenario_run_needs_a_workload():
     with pytest.raises(ValueError, match="not sweepable"):
-        ScenarioRun(get_scenario("chain-foj-split"), "nonblocking_abort")
+        ScenarioRun(RunConfig(get_scenario("chain-foj-split")))
 
 
 @pytest.mark.parametrize("scenario", WORKLOAD_SCENARIOS.values(),
@@ -430,12 +436,7 @@ def test_workload_names_only_its_own_tables_and_attributes(scenario):
     for table, key in workload.lazy_reads:
         assert table in sources
         assert len(key) == len(schemas[table].primary_key)
-    # The long transaction and the random updates share one row space.
-    table, attr = workload.scratch
-    assert table in sources and attr in schemas[table].attribute_names
-    assert workload.long_op[1] == workload.long_post_swap_op[1] == table
-    assert scenario.safe_keys(), "no seed key is safe to update"
-    assert tuple(workload.long_op[2]) not in scenario.safe_keys()
-    fresh = workload.fresh_row(random.Random(0), 3)
-    assert set(fresh) <= set(schemas[table].attribute_names)
-    assert schemas[table].key_of(fresh) == (103,)
+    # The long transaction's two writes hit one source row.
+    assert workload.long_op[1] == workload.long_post_swap_op[1]
+    assert workload.long_op[1] in sources
+    assert workload.long_op[2] == workload.long_post_swap_op[2]

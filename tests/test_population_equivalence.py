@@ -25,12 +25,11 @@ from repro.api import (
     InconsistentDataError,
     Phase,
     SimulatedCrashError,
-    SyncStrategy,
     TransformOptions,
     restart,
 )
 from repro.faults import NULL_FAULTS
-from repro.faults.sweep import ScenarioRun
+from repro.faults.sweep import RunConfig, ScenarioRun, draw_history
 from repro.plan.corpus import WORKLOAD_SCENARIOS
 from repro.wal.records import FuzzyMarkRecord
 
@@ -145,16 +144,15 @@ def test_population_calls_migrate_row_itself():
     (operator, seed)
     for operator in sorted(WORKLOAD_SCENARIOS) for seed in range(20)])
 def test_repropagating_an_earlier_log_slice_changes_nothing(operator, seed):
-    """Run the operator's corpus workload (plus seeded mutations) under a
+    """Run the operator's corpus workload (plus a seeded history) under a
     policy that never synchronizes, park it caught up in PROPAGATING,
     rewind the cursor to a random LSN at or after the begin mark and
     propagate again: Rules 1-11 (and their cousins) are idempotent, so
     the targets come out unchanged."""
     rng = random.Random(seed)
-    run = ScenarioRun(
-        WORKLOAD_SCENARIOS[operator], SyncStrategy.NONBLOCKING_ABORT,
-        overrides=dict(policy=FixedIterationsPolicy(10 ** 9)),
-        workload_seed=seed)
+    run = ScenarioRun(RunConfig(WORKLOAD_SCENARIOS[operator],
+                                history=draw_history(rng, 6)))
+    run.options = run.options.evolve(policy=FixedIterationsPolicy(10 ** 9))
     log = run.db.log
 
     def caught_up(run):

@@ -22,6 +22,7 @@ from repro.api import TransformOptions
 from repro.common.errors import LockWaitError
 from repro.concurrency import LockMode, TxnState
 from repro.concurrency.locks import record_resource
+from repro.obs import Metrics
 from repro.transform.analysis import (
     FixedIterationsPolicy,
     RemainingRecordsPolicy,
@@ -161,11 +162,10 @@ def test_writer_finished_before_the_swap_leaves_nothing(strategy):
 def test_null_keyed_rows_stay_locked_for_their_open_writer():
     """Deleting the sole R carrier of an S record leaves a ``t^null_x`` row
     whose R key is NULL.  The primary index cannot find it, but the join
-    index can, and ``read_index`` S-locks the key of every row it returns
-    -- so the deleter's proxy lock on that key is what keeps a post-swap
-    reader from seeing a row the deleter may still roll back.  The two
-    deleters' proxy owners co-hold X on the shared NULL key: both are
-    source-origin locks, compatible under Figure 2's rule."""
+    index can, and ``read_index`` S-locks the lock key of every row it
+    returns -- ``(None, x)``, one per join value -- so the deleter's proxy
+    lock on it is what keeps a post-swap reader from seeing a row the
+    deleter may still roll back."""
     db = _db()
     tf = _transformation(db, SyncStrategy.NONBLOCKING_COMMIT)
     first, second = db.begin(), db.begin()
@@ -174,12 +174,12 @@ def test_null_keyed_rows_stay_locked_for_their_open_writer():
     _propagate(tf)
     for txn, a in ((first, 1), (second, 2)):
         assert tf.locks_held.resources_of(txn.txn_id) == _t_records(
-            tf, (a,), (None,))
+            tf, (a,), (None, 10 * a))
     _release(tf)
     assert tf.phase is Phase.BACKGROUND
-    (null_key,) = _t_records(tf, (None,))
-    assert {request.txn_id for request in db.locks.holders(null_key)} == {
-        proxy_owner(first.txn_id), proxy_owner(second.txn_id)}
+    (null_key,) = _t_records(tf, (None, 10))
+    assert [request.txn_id for request in db.locks.holders(null_key)] == [
+        proxy_owner(first.txn_id)]
     reader = db.begin()
     with pytest.raises(LockWaitError):
         db.read_index(reader, "T", JOIN_INDEX, (10,))
@@ -191,3 +191,36 @@ def test_null_keyed_rows_stay_locked_for_their_open_writer():
     (row,) = db.read_index(reader, "T", JOIN_INDEX, (10,))
     assert row["a"] is None and row["d"] == "d1"
     db.commit(reader)
+
+
+def test_unrelated_null_keyed_rows_wait_for_nobody():
+    """The blame board's positive control.  k open deleters each leave a
+    ``t^null_x`` of their own; post-swap readers of a ``t^null_x`` nobody
+    open wrote must not wait.  While every NULL-keyed row shared the lock
+    ``(None,)``, each reader waited behind all k proxy owners, and the
+    board charged that wait to the ``sync`` role."""
+    ticks = iter(range(10 ** 6))
+    db = _db(5)
+    db.attach_metrics(Metrics(clock=lambda: float(next(ticks))))
+    with Session(db) as s:
+        s.delete("R", (5,))   # committed: t^null_50 is nobody's
+    tf = _transformation(db, SyncStrategy.NONBLOCKING_COMMIT)
+    deleters = [db.begin() for _ in range(3)]
+    for a, txn in enumerate(deleters, start=1):
+        db.delete(txn, "R", (a,))
+    _propagate(tf)
+    _release(tf)
+    assert tf.phase is Phase.BACKGROUND
+    for _ in range(2):
+        reader = db.begin()
+        try:
+            db.read_index(reader, "T", JOIN_INDEX, (50,))
+            db.commit(reader)
+        except LockWaitError:
+            db.abort(reader)
+    waits = {role: ms for role, ms in db.metrics.blame.breakdown().items()
+             if ms and role != "user"}
+    assert waits == {}
+    for txn in deleters:
+        db.commit(txn)
+    tf.run()

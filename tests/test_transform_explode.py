@@ -8,7 +8,6 @@ from repro import (
     Database,
     ExplodeSpec,
     ExplodeTransformation,
-    Phase,
     SchemaError,
     Session,
     TableSchema,
@@ -16,10 +15,10 @@ from repro import (
     explode,
     restart,
 )
-from repro.common.errors import DuplicateKeyError, NoSuchRowError
 from repro.relational import rows_equal
 
 from tests.conftest import values_of
+from tests.model import check_model, seeded
 
 SCHEMA = TableSchema("doc", ["id", "title", "tags"], primary_key=["id"])
 
@@ -80,35 +79,7 @@ def test_explode_spec_rejects_key_and_collision():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_explode_interleaved_converges(seed):
-    rng = random.Random(seed)
-    db = make_db(n=20, seed=seed)
-    spec = spec_for(db)
-    tf = ExplodeTransformation(
-        db, spec)
-    next_id = [100]
-    for _ in range(90):
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                if k < 0.3:
-                    s.insert("doc", {"id": next_id[0], "title": "new",
-                                     "tags": rng.choice(TAG_POOL)})
-                    next_id[0] += 1
-                elif k < 0.5:
-                    s.delete("doc", (rng.randrange(20),))
-                elif k < 0.8:
-                    s.update("doc", (rng.randrange(20),),
-                             {"tags": rng.choice(TAG_POOL)})
-                else:
-                    s.update("doc", (rng.randrange(20),),
-                             {"title": f"r{rng.randrange(100)}"})
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(rng.randrange(1, 12))
-    source = values_of(db, "doc")
-    tf.run()
-    assert rows_equal(values_of(db, "doc_tag"), explode(spec, source))
+    check_model(seeded("explode", seed))
 
 
 def test_explode_recovery_rebuilds_after_swap():

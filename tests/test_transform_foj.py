@@ -18,9 +18,6 @@ from repro import (
     TransformationError,
 )
 from repro.common.errors import (
-    DuplicateKeyError,
-    NoSuchRowError,
-    TransactionAbortedError,
     TransformationAbortedError,
     TransformationStateError,
 )
@@ -32,6 +29,7 @@ from repro.transform.analysis import (
 )
 
 from tests.conftest import foj_spec, load_foj_data, values_of
+from tests.model import check_model, seeded
 
 
 def run_quiescent(foj_db, **tf_kwargs):
@@ -91,57 +89,11 @@ def test_stepwise_driving_with_small_budgets(foj_db):
                       full_outer_join(spec, r_rows, s_rows))
 
 
-def test_interleaved_workload_converges(foj_db):
+def test_interleaved_workload_converges():
     """The headline property: arbitrary interleaved user transactions
     (including aborts and join-attribute updates) between transformation
     steps; the final T equals the oracle join of the final sources."""
-    rng = random.Random(7)
-    load_foj_data(foj_db, n_r=30, n_s=10)
-    spec = foj_spec(foj_db)
-    tf = FojTransformation(foj_db, spec)
-    next_a = [1000]
-
-    def one_txn():
-        txn = foj_db.begin()
-        s = Session(foj_db)
-        s.txn = txn
-        try:
-            for _ in range(rng.randrange(1, 4)):
-                k = rng.random()
-                if k < 0.2:
-                    s.insert("R", {"a": next_a[0], "b": 0,
-                                   "c": rng.randrange(13)})
-                    next_a[0] += 1
-                elif k < 0.4:
-                    s.update("R", (rng.randrange(30),),
-                             {"c": rng.randrange(13)})
-                elif k < 0.55:
-                    s.delete("R", (rng.randrange(30),))
-                elif k < 0.7:
-                    s.update("R", (rng.randrange(30),), {"b": rng.random()})
-                elif k < 0.85:
-                    s.update("S", (rng.randrange(13),),
-                             {"d": f"d{rng.random():.3f}"})
-                else:
-                    s.delete("S", (rng.randrange(13),))
-            if rng.random() < 0.3:
-                foj_db.abort(txn)
-            else:
-                foj_db.commit(txn)
-        except (NoSuchRowError, DuplicateKeyError):
-            foj_db.abort(txn)
-        except TransactionAbortedError:
-            pass
-
-    for _ in range(150):
-        one_txn()
-        if tf.phase in (Phase.CREATED, Phase.PREPARED, Phase.POPULATING,
-                        Phase.PROPAGATING):
-            tf.step(rng.randrange(1, 20))
-    r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
-    tf.run()
-    assert rows_equal(values_of(foj_db, "T"),
-                      full_outer_join(spec, r_rows, s_rows))
+    check_model(seeded("foj", 7))
 
 
 def test_propagated_lock_table_tracks_active_txns(foj_db):
@@ -244,47 +196,6 @@ def test_m2m_requires_m2m_spec():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_m2m_interleaved_converges(seed):
-    db, spec = make_m2m_db(seed=seed)
-    rng = random.Random(seed + 50)
-    tf = Many2ManyFojTransformation(db, spec)
-    next_a, next_k = [1000], [1000]
+    check_model(seeded("foj_m2m", seed))
 
-    def one_txn():
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                if k < 0.15:
-                    s.insert("R", {"a": next_a[0], "b": 0,
-                                   "c": rng.randrange(7)})
-                    next_a[0] += 1
-                elif k < 0.3:
-                    s.insert("S", {"k": next_k[0],
-                                   "c": rng.randrange(7),
-                                   "d": "new"})
-                    next_k[0] += 1
-                elif k < 0.45:
-                    s.update("R", (rng.randrange(15),),
-                             {"c": rng.randrange(7)})
-                elif k < 0.6:
-                    s.update("S", (rng.randrange(10),),
-                             {"c": rng.randrange(7)})
-                elif k < 0.7:
-                    s.delete("R", (rng.randrange(15),))
-                elif k < 0.8:
-                    s.delete("S", (rng.randrange(10),))
-                elif k < 0.9:
-                    s.update("R", (rng.randrange(15),), {"b": rng.random()})
-                else:
-                    s.update("S", (rng.randrange(10),),
-                             {"d": f"x{rng.random():.2f}"})
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
 
-    for _ in range(120):
-        one_txn()
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(rng.randrange(1, 15))
-    r_rows, s_rows = values_of(db, "R"), values_of(db, "S")
-    tf.run()
-    assert rows_equal(values_of(db, "T"),
-                      full_outer_join(spec, r_rows, s_rows))

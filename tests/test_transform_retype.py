@@ -7,7 +7,6 @@ import pytest
 from repro import (
     Database,
     InconsistentDataError,
-    Phase,
     RETYPE_CASTS,
     RetypeSpec,
     RetypeTransformation,
@@ -18,10 +17,10 @@ from repro import (
     restart,
     retype,
 )
-from repro.common.errors import DuplicateKeyError, NoSuchRowError
 from repro.relational import rows_equal
 
 from tests.conftest import values_of
+from tests.model import check_model, seeded
 
 SCHEMA = TableSchema("reading", ["rid", "sensor", "value"],
                      primary_key=["rid"])
@@ -88,37 +87,7 @@ def test_retype_spec_rejects_key_attr_and_unknown_cast():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_retype_interleaved_converges(seed):
-    rng = random.Random(seed)
-    db = make_db(n=20, seed=seed)
-    spec = spec_for(db)
-    tf = RetypeTransformation(
-        db, spec)
-    next_id = [100]
-    for _ in range(90):
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                if k < 0.3:
-                    s.insert("reading",
-                             {"rid": next_id[0], "sensor": "new",
-                              "value": str(rng.randrange(100))})
-                    next_id[0] += 1
-                elif k < 0.5:
-                    s.delete("reading", (rng.randrange(20),))
-                elif k < 0.8:
-                    s.update("reading", (rng.randrange(20),),
-                             {"value": rng.choice(
-                                 [str(rng.randrange(100)), None])})
-                else:
-                    s.update("reading", (rng.randrange(20),),
-                             {"sensor": f"s{rng.randrange(8)}"})
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(rng.randrange(1, 12))
-    source = values_of(db, "reading")
-    tf.run()
-    assert rows_equal(values_of(db, "reading_v2"), retype(spec, source))
+    check_model(seeded("retype", seed))
 
 
 def test_retype_recovery_rebuilds_after_swap():

@@ -25,6 +25,7 @@ from tests.conftest import (
     table_counters,
     values_of,
 )
+from tests.model import check_model, seeded
 
 
 def test_quiescent_split_matches_oracle(split_db):
@@ -203,52 +204,7 @@ def test_repeated_split_produces_many_to_many():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_interleaved_split_converges(split_db, seed):
-    rng = random.Random(seed)
-    load_split_data(split_db, n=25, n_zip=5, seed=seed)
-    spec = split_spec(split_db)
-    tf = SplitTransformation(split_db, spec)
-    current_city = {7000 + i: f"C{7000 + i}" for i in range(5)}
-    next_id = [1000]
+def test_interleaved_split_converges(seed):
+    check_model(seeded("split", seed))
 
-    def one_txn():
-        will_abort = rng.random() < 0.2
-        txn = split_db.begin()
-        s = Session(split_db)
-        s.txn = txn
-        try:
-            k = rng.random()
-            z = 7000 + rng.randrange(5)
-            if k < 0.25:
-                s.insert("T", {"id": next_id[0], "name": "x", "zip": z,
-                               "city": current_city[z]})
-                next_id[0] += 1
-            elif k < 0.5:
-                s.delete("T", (rng.randrange(25),))
-            elif k < 0.75:
-                s.update("T", (rng.randrange(25),),
-                         {"zip": z, "city": current_city[z]})
-            else:
-                new_city = f"C{z}-{rng.randrange(100)}"
-                for r in [r for r in split_db.table("T").scan()
-                          if r.values["zip"] == z]:
-                    s.update("T", (r.values["id"],), {"city": new_city})
-                if not will_abort:
-                    current_city[z] = new_city
-            if will_abort:
-                split_db.abort(txn)
-            else:
-                split_db.commit(txn)
-        except (NoSuchRowError, DuplicateKeyError):
-            split_db.abort(txn)
 
-    for _ in range(120):
-        one_txn()
-        if not tf.done and tf.phase is not Phase.SYNCHRONIZING:
-            tf.step(rng.randrange(1, 15))
-    t_rows = values_of(split_db, "T")
-    tf.run()
-    r_rows, s_rows, counters, _ = split(spec, t_rows)
-    assert rows_equal(values_of(split_db, "T_r"), r_rows)
-    assert rows_equal(values_of(split_db, "postal"), s_rows)
-    assert table_counters(split_db, "postal") == counters
