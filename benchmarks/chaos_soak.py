@@ -21,8 +21,10 @@ Every experiment is fully reproducible from its seed.  On a violation
 the soak prints a one-line repro recipe, writes the full failing report
 (the fault plan, salvage description and violation list) to
 ``benchmarks/results/chaos_failures.json``, replays the seed *observed*
-(spans, trace events, blame edges, fault firings) and dumps the
-resulting postmortem bundle to
+and dumps the resulting postmortem bundle
+(:func:`repro.obs.report.postmortem_bundle`: ``report``, ``snapshot``,
+``spans``, ``blame`` and ``events`` -- the trace ring, fault firings and
+blame edges included) to
 ``benchmarks/results/postmortem_chaos_seed<seed>.json`` for artifact
 upload, then exits non-zero.
 """
@@ -37,8 +39,8 @@ from typing import Dict, List, Tuple
 
 from benchmarks.harness import save_results_json
 from repro.faults.chaos import chaos_run
-from repro.obs.flight import FlightRecorder, postmortem_bundle
 from repro.obs.metrics import Metrics
+from repro.obs.report import postmortem_bundle
 
 
 def dump_postmortem(seed: int) -> Tuple[Dict[str, object], str]:
@@ -50,9 +52,8 @@ def dump_postmortem(seed: int) -> Tuple[Dict[str, object], str]:
     edges and every fault firing next to the violation list.
     """
     metrics = Metrics()
-    flight = FlightRecorder(metrics)
-    report = chaos_run(seed, metrics=metrics, flight=flight)
-    bundle = postmortem_bundle(report, metrics, recorder=flight)
+    report = chaos_run(seed, metrics=metrics)
+    bundle = postmortem_bundle(report, metrics)
     path = save_results_json(f"postmortem_chaos_seed{seed}", bundle)
     return bundle, path
 

@@ -45,15 +45,18 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     The sweep is deterministic, so re-arming the same site at the same
     crossing reproduces the failing run -- now with a live registry, so
     the bundle written to
-    ``benchmarks/results/postmortem_fault_sweep.json`` carries the
-    failing run's spans, blame edges and fault firings next to the
-    sweep's own violation detail.
+    ``benchmarks/results/postmortem_fault_sweep.json``
+    (:func:`repro.obs.report.postmortem_bundle`) carries the site's
+    ``report`` (operator, strategy, site, crossing, outcome, violations)
+    next to the failing run's ``snapshot``, ``spans``, ``blame`` and
+    ``events`` -- its trace ring: blame edges, the ``fault.fired``
+    firing and, if the replay raised, a ``replay.error`` event.
     """
     from repro.common.errors import SimulatedCrashError
     from repro.faults.injection import CrashFault, FaultInjector, FaultPlan
     from repro.faults.sweep import ScenarioRun, sweep_config
-    from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import Metrics
+    from repro.obs.report import postmortem_bundle
     from repro.transform.base import SyncStrategy
 
     target = next(
@@ -66,23 +69,20 @@ def dump_postmortem(report: Dict[str, object]) -> Optional[str]:
     plan = FaultPlan().arm(entry["site"], CrashFault(),
                            hit=entry["crash_at_hit"])
     metrics = Metrics()
-    flight = FlightRecorder(metrics)
-    injector = FaultInjector(plan)
-    injector.on_fire = flight.note_fault
     config = sweep_config(combo["operator"], SyncStrategy(combo["strategy"]))
-    run = ScenarioRun(config, injector, metrics=metrics)
+    run = ScenarioRun(config, FaultInjector(plan), metrics=metrics)
     try:
         run.execute()
     except SimulatedCrashError:
         pass
     except Exception as exc:  # noqa: BLE001 - the bundle still helps
-        flight.note("replay.error", error=repr(exc))
-    bundle = flight.bundle(
-        "fault_sweep.violation",
-        operator=combo["operator"], strategy=combo["strategy"],
-        site=entry["site"], crash_at_hit=entry["crash_at_hit"],
-        outcome=entry["outcome"], detail=list(entry.get("detail") or ()))
-    return save_results_json("postmortem_fault_sweep", bundle)
+        metrics.trace("replay.error", error=repr(exc))
+    failure = {"operator": combo["operator"], "strategy": combo["strategy"],
+               "site": entry["site"], "crash_at_hit": entry["crash_at_hit"],
+               "outcome": entry["outcome"],
+               "violations": list(entry.get("detail") or ())}
+    return save_results_json("postmortem_fault_sweep",
+                             postmortem_bundle(failure, metrics))
 
 
 def diff_crossed(report: Dict[str, object],

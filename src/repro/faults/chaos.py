@@ -106,8 +106,7 @@ def draw_config(rng: random.Random, history_len: int = 6) -> RunConfig:
         history=draw_history(rng, history_len))
 
 
-def chaos_run(seed: int, metrics=None,
-              flight=None) -> Dict[str, object]:
+def chaos_run(seed: int, metrics=None) -> Dict[str, object]:
     """One seeded crash x disk-fault experiment; returns a report dict.
 
     The report's ``violations`` list is empty iff every durability and
@@ -115,13 +114,11 @@ def chaos_run(seed: int, metrics=None,
     exactly this experiment.
 
     When a :class:`~repro.obs.metrics.Metrics` registry is passed, the
-    *armed* pass runs observed -- spans, trace events and blame edges
-    accumulate in it, so a violating seed can be dumped as a postmortem
-    bundle (:func:`repro.obs.flight.postmortem_bundle`) carrying the
-    run's final spans and blame edges next to the violation list.  A
-    :class:`~repro.obs.flight.FlightRecorder` passed as ``flight``
-    additionally captures every fault firing as a moment *before* the
-    fault acts (a crash fault never returns control).
+    *armed* pass runs observed -- spans, trace events, blame edges and
+    fault firings (traced *before* the fault acts: a crash fault never
+    returns control) accumulate in it, so a violating seed can be dumped
+    as a postmortem bundle (:func:`repro.obs.report.postmortem_bundle`:
+    the report, snapshot, span tree, blame snapshot and trace events).
     """
     rng = random.Random(seed)
     config = draw_config(rng)
@@ -175,11 +172,7 @@ def chaos_run(seed: int, metrics=None,
     report.update(crash_site=crash_site, crash_hit=crash_hit,
                   disk_fault=fault_kind, disk_fault_hit=disk_hit)
 
-    if flight is not None and metrics is None:
-        metrics = flight.metrics
     run = make_run(FaultInjector(plan), metrics=metrics)
-    if flight is not None:
-        run.faults.on_fire = flight.note_fault
     try:
         run.execute()
     except SimulatedCrashError:

@@ -284,8 +284,9 @@ class FaultInjector:
     the sweep harness's site-discovery pass.  ``on_fire`` (when set) is
     called as ``on_fire(site, crossing, kind)`` the moment a fault
     triggers -- **before** the fault acts, since a crash fault never
-    returns -- which is how the flight recorder captures firings into a
-    postmortem even when the firing kills the run.
+    returns -- which is how an observed
+    :class:`~repro.faults.sweep.ScenarioRun` traces firings into its
+    registry even when the firing kills the run.
     """
 
     enabled = True
@@ -296,7 +297,7 @@ class FaultInjector:
         self.hits: Dict[str, int] = {}
         #: chronological (site, crossing#, fault kind) firing log.
         self.fired: List[Tuple[str, int, str]] = []
-        #: optional firing observer (e.g. FlightRecorder.note_fault).
+        #: optional firing observer (see the class docstring).
         self.on_fire: Optional[Callable[[str, int, str], None]] = None
 
     def fire(self, site: str, **ctx: object) -> Optional[Fault]:

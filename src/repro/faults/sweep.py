@@ -404,7 +404,9 @@ class ScenarioRun:
     pass; an armed :class:`CrashFault` leaves the prefix bit-identical, so
     site crossing counts from the recording pass predict exactly where
     each armed pass dies.  The log writes through a fresh
-    :class:`SimulatedDisk` under the description's flush policy.
+    :class:`SimulatedDisk` under the description's flush policy.  Given a
+    ``metrics`` registry, the run traces every fault firing into its
+    ring as a ``fault.fired`` event.
     """
 
     def __init__(self, config: RunConfig,
@@ -425,6 +427,10 @@ class ScenarioRun:
         # a Metrics registry; the stock sweep stays on the null registry.
         self.db = Database(log=self.log, metrics=metrics,
                            faults=self.faults)
+        if metrics is not None:
+            # Traced before the fault acts: a crash never returns.
+            self.faults.on_fire = lambda site, hit, kind: metrics.trace(
+                "fault.fired", site=site, hit=hit, fault=kind)
         self.shadow = _Shadow()
         #: Writes into published tables, kept apart: an in-place change
         #: publishes under its source's name.

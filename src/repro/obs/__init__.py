@@ -18,16 +18,14 @@ this package makes the quantities behind those measurements first-class:
 * **convergence** (:mod:`repro.obs.convergence`) -- the per-iteration
   propagation-lag series behind Section 3.3's three analyses;
 * **run reports** (:mod:`repro.obs.report`) -- the single JSON document
-  per benchmark run, rendered by ``python -m repro.obs.report``;
+  per benchmark run, rendered by ``python -m repro.obs.report``, and the
+  postmortem bundle the chaos soak and fault sweep dump on a violation;
 * **blame** (:mod:`repro.obs.blame`) -- interference attribution: every
   lock/latch/blocked-table wait becomes an edge tagged with what the
   *holder* was doing (user work vs. a transformation phase), so "who
   made my transaction wait" is a measured quantity, not a guess;
-* **exporters** (:mod:`repro.obs.export`) -- Prometheus text exposition
-  and OTLP-shaped JSONL spans/events for external tooling;
-* **flight recorder** (:mod:`repro.obs.flight`) -- bounded black box +
-  SLO monitors dumping postmortem bundles on chaos violations, fault
-  firings and objective breaches.
+* **trace ring** (:mod:`repro.obs.trace`) -- the one bounded store of
+  retained moments: trace events, closed blame edges and fault firings.
 
 Collection is disabled by default (components hold :data:`NULL_METRICS`,
 whose methods are no-ops); see :class:`Metrics` for how to enable it.
@@ -35,19 +33,6 @@ whose methods are no-ops); see :class:`Metrics` for how to enable it.
 
 from repro.obs.blame import NULL_BLAME, ROLES, BlameBoard
 from repro.obs.convergence import ConvergenceMonitor, ConvergencePoint
-from repro.obs.export import (
-    events_to_jsonl,
-    parse_exposition,
-    prometheus_exposition,
-    spans_to_jsonl,
-    write_exports,
-)
-from repro.obs.flight import (
-    FlightRecorder,
-    SloMonitor,
-    SloPolicy,
-    postmortem_bundle,
-)
 from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
@@ -57,6 +42,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.report import (
     build_run_report,
+    postmortem_bundle,
     render_report,
     run_section,
     sparkline,
@@ -70,7 +56,6 @@ __all__ = [
     "ConvergencePoint",
     "Counter",
     "EventRing",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "Metrics",
@@ -78,19 +63,12 @@ __all__ = [
     "NULL_METRICS",
     "NULL_SPAN",
     "ROLES",
-    "SloMonitor",
-    "SloPolicy",
     "Span",
     "SpanTracker",
     "TraceEvent",
     "build_run_report",
-    "events_to_jsonl",
-    "parse_exposition",
     "postmortem_bundle",
-    "prometheus_exposition",
     "render_report",
     "run_section",
     "sparkline",
-    "spans_to_jsonl",
-    "write_exports",
 ]

@@ -45,6 +45,11 @@ unblocked, or the waiter abandons the wait (deadlock victim, abort --
 :meth:`abandon_waits`); either way the full measured duration is
 attributed, so totals stay exact.
 
+Each closed edge is appended to the registry's trace ring as one
+``blame.edge`` event (waiter, resource, channel, roles, duration,
+outcome): the ring is the one bounded store of retained moments, so
+the edges share its bound and its drop counter.
+
 The board follows the library's NULL-object discipline: a disabled
 :class:`~repro.obs.metrics.Metrics` carries :data:`NULL_BLAME`, whose
 methods are empty one-liners.
@@ -52,9 +57,8 @@ methods are empty one-liners.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 # NOTE: repro.obs.metrics owns Histogram *and* constructs its NULL
 # singleton (which carries NULL_BLAME) at import time, so this module
@@ -124,21 +128,17 @@ class _OpenWait:
 class BlameBoard:
     """Accumulates wait edges into per-role and per-transaction blame.
 
-    ``clock`` is the shared observability clock (virtual milliseconds in
-    the simulator), so durations line up with every other instrument.
+    ``metrics`` is the registry the board belongs to: durations are read
+    on its clock (virtual milliseconds in the simulator), so they line up
+    with every other instrument, and closed edges land in its trace ring.
     """
 
     enabled = True
 
-    #: Wait edges retained (oldest dropped and counted beyond it).
-    EDGE_CAPACITY = 4096
-
-    def __init__(self, clock: Callable[[], float] = None) -> None:
-        self._clock = clock if clock is not None else (lambda: 0.0)
+    def __init__(self, metrics) -> None:
+        self._metrics = metrics
         self._roles: Dict[object, str] = {}
         self._open: Dict[Tuple[object, object], _OpenWait] = {}
-        self.edges: deque = deque(maxlen=self.EDGE_CAPACITY)
-        self.edges_dropped = 0
         self.edges_total = 0
         self.total_wait_ms = 0.0
         self.by_role: Dict[str, float] = {}
@@ -185,7 +185,7 @@ class BlameBoard:
             return
         roles = tuple(sorted({self.role_of(h) for h in holders})) \
             or (ROLE_USER,)
-        self._open[key] = _OpenWait(self._clock(), roles, channel)
+        self._open[key] = _OpenWait(self._metrics.now(), roles, channel)
 
     def end_wait(self, waiter: object, resource: object,
                  outcome: str = "granted") -> None:
@@ -199,7 +199,7 @@ class BlameBoard:
         wait = self._open.pop((waiter, resource), None)
         if wait is None:
             return
-        duration = max(0.0, self._clock() - wait.t0)
+        duration = max(0.0, self._metrics.now() - wait.t0)
         roles = wait.roles
         share = duration / len(roles)
         self.total_wait_ms += duration
@@ -216,16 +216,10 @@ class BlameBoard:
             if txn_slot is not None:
                 txn_slot[role] = txn_slot.get(role, 0.0) + share
         self.edges_total += 1
-        if len(self.edges) == self.EDGE_CAPACITY:
-            self.edges_dropped += 1
-        self.edges.append({
-            "waiter": waiter,
-            "resource": repr(resource),
-            "channel": wait.channel,
-            "roles": list(roles),
-            "duration_ms": duration,
-            "outcome": outcome,
-        })
+        self._metrics.trace("blame.edge", waiter=waiter,
+                            resource=repr(resource), channel=wait.channel,
+                            roles=list(roles), duration_ms=duration,
+                            outcome=outcome)
 
     def abandon_waits(self, waiter: object) -> None:
         """Close every open edge of ``waiter`` as abandoned (deadlock
@@ -251,24 +245,13 @@ class BlameBoard:
                        for txn, roles in sorted(self.by_txn.items())},
             "edges": {
                 "recorded": self.edges_total,
-                "retained": len(self.edges),
-                "dropped": self.edges_dropped,
                 "open": len(self._open),
             },
         }
 
-    def recent_edges(self, limit: int = None) -> List[Dict[str, object]]:
-        """The newest retained edges (for the flight recorder)."""
-        edges = list(self.edges)
-        if limit is not None:
-            edges = edges[-limit:]
-        return edges
-
     def reset(self) -> None:
         """Zero every accumulator; registrations and open waits survive
         (a reset mid-wait must not orphan the eventual end_wait)."""
-        self.edges.clear()
-        self.edges_dropped = 0
         self.edges_total = 0
         self.total_wait_ms = 0.0
         self.by_role.clear()
@@ -287,7 +270,9 @@ class _NullBlameBoard(BlameBoard):
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(clock=lambda: 0.0)
+        # Built while repro.obs.metrics is still importing, so it has no
+        # registry; none of the overrides below reads one.
+        super().__init__(None)
 
     def set_role(self, owner: object, role: str) -> None:  # noqa: D102
         return None

@@ -67,8 +67,8 @@ class Histogram:
 
     #: Fixed upper bounds of the exact bucket counts (the last bucket is
     #: the +Inf overflow).  Chosen for millisecond-scale latencies; the
-    #: bounds are exposed in :meth:`as_dict` so consumers (the Prometheus
-    #: exporter, regression gates) never have to hard-code them.
+    #: bounds are exposed in :meth:`as_dict` so consumers never have to
+    #: hard-code them.
     BUCKET_BOUNDS: Tuple[float, ...] = (
         0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
         1000.0, 2500.0)
@@ -184,7 +184,7 @@ class Gauge:
 
 
 class Metrics:
-    """Registry of counters, histograms and the trace ring.
+    """Registry of counters, histograms, gauges, spans and the trace ring.
 
     Args:
         enabled: When False every recording method returns immediately
@@ -192,10 +192,15 @@ class Metrics:
         clock: Timestamp source for trace events, spans and :meth:`now`;
             defaults to :func:`time.perf_counter`.
 
-    Every retention bound is a constant of the instrument that keeps it
+    :attr:`ring` is the one store of retained moments: :meth:`trace`
+    events, the blame board's closed wait edges (``blame.edge``) and,
+    in a :class:`~repro.faults.sweep.ScenarioRun`, fault firings
+    (``fault.fired``) share its bound and its drop counter.  Every
+    retention bound is a constant of the instrument that keeps it
     (``EventRing.CAPACITY``, ``Histogram.SAMPLE_CAP``,
     ``SpanTracker.CAPACITY``, ``Gauge.SERIES_CAP``,
-    ``BlameBoard.EDGE_CAPACITY``).
+    ``ConvergenceMonitor.CAPACITY``); histogram samples and gauge series
+    stay per instrument because percentiles and plotted series read them.
     """
 
     def __init__(self, enabled: bool = True,
@@ -211,8 +216,9 @@ class Metrics:
         # Deferred import: repro.obs.blame reuses Histogram from this
         # module, so the board is bound at construction time instead.
         from repro.obs.blame import BlameBoard
-        #: Interference attribution board sharing this registry's clock.
-        self.blame = BlameBoard(self._clock)
+        #: Interference attribution board on this registry's clock and
+        #: ring.
+        self.blame = BlameBoard(self)
 
     # -- instruments --------------------------------------------------------
 
@@ -320,7 +326,7 @@ class Metrics:
         }
 
     def reset(self) -> None:
-        """Drop all instruments, trace events, spans and blame edges."""
+        """Drop all instruments, trace events, spans and blame totals."""
         self._counters.clear()
         self._histograms.clear()
         self._gauges.clear()

@@ -17,7 +17,11 @@ the paper's reporting unit).  The benchmark harness persists these under
 ``benchmarks/results/`` and seeds the repo-root ``BENCH_interference.json``
 consumed by the CI regression gate.
 
-Render one from the command line::
+A *postmortem bundle* (:func:`postmortem_bundle`) is the failure-side
+sibling: a chaos or sweep failure report next to the failing run's
+snapshot, span tree, blame snapshot and trace-ring events.
+
+Render a run report from the command line::
 
     python -m repro.obs.report benchmarks/results/run_report.json
 
@@ -100,6 +104,27 @@ def build_run_report(name: str, runs: Sequence[Dict[str, object]], *,
         "meta": dict(meta or {}),
         "runs": list(runs),
         "interference": interference,
+    }
+
+
+def postmortem_bundle(report: Dict[str, object],
+                      metrics) -> Dict[str, object]:
+    """A chaos/sweep failure report + the failing run's black box.
+
+    ``report`` carries the violating seed or site, its repro recipe and
+    the violation list; ``metrics`` is the registry the replayed run was
+    observed with.  ``events`` is its trace ring, oldest first: the
+    framework's trace events, the ``blame.edge`` wait edges and the
+    ``fault.fired`` firings share it.
+    """
+    snapshot = metrics.snapshot()
+    return {
+        "reason": "violation" if report.get("violations") else "report",
+        "report": report,
+        "snapshot": snapshot,
+        "spans": metrics.spans.tree(),
+        "blame": snapshot["blame"],
+        "events": [event.as_dict() for event in metrics.events()],
     }
 
 

@@ -29,7 +29,7 @@ Retention is bounded: once ``CAPACITY`` spans have been started, further
 ``begin`` calls return the shared :data:`NULL_SPAN` and are counted in
 :attr:`SpanTracker.dropped` -- the *earliest* spans survive, so the root
 structure of a long run is never evicted (the opposite policy from the
-flight-recorder :class:`~repro.obs.trace.EventRing`, which keeps the most
+trace ring, :class:`~repro.obs.trace.EventRing`, which keeps the most
 recent events).
 """
 

@@ -2,10 +2,13 @@
 
 The trace is the qualitative side of the observability subsystem: while
 counters and histograms aggregate, the event ring keeps the *last N*
-interesting moments (latch acquired, iteration finished, schema swapped)
-with their payloads, so a stalled or slow transformation can be read back
-like a flight recorder.  The ring is bounded: tracing never grows without
-limit and an idle consumer costs nothing.
+interesting moments with their payloads -- the framework's own events
+(latch acquired, iteration finished, schema swapped, supervisor
+retries), every closed blame wait edge (``blame.edge``) and, in an
+observed scenario run, every fault firing (``fault.fired``) -- so a
+stalled, slow or crashed transformation can be read back in order.  It
+is the one store of retained moments: one bound, one drop counter, and
+a postmortem bundle's ``events`` list is its content.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ class EventRing:
         self._events: Deque[TraceEvent] = deque(maxlen=self.CAPACITY)
         #: Total events ever appended (including evicted ones).
         self.appended = 0
-        #: Events evicted by the bound -- non-zero means the flight
-        #: recorder truncated and the retained window is not the full run.
+        #: Events evicted by the bound -- non-zero means the retained
+        #: window is not the full run.
         self.dropped = 0
 
     def append(self, event: TraceEvent) -> None:

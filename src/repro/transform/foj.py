@@ -186,9 +186,6 @@ class JoinRuleEngine(RuleEngine):
             return []
         return self.t.lookup(JOIN_INDEX, (value,))
 
-    def _key_of(self, row: Row) -> Tuple:
-        return self.t.schema.key_of(row.values)
-
     def _insert_t(self, values: Dict[str, object],
                   null_side: Optional[str] = None) -> Row:
         return self.t.insert_row(

@@ -33,7 +33,6 @@ from repro.common.errors import (
     TransformationStarvedError,
 )
 from repro.engine.database import Database
-from repro.obs.flight import FlightRecorder, SloMonitor, SloPolicy
 from repro.transform.base import Phase, Transformation
 
 
@@ -54,15 +53,6 @@ class TransformationSupervisor:
             below).
         on_wait: Optional callback receiving each backoff duration in wait
             units (e.g. ``time.sleep`` or a simulator clock advance).
-        slo: Optional :class:`~repro.obs.flight.SloPolicy`: the driver
-            feeds every step's convergence observation (estimated
-            remaining records + the stalled flag) and, on retries, a
-            metrics snapshot to an :class:`~repro.obs.flight.SloMonitor`,
-            exposed as :attr:`slo_monitor`.  Trips land as moments on
-            ``flight`` (when given), so a starving or stalled run leaves
-            a postmortem trail instead of only an exception.
-        flight: Optional :class:`~repro.obs.flight.FlightRecorder` the
-            SLO monitor records trips into.
     """
 
     #: Give up (re-raising the last abort) after this many failed attempts.
@@ -82,18 +72,11 @@ class TransformationSupervisor:
     def __init__(self, db: Database,
                  factory: Callable[[], Transformation], *,
                  budget: int = 256,
-                 on_wait: Optional[Callable[[float], None]] = None,
-                 slo: Optional[SloPolicy] = None,
-                 flight: Optional[FlightRecorder] = None) -> None:
+                 on_wait: Optional[Callable[[float], None]] = None) -> None:
         self.db = db
         self.factory = factory
         self.budget = budget
         self.on_wait = on_wait
-        self.flight = flight
-        #: Trips at most once per objective; inspect ``.trips`` after
-        #: :meth:`run` (or pass ``flight`` to get them as moments).
-        self.slo_monitor: Optional[SloMonitor] = \
-            SloMonitor(slo, recorder=flight) if slo is not None else None
         #: The database's registry: the retry loop is part of the observed
         #: pipeline, so attempts show up as spans under ``supervisor`` and
         #: retries/backoffs/escalations as trace events.
@@ -131,10 +114,6 @@ class TransformationSupervisor:
                     self.history.append({"budget": budget,
                                          "outcome": "done"})
                     self._attempt_over(span, attempt, budget, "done")
-                    if self.slo_monitor is not None and \
-                            self.metrics.enabled:
-                        self.slo_monitor.observe_snapshot(
-                            self.metrics.snapshot())
                     return tf
                 except TransformationStarvedError as exc:
                     last_error = exc
@@ -162,13 +141,6 @@ class TransformationSupervisor:
                     self._ensure_aborted(tf)
                     self._attempt_over(span, attempt, budget, "aborted")
                 if attempt < self.MAX_ATTEMPTS:
-                    if self.slo_monitor is not None and \
-                            self.metrics.enabled:
-                        # A retry boundary is the natural latency
-                        # checkpoint: the failed attempt's histograms are
-                        # complete, the next attempt has not diluted them.
-                        self.slo_monitor.observe_snapshot(
-                            self.metrics.snapshot())
                     if self.metrics.enabled:
                         self.metrics.inc("supervisor.retries")
                         self.metrics.observe("supervisor.backoff_wait", wait)
@@ -196,12 +168,6 @@ class TransformationSupervisor:
         """One attempt: step until done; abort + raise on stall."""
         for _ in range(self.MAX_STEPS_PER_ATTEMPT):
             report = tf.step(budget)
-            if self.slo_monitor is not None:
-                remaining = report.info.get("remaining")
-                if remaining is not None or report.stalled:
-                    self.slo_monitor.observe_convergence(
-                        float(remaining if remaining is not None else 1),
-                        starving=report.stalled)
             if report.done:
                 return
             if report.stalled:

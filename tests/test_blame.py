@@ -10,7 +10,7 @@ from repro.common.errors import (
     LockWaitError,
     TransactionAbortedError,
 )
-from repro.obs import NULL_BLAME, ROLES, BlameBoard
+from repro.obs import NULL_BLAME, ROLES, EventRing
 from repro.obs.blame import PHASE_ROLES, default_role
 
 R_SCHEMA = TableSchema("R", ["a", "b"], primary_key=["a"])
@@ -25,6 +25,12 @@ class _Clock:
 
     def __call__(self) -> float:
         return self.t
+
+
+def new_board(clock):
+    """A fresh registry and its board (closed edges land in its ring)."""
+    metrics = Metrics(clock=clock)
+    return metrics, metrics.blame
 
 
 def observed_db():
@@ -54,24 +60,25 @@ def test_phase_roles_match_paper_taxonomy():
 
 def test_wait_edge_measures_duration_and_attributes_role():
     clock = _Clock()
-    board = BlameBoard(clock)
+    metrics, board = new_board(clock)
     board.begin_wait(1, ("rec", "x"), holders=[2], channel="lock")
     clock.t = 5.0
     board.end_wait(1, ("rec", "x"))
     assert board.total_wait_ms == 5.0
     assert board.by_role == {"user": 5.0}
     assert board.by_txn == {1: {"user": 5.0}}
-    (edge,) = board.edges
-    assert edge["channel"] == "lock"
-    assert edge["roles"] == ["user"]
-    assert edge["outcome"] == "granted"
+    (edge,) = metrics.events("blame.edge")
+    assert edge.as_dict() == {
+        "ts": 5.0, "kind": "blame.edge", "waiter": 1,
+        "resource": repr(("rec", "x")), "channel": "lock",
+        "roles": ["user"], "duration_ms": 5.0, "outcome": "granted"}
 
 
 def test_begin_wait_is_idempotent_per_waiter_resource():
     # The park/wake/retry loop re-enters begin_wait on every retry; only
     # the first enqueue may start the clock.
     clock = _Clock()
-    board = BlameBoard(clock)
+    _, board = new_board(clock)
     board.begin_wait(1, "r", holders=[2], channel="lock")
     clock.t = 3.0
     board.begin_wait(1, "r", holders=[2], channel="lock")  # retry
@@ -83,7 +90,7 @@ def test_begin_wait_is_idempotent_per_waiter_resource():
 
 def test_duration_splits_evenly_and_sums_exactly():
     clock = _Clock()
-    board = BlameBoard(clock)
+    _, board = new_board(clock)
     board.set_role(-1, "sync")
     board.begin_wait(1, "r", holders=[2, -1], channel="lock")
     clock.t = 8.0
@@ -96,7 +103,7 @@ def test_holder_roles_resolve_at_enqueue_time():
     # Blame describes what the holder was doing when it got in the way,
     # not what it happens to be doing when the wait ends.
     clock = _Clock()
-    board = BlameBoard(clock)
+    _, board = new_board(clock)
     board.set_role(9, "populate")
     board.begin_wait(1, "r", holders=[9], channel="lock")
     board.clear_role(9)
@@ -106,7 +113,7 @@ def test_holder_roles_resolve_at_enqueue_time():
 
 
 def test_scoped_role_reverts_and_nests():
-    board = BlameBoard(_Clock())
+    _, board = new_board(_Clock())
     board.set_role(5, "sweeper")
     with board.role(5, "lazy-miss"):
         assert board.role_of(5) == "lazy-miss"
@@ -121,43 +128,47 @@ def test_scoped_role_reverts_and_nests():
 
 def test_abandon_waits_closes_all_edges_of_the_waiter():
     clock = _Clock()
-    board = BlameBoard(clock)
+    metrics, board = new_board(clock)
     board.begin_wait(1, "r1", holders=[2], channel="lock")
     board.begin_wait(1, "r2", holders=[3], channel="lock")
     board.begin_wait(4, "r1", holders=[2], channel="lock")
     clock.t = 1.0
     board.abandon_waits(1)
     assert board.edges_total == 2
-    assert all(e["outcome"] == "abandoned" for e in board.edges)
+    assert [e.fields["outcome"] for e in metrics.events("blame.edge")] \
+        == ["abandoned", "abandoned"]
     assert board.snapshot()["edges"]["open"] == 1  # txn 4 still parked
 
 
 def test_end_wait_on_unknown_edge_is_a_noop():
-    board = BlameBoard(_Clock())
+    _, board = new_board(_Clock())
     board.end_wait(1, "never-started")
     assert board.edges_total == 0
     assert board.total_wait_ms == 0.0
 
 
 def test_edge_ring_is_bounded_and_counts_drops():
+    # Edges live in the registry's trace ring: its bound and its drop
+    # counter are theirs, while the board's own totals stay exact.
     clock = _Clock()
-    board = BlameBoard(clock)
-    cap = BlameBoard.EDGE_CAPACITY
+    metrics, board = new_board(clock)
+    cap = EventRing.CAPACITY
     for i in range(cap + 1):
         board.begin_wait(i + 1, "r", holders=[9], channel="lock")
         clock.t += 1.0
         board.end_wait(i + 1, "r")
     assert board.edges_total == cap + 1
-    assert len(board.edges) == cap
-    assert board.edges_dropped == 1
-    snap = board.snapshot()["edges"]
-    assert snap == {"recorded": cap + 1, "retained": cap, "dropped": 1,
-                    "open": 0}
+    edges = metrics.events("blame.edge")
+    assert len(edges) == cap
+    assert edges[0].fields["waiter"] == 2  # the oldest went first
+    assert metrics.snapshot()["trace"] == {
+        "retained": cap, "appended": cap + 1, "dropped": 1}
+    assert board.snapshot()["edges"] == {"recorded": cap + 1, "open": 0}
 
 
 def test_snapshot_shape_is_reporting_complete():
     clock = _Clock()
-    board = BlameBoard(clock)
+    _, board = new_board(clock)
     board.begin_wait(1, "r", holders=[-3], channel="blocked")
     clock.t = 4.0
     board.end_wait(1, "r")
@@ -170,12 +181,24 @@ def test_snapshot_shape_is_reporting_complete():
 
 def test_reset_keeps_open_waits_alive():
     clock = _Clock()
-    board = BlameBoard(clock)
+    _, board = new_board(clock)
     board.begin_wait(1, "r", holders=[2], channel="lock")
     board.reset()
     clock.t = 6.0
     board.end_wait(1, "r")
     assert board.total_wait_ms == 6.0
+
+
+def test_reset_leaves_the_board_writing_into_the_live_ring():
+    clock = _Clock()
+    metrics, board = new_board(clock)
+    metrics.reset()
+    board.begin_wait(1, "r", holders=[2], channel="lock")
+    clock.t = 2.0
+    board.end_wait(1, "r")
+    (edge,) = metrics.events("blame.edge")
+    assert edge.fields["duration_ms"] == 2.0
+    assert metrics.snapshot()["trace"]["appended"] == 1
 
 
 def test_null_blame_is_inert_and_cannot_be_enabled():
@@ -212,9 +235,9 @@ def test_lock_wait_produces_a_user_blame_edge():
     assert blame["total_wait_ms"] == 7.0
     assert blame["by_role"]["user"] == 7.0
     assert blame["by_txn"][reader.txn_id] == {"user": 7.0}
-    (edge,) = metrics.blame.recent_edges()
-    assert edge["channel"] == "lock"
-    assert edge["outcome"] == "granted"
+    (edge,) = metrics.events("blame.edge")
+    assert edge.fields["channel"] == "lock"
+    assert edge.fields["outcome"] == "granted"
 
 
 def test_latch_wait_blames_the_latched_window():
@@ -231,8 +254,8 @@ def test_latch_wait_blames_the_latched_window():
     db.unlatch_table(table, "split#1")
     blame = metrics.blame.snapshot()
     assert blame["by_role"]["latched-window"] == 3.0
-    (edge,) = metrics.blame.recent_edges()
-    assert edge["channel"] == "latch"
+    (edge,) = metrics.events("blame.edge")
+    assert edge.fields["channel"] == "latch"
 
 
 def test_blocked_table_wait_blames_sync():
@@ -246,8 +269,8 @@ def test_blocked_table_wait_blames_sync():
     db.unblock_tables(["R"])
     blame = metrics.blame.snapshot()
     assert blame["by_role"]["sync"] == 11.0
-    (edge,) = metrics.blame.recent_edges()
-    assert edge["channel"] == "blocked"
+    (edge,) = metrics.events("blame.edge")
+    assert edge.fields["channel"] == "blocked"
 
 
 def test_aborted_waiter_ends_its_edges_as_abandoned():
@@ -262,8 +285,8 @@ def test_aborted_waiter_ends_its_edges_as_abandoned():
         db.read(reader, "R", (1,))
     clock.t = 2.0
     db.abort(reader)
-    (edge,) = metrics.blame.recent_edges()
-    assert edge["outcome"] == "abandoned"
+    (edge,) = metrics.events("blame.edge")
+    assert edge.fields["outcome"] == "abandoned"
     assert metrics.blame.snapshot()["edges"]["open"] == 0
     db.commit(writer)
 

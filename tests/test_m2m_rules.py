@@ -197,3 +197,15 @@ def test_lock_mappings():
     assert sorted(key for _, key in targets) == [(1, 7), (1, 8)]
     sources = engine.sources_of_target_lock("T", (1, 7))
     assert sorted(tbl.name for tbl, _ in sources) == ["R", "S"]
+    # A row with a NULL half is named like Table.lock_key names it (a
+    # user transaction's record lock on T) and maps back to its one
+    # source row.
+    r_only = put(t, {"a": 2, "b": "b2", "c": 20, "k": None, "d": None},
+                 s_null=True)
+    s_only = put(t, {"a": None, "b": None, "c": 30, "k": 9, "d": "d9"},
+                 r_null=True)
+    for row, table, key in ((r_only, "R", (2,)), (s_only, "S", (9,))):
+        assert engine.targets_of_source_lock(table, key) == \
+            [(t, t.lock_key(row))]
+        sources = engine.sources_of_target_lock("T", t.lock_key(row))
+        assert [(tbl.name, k) for tbl, k in sources] == [(table, key)]

@@ -26,8 +26,8 @@ from repro.api import (
     resolve_sync_strategy,
     run_plan,
 )
-from repro.obs import (BlameBoard, ConvergenceMonitor, EventRing,
-                       FlightRecorder, Gauge, Histogram, SpanTracker)
+from repro.obs import (BlameBoard, ConvergenceMonitor, EventRing, Gauge,
+                       Histogram, SpanTracker)
 
 
 def build_db():
@@ -87,7 +87,7 @@ def test_removed_option_fields_are_rejected():
         (Metrics, "enabled clock", "trace_capacity sample_cap "
          "span_capacity gauge_series_cap blame_edge_capacity"),
         (partial(TransformationSupervisor, db, lambda: None),
-         "budget on_wait slo flight", "max_attempts backoff_base "
+         "budget on_wait", "slo flight max_attempts backoff_base "
          "backoff_factor backoff_cap escalation_factor max_budget "
          "max_steps_per_attempt"),
         (partial(PlanExecutor, db, plan), "validate observe",
@@ -96,11 +96,10 @@ def test_removed_option_fields_are_rejected():
          "supervisor_kwargs"),
         (EventRing, "", "capacity"),
         (partial(SpanTracker, clock), "", "capacity"),
-        (partial(BlameBoard, clock), "", "edge_capacity"),
+        (partial(BlameBoard, Metrics()), "", "edge_capacity"),
         (partial(Histogram, "h"), "", "sample_cap"),
         (partial(Gauge, "g"), "", "series_cap"),
         (partial(ConvergenceMonitor, Metrics(), "tf"), "", "capacity"),
-        (partial(FlightRecorder, Metrics()), "", "capacity"),
     ]
     for make, accepted, retired in census:
         assert list(inspect.signature(make).parameters) == accepted.split()
