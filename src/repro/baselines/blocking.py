@@ -122,9 +122,8 @@ class BlockingTransformation:
         if take <= 0:
             return 0
         if self.is_split:
-            migrate = self._engine.migrate_row
-            for values, lsn in self._rows[self._pos:self._pos + take]:
-                migrate(self.spec.source_name, values, lsn)
+            self._engine.migrate_rows(self.spec.source_name,
+                                      self._rows[self._pos:self._pos + take])
         elif self._pos + take >= len(self._rows):
             # The FOJ is computed in one go on the last chunk: the copy
             # cost dominates and the tables are latched either way (so

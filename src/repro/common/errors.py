@@ -54,12 +54,13 @@ class StorageError(ReproError):
 
 
 class DuplicateKeyError(StorageError):
-    """An insert violated a unique (primary or candidate key) index."""
+    """An insert violated the unique (primary or candidate key) ``index``."""
 
-    def __init__(self, table: str, key: tuple) -> None:
+    def __init__(self, table: str, key: tuple, index: str = "") -> None:
         super().__init__(f"duplicate key {key!r} in table {table!r}")
         self.table_name = table
         self.key = key
+        self.index = index
 
 
 class NoSuchRowError(StorageError):

@@ -57,9 +57,9 @@ class HashIndex:
         self.table_name = table_name
         #: ``key -> rowid`` when unique, ``key -> set of rowids`` otherwise.
         self._map: Dict[Tuple, object] = {}
-        #: ``misses`` counts bucket probes.  ``hits`` and ``stale`` stay 0:
-        #: every lookup reads the bucket (there is no result cache); the
-        #: keys remain because the wall-clock ledger reads them.
+        #: ``misses`` counts lookups (an insert's claim is none).  ``hits``
+        #: and ``stale`` stay 0 (there is no result cache); the keys
+        #: remain because the wall-clock ledger reads them.
         self.probe_stats = {"hits": 0, "misses": 0, "stale": 0}
 
     # -- maintenance ---------------------------------------------------------
@@ -78,7 +78,7 @@ class HashIndex:
         """
         if self.unique:
             if self._map.setdefault(key, rowid) != rowid:
-                raise DuplicateKeyError(self.table_name or "?", key)
+                raise DuplicateKeyError(self.table_name or "?", key, self.name)
             return
         bucket = self._map.get(key)
         if bucket is None:

@@ -143,8 +143,11 @@ class TableSchema:
         """Validate and complete a row image.
 
         Unknown columns raise; missing columns are filled with ``None``.
-        Returns a fresh dict ordered like the schema.
+        Returns a fresh dict ordered like the schema: a plain copy when
+        ``values`` already is one (an image built from these attributes).
         """
+        if tuple(values) == self.attribute_names:
+            return dict(values)
         if not self.attribute_set.issuperset(values):
             extra = set(values) - self.attribute_set
             raise SchemaError(

@@ -36,7 +36,7 @@ SITE_TABLE_INSERT = register_site(
     "table.insert", "storage", "before a row is stored in the heap")
 SITE_TABLE_INSERT_INDEXED = register_site(
     "table.insert.indexed", "storage",
-    "after the heap store, mid index maintenance")
+    "after the row is indexed and stored in the heap")
 SITE_TABLE_DELETE = register_site(
     "table.delete", "storage", "before a row leaves the heap and indexes")
 SITE_TABLE_UPDATE = register_site(
@@ -145,39 +145,40 @@ class Table:
         """Insert a new row; returns it.
 
         The values mapping is normalized against the schema (missing
-        attributes become NULL).  Unique-index violations raise
-        :class:`DuplicateKeyError` before any index is modified.  Each
-        index key is extracted once and serves both that check and the
-        index entry.
+        attributes become NULL).  A unique index claims the key with one
+        probe; a taken key raises :class:`DuplicateKeyError` naming the
+        index.  A refused or fault-aborted insert changes nothing.
         """
         faults = self.faults
         if faults.enabled:
             faults.fire(SITE_TABLE_INSERT, table=self.name)
         normalized = self.schema.normalize(values)
         row = Row(normalized, lsn=lsn, meta=meta)
-        keyed = self.check_unique(normalized)
         rowid = row.rowid
-        self.rows[rowid] = row
-        if faults.enabled:
-            faults.fire(SITE_TABLE_INSERT_INDEXED, table=self.name,
-                        rowid=rowid)
-        for index, key in keyed:
-            index.add(key, rowid)
+        indexes = self.indexes.values()
+        try:
+            for index in indexes:
+                key = index_key(normalized, index.attrs)
+                if key is not None:
+                    index.add(key, rowid)
+            self.rows[rowid] = row
+            if faults.enabled:
+                faults.fire(SITE_TABLE_INSERT_INDEXED, table=self.name,
+                            rowid=rowid)
+        except BaseException:
+            self.rows.pop(rowid, None)
+            for index in indexes:
+                index.remove(normalized, rowid)
+            raise
         return row
 
-    def check_unique(self, values: Dict[str, object]
-                     ) -> List[Tuple[HashIndex, Tuple]]:
-        """Each index with its key for the normalized ``values``; raises
-        :class:`DuplicateKeyError` when a unique index holds that key
-        already.  Modifies nothing."""
-        keyed = []
+    def check_unique(self, values: Dict[str, object]) -> None:
+        """Raise :class:`DuplicateKeyError` when a unique index holds the
+        normalized ``values``' key already.  Modifies nothing."""
         for index in self.indexes.values():
             key = index_key(values, index.attrs)
-            if key is not None:
-                if index.unique and index.contains(key):
-                    raise DuplicateKeyError(self.name, key)
-                keyed.append((index, key))
-        return keyed
+            if key is not None and index.unique and index.contains(key):
+                raise DuplicateKeyError(self.name, key, index.name)
 
     def delete_rowid(self, rowid: int) -> Row:
         """Delete a row by physical id; returns the removed row."""
@@ -227,7 +228,7 @@ class Table:
             if new_key is not None and new_key != old_key:
                 existing = index.lookup(new_key)
                 if existing and existing != [rowid]:
-                    raise DuplicateKeyError(self.name, new_key)
+                    raise DuplicateKeyError(self.name, new_key, index.name)
         row.values.update(changes)
         for index in self.indexes.values():
             index.update(old_values, row.values, rowid)
@@ -291,10 +292,6 @@ class Table:
         if row is None:
             raise NoSuchRowError(self.name, tuple(key))
         return row
-
-    def contains_key(self, key: Tuple) -> bool:
-        """Whether a row with this primary key exists."""
-        return self._primary.contains(key)
 
     def delete_key(self, key: Tuple) -> Row:
         """Delete the row with the given primary key."""

@@ -42,6 +42,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.common.errors import (
+    DuplicateKeyError,
     TransformationAbortedError,
     TransformationError,
     TransformationStarvedError,
@@ -57,7 +58,7 @@ from repro.obs.blame import PHASE_ROLES, ROLE_SWEEPER
 from repro.obs.spans import Span
 from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.row import Row
-from repro.storage.table import Table
+from repro.storage.table import PRIMARY_INDEX, Table
 from repro.transform.analysis import (
     Decision,
     IterationReport,
@@ -192,6 +193,9 @@ class PropagatedLockTable:
 #: table, or ``None`` when the change's owner has finished.
 Touched = Optional[List[Tuple[Table, Tuple]]]
 
+#: A source row image for :meth:`RuleEngine.migrate_rows`: (values, LSN).
+Image = Tuple[Dict[str, object], int]
+
 
 #: Proxy lock-owner id for a transaction's propagated locks.  Kept disjoint
 #: from real transaction ids (which are positive).
@@ -229,7 +233,7 @@ class RuleEngine:
     #: :class:`repro.transform.split.SplitRuleEngine`).
     marker_classes: Optional[Tuple[type, ...]] = None
 
-    #: Whether :meth:`migrate_row` may run in *any* row order, interleaved
+    #: Whether :meth:`migrate_rows` may run in *any* row order, interleaved
     #: with user access -- what ``population_mode="lazy"`` needs.  Engines
     #: without it are rejected for lazy mode at population begin (and, via
     #: the plan registry, at plan validation).
@@ -323,33 +327,38 @@ class RuleEngine:
         """
         return None
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Transform one source row (its current snapshot) into the target.
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Transform source row images -- ``(values, lsn)`` pairs: a
+        row's snapshot, which the engine may keep, and its LSN -- into
+        the target.
 
-        The one way a scanned source row enters a target: eager
-        population, the lazy sweeper and miss hook, and restart's
-        swap-point rebuild all call it once per source row, with the
-        row's values (a private copy the engine may keep) and LSN.  Must
-        be idempotent and built from the same state-driven / LSN-guarded
+        The one way scanned rows enter a target: population (eager, lazy
+        sweep, restart rebuild) hands over each chunk, the blocking
+        baseline its latched slice, the miss hook one image.  Must be
+        idempotent and built from the same state-driven / LSN-guarded
         primitives as the propagation rules, so later log replay
-        converges the result whatever order the rows arrived in.
+        converges whatever order the rows arrived in; an image that
+        raises must leave nothing that makes its retry stop short.
         """
         raise NotImplementedError
 
-    #: The name :meth:`Transformation._population_step` calls
-    #: :meth:`migrate_row` by -- the same function, never a second
-    #: implementation (``__init_subclass__`` keeps it so).  Per-call
-    #: instrumentation hung on the name ``migrate_row`` (the wall-clock
-    #: tracer counts those spans as rule work, i.e. propagation) thus
-    #: sees the on-demand migrations only, and a population step's time
-    #: stays in the step that spent it.
-    populate_row = migrate_row
+    def migrate_row(self, table_name: str, values: Dict[str, object],
+                    lsn: int = NULL_LSN) -> None:
+        """:meth:`migrate_rows` of one image, the lazy miss hook's call
+        (population never makes it: a tracer of it sees misses only)."""
+        self.migrate_rows(table_name, ((values, lsn),))
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "migrate_row" in vars(cls):
-            cls.populate_row = vars(cls)["migrate_row"]
+    @staticmethod
+    def _insert_new(table: Table, values: Dict[str, object],
+                    lsn: int) -> Optional[Row]:
+        """Insert a target row; ``None`` when its primary key is taken
+        (migrated, or replayed).  Other unique-key conflicts raise."""
+        try:
+            return table.insert_row(values, lsn)
+        except DuplicateKeyError as exc:
+            if exc.index != PRIMARY_INDEX:
+                raise
+            return None
 
     def migration_partners(self, table_name: str,
                            values: Dict[str, object]
@@ -398,10 +407,9 @@ class Transformation:
       runs it against the catalog, restart rebuild detached;
     * :attr:`engine_class` -- its :class:`RuleEngine`, constructed as
       ``engine_class(db, spec, *targets)``, whose
-      :meth:`~RuleEngine.migrate_row` is how every scanned source row
-      enters the targets (:meth:`_population_step`: eager, lazy and
-      rebuild alike, calling it as ``populate_row``) and whose
-      ``apply`` / ``apply_run`` propagate the log.
+      :meth:`~RuleEngine.migrate_rows` is how each scanned chunk enters
+      the targets (:meth:`_population_step`: eager, lazy and rebuild
+      alike) and whose ``apply`` / ``apply_run`` propagate the log.
 
     Overridable where an operator needs more: :meth:`_create_targets` /
     :meth:`_build_rule_engine` (the split's rename mode),
@@ -753,18 +761,18 @@ class Transformation:
     def _population_step(self, budget: int) -> Tuple[int, bool]:
         """Do up to ``budget`` population units; return (units, finished).
 
-        One unit is one scanned source row, handed to the engine's
-        :meth:`RuleEngine.migrate_row` (under the loop's own name for
-        it, ``populate_row``) with the LSN of its last logged
-        operation (the initial-image state identifier).  The sources are
-        drained in :attr:`source_tables` order, each to exhaustion before
-        the next.  Lazy mode is this very loop as the background
-        sweeper: its scans skip what the miss hook claimed, and the
-        ``step`` budget that throttles eager population throttles the
-        drain, so supervisor priority escalation applies unchanged.
+        One unit is one scanned source row; each chunk goes to the
+        engine's :meth:`RuleEngine.migrate_rows` in one call, as images
+        of its snapshots (a row's LSN is its initial-image state
+        identifier).  The sources are drained in :attr:`source_tables`
+        order, each to exhaustion before the next.  Lazy mode is this
+        very loop as the background sweeper: its scans skip what the
+        miss hook claimed, and the ``step`` budget that throttles eager
+        population throttles the drain, so supervisor priority
+        escalation applies unchanged.
         """
         assert self.engine is not None
-        migrate = self.engine.populate_row
+        migrate = self.engine.migrate_rows
         sweeping = self._lazy_hook is not None
         units = 0
         # Blame: while the drain runs, anything held under the transform
@@ -773,12 +781,13 @@ class Transformation:
                 if sweeping else nullcontext():
             for name, scan in self._scans.items():
                 while units < budget and not scan.exhausted:
-                    # The chunk stays unnamed so it is freed before the
-                    # next one is snapshotted: keeping two alive read
-                    # 0.51 s against 0.42 s on a 50k-row split.
-                    for row in scan.next_chunk(budget - units):
-                        migrate(name, row.values, row.lsn)
-                        units += 1
+                    images = [(row.values, row.lsn)
+                              for row in scan.next_chunk(budget - units)]
+                    migrate(name, images)
+                    units += len(images)
+                    # Freed before the next chunk is snapshotted: two
+                    # alive read 0.51 s against 0.42 s on a 50k-row split.
+                    del images
         if sweeping:
             self.stats["lazy_sweep_rows"] += units
             self.metrics.inc("tf.lazy.swept", units)

@@ -29,21 +29,20 @@ row", with no counter machinery needed.
 
 Because one source key owns its whole sibling group and nothing else,
 records route by source key under hash-sharded propagation, and
-:meth:`ExplodeRuleEngine.migrate_row` is an idempotent upsert that
+:meth:`ExplodeRuleEngine.migrate_rows` is an idempotent upsert that
 serves eager and lazy (migrate-on-read) population alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.relational.spec import ExplodeSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Touched, Transformation
+from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.wal.records import (
-    NULL_LSN,
     DeleteRecord,
     InsertRecord,
     LogRecord,
@@ -171,19 +170,19 @@ class ExplodeRuleEngine(RuleEngine):
 
     # -- population -----------------------------------------------------------
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Insert one source row's children if absent.
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Insert each source row's children if absent.
 
         Idempotent, and children are stamped with the source row's LSN
         so the propagation rules guard later replay exactly as over an
         eager image.
         """
         spec, target = self.spec, self.target
-        for element in spec.elements(values):
-            if self._child(values, element) is None:
-                target.insert_row(spec.child_values(values, element),
-                                  lsn=lsn)
+        for values, lsn in images:
+            for element in spec.elements(values):
+                if self._child(values, element) is None:
+                    target.insert_row(spec.child_values(values, element),
+                                      lsn=lsn)
 
     # -- lock mapping (synchronization support) -------------------------------
 

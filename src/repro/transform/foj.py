@@ -26,16 +26,15 @@ joined with ``snull``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Touched, Transformation
+from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.wal.records import (
-    NULL_LSN,
     DeleteRecord,
     InsertRecord,
     LogRecord,
@@ -78,8 +77,8 @@ class FojHashJoin:
     The FOJ's initial population, and its only copy: the online
     transformation steps it under its budget, restart's swap-point
     rebuild and the blocking baseline drive it to the end in one call.
-    It beats feeding the same rows one by one through
-    :meth:`FojRuleEngine.migrate_row` (which lazy population, needing
+    It beats feeding the same chunks through
+    :meth:`FojRuleEngine.migrate_rows` (which lazy population, needing
     row-granular claims, still does) because a build/probe pass makes no
     index lookups in T.
 
@@ -315,7 +314,15 @@ class FojRuleEngine(JoinRuleEngine):
                 "FOJ transformation requires non-NULL join values in "
                 f"{self.spec.s_name!r} (the join attribute identifies an "
                 "S record)")
-        s_part = self.spec.s_part(change.values)
+        self._attach_s_part(self.spec.s_part(change.values), join_value,
+                            touched)
+
+    def _attach_s_part(self, s_part: Dict[str, object], join_value: object,
+                       touched: Touched) -> None:
+        """Shared tail of Rule 2 and lazy migration: fill every snull
+        carrier of the join value; insert t^null_x when nothing carries
+        it.  An already-attached S part leaves both branches idle; a
+        NULL join value matches nothing and joins with rnull."""
         rows = self._rows_with_join(join_value)
         for row in rows:
             if null_flag(row, "s_null"):
@@ -476,42 +483,32 @@ class FojRuleEngine(JoinRuleEngine):
 
     supports_lazy = True
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Migrate one source-row snapshot into T (lazy population; eager
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Migrate source-row snapshots into T (lazy population; eager
         population streams :class:`FojHashJoin` instead).
 
         Reuses the state-driven tails of Rules 1 and 2, so a migrated
         record is indistinguishable from one the eager fuzzy scan would
         have produced: later log replay over it converges identically
-        (Theorem 1).  The ``lsn`` is ignored like everywhere else in the
+        (Theorem 1).  The LSNs are ignored like everywhere else in the
         FOJ rules -- a joined row has no single valid state identifier.
         """
         spec = self.spec
-        if table_name == spec.r_name:
-            key = tuple(values.get(a) for a in spec.r_key)
-            if self.t.get(key) is None:  # else: migrated or replayed
-                self._attach_r_part(spec.r_part(values),
-                                    values.get(spec.join_attr_r), None)
-        elif table_name == spec.s_name:
-            join_value = values.get(spec.join_attr_s)
-            s_part = spec.s_part(values)
-            # Rule 2's state-driven tail: fill every snull carrier of the
-            # join value; insert t^null_x when nothing carries it.  An
-            # already-attached S part leaves both branches idle.
-            # Pre-existing NULL-join S rows match nothing and join with
-            # rnull, exactly as the eager join's leftover pass inserts
-            # them (Rule 2 itself rejects NULL joins for *live* inserts).
-            rows = self._rows_with_join(join_value)
-            for row in rows:
-                if null_flag(row, "s_null"):
-                    self.t.update_rowid(row.rowid, s_part)
-                    row.meta = None
-            if not rows:
-                t_values = spec.null_r_part()
-                t_values[spec.join_column] = join_value
-                t_values.update(s_part)
-                self._insert_t(t_values, "r_null")
+        for values, _lsn in images:
+            if table_name == spec.r_name:
+                key = tuple(values.get(a) for a in spec.r_key)
+                if self.t.get(key) is None:  # else: migrated or replayed
+                    self._attach_r_part(spec.r_part(values),
+                                        values.get(spec.join_attr_r), None)
+            elif table_name == spec.s_name:
+                # Pre-existing NULL-join S rows join with rnull, exactly
+                # as the eager join's leftover pass inserts them (Rule 2
+                # itself rejects NULL joins for *live* inserts).
+                self._attach_s_part(spec.s_part(values),
+                                    values.get(spec.join_attr_s), None)
+
+    # Bound here: per-engine instrumentation patches it via ``vars(cls)``.
+    migrate_row = RuleEngine.migrate_row
 
     def migration_partners(self, table_name: str,
                            values: Dict[str, object]

@@ -29,7 +29,7 @@ transformation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     InconsistentDataError,
@@ -40,9 +40,8 @@ from repro.engine.database import Database
 from repro.storage.row import Row
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Touched, Transformation
+from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.wal.records import (
-    NULL_LSN,
     DeleteRecord,
     InsertRecord,
     UpdateRecord,
@@ -250,12 +249,12 @@ class PartitionRuleEngine(RuleEngine):
             self._touch(touched, side, change.key)
         self._touch(touched, target_side, change.key)
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Insert one source row on the side the predicate chooses, unless
-        its key already lives on either side."""
-        if self._find(self.a.schema.key_of(values))[1] is None:
-            self._side_for(values).insert_row(values, lsn=lsn)
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Insert each source row on the side the predicate chooses,
+        unless its key already lives on either side."""
+        for values, lsn in images:
+            if self._find(self.a.schema.key_of(values))[1] is None:
+                self._side_for(values).insert_row(values, lsn=lsn)
 
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
@@ -343,9 +342,8 @@ class MergeRuleEngine(RuleEngine):
             self.t.update_rowid(row.rowid, dict(change.changes), lsn=lsn)
             self._touch(touched, self.t, change.key)
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Insert one source row unless its key is already there.
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Insert each source row unless its key is already there.
 
         Relies on population's scan order -- A to exhaustion, then B --
         which is why the merge stays eager-only: with A complete, a B
@@ -353,11 +351,10 @@ class MergeRuleEngine(RuleEngine):
         is no fuzzy artifact (the two scans are disjoint tables) but a
         genuine precondition violation.
         """
-        key = self.t.schema.key_of(values)
-        if self.t.get(key) is None:
-            self.t.insert_row(values, lsn=lsn)
-        elif table_name == self.spec.b_name:
-            raise InconsistentDataError((key,))
+        for values, lsn in images:
+            if self._insert_new(self.t, values, lsn) is None and \
+                    table_name == self.spec.b_name:
+                raise InconsistentDataError((self.t.schema.key_of(values),))
 
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:

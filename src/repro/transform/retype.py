@@ -18,7 +18,7 @@ Example 1 dirty data and raises
 attached -- rather than silently guessing.
 
 Rows map one-to-one by an unchanged key, so records route by source key
-under hash-sharded propagation, and :meth:`RetypeRuleEngine.migrate_row`
+under hash-sharded propagation, and :meth:`RetypeRuleEngine.migrate_rows`
 is an idempotent upsert that serves eager and lazy (migrate-on-read)
 population alike.
 
@@ -30,15 +30,14 @@ restart like any other, not an O(1) edit of the table description
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.common.errors import InconsistentDataError
 from repro.engine.database import Database
 from repro.relational.spec import RetypeSpec
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Touched, Transformation
+from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.wal.records import (
-    NULL_LSN,
     DeleteRecord,
     InsertRecord,
     LogRecord,
@@ -113,13 +112,12 @@ class RetypeRuleEngine(RuleEngine):
 
     # -- population -----------------------------------------------------------
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Insert one source row's retyped image if absent."""
-        key = self._source_key_of(values)
-        if self.target.get(key) is None:
-            self.target.insert_row(
-                _mapped(self.spec.retype_row, values, key), lsn=lsn)
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Insert each source row's retyped image if absent."""
+        retype_row, key_of = self.spec.retype_row, self._source_key_of
+        for values, lsn in images:
+            self._insert_new(self.target, _mapped(
+                retype_row, values, key_of(values)), lsn)
 
     # -- lock mapping (by ``source_tables``: an in-place source's zombie) -----
 

@@ -30,7 +30,7 @@ paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import (
     InconsistentDataError,
@@ -39,9 +39,8 @@ from repro.common.errors import (
 from repro.engine.database import Database
 from repro.relational.spec import SplitSpec
 from repro.storage.table import Table
-from repro.transform.base import RuleEngine, Touched, Transformation
+from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.wal.records import (
-    NULL_LSN,
     CCBeginRecord,
     CCOkRecord,
     DeleteRecord,
@@ -91,12 +90,12 @@ class SplitRuleEngine(RuleEngine):
     # -- helpers ------------------------------------------------------------
 
     def _split_key_of_values(self, values: Dict[str, object]) -> Tuple:
-        key = self.spec.split_value(values)
-        if key[0] is None:
+        value = values.get(self.spec.split_attr)
+        if value is None:
             raise TransformationError(
                 "split transformation requires non-NULL split values "
                 f"(table {self.spec.source_name!r})")
-        return key
+        return (value,)
 
     def _mark_dirty(self, split_key: Tuple) -> None:
         if split_key in self._cc_inflight:
@@ -246,12 +245,7 @@ class SplitRuleEngine(RuleEngine):
     def _move_s_contribution(self, old_split: Tuple,
                              s_changes: Dict[str, object], lsn: int,
                              touched: Touched) -> None:
-        new_value = s_changes[self.spec.split_attr]
-        if new_value is None:
-            raise TransformationError(
-                "split transformation requires non-NULL split values "
-                f"(table {self.spec.source_name!r})")
-        new_split = (new_value,)
+        new_split = self._split_key_of_values(s_changes)
         old_row = self.s.get(old_split)
         if old_row is not None:
             # New S image: the old image with the logged changes folded in
@@ -301,31 +295,34 @@ class SplitRuleEngine(RuleEngine):
 
     supports_lazy = True
 
-    def migrate_row(self, table_name: str, values: Dict[str, object],
-                    lsn: int = NULL_LSN) -> None:
-        """Insert one source row's R part and merge its S part.
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """Insert each image's R part and merge its S part.
 
-        Idempotent: the R part is inserted once (keyed on T's key); the S
-        part merges via the duplicate counter.  Both sides are stamped
-        with the row's LSN -- the initial-image state identifier of its
-        R part, a contribution to the max-LSN of its S part -- so Rules
-        8-11 guard later replay whatever order the rows arrived in.
+        Idempotent: R's primary index refuses an R part already there
+        (its insert is R's one probe), and the S part is then left
+        alone; otherwise it merges via the duplicate counter.  Both
+        sides are stamped with the image's LSN, so Rules 8-11 guard
+        later replay whatever order the rows arrived in.  A failed S
+        insert takes the R part out again: a retry (the sweeper after a
+        failed lazy miss) must not find R and stop short of S.
         """
         spec, r_table, s_table = self.spec, self.r, self.s
-        if r_table.get(tuple(values[a] for a in spec.r_key)) is not None:
-            return
-        split_value = spec.split_value(values)
-        if split_value[0] is None:
-            raise TransformationError(
-                "split transformation requires non-NULL split values "
-                f"(table {spec.source_name!r})")
-        r_table.insert_row(spec.r_part(values), lsn=lsn)
-        s_part = spec.s_part(values)
-        s_row = s_table.get(split_value)
-        if s_row is None:
-            s_table.insert_row(s_part, lsn=lsn,
-                               meta={"counter": 1, "flag": FLAG_CONSISTENT})
-        else:
+        r_part, s_part_of = spec.r_part, spec.s_part
+        for values, lsn in images:
+            split_value = self._split_key_of_values(values)
+            r_row = self._insert_new(r_table, r_part(values), lsn)
+            if r_row is None:
+                continue
+            s_part = s_part_of(values)
+            s_row = s_table.get(split_value)
+            if s_row is None:
+                try:
+                    s_table.insert_row(
+                        s_part, lsn, {"counter": 1, "flag": FLAG_CONSISTENT})
+                except BaseException:
+                    r_table.delete_rowid(r_row.rowid)
+                    raise
+                continue
             s_row.meta["counter"] += 1
             if lsn > s_row.lsn:
                 s_row.lsn = lsn
@@ -333,6 +330,9 @@ class SplitRuleEngine(RuleEngine):
                 # Section 5.3: only records consistent in the fuzzy read
                 # keep C.
                 s_row.meta["flag"] = FLAG_UNKNOWN
+
+    # Bound here: per-engine instrumentation patches it via ``vars(cls)``.
+    migrate_row = RuleEngine.migrate_row
 
     # -- lock mapping (synchronization support) ------------------------------------------
 

@@ -21,6 +21,7 @@ from repro import (
     FojTransformation,
     Phase,
     Session,
+    SplitSpec,
     SplitTransformation,
     TableSchema,
     TransformOptions,
@@ -202,6 +203,40 @@ def test_lazy_failed_miss_leaves_the_row_to_the_sweeper(foj_db):
     tf.run()
     assert rows_equal(values_of(foj_db, "T"),
                       full_outer_join(spec, r_rows, s_rows))
+
+
+def test_lazy_failed_split_miss_keeps_its_s_contribution():
+    """A miss whose S insert fails takes its R insert back with it, so
+    the sweeper's retry merges S: no split value loses a contributor,
+    and none vanishes from S while an R row still names it."""
+    db = Database()
+    db.create_table(TableSchema("T", ["id", "grp", "info"],
+                                primary_key=["id"]))
+    with Session(db) as s:
+        for i in range(12):
+            s.insert("T", {"id": i, "grp": i % 3, "info": f"g{i % 3}"})
+    spec = SplitSpec.derive(db.table("T").schema, r_name="T_r",
+                            s_name="T_s", split_attr="grp",
+                            s_attrs=["info"])
+    tf = SplitTransformation(
+        db, spec, options=TransformOptions(population_mode="lazy"))
+    _step_into_populating(tf)
+    # Crossing 1 is the R insert of id 7, crossing 2 its S insert (grp 1).
+    db.attach_faults(FaultInjector(
+        FaultPlan().arm("table.insert", AbortFault(), hit=2)))
+    with pytest.raises(TransformationError):
+        _read(db, "T", (7,))
+    assert tf.targets["T_r"].get((7,)) is None
+    with Session(db) as s:
+        for key in (1, 4, 10):              # the other grp-1 contributors
+            s.delete("T", (key,))
+    t_rows = values_of(db, "T")
+    tf.run()
+    r_rows, s_rows, counters, _ = split(spec, t_rows)
+    assert rows_equal(values_of(db, "T_r"), r_rows)
+    assert rows_equal(values_of(db, "T_s"), s_rows)
+    assert table_counters(db, "T_s") == counters
+    assert counters[(1,)] == 1
 
 
 def test_lazy_update_also_triggers_migration(foj_db):

@@ -3,7 +3,7 @@
 Eager population, the lazy sweep, restart's swap-point rebuild and the
 registry's offline ``reference`` must publish the same rows from the
 same quiescent seeds, for every scenario of :data:`repro.plan.CORPUS` --
-they are one path (``RuleEngine.migrate_row``, or the FOJ's streamed
+they are one path (``RuleEngine.migrate_rows``, or the FOJ's streamed
 join) under three drivers.  The second half is the metamorphic check of
 the paper's propagation rules: they are idempotent by construction, so
 re-propagating any log slice from an earlier cursor must leave the
@@ -31,7 +31,11 @@ from repro.api import (
 from repro.faults import NULL_FAULTS
 from repro.faults.sweep import RunConfig, ScenarioRun, draw_history
 from repro.plan.corpus import WORKLOAD_SCENARIOS
+from repro.transform.base import RuleEngine
+from repro.transform.foj_m2m import Many2ManyFojRuleEngine
+from repro.transform.split import SplitTransformation
 from repro.wal.records import FuzzyMarkRecord
+from tests.conftest import T_SPLIT_SCHEMA, load_split_data, split_spec
 
 BY_NAME = pytest.mark.parametrize("scenario", CORPUS, ids=lambda s: s.name)
 
@@ -125,16 +129,39 @@ def test_migrate_row_twice_equals_once(scenario):
     assert scenario.verify(db) == []
 
 
-def test_population_calls_migrate_row_itself():
-    """``populate_row`` -- what the population loop calls -- is the very
-    function ``migrate_row`` names, on every engine: a second name (so
-    the wall-clock tracer's ``migrate_row`` spans stay on-demand
-    migrations), never a second implementation."""
+def test_engines_migrate_chunks_and_share_the_one_image_form():
+    """Every engine class defines ``migrate_rows`` -- its one loop, which
+    population calls once per scanned chunk -- except the many-to-many
+    join's, which streams its population and inherits the refusal;
+    ``migrate_row`` (the miss hook's one image) is the base class's on
+    all of them, and no ``populate_row`` alias is left."""
     engines = {operator.transformation.engine_class
                for operator in PLAN_OPERATORS.values()}
     assert len(engines) == len(PLAN_OPERATORS)
     for engine in engines:
-        assert engine.populate_row is engine.migrate_row, engine
+        if engine is Many2ManyFojRuleEngine:
+            assert engine.migrate_rows is RuleEngine.migrate_rows
+        else:
+            assert "migrate_rows" in vars(engine), engine
+        assert engine.migrate_row is RuleEngine.migrate_row, engine
+        assert not hasattr(engine, "populate_row"), engine
+
+
+def test_population_probes_each_target_row_once():
+    """A split's population claims each R row with its insert (no
+    counted lookup) and looks each S contribution up once: N rows cost
+    0 lookups on R and N on S, read off ``probe_stats["misses"]``."""
+    db = Database()
+    db.create_table(T_SPLIT_SCHEMA)
+    load_split_data(db, n=40, n_zip=6)
+    tf = SplitTransformation(db, split_spec(db))
+    while tf.phase in (Phase.CREATED, Phase.PREPARED, Phase.POPULATING):
+        tf.step(7)
+    r_table, s_table = tf.targets["T_r"], tf.targets["postal"]
+    assert r_table.row_count == 40
+    assert [sum(index.probe_stats["misses"]
+                for index in table.indexes.values())
+            for table in (r_table, s_table)] == [0, 40]
 
 
 # -- metamorphic idempotence of the propagation rules ------------------------
