@@ -7,14 +7,16 @@ synchronization latch.
 
 Runs both methods as the background process under the same workload and
 compares (a) how long user access to the source tables was blocked and
-(b) the worst user response time observed during the change.
+(b) the worst user response time observed during the change.  The
+blocking method is the same split with
+``TransformOptions(sync="blocking_commit", population_mode="blocking")``.
 """
 
 import pytest
 
-from repro.baselines import BlockingTransformation
 from repro.sim import RunSettings, run_once
-from repro.sim.experiments import Scenario, clients_for_workload
+from repro.sim.experiments import clients_for_workload
+from repro.transform.options import TransformOptions
 
 from benchmarks.harness import (
     n_max_for,
@@ -26,16 +28,10 @@ from benchmarks.harness import (
 )
 
 
-def blocking_builder(seed):
-    scenario = split_builder(0.2)(seed)
-    original_factory = scenario.tf_factory
-    spec = original_factory().spec
+BLOCKING = TransformOptions(sync="blocking_commit",
+                            population_mode="blocking")
 
-    def factory():
-        return BlockingTransformation(scenario.db, spec)
-
-    return Scenario(scenario.db, scenario.workload, factory,
-                    scenario.source_tables)
+blocking_builder = split_builder(0.2, tf_kwargs={"options": BLOCKING})
 
 
 def measure():

@@ -6,15 +6,16 @@ table to be consistent with the old table before the very end of the
 transformation," so maintenance work never runs inside user transactions.
 
 Compares the response time of user transactions during the change under
-the log-propagation method vs. the trigger-based method at a high source
-update fraction (where trigger work per transaction is largest).
+the log-propagation method vs. the trigger-based method
+(``TransformOptions(population_mode="trigger")``) at a high source update
+fraction (where trigger work per transaction is largest).
 """
 
 import pytest
 
-from repro.baselines import RonstromTransformation
 from repro.sim import RunSettings, run_once
-from repro.sim.experiments import Scenario, clients_for_workload
+from repro.sim.experiments import clients_for_workload
+from repro.transform.options import TransformOptions
 
 from benchmarks.harness import (
     seed_list,
@@ -29,15 +30,8 @@ from benchmarks.harness import (
 FRACTION = 0.8  # most updates hit the source: trigger-heavy
 
 
-def ronstrom_builder(seed):
-    scenario = split_builder(FRACTION)(seed)
-    spec = scenario.tf_factory().spec
-
-    def factory():
-        return RonstromTransformation(scenario.db, spec)
-
-    return Scenario(scenario.db, scenario.workload, factory,
-                    scenario.source_tables)
+ronstrom_builder = split_builder(FRACTION, tf_kwargs={
+    "options": TransformOptions(population_mode="trigger")})
 
 
 def measure():

@@ -6,8 +6,12 @@ reproduction, see DESIGN.md) to run the same split transformation at a
 75%-loaded server three ways:
 
 * **online, log-based** (the paper's method, non-blocking abort sync);
-* **blocking INSERT INTO ... SELECT** (paper Section 1's strawman);
-* **trigger-based** (Ronström's method, paper Section 2.1).
+* **blocking INSERT INTO ... SELECT** (paper Section 1's strawman):
+  ``population_mode="blocking"`` under blocking commit;
+* **trigger-based** (Ronström's method, paper Section 2.1):
+  ``population_mode="trigger"``.
+
+All three are the same transformation with different options.
 
 Prints, for each: how long user access to the source table was blocked,
 the mean and worst user response times during the change, and how long
@@ -16,10 +20,9 @@ the change took.
 Run:  python examples/online_vs_offline.py          (takes ~10 s)
 """
 
-from repro.baselines import BlockingTransformation, RonstromTransformation
+from repro.api import TransformOptions
 from repro.sim import (
     RunSettings,
-    Scenario,
     build_split_scenario,
     calibrate_max_workload,
     clients_for_workload,
@@ -27,19 +30,15 @@ from repro.sim import (
 )
 
 
-def with_factory(base_scenario_builder, make):
-    """Wrap a scenario builder, swapping in a different transformation."""
-    def build(seed):
-        scenario = base_scenario_builder(seed)
-        spec = scenario.tf_factory().spec
-        return Scenario(scenario.db, scenario.workload,
-                        lambda: make(scenario.db, spec),
-                        scenario.source_tables)
-    return build
+def with_options(**options):
+    """The split scenario, its transformation built with ``options``."""
+    return lambda seed: build_split_scenario(
+        seed, source_fraction=0.2,
+        tf_kwargs={"options": TransformOptions(**options)})
 
 
 def main() -> None:
-    builder = lambda seed: build_split_scenario(seed, source_fraction=0.2)
+    builder = with_options()
     n_max = calibrate_max_workload(builder, cache_key="example-cmp")
     n_clients = clients_for_workload(n_max, 75)
     print(f"calibrated 100% workload = {n_max} clients; running at 75% "
@@ -52,10 +51,9 @@ def main() -> None:
 
     methods = [
         ("online log-based", builder, 0.2),
-        ("blocking select  ",
-         with_factory(builder, BlockingTransformation), 0.5),
-        ("trigger-based    ",
-         with_factory(builder, RonstromTransformation), 0.2),
+        ("blocking select  ", with_options(
+            sync="blocking_commit", population_mode="blocking"), 0.5),
+        ("trigger-based    ", with_options(population_mode="trigger"), 0.2),
     ]
     print(f"\n{'method':18} | {'blocked ms':>10} | {'mean resp':>9} | "
           f"{'worst resp':>10} | {'duration ms':>11}")

@@ -17,7 +17,8 @@ record locks), plus the DDL and hooks the transformation framework needs:
   and vice versa (Section 3.4/4.3); registered mirror objects are consulted
   on every lock acquisition;
 * **triggers**: synchronous post-operation callbacks running inside the
-  user transaction, used by the Ronström baseline (Section 2.1);
+  user transaction, installed by ``population_mode="trigger"``
+  (Ronström's method, Section 2.1);
 * a **wake channel**: lock releases report which parked transactions became
   runnable; the simulator subscribes to re-schedule their clients.
 
@@ -299,8 +300,8 @@ class Database:
                 clr_lsn = self.log.append(clr, prev_lsn=txn.last_lsn)
                 txn.note_record(clr_lsn)
                 self._apply_change(compensation, clr_lsn)
-                # Triggers see compensations too (the trigger-based
-                # baseline must undo its maintenance work on rollback).
+                # Triggers see compensations too (trigger population
+                # must undo its maintenance work on rollback).
                 compensation.lsn = clr_lsn
                 self._fire_triggers(compensation.table, txn, compensation)
             lsn = record.prev_lsn
@@ -639,7 +640,7 @@ class Database:
         return result
 
     # ------------------------------------------------------------------
-    # Triggers (Ronström baseline support)
+    # Triggers (population_mode="trigger")
     # ------------------------------------------------------------------
 
     def create_trigger(self, table_name: str, fn: TriggerFn) -> None:

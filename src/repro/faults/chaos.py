@@ -53,6 +53,7 @@ from repro.faults.sweep import (
 )
 from repro.plan.corpus import WORKLOAD_SCENARIOS
 from repro.plan.operators import PLAN_OPERATORS
+from repro.transform.options import POPULATION_MODES, population_problem
 from repro.wal.durable import SITE_DISK_SYNC, _frame_regions
 from repro.wal.log import (
     GROUP_FLUSH,
@@ -82,15 +83,15 @@ BACKLOGS = (2, 64)
 
 def draw_config(rng: random.Random, history_len: int = 6) -> RunConfig:
     """A run description drawn from ``rng``: operator, (strategy,
-    storage) pair, population mode (lazy where the operator supports it,
-    the FOJ also as a materialized view), shards, one to three step
+    storage) pair, population mode (any the operator and strategy can
+    run, the FOJ also as a materialized view), shards, one to three step
     budgets, synchronization threshold, flush policy and up to
     ``history_len`` generated transactions."""
     operator = rng.choice(sorted(WORKLOAD_SCENARIOS))
     strategy, storage = rng.choice(PAIRS)
-    modes = [("eager", False)]
-    if PLAN_OPERATORS[operator].supports_lazy:
-        modes.append(("lazy", False))
+    supports_lazy = PLAN_OPERATORS[operator].supports_lazy
+    modes = [(mode, False) for mode in POPULATION_MODES
+             if population_problem(mode, strategy, supports_lazy) is None]
     if ":view" in WORKLOAD_SCENARIOS[operator].workload.variants:
         modes.append(("eager", True))
     population, view = rng.choice(modes)

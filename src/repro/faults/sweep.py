@@ -68,7 +68,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -100,7 +99,13 @@ from repro.storage.schema import TableSchema
 from repro.transform.analysis import RemainingRecordsPolicy
 from repro.transform.base import Phase, SyncStrategy, Transformation
 from repro.transform.foj import FojTransformation
-from repro.transform.options import STORAGE_BACKENDS, TransformOptions
+from repro.transform.options import (
+    PER_ROW_MODES,
+    POPULATION_MODES,
+    STORAGE_BACKENDS,
+    TransformOptions,
+    population_problem,
+)
 from repro.transform.view import MaterializedFojView
 from repro.wal.durable import SimulatedDisk
 from repro.wal.frames import SEGMENT_HEADER, encode_frame
@@ -122,15 +127,17 @@ RowDict = Dict[str, object]
 #: under the name of the plan operator it exercises, then once per
 #: variant suffix its workload lists.  ``name@N`` runs the same scenario
 #: with ``shards=N`` (:mod:`repro.shard`), adding the shard-scoped crash
-#: site (``shard.plan``) to the sweep's coverage.  ``name:lazy`` runs it
-#: with access-triggered population (``population_mode="lazy"``),
-#: interleaving user reads with small sweep steps so the migrate-on-read
-#: crash site (``lazy.miss.transform``) is crossed between sweep chunks.
+#: site (``shard.plan``) to the sweep's coverage.  ``name:<mode>`` runs
+#: it under another population mode: ``:lazy`` interleaves user reads
+#: with small sweep steps so the migrate-on-read crash site
+#: (``lazy.miss.transform``) is crossed between sweep chunks, ``:trigger``
+#: a user write; ``:blocking`` runs under blocking commit only.
 #: ``foj:view`` builds the join as a published
 #: :class:`~repro.transform.view.MaterializedFojView` that keeps its
-#: sources.  Population chunks have one site in every mode --
-#: ``tf.populate.chunk``, fired by the one scan -- and the notations
-#: compose (``split:lazy@3``).
+#: sources; ``split:rename`` runs the split's rename-based strategy
+#: (``materialize_r=False``, blocking commit only).  Population chunks
+#: have one site in every mode -- ``tf.populate.chunk``, fired by the
+#: one scan -- and the notations compose (``split:lazy@3``).
 ALL_OPERATORS: Tuple[str, ...] = tuple(
     operator + suffix
     for operator, scenario in WORKLOAD_SCENARIOS.items()
@@ -178,8 +185,8 @@ class RunConfig:
         scenario: A workload-carrying, single-step corpus scenario.
         strategy: Synchronization strategy.
         storage: ``"latch"`` or ``"mvcc"`` -- any pair of :data:`PAIRS`.
-        population: ``"eager"``, or ``"lazy"`` where the operator
-            ``supports_lazy``.
+        population: Any mode the operator and strategy can run
+            (:func:`~repro.transform.options.population_problem`).
         view: Build the scenario's join as a published
             :class:`~repro.transform.view.MaterializedFojView` (the
             sources stay), checked after ``refresh()``.
@@ -215,8 +222,10 @@ class RunConfig:
                 "workload and a single-step plan")
         # TransformOptions validates the rest when the run is built.
         operator = PLAN_OPERATORS[scenario.plan.steps[0].operator]
-        if self.population == "lazy" and not operator.supports_lazy:
-            raise ValueError(f"operator {operator.name!r} is eager-only")
+        problem = population_problem(self.population, self.strategy,
+                                     operator.supports_lazy)
+        if problem is not None:
+            raise ValueError(f"operator {operator.name!r}: {problem}")
         if self.view and (operator.transformation is not FojTransformation
                           or self.population != "eager"):
             raise ValueError(
@@ -230,15 +239,18 @@ class RunConfig:
 
     @property
     def label(self) -> str:
-        """The sweep label (``operator[:lazy|:view][@N]``)."""
-        mode = ":view" if self.view else \
-            ":lazy" if self.population == "lazy" else ""
-        return self.operator + mode + \
+        """The sweep label (``operator[:mode|:view|:rename][@N]``)."""
+        params = self.scenario.plan.steps[0].params
+        mode = "view" if self.view else \
+            "rename" if params.get("materialize_r") is False else \
+            "" if self.population == "eager" else self.population
+        return self.operator + (f":{mode}" if mode else "") + \
             (f"@{self.shards}" if self.shards > 1 else "")
 
 
 def parse_label(label: str) -> RunConfig:
-    """Resolve ``operator[:lazy|:view][@N]`` to a run description.
+    """Resolve ``operator[:mode|:view|:rename][@N]`` to a run description
+    (``mode`` any non-eager population mode).
 
     The one place the suffix notation is parsed; :class:`RunConfig`
     rejects a mode the operator cannot run.
@@ -246,23 +258,46 @@ def parse_label(label: str) -> RunConfig:
     base, at, shards = label.partition("@")
     operator, _, mode = base.partition(":")
     if operator not in WORKLOAD_SCENARIOS \
-            or mode not in ("", "lazy", "view") \
+            or mode not in ("", "view", "rename", *POPULATION_MODES[1:]) \
+            or (mode == "rename" and operator != "split") \
             or (at and not shards.isdigit()):
         raise ValueError(
             f"unknown sweep operator {label!r}; available: "
-            f"{sorted(WORKLOAD_SCENARIOS)} with an optional ':lazy' / "
-            "':view' and '@<shards>' suffix")
-    return RunConfig(WORKLOAD_SCENARIOS[operator],
-                     population="lazy" if mode == "lazy" else "eager",
-                     view=mode == "view", shards=int(shards or 1))
+            f"{sorted(WORKLOAD_SCENARIOS)} with an optional ':<mode>' "
+            f"{POPULATION_MODES[1:]} / ':view' / 'split:rename' and "
+            "'@<shards>' suffix")
+    scenario = WORKLOAD_SCENARIOS[operator]
+    if mode == "rename":
+        step = scenario.plan.steps[0]
+        step = replace(step, params={**step.params, "materialize_r": False})
+        scenario = replace(scenario, plan=replace(scenario.plan,
+                                                  steps=(step,)))
+    # Blocking population and the rename-based split run under blocking
+    # commit only: that is the strategy they parse to.
+    return RunConfig(
+        scenario, SyncStrategy.BLOCKING_COMMIT if mode in (
+            "blocking", "rename") else SyncStrategy.NONBLOCKING_ABORT,
+        population=mode if mode in POPULATION_MODES else "eager",
+        view=mode == "view", shards=int(shards or 1))
 
 
-def sweep_config(label: str, strategy: SyncStrategy) -> RunConfig:
-    """The sweep's configuration of ``label`` under ``strategy``: the
-    storage each strategy was designed on (MVCC for the flip)."""
-    return replace(parse_label(label), strategy=strategy,
+def sweep_config(label: str, strategy: SyncStrategy) -> Optional[RunConfig]:
+    """``label`` under ``strategy`` on the storage the strategy was
+    designed on (MVCC for the flip); ``None`` if it cannot run there."""
+    config = parse_label(label)
+    if config.strategy is SyncStrategy.BLOCKING_COMMIT and \
+            strategy is not SyncStrategy.BLOCKING_COMMIT:
+        return None
+    return replace(config, strategy=strategy,
                    storage="mvcc" if strategy is SyncStrategy.VERSION_FLIP
                    else "latch")
+
+
+#: Every (label, strategy) pair the sweep runs.
+SWEEP_COMBOS: Tuple[Tuple[str, SyncStrategy], ...] = tuple(
+    (label, strategy) for label in ALL_OPERATORS
+    for strategy in ALL_STRATEGIES
+    if sweep_config(label, strategy) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +711,24 @@ class ScenarioRun:
             # LSN guards of Section 5 at work.
             mutations.pop(0)()
 
-        if self.options.population_mode == "lazy":
+        population = self.options.population_mode
+        if population in PER_ROW_MODES:
             # One deliberately tiny first step keeps POPULATING open
             # (the step driver multiplies the budget by the shard count,
-            # so even budget 1 sweeps a few rows), and the interleaved
-            # reads then hit not-yet-migrated source records, crossing
-            # the migrate-on-read crash sites.
+            # so even budget 1 sweeps a few rows): interleaved reads then
+            # hit not-yet-migrated source records, crossing the
+            # migrate-on-read crash sites, and a write fires the triggers.
             self.tf.step(1)
-            txn = self.db.begin()
-            for table_name, key in workload.lazy_reads:
-                self.db.read(txn, table_name, key)
-            self.db.commit(txn)
+            if population == "lazy":
+                txn = self.db.begin()
+                for table_name, key in workload.lazy_reads:
+                    self.db.read(txn, table_name, key)
+                self.db.commit(txn)
+            elif mutations:
+                mutations.pop(0)()
+        # Blocked from the first step to the swap: all runs before it.
+        while population == "blocking" and mutations:
+            mutations.pop(0)()
 
         l_active = True
         for i in range(_MAX_STEPS):
@@ -707,8 +749,10 @@ class ScenarioRun:
             elif until is not None and not mutations and until(self):
                 return
             if l_active and self.strategy is SyncStrategy.BLOCKING_COMMIT \
-                    and self.tf.phase is Phase.SYNCHRONIZING:
-                # Let the drain finish: commit L.
+                    and self.tf.phase in (Phase.PREPARED,
+                                          Phase.SYNCHRONIZING):
+                # Let the drain finish (before a blocking population, or
+                # in the synchronization): commit L.
                 self.db.commit(l_txn)
                 l_active = False
             if l_active and self.strategy in (
@@ -1041,10 +1085,8 @@ def sweep(config: RunConfig) -> Dict[str, object]:
     }
 
 
-def run_sweep(operators: Sequence[str] = ALL_OPERATORS,
-              strategies: Sequence[SyncStrategy] = ALL_STRATEGIES
-              ) -> Dict[str, object]:
-    """Full sweep: every operator label x strategy x crossed site.
+def run_sweep() -> Dict[str, object]:
+    """Full sweep: every combo of :data:`SWEEP_COMBOS` x crossed site.
 
     The summary reports per-layer coverage as registered-vs-fired
     counts and lists every registered site the whole sweep never
@@ -1053,7 +1095,7 @@ def run_sweep(operators: Sequence[str] = ALL_OPERATORS,
     benchmark harness.
     """
     combos = [sweep(sweep_config(label, strategy))
-              for label in operators for strategy in strategies]
+              for label, strategy in SWEEP_COMBOS]
     covered = sorted({s["site"] for c in combos for s in c["sites"]})
     layers = Counter(SITE_REGISTRY[site][0] for site in covered)
     registered = Counter(layer for layer, _ in SITE_REGISTRY.values())

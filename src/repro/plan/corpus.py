@@ -86,9 +86,10 @@ class Workload:
         lazy_reads: ``(table, key)`` reads issued after the first tiny
             step of a ``:lazy`` run: they miss into unmigrated records.
         variants: Option suffixes the sweep runs beside the plain
-            scenario: ``"@N"`` is ``shards=N``, ``":lazy"`` is
-            ``population_mode="lazy"``, ``":view"`` builds the join as a
-            published materialized view; they compose (``":lazy@3"``).
+            scenario: ``"@N"`` is ``shards=N``, ``":<mode>"`` is
+            ``population_mode=<mode>``, ``":view"`` a published view,
+            ``":rename"`` ``materialize_r=False``; they compose
+            (``":lazy@3"``).
     """
 
     script: Tuple[Txn, ...]
@@ -312,7 +313,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                         ("pub", ("p2",))),
             probes=(_ins("book_pub", bid=95001, title="probe",
                          pub_id="p-probe"),),
-            variants=("@2", ":lazy", ":view"))),
+            variants=("@2", ":lazy", ":view", ":blocking", ":trigger"))),
     CorpusScenario(
         name="associate-m2m",
         challenge="inline a many-to-many association (join on an "
@@ -342,7 +343,8 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             long_op=_upd("author", 1, aname="L0"),
             long_post_swap_op=_upd("author", 1, aname="Lz"),
             probes=(_ins("author_venue", aid=95001, aname="probe",
-                         topic="probe", vid="v-probe", vname="probe"),),)),
+                         topic="probe", vid="v-probe", vname="probe"),),
+            variants=(":blocking",))),
     CorpusScenario(
         name="normalize-split",
         challenge="normalize a denormalized table (extract a dependency)",
@@ -380,7 +382,8 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             probes=(_ins("track_base", tid=95001, title="probe",
                          album="probe-lp"),
                     _ins("album", album="probe-lp2", artist="probe")),
-            variants=("@3", ":lazy@3"))),
+            variants=("@3", ":lazy@3", ":blocking", ":trigger",
+                      ":rename"))),
     CorpusScenario(
         name="chain-foj-split",
         challenge="a multi-step change: denormalize, then re-normalize "
@@ -432,7 +435,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             long_post_swap_op=_upd("doc", 1, title="Lz"),
             lazy_reads=(("doc", (2,)), ("doc", (4,)), ("doc", (5,))),
             probes=(_ins("doc_tag", id=95001, title="probe", tag="p"),),
-            variants=(":lazy@2",))),
+            variants=(":lazy@2", ":blocking", ":trigger"))),
     CorpusScenario(
         name="archive-partition",
         challenge="partition rows by a predicate into hot/cold tables",
@@ -456,7 +459,8 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             long_op=_upd("orders", 1, qty=100),
             long_post_swap_op=_upd("orders", 1, qty=101),
             probes=(_ins("orders_eu", oid=95001, region="eu", qty=1),
-                    _ins("orders_intl", oid=95002, region="us", qty=2)),)),
+                    _ins("orders_intl", oid=95002, region="us", qty=2)),
+            variants=(":blocking",))),
     CorpusScenario(
         name="reunify-merge",
         challenge="reunify a previously partitioned pair of tables",
@@ -476,7 +480,8 @@ CORPUS: Tuple[CorpusScenario, ...] = (
             ),
             long_op=_upd("evt_a", 2, payload="L0"),
             long_post_swap_op=_upd("evt_a", 2, payload="Lz"),
-            probes=(_ins("evt", eid=95001, payload="probe"),),)),
+            probes=(_ins("evt", eid=95001, payload="probe"),),
+            variants=(":blocking",))),
     CorpusScenario(
         name="retype-default",
         challenge="change a field's type and its NULL default; add, "
@@ -509,7 +514,7 @@ CORPUS: Tuple[CorpusScenario, ...] = (
                         ("reading", (5,))),
             probes=(_ins("reading", rid=95001, name="probe",
                          value=95001, unit="K"),),
-            variants=(":lazy",))),
+            variants=(":lazy", ":blocking", ":trigger"))),
 )
 
 CORPUS_BY_NAME: Dict[str, CorpusScenario] = {s.name: s for s in CORPUS}

@@ -261,6 +261,10 @@ class PlanStepper:
             and self._tf is not None and self._tf.done
 
     @property
+    def sync_urgent(self) -> bool:
+        return self._tf is not None and self._tf.sync_urgent
+
+    @property
     def current_step(self) -> MigrationStep:
         return self.plan.steps[self._index]
 

@@ -31,8 +31,8 @@ built on it (:mod:`repro.faults.sweep`) all go through it.
 The registry is data the validator iterates over: ``required`` /
 ``optional`` param names yield key-enumerating errors for missing or
 unknown params, and ``supports_lazy`` (read off the transformation
-class's rule engine, where it is declared) lets
-``population_mode="lazy"`` on an eager-only operator (e.g. the
+class's rule engine, where it is declared) lets a per-row population
+mode (``"lazy"``, ``"trigger"``) on an eager-only operator (e.g. the
 many-to-many join) fail at validation time rather than deep inside
 ``Transformation._begin_population``.
 """
@@ -120,8 +120,8 @@ class PlanOperator:
 
     @property
     def supports_lazy(self) -> bool:
-        """Whether the operator's rule engine can serve migrate-on-read
-        (``population_mode="lazy"``)."""
+        """Whether the operator's rule engine can migrate row by row
+        (the per-row population modes, ``"lazy"`` and ``"trigger"``)."""
         return self.transformation.engine_class.supports_lazy
 
 

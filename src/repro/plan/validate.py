@@ -13,8 +13,8 @@ fixes a broken document in one round trip:
   option *values* :class:`~repro.transform.options.TransformOptions`
   itself rejects (unknown sync strategy, ``version_flip`` without the
   MVCC backend, bad shard counts, ...);
-* ``population_mode="lazy"`` on an eager-only operator (e.g. the
-  many-to-many join);
+* a per-row population mode (``"lazy"``, ``"trigger"``) on an
+  eager-only operator (e.g. the many-to-many join);
 * dangling table or attribute references, checked by walking a
   *simulated catalog*: starting from the live schemas, each step's
   ``derive`` consumes its retired sources and publishes its targets, so
@@ -31,7 +31,7 @@ from repro.common.errors import PlanValidationError, SchemaError
 from repro.engine.database import Database
 from repro.plan.operators import PLAN_OPERATORS, Schemas, live_schemas
 from repro.plan.spec import PLAN_OPTION_FIELDS, MigrationPlan, MigrationStep
-from repro.transform.options import TransformOptions
+from repro.transform.options import TransformOptions, population_problem
 
 
 class PlanValidator:
@@ -99,11 +99,11 @@ class PlanValidator:
                     f"{op.name!r}; available: {sorted(op.param_names)}")
 
             options = self._check_options(plan, step, where, problems)
-            if options is not None and options.population_mode == "lazy" \
-                    and not op.supports_lazy:
+            problem = None if options is None else population_problem(
+                options.population_mode, options.sync, op.supports_lazy)
+            if problem is not None:
                 problems.append(
-                    f"{where}: population_mode='lazy' is not supported by "
-                    f"operator {op.name!r} (its rule engine is eager-only); "
+                    f"{where}: operator {op.name!r}: {problem}; "
                     "lazy-capable operators: "
                     f"{sorted(n for n, o in PLAN_OPERATORS.items() if o.supports_lazy)}")
 

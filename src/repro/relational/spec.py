@@ -4,7 +4,7 @@ A spec captures everything needed to (a) derive the transformed tables'
 schemas, (b) evaluate the operator on consistent data (the oracle in
 :mod:`repro.relational.operators`), and (c) drive the propagation rules.
 Specs are plain frozen value objects shared by the transformation
-framework, the baselines, the recovery rebuilders and the test oracles.
+framework, the recovery rebuilders and the test oracles.
 
 Naming conventions follow the paper (Sections 4-5): a full outer join
 transforms source tables *R* and *S* into *T* on a join attribute; a split

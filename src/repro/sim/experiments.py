@@ -417,9 +417,8 @@ def run_once(scenario_builder: Callable[[int], Scenario],
             "spans": None if obs is None else obs.spans.tree(),
             "convergence": None if getattr(tf, "convergence", None) is None
             else tf.convergence.series(),
-            # The baselines are not sharded and have no summary.
-            "shard_summary": tf.shard_summary() or None
-            if hasattr(tf, "shard_summary") else None,
+            "shard_summary": None if tf is None
+            else tf.shard_summary() or None,
             "series": metrics.series(),
         },
     )

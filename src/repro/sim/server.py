@@ -4,7 +4,7 @@ transformation background process.
 This is the substitution for the paper's testbed (see DESIGN.md): the
 prototype's server node is modeled as a single processor with a FIFO queue
 of user operations and an attached *background process* (a transformation
-or baseline exposing ``step(budget)``).  The scheduler implements exactly
+or plan exposing ``step(budget)``).  The scheduler implements exactly
 the knob the paper evaluates -- the transformation **priority** p:
 
 * the transformation is throttled to a target share p of server capacity
@@ -64,7 +64,8 @@ class ServerConfig:
             blocking far beyond the configured priority (and invert the
             paper's workload/interference trend).
         trigger_op_ms: Extra service charged per trigger invocation the
-            operation fired (Ronström baseline).
+            operation fired (``population_mode="trigger"``, Ronström's
+            method).
     """
 
     op_service_ms: float = 0.020
@@ -111,11 +112,12 @@ class Server:
     # -- background attachment ------------------------------------------------
 
     def set_background(self, stepper, priority: float) -> None:
-        """Attach a transformation/baseline as the background process.
+        """Attach a transformation (or plan stepper) as the background
+        process.
 
         Args:
             stepper: Object with ``step(budget) -> StepReport`` and
-                ``done`` / ``phase`` attributes.
+                ``done`` / ``phase`` / ``sync_urgent`` attributes.
             priority: Fraction of server capacity granted while user work
                 is queued (the paper's transformation priority).
         """
@@ -141,7 +143,7 @@ class Server:
         """
         return self._bg_has_work() and \
             self.background.phase is Phase.SYNCHRONIZING and \
-            getattr(self.background, "sync_urgent", True)
+            self.background.sync_urgent
 
     # -- job flow ----------------------------------------------------------------
 

@@ -64,7 +64,12 @@ from repro.transform.analysis import (
     IterationReport,
     RemainingRecordsPolicy,
 )
-from repro.transform.options import SyncStrategy, TransformOptions
+from repro.transform.options import (
+    PER_ROW_MODES,
+    SyncStrategy,
+    TransformOptions,
+    population_problem,
+)
 from repro.wal.records import (
     NULL_LSN,
     CLRecord,
@@ -332,13 +337,12 @@ class RuleEngine:
         row's snapshot, which the engine may keep, and its LSN -- into
         the target.
 
-        The one way scanned rows enter a target: population (eager, lazy
-        sweep, restart rebuild) hands over each chunk, the blocking
-        baseline its latched slice, the miss hook one image.  Must be
-        idempotent and built from the same state-driven / LSN-guarded
-        primitives as the propagation rules, so later log replay
-        converges whatever order the rows arrived in; an image that
-        raises must leave nothing that makes its retry stop short.
+        The one way scanned rows enter a target: population (every mode,
+        and restart rebuild) hands over each chunk, the miss hook one
+        image.  Must be idempotent and built from the same state-driven
+        / LSN-guarded primitives as the propagation rules, so later log
+        replay converges whatever order the rows arrived in; an image
+        that raises must leave nothing that makes its retry stop short.
         """
         raise NotImplementedError
 
@@ -501,8 +505,8 @@ class Transformation:
         self._sync_executor = None       # set when synchronization starts
         self._old_txn_ids: Set[int] = set()
         self._stalled = False
-        #: The access hook installed for lazy population, while installed.
-        self._lazy_hook = None
+        #: The per-row modes' hook (miss hook, triggers) while installed.
+        self._population_hook = None
         #: Proxy owners whose materialized locks abort() must release even
         #: after the owning end record was propagated mid-crash.
         self._proxied_txn_ids: Set[int] = set()
@@ -667,13 +671,13 @@ class Transformation:
 
     def _begin_population(self) -> None:
         options = self.options
-        lazy = options.population_mode == "lazy"
-        if lazy and not (self.engine is not None
-                         and self.engine.supports_lazy):
+        problem = population_problem(
+            options.population_mode, options.sync,
+            self.engine is not None and self.engine.supports_lazy)
+        if problem is not None:
             raise TransformationError(
-                f"{self.transform_id}: population_mode='lazy' requires an "
-                f"engine with per-record migration (supports_lazy); "
-                f"{type(self.engine).__name__} is eager-only")
+                f"{self.transform_id} ({type(self.engine).__name__}): "
+                f"{problem}")
         self.faults.fire(SITE_TF_POPULATE_BEGIN, transform=self.transform_id)
         active = sorted(
             t.txn_id for t in self.db.txns.active_on(self.source_tables))
@@ -690,8 +694,7 @@ class Transformation:
             self._shard_applied = [0] * shards
         self._planner = ShardPlanner(shards)
         self._open_scans()
-        if lazy:
-            self._install_lazy_hook()
+        self._install_population_hook()
         self.phase = Phase.POPULATING
 
     def _wire(self, targets: Dict[str, Table]) -> None:
@@ -714,18 +717,20 @@ class Transformation:
         step's remaining budget), with the options as parameters: the
         shard map to charge handed-out rows to, and -- under lazy
         population -- hand-outs recorded as claims, so the miss hook and
-        the background drain migrate each row exactly once.  Only the read rule varies.  Latch storage, and
-        lazy population (whose miss hook can only see live rows), read
+        the background drain migrate each row exactly once.  Only the
+        read rule varies.  Latch storage and the per-row modes read
         dirty: the paper's fuzzy read, repaired later by LSN-guarded
-        propagation.  Eager MVCC population pins one snapshot (first
-        call) and reads every chunk of every source as of it through
+        propagation (a miss hook can only see live rows, and a stale
+        image would overwrite what a trigger already applied).  Eager
+        and blocking MVCC population pin one snapshot (first call) and
+        read every chunk of every source as of it through
         :class:`~repro.storage.mvcc.SnapshotScan`.
         """
         options = self.options
-        lazy = options.population_mode == "lazy"
+        mode = options.population_mode
         scan_options = dict(planner=self._planner, faults=self.faults,
-                            claim_handouts=lazy)
-        if options.storage == "mvcc" and not lazy:
+                            claim_handouts=mode == "lazy")
+        if options.storage == "mvcc" and mode not in PER_ROW_MODES:
             from repro.storage.mvcc import SnapshotScan
             mvcc = self.db.mvcc
             assert mvcc is not None
@@ -743,20 +748,20 @@ class Transformation:
         self.db.mvcc.release(self._population_snapshot)
         self._population_snapshot = None
 
-    def _install_lazy_hook(self) -> None:
-        from repro.transform.lazy import LazyMigrator
-        self._lazy_hook = LazyMigrator(self)
-        self.db.access_hooks.append(self._lazy_hook)
+    def _install_population_hook(self) -> None:
+        """Install the per-row modes' hook (miss hook, or triggers)."""
+        from repro.transform.lazy import LazyMigrator, SourceTrigger
+        hook = {"lazy": LazyMigrator, "trigger": SourceTrigger}.get(
+            self.options.population_mode)
+        if hook is not None:
+            self._population_hook = hook(self)
+            self._population_hook.install()
 
-    def _uninstall_lazy_hook(self) -> None:
-        """Remove the migrate-on-read hook (population done, or abort)."""
-        if self._lazy_hook is None:
-            return
-        try:
-            self.db.access_hooks.remove(self._lazy_hook)
-        except ValueError:
-            pass
-        self._lazy_hook = None
+    def _uninstall_population_hook(self) -> None:
+        """Remove the population hook (population done, or abort)."""
+        hook, self._population_hook = self._population_hook, None
+        if hook is not None:
+            hook.uninstall()
 
     def _population_step(self, budget: int) -> Tuple[int, bool]:
         """Do up to ``budget`` population units; return (units, finished).
@@ -769,11 +774,12 @@ class Transformation:
         very loop as the background sweeper: its scans skip what the
         miss hook claimed, and the ``step`` budget that throttles eager
         population throttles the drain, so supervisor priority
-        escalation applies unchanged.
+        escalation applies unchanged.  The trigger mode's reorganizer
+        scan is this loop too, beside its triggers.
         """
         assert self.engine is not None
         migrate = self.engine.migrate_rows
-        sweeping = self._lazy_hook is not None
+        sweeping = self.options.population_mode == "lazy"
         units = 0
         # Blame: while the drain runs, anything held under the transform
         # id is the sweeper's doing, not generic population.
@@ -1066,6 +1072,17 @@ class Transformation:
         if self.phase is Phase.CREATED:
             self.prepare()
         if self.phase is Phase.PREPARED:
+            if self.options.population_mode == "blocking":
+                # Section 1's INSERT INTO ... SELECT: blocking commit's
+                # block-and-drain opens the population (quiescent
+                # sources) instead of closing it; the block lifts at the
+                # swap.
+                if self._sync_executor is None:
+                    self._sync_executor = self._build_sync_executor(
+                        self.options.sync_strategy)
+                units = self._sync_executor.step(budget)
+                if self._sync_executor.state != "final":
+                    return StepReport(self.phase, max(units, 1), False)
             self._begin_population()
 
         if self.phase is Phase.POPULATING:
@@ -1079,10 +1096,18 @@ class Transformation:
             if finished:
                 self.faults.fire(SITE_TF_POPULATE_DONE,
                                  transform=self.transform_id)
-                self._uninstall_lazy_hook()
+                self._uninstall_population_hook()
                 self._release_population_snapshot()
                 self.db.log.append(FuzzyMarkRecord(
                     transform_id=self.transform_id, phase="cycle"))
+                if self.options.population_mode == "trigger":
+                    # The triggers applied every source change since the
+                    # begin mark: propagate from here, and keep only open
+                    # transactions' locks (the rest end before the cursor).
+                    self._cursor = self.db.log.end_lsn + 1
+                    for txn_id in self.locks_held.txn_ids():
+                        if not self.db.txns.exists(txn_id):
+                            self.locks_held.release_txn(txn_id)
                 self.phase = Phase.PROPAGATING
                 self._begin_iteration()
             if shards > 1:
@@ -1189,7 +1214,8 @@ class Transformation:
         strategy = self.options.sync_strategy
         self.faults.fire(SITE_TF_SYNC_ENTER, transform=self.transform_id,
                          strategy=strategy.value)
-        self._sync_executor = self._build_sync_executor(strategy)
+        if self._sync_executor is None:  # else: blocking population's
+            self._sync_executor = self._build_sync_executor(strategy)
         self.phase = Phase.SYNCHRONIZING
         self.metrics.trace("tf.sync.start", transform=self.transform_id,
                            strategy=strategy.value)
@@ -1248,7 +1274,7 @@ class Transformation:
             return
         self.faults.fire(SITE_TF_ABORT, transform=self.transform_id,
                          phase=self.phase.value)
-        self._uninstall_lazy_hook()
+        self._uninstall_population_hook()
         self._release_population_snapshot()
         if self._sync_executor is not None:
             self._sync_executor.cleanup()

@@ -34,6 +34,7 @@ from repro.relational.spec import FojSpec
 from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.transform.base import Image, RuleEngine, Touched, Transformation
+from repro.transform.options import PER_ROW_MODES
 from repro.wal.records import (
     DeleteRecord,
     InsertRecord,
@@ -74,13 +75,12 @@ def moves_join(change: UpdateRecord, join_attr: str) -> bool:
 class FojHashJoin:
     """The streamed full outer hash join of two source scans into T.
 
-    The FOJ's initial population, and its only copy: the online
-    transformation steps it under its budget, restart's swap-point
-    rebuild and the blocking baseline drive it to the end in one call.
-    It beats feeding the same chunks through
-    :meth:`FojRuleEngine.migrate_rows` (which lazy population, needing
-    row-granular claims, still does) because a build/probe pass makes no
-    index lookups in T.
+    The FOJ's eager and blocking population, and its only copy: the
+    online transformation steps it under its budget, restart's
+    swap-point rebuild drives it to the end in one call.  It beats
+    feeding the same chunks through :meth:`FojRuleEngine.migrate_rows`
+    (which the per-row modes, claiming single rows or racing triggers,
+    still do) because a build/probe pass makes no index lookups in T.
 
     Order: drain the S scan into a join-value hash, drain the R scan
     into a buffer, stream the buffer through the hash inserting joined
@@ -607,10 +607,11 @@ class FojTransformation(Transformation):
 
         The operator's choice, not an option: the join is the cheaper
         way to place the same rows whenever the scans may be read in
-        bulk.  Lazy population may not (the miss hook claims single
-        rows), so it keeps the per-record path.
+        bulk: eager and blocking population.  The per-row modes may not
+        (the miss hook claims single rows, triggers change the target
+        between chunks), so they keep the per-record path.
         """
-        if self._lazy_hook is not None:
+        if self.options.population_mode in PER_ROW_MODES:
             return super()._population_step(budget)
         if self._join is None:
             self._join = FojHashJoin(

@@ -1,4 +1,7 @@
-"""Access-triggered (migrate-on-read) population support.
+"""The hooks of the per-row population modes, installed while the
+transformation is POPULATING and run inside user transactions:
+:class:`LazyMigrator` (``"lazy"``) and :class:`SourceTrigger`
+(``"trigger"``).
 
 With ``TransformOptions(population_mode="lazy")`` the transformed table
 starts empty and two producers fill it:
@@ -25,6 +28,11 @@ same or a newer state than any log record propagation will later replay,
 so the state-driven FOJ rules (Theorem 1) and the LSN-guarded split
 rules converge to the identical result regardless of population order.
 Lazy population is an access-ordered fuzzy scan stretched over time.
+
+With ``population_mode="trigger"`` every source change reaches the
+targets at once, through the same rules, inside the user's transaction
+(the cost log propagation keeps out of it), so rows scanned before or
+after the change converge by the same argument.
 """
 
 from __future__ import annotations
@@ -54,6 +62,12 @@ class LazyMigrator:
         #: ``lazy.sweep.miss_claims``, which tells the miss-vs-sweep
         #: producer race apart in blame investigations).
         self.miss_claims = 0
+
+    def install(self) -> None:
+        self.tf.db.access_hooks.append(self)
+
+    def uninstall(self) -> None:
+        self.tf.db.access_hooks.remove(self)
 
     def on_access(self, db, txn, table_name: str, key: Tuple) -> None:
         from repro.transform.base import Phase
@@ -99,3 +113,26 @@ class LazyMigrator:
         for partner_table, partner_key in \
                 tf.engine.migration_partners(table_name, row.values):
             self._migrate_key(db, partner_table, tuple(partner_key))
+
+
+class SourceTrigger:
+    """Ronström's trigger (Section 2.1) on every source: the engine
+    calls it after each operation and rollback compensation, billed to
+    ``db.stats["trigger"]``; the change goes through propagation's own
+    :meth:`~repro.transform.base.Transformation._apply_group`, so its
+    touched target records enter the propagated lock table."""
+
+    def __init__(self, tf) -> None:
+        self.tf = tf
+
+    def install(self) -> None:
+        for name in self.tf.source_tables:
+            self.tf.db.create_trigger(name, self)
+
+    def uninstall(self) -> None:
+        for name in self.tf.source_tables:
+            self.tf.db.drop_triggers(name)
+
+    def __call__(self, db, txn, change) -> None:
+        self.tf._apply_group(change.table, change.__class__,
+                             [(change, change.lsn, txn.txn_id)])

@@ -44,8 +44,14 @@ SYNC_STRATEGIES = {member.value: member for member in SyncStrategy}
 #: scan (Section 3.2); ``"lazy"`` starts the target empty and migrates
 #: each record on first access (read/update miss) while a budgeted
 #: background sweeper drains the remainder -- the SLSM-style
-#: migrate-on-read variant (see docs/paper_mapping.md).
-POPULATION_MODES = ("eager", "lazy")
+#: migrate-on-read variant (see docs/paper_mapping.md).  The paper's two
+#: baselines: ``"blocking"``, Section 1's ``INSERT INTO ... SELECT``
+#: (block and drain, then copy), and ``"trigger"``, Ronström's method of
+#: Section 2.1 (triggers inside user transactions during the scan).
+POPULATION_MODES = ("eager", "lazy", "blocking", "trigger")
+
+#: The modes migrating row by row beside user access (``supports_lazy``).
+PER_ROW_MODES = ("lazy", "trigger")
 
 #: Storage backends: ``"latch"`` is the paper's design (dirty fuzzy
 #: scans, latched synchronization windows); ``"mvcc"`` enables the
@@ -72,6 +78,25 @@ def resolve_sync_strategy(
             f"{sorted(SYNC_STRATEGIES)}") from None
 
 
+def population_problem(mode: str, sync: Union[SyncStrategy, str],
+                       supports_lazy: bool = True) -> Optional[str]:
+    """Why ``mode`` cannot run under ``sync`` on an engine that does
+    (not) ``supports_lazy``, or ``None``: the one legality rule of the
+    population modes."""
+    if mode not in POPULATION_MODES:
+        return (f"unknown population_mode {mode!r}; "
+                f"available: {list(POPULATION_MODES)}")
+    if mode == "blocking" and \
+            resolve_sync_strategy(sync) is not SyncStrategy.BLOCKING_COMMIT:
+        return ('population_mode="blocking" requires sync="blocking_commit" '
+                "(its block-and-drain opens the population)")
+    if mode in PER_ROW_MODES and not supports_lazy:
+        return (f"population_mode={mode!r} requires an engine with "
+                "per-record migration (supports_lazy), not an eager-only "
+                "one")
+    return None
+
+
 @dataclass(frozen=True)
 class TransformOptions:
     """Immutable configuration of one transformation run.
@@ -95,10 +120,11 @@ class TransformOptions:
             ``None`` selects the default remaining-records policy.
         transform_id: Stable identifier used in fuzzy marks and latches;
             generated when ``None``.
-        population_mode: ``"eager"`` (the paper's fuzzy snapshot scan) or
+        population_mode: ``"eager"`` (the paper's fuzzy snapshot scan),
             ``"lazy"`` (access-triggered migrate-on-read with a budgeted
             background sweeper; row-identical to eager, only the
-            population *order* differs).
+            population *order* differs), or a baseline of
+            :data:`POPULATION_MODES`, ``"blocking"`` or ``"trigger"``.
         storage: ``"latch"`` (the paper's design) or ``"mvcc"`` (the
             multi-version overlay: committed version chains + pinned
             snapshot reads for population; required by -- and implied
@@ -119,10 +145,9 @@ class TransformOptions:
         resolve_sync_strategy(self.sync)
         if int(self.shards) < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.population_mode not in POPULATION_MODES:
-            raise ValueError(
-                f"unknown population_mode {self.population_mode!r}; "
-                f"available: {list(POPULATION_MODES)}")
+        problem = population_problem(self.population_mode, self.sync)
+        if problem is not None:
+            raise ValueError(problem)
         if self.storage not in STORAGE_BACKENDS:
             raise ValueError(
                 f"unknown storage backend {self.storage!r}; "

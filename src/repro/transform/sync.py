@@ -473,7 +473,9 @@ class BlockingCommitSync(_SyncExecutor):
     as the paper's own comparison point and is measured by the
     blocking-baseline benchmark.  Its window is a *block*, taken by a
     prologue of two states of its own; from ``final`` on it is the
-    common handover.
+    common handover.  ``population_mode="blocking"`` runs the prologue
+    before the population instead (:meth:`Transformation._step_inner`),
+    so the window spans the whole copy.
     """
 
     latches = False

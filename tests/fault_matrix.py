@@ -2,7 +2,9 @@
 
 For each sweep label -- every workload-carrying scenario of the corpus
 (:data:`repro.plan.CORPUS`), one per registered plan operator, plus its
-``:lazy`` / ``@N`` variants -- x synchronization strategy,
+``:<mode>`` / ``:view`` / ``:rename`` / ``@N`` variants -- x
+synchronization strategy it can run under
+(:data:`repro.faults.sweep.SWEEP_COMBOS`),
 :func:`repro.faults.sweep.sweep` records which injection sites the
 scenario crosses, then re-runs it once per site with a
 :class:`~repro.faults.CrashFault` armed mid-scenario, salvages the log
@@ -24,12 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.chaos import chaos_run
-from repro.faults.sweep import (
-    ALL_OPERATORS,
-    ALL_STRATEGIES,
-    parse_label,
-    run_sweep,
-)
+from repro.faults.sweep import SWEEP_COMBOS, parse_label, run_sweep
 from repro.plan import PLAN_OPERATORS
 
 
@@ -42,9 +39,9 @@ def matrix():
                     for c in report["combos"]}
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES,
-                         ids=lambda s: s.value)
-@pytest.mark.parametrize("operator", ALL_OPERATORS)
+@pytest.mark.parametrize(
+    "operator,strategy", SWEEP_COMBOS,
+    ids=[f"{label}-{strategy.value}" for label, strategy in SWEEP_COMBOS])
 def test_crash_at_every_site(matrix, operator, strategy):
     report = matrix[1][operator, strategy.value]
     bad = [s for s in report["sites"] if s["outcome"] != "ok"]

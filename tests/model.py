@@ -8,6 +8,7 @@ and the verdict every property test asserts.
 """
 
 import random
+from dataclasses import replace
 from typing import List
 
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from repro.faults.sweep import (
     ScenarioRun,
     check_completed,
     draw_history,
+    parse_label,
 )
 from repro.plan import PLAN_OPERATORS, WORKLOAD_SCENARIOS
 from repro.relational import split
@@ -60,13 +62,14 @@ def backlogged(operator, **fixed):
     return configs(operator, backlogs=(64,), **fixed)
 
 
-def seeded(operator, seed, **fixed):
-    """A run description of ``operator``'s scenario drawn from ``seed``,
-    at the configuration the seeded per-operator loops ran: the default
-    strategy and storage, eager, one shard, budgets in 1..11 and a
-    history of up to 40 transactions -- ``fixed`` overrides a field."""
+def seeded(label, seed, **fixed):
+    """The sweep label's run description (an operator name alone: the
+    default strategy and storage, eager, one shard) with the rest drawn
+    from ``seed`` as the seeded per-operator loops ran: budgets in 1..11
+    and a history of up to 40 transactions -- ``fixed`` overrides a
+    field."""
     rng = random.Random(seed)
-    return RunConfig(WORKLOAD_SCENARIOS[operator], **{
+    return replace(parse_label(label), **{
         "budgets": tuple(rng.randint(1, 11) for _ in range(3)),
         "max_remaining": rng.choice(BACKLOGS),
         "history": draw_history(rng, 40), **fixed})

@@ -1,17 +1,18 @@
-"""Tests for the blocking and Ronström (trigger-based) baselines."""
+"""The paper's two baselines, as population modes of the one framework.
 
-import random
+``population_mode="blocking"`` is Section 1's ``INSERT INTO ... SELECT``
+(the sources blocked and drained before the copy, until the swap);
+``population_mode="trigger"`` is Ronström's method of Section 2.1
+(triggers inside user transactions while the scan runs).
+"""
 
 import pytest
 
-from repro import Database, Session, TableSchema
-from repro.baselines import BlockingTransformation, RonstromTransformation
-from repro.common.errors import (
-    DuplicateKeyError,
-    LockWaitError,
-    NoSuchRowError,
-)
+from repro import FojTransformation, Session, SplitTransformation
+from repro.api import TransformOptions
+from repro.common.errors import LockWaitError, NoSuchTableError
 from repro.relational import full_outer_join, rows_equal, split
+from repro.transform.base import Phase
 
 from tests.conftest import (
     foj_spec,
@@ -21,6 +22,11 @@ from tests.conftest import (
     table_counters,
     values_of,
 )
+from tests.model import check_model, seeded
+
+BLOCKING = TransformOptions(sync="blocking_commit",
+                            population_mode="blocking")
+TRIGGER = TransformOptions(population_mode="trigger")
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +38,9 @@ def test_blocking_foj_result_correct(foj_db):
     load_foj_data(foj_db)
     spec = foj_spec(foj_db)
     r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
-    bt = BlockingTransformation(foj_db, spec)
-    bt.run()
-    assert bt.done
+    tf = FojTransformation(foj_db, spec, options=BLOCKING)
+    tf.run()
+    assert tf.done
     assert rows_equal(values_of(foj_db, "T"),
                       full_outer_join(spec, r_rows, s_rows))
     assert foj_db.catalog.table_names() == ["T"]
@@ -44,7 +50,7 @@ def test_blocking_split_result_correct(split_db):
     load_split_data(split_db, n=20)
     spec = split_spec(split_db)
     t_rows = values_of(split_db, "T")
-    BlockingTransformation(split_db, spec).run()
+    SplitTransformation(split_db, spec, options=BLOCKING).run()
     r_rows, s_rows, counters, _ = split(spec, t_rows)
     assert rows_equal(values_of(split_db, "T_r"), r_rows)
     assert rows_equal(values_of(split_db, "postal"), s_rows)
@@ -55,27 +61,56 @@ def test_blocking_baseline_blocks_for_entire_copy(foj_db):
     """The point of the paper: user operations stall for the whole copy,
     not just a sub-millisecond latch."""
     load_foj_data(foj_db, n_r=30, n_s=10)
-    bt = BlockingTransformation(foj_db, foj_spec(foj_db), chunk=5)
-    bt.step(10)  # prepare + latch
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=BLOCKING)
+    tf.step(10)  # prepare + block
     txn = foj_db.begin()
     with pytest.raises(LockWaitError):
         foj_db.read(txn, "R", (1,))
-    bt.step(10)  # still copying, still latched
+    tf.step(10)  # drained: copying, still blocked
+    assert tf.phase is Phase.POPULATING
     with pytest.raises(LockWaitError):
         foj_db.read(txn, "R", (1,))
     woken = []
     foj_db.on_wake = woken.extend
-    bt.run()
-    assert bt.blocked_units >= 30  # latched for the whole table copy
+    tf.run()
+    assert tf.stats["population_units"] >= 30  # blocked for the copy
     assert txn.txn_id in woken  # released only at the swap
+    with pytest.raises(NoSuchTableError):
+        foj_db.read(txn, "R", (1,))
     foj_db.abort(txn)
 
 
-def test_blocking_baseline_blocked_units_scale_with_size(foj_db):
+def test_blocking_baseline_blocked_copy_scales_with_size(foj_db):
     load_foj_data(foj_db, n_r=40, n_s=10)
-    bt = BlockingTransformation(foj_db, foj_spec(foj_db))
-    bt.run()
-    assert bt.blocked_units > 40
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=BLOCKING)
+    tf.run()
+    assert tf.stats["population_units"] > 40
+
+
+def test_blocking_population_drains_a_writer_active_at_begin(split_db):
+    """The begin mark waits for the drain, so the copy never reads a
+    write that later aborts."""
+    load_split_data(split_db, n=10)
+    spec = split_spec(split_db)
+    t_rows = values_of(split_db, "T")
+    tf = SplitTransformation(split_db, spec, options=BLOCKING)
+    writer = split_db.begin()
+    split_db.update(writer, "T", (1,), {"name": "DIRTY"})
+    for _ in range(3):
+        tf.step(8)
+    assert tf.phase is Phase.PREPARED  # still draining the writer
+    assert split_db.catalog.is_blocked("T")
+    split_db.abort(writer)
+    tf.run()
+    r_rows, s_rows, counters, _ = split(spec, t_rows)
+    assert rows_equal(values_of(split_db, "T_r"), r_rows)
+    assert rows_equal(values_of(split_db, "postal"), s_rows)
+    assert not split_db.catalog.is_blocked("T_r")
+
+
+def test_blocking_population_requires_blocking_commit():
+    with pytest.raises(ValueError, match="blocking_commit"):
+        TransformOptions(population_mode="blocking")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +122,7 @@ def test_ronstrom_foj_quiescent_correct(foj_db):
     load_foj_data(foj_db)
     spec = foj_spec(foj_db)
     r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
-    rt = RonstromTransformation(foj_db, spec)
-    rt.run()
+    FojTransformation(foj_db, spec, options=TRIGGER).run()
     assert rows_equal(values_of(foj_db, "T"),
                       full_outer_join(spec, r_rows, s_rows))
 
@@ -97,7 +131,7 @@ def test_ronstrom_split_quiescent_correct(split_db):
     load_split_data(split_db, n=20)
     spec = split_spec(split_db)
     t_rows = values_of(split_db, "T")
-    RonstromTransformation(split_db, spec).run()
+    SplitTransformation(split_db, spec, options=TRIGGER).run()
     r_rows, s_rows, counters, _ = split(spec, t_rows)
     assert rows_equal(values_of(split_db, "T_r"), r_rows)
     assert table_counters(split_db, "postal") == counters
@@ -107,15 +141,15 @@ def test_ronstrom_triggers_charged_to_user_transactions(foj_db):
     """Section 2.1's critique: the maintenance work runs inside the user
     transaction -- visible here as trigger invocations during user ops."""
     load_foj_data(foj_db, n_r=10, n_s=5)
-    rt = RonstromTransformation(foj_db, foj_spec(foj_db), chunk=3)
-    rt.step(3)  # prepare (installs triggers)
+    tf = FojTransformation(foj_db, foj_spec(foj_db), options=TRIGGER)
+    tf.step(3)  # prepare, install the triggers, scan three rows
+    assert tf.phase is Phase.POPULATING
     before = foj_db.stats["trigger"]
     with Session(foj_db) as s:
         s.update("R", (1,), {"b": "x"})
     assert foj_db.stats["trigger"] == before + 1
-    assert rt.trigger_ops >= 1
-    rt.run()
-    # After completion the triggers are gone.
+    tf.run()
+    # After population the triggers are gone.
     before = foj_db.stats["trigger"]
     with Session(foj_db) as s:
         s.update("T", (1,), {"b": "y"})
@@ -125,48 +159,50 @@ def test_ronstrom_triggers_charged_to_user_transactions(foj_db):
 def test_ronstrom_trigger_rollback_compensates(foj_db):
     load_foj_data(foj_db, n_r=8, n_s=4)
     spec = foj_spec(foj_db)
-    rt = RonstromTransformation(foj_db, spec, chunk=2)
-    rt.step(2)  # triggers installed, scan barely started
+    tf = FojTransformation(foj_db, spec, options=TRIGGER)
+    tf.step(2)  # triggers installed, scan barely started
     txn = foj_db.begin()
     foj_db.update(txn, "R", (1,), {"b": "dirty"})
     foj_db.abort(txn)  # trigger fires again for the CLR
     r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
-    rt.run()
+    tf.run()
     assert rows_equal(values_of(foj_db, "T"),
                       full_outer_join(spec, r_rows, s_rows))
+
+
+@pytest.mark.parametrize("sync", ["nonblocking_abort", "nonblocking_commit",
+                                  "version_flip", "blocking_commit"])
+def test_trigger_population_leaves_an_open_writer_to_its_strategy(foj_db,
+                                                                  sync):
+    """A writer still open at the swap is doomed (non-blocking abort),
+    carried across behind the lock mirror (non-blocking commit, version
+    flip) or drained (blocking commit); none of its uncommitted write is
+    published."""
+    load_foj_data(foj_db, n_r=10, n_s=5)
+    spec = foj_spec(foj_db)
+    r_rows, s_rows = values_of(foj_db, "R"), values_of(foj_db, "S")
+    tf = FojTransformation(foj_db, spec, options=TRIGGER.evolve(
+        sync=sync, storage="mvcc" if sync == "version_flip" else "latch"))
+    tf.step(3)
+    writer = foj_db.begin()
+    foj_db.update(writer, "R", (1,), {"b": "UNCOMMITTED"})
+    for _ in range(200):
+        if tf.step(4).done or tf.phase is Phase.BACKGROUND \
+                or writer.is_finished:
+            break
+    if sync == "nonblocking_abort":
+        assert writer.doomed and writer.is_finished
+    else:
+        assert not writer.is_finished
+        assert tf.phase is (Phase.SYNCHRONIZING if sync == "blocking_commit"
+                            else Phase.BACKGROUND)
+        foj_db.abort(writer)
+    tf.run()
+    assert rows_equal(values_of(foj_db, "T"),
+                      full_outer_join(spec, r_rows, s_rows))
+    assert len(tf.locks_held) == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_ronstrom_interleaved_converges(foj_db, seed):
-    rng = random.Random(seed)
-    load_foj_data(foj_db, n_r=25, n_s=8, seed=seed)
-    spec = foj_spec(foj_db)
-    rt = RonstromTransformation(foj_db, spec, chunk=4)
-    r_rows = s_rows = None
-    while True:
-        if foj_db.catalog.exists("R"):
-            try:
-                with Session(foj_db) as s:
-                    k = rng.random()
-                    if k < 0.3:
-                        s.update("R", (rng.randrange(25),),
-                                 {"c": rng.randrange(11)})
-                    elif k < 0.5:
-                        s.update("S", (rng.randrange(11),),
-                                 {"d": f"x{rng.random():.2f}"})
-                    elif k < 0.65:
-                        s.delete("R", (rng.randrange(25),))
-                    elif k < 0.8:
-                        s.insert("R", {"a": 100 + rng.randrange(60),
-                                       "b": 0, "c": rng.randrange(11)})
-                    else:
-                        s.update("R", (rng.randrange(25),),
-                                 {"b": rng.random()})
-            except (NoSuchRowError, DuplicateKeyError):
-                pass
-            r_rows = values_of(foj_db, "R")
-            s_rows = values_of(foj_db, "S")
-        if rt.step(6).done:
-            break
-    assert rows_equal(values_of(foj_db, "T"),
-                      full_outer_join(spec, r_rows, s_rows))
+def test_ronstrom_interleaved_converges(seed):
+    check_model(seeded("foj:trigger", seed))

@@ -58,7 +58,7 @@ def _read(db, table_name, key):
 
 
 def test_population_mode_registry_and_validation():
-    assert POPULATION_MODES == ("eager", "lazy")
+    assert POPULATION_MODES == ("eager", "lazy", "blocking", "trigger")
     assert TransformOptions().population_mode == "eager"
     assert TransformOptions(population_mode="lazy").population_mode == "lazy"
     with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ def test_lazy_miss_is_idempotent_per_record(foj_db):
         _read(foj_db, "R", (19,))
     assert tf.stats["lazy_miss_migrations"] == first  # re-reads are no-ops
     # The claim is counted where it is made: on the hook.
-    assert tf._lazy_hook.miss_claims == first
+    assert tf._population_hook.miss_claims == first
     assert tf.metrics.counter_value("lazy.sweep.miss_claims") == first
     tf.run()
 

@@ -19,10 +19,10 @@ from repro import (
     TableSchema,
     TransformationError,
 )
-from repro.common.errors import DuplicateKeyError, NoSuchRowError
 from repro.relational import rows_equal, split
 
 from tests.conftest import table_counters, values_of
+from tests.model import check_model, seeded
 
 
 def make_db(n=20, n_zip=4, seed=1):
@@ -105,38 +105,7 @@ def test_p_table_is_skinny():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_interleaved_converges(seed):
-    rng = random.Random(seed + 40)
-    db = make_db(n=25, seed=seed)
-    spec = make_spec(db)
-    tf = make_tf(db, spec)
-    next_id = [100]
-    for _ in range(100):
-        try:
-            with Session(db) as s:
-                k = rng.random()
-                z = 7000 + rng.randrange(4)
-                if k < 0.3:
-                    s.insert("T", {"id": next_id[0], "name": "x",
-                                   "zip": z, "city": f"C{z}"})
-                    next_id[0] += 1
-                elif k < 0.55:
-                    s.delete("T", (rng.randrange(25),))
-                elif k < 0.8:
-                    s.update("T", (rng.randrange(25),),
-                             {"zip": z, "city": f"C{z}"})
-                else:
-                    s.update("T", (rng.randrange(25),),
-                             {"name": rng.random()})
-        except (NoSuchRowError, DuplicateKeyError):
-            pass
-        if not tf.done and tf.phase.value != "synchronizing":
-            tf.step(rng.randrange(1, 12))
-    t_rows = values_of(db, "T")
-    tf.run()
-    r_rows, s_rows, counters, _ = split(spec, t_rows)
-    assert rows_equal(values_of(db, "Tr"), r_rows)
-    assert rows_equal(values_of(db, "Ts"), s_rows)
-    assert table_counters(db, "Ts") == counters
+    check_model(seeded("split:rename", seed))
 
 
 def test_rename_mode_with_consistency_checking():
