@@ -16,14 +16,18 @@ live budget to the swap with no user load, then verifies the published
 target.  Records propagated, wall seconds and records/s (all under
 cProfile) come before the top functions.
 
-``--heap`` is the same "profile before code" for a memory claim: no
-cProfile; resident MB after ``setup()``, after ``timed(False)`` and after
-``verify()`` (the ledger's ``peak_rss_mb`` is the last column, the
-process's high-water mark), then a census of the database by component.
-The census is ``sys.getsizeof`` bytes, every object counted once, under
-the first component that reaches it (log before rows): an insert image
-the row shares with its log record is the log's.  It runs last because
-walking the heap allocates.
+``--heap`` is the same "profile before code" for a memory or collector
+claim: no cProfile; resident MB after ``setup()``, after ``timed(False)``
+and after ``verify()`` (the ledger's ``peak_rss_mb`` is the last column,
+the process's high-water mark), then a census of the database by
+component.  The census is ``sys.getsizeof`` bytes and the objects the
+cyclic collector tracks, every object counted once, under the first
+component that reaches it (log before rows): an insert image the row
+shares with its log record is the log's.  It runs last because walking
+the heap allocates.  Two collector lines close it: the process's tracked
+objects after set-up and after the timed section (each after a full
+collection), and the census's tracked objects per stored row (the
+tables' value, LSN and meta maps) and per log record.
 """
 
 import argparse
@@ -43,11 +47,16 @@ def _resident_mb():
 
 
 def heap_census(db, extra_tables=()):
-    """``[(component, objects, bytes)]`` for everything ``db`` keeps.
+    """``[(component, objects, bytes, tracked)]`` for everything ``db``
+    keeps; ``tracked`` counts the objects the cyclic collector walks.
 
     ``extra_tables`` are tables something else still references (the
-    ledger keeps retired sources for its probe counts).
+    ledger keeps retired sources for its probe counts).  A table's rows
+    are its three maps: values, LSNs and (for the rows that have any)
+    metadata.
     """
+    import gc
+
     from repro.wal.records import LogRecord
 
     seen = set()
@@ -58,9 +67,10 @@ def heap_census(db, extra_tables=()):
         if id(obj) in seen:
             return
         seen.add(id(obj))
-        entry = rows.setdefault(component, [0, 0])
+        entry = rows.setdefault(component, [0, 0, 0])
         entry[0] += 1
         entry[1] += sys.getsizeof(obj)
+        entry[2] += gc.is_tracked(obj)
         if isinstance(obj, dict):
             for key, value in obj.items():
                 add(component, key)
@@ -84,55 +94,80 @@ def heap_census(db, extra_tables=()):
 
     for record in db.log.scan():
         add_record(record)
-    tables = {id(t): t for t in extra_tables}
-    for name in db.catalog.table_names() + db.catalog.zombie_names():
-        table = db.catalog.get_any(name)
-        tables[id(table)] = table
-    for table in tables.values():
-        for row in table.rows.values():
-            add("rows: objects", row)
-            add("rows: values", row.values)
-            if row.meta is not None:
-                add("rows: meta", row.meta)
-        add("tables: rowid maps", table.rows)  # the rows are charged above
+    for table in stored_tables(db, extra_tables):
+        add("rows: value map", table.rows)
+        add("rows: LSN map", table.lsns)
+        add("rows: meta map", table.metas)
         for index in table.indexes.values():
             add("tables: indexes", index._map)
     for txn in db.txns.active_txns():
         add("transaction blocks", txn)
         add("transaction blocks", txn.tables_touched)
-    return [(name, count, size)
-            for name, (count, size) in sorted(rows.items())]
+    return [(name, count, size, tracked)
+            for name, (count, size, tracked) in sorted(rows.items())]
+
+
+def stored_tables(db, extra_tables=()):
+    """Every table ``db``'s catalog reaches, zombies included, plus
+    ``extra_tables``; each once."""
+    tables = {id(t): t for t in extra_tables}
+    for name in db.catalog.table_names() + db.catalog.zombie_names():
+        table = db.catalog.get_any(name)
+        tables[id(table)] = table
+    return list(tables.values())
+
+
+def _tracked_objects():
+    """Objects the cyclic collector tracks, after a full collection."""
+    import gc
+    gc.collect()
+    return len(gc.get_objects())
 
 
 def heap_report(rep, args, out):
     """Run one repetition as the ledger does, unprofiled, and print
-    where its bytes are."""
-    import gc
-
+    where its bytes are and what the collector walks."""
     from benchmarks.wallclock.stats import GcWatch
 
     rep.setup()
     marks = [_resident_mb()]
-    gc.collect()
+    tracked = [_tracked_objects()]
     with GcWatch() as rep.watch:
         rep.timed(False)
     marks.append(_resident_mb())
+    tracked.append(_tracked_objects())
     rep.verify()
     marks.append(_resident_mb())
     db = getattr(rep, "db", None) or rep.recovered
-    census = heap_census(db, rep._probed.values())
+    tables = list(rep._probed.values())
+    census = heap_census(db, tables)
     print(f"heap of {args.workload} (seed {args.seed}, "
           f"{'quick' if args.quick else 'paper'} sizes), MB", file=out)
     for label, (now, peak) in zip(("set-up", "timed", "verify()"), marks):
         print(f"  after {label:<9} resident {now:8.1f}   high-water "
               f"{peak:8.1f}", file=out)
-    print(f"  {'component':<28}{'objects':>12}{'MB':>10}", file=out)
-    for name, count, size in census:
-        print(f"  {name:<28}{count:>12,}{size / _MB:>10.1f}", file=out)
-    total = sum(size for _name, _count, size in census)
+    print(f"  {'component':<28}{'objects':>12}{'MB':>10}{'tracked':>12}",
+          file=out)
+    for name, count, size, walked in census:
+        print(f"  {name:<28}{count:>12,}{size / _MB:>10.1f}{walked:>12,}",
+              file=out)
+    total = sum(size for _name, _count, size, _walked in census)
     print(f"  {'attributed':<28}{'':>12}{total / _MB:>10.1f}", file=out)
     print(f"  {'resident after timed, rest':<28}{'':>12}"
           f"{marks[1][0] - total / _MB:>10.1f}", file=out)
+
+    def walked(prefix):
+        return sum(w for name, _c, _s, w in census if name.startswith(prefix))
+
+    stored = sum(len(table.rows) for table in stored_tables(db, tables))
+    records = len(db.log)
+    print(f"collector: tracked objects after set-up {tracked[0]:,}, "
+          f"after timed {tracked[1]:,}", file=out)
+    print(f"collector: tracked per stored row "
+          f"{walked('rows: ') / max(stored, 1):.4f} "
+          f"({walked('rows: '):,} / {stored:,} rows), per log record "
+          f"{walked('log: ') / max(records, 1):.4f} "
+          f"({walked('log: '):,} / {records:,} records)", file=out)
 
 
 def drain(tf, profiler, args, out):

@@ -563,17 +563,18 @@ class Database:
         table = self._resolve(txn, table_name, for_write=True)
         key = tuple(key)
         self._lock_record(txn, table, key, LockMode.X)
-        row = table.get(key)
-        if row is None:
+        rowid = table.rowid_of(key)
+        if rowid is None:
             raise NoSuchRowError(table.name, key)
+        values = table.rows[rowid]
         record = DeleteRecord(txn_id=txn.txn_id, table=table.name, key=key,
-                              old_values=dict(row.values))
+                              old_values=dict(values))
         lsn = self.log.append(record, prev_lsn=txn.last_lsn)
         txn.note_record(lsn)
         if self.mvcc is not None:
-            self.mvcc.note_write(txn, table, dict(row.values), TOMBSTONE,
-                                 before_lsn=row.lsn)
-        table.delete_rowid(row.rowid)
+            self.mvcc.note_write(txn, table, dict(values), TOMBSTONE,
+                                 before_lsn=table.lsns[rowid])
+        table.delete_rowid(rowid)
         txn.tables_touched.add(table.name)
         self.stats["delete"] += 1
         self._fire_triggers(table.name, txn, record)
@@ -591,22 +592,23 @@ class Database:
         key = tuple(key)
         self._lock_record(txn, table, key, LockMode.X)
         self._fire_access_hooks(txn, table.name, key)
-        row = table.get(key)
-        if row is None:
+        rowid = table.rowid_of(key)
+        if rowid is None:
             raise NoSuchRowError(table.name, key)
+        values = table.rows[rowid]
         # The one copy of the caller's mapping: the log record's image,
         # which storage reads (``update_rowid`` keeps no reference to it).
         changes = dict(changes)
-        old_values = {attr: row.values[attr] for attr in changes}
-        before = None if self.mvcc is None else dict(row.values)
-        before_lsn = row.lsn
+        old_values = {attr: values[attr] for attr in changes}
+        before = None if self.mvcc is None else dict(values)
+        before_lsn = table.lsns[rowid]
         record = UpdateRecord(txn_id=txn.txn_id, table=table.name, key=key,
                               changes=changes, old_values=old_values)
         lsn = self.log.append(record, prev_lsn=txn.last_lsn)
         txn.note_record(lsn)
-        table.update_rowid(row.rowid, changes, lsn=lsn)
+        table.update_rowid(rowid, changes, lsn=lsn)
         if self.mvcc is not None:
-            self.mvcc.note_write(txn, table, before, dict(row.values),
+            self.mvcc.note_write(txn, table, before, dict(values),
                                  before_lsn=before_lsn)
         txn.tables_touched.add(table.name)
         self.stats["update"] += 1
@@ -622,8 +624,8 @@ class Database:
         self._fire_access_hooks(txn, table.name, key)
         txn.tables_touched.add(table.name)
         self.stats["read"] += 1
-        row = table.get(key)
-        return None if row is None else dict(row.values)
+        rowid = table.rowid_of(key)
+        return None if rowid is None else dict(table.rows[rowid])
 
     def read_index(self, txn: Transaction, table_name: str, index_name: str,
                    key: Tuple) -> List[Dict[str, object]]:
@@ -633,7 +635,8 @@ class Database:
         rows = table.lookup(index_name, tuple(key))
         result = []
         for row in rows:
-            self._lock_record(txn, table, table.lock_key(row), LockMode.S)
+            self._lock_record(txn, table, table.lock_key(row.values),
+                              LockMode.S)
             result.append(dict(row.values))
         txn.tables_touched.add(table.name)
         self.stats["read"] += 1

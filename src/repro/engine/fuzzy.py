@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Set
 
 from repro.faults import NULL_FAULTS, register_site
-from repro.storage.row import Row
-from repro.storage.table import Table
+from repro.storage.table import Image, Table
 from repro.wal.records import (
     CLRecord,
     DeleteRecord,
@@ -39,8 +38,9 @@ class FuzzyScan:
     initial population (Section 3.2), in every mode.
 
     The scan materializes the set of live rowids once, at construction, and
-    hands out *snapshots* of whatever those rows contain at the moment each
-    chunk is read.  Consequences, all intended:
+    hands out *images* -- ``(values, lsn)`` pairs, the values a copy -- of
+    whatever those rows contain at the moment each chunk is read, built
+    straight from the table's maps.  Consequences, all intended:
 
     * every row committed before the scan started is seen;
     * updates applied to a not-yet-reached row during the scan are seen
@@ -58,9 +58,9 @@ class FuzzyScan:
     transient gap.
     """
 
-    #: Subclass hook ``_resolve(rowid, live_row) -> Optional[Row]``
+    #: Subclass hook ``_resolve(rowid, live_values) -> Optional[Image]``
     #: replacing *how one rowid is read*; ``None`` here, where the read
-    #: is the dirty snapshot of the live row, inlined in the loop.
+    #: is the dirty image of the live row, inlined in the loop.
     _resolve = None
 
     def __init__(self, table: Table, chunk_size: int = 256, planner=None,
@@ -117,11 +117,12 @@ class FuzzyScan:
         """Number of rowids not yet visited."""
         return max(0, len(self._rowids) - self._position)
 
-    def next_chunk(self, limit: Optional[int] = None) -> List[Row]:
-        """Snapshot the next chunk of still-live, unclaimed rows.
+    def next_chunk(self, limit: Optional[int] = None) -> List[Image]:
+        """Images of the next chunk of still-live, unclaimed rows.
 
-        Returns an empty list once exhausted.  The returned rows are
-        snapshots: later updates do not alter them.
+        Returns an empty list once exhausted.  Each image is a
+        ``(values, lsn)`` pair whose values are a copy: later updates do
+        not alter it.
 
         Args:
             limit: Cap on the number of rows returned (defaults to the
@@ -134,35 +135,39 @@ class FuzzyScan:
         if take <= 0 or self.exhausted:
             return []
         self.faults.fire(SITE_TF_POPULATE_CHUNK, table=self.table.name)
-        chunk: List[Row] = []
-        rowids, rows = self._rowids, self.table.rows
-        claimed, resolve = self._claimed, self._resolve
+        chunk: List[Image] = []
+        rows, lsns = self.table.rows, self.table.lsns
+        rowids, claimed, resolve = self._rowids, self._claimed, self._resolve
+        claim_handouts = self.claim_handouts
         position, end = self._position, len(rowids)
         while position < end and len(chunk) < take:
             rowid = rowids[position]
             position += 1
             if claimed and rowid in claimed:
                 continue
-            row = rows.get(rowid)
+            values = rows.get(rowid)
             if resolve is not None:
-                row = resolve(rowid, row)
-                if row is not None:
-                    chunk.append(row)
-            elif row is not None:
-                chunk.append(row.snapshot())
+                image = resolve(rowid, values)
+                if image is None:
+                    continue
+            elif values is None:
+                continue
+            else:
+                image = (dict(values), lsns[rowid])
+            chunk.append(image)
+            if claim_handouts:
+                claimed.add(rowid)
         self._position = position
-        if self.claim_handouts:
-            claimed.update(row.rowid for row in chunk)
         accounts = self.rows_per_shard
         if len(accounts) == 1:
             accounts[0] += len(chunk)
         else:
             key_of, shard_of = self.table.schema.key_of, self.planner.shard_of
-            for row in chunk:
-                accounts[shard_of(key_of(row.values))] += 1
+            for values, _lsn in chunk:
+                accounts[shard_of(key_of(values))] += 1
         return chunk
 
-    def __iter__(self) -> Iterator[List[Row]]:
+    def __iter__(self) -> Iterator[List[Image]]:
         while not self.exhausted:
             chunk = self.next_chunk()
             if chunk:
@@ -195,8 +200,8 @@ def fuzzy_copy(db, source_name: str, target: Table,
         start_lsn = mark_lsn
 
     for chunk in FuzzyScan(source, chunk_size):
-        for row in chunk:
-            target.insert_row(row.values, lsn=row.lsn)
+        for values, lsn in chunk:
+            target.insert_row(values, lsn=lsn)
 
     apply_log_with_lsn_guard(db, source_name, target, start_lsn)
     db.log.append(FuzzyMarkRecord(transform_id="fuzzy-copy", phase="end"))
@@ -224,18 +229,16 @@ def apply_log_with_lsn_guard(db, source_name: str, target: Table,
 
 
 def _redo_change_guarded(target: Table, change: LogRecord, lsn: int) -> None:
+    rowid = target.rowid_of(change.key)
     if isinstance(change, InsertRecord):
-        existing = target.get(change.key)
-        if existing is None:
+        if rowid is None:
             target.insert_row(dict(change.values), lsn=lsn)
-        elif existing.lsn < lsn:
+        elif target.lsns[rowid] < lsn:
             # The copy saw a newer-keyed row die and be re-inserted; align.
-            target.update_rowid(existing.rowid, dict(change.values), lsn=lsn)
+            target.update_rowid(rowid, dict(change.values), lsn=lsn)
     elif isinstance(change, DeleteRecord):
-        existing = target.get(change.key)
-        if existing is not None and existing.lsn < lsn:
-            target.delete_rowid(existing.rowid)
+        if rowid is not None and target.lsns[rowid] < lsn:
+            target.delete_rowid(rowid)
     elif isinstance(change, UpdateRecord):
-        existing = target.get(change.key)
-        if existing is not None and existing.lsn < lsn:
-            target.update_rowid(existing.rowid, dict(change.changes), lsn=lsn)
+        if rowid is not None and target.lsns[rowid] < lsn:
+            target.update_rowid(rowid, dict(change.changes), lsn=lsn)

@@ -238,23 +238,23 @@ def _analysis(records: List[LogRecord],
 
 
 def _redo_insert(table: Table, change: InsertRecord, lsn: int) -> None:
-    existing = table.get(change.key)
-    if existing is None:
+    rowid = table.rowid_of(change.key)
+    if rowid is None:
         table.insert_row(change.values, lsn=lsn)
-    elif existing.lsn < lsn:
-        table.update_rowid(existing.rowid, change.values, lsn=lsn)
+    elif table.lsns[rowid] < lsn:
+        table.update_rowid(rowid, change.values, lsn=lsn)
 
 
 def _redo_delete(table: Table, change: DeleteRecord, lsn: int) -> None:
-    existing = table.get(change.key)
-    if existing is not None and existing.lsn < lsn:
-        table.delete_rowid(existing.rowid)
+    rowid = table.rowid_of(change.key)
+    if rowid is not None and table.lsns[rowid] < lsn:
+        table.delete_rowid(rowid)
 
 
 def _redo_update(table: Table, change: UpdateRecord, lsn: int) -> None:
-    existing = table.get(change.key)
-    if existing is not None and existing.lsn < lsn:
-        table.update_rowid(existing.rowid, change.changes, lsn=lsn)
+    rowid = table.rowid_of(change.key)
+    if rowid is not None and table.lsns[rowid] < lsn:
+        table.update_rowid(rowid, change.changes, lsn=lsn)
 
 
 def _propagate(engines: List[object], change: LogRecord, lsn: int) -> None:

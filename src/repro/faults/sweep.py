@@ -646,14 +646,13 @@ class ScenarioRun:
                 f"cursor moved back: {self._last_cursor} -> {tf._cursor}")
         self._last_cursor = tf._cursor
         for table in tf.targets.values():
-            for row in table.rows.values():
-                seen = self._row_lsns.setdefault((table.uid, row.rowid),
-                                                 row.lsn)
-                if row.lsn < seen:
+            for rowid, lsn in table.lsns.items():
+                seen = self._row_lsns.setdefault((table.uid, rowid), lsn)
+                if lsn < seen:
                     self.step_violations.append(
-                        f"{table.name} row {dict(row.values)}: LSN "
-                        f"{seen} -> {row.lsn}")
-                self._row_lsns[table.uid, row.rowid] = row.lsn
+                        f"{table.name} row {dict(table.rows[rowid])}: LSN "
+                        f"{seen} -> {lsn}")
+                self._row_lsns[table.uid, rowid] = lsn
 
     def _abort_episode(self) -> None:
         """Start a throwaway transformation, then abort it.

@@ -46,8 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine.fuzzy import FuzzyScan
 from repro.faults import register_site
 from repro.obs.metrics import NULL_METRICS
-from repro.storage.row import Row
-from repro.storage.table import Table
+from repro.storage.table import Image, Table
 
 SITE_MVCC_SNAPSHOT_READ = register_site(
     "mvcc.snapshot.read", "storage",
@@ -229,26 +228,22 @@ class SnapshotScan(FuzzyScan):
         #: rowid -> primary key, frozen at construction so a row deleted
         #: mid-scan can still be resolved through its chain.
         self._keys: Dict[int, Tuple] = {
-            rowid: key_of(rows[rowid].values) for rowid in self._rowids}
+            rowid: key_of(rows[rowid]) for rowid in self._rowids}
 
-    def _resolve(self, rowid: int, live: Optional[Row]) -> Optional[Row]:
+    def _resolve(self, rowid: int,
+                 live: Optional[Dict[str, object]]) -> Optional[Image]:
         read_lsn = self.handle.read_lsn
         self.faults.fire(SITE_MVCC_SNAPSHOT_READ, table=self.table.name,
                          read_lsn=read_lsn)
         version = self.versioned.read_as_of(self._keys[rowid], read_lsn)
         if version is None:
             # Never versioned: the live row is the committed image.
-            return None if live is None else live.snapshot()
+            return None if live is None \
+                else (dict(live), self.table.lsns[rowid])
         lsn, values = version
         if values is TOMBSTONE:
             return None
-        snap = Row.__new__(Row)
-        snap.rowid = rowid
-        snap.values = dict(values)
-        snap.lsn = lsn
-        snap.meta = dict(live.meta) \
-            if live is not None and live.meta is not None else None
-        return snap
+        return dict(values), lsn
 
 
 class MvccManager:

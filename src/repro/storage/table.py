@@ -1,8 +1,12 @@
 """Heap tables: rowid-addressed row storage with maintained hash indexes.
 
-A table stores rows in a dict keyed by rowid (insertion-ordered, which gives
-scans a stable physical order and lets rows inserted *during* a fuzzy scan
-appear behind the cursor).  A unique primary index over the schema's
+A table stores a row as entries of three maps keyed by rowid: its values
+dict (:attr:`Table.rows`, insertion-ordered, which gives scans a stable
+physical order and lets rows inserted *during* a fuzzy scan appear behind
+the cursor), its LSN (:attr:`Table.lsns`) and, only when it has any, its
+metadata (:attr:`Table.metas`).  The maps hold nothing the cyclic
+collector walks; :class:`~repro.storage.row.Row` handles are built on
+request only.  A unique primary index over the schema's
 primary-key attributes is always maintained; secondary indexes can be added
 at any time and are backfilled from existing rows.
 
@@ -15,6 +19,7 @@ because redo is not a user transaction (Section 3.3 of the paper).
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
@@ -31,6 +36,13 @@ from repro.wal.records import NULL_LSN
 
 #: Name of the always-present unique index over the primary-key attributes.
 PRIMARY_INDEX = "__primary__"
+
+#: A stored row's image: (values, LSN) -- what a scan hands out and
+#: :meth:`repro.transform.base.RuleEngine.migrate_rows` consumes.
+Image = Tuple[Dict[str, object], int]
+
+#: Rowids are unique per process, across tables.
+_rowid_counter = itertools.count(1)
 
 SITE_TABLE_INSERT = register_site(
     "table.insert", "storage", "before a row is stored in the heap")
@@ -69,7 +81,12 @@ class Table:
         #: tables with the database's injector when one is attached.
         self.faults = NULL_FAULTS
         self.schema = schema
-        self.rows: Dict[int, Row] = {}
+        #: rowid -> values dict, in physical (insertion) order.
+        self.rows: Dict[int, Dict[str, object]] = {}
+        #: rowid -> LSN of the last logged operation applied to the row.
+        self.lsns: Dict[int, int] = {}
+        #: rowid -> framework metadata, for the rows that have any.
+        self.metas: Dict[int, Dict[str, object]] = {}
         self.indexes: Dict[str, HashIndex] = {}
         self._primary = HashIndex(
             PRIMARY_INDEX, schema.primary_key, unique=True,
@@ -107,8 +124,8 @@ class Table:
                 )
         index = HashIndex(name, tuple(attrs), unique, table_name=self.name)
         self.faults.fire(SITE_INDEX_BACKFILL, table=self.name, index=name)
-        for row in self.rows.values():
-            index.insert(row.values, row.rowid)
+        for rowid, values in self.rows.items():
+            index.insert(values, rowid)
         self.indexes[name] = index
         self._refresh_indexed_attrs()
         return index
@@ -142,7 +159,7 @@ class Table:
 
     def insert_row(self, values: Dict[str, object], lsn: int = NULL_LSN,
                    meta: Optional[Dict[str, object]] = None) -> Row:
-        """Insert a new row; returns it.
+        """Insert a new row; returns a handle on it.
 
         The values mapping is normalized against the schema (missing
         attributes become NULL).  A unique index claims the key with one
@@ -153,24 +170,28 @@ class Table:
         if faults.enabled:
             faults.fire(SITE_TABLE_INSERT, table=self.name)
         normalized = self.schema.normalize(values)
-        row = Row(normalized, lsn=lsn, meta=meta)
-        rowid = row.rowid
+        rowid = next(_rowid_counter)
         indexes = self.indexes.values()
         try:
             for index in indexes:
                 key = index_key(normalized, index.attrs)
                 if key is not None:
                     index.add(key, rowid)
-            self.rows[rowid] = row
+            self.rows[rowid] = normalized
+            self.lsns[rowid] = lsn
+            if meta is not None:
+                self.metas[rowid] = meta
             if faults.enabled:
                 faults.fire(SITE_TABLE_INSERT_INDEXED, table=self.name,
                             rowid=rowid)
         except BaseException:
             self.rows.pop(rowid, None)
+            self.lsns.pop(rowid, None)
+            self.metas.pop(rowid, None)
             for index in indexes:
                 index.remove(normalized, rowid)
             raise
-        return row
+        return Row(self, rowid, normalized)
 
     def check_unique(self, values: Dict[str, object]) -> None:
         """Raise :class:`DuplicateKeyError` when a unique index holds the
@@ -180,19 +201,21 @@ class Table:
             if key is not None and index.unique and index.contains(key):
                 raise DuplicateKeyError(self.name, key, index.name)
 
-    def delete_rowid(self, rowid: int) -> Row:
-        """Delete a row by physical id; returns the removed row."""
+    def delete_rowid(self, rowid: int) -> Dict[str, object]:
+        """Delete a row by physical id; returns its values."""
         if self.faults.enabled:
             self.faults.fire(SITE_TABLE_DELETE, table=self.name, rowid=rowid)
-        row = self.rows.pop(rowid, None)
-        if row is None:
+        values = self.rows.pop(rowid, None)
+        if values is None:
             raise NoSuchRowError(self.name, (rowid,))
+        del self.lsns[rowid]
+        self.metas.pop(rowid, None)
         for index in self.indexes.values():
-            index.remove(row.values, row.rowid)
-        return row
+            index.remove(values, rowid)
+        return values
 
     def update_rowid(self, rowid: int, changes: Dict[str, object],
-                     lsn: Optional[int] = None) -> Row:
+                     lsn: Optional[int] = None) -> None:
         """Apply ``changes`` to a row in place, re-indexing as needed.
 
         Unlike the engine-level update, this physical operation *does* allow
@@ -202,8 +225,8 @@ class Table:
         """
         if self.faults.enabled:
             self.faults.fire(SITE_TABLE_UPDATE, table=self.name, rowid=rowid)
-        row = self.rows.get(rowid)
-        if row is None:
+        values = self.rows.get(rowid)
+        if values is None:
             raise NoSuchRowError(self.name, (rowid,))
         attribute_set = self.schema.attribute_set
         if not attribute_set.issuperset(changes):
@@ -213,11 +236,11 @@ class Table:
         if self._indexed_attrs.isdisjoint(changes):
             # No indexed attribute changes: skip the unique pre-checks,
             # the before-image copy and the per-index re-keying.
-            row.values.update(changes)
+            values.update(changes)
             if lsn is not None:
-                row.lsn = lsn
-            return row
-        old_values = dict(row.values)
+                self.lsns[rowid] = lsn
+            return
+        old_values = dict(values)
         new_values = dict(old_values)
         new_values.update(changes)
         for index in self.indexes.values():
@@ -229,12 +252,11 @@ class Table:
                 existing = index.lookup(new_key)
                 if existing and existing != [rowid]:
                     raise DuplicateKeyError(self.name, new_key, index.name)
-        row.values.update(changes)
+        values.update(changes)
         for index in self.indexes.values():
-            index.update(old_values, row.values, rowid)
+            index.update(old_values, values, rowid)
         if lsn is not None:
-            row.lsn = lsn
-        return row
+            self.lsns[rowid] = lsn
 
     def drop_attributes(self, names: Sequence[str]) -> None:
         """Remove columns from the table in place.
@@ -266,24 +288,34 @@ class Table:
                 if a.name not in drop_set]
         self.schema = TableSchema(self.schema.name, keep,
                                   self.schema.primary_key)
-        for row in self.rows.values():
+        for values in self.rows.values():
             for name in drop_set:
-                row.values.pop(name, None)
+                values.pop(name, None)
 
     # -- logical (key-based) access ----------------------------------------------
+
+    def rowid_of(self, key: Tuple) -> Optional[int]:
+        """Rowid of the row with the given primary-key tuple, or ``None``
+        (one primary-index probe, no handle)."""
+        rowids = self._primary.lookup(key)
+        return rowids[0] if rowids else None
 
     def get(self, key: Tuple) -> Optional[Row]:
         """Row with the given primary-key tuple, or ``None``."""
         rowids = self._primary.lookup(key)
-        return self.rows[rowids[0]] if rowids else None
+        if not rowids:
+            return None
+        rowid = rowids[0]
+        return Row(self, rowid, self.rows[rowid])
 
-    def lock_key(self, row: Row) -> Tuple:
-        """The key a record lock on ``row`` names: its primary key, or --
-        when part of that key is NULL -- the key extended by
-        :attr:`null_key_attrs`, so such rows do not share one lock."""
-        key = self.schema.key_of(row.values)
+    def lock_key(self, values: Dict[str, object]) -> Tuple:
+        """The key a record lock on the row holding ``values`` names: its
+        primary key, or -- when part of that key is NULL -- the key
+        extended by :attr:`null_key_attrs`, so such rows do not share one
+        lock."""
+        key = self.schema.key_of(values)
         if None in key:
-            return key + tuple(row.values.get(a) for a in self.null_key_attrs)
+            return key + tuple(values.get(a) for a in self.null_key_attrs)
         return key
 
     def require(self, key: Tuple) -> Row:
@@ -293,20 +325,20 @@ class Table:
             raise NoSuchRowError(self.name, tuple(key))
         return row
 
-    def delete_key(self, key: Tuple) -> Row:
-        """Delete the row with the given primary key."""
+    def delete_key(self, key: Tuple) -> Dict[str, object]:
+        """Delete the row with the given primary key; returns its values."""
         return self.delete_rowid(self.require(key).rowid)
 
     def update_key(self, key: Tuple, changes: Dict[str, object],
-                   lsn: Optional[int] = None) -> Row:
+                   lsn: Optional[int] = None) -> None:
         """Update the row with the given primary key."""
-        return self.update_rowid(self.require(key).rowid, changes, lsn)
+        self.update_rowid(self.require(key).rowid, changes, lsn)
 
     def lookup(self, index_name: str, key: Tuple) -> List[Row]:
         """Rows matching ``key`` in the named index, in rowid order."""
         index = self.index(index_name)
         rows = self.rows
-        return [rows[rid] for rid in index.lookup(key)]
+        return [Row(self, rowid, rows[rowid]) for rowid in index.lookup(key)]
 
     # -- scans ---------------------------------------------------------------------
 
@@ -318,10 +350,11 @@ class Table:
         after the call starts are *not* seen (fuzzy scans re-materialize per
         chunk instead -- see :mod:`repro.engine.fuzzy`).
         """
-        for rowid in list(self.rows):
-            row = self.rows.get(rowid)
-            if row is not None:
-                yield row
+        rows = self.rows
+        for rowid in list(rows):
+            values = rows.get(rowid)
+            if values is not None:
+                yield Row(self, rowid, values)
 
     def select(self, predicate: Optional[Callable[[Row], bool]] = None
                ) -> List[Row]:
@@ -334,10 +367,6 @@ class Table:
     def row_count(self) -> int:
         """Number of live rows."""
         return len(self.rows)
-
-    def max_rowid(self) -> int:
-        """Largest live rowid (0 when empty); fuzzy-scan cursor bound."""
-        return max(self.rows) if self.rows else 0
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {self.row_count} rows)"

@@ -58,7 +58,7 @@ from repro.obs.blame import PHASE_ROLES, ROLE_SWEEPER
 from repro.obs.spans import Span
 from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.row import Row
-from repro.storage.table import PRIMARY_INDEX, Table
+from repro.storage.table import PRIMARY_INDEX, Image, Table
 from repro.transform.analysis import (
     Decision,
     IterationReport,
@@ -198,9 +198,6 @@ class PropagatedLockTable:
 #: table, or ``None`` when the change's owner has finished.
 Touched = Optional[List[Tuple[Table, Tuple]]]
 
-#: A source row image for :meth:`RuleEngine.migrate_rows`: (values, LSN).
-Image = Tuple[Dict[str, object], int]
-
 
 #: Proxy lock-owner id for a transaction's propagated locks.  Kept disjoint
 #: from real transaction ids (which are positive).
@@ -304,7 +301,7 @@ class RuleEngine:
         (:meth:`~repro.storage.table.Table.lock_key`) is built only when
         someone can hold it."""
         if touched is not None:
-            touched.append((table, table.lock_key(row)))
+            touched.append((table, table.lock_key(row.values)))
 
     def rename_source(self, old: str, new: str) -> None:
         """Consume source ``old``'s records under ``new`` from now on
@@ -334,8 +331,8 @@ class RuleEngine:
 
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
         """Transform source row images -- ``(values, lsn)`` pairs: a
-        row's snapshot, which the engine may keep, and its LSN -- into
-        the target.
+        copy of a row's values, which the engine may keep, and its LSN --
+        into the target.
 
         The one way scanned rows enter a target: population (every mode,
         and restart rebuild) hands over each chunk, the miss hook one
@@ -767,8 +764,8 @@ class Transformation:
         """Do up to ``budget`` population units; return (units, finished).
 
         One unit is one scanned source row; each chunk goes to the
-        engine's :meth:`RuleEngine.migrate_rows` in one call, as images
-        of its snapshots (a row's LSN is its initial-image state
+        engine's :meth:`RuleEngine.migrate_rows` in one call, as the
+        scan's images (a row's LSN is its initial-image state
         identifier).  The sources are drained in :attr:`source_tables`
         order, each to exhaustion before the next.  Lazy mode is this
         very loop as the background sweeper: its scans skip what the
@@ -787,8 +784,7 @@ class Transformation:
                 if sweeping else nullcontext():
             for name, scan in self._scans.items():
                 while units < budget and not scan.exhausted:
-                    images = [(row.values, row.lsn)
-                              for row in scan.next_chunk(budget - units)]
+                    images = scan.next_chunk(budget - units)
                     migrate(name, images)
                     units += len(images)
                     # Freed before the next chunk is snapshotted: two

@@ -16,7 +16,8 @@ NULL-record bookkeeping: a T row one side of which is the paper's
 (``{"r_null": True}`` or ``{"s_null": True}``); a joined row carries no
 metadata at all.  Attribute values alone cannot distinguish a NULL record
 from a record whose attributes are legitimately NULL.  The flags are read
-through :func:`null_flag` only.
+through :func:`null_flag` (a row handle) or :func:`meta_flag` (a
+``Table.metas`` entry) only.
 
 Constraint honoured throughout: the join attribute of S must be non-NULL
 (it identifies an S record -- Section 4 treats it as a candidate-key-like
@@ -32,7 +33,7 @@ from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
-from repro.storage.table import Table
+from repro.storage.table import PRIMARY_INDEX, Table
 from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.transform.options import PER_ROW_MODES
 from repro.wal.records import (
@@ -52,7 +53,12 @@ SKEY_INDEX = "__skey__"
 
 def null_flag(row: Row, flag: str) -> bool:
     """Whether ``flag`` (``"r_null"`` / ``"s_null"``) is set on a T row."""
-    meta = row.meta
+    return meta_flag(row.meta, flag)
+
+
+def meta_flag(meta: Optional[Dict[str, object]], flag: str) -> bool:
+    """:func:`null_flag` of a row's entry in ``Table.metas`` (``None`` for
+    a row without one)."""
     return meta is not None and meta.get(flag, False)
 
 
@@ -107,8 +113,7 @@ class FojHashJoin:
         spec, target = self.spec, self.target
         s_scan = self.s_scan
         while units < budget and not s_scan.exhausted:
-            for row in s_scan.next_chunk(budget - units):
-                values = row.values
+            for values, _lsn in s_scan.next_chunk(budget - units):
                 self._s_by_join.setdefault(
                     values.get(spec.join_attr_s), []).append(values)
                 units += 1
@@ -117,8 +122,8 @@ class FojHashJoin:
 
         r_scan = self.r_scan
         while units < budget and not r_scan.exhausted:
-            for row in r_scan.next_chunk(budget - units):
-                self._r_buffer.append(row.values)
+            for values, _lsn in r_scan.next_chunk(budget - units):
+                self._r_buffer.append(values)
                 units += 1
         if not r_scan.exhausted:
             return units, False
@@ -196,28 +201,36 @@ class FojRuleEngine(JoinRuleEngine):
 
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
         super().__init__(db, spec, target)
-        self._has_skey_index = SKEY_INDEX in target.indexes
+        self._join_index = target.index(JOIN_INDEX)
+        self._skey_index = target.index(
+            SKEY_INDEX if SKEY_INDEX in target.indexes else JOIN_INDEX)
         self._rules = {
             (spec.r_name, InsertRecord): self._rule1_insert_r,
             (spec.r_name, DeleteRecord): self._rule3_delete_r,
-            (spec.r_name, UpdateRecord): self._rules5_7_update_r,
+            (spec.r_name, UpdateRecord): self._rules5_7_update,
             (spec.s_name, InsertRecord): self._rule2_insert_s,
             (spec.s_name, DeleteRecord): self._rule4_delete_s,
-            (spec.s_name, UpdateRecord): self._rules6_7_update_s,
+            (spec.s_name, UpdateRecord): self._rules5_7_update,
         }
 
     # -- helpers -----------------------------------------------------------
 
-    def _rows_with_skey(self, key: Tuple) -> List[Row]:
-        """All T rows containing the S record identified by ``key``.
+    def _carriers(self, key: Tuple) -> List[int]:
+        """Rowids of the T rows containing the S record identified by
+        ``key``.
 
         ``key`` is ordered like S's primary key; rows whose S side is the
-        NULL record are never returned (their S-key attributes are NULL and
-        therefore unindexed).
+        NULL record are never returned.
         """
-        index = SKEY_INDEX if self._has_skey_index else JOIN_INDEX
-        return [row for row in self.t.lookup(index, key)
-                if not null_flag(row, "s_null")]
+        metas = self.t.metas
+        return [rowid for rowid in self._skey_index.lookup(key)
+                if not meta_flag(metas.get(rowid), "s_null")]
+
+    def _touch_rowid(self, touched: Touched, rowid: int) -> None:
+        """:meth:`_touch_row` for a T row known by rowid."""
+        if touched is not None:
+            t = self.t
+            touched.append((t, t.lock_key(t.rows[rowid])))
 
     # -- sharding (repro.shard) ---------------------------------------------
 
@@ -240,29 +253,70 @@ class FojRuleEngine(JoinRuleEngine):
     # -- dispatch -----------------------------------------------------------
 
     # The framework's dispatch over ``_rules``, bound in this class body
-    # because per-engine instrumentation patches these names through
-    # ``vars(cls)``.  The ``lsn`` is ignored by every FOJ rule: a joined
-    # row has no single valid state identifier (Section 4.2).
+    # (as ``apply_run`` is defined in it) because per-engine
+    # instrumentation patches these names through ``vars(cls)``.  The
+    # ``lsn`` is ignored by every FOJ rule: a joined row has no single
+    # valid state identifier (Section 4.2).
     apply = RuleEngine.apply
-    apply_run = RuleEngine.apply_run
 
-    def _rules5_7_update_r(self, change: UpdateRecord, _lsn: int,
-                           touched: Touched) -> None:
-        """An R update that changes the join attribute moves the row
-        (Rule 5); any other one updates it in place (Rule 7)."""
-        if moves_join(change, self.spec.join_attr_r):
-            self._rule5_update_r_join(change, touched)
-        else:
-            self._rule7_update_r_other(change, touched)
+    def apply_run(self, table_name: str, kind: type,
+                  items: Sequence[Tuple[LogRecord, int, int]]
+                  ) -> List[Sequence[Tuple[Table, Tuple]]]:
+        """:meth:`RuleEngine.apply_run`, with a run of updates (Rules 5-7)
+        applied by :meth:`_update_run`'s one loop."""
+        if kind is UpdateRecord:
+            return self._update_run(table_name, items)
+        return RuleEngine.apply_run(self, table_name, kind, items)
 
-    def _rules6_7_update_s(self, change: UpdateRecord, _lsn: int,
-                           touched: Touched) -> None:
-        """An S update that changes the join attribute re-attaches the S
-        record (Rule 6); any other one updates its carriers (Rule 7)."""
-        if moves_join(change, self.spec.join_attr_s):
-            self._rule6_update_s_join(change, touched)
+    def _rules5_7_update(self, change: UpdateRecord, lsn: int,
+                         touched: Touched) -> None:
+        """One update (:meth:`apply`'s path) through :meth:`_update_run`."""
+        [found] = self._update_run(
+            change.table, ((change, lsn, int(touched is not None)),))
+        if touched is not None:
+            touched.extend(found)
+
+    def _update_run(self, table_name: str,
+                    items: Sequence[Tuple[LogRecord, int, int]]
+                    ) -> List[Sequence[Tuple[Table, Tuple]]]:
+        """Apply a run of one source's updates, as :meth:`apply_run`
+        specifies.  An update that changes the join attribute moves the
+        row (Rule 5 for R) or re-attaches the S record (Rule 6 for S);
+        any other one is Rule 7, inlined here: the R row found by T's
+        primary key, or every carrier of the S record found through the
+        S-key index and the metadata map, updated in place by rowid."""
+        spec, t = self.spec, self.t
+        # By position: ``rename_source`` renames a source in place.
+        r_name, s_name = self.source_tables
+        if table_name == r_name:
+            join_attr, attrs = spec.join_attr_r, self._r_attr_set
+            index, move = t.index(PRIMARY_INDEX), self._rule5_update_r_join
+            skip_s_null = False
+        elif table_name == s_name:
+            join_attr, attrs = spec.join_attr_s, self._s_attr_set
+            index, move = self._skey_index, self._rule6_update_s_join
+            skip_s_null = True
         else:
-            self._rule7_update_s_other(change, touched)
+            return [[] for _ in items]
+        rows, metas = t.rows, t.metas
+        update, lock_key = t.update_rowid, t.lock_key
+        out: List[Sequence[Tuple[Table, Tuple]]] = []
+        for change, _lsn, owner in items:
+            touched: Touched = [] if owner else None
+            if moves_join(change, join_attr):
+                move(change, touched)
+            else:
+                changes = side_changes(change.changes, attrs)
+                for rowid in index.lookup(change.key):
+                    if skip_s_null and rowid in metas and \
+                            metas[rowid].get("s_null", False):
+                        continue
+                    if changes:
+                        update(rowid, changes)
+                    if touched is not None:
+                        touched.append((t, lock_key(rows[rowid])))
+            out.append(() if touched is None else touched)
+        return out
 
     # -- Rule 1 (Insert r^y_x into R) ------------------------------------------
 
@@ -368,14 +422,21 @@ class FojRuleEngine(JoinRuleEngine):
                         touched: Touched) -> None:
         """Delete ``t^null_x`` if present; strip the S side of every other
         carrier (they survive joined with snull)."""
-        for row in self._rows_with_skey(change.key):
-            if null_flag(row, "r_null"):
-                self._touch_row(touched, self.t, row)
-                self.t.delete_rowid(row.rowid)
+        self._detach_s(self._carriers(change.key), touched)
+
+    def _detach_s(self, carriers: List[int], touched: Touched) -> None:
+        """Shared head of Rules 4 and 6: delete the carrier that is
+        ``t^null_x``, join every other one with snull."""
+        t = self.t
+        metas = t.metas
+        for rowid in carriers:
+            if meta_flag(metas.get(rowid), "r_null"):
+                self._touch_rowid(touched, rowid)
+                t.delete_rowid(rowid)
             else:
-                self.t.update_rowid(row.rowid, self.spec.null_s_part())
-                row.meta = {"s_null": True}
-                self._touch_row(touched, self.t, row)
+                t.update_rowid(rowid, self.spec.null_s_part())
+                metas[rowid] = {"s_null": True}
+                self._touch_rowid(touched, rowid)
 
     # -- Rule 5 (Update join attribute of r^y_x to z) -----------------------------------------
 
@@ -388,30 +449,30 @@ class FojRuleEngine(JoinRuleEngine):
         operation's before-image x; otherwise a newer state is already
         reflected (Theorem 1) and the record is ignored.
         """
-        row = self.t.get(change.key)
-        if row is None:
+        spec, t = self.spec, self.t
+        rowid = t.rowid_of(change.key)
+        if rowid is None:
             return
-        old_join = change.old_values.get(self.spec.join_attr_r)
-        if row.values.get(self.spec.join_column) != old_join:
+        values, metas = t.rows[rowid], t.metas
+        old_join = change.old_values.get(spec.join_attr_r)
+        if values.get(spec.join_column) != old_join:
             return  # newer state already reflected
-        new_r_part = self.spec.r_part_of_t(row.values)
+        new_r_part = spec.r_part_of_t(values)
         new_r_part.update(side_changes(change.changes, self._r_attr_set))
-        new_join = change.changes[self.spec.join_attr_r]
+        new_join = change.changes[spec.join_attr_r]
 
-        if not null_flag(row, "s_null"):
-            s_part = self.spec.s_part_of_t(row.values)
-            others = [
-                r for r in self._rows_with_join(old_join)
-                if not null_flag(r, "s_null") and r.rowid != row.rowid
-            ]
+        if not meta_flag(metas.get(rowid), "s_null"):
+            s_part = spec.s_part_of_t(values)
+            others = old_join is not None and any(
+                other != rowid and not meta_flag(metas.get(other), "s_null")
+                for other in self._join_index.lookup((old_join,)))
             if not others:
-                values = self.spec.null_r_part()
-                values[self.spec.join_column] = old_join
-                values.update(s_part)
-                self._touch_row(touched, self.t,
-                                self._insert_t(values, "r_null"))
-        self._touch_row(touched, self.t, row)
-        self.t.delete_rowid(row.rowid)
+                t_null = spec.null_r_part()
+                t_null[spec.join_column] = old_join
+                t_null.update(s_part)
+                self._touch_row(touched, t, self._insert_t(t_null, "r_null"))
+        self._touch_rowid(touched, rowid)
+        t.delete_rowid(rowid)
         self._attach_r_part(new_r_part, new_join, touched)
 
     # -- Rule 6 (Update join attribute of s^x to z) -----------------------------------------------
@@ -422,62 +483,34 @@ class FojRuleEngine(JoinRuleEngine):
         side of the rest), then attach it at z (fill snull carriers, or
         insert ``t^null_z``).  The S attribute values not present in the log
         record are extracted from a carrier row, as the paper prescribes."""
-        carriers = self._rows_with_skey(change.key)
+        spec, t = self.spec, self.t
+        carriers = self._carriers(change.key)
         if not carriers:
             return  # nothing carries s^x: newer state (Theorem 1)
-        new_s_part = self.spec.s_part_of_t(carriers[0].values)
+        new_s_part = spec.s_part_of_t(t.rows[carriers[0]])
         new_s_part.update(side_changes(change.changes, self._s_attr_set))
-        new_join = change.changes[self.spec.join_attr_s]
+        new_join = change.changes[spec.join_attr_s]
         if new_join is None:
             raise TransformationError(
                 "FOJ transformation requires non-NULL join values in "
-                f"{self.spec.s_name!r}")
-        for row in carriers:
-            if null_flag(row, "r_null"):
-                self._touch_row(touched, self.t, row)
-                self.t.delete_rowid(row.rowid)
-            else:
-                self.t.update_rowid(row.rowid, self.spec.null_s_part())
-                row.meta = {"s_null": True}
-                self._touch_row(touched, self.t, row)
-        rows_z = self._rows_with_join(new_join)
+                f"{spec.s_name!r}")
+        self._detach_s(carriers, touched)
+        metas = t.metas
         filled = False
         has_real_s = False
-        for row in rows_z:
-            if null_flag(row, "s_null"):
-                self.t.update_rowid(row.rowid, new_s_part)
-                row.meta = None
-                self._touch_row(touched, self.t, row)
+        for rowid in self._join_index.lookup((new_join,)):
+            if meta_flag(metas.get(rowid), "s_null"):
+                t.update_rowid(rowid, new_s_part)
+                del metas[rowid]
+                self._touch_rowid(touched, rowid)
                 filled = True
             else:
                 has_real_s = True  # already joined with an s^z: unmodified
         if not filled and not has_real_s:
-            values = self.spec.null_r_part()
-            values[self.spec.join_column] = new_join
+            values = spec.null_r_part()
+            values[spec.join_column] = new_join
             values.update(new_s_part)
-            self._touch_row(touched, self.t, self._insert_t(values, "r_null"))
-
-    # -- Rule 7 (Update other attribute of r^y or s^x) ----------------------------------------------
-
-    def _rule7_update_r_other(self, change: UpdateRecord,
-                              touched: Touched) -> None:
-        """Update the R side of t^y in place; ignore if absent."""
-        row = self.t.get(change.key)
-        if row is None:
-            return
-        r_changes = side_changes(change.changes, self._r_attr_set)
-        if r_changes:
-            self.t.update_rowid(row.rowid, r_changes)
-        self._touch_row(touched, self.t, row)
-
-    def _rule7_update_s_other(self, change: UpdateRecord,
-                              touched: Touched) -> None:
-        """Update the S side of every carrier of s^x; ignore if none."""
-        s_changes = side_changes(change.changes, self._s_attr_set)
-        for row in self._rows_with_skey(change.key):
-            if s_changes:
-                self.t.update_rowid(row.rowid, s_changes)
-            self._touch_row(touched, self.t, row)
+            self._touch_row(touched, t, self._insert_t(values, "r_null"))
 
     # -- lazy population (migrate-on-read) -----------------------------------
 
@@ -537,8 +570,9 @@ class FojRuleEngine(JoinRuleEngine):
         if table_name == self.spec.r_name:
             return [(self.t, tuple(key))]
         if table_name == self.spec.s_name:
-            return [(self.t, self.t.lock_key(row))
-                    for row in self._rows_with_skey(key)]
+            t = self.t
+            return [(t, t.lock_key(t.rows[rowid]))
+                    for rowid in self._carriers(key)]
         return []
 
     def sources_of_target_lock(self, table_name: str,

@@ -278,7 +278,7 @@ class Many2ManyFojRuleEngine(JoinRuleEngine):
             rows = self._rows_with_skey(key)
         else:
             return []
-        return [(self.t, self.t.lock_key(row)) for row in rows]
+        return [(self.t, self.t.lock_key(row.values)) for row in rows]
 
     def sources_of_target_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:

@@ -138,7 +138,7 @@ class SplitRuleEngine(RuleEngine):
                       touched: Touched) -> None:
         """Insert the R part unless already present; then merge the S part
         (bump counter / raise LSN of an existing S row, else insert it)."""
-        if self.r.get(change.key) is not None:
+        if self.r.rowid_of(change.key) is not None:
             return  # Theorem 1: already reflected
         split_key = self._split_key_of_values(change.values)
         self.r.insert_row(self.spec.r_part(change.values), lsn=lsn)
@@ -149,20 +149,22 @@ class SplitRuleEngine(RuleEngine):
     def _merge_s_contribution(self, split_key: Tuple,
                               s_part: Dict[str, object], lsn: int,
                               touched: Touched) -> None:
-        s_row = self.s.get(split_key)
-        if s_row is None:
-            self.s.insert_row(s_part, lsn=lsn,
-                              meta={"counter": 1, "flag": FLAG_CONSISTENT})
+        s = self.s
+        rowid = s.rowid_of(split_key)
+        if rowid is None:
+            s.insert_row(s_part, lsn=lsn,
+                         meta={"counter": 1, "flag": FLAG_CONSISTENT})
         else:
-            s_row.meta["counter"] += 1
-            if lsn > s_row.lsn:
-                s_row.lsn = lsn
-            if self.check_consistency and s_row.values != s_part:
+            meta = s.metas[rowid]
+            meta["counter"] += 1
+            if lsn > s.lsns[rowid]:
+                s.lsns[rowid] = lsn
+            if self.check_consistency and s.rows[rowid] != s_part:
                 # "Inserting a record s^x that is not equal to an existing
                 # record with the same split value changes a C-flag into U."
-                s_row.meta["flag"] = FLAG_UNKNOWN
+                meta["flag"] = FLAG_UNKNOWN
         self._mark_dirty(split_key)
-        self._touch(touched, self.s, split_key)
+        self._touch(touched, s, split_key)
 
     # -- Rule 9 (Delete t^y from T) ----------------------------------------------------
 
@@ -175,26 +177,29 @@ class SplitRuleEngine(RuleEngine):
         contributing row no longer exists -- harmless because the log is
         propagated sequentially, and consistent with the paper's
         discussion under Rule 9."""
-        r_row = self.r.get(change.key)
-        if r_row is None or r_row.lsn > lsn:
+        r = self.r
+        rowid = r.rowid_of(change.key)
+        if rowid is None or r.lsns[rowid] > lsn:
             return
-        split_key = (r_row.values.get(self.spec.split_attr),)
-        self.r.delete_rowid(r_row.rowid)
-        self._touch(touched, self.r, change.key)
+        split_key = (r.rows[rowid].get(self.spec.split_attr),)
+        r.delete_rowid(rowid)
+        self._touch(touched, r, change.key)
         self._drop_s_contribution(split_key, lsn, touched)
 
     def _drop_s_contribution(self, split_key: Tuple, lsn: int,
                              touched: Touched) -> None:
-        s_row = self.s.get(split_key)
-        if s_row is None:
+        s = self.s
+        rowid = s.rowid_of(split_key)
+        if rowid is None:
             return  # defensive: invariant says it exists
-        s_row.meta["counter"] -= 1
-        if lsn > s_row.lsn:
-            s_row.lsn = lsn
-        if s_row.meta["counter"] <= 0:
-            self.s.delete_rowid(s_row.rowid)
+        meta = s.metas[rowid]
+        meta["counter"] -= 1
+        if lsn > s.lsns[rowid]:
+            s.lsns[rowid] = lsn
+        if meta["counter"] <= 0:
+            s.delete_rowid(rowid)
         self._mark_dirty(split_key)
-        self._touch(touched, self.s, split_key)
+        self._touch(touched, s, split_key)
 
     # -- Rules 10 & 11 (Update t^y) ---------------------------------------------------------
 
@@ -205,13 +210,14 @@ class SplitRuleEngine(RuleEngine):
         the S part only when Rule 10 applied, guarded by the S row's LSN
         for value changes; a split-attribute change is treated as delete
         of s^x followed by insert of s^v."""
-        r_row = self.r.get(change.key)
-        if r_row is None or r_row.lsn > lsn:
+        r = self.r
+        rowid = r.rowid_of(change.key)
+        if rowid is None or r.lsns[rowid] > lsn:
             return
-        old_split = (r_row.values.get(self.spec.split_attr),)
+        old_split = (r.rows[rowid].get(self.spec.split_attr),)
         r_changes = self._r_changes(change)
-        self.r.update_rowid(r_row.rowid, r_changes, lsn=lsn)
-        self._touch(touched, self.r, change.key)
+        r.update_rowid(rowid, r_changes, lsn=lsn)
+        self._touch(touched, r, change.key)
 
         s_changes = self._s_changes(change)
         if not s_changes:
@@ -226,31 +232,33 @@ class SplitRuleEngine(RuleEngine):
     def _update_s_values(self, split_key: Tuple,
                          s_changes: Dict[str, object], lsn: int,
                          touched: Touched) -> None:
-        s_row = self.s.get(split_key)
-        if s_row is None or s_row.lsn >= lsn:
+        s = self.s
+        rowid = s.rowid_of(split_key)
+        if rowid is None or s.lsns[rowid] >= lsn:
             return  # value update already reflected (S-side LSN guard)
         non_split = {k: v for k, v in s_changes.items()
                      if k != self.spec.split_attr}
-        self.s.update_rowid(s_row.rowid, non_split, lsn=lsn)
+        s.update_rowid(rowid, non_split, lsn=lsn)
         if self.check_consistency:
-            if s_row.meta["counter"] > 1:
-                s_row.meta["flag"] = FLAG_UNKNOWN
+            meta = s.metas[rowid]
+            if meta["counter"] > 1:
+                meta["flag"] = FLAG_UNKNOWN
             elif set(non_split) >= set(self.spec.s_dependent_attrs):
                 # "A U-flag is changed to C only if the operation updates
                 # all non-key attributes of a record with a counter of 1."
-                s_row.meta["flag"] = FLAG_CONSISTENT
+                meta["flag"] = FLAG_CONSISTENT
         self._mark_dirty(split_key)
-        self._touch(touched, self.s, split_key)
+        self._touch(touched, s, split_key)
 
     def _move_s_contribution(self, old_split: Tuple,
                              s_changes: Dict[str, object], lsn: int,
                              touched: Touched) -> None:
         new_split = self._split_key_of_values(s_changes)
-        old_row = self.s.get(old_split)
-        if old_row is not None:
+        old_rowid = self.s.rowid_of(old_split)
+        if old_rowid is not None:
             # New S image: the old image with the logged changes folded in
             # ("s^x is used to extract the attribute values" -- Rule 11).
-            new_image = dict(old_row.values)
+            new_image = dict(self.s.rows[old_rowid])
         else:
             new_image = {a: None for a in self.spec.s_attrs}
         for attr, value in s_changes.items():
@@ -271,23 +279,24 @@ class SplitRuleEngine(RuleEngine):
             dirty = self._cc_inflight.pop(split_key, True)
             if dirty:
                 return  # the value changed between the marks: discard
-            s_row = self.s.get(split_key)
-            if s_row is None:
+            rowid = self.s.rowid_of(split_key)
+            if rowid is None:
                 return
             image = {a: record.image.get(a) for a in self.spec.s_attrs}
             changes = {k: v for k, v in image.items()
                        if k != self.spec.split_attr}
-            self.s.update_rowid(s_row.rowid, changes, lsn=record.lsn)
-            s_row.meta["flag"] = FLAG_CONSISTENT
+            self.s.update_rowid(rowid, changes, lsn=record.lsn)
+            self.s.metas[rowid]["flag"] = FLAG_CONSISTENT
 
     # -- state queries ----------------------------------------------------------------
 
     def unknown_split_values(self) -> List[Tuple]:
         """Split values whose S rows still carry the U flag."""
+        s = self.s
         return sorted(
-            (self.s.schema.key_of(row.values)
-             for row in self.s.scan()
-             if row.meta.get("flag") == FLAG_UNKNOWN),
+            (s.schema.key_of(s.rows[rowid])
+             for rowid, meta in s.metas.items()
+             if meta.get("flag") == FLAG_UNKNOWN),
             key=repr,
         )
 
@@ -300,22 +309,25 @@ class SplitRuleEngine(RuleEngine):
 
         Idempotent: R's primary index refuses an R part already there
         (its insert is R's one probe), and the S part is then left
-        alone; otherwise it merges via the duplicate counter.  Both
-        sides are stamped with the image's LSN, so Rules 8-11 guard
-        later replay whatever order the rows arrived in.  A failed S
-        insert takes the R part out again: a retry (the sweeper after a
-        failed lazy miss) must not find R and stop short of S.
+        alone; otherwise it merges via the duplicate counter, read and
+        written by rowid in S's maps.  Both sides are stamped with the
+        image's LSN, so Rules 8-11 guard later replay whatever order the
+        rows arrived in.  A failed S insert takes the R part out again:
+        a retry (the sweeper after a failed lazy miss) must not find R
+        and stop short of S.
         """
         spec, r_table, s_table = self.spec, self.r, self.s
         r_part, s_part_of = spec.r_part, spec.s_part
+        s_rowid_of = s_table.rowid_of
+        s_rows, s_lsns, s_metas = s_table.rows, s_table.lsns, s_table.metas
         for values, lsn in images:
             split_value = self._split_key_of_values(values)
             r_row = self._insert_new(r_table, r_part(values), lsn)
             if r_row is None:
                 continue
             s_part = s_part_of(values)
-            s_row = s_table.get(split_value)
-            if s_row is None:
+            rowid = s_rowid_of(split_value)
+            if rowid is None:
                 try:
                     s_table.insert_row(
                         s_part, lsn, {"counter": 1, "flag": FLAG_CONSISTENT})
@@ -323,13 +335,14 @@ class SplitRuleEngine(RuleEngine):
                     r_table.delete_rowid(r_row.rowid)
                     raise
                 continue
-            s_row.meta["counter"] += 1
-            if lsn > s_row.lsn:
-                s_row.lsn = lsn
-            if s_row.values != s_part:
+            meta = s_metas[rowid]
+            meta["counter"] += 1
+            if lsn > s_lsns[rowid]:
+                s_lsns[rowid] = lsn
+            if s_rows[rowid] != s_part:
                 # Section 5.3: only records consistent in the fuzzy read
                 # keep C.
-                s_row.meta["flag"] = FLAG_UNKNOWN
+                meta["flag"] = FLAG_UNKNOWN
 
     # Bound here: per-engine instrumentation patches it via ``vars(cls)``.
     migrate_row = RuleEngine.migrate_row
@@ -341,9 +354,9 @@ class SplitRuleEngine(RuleEngine):
         if table_name != self.spec.source_name:
             return []
         result: List[Tuple[Table, Tuple]] = [(self.r, tuple(key))]
-        r_row = self.r.get(tuple(key))
-        if r_row is not None:
-            split_value = r_row.values.get(self.spec.split_attr)
+        rowid = self.r.rowid_of(tuple(key))
+        if rowid is not None:
+            split_value = self.r.rows[rowid].get(self.spec.split_attr)
             if split_value is not None:
                 result.append((self.s, (split_value,)))
         return result

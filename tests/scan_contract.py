@@ -57,7 +57,7 @@ def drain(scan):
             assert scan.exhausted and scan.remaining == 0
             return ids
         assert len(chunk) <= scan.chunk_size
-        ids.extend(row.values["id"] for row in chunk)
+        ids.extend(values["id"] for values, _lsn in chunk)
 
 
 def rowid_of(db, ident):
@@ -109,13 +109,13 @@ def nonpositive_limit_is_a_noop(case):
     assert scan.next_chunk(-7) == []
     assert scan.remaining == 5 and not scan.exhausted
     assert sum(scan.rows_per_shard) == 0
-    assert [r.values["id"] for r in scan.next_chunk(2)] == [0, 1]
+    assert [values["id"] for values, _lsn in scan.next_chunk(2)] == [0, 1]
     assert drain(scan) == [2, 3, 4]
 
 
 def rows_deleted_before_their_chunk_are_not_read_live(case):
     db, scan = case.build(8, 3)
-    assert [r.values["id"] for r in scan.next_chunk()] == [0, 1, 2]
+    assert [values["id"] for values, _lsn in scan.next_chunk()] == [0, 1, 2]
     with Session(db) as s:
         s.delete("t", (1,))                      # already handed out
         s.delete("t", (4,))

@@ -28,7 +28,7 @@ def test_scan_returns_all_rows_in_chunks():
     scan = FuzzyScan(db.table("t"), chunk_size=3)
     chunks = list(scan)
     assert [len(c) for c in chunks] == [3, 3, 3, 1]
-    assert {r.values["id"] for c in chunks for r in c} == set(range(10))
+    assert {values["id"] for c in chunks for values, _lsn in c} == set(range(10))
     assert scan.exhausted
 
 
@@ -50,7 +50,7 @@ def test_scan_nonpositive_limit_returns_empty_without_advancing():
     assert scan.next_chunk(-2) == []
     assert scan.remaining == 5
     assert not scan.exhausted
-    assert [r.values["id"] for r in scan.next_chunk()] == [0, 1, 2]
+    assert [values["id"] for values, _lsn in scan.next_chunk()] == [0, 1, 2]
 
 
 def test_scan_misses_rows_inserted_after_start():
@@ -59,7 +59,7 @@ def test_scan_misses_rows_inserted_after_start():
     scan.next_chunk()
     with Session(db) as s:
         s.insert("t", {"id": 100, "x": 100})
-    seen = {r.values["id"] for c in scan for r in c}
+    seen = {values["id"] for c in scan for values, _lsn in c}
     assert 100 not in seen  # repaired later by log propagation
 
 
@@ -67,10 +67,10 @@ def test_scan_skips_rows_deleted_before_reached():
     db = make_db(6)
     scan = FuzzyScan(db.table("t"), chunk_size=2)
     first = scan.next_chunk()
-    assert [r.values["id"] for r in first] == [0, 1]
+    assert [values["id"] for values, _lsn in first] == [0, 1]
     with Session(db) as s:
         s.delete("t", (4,))
-    seen = {r.values["id"] for c in scan for r in c}
+    seen = {values["id"] for c in scan for values, _lsn in c}
     assert 4 not in seen
 
 
@@ -80,7 +80,7 @@ def test_scan_sees_updates_ahead_of_cursor():
     scan.next_chunk()
     with Session(db) as s:
         s.update("t", (5,), {"x": "updated"})
-    seen = {r.values["id"]: r.values["x"] for c in scan for r in c}
+    seen = {values["id"]: values["x"] for c in scan for values, _lsn in c}
     assert seen[5] == "updated"
 
 
@@ -90,7 +90,8 @@ def test_scan_reads_ignore_locks():
     txn = db.begin()
     db.update(txn, "t", (1,), {"x": "uncommitted"})
     scan = FuzzyScan(db.table("t"), chunk_size=10)
-    seen = {r.values["id"]: r.values["x"] for r in scan.next_chunk()}
+    seen = {values["id"]: values["x"]
+            for values, _lsn in scan.next_chunk()}
     assert seen[1] == "uncommitted"
     db.abort(txn)
 
@@ -101,7 +102,7 @@ def test_scan_snapshots_are_stable():
     chunk = scan.next_chunk()
     with Session(db) as s:
         s.update("t", (0,), {"x": "changed"})
-    assert chunk[0].values["x"] == 0  # snapshot unaffected
+    assert chunk[0][0]["x"] == 0  # image unaffected
 
 
 def test_scan_rejects_bad_chunk_size():

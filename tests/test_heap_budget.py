@@ -3,7 +3,9 @@
 The log and the rows are the whole resident set of a main-memory engine,
 so their per-object overhead is a budget, in bytes: no instance
 ``__dict__`` on a log record, no side dict on a row that has nothing to
-say, no control block for a finished transaction.
+say, no control block for a finished transaction.  It is a budget for
+the cyclic collector too, in tracked objects: a stored row costs a full
+collection nothing.
 """
 
 import gc
@@ -22,6 +24,7 @@ from repro.transform.foj import null_flag
 from repro.wal.frames import RECORD_CODES
 
 from tests.conftest import (
+    T_SPLIT_SCHEMA,
     foj_spec,
     load_foj_data,
     load_split_data,
@@ -55,6 +58,35 @@ def test_only_rows_with_something_to_say_carry_meta(foj_db, split_db):
     assert all(row.meta is None for row in split_db.table("T_r").scan())
     assert all(row.meta["counter"] >= 1
                for row in split_db.table("postal").scan())
+
+
+def _tracked_objects():
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_stored_rows_are_not_tracked_by_the_collector():
+    """Tables keep rowid maps of untracked values, LSNs and metadata, so
+    bulk-loading adds about one tracked object per row -- its
+    ``InsertRecord`` -- and populating a split of the rows adds next to
+    none per target row (a ``Row`` object per stored row read 1 more
+    each)."""
+    n = 4000
+    db = Database()
+    db.create_table(T_SPLIT_SCHEMA)
+    rows = [{"id": i, "name": f"n{i}", "zip": 7000 + i % 50,
+             "city": f"C{7000 + i % 50}"} for i in range(n)]
+    before = _tracked_objects()
+    bulk_load(db, "T", rows)
+    per_loaded_row = (_tracked_objects() - before) / n
+    assert 0.95 <= per_loaded_row <= 1.05, per_loaded_row
+
+    tf = SplitTransformation(db, split_spec(db))
+    before = _tracked_objects()
+    tf.run()
+    target_rows = db.table("T_r").row_count + db.table("postal").row_count
+    per_target_row = (_tracked_objects() - before) / target_rows
+    assert per_target_row < 0.05, per_target_row
 
 
 def test_transaction_table_holds_only_the_active_ones():

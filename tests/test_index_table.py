@@ -90,7 +90,7 @@ def test_insert_and_get_by_key():
     row = table.insert_row({"id": 1, "x": "a"}, lsn=5)
     assert row.lsn == 5
     assert row.values == {"id": 1, "x": "a", "y": None}
-    assert table.get((1,)) is row
+    assert table.get((1,)) == row
     assert table.get((2,)) is None
     assert table.row_count == 1
 
@@ -142,7 +142,7 @@ def test_update_can_change_key_reindexing():
     row = table.insert_row({"id": 1})
     table.update_rowid(row.rowid, {"id": 5})
     assert table.get((1,)) is None
-    assert table.get((5,)) is row
+    assert table.get((5,)) == row
 
 
 def test_update_key_collision_rejected_before_mutation():
@@ -238,30 +238,17 @@ def test_rename_updates_schema_and_uid_stable():
     assert table.uid == uid
 
 
-def test_max_rowid():
-    table = make_table()
-    assert table.max_rowid() == 0
-    r1 = table.insert_row({"id": 1})
-    r2 = table.insert_row({"id": 2})
-    assert table.max_rowid() == r2.rowid
-    table.delete_rowid(r2.rowid)
-    assert table.max_rowid() == r1.rowid
-
-
 def test_row_snapshot_is_isolated():
-    table = make_table()
-    row = table.insert_row({"id": 1, "x": "a"})
-    snap = row.snapshot()
-    table.update_rowid(row.rowid, {"x": "b"})
-    assert snap.values["x"] == "a"
-    assert snap.rowid == row.rowid
+    """A row's only snapshot is a scan image, ``(values copy, lsn)``; a
+    handle is live: it reads the table's maps, so it sees later updates."""
+    from repro.engine.fuzzy import FuzzyScan
 
-
-def test_row_matches_predicate():
     table = make_table()
-    row = table.insert_row({"id": 1, "x": "a"})
-    assert row.matches({"x": "a"})
-    assert not row.matches({"x": "b"})
+    row = table.insert_row({"id": 1, "x": "a"}, lsn=3)
+    [(values, lsn)] = FuzzyScan(table).next_chunk()
+    table.update_rowid(row.rowid, {"x": "b"}, lsn=4)
+    assert (values["x"], lsn) == ("a", 3)
+    assert (row.values["x"], row.lsn) == ("b", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +318,7 @@ def test_probe_cache_not_served_across_mvcc_disjoint_update():
     with Session(db) as s:
         s.update("T", (1,), {"x": "new"})         # disjoint from the pk
     assert primary.lookup((1,)) == before
-    assert table.rows[before[0]].values["x"] == "new"
+    assert table.rows[before[0]]["x"] == "new"
     db.mvcc.gc()                                  # trims the chain, not the row
     assert primary.lookup((1,)) == before
 
@@ -346,7 +333,7 @@ def _index_state(index):
 
 
 def _table_state(table):
-    return ({rowid: dict(row.values) for rowid, row in table.rows.items()},
+    return ({rowid: dict(values) for rowid, values in table.rows.items()},
             {name: _index_state(index)
              for name, index in table.indexes.items()})
 

@@ -206,6 +206,6 @@ def test_lock_mappings():
                  r_null=True)
     for row, table, key in ((r_only, "R", (2,)), (s_only, "S", (9,))):
         assert engine.targets_of_source_lock(table, key) == \
-            [(t, t.lock_key(row))]
-        sources = engine.sources_of_target_lock("T", t.lock_key(row))
+            [(t, t.lock_key(row.values))]
+        sources = engine.sources_of_target_lock("T", t.lock_key(row.values))
         assert [(tbl.name, k) for tbl, k in sources] == [(table, key)]

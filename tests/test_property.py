@@ -125,8 +125,8 @@ def test_fuzzy_copy_converges_for_any_history(rng, chunk_offset):
     db.log.append(FuzzyMarkRecord(transform_id="x", phase="begin"))
     scan = FuzzyScan(db.table("book"), chunk_size=2 + chunk_offset)
     while not scan.exhausted:
-        for row in scan.next_chunk():
-            target.insert_row(dict(row.values), lsn=row.lsn)
+        for values, lsn in scan.next_chunk():
+            target.insert_row(values, lsn=lsn)
         if history:
             run.perform(*history.pop(0))
     for entry in history:

@@ -102,7 +102,7 @@ def test_shards_n_hands_rows_out_in_shards_1_order():
         chunked = {}
         for shards in (1, 2, 3, 8):
             _, scan = scan_contract.ScanCase(kind, shards).build(40, 7)
-            chunked[shards] = [[row.values["id"] for row in chunk]
+            chunked[shards] = [[values["id"] for values, _lsn in chunk]
                                for chunk in scan]
             assert all(n > 0 for n in scan.rows_per_shard)
         assert chunked[1][0] == list(range(7))
