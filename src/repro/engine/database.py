@@ -335,10 +335,7 @@ class Database:
             table.update_key(change.key, change.changes, lsn=lsn)
 
     def _release_locks(self, txn: Transaction) -> None:
-        woken = self.locks.release_all(txn.txn_id)
-        for mirror in self.lock_mirrors:
-            woken.extend(mirror.on_release(self, txn))
-        self._notify_woken(woken)
+        self._notify_woken(self.locks.release_all(txn.txn_id))
 
     def _notify_woken(self, woken: List[int]) -> None:
         if not woken or self.on_wake is None:

@@ -561,11 +561,24 @@ class ScenarioRun:
 
     def _build(self, scenario: CorpusScenario,
                options: TransformOptions) -> Transformation:
+        """Build ``scenario``'s transformation; the run's own one is
+        checked (:meth:`_check_step`) after every group it applies, too."""
         step = scenario.plan.steps[0]
         operator = PLAN_OPERATORS[step.operator]
-        if self.config.view and scenario is self.scenario:
+        if scenario is not self.scenario:
+            return operator.build(self.db, step.params, options)
+        if self.config.view:
             operator = replace(operator, transformation=MaterializedFojView)
-        return operator.build(self.db, step.params, options)
+        tf = operator.build(self.db, step.params, options)
+        apply_group = tf._apply_group
+
+        def checked(*group):
+            units = apply_group(*group)
+            self._check_step(tf)
+            return units
+
+        tf._apply_group = checked
+        return tf
 
     # -- the generated history -------------------------------------------
 
@@ -631,16 +644,17 @@ class ScenarioRun:
                             row[determinant] == own[determinant]:
                         yield "u", name, schema.key_of(row), rewritten
 
-    def _check_step(self) -> None:
-        """Invariants between two steps: the propagator's cursor never
-        moves back, and neither does the state identifier (LSN) of a
-        target row -- what the LSN guards of Section 5's rules promise.
-        A breach is kept for :func:`check_completed`.  An armed pass
-        repeats its fault-free recording up to the crash, so only
-        fault-free runs check."""
-        tf = self.tf
+    def _check_step(self, tf: Transformation) -> None:
+        """Invariants after every step and every applied group:
+        :meth:`Transformation.check_invariants`, and two with a history
+        -- the propagator's cursor never moves back, and neither does the
+        state identifier (LSN) of a target row, what the LSN guards of
+        Section 5's rules promise.  A breach is kept for
+        :func:`check_completed`.  An armed pass repeats its fault-free
+        recording up to the crash, so only fault-free runs check."""
         if self.faults.plan.armed:
             return
+        self.step_violations.extend(tf.check_invariants())
         if tf._cursor < self._last_cursor:
             self.step_violations.append(
                 f"cursor moved back: {self._last_cursor} -> {tf._cursor}")
@@ -732,7 +746,7 @@ class ScenarioRun:
         l_active = True
         for i in range(_MAX_STEPS):
             report = self.tf.step(budgets[i % len(budgets)])
-            self._check_step()
+            self._check_step(self.tf)
             if l_active and (l_txn.doomed or l_txn.is_finished):
                 # Non-blocking abort doomed and rolled back L.
                 l_active = False
@@ -851,18 +865,6 @@ def _check_engine(db: Database, violations: List[str]) -> None:
         violations.append(f"locks of finished transactions: {stale}")
 
 
-def _check_transformation(tf: Transformation, log: LogManager,
-                          violations: List[str]) -> None:
-    """The propagator's cursor never passes the log's end, and a finished
-    transformation keeps no propagated lock."""
-    if tf._cursor > log.end_lsn + 1:
-        violations.append(
-            f"cursor {tf._cursor} is past the log end {log.end_lsn}")
-    if tf.phase is Phase.DONE and len(tf.locks_held):
-        violations.append(
-            f"{len(tf.locks_held)} propagated locks kept at DONE")
-
-
 def _probe_writes(db: Database, violations: List[str]) -> None:
     """A fresh transaction must be able to write every visible table
     (no leaked latch, block or proxy lock) and roll back cleanly."""
@@ -971,7 +973,9 @@ def check_completed(run: ScenarioRun) -> List[str]:
     _check_engine(db, violations)
     violations.extend(run.step_violations)
     if run.tf is not None:
-        _check_transformation(run.tf, run.log, violations)
+        # After the run every writer has ended and a view has been
+        # refreshed, so a view too must keep no propagated lock.
+        violations.extend(run.tf.check_invariants(settled=True))
     run.log.drain_flushes()
     if run.log.flushed_lsn != run.log.end_lsn:
         violations.append(

@@ -66,7 +66,7 @@ from repro.transform.sync import (
     VersionFlipSync,
     build_sync_executor,
 )
-from repro.transform.view import MaterializedFojView, PublishKeepSync
+from repro.transform.view import MaterializedFojView
 
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "Phase",
     "PropagatedLockTable",
     "PropagationPolicy",
-    "PublishKeepSync",
     "RemainingRecordsPolicy",
     "RetypeRuleEngine",
     "RetypeTransformation",

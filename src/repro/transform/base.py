@@ -22,12 +22,18 @@
    non-blocking strategies) by a **background** phase in which propagation
    continues while old transactions live.
 
-The whole machine is driven through :meth:`Transformation.step`, which
-performs a bounded amount of work (measured in *units*: one row scanned or
-inserted, or one log record examined) and returns.  This is what lets the
-transformation "run as a low priority background process" in the simulator
-and what a DBA thread would call in a real deployment.  :meth:`run` drives
-it to completion for single-threaded use.
+The machine is one table, :attr:`Transformation.MACHINE`: for each
+:class:`Phase`, the handler that does that phase's work and the phases it
+may move to.  A handler returns ``(units, next phase)``; the one guarded
+assignment, :meth:`Transformation._enter`, refuses any edge the table does
+not list, and :meth:`Transformation.check_invariants` states what must
+hold between any two applied groups.  :meth:`Transformation.step` is the
+one loop over the table: it performs a bounded amount of work (measured
+in *units*: one row scanned or inserted, or one log record examined) and
+returns.  This is what lets the transformation "run as a low priority
+background process" in the simulator and what a DBA thread would call in
+a real deployment.  :meth:`run` drives it to completion for
+single-threaded use.
 """
 
 from __future__ import annotations
@@ -426,6 +432,10 @@ class Transformation:
     #: The operator's :class:`RuleEngine` subclass.
     engine_class: Type[RuleEngine] = RuleEngine
 
+    #: Whether synchronization retires the sources (a schema change) or
+    #: publishes the targets next to them (a materialized view).
+    retires: bool = True
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # Every kind is recoverable by construction: restart finds the
@@ -468,9 +478,6 @@ class Transformation:
         #: Optional parent for the root span (the supervisor nests each
         #: attempt's transformation under its attempt span).
         self._span_parent: Optional[Span] = None
-        #: Override parent for batch spans (the sync executors point it
-        #: at the latched-window span while the window is open).
-        self._span_parent_hint: Optional[Span] = None
         # What the options carry for the database; faults and the flush
         # policy are attached to the ``Database`` by whoever holds it.
         if self.options.storage == "mvcc":
@@ -488,7 +495,7 @@ class Transformation:
         #: produced-records side of the convergence series.
         self._propagation_base_lsn = NULL_LSN
 
-        self.phase = Phase.CREATED
+        self._phase = Phase.CREATED
         self.targets: Dict[str, Table] = {}
         self.engine: Optional[RuleEngine] = None
         self.locks_held = PropagatedLockTable()
@@ -499,14 +506,11 @@ class Transformation:
         self._iteration_target = NULL_LSN
         self._iteration_records = 0
         self._iteration_units = 0
-        self._sync_executor = None       # set when synchronization starts
+        self._sync_executor = None       # built by _sync()
         self._old_txn_ids: Set[int] = set()
         self._stalled = False
         #: The per-row modes' hook (miss hook, triggers) while installed.
         self._population_hook = None
-        #: Proxy owners whose materialized locks abort() must release even
-        #: after the owning end record was propagated mid-crash.
-        self._proxied_txn_ids: Set[int] = set()
         #: Cumulative statistics, read by benchmarks and the simulator.
         self.stats: Dict[str, int] = {
             "population_units": 0, "propagated_records": 0,
@@ -526,45 +530,54 @@ class Transformation:
 
     @property
     def phase(self) -> Phase:
-        """Life-cycle phase; assignment drives the phase-span hierarchy."""
+        """Life-cycle phase; changed only by :meth:`_enter`."""
         return self._phase
 
-    @phase.setter
-    def phase(self, new: Phase) -> None:
-        old = getattr(self, "_phase", None)
-        self._phase = new
+    def _enter(self, new: Phase) -> None:
+        """The one phase assignment: guarded by :attr:`MACHINE`; it also
+        moves the phase spans and the blame role.  Entering PROPAGATING
+        opens its first iteration; entering SYNCHRONIZING traces
+        ``tf.sync.start`` under the new phase span."""
+        old = self._phase
         if new is old:
             return
-        metrics = getattr(self, "metrics", None)
-        if metrics is None or not metrics.enabled:
-            return
-        # Blame: keep the transformation's holder id mapped to the role
-        # matching its current phase, so any resource held under the
-        # transform id (latches, for one) is attributed to the phase that
-        # held it.  Population and log propagation hold no engine
-        # resources by construction (fuzzy reads, invisible targets) --
-        # nonzero blame in those buckets is itself a red flag.
-        role = PHASE_ROLES.get(new.value)
-        if role is not None:
-            metrics.blame.set_role(self.transform_id, role)
-        else:
-            metrics.blame.clear_role(self.transform_id)
-        if self._phase_span is not None:
-            metrics.end_span(self._phase_span)
-            self._phase_span = None
-        if new in (Phase.DONE, Phase.ABORTED):
-            # Terminal: close the iteration and root spans too.
-            if self._iter_span is not None:
-                metrics.end_span(self._iter_span)
-                self._iter_span = None
-            if self._tf_span is not None:
-                self._tf_span.attrs["outcome"] = new.value
-                metrics.end_span(self._tf_span)
-                self._tf_span = None
-        elif self._tf_span is not None:
-            self._phase_span = metrics.begin_span(
-                "tf.phase." + new.value, parent=self._tf_span,
-                transform=self.transform_id)
+        if new not in self.MACHINE[old][1]:
+            raise TransformationStateError(
+                f"{self.transform_id}: no transition "
+                f"{old.value} -> {new.value}")
+        self._phase = new
+        metrics = self.metrics
+        if metrics.enabled:
+            # Blame: map the transform id to its phase's role, so what
+            # it holds (latches, for one) is charged to that phase.
+            # Population and propagation hold no engine resources by
+            # construction -- nonzero blame there is itself a red flag.
+            role = PHASE_ROLES.get(new.value)
+            if role is not None:
+                metrics.blame.set_role(self.transform_id, role)
+            else:
+                metrics.blame.clear_role(self.transform_id)
+            if self._phase_span is not None:
+                metrics.end_span(self._phase_span)
+                self._phase_span = None
+            if new in (Phase.DONE, Phase.ABORTED):
+                # Terminal: close the iteration and root spans too.
+                if self._iter_span is not None:
+                    metrics.end_span(self._iter_span)
+                    self._iter_span = None
+                if self._tf_span is not None:
+                    self._tf_span.attrs["outcome"] = new.value
+                    metrics.end_span(self._tf_span)
+                    self._tf_span = None
+            elif self._tf_span is not None:
+                self._phase_span = metrics.begin_span(
+                    "tf.phase." + new.value, parent=self._tf_span,
+                    transform=self.transform_id)
+        if new is Phase.PROPAGATING:
+            self._begin_iteration()
+        elif new is Phase.SYNCHRONIZING:
+            self.metrics.trace("tf.sync.start", transform=self.transform_id,
+                               strategy=self.options.sync_strategy.value)
 
     def _ensure_root_span(self) -> None:
         """Open the transformation root span at the first unit of work."""
@@ -582,7 +595,8 @@ class Transformation:
     def _batch_span_parent(self) -> Optional[Span]:
         """Parent for a propagation-batch span: the latched window when
         one is open, else the current iteration, else the phase."""
-        return self._span_parent_hint or self._iter_span or self._phase_span
+        window = self._sync_executor and self._sync_executor.window_span
+        return window or self._iter_span or self._phase_span
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -653,21 +667,40 @@ class Transformation:
         Section 3.1: the new tables must include at least one candidate key
         from each source table (validated by the spec); indices needed by
         the propagation rules are created here and "will be up to date when
-        the transformation is complete".
+        the transformation is complete".  The CREATED row of
+        :attr:`MACHINE`, callable on its own.
         """
-        self._expect(Phase.CREATED)
+        if self._phase is not Phase.CREATED:
+            raise TransformationStateError(
+                f"{self.transform_id}: prepare() in phase "
+                f"{self._phase.value}")
         self._ensure_root_span()
         self.faults.fire(SITE_TF_PREPARE, transform=self.transform_id)
         self._wire(self._create_targets())
-        self.phase = Phase.PREPARED
+        self._enter(Phase.PREPARED)
         self.faults.fire(SITE_TF_PREPARED, transform=self.transform_id)
+
+    def _prepare(self, budget: int) -> Tuple[int, Phase]:
+        """The CREATED row."""
+        self.prepare()
+        return 0, Phase.PREPARED
 
     # ------------------------------------------------------------------
     # Phase 2: initial population
     # ------------------------------------------------------------------
 
-    def _begin_population(self) -> None:
+    def _begin_population(self, budget: int) -> Tuple[int, Phase]:
+        """The PREPARED row: write the begin fuzzy mark and open the
+        scans.  Under ``population_mode="blocking"`` -- Section 1's
+        ``INSERT INTO ... SELECT`` -- blocking commit's block-and-drain
+        runs first, one step at a time, and opens the population on
+        quiescent sources; the block lifts at the swap."""
         options = self.options
+        if options.population_mode == "blocking":
+            sync = self._sync()
+            units, _ = sync.step(budget)
+            if not sync.in_window:
+                return max(units, 1), Phase.PREPARED
         problem = population_problem(
             options.population_mode, options.sync,
             self.engine is not None and self.engine.supports_lazy)
@@ -692,7 +725,7 @@ class Transformation:
         self._planner = ShardPlanner(shards)
         self._open_scans()
         self._install_population_hook()
-        self.phase = Phase.POPULATING
+        return 0, Phase.POPULATING
 
     def _wire(self, targets: Dict[str, Table]) -> None:
         """Adopt ``targets`` and build their rule engine.  With
@@ -794,6 +827,35 @@ class Transformation:
             self.stats["lazy_sweep_rows"] += units
             self.metrics.inc("tf.lazy.swept", units)
         return units, all(scan.exhausted for scan in self._scans.values())
+
+    def _populate(self, budget: int) -> Tuple[int, Phase]:
+        """The POPULATING row: one population step; a finished population
+        writes the first cycle mark and moves to propagation."""
+        # N shards each do ``budget`` units on their own core: the
+        # operator's population step is offered N x budget and the step
+        # is charged the per-shard share.
+        shards = self.options.shards
+        units, finished = self._population_step(budget * shards)
+        self.stats["population_units"] += units
+        self.metrics.inc("tf.units." + Phase.POPULATING.value, units)
+        if shards > 1:
+            units = math.ceil(units / shards)
+        if not finished:
+            return max(units, 1), Phase.POPULATING
+        self.faults.fire(SITE_TF_POPULATE_DONE, transform=self.transform_id)
+        self._uninstall_population_hook()
+        self._release_population_snapshot()
+        self.db.log.append(FuzzyMarkRecord(
+            transform_id=self.transform_id, phase="cycle"))
+        if self.options.population_mode == "trigger":
+            # The triggers applied every source change since the begin
+            # mark: propagate from here, and keep only open transactions'
+            # locks (the rest end before the cursor).
+            self._cursor = self.db.log.end_lsn + 1
+            for txn_id in self.locks_held.txn_ids():
+                if not self.db.txns.exists(txn_id):
+                    self.locks_held.release_txn(txn_id)
+        return max(units, 1), Phase.PROPAGATING
 
     @classmethod
     def rebuild(cls, db: Database, record: TransformSwapRecord
@@ -1028,116 +1090,25 @@ class Transformation:
     def _remaining(self) -> int:
         return max(0, self.db.log.end_lsn - self._cursor + 1)
 
-    # ------------------------------------------------------------------
-    # The step driver
-    # ------------------------------------------------------------------
+    def _propagate(self, budget: int) -> Tuple[int, Phase]:
+        """The PROPAGATING row: one propagation batch; the iteration's
+        last one runs the analysis (:meth:`_finish_iteration`)."""
+        units = self._propagate_batch(budget)
+        if units < budget:
+            # Leftover budget goes to operator background work, e.g. the
+            # split consistency checker (Section 5.3, "run regularly" as
+            # part of the low-priority process).
+            units += self._background_work(budget - units)
+        self._iteration_units += units
+        self.metrics.inc("tf.units." + Phase.PROPAGATING.value, units)
+        phase = self._finish_iteration() \
+            if self._cursor > self._iteration_target else Phase.PROPAGATING
+        return max(units, 1), phase
 
-    def step(self, budget: int = 256) -> StepReport:
-        """Perform up to ``budget`` units of work; return a report.
-
-        Drives whichever phase the transformation is in.  Phase changes
-        happen inside a step; a step never blocks (synchronization waits,
-        e.g. for draining transactions under blocking commit, simply return
-        with zero progress until the condition clears).
-        """
-        self._ensure_root_span()
-        fault = self.faults.fire(SITE_TF_STEP, transform=self.transform_id,
-                                 phase=self.phase.value)
-        if isinstance(fault, DelayFault):
-            # Starve the background process: this step only gets the
-            # delay's (tiny) budget, regardless of what the caller offered.
-            budget = min(budget, fault.budget)
-        entered = self.phase
-        report = self._step_inner(budget)
-        if self.metrics.enabled:
-            # Per-phase unit totals ("tf.units.<phase>") are charged inside
-            # _step_inner, next to the work itself -- a single step may
-            # cross phase boundaries (prepare + populate + propagate), so
-            # charging the entry or exit phase would misattribute.
-            self.metrics.inc("tf.steps")
-            if report.phase is not entered:
-                self.metrics.trace("tf.phase", transform=self.transform_id,
-                                   frm=entered.value, to=report.phase.value)
-        return report
-
-    def _step_inner(self, budget: int) -> StepReport:
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.phase in (Phase.DONE, Phase.ABORTED):
-            return StepReport(self.phase, 0, self.phase is Phase.DONE)
-        if self.phase is Phase.CREATED:
-            self.prepare()
-        if self.phase is Phase.PREPARED:
-            if self.options.population_mode == "blocking":
-                # Section 1's INSERT INTO ... SELECT: blocking commit's
-                # block-and-drain opens the population (quiescent
-                # sources) instead of closing it; the block lifts at the
-                # swap.
-                if self._sync_executor is None:
-                    self._sync_executor = self._build_sync_executor(
-                        self.options.sync_strategy)
-                units = self._sync_executor.step(budget)
-                if self._sync_executor.state != "final":
-                    return StepReport(self.phase, max(units, 1), False)
-            self._begin_population()
-
-        if self.phase is Phase.POPULATING:
-            # N shards each do ``budget`` units on their own core: the
-            # operator's population step is offered N x budget and the
-            # step is charged the per-shard share.
-            shards = self.options.shards
-            units, finished = self._population_step(budget * shards)
-            self.stats["population_units"] += units
-            self.metrics.inc("tf.units." + Phase.POPULATING.value, units)
-            if finished:
-                self.faults.fire(SITE_TF_POPULATE_DONE,
-                                 transform=self.transform_id)
-                self._uninstall_population_hook()
-                self._release_population_snapshot()
-                self.db.log.append(FuzzyMarkRecord(
-                    transform_id=self.transform_id, phase="cycle"))
-                if self.options.population_mode == "trigger":
-                    # The triggers applied every source change since the
-                    # begin mark: propagate from here, and keep only open
-                    # transactions' locks (the rest end before the cursor).
-                    self._cursor = self.db.log.end_lsn + 1
-                    for txn_id in self.locks_held.txn_ids():
-                        if not self.db.txns.exists(txn_id):
-                            self.locks_held.release_txn(txn_id)
-                self.phase = Phase.PROPAGATING
-                self._begin_iteration()
-            if shards > 1:
-                units = math.ceil(units / shards)
-            return StepReport(self.phase, max(units, 1), False)
-
-        if self.phase is Phase.PROPAGATING:
-            units = self._propagate_batch(budget)
-            if units < budget:
-                # Leftover budget goes to operator background work, e.g.
-                # the split consistency checker (Section 5.3, "run
-                # regularly" as part of the low-priority process).
-                units += self._background_work(budget - units)
-            self._iteration_units += units
-            self.metrics.inc("tf.units." + Phase.PROPAGATING.value, units)
-            if self._cursor > self._iteration_target:
-                self._finish_iteration()
-            return StepReport(self.phase, max(units, 1), False,
-                              stalled=self._stalled,
-                              info={"remaining": self._remaining(),
-                                    "iteration": self._iteration})
-
-        if self.phase in (Phase.SYNCHRONIZING, Phase.BACKGROUND):
-            assert self._sync_executor is not None
-            phase = self.phase
-            units = self._sync_executor.step(budget)
-            self.metrics.inc("tf.units." + phase.value, units)
-            done = self.phase is Phase.DONE
-            return StepReport(self.phase, max(units, 1), done)
-
-        raise TransformationStateError(f"unexpected phase {self.phase}")
-
-    def _finish_iteration(self) -> None:
-        """End-of-iteration: write the cycle mark and run the analysis."""
+    def _finish_iteration(self) -> Phase:
+        """End-of-iteration: write the cycle mark, run the analysis and
+        return its verdict as the next phase -- another iteration, or
+        synchronization (whose executor is built here)."""
         self.faults.fire(SITE_TF_ITERATION_END, transform=self.transform_id,
                          iteration=self._iteration)
         self.stats["iterations"] += 1
@@ -1193,34 +1164,121 @@ class Transformation:
                 self._iter_span.attrs["decision"] = decision.value
                 self.metrics.end_span(self._iter_span)
                 self._iter_span = None
-        if decision is Decision.SYNCHRONIZE:
-            ready, reason = self._ready_to_synchronize()
-            if ready:
-                self._start_synchronization()
-            else:
-                self._begin_iteration()
-        elif decision is Decision.STALLED:
-            self._stalled = True
-            self._begin_iteration()
-        else:
-            self._stalled = False
-            self._begin_iteration()
+        if decision is not Decision.SYNCHRONIZE:
+            self._stalled = decision is Decision.STALLED
+        elif self._ready_to_synchronize()[0]:
+            self.faults.fire(SITE_TF_SYNC_ENTER, transform=self.transform_id,
+                             strategy=self.options.sync_strategy.value)
+            self._sync()
+            return Phase.SYNCHRONIZING
+        self._begin_iteration()
+        return Phase.PROPAGATING
 
-    def _start_synchronization(self) -> None:
-        strategy = self.options.sync_strategy
-        self.faults.fire(SITE_TF_SYNC_ENTER, transform=self.transform_id,
-                         strategy=strategy.value)
-        if self._sync_executor is None:  # else: blocking population's
-            self._sync_executor = self._build_sync_executor(strategy)
-        self.phase = Phase.SYNCHRONIZING
-        self.metrics.trace("tf.sync.start", transform=self.transform_id,
-                           strategy=strategy.value)
+    # ------------------------------------------------------------------
+    # Phase 4: synchronization
+    # ------------------------------------------------------------------
 
-    def _build_sync_executor(self, strategy: SyncStrategy):
-        """The executor :meth:`_start_synchronization` hands over to;
-        an operator that publishes differently overrides only this."""
-        from repro.transform.sync import build_sync_executor
-        return build_sync_executor(self, strategy)
+    def _sync(self):
+        """The synchronization executor, built when the analysis chooses
+        synchronization -- or in PREPARED, for a blocking population."""
+        if self._sync_executor is None:
+            from repro.transform.sync import build_sync_executor
+            self._sync_executor = build_sync_executor(self)
+        return self._sync_executor
+
+    def _synchronize(self, budget: int) -> Tuple[int, Phase]:
+        """The SYNCHRONIZING and BACKGROUND rows: the executor's handover,
+        then its post-swap propagation while old transactions live."""
+        phase = self.phase
+        units, new = self._sync_executor.step(budget)
+        self.metrics.inc("tf.units." + phase.value, units)
+        return max(units, 1), new
+
+    # ------------------------------------------------------------------
+    # The machine
+    # ------------------------------------------------------------------
+
+    #: The paper's four steps as one table: ``phase -> (handler, legal
+    #: successors)``.  ``handler(self, budget)`` does up to ``budget``
+    #: units of its phase's work and returns ``(units, next phase)``, the
+    #: phase itself to stay.  0 units -- no budgeted work -- let the step
+    #: go on in the next phase (CREATED -> PREPARED -> POPULATING); any
+    #: other result ends it.  ABORTED is entered by :meth:`abort` alone.
+    MACHINE: Dict[Phase, Tuple[Optional[Callable], Tuple[Phase, ...]]] = {
+        Phase.CREATED: (_prepare, (Phase.PREPARED, Phase.ABORTED)),
+        Phase.PREPARED: (_begin_population,
+                         (Phase.POPULATING, Phase.ABORTED)),
+        Phase.POPULATING: (_populate, (Phase.PROPAGATING, Phase.ABORTED)),
+        Phase.PROPAGATING: (_propagate,
+                            (Phase.SYNCHRONIZING, Phase.ABORTED)),
+        Phase.SYNCHRONIZING: (_synchronize, (Phase.BACKGROUND, Phase.DONE,
+                                             Phase.ABORTED)),
+        Phase.BACKGROUND: (_synchronize, (Phase.DONE,)),
+        Phase.DONE: (None, ()),
+        Phase.ABORTED: (None, ()),
+    }
+
+    def step(self, budget: int = 256) -> StepReport:
+        """Perform up to ``budget`` units of work; return a report.
+
+        Runs the current phase's handler from :attr:`MACHINE` and enters
+        the phase it returns.  A step never blocks (synchronization
+        waits, e.g. blocking commit's drain, return with zero progress
+        until the condition clears).
+        """
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        self._ensure_root_span()
+        fault = self.faults.fire(SITE_TF_STEP, transform=self.transform_id,
+                                 phase=self.phase.value)
+        if isinstance(fault, DelayFault):
+            # Starve the background process: this step only gets the
+            # delay's (tiny) budget, regardless of what the caller offered.
+            budget = min(budget, fault.budget)
+        entered = phase = self.phase
+        units = 0
+        while self.MACHINE[phase][0] is not None:
+            units, new = self.MACHINE[phase][0](self, budget)
+            self._enter(new)
+            if units or new is phase:
+                break
+            phase = new
+        report = StepReport(self.phase, units, self.phase is Phase.DONE)
+        if phase is Phase.PROPAGATING:
+            report.stalled = self._stalled
+            report.info = {"remaining": self._remaining(),
+                           "iteration": self._iteration}
+        if self.metrics.enabled:
+            # Per-phase unit totals ("tf.units.<phase>") are charged by
+            # the handlers, next to the work itself -- a single step may
+            # cross phase boundaries (prepare + populate), so charging
+            # the entry or exit phase would misattribute.
+            self.metrics.inc("tf.steps")
+            if report.phase is not entered:
+                self.metrics.trace("tf.phase", transform=self.transform_id,
+                                   frm=entered.value, to=report.phase.value)
+        return report
+
+    def check_invariants(self, settled: bool = False) -> List[str]:
+        """The stateless invariants, true between any two applied groups,
+        as violations (empty when all hold):
+
+        * the propagator's cursor never passes the log's end;
+        * a finished transformation keeps no propagated lock.  A published
+          view goes on noting the changes of the live writers it
+          maintains, so for it this holds only once ``settled``: every
+          writer has ended and the view has propagated its end.
+        """
+        violations: List[str] = []
+        end = self.db.log.end_lsn
+        if self._cursor > end + 1:
+            violations.append(
+                f"cursor {self._cursor} is past the log end {end}")
+        if self.phase is Phase.DONE and (self.retires or settled) and \
+                len(self.locks_held):
+            violations.append(
+                f"{len(self.locks_held)} propagated locks kept at DONE")
+        return violations
 
     # ------------------------------------------------------------------
     # Completion / abort
@@ -1273,30 +1331,19 @@ class Transformation:
         self._uninstall_population_hook()
         self._release_population_snapshot()
         if self._sync_executor is not None:
+            # The executor alone latches, blocks and mirrors.
             self._sync_executor.cleanup()
-        for name, table in list(self.targets.items()):
+        for table in self.targets.values():
             if self.db.catalog.exists(table.name):
                 self.db.drop_table(table.name)
-        for name in self.source_tables:
-            table = self.db.catalog.get(name) \
-                if self.db.catalog.exists(name) else None
-            if table is not None:
-                if self.db.locks.is_latched(table.uid):
-                    self.db.unlatch_table(table, self.transform_id)
-                if self.db.catalog.is_blocked(name):
-                    self.db.unblock_tables([name])
-        # Clear the propagated lock table and release every proxy owner it
-        # (or a synchronization executor) ever materialized.
-        proxied = set(self.locks_held.txn_ids()) | self._proxied_txn_ids \
-            | self._old_txn_ids
-        for txn_id in self.locks_held.txn_ids():
-            self.locks_held.release_txn(txn_id)
-        for txn_id in proxied:
+        # Clear the propagated lock table and release every proxy owner
+        # the handover materialized (its old transactions').
+        self.locks_held = PropagatedLockTable()
+        for txn_id in self._old_txn_ids:
             woken = self.db.locks.release_all(proxy_owner(txn_id))
             self.db._notify_woken(woken)
-        self._proxied_txn_ids = set()
         self.targets = {}
-        self.phase = Phase.ABORTED
+        self._enter(Phase.ABORTED)
 
     @property
     def done(self) -> bool:
@@ -1322,22 +1369,12 @@ class Transformation:
 
     @property
     def sync_urgent(self) -> bool:
-        """Whether the synchronization is in its latched critical section.
-
-        The simulator's server serves the transformation ahead of user
-        work only while this holds -- the latch must clear in
-        sub-millisecond time.  Waiting states (blocking commit's drain)
-        are NOT urgent: the drain is waiting for user transactions, so
-        starving them would live-lock the synchronization.
-        """
-        return self._sync_executor is not None and \
-            getattr(self._sync_executor, "urgent", False)
-
-    def _expect(self, *phases: Phase) -> None:
-        if self.phase not in phases:
-            raise TransformationStateError(
-                f"{self.transform_id}: expected phase in "
-                f"{[p.value for p in phases]}, got {self.phase.value}")
+        """Whether the synchronization is in its latched critical section
+        (the executor's ``urgent``): the simulator's server serves the
+        transformation ahead of user work only while this holds -- the
+        latch must clear in sub-millisecond time."""
+        return self.phase is Phase.SYNCHRONIZING and \
+            self._sync_executor.urgent
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.transform_id!r}, "

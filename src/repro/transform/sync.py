@@ -1,24 +1,13 @@
-"""The three synchronization strategies of Section 3.4.
+"""The synchronization strategies of Section 3.4, as one handover.
 
-All three end the transformation by bringing the transformed tables to an
-action-consistent state with the (briefly latched or blocked) source
-tables, swapping the schema, and redirecting new transactions:
-
-* **blocking commit** -- block new transactions from the involved tables,
-  drain the transactions already holding locks, run one final propagation,
-  swap.  Simple, but violates the non-blocking requirement (kept as the
-  paper's own internal baseline).
-* **non-blocking abort** -- latch the source tables for one brief final
-  propagation (the paper measures < 1 ms), materialize the locks the
-  propagator maintained on the transformed tables, swap, and *force the
-  old transactions to abort*.  Propagation continues in the background;
-  each old transaction's mirrored locks are released when the propagator
-  processes its abort record.
-* **non-blocking commit** -- as above, but old transactions continue (a
-  "soft transformation"): while any of them lives, locks must be
-  transferred in both directions between the source and transformed
-  tables, using the Figure 2 compatibility matrix on the transformed side.
-  Non-conflicting old transactions are never aborted.
+All of them end the transformation by bringing the transformed tables to
+an action-consistent state with the (briefly latched or blocked) source
+tables, swapping the schema, and redirecting new transactions; they
+differ in what happens to the *old* transactions, those still active on
+the sources: drained first (:class:`BlockingCommitSync`), forced to abort
+(:class:`NonBlockingAbortSync`), or carried across the swap
+(:class:`NonBlockingCommitSync`, and :class:`VersionFlipSync` without a
+latch).
 
 Lock materialization covers (a) the write locks recorded in the propagated
 lock table during log propagation and (b) the locks currently held in the
@@ -34,7 +23,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.common.errors import TransformationStateError
 from repro.concurrency.locks import LockMode, LockOrigin, record_resource
 from repro.concurrency.transactions import Transaction
 from repro.engine.database import Database
@@ -96,22 +84,24 @@ SITE_SYNC_BACKGROUND = register_site(
     "before each post-swap background propagation step")
 
 
-def build_sync_executor(tf: Transformation,
-                        strategy: SyncStrategy) -> "_SyncExecutor":
-    """Instantiate the executor for the chosen strategy."""
-    if strategy is SyncStrategy.BLOCKING_COMMIT:
-        return BlockingCommitSync(tf)
-    if strategy is SyncStrategy.NONBLOCKING_ABORT:
-        return NonBlockingAbortSync(tf)
-    if strategy is SyncStrategy.NONBLOCKING_COMMIT:
-        return NonBlockingCommitSync(tf)
-    if strategy is SyncStrategy.VERSION_FLIP:
-        return VersionFlipSync(tf)
-    raise TransformationStateError(f"unknown strategy {strategy}")
+def build_sync_executor(tf: Transformation) -> "_SyncExecutor":
+    """The executor of ``tf``'s strategy.  A transformation that retires
+    nothing (:attr:`Transformation.retires`, a view) hands over through
+    the plain latched window whatever its strategy: no transaction is
+    old, so there is nobody to block, doom or mirror, and no flip."""
+    if not tf.retires:
+        return _SyncExecutor(tf)
+    return {
+        SyncStrategy.BLOCKING_COMMIT: BlockingCommitSync,
+        SyncStrategy.NONBLOCKING_ABORT: NonBlockingAbortSync,
+        SyncStrategy.NONBLOCKING_COMMIT: NonBlockingCommitSync,
+        SyncStrategy.VERSION_FLIP: VersionFlipSync,
+    }[tf.options.sync_strategy](tf)
 
 
 class _SyncExecutor:
-    """The one handover, as a stepwise state machine.
+    """The one handover, run by the SYNCHRONIZING and BACKGROUND rows of
+    :attr:`Transformation.MACHINE`; :meth:`step` returns the next phase.
 
     Every strategy runs the same sequence: catch up with the log (inside
     a brief source latch, or chasing the tail unlatched), then -- in the
@@ -119,8 +109,9 @@ class _SyncExecutor:
     locks, write the swap record, swap, and let the window go; old
     transactions still alive keep the executor propagating in the
     BACKGROUND phase until the last one ends.  The strategies are
-    settings of the class attributes below; blocking commit alone adds
-    states of its own, the block/drain prologue.
+    settings of the class attributes below.  :attr:`state` is private
+    to SYNCHRONIZING: ``"start"``, then ``"final"`` (latched) or
+    ``"chase"``; blocking commit adds ``"drain"``.
 
     :meth:`step` is the exception-safe window for all of them: whatever
     dies between taking a latch or block and releasing it -- injected
@@ -140,8 +131,6 @@ class _SyncExecutor:
     mirrors = False
     #: Install the swap as a versioned catalog write (MVCC epochs).
     flips = False
-    #: Retire the source tables (else publish the targets next to them).
-    retires = True
 
     def __init__(self, tf: Transformation) -> None:
         self.tf = tf
@@ -153,12 +142,9 @@ class _SyncExecutor:
         #: quantity behind the paper's "< 1 ms" synchronization claim.
         self.latched_units = 0
         #: Whether the latched/blocked critical section is open.
-        self._in_window = False
-        self._window_reported = False
-        #: Span covering the latched/blocked critical section; batch spans
-        #: opened inside the window nest under it via the transformation's
-        #: ``_span_parent_hint``.
-        self._window_span = None
+        self.in_window = False
+        #: Span of the critical section; batch spans nest under it.
+        self.window_span = None
         #: Tables this executor currently holds the latch on; the basis of
         #: the exception-safe window (see :meth:`cleanup`).
         self._latched_tables: List[Table] = []
@@ -172,34 +158,40 @@ class _SyncExecutor:
 
     @property
     def urgent(self) -> bool:
-        """Whether the executor is inside its latched critical section."""
-        return self.latches and self.state in ("start", "final")
+        """In (or about to take) the critical section; not while blocking
+        commit drains -- it waits for the transactions it would starve."""
+        return self.in_window or self.latches and self.state == "start"
 
-    def step(self, budget: int) -> int:
-        """Advance the synchronization; returns units consumed."""
+    def step(self, budget: int) -> Tuple[int, Phase]:
+        """Advance the synchronization; returns (units, next phase)."""
         try:
             return self._advance(budget)
         except BaseException:
             self.cleanup()
             raise
 
-    def _advance(self, budget: int) -> int:
+    def _advance(self, budget: int) -> Tuple[int, Phase]:
+        if self.tf.phase is Phase.BACKGROUND:
+            # Post-swap propagation while old transactions live.
+            self.faults.fire(SITE_SYNC_BACKGROUND,
+                             transform=self.tf.transform_id)
+            units, caught_up = self._final_propagation(budget)
+            if not caught_up or any(map(self.db.txns.exists,
+                                        self.tf._old_txn_ids)):
+                return units, Phase.BACKGROUND
+            self._remove_mirror()
+            return units, self._finish()
         if self.state == "start":
             if self.latches:
                 self._latch_sources()
-                self.state = "final"
                 self._note_latched(1)
-            else:
-                # No latch, no block, no window: go straight to the chase.
-                self.state = "chase"
-            return 1
-        if self.state in ("final", "chase"):
-            return self._hand_over(budget)
-        if self.state == "background":
-            return self._background_step(budget)
-        return 0
+            # Latched: the final propagation.  Else there is no window
+            # at all (the version flip): the chase.
+            self.state = "final" if self.latches else "chase"
+            return 1, Phase.SYNCHRONIZING
+        return self._hand_over(budget)
 
-    def _hand_over(self, budget: int) -> int:
+    def _hand_over(self, budget: int) -> Tuple[int, Phase]:
         """Catch up with the log; once caught up, swap and hand over.
 
         From catch-up to the end of the step nothing interleaves: either
@@ -209,11 +201,11 @@ class _SyncExecutor:
         """
         tf, db = self.tf, self.db
         units, caught_up = self._final_propagation(budget)
-        if self._in_window:
+        if self.in_window:
             self._note_latched(units)
         if not caught_up:
-            return max(units, 1)
-        retired = tuple(tf.source_tables) if self.retires else ()
+            return max(units, 1), Phase.SYNCHRONIZING
+        retired = tuple(tf.source_tables) if tf.retires else ()
         old_txns = db.txns.active_on(retired)
         old_ids = tf._old_txn_ids = {t.txn_id for t in old_txns}
         self._materialize_locks(old_txns)
@@ -241,17 +233,13 @@ class _SyncExecutor:
                              transform=tf.transform_id)
             self.mirror = LockMirror(tf)
             db.lock_mirrors.append(self.mirror)
-        if self._in_window:
+        if self.in_window:
             self._release_window()
-        if old_txns:
-            tf.phase = Phase.BACKGROUND
-            self.state = "background"
-        else:
-            self._finish()
+        phase = Phase.BACKGROUND if old_txns else self._finish()
         if self.flips:
             # Reclaim versions and epochs below the surviving pins.
             db.mvcc.gc()
-        return max(units, 1)
+        return max(units, 1), phase
 
     # -- building blocks ------------------------------------------------------
 
@@ -260,17 +248,16 @@ class _SyncExecutor:
 
     def _open_window(self) -> None:
         """Trace the start of the latched/blocked critical section."""
-        self._in_window = True
+        self.in_window = True
         self.metrics.trace("sync.window.open",
                            transform=self.tf.transform_id,
                            strategy=self.tf.options.sync_strategy.value,
                            tables=tuple(self.tf.source_tables))
-        if self.metrics.enabled and self._window_span is None:
-            self._window_span = self.metrics.begin_span(
+        if self.metrics.enabled:
+            self.window_span = self.metrics.begin_span(
                 "sync.window", parent=self.tf._phase_span,
                 transform=self.tf.transform_id,
                 strategy=self.tf.options.sync_strategy.value)
-            self.tf._span_parent_hint = self._window_span
 
     def _latch_sources(self) -> None:
         self.faults.fire(SITE_SYNC_LATCH, transform=self.tf.transform_id)
@@ -301,9 +288,8 @@ class _SyncExecutor:
         """Release every shared-system hold this executor may have.
 
         Called from the exception-safe wrapper in :meth:`step` and from
-        :meth:`Transformation.abort`, so no failure path -- injected or
-        organic -- can leak a table latch, a blocked table or an
-        installed lock mirror.  Idempotent.
+        :meth:`Transformation.abort`, so no failure path can leak a table
+        latch, a blocked table or an installed lock mirror.  Idempotent.
         """
         for table in list(self._latched_tables):
             if self.db.locks.is_latched(table.uid):
@@ -324,23 +310,21 @@ class _SyncExecutor:
         self.metrics.inc("sync.latched_units", units)
 
     def _close_latched_window(self) -> None:
-        """Report the finished critical-section window exactly once."""
-        self._in_window = False
-        if self._window_reported:
+        """Report the finished critical-section window, once; a window
+        never opened reports nothing."""
+        if not self.in_window:
             return
-        self._window_reported = True
+        self.in_window = False
         if self.metrics.enabled:
             self.metrics.observe("sync.latched_window", self.latched_units)
             self.metrics.trace("sync.window.close",
                                transform=self.tf.transform_id,
                                strategy=self.tf.options.sync_strategy.value,
                                latched_units=self.latched_units)
-        if self._window_span is not None:
-            self._window_span.attrs["latched_units"] = self.latched_units
-            self.metrics.end_span(self._window_span)
-            self._window_span = None
-        if self.tf._span_parent_hint is not None:
-            self.tf._span_parent_hint = None
+        if self.window_span is not None:
+            self.window_span.attrs["latched_units"] = self.latched_units
+            self.metrics.end_span(self.window_span)
+            self.window_span = None
 
     def _final_propagation(self, budget: int) -> Tuple[int, bool]:
         """Propagate toward the current end of the log; (units, caught_up)."""
@@ -359,7 +343,6 @@ class _SyncExecutor:
         self.faults.fire(SITE_SYNC_MATERIALIZE,
                          transform=self.tf.transform_id,
                          txns=tuple(t.txn_id for t in txns))
-        self.tf._proxied_txn_ids.update(t.txn_id for t in txns)
         source_uids = {t.uid: t.name for t in self._source_objects()}
         for txn in txns:
             owner = proxy_owner(txn.txn_id)
@@ -432,7 +415,8 @@ class _SyncExecutor:
                          f"{self.tf.transform_id} (non-blocking abort)")
                 self.db.abort(txn)
 
-    def _finish(self) -> None:
+    def _finish(self) -> Phase:
+        """Drop the zombies and write the end mark; the handover is done."""
         self.faults.fire(SITE_SYNC_FINISH, transform=self.tf.transform_id)
         records = []
         for name in map(self.db.catalog.name_at, self.tf.source_tables):
@@ -445,19 +429,7 @@ class _SyncExecutor:
         # (recovery tolerates losing the whole batch -- the swap record
         # already republished the targets).
         self.db.log.append_batch(records)
-        self.tf.phase = Phase.DONE
-
-    def _background_step(self, budget: int) -> int:
-        """Post-swap propagation while old transactions live."""
-        self.faults.fire(SITE_SYNC_BACKGROUND,
-                         transform=self.tf.transform_id)
-        units, caught_up = self._final_propagation(budget)
-        old = self.tf._old_txn_ids
-        all_finished = not any(self.db.txns.exists(i) for i in old)
-        if all_finished and caught_up:
-            self._remove_mirror()
-            self._finish()
-        return units
+        return Phase.DONE
 
     def _remove_mirror(self) -> None:
         if self.mirror is not None and \
@@ -472,22 +444,17 @@ class BlockingCommitSync(_SyncExecutor):
     "This method does not follow the non-blocking requirement" -- it exists
     as the paper's own comparison point and is measured by the
     blocking-baseline benchmark.  Its window is a *block*, taken by a
-    prologue of two states of its own; from ``final`` on it is the
-    common handover.  ``population_mode="blocking"`` runs the prologue
-    before the population instead (:meth:`Transformation._step_inner`),
-    so the window spans the whole copy.
+    prologue of two steps (``"start"``: block, ``"drain"``: wait); from
+    ``"final"`` on it is the common handover.  ``population_mode=
+    "blocking"`` runs the prologue in PREPARED instead
+    (:meth:`Transformation._begin_population`), so the window spans the
+    whole copy.
     """
 
     latches = False
 
-    @property
-    def urgent(self) -> bool:
-        # The drain WAITS for user transactions; only the final
-        # propagation (sources blocked, old transactions gone) is the
-        # critical section.
-        return self.state == "final"
-
-    def _advance(self, budget: int) -> int:
+    def _advance(self, budget: int) -> Tuple[int, Phase]:
+        phase = self.tf.phase
         if self.state == "start":
             self.faults.fire(SITE_SYNC_BLOCK, transform=self.tf.transform_id)
             self.db.catalog.block(self.tf.source_tables)
@@ -496,14 +463,14 @@ class BlockingCommitSync(_SyncExecutor):
             for name in self.tf.source_tables:
                 self.metrics.blame.set_role(("blocked", name), ROLE_SYNC)
             self.state = "drain"
-            return 1
+            return 1, phase
         if self.state == "drain":
             self.faults.fire(SITE_SYNC_DRAIN, transform=self.tf.transform_id)
             if self.db.txns.active_on(self.tf.source_tables):
-                return 0  # waiting for old transactions to complete
+                return 0, phase  # waiting for old transactions to complete
             self.state = "final"
             self._open_window()
-            return 1
+            return 1, phase
         return super()._advance(budget)
 
     def _materialize_locks(self, txns: Sequence[Transaction]) -> None:
@@ -620,8 +587,3 @@ class LockMirror:
                                  record_resource(source.uid, s_key),
                                  mode, origin=LockOrigin.NATIVE)
 
-    def on_release(self, db: Database, txn: Transaction) -> List[int]:
-        """Nothing extra to release: proxy locks are released by the
-        propagator at the end record; new transactions' mirrored source
-        locks were taken under their own id and die with ``release_all``."""
-        return []

@@ -24,20 +24,7 @@ from __future__ import annotations
 from repro.common.errors import TransformationStateError
 from repro.transform.base import Phase
 from repro.transform.foj import FojTransformation
-from repro.transform.sync import _SyncExecutor
 from repro.wal.records import TransformRetireRecord
-
-
-class PublishKeepSync(_SyncExecutor):
-    """Synchronization that publishes the target and keeps the sources.
-
-    The common handover -- brief latch, final propagation, swap record --
-    with nothing retired: no zombies, nobody old to abort or mirror, and
-    restart recovery recomputes the view from the (intact) sources.  The
-    transformed table becomes a published (deferred) view.
-    """
-
-    retires = False
 
 
 class MaterializedFojView(FojTransformation):
@@ -55,13 +42,17 @@ class MaterializedFojView(FojTransformation):
     Unlike a schema transformation, completion (``run`` returning, phase
     DONE) means *published*, not finished: the view remains registered and
     :meth:`maintain` keeps applying the same propagation rules for as long
-    as the view lives.
+    as the view lives.  Its handover retires nothing: no zombies, nobody
+    old to abort or mirror; restart recomputes it from the sources.
     """
 
     kind = "mv_foj"
+    retires = False
 
-    def _build_sync_executor(self, strategy) -> PublishKeepSync:
-        return PublishKeepSync(self)
+    #: The framework's table plus the one view-only edge: a published
+    #: view is dropped (DONE -> ABORTED).
+    MACHINE = {**FojTransformation.MACHINE,
+               Phase.DONE: (None, (Phase.ABORTED,))}
 
     # -- post-publication maintenance -----------------------------------------
 
@@ -106,11 +97,14 @@ class MaterializedFojView(FojTransformation):
         view (rebuild it, install a live rule engine) before replaying the
         drop -- and post-drop source changes that are legal without the
         view would then crash the redo pass.  Retiring the transform id
-        makes recovery skip the swap record entirely.
+        makes recovery skip the swap record entirely.  An unpublished
+        view is aborted, which releases whatever its build holds.
         """
-        if self.published:
-            self.db.log.append(TransformRetireRecord(
-                transform_id=self.transform_id))
+        if not self.published:
+            self.abort()
+            return
+        self.db.log.append(TransformRetireRecord(
+            transform_id=self.transform_id))
         if self.db.catalog.exists(self.spec.target_name):
             self.db.drop_table(self.spec.target_name)
-        self.phase = Phase.ABORTED
+        self._enter(Phase.ABORTED)

@@ -58,6 +58,59 @@ def test_step_rejects_nonpositive_budget(foj_db):
     tf.abort()
 
 
+def test_rejected_budget_leaves_no_trace(foj_db):
+    """Regression: ``step(0)`` opened the root and phase spans and
+    crossed the ``tf.step`` fault site before raising."""
+    from repro import FojTransformation
+    from repro.api import Metrics, TransformOptions
+    from repro.faults import FaultInjector
+    from tests.conftest import foj_spec, load_foj_data
+    load_foj_data(foj_db, n_r=3, n_s=2)
+    faults = FaultInjector()
+    foj_db.attach_faults(faults)
+    tf = FojTransformation(foj_db, foj_spec(foj_db),
+                           options=TransformOptions(metrics=Metrics()))
+    with pytest.raises(ValueError):
+        tf.step(0)
+    assert tf._tf_span is None and tf._phase_span is None
+    assert faults.hits == {}
+    assert tf.phase is Phase.CREATED
+
+
+def test_the_machine_is_the_papers_four_steps(foj_db):
+    """The transition table, edge by edge: a new edge is a reviewed diff.
+    An edge the table does not list raises."""
+    from repro import FojTransformation, MaterializedFojView
+    from repro.common.errors import TransformationStateError
+    from repro.transform.base import Transformation
+    from tests.conftest import foj_spec, load_foj_data
+
+    def edges(cls):
+        return sorted((old.value, new.value)
+                      for old, (_, successors) in cls.MACHINE.items()
+                      for new in successors)
+
+    assert edges(Transformation) == sorted([
+        ("created", "prepared"), ("created", "aborted"),
+        ("prepared", "populating"), ("prepared", "aborted"),
+        ("populating", "propagating"), ("populating", "aborted"),
+        ("propagating", "synchronizing"), ("propagating", "aborted"),
+        ("synchronizing", "background"), ("synchronizing", "done"),
+        ("synchronizing", "aborted"),
+        ("background", "done"),
+    ])
+    assert set(edges(MaterializedFojView)) - set(edges(Transformation)) \
+        == {("done", "aborted")}
+    load_foj_data(foj_db, n_r=3, n_s=2)
+    tf = FojTransformation(foj_db, foj_spec(foj_db))
+    tf.step(1)
+    assert tf.phase is Phase.POPULATING
+    with pytest.raises(TransformationStateError):
+        tf._enter(Phase.DONE)
+    assert tf.phase is Phase.POPULATING and tf.check_invariants() == []
+    tf.abort()
+
+
 def test_step_after_done_is_noop(foj_db):
     from repro import FojTransformation
     from tests.conftest import foj_spec, load_foj_data

@@ -116,6 +116,37 @@ def test_drop_before_publication_logs_nothing():
     assert all(r.kind != "transformretire" for r in db.log.scan())
 
 
+def test_drop_inside_the_latched_window_releases_the_latches():
+    """Regression: an unpublished drop set ABORTED without aborting, so a
+    drop between the latch and the swap left R and S latched and the
+    next writer waited forever."""
+    db, spec = build()
+    view = MaterializedFojView(db, spec)
+    while view.phase is not Phase.SYNCHRONIZING:
+        view.step(64)
+    view.step(64)  # takes the latches
+    assert view.sync_urgent and db.locks._latches
+    view.drop()
+    assert view.phase is Phase.ABORTED
+    assert not db.locks._latches
+    assert sorted(db.catalog.table_names()) == ["R", "S"]
+    with Session(db) as s:
+        s.insert("R", {"a": 999, "b": "after-drop", "c": None})
+
+
+def test_drop_during_population_releases_the_snapshot():
+    """Regression: under MVCC an unpublished drop kept the population
+    snapshot pinned, holding back version GC for good."""
+    db, spec = build()
+    view = MaterializedFojView(db, spec,
+                               options=TransformOptions(storage="mvcc"))
+    view.step(1)
+    assert view.phase is Phase.POPULATING
+    assert db.mvcc.watermark() is not None
+    view.drop()
+    assert db.mvcc.watermark() is None
+
+
 def test_dropped_view_stays_dropped_across_restart():
     """Regression: restart used to replay the swap record unconditionally,
     resurrecting a dropped view -- and its recovery propagator then

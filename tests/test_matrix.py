@@ -17,7 +17,6 @@ seeded drawer over a fixed seed range: the model must report it.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,14 +97,15 @@ def _drop_without_decrement(_original):
         "split-rule9-counter"])
 def test_model_catches_a_planted_mutation(monkeypatch, engine, name,
                                           mutant):
-    """Drawn runs step one unit at a time, so the between-step
-    invariants see every record the propagator applies."""
+    """Drawn runs keep chaos's drawn budgets (log-uniform over 1..64):
+    the model checks its invariants after every applied group as well
+    as every step, so a large step no longer hides what a group did."""
     operator = "split" if engine is SplitRuleEngine else "foj"
     monkeypatch.setattr(engine, name, mutant(getattr(engine, name)))
     for seed in range(400):
         config = draw_config(random.Random(seed), 24)
         if config.operator == operator:
-            run = ScenarioRun(replace(config, budgets=(1,)))
+            run = ScenarioRun(config)
             run.execute()
             if violations(run):
                 return
