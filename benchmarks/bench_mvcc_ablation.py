@@ -98,7 +98,7 @@ def measure_arm(arm: str) -> Dict[str, object]:
             SETTINGS, seed=seed, with_transformation=False,
             stop_after_window=True))
         treat = run_once(builder, replace(
-            SETTINGS, seed=seed, observe=True, series_bucket_ms=5.0))
+            SETTINGS, seed=seed, observe=True))
         rel_thr.append(treat.throughput / base.throughput
                        if base.throughput else 0.0)
         rel_rt.append(treat.mean_response / base.mean_response

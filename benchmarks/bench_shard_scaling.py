@@ -95,7 +95,7 @@ def shard_report() -> Dict[str, object]:
     per-shard accounting summary in the report."""
     run = run_once(shard_builder(2),
                    replace(SETTINGS, seed=0, with_transformation=True,
-                           observe=True, series_bucket_ms=5.0))
+                           observe=True))
     section = observed_run_section(
         "shards=2", run,
         meta={"shards": 2, "rows": ROWS, "n_clients": SETTINGS.n_clients,

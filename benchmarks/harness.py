@@ -1,18 +1,26 @@
-"""Shared machinery for the paper-reproduction benchmarks.
+"""Shared machinery of the benchmarks, and the observability smoke.
 
-Each ``bench_*.py`` file regenerates one table/figure of the paper's
-evaluation (Section 6) -- see the experiment index in DESIGN.md.  The
-benchmarks print the same series the paper plots (relative throughput /
-response time vs. workload, completion time vs. priority, ...) next to the
-paper's reported ranges, and record the measured numbers both in the
-pytest-benchmark ``extra_info`` and under ``benchmarks/results/``.
+``bench_paper.py`` runs the paper's simulated experiments (the DESIGN.md
+§4 index) from one table; ``bench_lazy_migration``, ``bench_mvcc_ablation``
+and ``bench_shard_scaling`` keep their drift-gated ``BENCH_*.json`` files.
+They print their series next to the paper's reading and record the
+numbers in the pytest-benchmark ``extra_info`` and under
+``benchmarks/results/``, through the helpers here: result tables
+(:func:`print_series`, :func:`save_results`, :func:`save_results_json`)
+and observed run reports (:func:`save_bench_report`).
+
+Run as ``python -m benchmarks.harness`` it is the observability smoke:
+one split per Section 3.4 strategy with metrics attached
+(``observability.json``), the interference probe that rewrites
+``BENCH_interference.json``, and the canonical ``run_report.json``.
 
 Knobs (environment variables):
 
 * ``REPRO_SCALE`` / ``REPRO_FULL_SCALE`` -- table sizes (see
   :func:`repro.sim.scale_factor`); default is 10x smaller than the paper.
 * ``REPRO_BENCH_SEEDS`` -- seeds averaged per data point (default 2).
-* ``REPRO_BENCH_FAST`` -- set to 1 to measure fewer workload points.
+* ``REPRO_BENCH_FAST`` -- set to 1 to measure fewer workload points
+  (``bench_paper``).
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api import (
     Database,
-    FixedIterationsPolicy,
     LockWaitError,
     Metrics,
     Phase,
@@ -33,97 +40,22 @@ from repro.api import (
     SplitTransformation,
     SyncStrategy,
     TableSchema,
+    TransactionAbortedError,
     TransformOptions,
     build_run_report,
     bulk_load,
     run_section,
 )
-from repro.sim import (
-    RelativeResult,
-    RunSettings,
-    ServerConfig,
-    build_foj_scenario,
-    build_split_scenario,
-    calibrate_max_workload,
-    clients_for_workload,
-    keep_up_priority,
-    run_once,
-    run_relative,
-)
+from repro.sim import RunSettings, build_split_scenario, run_once
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Repo root, home of the ``BENCH_*.json`` perf-trajectory files.
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
-#: Paper-reported ranges (Section 6 text + Figure 4 reading).
-PAPER = {
-    "fig4a": "relative throughput 0.94-0.99, decreasing with workload",
-    "fig4b": "relative response time 1.05-1.30, increasing with workload",
-    "fig4c": "80%-update mix interferes more than 20% at every workload",
-    "fig4d": "completion time ~ 1/priority, divergence below a threshold;"
-             " interference grows with priority",
-    "sync": "non-blocking-abort synchronization latch < 1 ms",
-    "offhours": "at 50% load: <2% throughput, <9% response;"
-                " at 70%: ~2.5% throughput",
-}
-
 
 def seed_list() -> List[int]:
     """Seeds to average per data point."""
     return list(range(int(os.environ.get("REPRO_BENCH_SEEDS", "2"))))
-
-
-def workload_points(full: Sequence[float] = (50, 60, 70, 80, 90, 100)
-                    ) -> List[float]:
-    """Workload percentages to sweep (trimmed in fast mode)."""
-    if os.environ.get("REPRO_BENCH_FAST", "").strip() in ("1", "true"):
-        return [50, 75, 100]
-    return list(full)
-
-
-def averaged_relative(builder: Callable, pct: float, n_max: int,
-                      settings: RunSettings,
-                      seeds: Optional[Iterable[int]] = None
-                      ) -> Tuple[float, float]:
-    """Seed-averaged (relative throughput, relative response) at ``pct``."""
-    throughputs, responses = [], []
-    for seed in (seed_list() if seeds is None else seeds):
-        rel = run_relative(builder, pct, n_max,
-                           replace(settings, seed=seed))
-        throughputs.append(rel.relative_throughput)
-        responses.append(rel.relative_response)
-    n = len(throughputs)
-    return sum(throughputs) / n, sum(responses) / n
-
-
-def split_builder(source_fraction: float = 0.2,
-                  tf_kwargs: Optional[dict] = None) -> Callable:
-    """Scenario builder for the paper's split setup."""
-    def build(seed: int):
-        return build_split_scenario(seed, source_fraction=source_fraction,
-                                    tf_kwargs=tf_kwargs)
-    return build
-
-
-def foj_builder(source_fraction: float = 0.2,
-                tf_kwargs: Optional[dict] = None) -> Callable:
-    """Scenario builder for the paper's FOJ setup."""
-    def build(seed: int):
-        return build_foj_scenario(seed, source_fraction=source_fraction,
-                                  tf_kwargs=tf_kwargs)
-    return build
-
-
-def propagation_builder(source_fraction: float) -> Callable:
-    """Split scenario whose transformation never synchronizes (for
-    steady-state propagation measurements, Figure 4(c))."""
-    return split_builder(source_fraction, tf_kwargs={
-        "options": TransformOptions(policy=FixedIterationsPolicy(10**9))})
-
-
-def n_max_for(builder: Callable, key: str) -> int:
-    """Cached 100%-workload calibration for a scenario."""
-    return calibrate_max_workload(builder, cache_key=key)
 
 
 def print_series(title: str, paper_note: str,
@@ -219,27 +151,6 @@ def blame_breakdown(run) -> Optional[Dict[str, object]]:
     }
 
 
-def merge_bench_blame(breakdown: Optional[Dict[str, object]], source: str,
-                      path: Optional[pathlib.Path] = None) -> None:
-    """Merge one run's blame breakdown into ``BENCH_interference.json``.
-
-    The file is owned by :func:`interference_probe` (which rewrites it
-    wholesale); benches contribute their own per-phase attribution under
-    ``payload["blame"][source]`` without clobbering the probe's ratios.
-    """
-    if breakdown is None:
-        return
-    path = path if path is not None else REPO_ROOT / "BENCH_interference.json"
-    payload: Dict[str, object] = {}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except ValueError:
-            payload = {}
-    payload.setdefault("blame", {})[source] = breakdown
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def observed_run_section(name: str, run,
                          meta: Optional[Dict[str, object]] = None
                          ) -> Dict[str, object]:
@@ -278,7 +189,7 @@ def save_bench_report(name: str, builder: Callable, *,
     settings = settings or RunSettings(
         n_clients=6, warmup_ms=10.0, window_ms=80.0, priority=0.2,
         stop_after_window=False, t_max_ms=8000.0)
-    settings = replace(settings, observe=True, series_bucket_ms=5.0)
+    settings = replace(settings, observe=True)
     run = run_once(builder, settings)
     section = observed_run_section(
         "observed", run, meta={"n_clients": settings.n_clients,
@@ -314,7 +225,7 @@ def interference_probe(rows: int = 600, n_clients: int = 8, seed: int = 0,
                            window_ms=120.0, priority=0.1, seed=seed)
     base = run_once(builder, replace(settings, with_transformation=False))
     treat = run_once(builder, replace(settings, with_transformation=True,
-                                      observe=True, series_bucket_ms=5.0))
+                                      observe=True))
     rel_thr = treat.throughput / base.throughput if base.throughput else 0.0
     rel_rt = treat.mean_response / base.mean_response \
         if base.mean_response else 0.0
@@ -471,7 +382,7 @@ def _finish_lingering(db: Database, txn) -> None:
     which case there is nothing left to commit."""
     try:
         db.commit(txn)
-    except Exception:
+    except TransactionAbortedError:
         pass
 
 

@@ -77,7 +77,6 @@ from repro.plan import (
     MigrationStep,
     PLAN_OPERATORS,
     PlanExecutor,
-    PlanStepper,
     PlanValidationError,
     PlanValidator,
     Workload,
@@ -192,7 +191,6 @@ __all__ = [
     "MigrationStep",
     "PLAN_OPERATORS",
     "PlanExecutor",
-    "PlanStepper",
     "PlanValidationError",
     "PlanValidator",
     "Workload",

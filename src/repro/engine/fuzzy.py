@@ -18,11 +18,9 @@ from typing import Iterator, List, Optional, Set
 from repro.faults import NULL_FAULTS, register_site
 from repro.storage.table import Image, Table
 from repro.wal.records import (
-    CLRecord,
     DeleteRecord,
     FuzzyMarkRecord,
     InsertRecord,
-    LogRecord,
     UpdateRecord,
     data_change_of,
 )
@@ -224,21 +222,33 @@ def apply_log_with_lsn_guard(db, source_name: str, target: Table,
         change = data_change_of(record)
         if change is None or change.table != source_name:
             continue
-        _redo_change_guarded(target, change, record.lsn)
+        REDO_CHANGE[type(change)](target, change, record.lsn)
     return count
 
 
-def _redo_change_guarded(target: Table, change: LogRecord, lsn: int) -> None:
-    rowid = target.rowid_of(change.key)
-    if isinstance(change, InsertRecord):
-        if rowid is None:
-            target.insert_row(dict(change.values), lsn=lsn)
-        elif target.lsns[rowid] < lsn:
-            # The copy saw a newer-keyed row die and be re-inserted; align.
-            target.update_rowid(rowid, dict(change.values), lsn=lsn)
-    elif isinstance(change, DeleteRecord):
-        if rowid is not None and target.lsns[rowid] < lsn:
-            target.delete_rowid(rowid)
-    elif isinstance(change, UpdateRecord):
-        if rowid is not None and target.lsns[rowid] < lsn:
-            target.update_rowid(rowid, dict(change.changes), lsn=lsn)
+def redo_insert(table: Table, change: InsertRecord, lsn: int) -> None:
+    rowid = table.rowid_of(change.key)
+    if rowid is None:
+        table.insert_row(change.values, lsn=lsn)
+    elif table.lsns[rowid] < lsn:
+        # The copy saw a newer-keyed row die and be re-inserted; align.
+        table.update_rowid(rowid, change.values, lsn=lsn)
+
+
+def redo_delete(table: Table, change: DeleteRecord, lsn: int) -> None:
+    rowid = table.rowid_of(change.key)
+    if rowid is not None and table.lsns[rowid] < lsn:
+        table.delete_rowid(rowid)
+
+
+def redo_update(table: Table, change: UpdateRecord, lsn: int) -> None:
+    rowid = table.rowid_of(change.key)
+    if rowid is not None and table.lsns[rowid] < lsn:
+        table.update_rowid(rowid, change.changes, lsn=lsn)
+
+
+#: Data-change class -> reapply it to a table under the LSN guard (the
+#: fuzzy copy's redo and restart recovery's).  The table copies what it
+#: keeps of an image, so the record's own dicts are passed as they are.
+REDO_CHANGE = {InsertRecord: redo_insert, DeleteRecord: redo_delete,
+               UpdateRecord: redo_update}

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 from repro.common.errors import NoSuchTableError, RecoveryError
 from repro.concurrency.transactions import Transaction
 from repro.engine.database import Database
+from repro.engine.fuzzy import REDO_CHANGE
 from repro.obs.blame import ROLE_RECOVERY
 from repro.storage.table import Table
 from repro.wal.log import FIRST_LSN, LogManager
@@ -237,39 +238,12 @@ def _analysis(records: List[LogRecord],
     return losers, in_commit, max_id
 
 
-def _redo_insert(table: Table, change: InsertRecord, lsn: int) -> None:
-    rowid = table.rowid_of(change.key)
-    if rowid is None:
-        table.insert_row(change.values, lsn=lsn)
-    elif table.lsns[rowid] < lsn:
-        table.update_rowid(rowid, change.values, lsn=lsn)
-
-
-def _redo_delete(table: Table, change: DeleteRecord, lsn: int) -> None:
-    rowid = table.rowid_of(change.key)
-    if rowid is not None and table.lsns[rowid] < lsn:
-        table.delete_rowid(rowid)
-
-
-def _redo_update(table: Table, change: UpdateRecord, lsn: int) -> None:
-    rowid = table.rowid_of(change.key)
-    if rowid is not None and table.lsns[rowid] < lsn:
-        table.update_rowid(rowid, change.changes, lsn=lsn)
-
-
 def _propagate(engines: List[object], change: LogRecord, lsn: int) -> None:
     """Run a post-swap data change through the rules of every replayed
     swap that consumes its table."""
     for engine in engines:
         if change.table in engine.source_tables:
             engine.apply(change, lsn)
-
-
-#: Data-change class -> reapply it to its table under the standard LSN
-#: guard.  The table copies what it keeps of an image, so the record's own
-#: dicts are passed as they are.
-_REDO_CHANGE = {InsertRecord: _redo_insert, DeleteRecord: _redo_delete,
-                UpdateRecord: _redo_update}
 
 
 class _Redo:
@@ -297,12 +271,12 @@ class _Redo:
         except NoSuchTableError:
             pass  # change to a transient (discarded) table
         else:
-            _REDO_CHANGE[type(change)](table, change, record.lsn)
+            REDO_CHANGE[type(change)](table, change, record.lsn)
         if self.propagators:
             _propagate(self.propagators, change, record.lsn)
 
     def clr(self, record: CLRecord) -> None:
-        if type(record.action) in _REDO_CHANGE:
+        if type(record.action) in REDO_CHANGE:
             self.change(record, record.action)
 
     def create_table(self, record: CreateTableRecord) -> None:

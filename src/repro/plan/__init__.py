@@ -13,7 +13,7 @@ the challenge-problem scenario corpus.
 from repro.common.errors import PlanValidationError
 from repro.plan.corpus import CORPUS, CORPUS_BY_NAME, WORKLOAD_SCENARIOS, \
     CorpusScenario, Workload, get_scenario
-from repro.plan.executor import PlanExecutor, PlanStepper, run_plan
+from repro.plan.executor import PlanExecutor, run_plan
 from repro.plan.operators import PLAN_OPERATORS, PlanOperator
 from repro.plan.spec import PLAN_OPTION_FIELDS, MigrationPlan, MigrationStep
 from repro.plan.validate import PlanValidator
@@ -28,7 +28,6 @@ __all__ = [
     "PLAN_OPTION_FIELDS",
     "PlanExecutor",
     "PlanOperator",
-    "PlanStepper",
     "PlanValidationError",
     "PlanValidator",
     "WORKLOAD_SCENARIOS",

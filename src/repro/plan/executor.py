@@ -21,10 +21,7 @@ for those ids (minus any later
 already rebuilt their published tables -- and re-runs the chain from the
 first step that had not swapped.
 
-:func:`run_plan` is the one-call convenience wrapper, and
-:class:`PlanStepper` adapts a plan to the simulator's background-work
-interface (one :meth:`~PlanStepper.step` budget at a time) so a whole
-chain can run under an interleaved transaction workload.
+:func:`run_plan` is the one-call convenience wrapper.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.obs.report import run_section
 from repro.plan.operators import PLAN_OPERATORS
 from repro.plan.spec import PLAN_OPTION_FIELDS, MigrationPlan, MigrationStep
 from repro.plan.validate import PlanValidator
-from repro.transform.base import StepReport, Transformation
+from repro.transform.base import Transformation
 from repro.transform.options import TransformOptions
 from repro.transform.supervisor import TransformationSupervisor
 from repro.wal.records import TransformRetireRecord, TransformSwapRecord
@@ -207,95 +204,3 @@ def run_plan(db: Database, plan: MigrationPlan, *, resume: bool = False,
     return PlanExecutor(db, plan, validate=validate,
                         observe=observe).run(resume=resume)
 
-
-class PlanStepper:
-    """Adapts a plan to the simulator's background-work interface.
-
-    The simulated :class:`~repro.sim.server.Server` drives background
-    work one budget at a time (``report = background.step(budget)``); a
-    ``PlanStepper`` presents a whole plan as one such unit, advancing to
-    the next step's transformation when the current one completes and
-    reporting ``done`` only after the last.  No supervisor is involved:
-    under the simulator, retry policy belongs to the scenario.
-    """
-
-    def __init__(self, db: Database, plan: MigrationPlan, *,
-                 validate: bool = True) -> None:
-        if validate:
-            PlanValidator(db).validate(plan)
-        self.db = db
-        self.plan = plan
-        self._index = 0
-        self._tf: Optional[Transformation] = None
-        self._span = None
-
-    # -- Transformation-compatible surface --------------------------------
-
-    @property
-    def _span_parent(self):
-        return self._span
-
-    @_span_parent.setter
-    def _span_parent(self, value) -> None:
-        # The simulator assigns this after construction; forward it to
-        # the transformation currently being stepped (and, via
-        # :meth:`_ensure_tf`, to every later one).
-        self._span = value
-        if self._tf is not None:
-            self._tf._span_parent = value
-
-    @property
-    def transform_id(self) -> str:
-        if self._tf is not None:
-            return self._tf.transform_id
-        return self.plan.plan_id
-
-    @property
-    def phase(self):
-        return self._tf.phase if self._tf is not None else None
-
-    @property
-    def done(self) -> bool:
-        """True once the *last* step's transformation completed."""
-        return self._index == len(self.plan.steps) - 1 \
-            and self._tf is not None and self._tf.done
-
-    @property
-    def sync_urgent(self) -> bool:
-        return self._tf is not None and self._tf.sync_urgent
-
-    @property
-    def current_step(self) -> MigrationStep:
-        return self.plan.steps[self._index]
-
-    def _ensure_tf(self) -> Transformation:
-        if self._tf is None:
-            step = self.current_step
-            op = PLAN_OPERATORS[step.operator]
-            options = PlanExecutor(
-                self.db, self.plan, validate=False).step_options(step)
-            self._tf = op.build(self.db, step.params, options)
-            self._tf._span_parent = self._span
-        return self._tf
-
-    def step(self, budget: int) -> StepReport:
-        """Run one budget's worth of the current step's transformation."""
-        tf = self._ensure_tf()
-        report = tf.step(budget)
-        if report.done and self._index + 1 < len(self.plan.steps):
-            finished = self.current_step.step_id
-            self._index += 1
-            self._tf = None
-            info = dict(report.info)
-            info["plan_step_completed"] = finished
-            return StepReport(phase=report.phase, units=report.units,
-                              done=False, stalled=report.stalled, info=info)
-        return report
-
-    def abort(self) -> None:
-        if self._tf is not None:
-            self._tf.abort()
-
-    def shard_summary(self) -> Dict[str, object]:
-        """Delegate to the current step's transformation (sim reporting)."""
-        return self._tf.shard_summary() if self._tf is not None else {}

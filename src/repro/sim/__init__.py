@@ -11,7 +11,6 @@ from repro.sim.experiments import (
     RunSettings,
     Scenario,
     build_foj_scenario,
-    build_plan_scenario,
     build_split_scenario,
     calibrate_max_workload,
     clients_for_workload,
@@ -21,7 +20,7 @@ from repro.sim.experiments import (
     scale_factor,
 )
 from repro.sim.metrics import MetricsCollector, RelativeResult, RunResult
-from repro.sim.server import Job, Server, ServerConfig
+from repro.sim.server import Job, Server
 from repro.sim.workload import Client, ClientPool, UpdateTarget, Workload
 
 __all__ = [
@@ -34,12 +33,10 @@ __all__ = [
     "RunSettings",
     "Scenario",
     "Server",
-    "ServerConfig",
     "Simulator",
     "UpdateTarget",
     "Workload",
     "build_foj_scenario",
-    "build_plan_scenario",
     "build_split_scenario",
     "calibrate_max_workload",
     "clients_for_workload",

@@ -19,24 +19,19 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
-from repro.engine.session import Session, bulk_load
-from repro.faults import FaultInjector
+from repro.engine.session import bulk_load
 from repro.obs import Metrics
 from repro.relational.spec import FojSpec, SplitSpec
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector, RelativeResult, RunResult
-from repro.sim.server import Server, ServerConfig
+from repro.sim.server import BG_PROPAGATION_COST_MS, Server
 from repro.sim.workload import ClientPool, UpdateTarget, Workload
 from repro.storage.schema import TableSchema
-from repro.transform.analysis import (
-    FixedIterationsPolicy,
-    RemainingRecordsPolicy,
-)
-from repro.transform.base import Phase, SyncStrategy
+from repro.transform.base import Phase
 from repro.transform.foj import FojTransformation
 from repro.transform.split import SplitTransformation
 
@@ -115,84 +110,6 @@ def build_split_scenario(seed: int = 0, source_fraction: float = 0.2,
     return Scenario(db, workload, factory, ("T",))
 
 
-def build_plan_scenario(seed: int = 0, source_fraction: float = 0.2,
-                        n_emp: Optional[int] = None,
-                        n_dept: Optional[int] = None,
-                        dummy_rows: Optional[int] = None,
-                        defaults: Optional[dict] = None) -> Scenario:
-    """A chained migration plan (FOJ then split) under a live workload.
-
-    The background work is a whole :class:`~repro.plan.MigrationPlan`
-    adapted through :class:`~repro.plan.PlanStepper`: ``emp`` and
-    ``dept`` are joined into ``emp_dept``, which is then split into
-    ``staff`` and ``dept_info`` -- so the simulated server crosses *two*
-    synchronization points in one run.  Update targets fall back along
-    the chain as each swap retires their table.
-    """
-    from repro.plan import MigrationPlan, MigrationStep, PlanStepper
-
-    scale = scale_factor()
-    n_emp = n_emp if n_emp is not None else max(200, int(20_000 * scale))
-    n_dept = n_dept if n_dept is not None else max(20, int(n_emp * 0.1))
-    dummy_rows = dummy_rows if dummy_rows is not None \
-        else max(200, int(20_000 * scale))
-    rng = random.Random(seed)
-
-    db = Database()
-    db.create_table(TableSchema("emp", ["eid", "ename", "dept_id"],
-                                primary_key=["eid"]))
-    db.create_table(TableSchema("dept", ["did", "dname", "floor"],
-                                primary_key=["did"]))
-    bulk_load(db, "emp", [
-        {"eid": i, "ename": float(i),
-         "dept_id": rng.randrange(int(n_dept * 1.2))}
-        for i in range(n_emp)
-    ])
-    bulk_load(db, "dept", [
-        {"did": d, "dname": f"d{d}", "floor": float(d)}
-        for d in range(n_dept)
-    ])
-    dummy = _build_dummy(db, dummy_rows)
-    plan = MigrationPlan(
-        plan_id=f"sim.chain.{seed}",
-        steps=(
-            MigrationStep(step_id="join", operator="foj",
-                          params={"r_name": "emp", "s_name": "dept",
-                                  "target_name": "emp_dept",
-                                  "join_attr_r": "dept_id",
-                                  "join_attr_s": "did"}),
-            MigrationStep(step_id="split", operator="split",
-                          params={"source_name": "emp_dept",
-                                  "r_name": "staff", "s_name": "dept_info",
-                                  "split_attr": "dept_id",
-                                  "s_attrs": ["dname", "floor"]}),
-        ),
-        defaults=dict(defaults or {}))
-
-    emp_keys = [(i,) for i in range(n_emp)]
-    dept_keys = [(d,) for d in range(n_dept)]
-    # ``ename`` stays an R-side attribute through both steps, so it is a
-    # safe update column in every intermediate schema; ``floor`` is only
-    # written through ``dept`` (keeping the dept_id -> floor dependency
-    # consistent for the split) and falls back to the R side after.
-    staff_t = UpdateTarget("staff", emp_keys, "ename")
-    emp_target = UpdateTarget(
-        "emp", emp_keys, "ename",
-        fallback=UpdateTarget("emp_dept", emp_keys, "ename",
-                              fallback=staff_t))
-    dept_target = UpdateTarget(
-        "dept", dept_keys, "floor",
-        fallback=UpdateTarget("emp_dept", emp_keys, "ename",
-                              fallback=staff_t))
-    workload = Workload([emp_target, dept_target], dummy,
-                        source_fraction=source_fraction)
-
-    def factory() -> PlanStepper:
-        return PlanStepper(db, plan)
-
-    return Scenario(db, workload, factory, ("emp", "dept", "emp_dept"))
-
-
 def build_foj_scenario(seed: int = 0, source_fraction: float = 0.2,
                        n_r: Optional[int] = None,
                        n_s: Optional[int] = None,
@@ -240,6 +157,11 @@ def build_foj_scenario(seed: int = 0, source_fraction: float = 0.2,
 # ---------------------------------------------------------------------------
 
 
+#: Bucket width (virtual ms) of an observed run's throughput and response
+#: time series.
+SERIES_BUCKET_MS = 5.0
+
+
 @dataclass
 class RunSettings:
     """Knobs of one simulated run."""
@@ -260,21 +182,14 @@ class RunSettings:
     #: Return as soon as the measurement window closes instead of waiting
     #: for the transformation to finish.
     stop_after_window: bool = True
-    server: ServerConfig = field(default_factory=ServerConfig)
     seed: int = 0
     #: Attach an observability registry (virtual-time clock) to the
     #: database, server and transformation; its snapshot is returned in
-    #: ``RunResult.info["obs"]``.  Off by default: observation costs a
-    #: few percent of real runtime and the paired-run ratios don't need it.
+    #: ``RunResult.info["obs"]``, and the throughput / response-time series
+    #: over the whole run (``SERIES_BUCKET_MS`` buckets) in
+    #: ``info["series"]``.  Off by default: observation costs a few percent
+    #: of real runtime and the paired-run ratios don't need it.
     observe: bool = False
-    #: Bucket width (virtual ms) of the throughput/response time series
-    #: collected over the whole run; ``None`` disables the series.
-    series_bucket_ms: Optional[float] = None
-    #: Fault injector to attach to the scenario database (after the
-    #: builder's bulk load, like ``observe``); ``None`` leaves the run on
-    #: the zero-overhead ``NULL_FAULTS`` path.  Lets experiments drive
-    #: abort storms or starvation delays through the simulated workload.
-    faults: Optional[FaultInjector] = None
 
 
 def run_once(scenario_builder: Callable[[int], Scenario],
@@ -289,13 +204,11 @@ def run_once(scenario_builder: Callable[[int], Scenario],
         # counters cover only the measured run.
         obs = Metrics(enabled=True, clock=lambda: sim.now)
         scenario.db.attach_metrics(obs)
-    if settings.faults is not None:
-        scenario.db.attach_faults(settings.faults)
-    server = Server(sim, settings.server, metrics=obs)
+    server = Server(sim, metrics=obs)
     # Anchor the bucket series to the shared obs clock so virtual-time
     # and wall-time runs yield comparable, origin-relative bucket indices.
-    metrics = MetricsCollector(bucket_ms=settings.series_bucket_ms,
-                               clock=None if obs is None else obs.now)
+    metrics = MetricsCollector() if obs is None else \
+        MetricsCollector(bucket_ms=SERIES_BUCKET_MS, clock=obs.now)
     run_span = None if obs is None else obs.begin_span(
         "sim.run", n_clients=settings.n_clients,
         with_transformation=settings.with_transformation,
@@ -403,8 +316,7 @@ def run_once(scenario_builder: Callable[[int], Scenario],
             "priority": settings.priority,
             "n_clients": settings.n_clients,
             "window_ms": metrics.window_length(),
-            "tf_stats": None if tf is None else dict(
-                getattr(tf, "stats", {}) or {}),
+            "tf_stats": None if tf is None else dict(tf.stats),
             "lock_waits": scenario.db.locks.wait_count,
             "lock_deadlocks": scenario.db.locks.deadlock_count,
             "wal_records": len(scenario.db.log),
@@ -415,8 +327,7 @@ def run_once(scenario_builder: Callable[[int], Scenario],
             # can assert the breakdown against the aggregate.
             "blame": None if obs is None else obs.blame.snapshot(),
             "spans": None if obs is None else obs.spans.tree(),
-            "convergence": None if getattr(tf, "convergence", None) is None
-            else tf.convergence.series(),
+            "convergence": None if tf is None else tf.convergence.series(),
             "shard_summary": None if tf is None
             else tf.shard_summary() or None,
             "series": metrics.series(),
@@ -432,7 +343,6 @@ _CALIBRATION_CACHE: Dict[tuple, int] = {}
 
 
 def calibrate_max_workload(scenario_builder: Callable[[int], Scenario],
-                           server: Optional[ServerConfig] = None,
                            seed: int = 0, cache_key: object = None) -> int:
     """Find the client count maximizing baseline throughput (= 100%).
 
@@ -442,13 +352,11 @@ def calibrate_max_workload(scenario_builder: Callable[[int], Scenario],
     key = (cache_key, seed) if cache_key is not None else None
     if key is not None and key in _CALIBRATION_CACHE:
         return _CALIBRATION_CACHE[key]
-    server = server or ServerConfig()
     best_throughput = 0.0
     results: List[Tuple[int, float]] = []
     for n in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 26, 32, 40):
         settings = RunSettings(n_clients=n, warmup_ms=10.0, window_ms=60.0,
-                               with_transformation=False, server=server,
-                               seed=seed)
+                               with_transformation=False, seed=seed)
         result = run_once(scenario_builder, settings)
         # Stop once adding clients stops improving throughput (saturation).
         if results and result.throughput < best_throughput * 1.01:
@@ -492,8 +400,7 @@ def run_relative(scenario_builder: Callable[[int], Scenario],
 
 
 def keep_up_priority(baseline: RunResult, source_fraction: float,
-                     updates_per_txn: int, server: ServerConfig,
-                     headroom: float = 1.5) -> float:
+                     updates_per_txn: int, headroom: float = 1.5) -> float:
     """Priority needed for propagation to outpace log generation.
 
     Section 3.3: "If more log records are produced than the propagator is
@@ -509,5 +416,5 @@ def keep_up_priority(baseline: RunResult, source_fraction: float,
     skipped = txn_per_ms * (
         updates_per_txn * (1.0 - source_fraction) + 3.0)
     units_per_ms = applied + skipped * Transformation.SKIP_UNIT_COST
-    share = units_per_ms * server.bg_propagation_cost_ms
+    share = units_per_ms * BG_PROPAGATION_COST_MS
     return float(min(0.9, max(0.005, headroom * share)))

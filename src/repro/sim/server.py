@@ -4,7 +4,7 @@ transformation background process.
 This is the substitution for the paper's testbed (see DESIGN.md): the
 prototype's server node is modeled as a single processor with a FIFO queue
 of user operations and an attached *background process* (a transformation
-or plan exposing ``step(budget)``).  The scheduler implements exactly
+exposing ``step(budget)``).  The scheduler implements exactly
 the knob the paper evaluates -- the transformation **priority** p:
 
 * the transformation is throttled to a target share p of server capacity
@@ -24,9 +24,9 @@ the knob the paper evaluates -- the transformation **priority** p:
   section; the paper's "< 1 ms" claim assumes the final propagation is not
   itself descheduled).
 
-Service times are configured in :class:`ServerConfig`; defaults are
-loosely calibrated to the paper's era (tens of microseconds per in-memory
-record operation, 100 us one-way network).
+Service times are the module constants below, loosely calibrated to the
+paper's era (tens of microseconds per in-memory record operation, 100 us
+one-way network).
 """
 
 from __future__ import annotations
@@ -39,42 +39,31 @@ from repro.sim.events import Simulator
 from repro.transform.base import Phase
 
 
-@dataclass
-class ServerConfig:
-    """Timing parameters of the simulated node.
-
-    Attributes:
-        op_service_ms: Server time for one record operation (update/read).
-        txn_overhead_ms: Server time for begin+commit bookkeeping (charged
-            with the commit operation, includes the log force).
-        net_delay_ms: One-way client-to-server delay.
-        bg_population_cost_ms: Server time per initial-population unit
-            (one source row scanned, joined/split and inserted -- close to
-            a user operation's cost).
-        bg_propagation_cost_ms: Server time per log-propagation unit (one
-            applied log record; skipped records cost a quarter unit -- see
-            ``Transformation.SKIP_UNIT_COST``).  Redo is a tight loop over
-            in-memory records, several times cheaper than a full user
-            operation with its locking, logging and network handling.
-        bg_batch_units: Background units bundled into one scheduling
-            quantum.  This is the background process's *preemption
-            granularity*: a user operation arriving mid-quantum waits for
-            it, so it must stay comparable to one operation's service time
-            or idle-capacity background work would inflict head-of-line
-            blocking far beyond the configured priority (and invert the
-            paper's workload/interference trend).
-        trigger_op_ms: Extra service charged per trigger invocation the
-            operation fired (``population_mode="trigger"``, Ronström's
-            method).
-    """
-
-    op_service_ms: float = 0.020
-    txn_overhead_ms: float = 0.020
-    net_delay_ms: float = 0.100
-    bg_population_cost_ms: float = 0.008
-    bg_propagation_cost_ms: float = 0.002
-    bg_batch_units: float = 1.0
-    trigger_op_ms: float = 0.015
+#: Server time for one record operation (update/read).
+OP_SERVICE_MS = 0.020
+#: Server time for begin+commit bookkeeping (charged with the commit
+#: operation, includes the log force).
+TXN_OVERHEAD_MS = 0.020
+#: One-way client-to-server delay.
+NET_DELAY_MS = 0.100
+#: Server time per initial-population unit (one source row scanned,
+#: joined/split and inserted -- close to a user operation's cost).
+BG_POPULATION_COST_MS = 0.008
+#: Server time per log-propagation unit (one applied log record; skipped
+#: records cost a quarter unit -- see ``Transformation.SKIP_UNIT_COST``).
+#: Redo is a tight loop over in-memory records, several times cheaper than
+#: a full user operation with its locking, logging and network handling.
+BG_PROPAGATION_COST_MS = 0.002
+#: Background units bundled into one scheduling quantum.  This is the
+#: background process's *preemption granularity*: a user operation
+#: arriving mid-quantum waits for it, so it must stay comparable to one
+#: operation's service time or idle-capacity background work would
+#: inflict head-of-line blocking far beyond the configured priority (and
+#: invert the paper's workload/interference trend).
+BG_BATCH_UNITS = 1.0
+#: Extra service charged per trigger invocation the operation fired
+#: (``population_mode="trigger"``, Ronström's method).
+TRIGGER_OP_MS = 0.015
 
 
 @dataclass
@@ -91,10 +80,9 @@ class Job:
 class Server:
     """Single-processor FIFO server with a priority-shared background task."""
 
-    def __init__(self, sim: Simulator, config: ServerConfig,
+    def __init__(self, sim: Simulator,
                  metrics: Optional[Metrics] = None) -> None:
         self.sim = sim
-        self.config = config
         #: Observability registry (``sim.user.*``, ``sim.bg.*``); the
         #: no-op singleton by default.
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -112,8 +100,7 @@ class Server:
     # -- background attachment ------------------------------------------------
 
     def set_background(self, stepper, priority: float) -> None:
-        """Attach a transformation (or plan stepper) as the background
-        process.
+        """Attach a transformation as the background process.
 
         Args:
             stepper: Object with ``step(budget) -> StepReport`` and
@@ -221,13 +208,12 @@ class Server:
 
     def _start_background(self) -> None:
         self._busy = True
-        budget = self.config.bg_batch_units
 
         def complete() -> None:
-            report = self.background.step(budget)
-            cost = self.config.bg_population_cost_ms \
+            report = self.background.step(BG_BATCH_UNITS)
+            cost = BG_POPULATION_COST_MS \
                 if report.phase is Phase.POPULATING \
-                else self.config.bg_propagation_cost_ms
+                else BG_PROPAGATION_COST_MS
             duration = max(report.units, 0.25) * cost
             self.bg_busy_ms += duration
             if self.metrics.enabled:

@@ -34,7 +34,14 @@ from repro.common.errors import (
 from repro.engine.database import Database
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.sim.server import Job, Server, ServerConfig
+from repro.sim.server import (
+    NET_DELAY_MS,
+    OP_SERVICE_MS,
+    TRIGGER_OP_MS,
+    TXN_OVERHEAD_MS,
+    Job,
+    Server,
+)
 
 
 @dataclass
@@ -97,7 +104,6 @@ class Client:
         self.workload = workload
         self.metrics = metrics
         self.rng = rng
-        self.config: ServerConfig = server.config
         self.txn = None
         self._plan: List[UpdateTarget] = []
         self._op_index = 0
@@ -109,7 +115,7 @@ class Client:
 
     def start(self) -> None:
         """Begin issuing transactions (staggered by a small jitter)."""
-        self.sim.schedule(self.rng.random() * self.config.net_delay_ms,
+        self.sim.schedule(self.rng.random() * NET_DELAY_MS,
                           self._new_txn)
 
     def stop(self) -> None:
@@ -123,7 +129,7 @@ class Client:
         self._op_index = 0
         self.txn = None
         self._txn_start = self.sim.now
-        self._send_current(self.config.net_delay_ms)
+        self._send_current(NET_DELAY_MS)
 
     # -- operation submission ------------------------------------------------------
 
@@ -131,8 +137,8 @@ class Client:
         if self._stopped:
             return
         is_commit = self._op_index >= len(self._plan)
-        service = self.config.txn_overhead_ms if is_commit \
-            else self.config.op_service_ms
+        service = TXN_OVERHEAD_MS if is_commit \
+            else OP_SERVICE_MS
         job = Job(service=service, execute=self._execute_current)
         self.sim.schedule(delay, lambda: self.server.submit(job))
 
@@ -152,26 +158,26 @@ class Client:
                 self.db.update(self.txn, target.table, key,
                                {target.attr: value})
                 self._op_index += 1
-                self._send_current(2 * self.config.net_delay_ms)
+                self._send_current(2 * NET_DELAY_MS)
         except LockWaitError:
             self._parked = True
         except DeadlockError:
             self.metrics.record_abort(deadlock=True)
             if self.txn is not None:
                 self.db.abort(self.txn)
-            self.sim.schedule(2 * self.config.net_delay_ms, self._new_txn)
+            self.sim.schedule(2 * NET_DELAY_MS, self._new_txn)
         except TransactionAbortedError:
             # Doomed by a non-blocking-abort synchronization (the engine
             # already rolled us back) -- start over on the new schema.
             self.metrics.record_abort()
-            self.sim.schedule(2 * self.config.net_delay_ms, self._new_txn)
+            self.sim.schedule(2 * NET_DELAY_MS, self._new_txn)
         except NoSuchRowError:
             # The sampled key vanished (not expected with update-only
             # workloads; tolerated for robustness).
             self._op_index += 1
-            self._send_current(2 * self.config.net_delay_ms)
+            self._send_current(2 * NET_DELAY_MS)
         return (self.db.stats["trigger"] - triggers_before) * \
-            self.config.trigger_op_ms
+            TRIGGER_OP_MS
 
     def _resolve_target(self, target: UpdateTarget) -> UpdateTarget:
         while True:
@@ -189,10 +195,10 @@ class Client:
                 raise
 
     def _finish_txn(self) -> None:
-        end = self.sim.now + self.config.net_delay_ms
+        end = self.sim.now + NET_DELAY_MS
         self.metrics.record_txn(self._txn_start, end)
         self.txn = None
-        self.sim.schedule(2 * self.config.net_delay_ms, self._new_txn)
+        self.sim.schedule(2 * NET_DELAY_MS, self._new_txn)
 
     # -- wake-up ----------------------------------------------------------------------
 

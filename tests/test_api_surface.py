@@ -24,7 +24,7 @@ API_SURFACE = sorted([
     "split",
     # declarative migration plans
     "CORPUS", "CorpusScenario", "MigrationPlan", "MigrationStep",
-    "PLAN_OPERATORS", "PlanExecutor", "PlanStepper",
+    "PLAN_OPERATORS", "PlanExecutor",
     "PlanValidationError", "PlanValidator", "Workload", "run_plan",
     # transformations + configuration
     "AttrPredicate", "ExplodeTransformation",

@@ -193,8 +193,8 @@ def test_scale_factor_env(monkeypatch):
 
 
 def test_server_priority_bounds():
-    from repro.sim import Server, ServerConfig, Simulator
-    server = Server(Simulator(), ServerConfig())
+    from repro.sim import Server, Simulator
+    server = Server(Simulator())
     with pytest.raises(ValueError):
         server.set_background(object(), 1.5)
     with pytest.raises(ValueError):

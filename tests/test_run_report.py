@@ -340,7 +340,7 @@ def test_run_once_observe_produces_spans_and_convergence():
     run = run_once(builder, RunSettings(
         n_clients=4, warmup_ms=5.0, window_ms=60.0, priority=0.2,
         stop_after_window=False, t_max_ms=4000.0, seed=0,
-        observe=True, series_bucket_ms=5.0))
+        observe=True))
     info = run.info
     assert info["obs"]["counters"]["tf.steps"] > 0
     roots = [s["name"] for s in info["spans"]]

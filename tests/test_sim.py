@@ -7,7 +7,6 @@ import pytest
 from repro.sim import (
     MetricsCollector,
     RunSettings,
-    ServerConfig,
     Simulator,
     build_foj_scenario,
     build_split_scenario,
@@ -136,7 +135,7 @@ class FakeBackground:
 
 def test_server_fifo_user_jobs():
     sim = Simulator()
-    server = Server(sim, ServerConfig())
+    server = Server(sim)
     done = []
     for name in ("a", "b"):
         server.submit(Job(0.02, lambda n=name: done.append((n, sim.now))))
@@ -149,8 +148,7 @@ def test_server_fifo_user_jobs():
 def test_server_background_share_respects_priority():
     """The background's achieved share of wall time tracks the target."""
     sim = Simulator()
-    config = ServerConfig()
-    server = Server(sim, config)
+    server = Server(sim)
     bg = FakeBackground(total_units=10_000_000)
 
     def flood():  # keep the user queue saturated
@@ -167,7 +165,7 @@ def test_server_background_share_respects_priority():
 def test_server_background_self_throttles_on_idle_server():
     """Priority is a cap: with no user work, the share still ~= target."""
     sim = Simulator()
-    server = Server(sim, ServerConfig())
+    server = Server(sim)
     bg = FakeBackground(total_units=10_000_000)
     server.set_background(bg, 0.05)
     sim.run_until(50.0)
@@ -177,7 +175,7 @@ def test_server_background_self_throttles_on_idle_server():
 
 def test_server_background_done_callback_fires_once():
     sim = Simulator()
-    server = Server(sim, ServerConfig())
+    server = Server(sim)
     fired = []
     server.on_background_done = lambda: fired.append(sim.now)
     server.set_background(FakeBackground(total_units=5.0), 0.5)
@@ -249,8 +247,8 @@ def test_keep_up_priority_scales_with_update_fraction():
     from repro.sim.metrics import RunResult
     base = RunResult(throughput=4.0, mean_response=1.0, p95_response=2.0,
                      committed=100, aborted=0)
-    low = keep_up_priority(base, 0.2, 10, ServerConfig())
-    high = keep_up_priority(base, 0.8, 10, ServerConfig())
+    low = keep_up_priority(base, 0.2, 10)
+    high = keep_up_priority(base, 0.8, 10)
     assert high > low > 0
 
 
