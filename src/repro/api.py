@@ -57,8 +57,11 @@ from repro.storage import (
     TableSchema,
 )
 from repro.relational import (
+    AttrPredicate,
     ExplodeSpec,
     FojSpec,
+    MergeSpec,
+    PartitionSpec,
     RETYPE_CASTS,
     RetypeSpec,
     SplitSpec,
@@ -85,15 +88,12 @@ from repro.plan import (
 
 # -- transformations and their configuration --------------------------------
 from repro.transform import (
-    AttrPredicate,
     ExplodeTransformation,
     FixedIterationsPolicy,
     FojTransformation,
     Many2ManyFojTransformation,
     MaterializedFojView,
-    MergeSpec,
     MergeTransformation,
-    PartitionSpec,
     PartitionTransformation,
     RetypeTransformation,
     Phase,

@@ -418,7 +418,7 @@ def _declared_dependency(scenario: CorpusScenario
     determinant and the attributes that move together; none for the
     other operators."""
     step = scenario.plan.steps[0]
-    spec = PLAN_OPERATORS[step.operator].spec_of(
+    spec = PLAN_OPERATORS[step.operator].spec(
         {schema.name: schema for schema, _ in scenario.seeds}, step.params)
     if isinstance(spec, SplitSpec):
         return spec.source_name, spec.split_attr, \

@@ -5,8 +5,8 @@ source schemas with their seed rows, a declarative
 :class:`~repro.plan.spec.MigrationPlan` and, for the single-step
 scenarios, a :class:`Workload` -- the user activity that runs beside the
 change.  The oracle is not stored: :meth:`CorpusScenario.fold` folds the
-plan's steps over any rows of the sources with the registry's
-``reference`` callables (:data:`repro.plan.operators.PLAN_OPERATORS`);
+plan's steps over any rows of the sources with each step's spec's
+``reference`` (built through :data:`repro.plan.operators.PLAN_OPERATORS`);
 :meth:`~CorpusScenario.expected` applies it to the seeds, and the crash
 sweep and chaos layer (:mod:`repro.faults.sweep`) to the committed state
 a surviving log defines.  Every rig enumerates :data:`CORPUS`:
@@ -152,7 +152,8 @@ class CorpusScenario:
     def fold(self, rows_by_table: Dict[str, Rows]) -> Dict[str, Rows]:
         """The tables the plan leaves behind, given its sources' rows.
 
-        Folds the steps' ``reference`` oracles in plan order, threading
+        Folds the steps' specs' ``reference`` oracles in plan order
+        (each spec built once), threading
         the simulated catalog exactly as the validator does (``- retired
         + published``) -- computed by the reference operators, never by
         the online machinery under test.
@@ -161,10 +162,10 @@ class CorpusScenario:
         tables = {name: list(rows_by_table.get(name, ()))
                   for name in schemas}
         for step in self.plan.steps:
-            operator = PLAN_OPERATORS[step.operator]
-            produced = operator.reference(schemas, step.params, tables)
-            published, retired = operator.derive(schemas, step.params)
-            for name in retired:
+            spec = PLAN_OPERATORS[step.operator].spec(schemas, step.params)
+            produced = spec.reference(schemas, tables)
+            published = spec.published(schemas)
+            for name in spec.sources:
                 del schemas[name], tables[name]
             schemas.update(published)
             tables.update(produced)

@@ -1,15 +1,12 @@
-"""Reference (oracle) evaluation of the FOJ and split operators.
+"""Reference (oracle) evaluation of the relational operators.
 
 These functions compute the operators on *consistent snapshots* of plain
-row dictionaries.  They serve three roles:
-
-* the **initial population** step applies them to the fuzzily read source
-  buffers (Section 3.2: "the transformation operator is applied and the
-  result ... is inserted into the transformed tables");
-* restart **recovery** recomputes published tables at a swap point;
-* the **test suite** uses them as the convergence oracle for Theorem 1:
-  after final propagation, the transformed tables must equal the operator
-  applied to the final source state.
+row dictionaries -- never through the online machinery.  Each spec's
+``reference`` (:mod:`repro.relational.spec`) calls its operator here, and
+that is the convergence oracle for Theorem 1: after final propagation,
+the transformed tables must equal the operator applied to the final
+source state.  The scenario corpus folds it over a plan's steps, the
+crash sweep over the committed state a surviving log defines.
 
 NULL join values follow SQL semantics: they never match, so a row with a
 NULL join attribute is joined with the opposite NULL record.
@@ -17,10 +14,14 @@ NULL join attribute is joined with the opposite NULL record.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.common.errors import InconsistentDataError
-from repro.relational.spec import ExplodeSpec, FojSpec, RetypeSpec, SplitSpec
+
+if TYPE_CHECKING:  # the specs call these operators from their ``reference``
+    from repro.relational.spec import (ExplodeSpec, FojSpec, PartitionSpec,
+                                       RetypeSpec, SplitSpec)
 
 RowDict = Dict[str, object]
 
@@ -145,6 +146,34 @@ def retype(spec: RetypeSpec,
             result.append(spec.retype_row(values))
         except (TypeError, ValueError):
             raise InconsistentDataError((values.get(spec.attr),))
+    return result
+
+
+def partition_rows(spec: PartitionSpec, rows: Iterable[RowDict]
+                   ) -> Tuple[List[RowDict], List[RowDict]]:
+    """Partition row dicts by the predicate: (satisfying, the rest)."""
+    a_rows: List[RowDict] = []
+    b_rows: List[RowDict] = []
+    for values in rows:
+        (a_rows if spec.predicate(values) else b_rows).append(dict(values))
+    return a_rows, b_rows
+
+
+def merge_rows(a_rows: Iterable[RowDict], b_rows: Iterable[RowDict],
+               key_of: Callable[[RowDict], Tuple]) -> List[RowDict]:
+    """Disjoint union of row dicts.
+
+    Raises :class:`InconsistentDataError` on key collisions (the
+    horizontal analogue of the paper's Example 1).
+    """
+    seen = set()
+    result: List[RowDict] = []
+    for values in list(a_rows) + list(b_rows):
+        key = key_of(values)
+        if key in seen:
+            raise InconsistentDataError((key,))
+        seen.add(key)
+        result.append(dict(values))
     return result
 
 

@@ -1,10 +1,25 @@
 """Declarative specifications of the relational transformation operators.
 
-A spec captures everything needed to (a) derive the transformed tables'
-schemas, (b) evaluate the operator on consistent data (the oracle in
-:mod:`repro.relational.operators`), and (c) drive the propagation rules.
+A spec is the one definition of its operator.  Besides the fields the
+propagation rules read, every spec has:
+
+* ``sources`` -- the names of the tables it transforms away;
+* ``published(schemas)`` -- the schemas of the tables it publishes, by
+  name, given the source schemas (a mapping of table name to
+  :class:`~repro.storage.schema.TableSchema`).  It carries every schema
+  check the operator has (Section 3.1's candidate keys of each source,
+  the many-to-many join-key guard, the partition predicate's attribute,
+  the merge's union-compatibility) and raises
+  :class:`~repro.common.errors.SchemaError` on a violation.  ``derive``
+  ends with it, and the transformation runs it against the live catalog
+  when it is built, so every path refuses the same specs;
+* ``reference(schemas, tables)`` -- the offline oracle: the rows each
+  published table must hold, given plain row dicts of the sources, by
+  the reference operators of :mod:`repro.relational.operators`.
+
 Specs are plain frozen value objects shared by the transformation
-framework, the recovery rebuilders and the test oracles.
+framework, the plan registry, the recovery rebuilders and the test
+oracles.
 
 Naming conventions follow the paper (Sections 4-5): a full outer join
 transforms source tables *R* and *S* into *T* on a join attribute; a split
@@ -14,11 +29,14 @@ attribute (as in the paper's Figure 1, where R.c joins S.c into T.c).
 
 Beyond the paper's pair, the corpus operators follow the same shape: an
 **explode** (:class:`ExplodeSpec`) unnests a multi-value column into one
-row per element (the inverse-cardinality cousin of the split), and a
+row per element (the inverse-cardinality cousin of the split), a
 **retype** (:class:`RetypeSpec`) maps columns: one cast with a new NULL
-default, renames, added and dropped columns.  Both stay declarative --
-plain data, no callables -- so they survive the WAL frame codec and the
-JSON plan codec.
+default, renames, added and dropped columns, and the horizontal pair
+(Section 7's further work) partitions one table by a row predicate
+(:class:`PartitionSpec`) or merges two union-compatible ones
+(:class:`MergeSpec`).  All stay declarative -- plain data, no callables,
+an :class:`AttrPredicate` for the partition -- so they survive the WAL
+frame codec and the JSON plan codec.
 """
 
 from __future__ import annotations
@@ -27,7 +45,28 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import SchemaError
+from repro.relational.operators import (
+    explode,
+    full_outer_join,
+    merge_rows,
+    partition_rows,
+    retype,
+    split,
+)
 from repro.storage.schema import Attribute, FunctionalDependency, TableSchema
+
+#: Table name -> schema: what ``published`` takes and returns.
+Schemas = Mapping[str, TableSchema]
+#: Table name -> plain row dicts: what ``reference`` takes and returns.
+Tables = Mapping[str, List[Dict[str, object]]]
+
+
+def schema_of(schemas: Schemas, name: object) -> TableSchema:
+    """Look up one table in a catalog mapping, enumerating on a miss."""
+    if name not in schemas:
+        raise SchemaError(
+            f"unknown table {name!r}; available: {sorted(schemas)}")
+    return schemas[name]
 
 
 @dataclass(frozen=True)
@@ -96,45 +135,18 @@ class FojSpec:
         """Build a spec from source schemas with sensible defaults.
 
         Defaults include *all* attributes of both sources.  Validates the
-        paper's preparation-step requirements (Section 3.1): T must carry a
-        candidate key of each source plus the join attributes.
+        paper's preparation-step requirements (Section 3.1) through
+        :meth:`published`: T must carry a candidate key of each source
+        plus the join attributes.
         """
-        if not r_schema.has_attribute(join_attr_r):
-            raise SchemaError(f"{r_schema.name!r} has no {join_attr_r!r}")
-        if not s_schema.has_attribute(join_attr_s):
-            raise SchemaError(f"{s_schema.name!r} has no {join_attr_s!r}")
-
         r_cols = tuple(r_attrs) if r_attrs is not None \
             else r_schema.attribute_names
         if join_attr_r not in r_cols:
             r_cols = r_cols + (join_attr_r,)
-        for col in r_schema.primary_key:
-            if col not in r_cols:
-                raise SchemaError(
-                    f"T must include R's key attribute {col!r} (Section 3.1)")
-
-        s_cols = tuple(s_attrs) if s_attrs is not None else tuple(
-            a for a in s_schema.attribute_names if a != join_attr_s)
-        s_cols = tuple(a for a in s_cols if a != join_attr_s)
-
-        overlap = set(r_cols) & set(s_cols)
-        if overlap:
-            raise SchemaError(
-                f"attributes {sorted(overlap)} exist in both sources; "
-                "project or rename before joining")
-
-        # S's identifying attributes as named in T.
-        s_key_in_t = []
-        for col in s_schema.primary_key:
-            if col == join_attr_s:
-                s_key_in_t.append(join_attr_r)
-            elif col in s_cols:
-                s_key_in_t.append(col)
-            else:
-                raise SchemaError(
-                    f"T must include S's key attribute {col!r} (Section 3.1)")
-
-        return FojSpec(
+        s_cols = tuple(a for a in (s_attrs if s_attrs is not None
+                                   else s_schema.attribute_names)
+                       if a != join_attr_s)
+        spec = FojSpec(
             target_name=target_name,
             r_name=r_schema.name,
             s_name=s_schema.name,
@@ -143,9 +155,51 @@ class FojSpec:
             r_attrs=r_cols,
             s_attrs=s_cols,
             r_key=r_schema.primary_key,
-            s_key=tuple(s_key_in_t),
+            # S's identifying attributes as named in T.
+            s_key=tuple(join_attr_r if col == join_attr_s else col
+                        for col in s_schema.primary_key),
             many_to_many=many_to_many,
         )
+        spec.published({r_schema.name: r_schema, s_schema.name: s_schema})
+        return spec
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        return (self.r_name, self.s_name)
+
+    def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
+        """T's schema, after the Section 3.1 checks."""
+        r_schema = schema_of(schemas, self.r_name)
+        s_schema = schema_of(schemas, self.s_name)
+        if not r_schema.has_attribute(self.join_attr_r):
+            raise SchemaError(f"{self.r_name!r} has no {self.join_attr_r!r}")
+        if not s_schema.has_attribute(self.join_attr_s):
+            raise SchemaError(f"{self.s_name!r} has no {self.join_attr_s!r}")
+        for col in r_schema.primary_key:
+            if col not in self.r_attrs:
+                raise SchemaError(
+                    f"T must include R's key attribute {col!r} (Section 3.1)")
+        overlap = set(self.r_attrs) & set(self.s_attrs)
+        if overlap:
+            raise SchemaError(
+                f"attributes {sorted(overlap)} exist in both sources; "
+                "project or rename before joining")
+        for col in s_schema.primary_key:
+            if col != self.join_attr_s and col not in self.s_attrs:
+                raise SchemaError(
+                    f"T must include S's key attribute {col!r} (Section 3.1)")
+        if self.many_to_many and tuple(self.s_key) == (self.join_column,):
+            raise SchemaError(
+                "a many-to-many join requires S's identifying attributes "
+                "to differ from the join attribute (a unique join attribute "
+                "is the one-to-many case)")
+        return {self.target_name: self.target_schema()}
+
+    def reference(self, schemas: Schemas, tables: Tables) -> Tables:
+        """T's rows: the full outer join of the sources' rows (the join
+        itself is agnostic of ``many_to_many``; only the rules differ)."""
+        return {self.target_name: full_outer_join(
+            self, tables[self.r_name], tables[self.s_name])}
 
     def target_schema(self) -> TableSchema:
         """Schema of the transformed table T."""
@@ -228,14 +282,9 @@ class SplitSpec:
         added if omitted); ``r_attrs`` defaults to everything else plus the
         key and the split attribute.
         """
-        if not t_schema.has_attribute(split_attr):
-            raise SchemaError(f"{t_schema.name!r} has no {split_attr!r}")
         s_cols = tuple(s_attrs)
         if split_attr not in s_cols:
             s_cols = (split_attr,) + s_cols
-        for col in s_cols:
-            if not t_schema.has_attribute(col):
-                raise SchemaError(f"{t_schema.name!r} has no {col!r}")
         if r_attrs is None:
             r_cols = tuple(
                 a for a in t_schema.attribute_names
@@ -244,11 +293,7 @@ class SplitSpec:
             r_cols = tuple(r_attrs)
             if split_attr not in r_cols:
                 r_cols = r_cols + (split_attr,)
-        for col in t_schema.primary_key:
-            if col not in r_cols:
-                raise SchemaError(
-                    f"R must include T's key attribute {col!r} (Section 3.1)")
-        return SplitSpec(
+        spec = SplitSpec(
             source_name=t_schema.name,
             r_name=r_name,
             s_name=s_name,
@@ -257,6 +302,31 @@ class SplitSpec:
             s_attrs=s_cols,
             r_key=t_schema.primary_key,
         )
+        spec.published({t_schema.name: t_schema})
+        return spec
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        return (self.source_name,)
+
+    def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
+        """R's and S's schemas, after the Section 3.1 checks."""
+        t_schema = schema_of(schemas, self.source_name)
+        for col in (self.split_attr, *self.s_attrs):
+            if not t_schema.has_attribute(col):
+                raise SchemaError(f"{self.source_name!r} has no {col!r}")
+        for col in t_schema.primary_key:
+            if col not in self.r_attrs:
+                raise SchemaError(
+                    f"R must include T's key attribute {col!r} (Section 3.1)")
+        return {self.r_name: self.r_schema(), self.s_name: self.s_schema()}
+
+    def reference(self, schemas: Schemas, tables: Tables) -> Tables:
+        """R's and S's rows.  Strict: contributors disagreeing on the
+        dependent attributes raise rather than publish the first
+        contributor's image."""
+        r_rows, s_rows, _, _ = split(self, tables[self.source_name])
+        return {self.r_name: r_rows, self.s_name: s_rows}
 
     def r_schema(self) -> TableSchema:
         """Schema of target table R."""
@@ -330,32 +400,9 @@ class ExplodeSpec:
         list column itself; it must cover the source key so each child
         remains addressable by its origin row.
         """
-        if not source_schema.has_attribute(list_attr):
-            raise SchemaError(f"{source_schema.name!r} has no {list_attr!r}")
-        if list_attr in source_schema.primary_key:
-            raise SchemaError(
-                f"cannot explode key attribute {list_attr!r} of "
-                f"{source_schema.name!r}")
         keep = tuple(keep_attrs) if keep_attrs is not None else tuple(
             a for a in source_schema.attribute_names if a != list_attr)
-        if list_attr in keep:
-            raise SchemaError(
-                f"the exploded column {list_attr!r} cannot also be kept")
-        for col in keep:
-            if not source_schema.has_attribute(col):
-                raise SchemaError(f"{source_schema.name!r} has no {col!r}")
-        for col in source_schema.primary_key:
-            if col not in keep:
-                raise SchemaError(
-                    f"the target must keep the source key attribute "
-                    f"{col!r} (Section 3.1)")
-        if value_attr in keep:
-            raise SchemaError(
-                f"element column {value_attr!r} collides with a kept "
-                "source attribute")
-        if not separator:
-            raise SchemaError("separator must be a non-empty string")
-        return ExplodeSpec(
+        spec = ExplodeSpec(
             source_name=source_schema.name,
             target_name=target_name,
             list_attr=list_attr,
@@ -364,6 +411,44 @@ class ExplodeSpec:
             source_key=source_schema.primary_key,
             separator=separator,
         )
+        spec.published({source_schema.name: source_schema})
+        return spec
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        return (self.source_name,)
+
+    def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
+        """The exploded table's schema, after the Section 3.1 checks."""
+        source = schema_of(schemas, self.source_name)
+        name, list_attr = self.source_name, self.list_attr
+        if not source.has_attribute(list_attr):
+            raise SchemaError(f"{name!r} has no {list_attr!r}")
+        if list_attr in source.primary_key:
+            raise SchemaError(
+                f"cannot explode key attribute {list_attr!r} of {name!r}")
+        if list_attr in self.keep_attrs:
+            raise SchemaError(
+                f"the exploded column {list_attr!r} cannot also be kept")
+        for col in self.keep_attrs:
+            if not source.has_attribute(col):
+                raise SchemaError(f"{name!r} has no {col!r}")
+        for col in source.primary_key:
+            if col not in self.keep_attrs:
+                raise SchemaError(
+                    f"the target must keep the source key attribute "
+                    f"{col!r} (Section 3.1)")
+        if self.value_attr in self.keep_attrs:
+            raise SchemaError(
+                f"element column {self.value_attr!r} collides with a kept "
+                "source attribute")
+        if not self.separator:
+            raise SchemaError("separator must be a non-empty string")
+        return {self.target_name: self.target_schema()}
+
+    def reference(self, schemas: Schemas, tables: Tables) -> Tables:
+        """The exploded table's rows."""
+        return {self.target_name: explode(self, tables[self.source_name])}
 
     def target_schema(self) -> TableSchema:
         """Schema of the exploded table."""
@@ -458,28 +543,43 @@ class RetypeSpec:
                drop: Sequence[str] = ()) -> "RetypeSpec":
         """Build a spec from the source schema, validating eagerly
         (``rename`` and ``add`` take a mapping or a sequence of pairs)."""
-        name, renamed = source_schema.name, dict(rename)
-        mapped = [*renamed, *drop] + ([attr] if attr is not None else [])
+        spec = RetypeSpec(source_schema.name, target_name, attr, cast,
+                          default, tuple(dict(rename).items()),
+                          tuple(dict(add).items()), tuple(drop))
+        spec.published({source_schema.name: source_schema})
+        return spec
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        return (self.source_name,)
+
+    def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
+        """The retyped table's schema, after checking the column map."""
+        source = schema_of(schemas, self.source_name)
+        name = self.source_name
+        mapped = [old for old, _ in self.rename] + list(self.drop) + (
+            [self.attr] if self.attr is not None else [])
         for column in mapped:
-            if not source_schema.has_attribute(column):
+            if not source.has_attribute(column):
                 raise SchemaError(f"{name!r} has no attribute {column!r}")
-        for column in [*drop, attr]:
-            if source_schema.is_key_attribute(column):
+        for column in [*self.drop, self.attr]:
+            if source.is_key_attribute(column):
                 raise SchemaError(
                     f"cannot drop or retype key attribute {column!r} of "
                     f"{name!r} (it would rewrite row identity)")
         if len(set(mapped)) < len(mapped):
             raise SchemaError(f"an attribute of {name!r} is mapped twice: "
                               f"{sorted(mapped)}")
-        if cast not in RETYPE_CASTS:
+        if self.cast not in RETYPE_CASTS:
             raise SchemaError(
-                f"unknown cast {cast!r}; available: "
+                f"unknown cast {self.cast!r}; available: "
                 f"{sorted(RETYPE_CASTS)}")
-        spec = RetypeSpec(name, target_name, attr, cast, default,
-                          tuple(renamed.items()), tuple(dict(add).items()),
-                          tuple(drop))
-        spec.target_schema(source_schema)  # rejects a name taken twice
-        return spec
+        # target_schema rejects a name taken twice.
+        return {self.target_name: self.target_schema(source)}
+
+    def reference(self, schemas: Schemas, tables: Tables) -> Tables:
+        """The retyped table's rows."""
+        return {self.target_name: retype(self, tables[self.source_name])}
 
     def target_schema(self, source_schema: TableSchema) -> TableSchema:
         """Schema of the retyped table: the source's under the map."""
@@ -525,3 +625,158 @@ class RetypeSpec:
         out = self.retype_changes(values)
         out.update(self.add)
         return out
+
+
+#: A row predicate: receives the row's value mapping, returns a bool.
+#: Must be deterministic and depend only on the row's values.
+RowPredicate = Callable[[Dict[str, object]], bool]
+
+#: Comparison operators an :class:`AttrPredicate` may name.  NULL operands
+#: follow SQL semantics: every comparison with NULL is false (use the
+#: dedicated ``is_null`` / ``not_null`` forms to test for NULL itself).
+PREDICATE_OPS: Dict[str, Callable[[object, object], bool]] = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+@dataclass(frozen=True)
+class AttrPredicate:
+    """A declarative one-attribute row predicate.
+
+    Unlike a bare lambda, an ``AttrPredicate`` is a plain frozen
+    dataclass, so a :class:`PartitionSpec` built from one survives the
+    WAL frame codec: the swap record can be replayed by restart recovery
+    and a declarative migration plan that partitions a table stays
+    JSON-serializable.  It is callable with a row's value mapping, like
+    any :data:`RowPredicate`.
+
+    Attributes:
+        attr: The attribute the predicate examines.
+        op: One of :data:`PREDICATE_OPS` (``==``, ``!=``, ``<``, ``<=``,
+            ``>``, ``>=``) or the NULL tests ``is_null`` / ``not_null``.
+        value: The right-hand operand (ignored by the NULL tests).
+    """
+
+    attr: str
+    op: str
+    value: object = None
+
+    def __post_init__(self) -> None:
+        if self.op not in PREDICATE_OPS and \
+                self.op not in ("is_null", "not_null"):
+            raise SchemaError(
+                f"unknown predicate op {self.op!r}; available: "
+                f"{sorted(PREDICATE_OPS) + ['is_null', 'not_null']}")
+
+    def __call__(self, values: Dict[str, object]) -> bool:
+        operand = values.get(self.attr)
+        if self.op == "is_null":
+            return operand is None
+        if self.op == "not_null":
+            return operand is not None
+        if operand is None or self.value is None:
+            return False
+        try:
+            return bool(PREDICATE_OPS[self.op](operand, self.value))
+        except TypeError:
+            return False
+
+    def describe(self) -> str:
+        """Human-readable rendering, e.g. ``"region == 'eu'"``."""
+        if self.op in ("is_null", "not_null"):
+            return f"{self.attr} {self.op}"
+        return f"{self.attr} {self.op} {self.value!r}"
+
+
+@dataclass(frozen=True)
+class PartitionSpec:
+    """Specification of a horizontal partition (Section 7's further work).
+
+    Attributes:
+        source_name: The table being partitioned.
+        a_name: Target receiving rows satisfying the predicate.
+        b_name: Target receiving the rest.
+        predicate: The row predicate (deterministic over row values).
+            Use an :class:`AttrPredicate` (rather than a lambda) when the
+            spec must survive the WAL frame codec -- crash recovery of a
+            completed partition and declarative migration plans both
+            require it.
+        predicate_desc: Human-readable predicate description, recorded in
+            the swap log record.  Defaults to
+            :meth:`AttrPredicate.describe` when the predicate is one.
+    """
+
+    source_name: str
+    a_name: str
+    b_name: str
+    predicate: RowPredicate
+    predicate_desc: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.predicate_desc and \
+                isinstance(self.predicate, AttrPredicate):
+            object.__setattr__(self, "predicate_desc",
+                               self.predicate.describe())
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        return (self.source_name,)
+
+    def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
+        """A and B, both with the source's schema; an
+        :class:`AttrPredicate` must name a source attribute."""
+        source = schema_of(schemas, self.source_name)
+        if isinstance(self.predicate, AttrPredicate) and \
+                not source.has_attribute(self.predicate.attr):
+            raise SchemaError(
+                f"predicate references unknown attribute "
+                f"{self.predicate.attr!r}; available: "
+                f"{sorted(source.attribute_names)}")
+        return {name: source.rename(name)
+                for name in (self.a_name, self.b_name)}
+
+    def reference(self, schemas: Schemas, tables: Tables) -> Tables:
+        """A's and B's rows."""
+        a_rows, b_rows = partition_rows(self, tables[self.source_name])
+        return {self.a_name: a_rows, self.b_name: b_rows}
+
+
+@dataclass(frozen=True)
+class MergeSpec:
+    """Specification of a horizontal merge (disjoint union).
+
+    Attributes:
+        a_name: First source table.
+        b_name: Second source table (union-compatible with the first).
+        target_name: The merged table.
+    """
+
+    a_name: str
+    b_name: str
+    target_name: str
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        return (self.a_name, self.b_name)
+
+    def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
+        """T, with A's schema; A and B must be union-compatible."""
+        a_schema = schema_of(schemas, self.a_name)
+        b_schema = schema_of(schemas, self.b_name)
+        if a_schema.attribute_names != b_schema.attribute_names or \
+                a_schema.primary_key != b_schema.primary_key:
+            raise SchemaError(
+                f"{self.a_name!r} and {self.b_name!r} are not "
+                "union-compatible")
+        return {self.target_name: a_schema.rename(self.target_name)}
+
+    def reference(self, schemas: Schemas, tables: Tables) -> Tables:
+        """T's rows: the disjoint union (a shared key raises)."""
+        return {self.target_name: merge_rows(
+            tables[self.a_name], tables[self.b_name],
+            schema_of(schemas, self.a_name).key_of)}

@@ -48,16 +48,10 @@ from repro.transform.retype import (
     rename_attribute,
 )
 from repro.transform.partition import (
-    AttrPredicate,
     MergeRuleEngine,
-    MergeSpec,
     MergeTransformation,
     PartitionRuleEngine,
-    PartitionSpec,
     PartitionTransformation,
-    PREDICATE_OPS,
-    merge_rows,
-    partition_rows,
 )
 from repro.transform.split import SplitRuleEngine, SplitTransformation
 from repro.transform.supervisor import TransformationSupervisor
@@ -70,7 +64,6 @@ from repro.transform.view import MaterializedFojView
 
 
 __all__ = [
-    "AttrPredicate",
     "ConsistencyChecker",
     "Decision",
     "EstimatedTimePolicy",
@@ -86,13 +79,10 @@ __all__ = [
     "Many2ManyFojTransformation",
     "MaterializedFojView",
     "MergeRuleEngine",
-    "MergeSpec",
     "MergeTransformation",
     "PartitionRuleEngine",
-    "PartitionSpec",
     "PartitionTransformation",
     "POPULATION_MODES",
-    "PREDICATE_OPS",
     "Phase",
     "PropagatedLockTable",
     "PropagationPolicy",
@@ -113,8 +103,6 @@ __all__ = [
     "add_attribute",
     "resolve_sync_strategy",
     "build_sync_executor",
-    "merge_rows",
-    "partition_rows",
     "proxy_owner",
     "remove_attribute",
     "rename_attribute",

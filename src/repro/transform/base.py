@@ -64,6 +64,7 @@ from repro.obs.blame import PHASE_ROLES, ROLE_SWEEPER
 from repro.obs.spans import Span
 from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.row import Row
+from repro.storage.schema import TableSchema
 from repro.storage.table import PRIMARY_INDEX, Image, Table
 from repro.transform.analysis import (
     Decision,
@@ -226,7 +227,8 @@ class RuleEngine:
     builds no key: the owner has finished, so nobody can still hold it.
     """
 
-    #: Names of the source tables whose log records this engine consumes.
+    #: Names of the source tables whose log records this engine consumes:
+    #: the spec's ``sources``, renamed by :meth:`rename_source`.
     source_tables: Tuple[str, ...] = ()
 
     #: ``(source table, record class) -> rule(change, lsn, touched)``;
@@ -246,6 +248,11 @@ class RuleEngine:
     #: without it are rejected for lazy mode at population begin (and, via
     #: the plan registry, at plan validation).
     supports_lazy: bool = False
+
+    def __init__(self, db: Database, spec) -> None:
+        self.db = db
+        self.spec = spec
+        self.source_tables = spec.sources
 
     def apply(self, change: LogRecord,
               lsn: int = NULL_LSN) -> List[Tuple[Table, Tuple]]:
@@ -393,9 +400,11 @@ class Transformation:
     Args:
         db: The database to transform.
         spec: The operator's specification (a frozen dataclass of
-            :mod:`repro.relational.spec` or :mod:`repro.transform.partition`);
-            it is what the swap log record carries, so restart recovery
-            can rebuild the published tables from it.
+            :mod:`repro.relational.spec`); it names the sources, checks
+            and publishes the target schemas, and is what the swap log
+            record carries, so restart recovery can rebuild the
+            published tables from it.  Its schema checks run against the
+            live catalog here, before anything is created.
         options: A :class:`~repro.transform.options.TransformOptions`
             carrying the configuration (sync strategy, shards, metrics,
             analysis policy, id, population mode, storage).
@@ -408,10 +417,14 @@ class Transformation:
 
     Subclass contract -- an operator is three things:
 
-    * :attr:`kind` and :attr:`source_tables`;
+    * :attr:`kind` and :attr:`spec_class` (whose ``sources`` are
+      :attr:`source_tables` and whose ``published`` schemas are the
+      targets');
     * :meth:`target_tables` -- the one builder of its target tables and
       their indexes, keyed by *public* (post-swap) name; preparation
-      runs it against the catalog, restart rebuild detached;
+      runs it against the catalog, restart rebuild detached.  The base
+      creates the published tables; an operator that needs secondary
+      indexes adds them;
     * :attr:`engine_class` -- its :class:`RuleEngine`, constructed as
       ``engine_class(db, spec, *targets)``, whose
       :meth:`~RuleEngine.migrate_rows` is how each scanned chunk enters
@@ -428,6 +441,10 @@ class Transformation:
 
     #: Transformation kind registered with recovery (e.g. ``"foj"``).
     kind: str = ""
+
+    #: The operator's spec class (:mod:`repro.relational.spec`), which
+    #: the plan registry builds from a step's params.
+    spec_class: type = object
 
     #: The operator's :class:`RuleEngine` subclass.
     engine_class: Type[RuleEngine] = RuleEngine
@@ -448,6 +465,7 @@ class Transformation:
         self.options = options if options is not None else TransformOptions()
         self.db = db
         self.spec = spec
+        self.published_schemas(db, spec)  # the spec's checks, up front
         self.transform_id = self.options.transform_id or \
             f"{self.kind or 'tf'}-{next(_transform_counter)}"
         #: The analysis policy stays an attribute (unlike the other
@@ -605,7 +623,13 @@ class Transformation:
     @property
     def source_tables(self) -> Tuple[str, ...]:
         """Names of the tables being transformed away."""
-        raise NotImplementedError
+        return self.spec.sources
+
+    @staticmethod
+    def published_schemas(db: Database, spec) -> Dict[str, TableSchema]:
+        """``spec.published`` over the live catalog's source schemas."""
+        return spec.published({name: db.catalog.get(name).schema
+                               for name in spec.sources})
 
     @classmethod
     def target_tables(cls, db: Database, spec: object,
@@ -616,10 +640,11 @@ class Transformation:
         ``db``'s catalog (logged, marked transient); restart's
         swap-point rebuild asks for them ``detached`` -- plain
         :class:`Table` objects outside catalog and log, which recovery
-        installs itself.  Implementations create each table through
-        :meth:`_new_table`.
+        installs itself.  The base creates one table per published
+        schema, through :meth:`_new_table`; overrides add indexes.
         """
-        raise NotImplementedError
+        return {name: cls._new_table(db, schema, detached) for name, schema
+                in cls.published_schemas(db, spec).items()}
 
     @staticmethod
     def _new_table(db: Database, schema, detached: bool) -> Table:

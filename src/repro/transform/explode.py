@@ -62,10 +62,8 @@ class ExplodeRuleEngine(RuleEngine):
 
     def __init__(self, db: Database, spec: ExplodeSpec,
                  target: Table) -> None:
-        self.db = db
-        self.spec = spec
+        super().__init__(db, spec)
         self.target = target
-        self.source_tables = (spec.source_name,)
         self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
                        (spec.source_name, DeleteRecord): self._rule_delete,
                        (spec.source_name, UpdateRecord): self._rule_update}
@@ -218,16 +216,13 @@ class ExplodeTransformation(Transformation):
     """
 
     kind = "explode"
+    spec_class = ExplodeSpec
     engine_class = ExplodeRuleEngine
-
-    @property
-    def source_tables(self) -> Tuple[str, ...]:
-        return (self.spec.source_name,)
 
     @classmethod
     def target_tables(cls, db: Database, spec: ExplodeSpec,
                       detached: bool = False) -> Dict[str, Table]:
         """The exploded table and its parent index."""
-        target = cls._new_table(db, spec.target_schema(), detached)
-        target.create_index(PARENT_INDEX, spec.source_key)
-        return {spec.target_name: target}
+        tables = super().target_tables(db, spec, detached)
+        tables[spec.target_name].create_index(PARENT_INDEX, spec.source_key)
+        return tables

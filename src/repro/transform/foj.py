@@ -177,10 +177,8 @@ class JoinRuleEngine(RuleEngine):
     target ``t`` and the helpers over it."""
 
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
-        self.db = db
-        self.spec = spec
+        super().__init__(db, spec)
         self.t = target
-        self.source_tables = (spec.r_name, spec.s_name)
         self._r_attr_set = set(spec.r_attrs)
         self._s_attr_set = set(spec.s_attrs)
 
@@ -610,6 +608,7 @@ class FojTransformation(Transformation):
     """
 
     kind = "foj"
+    spec_class = FojSpec
     engine_class = FojRuleEngine
 
     #: The eager population's join state, once population has begun.
@@ -621,20 +620,17 @@ class FojTransformation(Transformation):
                 "use Many2ManyFojTransformation for many-to-many joins")
         super().__init__(db, spec, **kwargs)
 
-    @property
-    def source_tables(self) -> Tuple[str, ...]:
-        return (self.spec.r_name, self.spec.s_name)
-
     @classmethod
     def target_tables(cls, db: Database, spec: FojSpec,
                       detached: bool = False) -> Dict[str, Table]:
         """T with its rule-lookup indexes (join index + S-key index)."""
-        table = cls._new_table(db, spec.target_schema(), detached)
+        tables = super().target_tables(db, spec, detached)
+        table = tables[spec.target_name]
         table.null_key_attrs = (spec.join_column,)
         table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
         if tuple(spec.s_key) != (spec.join_column,):
             table.create_index(SKEY_INDEX, spec.s_key, unique=False)
-        return {spec.target_name: table}
+        return tables
 
     def _population_step(self, budget: int) -> Tuple[int, bool]:
         """Stream the fuzzy scans through :class:`FojHashJoin` into T.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.common.errors import SchemaError, TransformationError
+from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
@@ -319,13 +319,11 @@ class Many2ManyFojTransformation(FojTransformation):
     def target_tables(cls, db: Database, spec: FojSpec,
                       detached: bool = False) -> Dict[str, Table]:
         """T with its three lookup indexes (join, S-key, R-key)."""
-        if tuple(spec.s_key) == (spec.join_column,):
-            raise SchemaError(
-                "a many-to-many join requires S's identifying attributes "
-                "to differ from the join attribute (a unique join attribute "
-                "is the one-to-many case)")
-        table = cls._new_table(db, spec.target_schema(), detached)
+        # Past FojTransformation's: no NULL lock keys, every index.
+        tables = super(FojTransformation, cls).target_tables(db, spec,
+                                                             detached)
+        table = tables[spec.target_name]
         table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
         table.create_index(SKEY_INDEX, spec.s_key, unique=False)
         table.create_index(RKEY_INDEX, spec.r_key, unique=False)
-        return {spec.target_name: table}
+        return tables

@@ -28,17 +28,12 @@ transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import (
-    InconsistentDataError,
-    SchemaError,
-    TransformationError,
-)
+from repro.common.errors import InconsistentDataError
 from repro.engine.database import Database
+from repro.relational.spec import MergeSpec, PartitionSpec
 from repro.storage.row import Row
-from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 from repro.transform.base import Image, RuleEngine, Touched, Transformation
 from repro.wal.records import (
@@ -46,148 +41,6 @@ from repro.wal.records import (
     InsertRecord,
     UpdateRecord,
 )
-
-#: A row predicate: receives the row's value mapping, returns a bool.
-#: Must be deterministic and depend only on the row's values.
-RowPredicate = Callable[[Dict[str, object]], bool]
-
-#: Comparison operators an :class:`AttrPredicate` may name.  NULL operands
-#: follow SQL semantics: every comparison with NULL is false (use the
-#: dedicated ``is_null`` / ``not_null`` forms to test for NULL itself).
-PREDICATE_OPS: Dict[str, Callable[[object, object], bool]] = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-@dataclass(frozen=True)
-class AttrPredicate:
-    """A declarative one-attribute row predicate.
-
-    Unlike a bare lambda, an ``AttrPredicate`` is a plain frozen
-    dataclass, so a :class:`PartitionSpec` built from one survives the
-    WAL frame codec: the swap record can be replayed by restart recovery
-    and a declarative migration plan that partitions a table stays
-    JSON-serializable.  It is callable with a row's value mapping, like
-    any :data:`RowPredicate`.
-
-    Attributes:
-        attr: The attribute the predicate examines.
-        op: One of :data:`PREDICATE_OPS` (``==``, ``!=``, ``<``, ``<=``,
-            ``>``, ``>=``) or the NULL tests ``is_null`` / ``not_null``.
-        value: The right-hand operand (ignored by the NULL tests).
-    """
-
-    attr: str
-    op: str
-    value: object = None
-
-    def __post_init__(self) -> None:
-        if self.op not in PREDICATE_OPS and \
-                self.op not in ("is_null", "not_null"):
-            raise SchemaError(
-                f"unknown predicate op {self.op!r}; available: "
-                f"{sorted(PREDICATE_OPS) + ['is_null', 'not_null']}")
-
-    def __call__(self, values: Dict[str, object]) -> bool:
-        operand = values.get(self.attr)
-        if self.op == "is_null":
-            return operand is None
-        if self.op == "not_null":
-            return operand is not None
-        if operand is None or self.value is None:
-            return False
-        try:
-            return bool(PREDICATE_OPS[self.op](operand, self.value))
-        except TypeError:
-            return False
-
-    def describe(self) -> str:
-        """Human-readable rendering, e.g. ``"region == 'eu'"``."""
-        if self.op in ("is_null", "not_null"):
-            return f"{self.attr} {self.op}"
-        return f"{self.attr} {self.op} {self.value!r}"
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Specification of a horizontal partition.
-
-    Attributes:
-        source_name: The table being partitioned.
-        a_name: Target receiving rows satisfying the predicate.
-        b_name: Target receiving the rest.
-        predicate: The row predicate (deterministic over row values).
-            Use an :class:`AttrPredicate` (rather than a lambda) when the
-            spec must survive the WAL frame codec -- crash recovery of a
-            completed partition and declarative migration plans both
-            require it.
-        predicate_desc: Human-readable predicate description, recorded in
-            the swap log record.  Defaults to
-            :meth:`AttrPredicate.describe` when the predicate is one.
-    """
-
-    source_name: str
-    a_name: str
-    b_name: str
-    predicate: RowPredicate
-    predicate_desc: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.predicate_desc and \
-                isinstance(self.predicate, AttrPredicate):
-            object.__setattr__(self, "predicate_desc",
-                               self.predicate.describe())
-
-
-@dataclass(frozen=True)
-class MergeSpec:
-    """Specification of a horizontal merge (disjoint union).
-
-    Attributes:
-        a_name: First source table.
-        b_name: Second source table (union-compatible with the first).
-        target_name: The merged table.
-    """
-
-    a_name: str
-    b_name: str
-    target_name: str
-
-
-# ---------------------------------------------------------------------------
-# Oracles
-# ---------------------------------------------------------------------------
-
-
-def partition_rows(spec: PartitionSpec, rows) -> Tuple[List[Dict], List[Dict]]:
-    """Reference evaluation: partition row dicts by the predicate."""
-    a_rows, b_rows = [], []
-    for values in rows:
-        (a_rows if spec.predicate(values) else b_rows).append(dict(values))
-    return a_rows, b_rows
-
-
-def merge_rows(a_rows, b_rows, key_of) -> List[Dict]:
-    """Reference evaluation: disjoint union of row dicts.
-
-    Raises :class:`InconsistentDataError` on key collisions (the
-    horizontal analogue of the paper's Example 1).
-    """
-    seen = {}
-    result = []
-    for values in list(a_rows) + list(b_rows):
-        key = key_of(values)
-        if key in seen:
-            raise InconsistentDataError((key,))
-        seen[key] = True
-        result.append(dict(values))
-    return result
-
 
 # ---------------------------------------------------------------------------
 # Partition
@@ -199,11 +52,9 @@ class PartitionRuleEngine(RuleEngine):
 
     def __init__(self, db: Database, spec: PartitionSpec, a_table: Table,
                  b_table: Table) -> None:
-        self.db = db
-        self.spec = spec
+        super().__init__(db, spec)
         self.a = a_table
         self.b = b_table
-        self.source_tables = (spec.source_name,)
         self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
                        (spec.source_name, DeleteRecord): self._rule_delete,
                        (spec.source_name, UpdateRecord): self._rule_update}
@@ -286,20 +137,8 @@ class PartitionTransformation(Transformation):
     """
 
     kind = "partition"
+    spec_class = PartitionSpec
     engine_class = PartitionRuleEngine
-
-    @property
-    def source_tables(self) -> Tuple[str, ...]:
-        return (self.spec.source_name,)
-
-    @classmethod
-    def target_tables(cls, db: Database, spec: PartitionSpec,
-                      detached: bool = False) -> Dict[str, Table]:
-        """A and B, both with the source's schema."""
-        source_schema = db.catalog.get(spec.source_name).schema
-        return {name: cls._new_table(db, source_schema.rename(name),
-                                     detached)
-                for name in (spec.a_name, spec.b_name)}
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +151,8 @@ class MergeRuleEngine(RuleEngine):
 
     def __init__(self, db: Database, spec: MergeSpec,
                  target: Table) -> None:
-        self.db = db
-        self.spec = spec
+        super().__init__(db, spec)
         self.t = target
-        self.source_tables = (spec.a_name, spec.b_name)
         self._rules = {
             (name, kind): rule for name in self.source_tables
             for kind, rule in ((InsertRecord, self._rule_insert),
@@ -379,26 +216,5 @@ class MergeTransformation(Transformation):
     """
 
     kind = "merge"
+    spec_class = MergeSpec
     engine_class = MergeRuleEngine
-
-    def __init__(self, db: Database, spec: MergeSpec, **kwargs) -> None:
-        super().__init__(db, spec, **kwargs)
-        a_schema = db.catalog.get(spec.a_name).schema
-        b_schema = db.catalog.get(spec.b_name).schema
-        if a_schema.attribute_names != b_schema.attribute_names or \
-                a_schema.primary_key != b_schema.primary_key:
-            raise SchemaError(
-                f"{spec.a_name!r} and {spec.b_name!r} are not "
-                "union-compatible")
-
-    @property
-    def source_tables(self) -> Tuple[str, ...]:
-        return (self.spec.a_name, self.spec.b_name)
-
-    @classmethod
-    def target_tables(cls, db: Database, spec: MergeSpec,
-                      detached: bool = False) -> Dict[str, Table]:
-        """T, with A's schema."""
-        schema = db.catalog.get(spec.a_name).schema
-        return {spec.target_name: cls._new_table(
-            db, schema.rename(spec.target_name), detached)}

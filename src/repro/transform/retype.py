@@ -62,10 +62,8 @@ class RetypeRuleEngine(RuleEngine):
 
     def __init__(self, db: Database, spec: RetypeSpec,
                  target: Table) -> None:
-        self.db = db
-        self.spec = spec
+        super().__init__(db, spec)
         self.target = target
-        self.source_tables = (spec.source_name,)
         #: A rename may map the key columns, never their values.
         self._source_key_of = db.catalog.get(spec.source_name).schema.key_of
         self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
@@ -152,11 +150,8 @@ class RetypeTransformation(Transformation):
     """
 
     kind = "retype"
+    spec_class = RetypeSpec
     engine_class = RetypeRuleEngine
-
-    @property
-    def source_tables(self) -> Tuple[str, ...]:
-        return (self.spec.source_name,)
 
     @classmethod
     def target_tables(cls, db: Database, spec: RetypeSpec,
@@ -167,7 +162,7 @@ class RetypeTransformation(Transformation):
         under a working name; the swap publishes it under the source's.
         """
         source = db.catalog.get(spec.source_name)
-        schema = spec.target_schema(source.schema)
+        schema = cls.published_schemas(db, spec)[spec.target_name]
         if spec.target_name == spec.source_name:
             schema = schema.rename(f"{spec.source_name}#{cls.kind}")
         target = cls._new_table(db, schema, detached)

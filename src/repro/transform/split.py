@@ -68,13 +68,11 @@ class SplitRuleEngine(RuleEngine):
     def __init__(self, db: Database, spec: SplitSpec, r_table: Table,
                  s_table: Table, check_consistency: bool = False,
                  transform_id: str = "") -> None:
-        self.db = db
-        self.spec = spec
+        super().__init__(db, spec)
         self.r = r_table
         self.s = s_table
         self.check_consistency = check_consistency
         self.transform_id = transform_id
-        self.source_tables = (spec.source_name,)
         self._r_attr_set = set(spec.r_attrs)
         self._s_attr_set = set(spec.s_attrs)
         #: Split values under an in-flight consistency check, mapped to
@@ -415,6 +413,7 @@ class SplitTransformation(Transformation):
     """
 
     kind = "split"
+    spec_class = SplitSpec
     engine_class = SplitRuleEngine
 
     def __init__(self, db: Database, spec: SplitSpec,
@@ -449,17 +448,6 @@ class SplitTransformation(Transformation):
                 s_attrs=spec.s_attrs,
                 r_key=spec.r_key,
             )
-
-    @property
-    def source_tables(self) -> Tuple[str, ...]:
-        return (self.spec.source_name,)
-
-    @classmethod
-    def target_tables(cls, db: Database, spec: SplitSpec,
-                      detached: bool = False) -> Dict[str, Table]:
-        """R and S."""
-        return {spec.r_name: cls._new_table(db, spec.r_schema(), detached),
-                spec.s_name: cls._new_table(db, spec.s_schema(), detached)}
 
     def _create_targets(self) -> Dict[str, Table]:
         if self.materialize_r:

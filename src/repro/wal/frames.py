@@ -28,7 +28,7 @@ records (CLR actions), :class:`~repro.storage.schema.TableSchema` objects
 (DDL records, swap records) and the frozen spec dataclasses the swap
 records embed (:class:`~repro.relational.spec.FojSpec`, ...).  Values
 outside this set -- e.g. the row predicate *callable* of a
-:class:`~repro.transform.partition.PartitionSpec` -- raise
+:class:`~repro.relational.spec.PartitionSpec` -- raise
 :class:`FrameCodecError` at encode time: a payload that cannot survive a
 round trip must fail loudly at flush, not at recovery.
 
@@ -150,10 +150,9 @@ def _register_spec_dataclasses() -> None:
     # Imported lazily so repro.wal does not drag the relational layer in
     # at import time (and to keep the dependency direction one-way for
     # everything but this registration).
-    from repro.relational.spec import (ExplodeSpec, FojSpec, RetypeSpec,
+    from repro.relational.spec import (AttrPredicate, ExplodeSpec, FojSpec,
+                                       MergeSpec, PartitionSpec, RetypeSpec,
                                        SplitSpec)
-    from repro.transform.partition import (AttrPredicate, MergeSpec,
-                                           PartitionSpec)
     register_payload_dataclass(FojSpec)
     register_payload_dataclass(SplitSpec)
     register_payload_dataclass(MergeSpec)

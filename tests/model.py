@@ -84,7 +84,7 @@ def violations(run: ScenarioRun) -> List[str]:
     step = run.scenario.plan.steps[0]
     if step.operator == "split":
         schemas = {schema.name: schema for schema, _ in run.scenario.seeds}
-        spec = PLAN_OPERATORS["split"].spec_of(schemas, step.params)
+        spec = PLAN_OPERATORS["split"].spec(schemas, step.params)
         rows = run.shadow.resolve(run.log)[spec.source_name].values()
         _, _, counters, _ = split(spec, [dict(r) for r in rows])
         s_table = run.db.table(spec.s_name)

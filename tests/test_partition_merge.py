@@ -19,8 +19,7 @@ from repro import (
     TableSchema,
     restart,
 )
-from repro.relational import rows_equal
-from repro.transform.partition import merge_rows, partition_rows
+from repro.relational import merge_rows, partition_rows, rows_equal
 
 from tests.conftest import values_of
 from tests.model import check_model, seeded

@@ -20,6 +20,7 @@ from repro import (
     Session,
     SimulatedCrashError,
     TableSchema,
+    TransformOptions,
     full_outer_join,
     restart,
     rows_equal,
@@ -32,7 +33,9 @@ from repro.faults.sweep import (
     ScenarioRun,
     parse_label,
 )
+from repro.common.errors import SchemaError
 from repro.plan import WORKLOAD_SCENARIOS, get_scenario
+from repro.plan.operators import live_schemas
 from repro.relational import FojSpec, SplitSpec
 
 from tests.conftest import values_of
@@ -371,6 +374,70 @@ def test_reference_agrees_with_derive(scenario):
         assert rows, f"{name}: the seeds publish nothing here"
         for row in rows:
             assert tuple(row) == schemas[name].attribute_names
+
+
+#: Steps whose schema checks only the spec knows, over ``bad_step_db``'s
+#: tables: a many-to-many join whose S is keyed by the join attribute, a
+#: partition on an attribute the source lacks, a merge of tables that are
+#: not union-compatible.
+BAD_STEPS = {
+    "foj_m2m_join_keyed_s": ("foj_m2m", {
+        "r_name": "r", "s_name": "s", "target_name": "t",
+        "join_attr_r": "c", "join_attr_s": "c"}),
+    "partition_unknown_attr": ("partition", {
+        "source_name": "r", "a_name": "r_eu", "b_name": "r_rest",
+        "predicate": {"attr": "nope", "op": "==", "value": "eu"}}),
+    "merge_incompatible": ("merge", {
+        "a_name": "r", "b_name": "s", "target_name": "t"}),
+}
+
+
+def bad_step_db():
+    db = Database()
+    db.create_table(TableSchema("r", ["a", "c"], primary_key=["a"]))
+    db.create_table(TableSchema("s", ["c", "d"], primary_key=["c"]))
+    with Session(db) as session:
+        session.insert("r", {"a": 1, "c": 10})
+        session.insert("s", {"c": 10, "d": "x"})
+    return db
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STEPS))
+def test_validator_and_live_build_reject_the_same_steps(case):
+    """The validator and the live build run the one check the spec
+    carries: the plan is refused naming the step, and building and
+    running the transformation from the same params raises before
+    anything is published."""
+    operator, params = BAD_STEPS[case]
+    db = bad_step_db()
+    plan = MigrationPlan.single("p", operator, params)
+    assert [problem.split(":")[0] for problem in problems_of(db, plan)] == \
+        [f"step {plan.steps[0].step_id!r}"]
+    with pytest.raises(SchemaError):
+        PLAN_OPERATORS[operator].build(db, params, TransformOptions()).run()
+    assert db.catalog.table_names() == ["r", "s"]
+    assert sorted(values_of(db, "r")) == [{"a": 1, "c": 10}]
+
+
+@pytest.mark.parametrize("scenario", WORKLOAD_SCENARIOS.values(),
+                         ids=lambda sc: sc.name)
+def test_live_targets_equal_the_derived_schemas(scenario):
+    """What preparation creates is what ``derive`` publishes: the same
+    sources retired, and each target with the published attribute names
+    and primary key."""
+    db = Database()
+    scenario.build(db)
+    step = scenario.plan.steps[0]
+    operator = PLAN_OPERATORS[step.operator]
+    published, retired = operator.derive(live_schemas(db), step.params)
+    tf = operator.build(db, step.params, TransformOptions())
+    assert tf.source_tables == retired
+    tf.prepare()
+    assert sorted(tf.targets) == sorted(published)
+    for name, table in tf.targets.items():
+        assert table.schema.attribute_names == \
+            published[name].attribute_names, name
+        assert table.schema.primary_key == published[name].primary_key, name
 
 
 # -- the corpus as the one scenario source ---------------------------------
