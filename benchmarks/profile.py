@@ -23,11 +23,14 @@ the process's high-water mark), then a census of the database by
 component.  The census is ``sys.getsizeof`` bytes and the objects the
 cyclic collector tracks, every object counted once, under the first
 component that reaches it (log before rows): an insert image the row
-shares with its log record is the log's.  It runs last because walking
-the heap allocates.  Two collector lines close it: the process's tracked
-objects after set-up and after the timed section (each after a full
-collection), and the census's tracked objects per stored row (the
-tables' value, LSN and meta maps) and per log record.
+shares with its log record is the log's.  A durable log is charged what
+it keeps: the objects of its live tail, then its frames on the disk (one
+row, bytes only) and their offset index -- never a decoded copy of the
+frames.  It runs last because walking the heap allocates.  Two collector
+lines close it: the process's tracked objects after set-up and after the
+timed section (each after a full collection), and the census's tracked
+objects per stored row (the tables' value, LSN and meta maps) and per
+log record (the tail's objects over every record of the log).
 """
 
 import argparse
@@ -57,6 +60,7 @@ def heap_census(db, extra_tables=()):
     """
     import gc
 
+    from repro.wal.log import FIRST_LSN
     from repro.wal.records import LogRecord
 
     seen = set()
@@ -92,8 +96,18 @@ def heap_census(db, extra_tables=()):
             else:
                 add("log: other payload", value)
 
-    for record in db.log.scan():
+    # A durable log keeps objects for its live tail only; below it the
+    # records are frames on the disk, found through the offset index.
+    log = db.log
+    for record in log.records_slice(log.tail_lsn, log.end_lsn):
         add_record(record)
+    if log.disk is not None:
+        rows["log: frames (bytes)"] = [log.tail_lsn - FIRST_LSN,
+                                       log.disk.size, 0]
+        add("log: frame index", log._offsets)
+        if log.salvage is not None:
+            add("log: salvage headers", log.salvage.codes)
+            add("log: salvage headers", log.salvage.txn_ids)
     for table in stored_tables(db, extra_tables):
         add("rows: value map", table.rows)
         add("rows: LSN map", table.lsns)
@@ -161,13 +175,15 @@ def heap_report(rep, args, out):
 
     stored = sum(len(table.rows) for table in stored_tables(db, tables))
     records = len(db.log)
+    kept = db.log.end_lsn + 1 - db.log.tail_lsn
     print(f"collector: tracked objects after set-up {tracked[0]:,}, "
           f"after timed {tracked[1]:,}", file=out)
     print(f"collector: tracked per stored row "
           f"{walked('rows: ') / max(stored, 1):.4f} "
           f"({walked('rows: '):,} / {stored:,} rows), per log record "
           f"{walked('log: ') / max(records, 1):.4f} "
-          f"({walked('log: '):,} / {records:,} records)", file=out)
+          f"({walked('log: '):,} / {records:,} records, {kept:,} kept "
+          f"as objects)", file=out)
 
 
 def drain(tf, profiler, args, out):

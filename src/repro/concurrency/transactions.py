@@ -149,18 +149,19 @@ class TransactionManager:
             if not table_set.isdisjoint(t.tables_touched)
         ]
 
-    def oldest_first_lsn(self, txn_ids: Iterable[int]) -> int:
-        """Smallest ``first_lsn`` among the given transactions.
+    def oldest_first_lsn(self, txn_ids: Optional[Iterable[int]] = None
+                         ) -> int:
+        """Smallest ``first_lsn`` among the given transactions (default:
+        every active one).
 
         Returns ``NULL_LSN`` if none of them has logged anything -- the
         propagation start point then falls back to the fuzzy mark itself.
         """
-        lsns = [
-            self._active[i].first_lsn
-            for i in txn_ids
-            if i in self._active and self._active[i].first_lsn != NULL_LSN
-        ]
-        return min(lsns) if lsns else NULL_LSN
+        active = self._active
+        txns = active.values() if txn_ids is None else \
+            (active[i] for i in txn_ids if i in active)
+        return min((t.first_lsn for t in txns if t.first_lsn != NULL_LSN),
+                   default=NULL_LSN)
 
     def doom_transactions(self, txn_ids: Iterable[int], reason: str) -> None:
         """Doom every listed transaction (non-blocking abort sync)."""

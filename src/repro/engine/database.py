@@ -108,6 +108,9 @@ class Database:
             self.log.flush_policy = flush_policy
         self.locks = LockManager(self.metrics)
         self.txns = TransactionManager()
+        # Rollback walks an active transaction's undo chain: a durable
+        # log keeps it as objects from the oldest one's first record.
+        self.log.pins.append(self.txns.oldest_first_lsn)
         #: Mirror objects consulted on every record-lock acquisition; see
         #: :class:`repro.transform.sync.LockMirror`.
         self.lock_mirrors: List[object] = []
@@ -242,10 +245,12 @@ class Database:
         txn.note_record(lsn)
         self.log.append(EndRecord(txn_id=txn.txn_id, committed=True),
                         prev_lsn=txn.last_lsn)
+        # Logged commit: the transaction can no longer roll back, so its
+        # undo chain pins nothing when the flush releases written records.
+        self.txns.finished(txn, TxnState.COMMITTED)
         self.log.request_flush()
         if faults.enabled:
             faults.fire(SITE_TXN_COMMIT_LOGGED, txn_id=txn.txn_id)
-        self.txns.finished(txn, TxnState.COMMITTED)
         if self.mvcc is not None:
             # Stamp the transaction's final images at its commit LSN
             # before the X locks drop: the next writer's chain seed must
@@ -270,8 +275,9 @@ class Database:
         self._rollback(txn)
         self.log.append(EndRecord(txn_id=txn.txn_id, committed=False),
                         prev_lsn=txn.last_lsn)
-        self.log.request_flush()
+        # Rolled back: nothing of it is undone again, so it pins nothing.
         self.txns.finished(txn, TxnState.ABORTED)
+        self.log.request_flush()
         if self.mvcc is not None:
             # Pending images never reached a chain; the CLR chain above
             # already restored the heap to committed state.
@@ -295,6 +301,10 @@ class Database:
                 if self.faults.enabled:
                     self.faults.fire(SITE_TXN_ROLLBACK_CLR,
                                      txn_id=txn.txn_id, undo_lsn=lsn)
+                # The action carries its CLR's LSN, set before the
+                # append: a logged record never changes afterwards (its
+                # frame is what a durable log reads back).
+                compensation.lsn = self.log.next_lsn
                 clr = CLRecord(txn_id=txn.txn_id, action=compensation,
                                undo_next_lsn=record.prev_lsn)
                 clr_lsn = self.log.append(clr, prev_lsn=txn.last_lsn)
@@ -302,7 +312,6 @@ class Database:
                 self._apply_change(compensation, clr_lsn)
                 # Triggers see compensations too (trigger population
                 # must undo its maintenance work on rollback).
-                compensation.lsn = clr_lsn
                 self._fire_triggers(compensation.table, txn, compensation)
             lsn = record.prev_lsn
 

@@ -31,7 +31,8 @@ when the class is defined.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Type)
 
 from repro.common.errors import NoSuchTableError, RecoveryError
 from repro.concurrency.transactions import Transaction
@@ -39,6 +40,7 @@ from repro.engine.database import Database
 from repro.engine.fuzzy import REDO_CHANGE
 from repro.obs.blame import ROLE_RECOVERY
 from repro.storage.table import Table
+from repro.wal.frames import RECORD_CODES
 from repro.wal.log import FIRST_LSN, LogManager
 from repro.wal.records import (
     NULL_LSN,
@@ -57,6 +59,12 @@ from repro.wal.records import (
     UpdateRecord,
     data_change_of,
 )
+
+#: Frame codes analysis looks for in the record headers.
+_CHECKPOINT_CODE = bytes((RECORD_CODES[CheckpointRecord],))
+_RETIRE_CODE = bytes((RECORD_CODES[TransformRetireRecord],))
+_COMMIT_CODE = RECORD_CODES[CommitRecord]
+_END_CODE = RECORD_CODES[EndRecord]
 
 #: ``rebuild(db, swap_record) -> (published_tables, rule_engine)``.
 #: ``published_tables`` maps public name to a fully built
@@ -82,8 +90,13 @@ def restart(log: LogManager, metrics=None) -> Database:
     continue and append to the same history).  Loser transactions are
     rolled back before return; their CLRs are appended to the log.
 
-    The log is read once, as a list, which analysis and redo walk
-    dispatching on the record class (records are never subclassed).
+    Analysis reads the record code and transaction id of every record
+    (:meth:`LogManager.headers` -- for a log salvaged from disk, the
+    salvage walk's frame headers) and decodes only the last checkpoint
+    and the retire records.  Redo streams the log once in LSN order,
+    dispatching on the record class (records are never subclassed); a
+    durable log decodes each frame then and drops it.  Undo reads the
+    losers' records on demand.
 
     When a :class:`~repro.obs.metrics.Metrics` registry is passed, the
     three passes are recorded as ``recovery.analysis`` / ``recovery.redo``
@@ -94,22 +107,22 @@ def restart(log: LogManager, metrics=None) -> Database:
     obs = metrics if metrics is not None else NULL_METRICS
     db = Database(log=log, metrics=metrics)
     end_lsn = log.end_lsn
-    records = log.records_slice(FIRST_LSN, end_lsn)
 
     with obs.span("recovery", end_lsn=end_lsn) as root:
         with obs.span("recovery.analysis") as pass_span:
-            # Pre-pass: the most recent fuzzy checkpoint bounds analysis,
-            # and redo must know up front which swaps were later retired
-            # (see TransformRetireRecord).
-            checkpoint: Optional[CheckpointRecord] = None
+            # The most recent fuzzy checkpoint bounds analysis, and redo
+            # must know up front which swaps were later retired (see
+            # TransformRetireRecord).
+            codes, txn_ids = log.headers()
+            at = codes.rfind(_CHECKPOINT_CODE)
+            checkpoint = log.record_at(FIRST_LSN + at) if at >= 0 else None
             retired_ids: Set[str] = set()
-            for record in records:
-                cls = type(record)
-                if cls is CheckpointRecord:
-                    checkpoint = record
-                elif cls is TransformRetireRecord:
-                    retired_ids.add(record.transform_id)
-            losers, in_commit, max_txn_id = _analysis(records, checkpoint)
+            at = codes.find(_RETIRE_CODE)
+            while at >= 0:
+                retired_ids.add(log.record_at(FIRST_LSN + at).transform_id)
+                at = codes.find(_RETIRE_CODE, at + 1)
+            losers, in_commit, max_txn_id = _analysis(codes, txn_ids,
+                                                      checkpoint)
             if obs.enabled:
                 pass_span.attrs["losers"] = len(losers)
                 pass_span.attrs["in_commit"] = len(in_commit)
@@ -118,13 +131,13 @@ def restart(log: LogManager, metrics=None) -> Database:
         with obs.span("recovery.redo") as pass_span:
             redo = _Redo(db, retired_ids)
             handler_of = REDO_HANDLERS.get
-            for record in records:
+            for record in log.scan(FIRST_LSN, end_lsn):
                 handler = handler_of(type(record))
                 if handler is not None:
                     handler(redo, record)
             propagators = redo.propagators
             if obs.enabled:
-                pass_span.attrs["records"] = len(records)
+                pass_span.attrs["records"] = len(codes)
 
         # ---- undo --------------------------------------------------------
         with obs.span("recovery.undo") as pass_span:
@@ -173,9 +186,11 @@ def restart_from_disk(disk, metrics=None,
     truncated, mid-log corruption raising
     :class:`~repro.common.errors.LogCorruptionError` before anything is
     applied) and :func:`restart` replays the salvaged **flushed prefix**
-    -- never the pre-crash in-memory record list.  The returned database
-    shares the recovered log, whose later flushes continue the same disk
-    segment.
+    -- never the pre-crash in-memory record list -- streaming it from
+    its frames.  A CRC-valid frame whose payload does not decode raises
+    the same error from redo, and no database is returned.  The
+    returned database shares the recovered log, whose later flushes
+    continue the same disk segment.
     """
     log = LogManager.from_disk(disk, metrics=metrics,
                                flush_policy=flush_policy)
@@ -194,14 +209,16 @@ class _TxnAnalysis:
         self.committed = False
 
 
-def _analysis(records: List[LogRecord],
+def _analysis(codes: bytes, txn_ids: Sequence[int],
               checkpoint: Optional[CheckpointRecord]
               ) -> Tuple[Dict[int, _TxnAnalysis], List[int], int]:
     """Find loser and in-commit transactions and the largest txn id.
 
-    The walk is bounded by the most recent fuzzy checkpoint (if any):
-    analysis starts there, seeded with the checkpoint's snapshot of the
-    active-transaction table, then reads forward to the end of the log.
+    Reads each record's code and transaction id only (index ``lsn -
+    FIRST_LSN``).  The walk is bounded by the most recent fuzzy
+    checkpoint (if any): analysis starts there, seeded with the
+    checkpoint's snapshot of the active-transaction table, then reads
+    forward to the end of the log.
     """
     txns: Dict[int, _TxnAnalysis] = {}
     max_id = 0
@@ -212,21 +229,20 @@ def _analysis(records: List[LogRecord],
             state = txns[txn_id] = _TxnAnalysis()
             state.first_lsn = state.last_lsn = last_lsn or checkpoint.lsn
             max_id = max(max_id, txn_id)
-    for record in records[start:]:
-        txn_id = record.txn_id
+    lsns = range(start + FIRST_LSN, len(codes) + FIRST_LSN)
+    for lsn, code, txn_id in zip(lsns, codes[start:], txn_ids[start:]):
         if txn_id == 0:
             continue
         state = txns.get(txn_id)
         if state is None:
             state = txns[txn_id] = _TxnAnalysis()
-            state.first_lsn = record.lsn
+            state.first_lsn = lsn
             if txn_id > max_id:
                 max_id = txn_id
-        state.last_lsn = record.lsn
-        cls = type(record)
-        if cls is EndRecord:
+        state.last_lsn = lsn
+        if code == _END_CODE:
             state.finished = True
-        elif cls is CommitRecord:
+        elif code == _COMMIT_CODE:
             # A commit record makes the transaction durable even if the
             # crash hit before its end record was appended: it is a
             # winner ("in-commit"), never a rollback candidate.

@@ -109,7 +109,8 @@ from repro.transform.options import (
 from repro.transform.view import MaterializedFojView
 from repro.wal.durable import SimulatedDisk
 from repro.wal.frames import SEGMENT_HEADER, encode_frame
-from repro.wal.log import IMMEDIATE_FLUSH, FlushPolicy, LogManager
+from repro.wal.log import (FIRST_LSN, IMMEDIATE_FLUSH, FlushPolicy,
+                           LogManager)
 from repro.wal.records import (
     BeginRecord,
     CommitRecord,
@@ -892,7 +893,8 @@ def check_byte_identity(run: ScenarioRun, log: LogManager) -> List[str]:
     bytes exactly (the flushed prefix survives byte-for-byte)."""
     salvage = log.salvage
     reencoded = SEGMENT_HEADER + b"".join(
-        encode_frame(record) for record in salvage.records)
+        encode_frame(record)
+        for record in log.scan(FIRST_LSN, salvage.count))
     surviving = run.disk.crash_image()[:salvage.byte_length]
     if reencoded != surviving:
         return ["salvaged prefix is not byte-identical under re-encode "

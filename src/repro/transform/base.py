@@ -591,11 +591,23 @@ class Transformation:
                 self._phase_span = metrics.begin_span(
                     "tf.phase." + new.value, parent=self._tf_span,
                     transform=self.transform_id)
+        if new is Phase.POPULATING:
+            # The cursor is set: from here to the end the transformation
+            # reads the log from it, so a durable log keeps that part as
+            # objects.
+            self.db.log.pins.append(self._log_pin)
+        elif new in (Phase.DONE, Phase.ABORTED) and \
+                self._log_pin in self.db.log.pins:
+            self.db.log.pins.remove(self._log_pin)
         if new is Phase.PROPAGATING:
             self._begin_iteration()
         elif new is Phase.SYNCHRONIZING:
             self.metrics.trace("tf.sync.start", transform=self.transform_id,
                                strategy=self.options.sync_strategy.value)
+
+    def _log_pin(self) -> int:
+        """The log pin of propagation: the cursor."""
+        return self._cursor
 
     def _ensure_root_span(self) -> None:
         """Open the transformation root span at the first unit of work."""

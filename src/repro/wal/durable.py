@@ -26,9 +26,10 @@ the crash sweep also kills the system *inside* the flush path: bytes
 staged but not synced must never count as durable.
 
 Recovery goes through :meth:`repro.wal.log.LogManager.from_disk`, which
-salvages the image with :func:`repro.wal.frames.decode_segment` and
-:meth:`reopen`-s the disk on the salvaged prefix so post-recovery
-appends continue in the same segment.
+salvages the image with one :func:`repro.wal.frames.walk_segment` pass
+and :meth:`reopen`-s the disk on the salvaged prefix so post-recovery
+appends continue in the same segment.  A log with a disk reads the
+records it no longer holds as objects back through :meth:`read`.
 """
 
 from __future__ import annotations
@@ -123,6 +124,11 @@ class SimulatedDisk:
             self._durable_len = len(self._buffer)
         self.syncs += 1
         return advanced
+
+    def read(self, offset: int, length: int) -> bytes:
+        """``length`` written bytes from ``offset``, durable or staged
+        (the running process reads its own writes, lying fsync or not)."""
+        return bytes(self._buffer[offset:offset + length])
 
     @property
     def pending_bytes(self) -> int:

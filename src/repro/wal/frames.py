@@ -32,8 +32,9 @@ outside this set -- e.g. the row predicate *callable* of a
 :class:`FrameCodecError` at encode time: a payload that cannot survive a
 round trip must fail loudly at flush, not at recovery.
 
-Salvage (:func:`decode_segment`) implements the torn-write rules the
-recovery path relies on:
+Salvage (:func:`walk_segment`, one pass over the image;
+:func:`decode_segment` is the same pass decoding every record)
+implements the torn-write rules the recovery path relies on:
 
 * a frame that runs past the end of the segment, or trailing bytes too
   short to hold a frame header, are a **torn tail**: the write was cut by
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from array import array
 import zlib
 from functools import partial
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -547,10 +549,16 @@ def frame_spans(image: bytes) -> Iterator[Tuple[int, int]]:
 
 
 class SalvageReport:
-    """What :func:`decode_segment` found and what it had to discard.
+    """What a salvage walk found and what it had to discard.
 
     Attributes:
-        records: The salvaged record prefix, in LSN order.
+        records: The salvaged record prefix, in LSN order, when the walk
+            decoded it (:func:`decode_segment`); ``None`` when the frames
+            stay on disk (:meth:`repro.wal.log.LogManager.from_disk`).
+        count: Number of salvaged records (their LSNs are ``1..count``).
+        codes: Record code of each salvaged frame (index ``lsn - 1``),
+            read from the frame header.
+        txn_ids: Transaction id of each salvaged frame, likewise.
         byte_length: Length of the valid byte prefix of the segment
             (header + intact frames); everything past it was truncated.
         torn: ``True`` when a partially-written frame was truncated
@@ -560,10 +568,13 @@ class SalvageReport:
         dropped_bytes: Bytes discarded past the valid prefix.
     """
 
-    def __init__(self, records: List[LogRecord], byte_length: int,
-                 torn: bool, tail_corrupt: bool,
-                 dropped_bytes: int) -> None:
+    def __init__(self, records: Optional[List[LogRecord]], codes: bytes,
+                 txn_ids: array, byte_length: int, torn: bool,
+                 tail_corrupt: bool, dropped_bytes: int) -> None:
         self.records = records
+        self.count = len(codes)
+        self.codes = codes
+        self.txn_ids = txn_ids
         self.byte_length = byte_length
         self.torn = torn
         self.tail_corrupt = tail_corrupt
@@ -577,69 +588,159 @@ class SalvageReport:
             status.append("corrupt tail frame discarded")
         if not status:
             status.append("clean")
-        return (f"salvaged {len(self.records)} records "
+        return (f"salvaged {self.count} records "
                 f"({self.byte_length} bytes, "
                 f"{self.dropped_bytes} dropped): {'; '.join(status)}")
 
 
+def walk_segment(image: bytes, decode: bool = False
+                 ) -> Tuple[SalvageReport, array]:
+    """The one salvage pass over a segment image.
+
+    Checks each frame's CRC and LSN continuity, truncates a torn or
+    corrupt tail, and reads each frame's record code and transaction id
+    from its header.  Returns the report and the byte offset of every
+    salvaged frame followed by the end of the last one (index ``lsn -
+    1``), so a reader can decode any record later.  With ``decode`` the
+    payloads are decoded in the same pass into ``report.records``.
+
+    Raises :class:`LogCorruptionError` on a bad segment header, on a CRC
+    failure that is *not* at the tail (mid-log corruption), on an LSN
+    discontinuity and on a CRC-valid frame that does not decode (with
+    ``decode``; without it only the header is read, so the payload is
+    checked when it is first decoded).  The error always names the
+    first bad frame and carries the records decoded before it: a walk
+    without ``decode`` that finds a problem walks again decoding.
+    """
+    image = bytes(image)
+    codes = bytearray()
+    txn_ids = array("q")
+    if not image.startswith(SEGMENT_HEADER):
+        if SEGMENT_HEADER.startswith(image):
+            # Nothing was ever flushed, or a crash cut the very first
+            # write inside the header.
+            return SalvageReport([] if decode else None, b"", txn_ids, 0,
+                                 torn=bool(image), tail_corrupt=False,
+                                 dropped_bytes=len(image)), array("q", [0])
+        raise LogCorruptionError(
+            f"bad segment header {image[:SEGMENT_HEADER_SIZE]!r} "
+            f"(expected {SEGMENT_HEADER!r})",
+            frame_index=-1, lsn=NULL_LSN, offset=0)
+    records: Optional[List[LogRecord]] = [] if decode else None
+    offsets = array("q")
+    expected_lsn = NULL_LSN + 1
+    pos = SEGMENT_HEADER_SIZE
+    size = len(image)
+    unpack = _FRAME_HEADER.unpack_from
+    crc32 = zlib.crc32
+    plans = _DECODE_PLANS
+    tail_corrupt = False
+    while pos < size:
+        start = pos + FRAME_HEADER_SIZE
+        if start > size:
+            break
+        length, crc = unpack(image, pos)
+        end = start + length
+        if end > size:
+            break
+        payload = image[start:end]
+        if crc32(payload) != crc:
+            if end == size:
+                # Final frame: indistinguishable from a torn write that
+                # covered the whole claimed length with garbage.  Truncate
+                # -- the corrupt bytes are reported, never applied.
+                tail_corrupt = True
+                break
+            problem = "frame checksum mismatch with later frames present"
+        else:
+            try:
+                if decode:
+                    record = decode_record(payload)
+                    code = RECORD_CODES[type(record)]
+                    lsn, txn_id = record.lsn, record.txn_id
+                else:
+                    code = payload[0]
+                    if code not in plans:
+                        raise FrameCodecError(
+                            f"unknown record code 0x{code:02x}")
+                    # The header's three varints, read inline (the walk
+                    # is restart's one pass over every frame): lsn,
+                    # prev_lsn (skipped), txn_id.
+                    lsn = shift = 0
+                    at = 1
+                    while True:
+                        byte = payload[at]
+                        at += 1
+                        lsn |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                        shift += 7
+                    while payload[at] >= 0x80:
+                        at += 1
+                    txn_id = shift = 0
+                    at += 1
+                    while True:
+                        byte = payload[at]
+                        at += 1
+                        txn_id |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                        shift += 7
+                    lsn = (lsn >> 1) ^ -(lsn & 1)
+                    txn_id = (txn_id >> 1) ^ -(txn_id & 1)
+            except (FrameCodecError, IndexError) as exc:
+                # CRC passed but the payload does not parse: a codec bug
+                # or deliberate tampering -- quarantine either way.
+                problem = f"frame payload undecodable: {exc}"
+            else:
+                if lsn == expected_lsn:
+                    if decode:
+                        records.append(record)
+                    offsets.append(pos)
+                    codes.append(code)
+                    txn_ids.append(txn_id)
+                    expected_lsn += 1
+                    pos = end
+                    continue
+                problem = (f"LSN discontinuity: frame carries lsn "
+                           f"{lsn}, expected {expected_lsn}")
+        if not decode:
+            return walk_segment(image, decode=True)
+        raise LogCorruptionError(
+            problem, frame_index=len(records), lsn=expected_lsn, offset=pos,
+            salvaged=tuple(records))
+    offsets.append(pos)
+    # Past ``pos``: a frame header or payload cut short by the crash (a
+    # torn tail), or the corrupt final frame.
+    return SalvageReport(records, bytes(codes), txn_ids, pos,
+                         torn=pos < size and not tail_corrupt,
+                         tail_corrupt=tail_corrupt,
+                         dropped_bytes=size - pos), offsets
+
+
 def decode_segment(image: bytes) -> SalvageReport:
-    """Salvage a segment image: decode frames, truncate a torn tail.
+    """Salvage a segment image into records: :func:`walk_segment`,
+    decoding.
 
     Raises :class:`LogCorruptionError` on a bad segment header or on a
     CRC failure that is *not* at the tail (mid-log corruption).  An empty
     image is a valid empty log (nothing was ever flushed).
     """
-    image = bytes(image)
-    if not image.startswith(SEGMENT_HEADER):
-        if SEGMENT_HEADER.startswith(image):
-            # Nothing was ever flushed, or a crash cut the very first
-            # write inside the header.
-            return SalvageReport([], 0, torn=bool(image), tail_corrupt=False,
-                                 dropped_bytes=len(image))
-        raise LogCorruptionError(
-            f"bad segment header {image[:SEGMENT_HEADER_SIZE]!r} "
-            f"(expected {SEGMENT_HEADER!r})",
-            frame_index=-1, lsn=NULL_LSN, offset=0)
-    records: List[LogRecord] = []
-    expected_lsn = NULL_LSN + 1
-    pos = SEGMENT_HEADER_SIZE
-    size = len(image)
+    return walk_segment(image, decode=True)[0]
+
+
+def decode_frames(data: bytes) -> List[LogRecord]:
+    """Decode a run of consecutive whole frames, as a log wrote them.
+
+    No salvage checks: the caller knows the bytes are frames it wrote or
+    a walk already checked.  A payload that does not decode raises
+    :class:`FrameCodecError`.
+    """
+    records = []
+    pos, size = 0, len(data)
+    unpack = _FRAME_HEADER.unpack_from
     while pos < size:
         start = pos + FRAME_HEADER_SIZE
-        if start > size:
-            break
-        length, crc = _FRAME_HEADER.unpack_from(image, pos)
-        end = start + length
-        if end > size:
-            break
-        payload = image[start:end]
-        if zlib.crc32(payload) != crc:
-            if end == size:
-                # Final frame: indistinguishable from a torn write that
-                # covered the whole claimed length with garbage.  Truncate
-                # -- the corrupt bytes are reported, never applied.
-                return SalvageReport(records, pos, torn=False,
-                                     tail_corrupt=True,
-                                     dropped_bytes=size - pos)
-            problem = "frame checksum mismatch with later frames present"
-        else:
-            try:
-                record = decode_record(payload)
-            except FrameCodecError as exc:
-                # CRC passed but the payload does not parse: a codec bug
-                # or deliberate tampering -- quarantine either way.
-                problem = f"frame payload undecodable: {exc}"
-            else:
-                if record.lsn == expected_lsn:
-                    records.append(record)
-                    expected_lsn += 1
-                    pos = end
-                    continue
-                problem = (f"LSN discontinuity: frame carries lsn "
-                           f"{record.lsn}, expected {expected_lsn}")
-        raise LogCorruptionError(
-            problem, frame_index=len(records), lsn=expected_lsn, offset=pos,
-            salvaged=tuple(records))
-    # A frame header or payload cut short by the crash: a torn tail.
-    return SalvageReport(records, pos, torn=pos < size, tail_corrupt=False,
-                         dropped_bytes=size - pos)
+        pos = start + unpack(data, pos)[0]
+        records.append(decode_record(data[start:pos]))
+    return records

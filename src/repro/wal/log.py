@@ -6,25 +6,40 @@ touches user transactions; it only *reads the log* (the paper's central
 design point, Section 1).  The manager therefore exposes, besides append,
 cheap sequential scans starting from an arbitrary LSN.
 
-The implementation keeps the whole log in memory (the reproduced prototype
-is a main-memory DBMS).  Without a disk attached, ``flush`` is tracked for
-API fidelity -- commit forces the log -- but is a no-op physically.  With a
-:class:`~repro.wal.durable.SimulatedDisk` attached, every flush *writes*:
-the unflushed records are serialized into checksummed frames
+Without a disk attached the log keeps every record in memory as an object
+(the reproduced prototype is a main-memory DBMS), and ``flush`` is tracked
+for API fidelity -- commit forces the log -- but is a no-op physically.
+With a :class:`~repro.wal.durable.SimulatedDisk` attached, every flush
+*writes*: the unflushed records are serialized into checksummed frames
 (:mod:`repro.wal.frames`), staged on the disk and synced before the
-durability horizon advances, and :meth:`LogManager.from_disk` rebuilds a
-log from the salvaged flushed prefix after a crash.
+durability horizon advances.  From then on the frame is the record: the
+log keeps an object only while its frame is unwritten or while a reader
+still needs it as one (:attr:`LogManager.pins` -- the oldest active
+transaction's undo chain, every live transformation's cursor), and reads
+below that tail decode from the written bytes through an LSN -> offset
+index.  :meth:`LogManager.from_disk` rebuilds a log from the salvaged
+flushed prefix after a crash without decoding it: its records are read
+back from their frames when first asked for.
 """
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults import NULL_FAULTS, FaultInjector, register_site
 from repro.obs import NULL_METRICS, Metrics
-from repro.wal.frames import SEGMENT_HEADER, append_frame, decode_segment
+from repro.wal.frames import (
+    RECORD_CODES,
+    SEGMENT_HEADER,
+    FrameCodecError,
+    append_frame,
+    decode_frames,
+    decode_segment,
+    walk_segment,
+)
 from repro.wal.records import NULL_LSN, LogRecord
 
 #: First LSN ever assigned.  LSN 0 is reserved as the null LSN.
@@ -97,9 +112,12 @@ GROUP_FLUSH = FlushPolicy(max_pending_requests=8, max_pending_records=64)
 class LogManager:
     """Monotonic, append-only sequence of :class:`LogRecord` objects.
 
-    LSNs are dense integers starting at :data:`FIRST_LSN`; the record with
-    LSN ``n`` lives at list index ``n - FIRST_LSN``, making ``record_at``
-    O(1) and range scans allocation-free.
+    LSNs are dense integers starting at :data:`FIRST_LSN`.  The objects
+    of the tail (from :attr:`tail_lsn`) live in a list at index ``n -
+    base``, so ``record_at`` is O(1) and a range read is one list slice.
+    Below the tail -- only ever with a disk attached -- a record is its
+    written frame, and every read decodes it, returning a record ``==``
+    to the one appended.
 
     All reading APIs share one LSN contract: negative LSNs are rejected
     with :class:`ValueError` (they can only come from arithmetic bugs);
@@ -112,7 +130,21 @@ class LogManager:
                  faults: Optional[FaultInjector] = None,
                  flush_policy: Optional[FlushPolicy] = None,
                  disk: Optional["SimulatedDisk"] = None) -> None:
-        self._records: List[LogRecord] = []
+        #: The object tail: ``_records[i]`` has LSN ``_base + i``; the
+        #: entries below :attr:`tail_lsn` are released (``None``) until
+        #: the list is compacted.
+        self._records: List[Optional[LogRecord]] = []
+        self._base = FIRST_LSN
+        self._tail_lsn = FIRST_LSN
+        #: Byte offset on the disk of the frame of LSN ``FIRST_LSN + i``,
+        #: then the end of the last written frame (empty without a disk).
+        self._offsets = array("q")
+        #: Readers that still need records as objects: each returns the
+        #: lowest LSN it will read (``NULL_LSN`` when it reads nothing
+        #: now).  Written records below every pin are released to their
+        #: frames.  The engine pins its oldest active transaction's first
+        #: LSN, a transformation its propagation cursor.
+        self.pins: List[Callable[[], int]] = []
         self._flushed_lsn = NULL_LSN
         #: Group-commit policy applied by :meth:`request_flush`.
         self.flush_policy = flush_policy if flush_policy is not None \
@@ -174,7 +206,12 @@ class LogManager:
         arrives with its own enabled injector keeps it (the log adopts
         it) rather than having it silently replaced by the log's no-op
         default; otherwise the log's injector propagates down.
+
+        A log has at most one disk: its frame offsets (and the records
+        it no longer holds as objects) live on that one.
         """
+        if self._disk is not None:
+            raise ValueError("log already writes to a disk")
         self._disk = disk
         if disk.faults.enabled and not self._faults.enabled:
             self._faults = disk.faults
@@ -182,6 +219,7 @@ class LogManager:
         if disk.size == 0:
             disk.append(SEGMENT_HEADER)
             disk.sync()
+        self._offsets = array("q", [disk.size])
 
     @classmethod
     def from_disk(cls, disk: "SimulatedDisk",
@@ -190,8 +228,8 @@ class LogManager:
                   ) -> "LogManager":
         """Rebuild a log from the disk's crash image (salvage recovery).
 
-        The image is salvaged with
-        :func:`repro.wal.frames.decode_segment`: a torn tail is
+        The image is salvaged with one
+        :func:`repro.wal.frames.walk_segment` pass: a torn tail is
         truncated; mid-log corruption raises
         :class:`~repro.common.errors.LogCorruptionError` (the log is
         quarantined, nothing is applied).  The returned manager holds
@@ -199,36 +237,83 @@ class LogManager:
         pre-crash system never flushed are gone, as they would be on
         real hardware -- with ``flushed_lsn == end_lsn``, and the disk
         is rebased on the salvaged image so post-recovery appends
-        continue the same segment.
+        continue the same segment.  No record is decoded here: each is
+        read back from its frame when asked for, and a CRC-valid frame
+        that does not decode raises the same ``LogCorruptionError``
+        then.
         """
         image = disk.crash_image()
-        salvage = decode_segment(image)
+        salvage, offsets = walk_segment(image)
         log = cls(metrics=metrics, flush_policy=flush_policy)
-        log._records = list(salvage.records)
-        log._flushed_lsn = log.end_lsn
+        log._base = log._tail_lsn = FIRST_LSN + salvage.count
+        log._flushed_lsn = log._disk_staged_lsn = log.end_lsn
         log.salvage = salvage
         disk.reopen(image[:salvage.byte_length])
         log._disk = disk
-        log._disk_staged_lsn = log.end_lsn
         if disk.size == 0:
             disk.append(SEGMENT_HEADER)
             disk.sync()
+            offsets = array("q", [disk.size])
+        log._offsets = offsets
         return log
 
     def _write_frames(self, up_to_lsn: int) -> None:
-        """Stage + sync frames for records up to ``up_to_lsn``."""
+        """Stage + sync frames for records up to ``up_to_lsn``, then
+        release the objects no pin reads."""
         if self._disk is None or up_to_lsn <= self._disk_staged_lsn:
             return
-        start = max(self._disk_staged_lsn, NULL_LSN) - FIRST_LSN + 1
-        stop = up_to_lsn - FIRST_LSN + 1
+        base = self._base
         buf = bytearray()
-        for record in self._records[start:stop]:
+        at = self._disk.size
+        ends = []
+        for record in self._records[self._disk_staged_lsn + 1 - base:
+                                    up_to_lsn + 1 - base]:
             append_frame(buf, record)
+            ends.append(at + len(buf))
         self._disk.append(bytes(buf))
+        self._offsets.extend(ends)
         self._disk_staged_lsn = up_to_lsn
         self._disk.sync()
         if self.metrics.enabled:
             self.metrics.inc("wal.disk.bytes", len(buf))
+        self._release()
+
+    def _release(self) -> None:
+        """Drop the objects of written records below every pin.
+
+        Released entries become ``None``; the list sheds its released
+        prefix once that is at least half of it, so a release costs
+        amortised O(1) per record.
+        """
+        keep = self._disk_staged_lsn + 1
+        for pin in self.pins:
+            lsn = pin()
+            if NULL_LSN < lsn < keep:
+                keep = lsn
+        tail = self._tail_lsn
+        if keep <= tail:
+            return
+        records, base = self._records, self._base
+        released = keep - base
+        if released * 2 >= len(records):
+            del records[:released]
+            self._base = keep
+        else:
+            records[tail - base:released] = [None] * (keep - tail)
+        self._tail_lsn = keep
+
+    def _decoded(self, lo: int, hi: int) -> List[LogRecord]:
+        """Records ``lo..hi`` (all below the tail) read back from their
+        frames.  A frame that does not decode is corruption, reported as
+        salvage reports it."""
+        offsets, disk = self._offsets, self._disk
+        start = offsets[lo - FIRST_LSN]
+        data = disk.read(start, offsets[hi + 1 - FIRST_LSN] - start)
+        try:
+            return decode_frames(data)
+        except FrameCodecError:
+            decode_segment(disk.read(0, disk.size))
+            raise
 
     # -- append ------------------------------------------------------------
 
@@ -245,7 +330,7 @@ class LogManager:
         faults = self._faults
         if faults.enabled:
             faults.fire(SITE_WAL_APPEND, kind=record.kind)
-        record.lsn = FIRST_LSN + len(self._records)
+        record.lsn = self._base + len(self._records)
         record.prev_lsn = prev_lsn
         self._records.append(record)
         if faults.enabled:
@@ -288,7 +373,7 @@ class LogManager:
             faults.fire(SITE_WAL_APPEND_BATCH, n=len(records),
                         kind=records[0].kind)
         lsns: List[int] = []
-        base = FIRST_LSN + len(self._records)
+        base = self._base + len(self._records)
         for i, record in enumerate(records):
             record.lsn = base + i
             record.prev_lsn = prev_lsns[i] if prev_lsns is not None \
@@ -399,20 +484,26 @@ class LogManager:
     @property
     def end_lsn(self) -> int:
         """LSN of the most recently appended record (``NULL_LSN`` if empty)."""
-        return NULL_LSN if not self._records else self._records[-1].lsn
+        return self._base + len(self._records) - 1
 
     @property
     def next_lsn(self) -> int:
         """LSN that the next appended record will receive."""
-        return FIRST_LSN + len(self._records)
+        return self._base + len(self._records)
 
     @property
     def flushed_lsn(self) -> int:
         """Highest LSN known to be on stable storage."""
         return self._flushed_lsn
 
+    @property
+    def tail_lsn(self) -> int:
+        """First LSN the log holds as an object; the records below it
+        are read back from their frames (``FIRST_LSN`` without a disk)."""
+        return self._tail_lsn
+
     def __len__(self) -> int:
-        return len(self._records)
+        return self._base + len(self._records) - FIRST_LSN
 
     # -- reading ------------------------------------------------------------
 
@@ -425,10 +516,17 @@ class LogManager:
         """
         if lsn < 0:
             raise ValueError(f"negative lsn: {lsn}")
-        index = lsn - FIRST_LSN
-        if index < 0 or index >= len(self._records):
-            raise IndexError(f"no log record with lsn {lsn}")
-        return self._records[index]
+        if lsn >= self._tail_lsn:
+            index = lsn - self._base
+            if index < len(self._records):
+                return self._records[index]
+        elif lsn >= FIRST_LSN:
+            return self._decoded(lsn, lsn)[0]
+        raise IndexError(f"no log record with lsn {lsn}")
+
+    #: Records a :meth:`scan` reads per step (one list slice or one
+    #: decoded run of frames).
+    SCAN_CHUNK = 128
 
     def scan(self, from_lsn: int = FIRST_LSN,
              to_lsn: Optional[int] = None) -> Iterator[LogRecord]:
@@ -441,7 +539,9 @@ class LogManager:
         is *called*, not when iteration starts -- a generator body would
         only read ``end_lsn`` at the first ``next()``, silently widening
         the window for callers that append between creating the iterator
-        and draining it.
+        and draining it.  Records below the tail are decoded
+        :attr:`SCAN_CHUNK` at a time, so a scan of a durable log holds
+        no more than that many decoded objects at once.
 
         Boundary contract: scanning an empty log yields nothing;
         ``from_lsn`` below :data:`FIRST_LSN` starts at the log head;
@@ -452,30 +552,49 @@ class LogManager:
             raise ValueError(f"negative lsn: {from_lsn}")
         if to_lsn is not None and to_lsn < 0:
             raise ValueError(f"negative lsn: {to_lsn}")
-        end = self.end_lsn if to_lsn is None else to_lsn
-        start_index = max(0, from_lsn - FIRST_LSN)
-        end_index = min(len(self._records), end - FIRST_LSN + 1)
+        end = self.end_lsn if to_lsn is None else min(to_lsn, self.end_lsn)
 
-        def _iterate() -> Iterator[LogRecord]:
-            for index in range(start_index, end_index):
-                yield self._records[index]
+        def _iterate(lsn: int) -> Iterator[LogRecord]:
+            while lsn <= end:
+                hi = min(end, lsn + self.SCAN_CHUNK - 1)
+                yield from self.records_slice(lsn, hi)
+                lsn = hi + 1
 
-        return _iterate()
+        return _iterate(max(from_lsn, FIRST_LSN))
 
     def records_slice(self, from_lsn: int,
                       to_lsn: int) -> List[LogRecord]:
         """Records in the closed LSN interval, as a list.
 
-        The batch-propagation fetch path: one C-level list slice instead
-        of per-record :meth:`record_at` calls.  Bounds follow the
+        The batch-propagation fetch path: one C-level list slice of the
+        object tail instead of per-record :meth:`record_at` calls (plus
+        one decoded run for the part below the tail).  Bounds follow the
         :meth:`scan` contract (clamping, :class:`ValueError` on negative
         LSNs); the returned list is a copy, safe against later appends.
         """
         if from_lsn < 0 or to_lsn < 0:
             raise ValueError(f"negative lsn: {min(from_lsn, to_lsn)}")
-        start = max(0, from_lsn - FIRST_LSN)
-        stop = min(len(self._records), to_lsn - FIRST_LSN + 1)
-        return self._records[start:stop]
+        tail, base = self._tail_lsn, self._base
+        objects = self._records[max(from_lsn, tail) - base:
+                                max(to_lsn + 1 - base, 0)]
+        if from_lsn >= tail:
+            return objects
+        lo, hi = max(from_lsn, FIRST_LSN), min(to_lsn, tail - 1)
+        return self._decoded(lo, hi) + objects if lo <= hi else objects
+
+    def headers(self) -> Tuple[bytes, Sequence[int]]:
+        """Record code and transaction id of every record, each indexed
+        by ``lsn - FIRST_LSN``: restart analysis reads these, not the
+        records.  The salvaged prefix of a log from :meth:`from_disk`
+        comes from the salvage walk's frame headers; only the records
+        after it are read."""
+        salvage = self.salvage
+        codes = bytearray(salvage.codes if salvage is not None else b"")
+        txn_ids = array("q", salvage.txn_ids if salvage is not None else ())
+        for record in self.scan(FIRST_LSN + len(codes)):
+            codes.append(RECORD_CODES[type(record)])
+            txn_ids.append(record.txn_id)
+        return bytes(codes), txn_ids
 
     def records_between(self, from_lsn: int, to_lsn: int) -> int:
         """Number of records in the closed LSN interval (for analysis).
@@ -504,4 +623,4 @@ class LogManager:
 
     def dump(self) -> str:
         """Multi-line human-readable rendering of the whole log."""
-        return "\n".join(record.describe() for record in self._records)
+        return "\n".join(record.describe() for record in self.scan())

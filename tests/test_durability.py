@@ -8,11 +8,21 @@ preserves exactly the committed-and-flushed transactions, and every
 drain / coalescing-window exit leaves ``flushed_lsn == end_lsn``.
 """
 
+import gc
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LogCorruptionError
-from repro.engine import Database, Session, restart, restart_from_disk
+from repro.engine import (
+    Database,
+    Session,
+    bulk_load,
+    restart,
+    restart_from_disk,
+)
 from repro.faults import (
     BitFlipFault,
     FaultInjector,
@@ -25,15 +35,20 @@ from repro.wal import (
     GROUP_FLUSH,
     IMMEDIATE_FLUSH,
     BeginRecord,
+    CLRecord,
     CommitRecord,
+    DeleteRecord,
+    DropTableRecord,
     FlushPolicy,
     InsertRecord,
     LogManager,
     SEGMENT_HEADER,
     SimulatedDisk,
+    decode_segment,
     encode_frame,
 )
 from repro.wal.durable import SITE_DISK_SYNC
+from repro.wal.frames import FRAME_HEADER_SIZE, walk_segment
 
 #: Every flush policy the durability properties must hold under.
 ALL_POLICIES = [
@@ -91,8 +106,12 @@ def test_lying_fsync_freezes_horizon_until_honest_sync():
 
 def test_attach_disk_writes_segment_header():
     disk = SimulatedDisk()
-    LogManager(disk=disk)
+    log = LogManager(disk=disk)
     assert disk.crash_image() == SEGMENT_HEADER
+    # One disk per log: a second would misalign the frame offsets the
+    # log reads its released records back through.
+    with pytest.raises(ValueError):
+        log.attach_disk(SimulatedDisk())
 
 
 def test_flush_writes_frames_and_sync_makes_them_durable():
@@ -320,3 +339,113 @@ def test_coalescing_window_exit_reaches_end_lsn(policy, script):
     expected = SEGMENT_HEADER + b"".join(
         encode_frame(r) for r in log.scan())
     assert disk.crash_image() == expected
+
+
+# ---------------------------------------------------------------------------
+# Restart streams the segment: frames, not a materialised record list
+# ---------------------------------------------------------------------------
+
+
+def _durable_history(updates=700):
+    """A durable log image of ~10k records: a bulk load, then committed
+    10-update transactions, then one loser left open by the crash."""
+    disk = SimulatedDisk()
+    db = Database(log=LogManager(disk=disk, flush_policy=GROUP_FLUSH))
+    db.create_table(TableSchema("T", ["id", "v"], primary_key=["id"]))
+    bulk_load(db, "T", [{"id": i, "v": 0.0} for i in range(1000)])
+    for i in range(updates):
+        with Session(db) as s:
+            for j in range(10):
+                s.update("T", ((i * 10 + j) % 1000,), {"v": float(i)})
+    loser = db.begin()
+    db.update(loser, "T", (0,), {"v": -1.0})
+    db.log.flush()
+    return disk.crash_image()
+
+
+def _restarted(image):
+    disk = SimulatedDisk()
+    disk.reopen(image)
+    return restart_from_disk(disk)
+
+
+def test_restart_from_disk_keeps_no_record_objects():
+    image = _durable_history()
+    gc.collect()
+    before = len(gc.get_objects())
+    recovered = _restarted(image)
+    log = recovered.log
+    assert log.salvage.count > 9000
+    gc.collect()
+    per_record = (len(gc.get_objects()) - before) / log.salvage.count
+    assert per_record < 0.05, per_record
+    # The loser's rollback is appended and flushed; nothing is kept.
+    assert log.tail_lsn == log.end_lsn + 1 > log.salvage.count + 1
+    assert recovered.table("T").get((0,)).values["v"] == 600.0
+
+
+def _frame_starts(image):
+    """Byte offset of every frame of ``image`` (the walk's offsets, less
+    the trailing end offset)."""
+    return list(walk_segment(image)[1])[:-1]
+
+
+def test_restart_quarantines_a_crc_valid_undecodable_frame():
+    """A frame whose header walks (known code, the expected LSN) but
+    whose payload does not decode is found by redo, and reported as
+    salvage reports it: no database comes back."""
+    image = _durable_history(updates=50)
+    starts = _frame_starts(image)
+    index = len(starts) // 2
+    bad = DropTableRecord(table="x")
+    bad.lsn = index + 1
+    payload = encode_frame(bad)[FRAME_HEADER_SIZE:]
+    assert payload.endswith(b"\x05\x01x")
+    payload = payload[:-3] + b"\x05\x02\xff\xfe"  # invalid UTF-8
+    frame = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    image = image[:starts[index]] + frame + image[starts[index + 1]:]
+    with pytest.raises(LogCorruptionError) as salvage:
+        decode_segment(image)
+    with pytest.raises(LogCorruptionError) as restarted:
+        _restarted(image)
+    for err in (salvage.value, restarted.value):
+        assert (err.frame_index, err.lsn, err.offset) == \
+            (index, index + 1, starts[index])
+        assert "undecodable" in str(err)
+    assert [encode_frame(r) for r in restarted.value.salvaged] == \
+        [encode_frame(r) for r in salvage.value.salvaged]
+
+
+def test_torn_tail_salvages_the_decode_segment_prefix():
+    image = _durable_history(updates=50)
+    starts = _frame_starts(image)
+    torn = image[:starts[-3] + 5]
+    expected = decode_segment(torn)
+    assert expected.torn and len(expected.records) == len(starts) - 3
+    disk = SimulatedDisk()
+    disk.reopen(torn)
+    log = LogManager.from_disk(disk)
+    salvage = log.salvage
+    assert salvage.records is None
+    assert (salvage.count, salvage.byte_length, salvage.torn,
+            salvage.dropped_bytes) == \
+        (len(expected.records), expected.byte_length, True,
+         expected.dropped_bytes)
+    assert [encode_frame(r) for r in log.scan()] == \
+        [encode_frame(r) for r in expected.records]
+
+
+def test_rolled_back_clr_reads_back_with_its_action_lsn():
+    """A record never changes after it is appended: the CLR's action
+    carries the CLR's LSN in the frame a durable log reads back."""
+    db = Database(log=LogManager(disk=SimulatedDisk()))
+    db.create_table(TableSchema("T", ["id", "v"], primary_key=["id"]))
+    txn = db.begin()
+    db.insert(txn, "T", {"id": 1, "v": "a"})
+    db.abort(txn)
+    log = db.log
+    assert log.tail_lsn == log.end_lsn + 1  # everything read from frames
+    clrs = [r for r in log.scan() if isinstance(r, CLRecord)]
+    assert len(clrs) == 1
+    assert clrs[0].action.lsn == clrs[0].lsn != 0
+    assert isinstance(clrs[0].action, DeleteRecord)

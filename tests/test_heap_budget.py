@@ -5,7 +5,8 @@ so their per-object overhead is a budget, in bytes: no instance
 ``__dict__`` on a log record, no side dict on a row that has nothing to
 say, no control block for a finished transaction.  It is a budget for
 the cyclic collector too, in tracked objects: a stored row costs a full
-collection nothing.
+collection nothing, and neither does a record of a durable log once its
+frame is written and no reader pins it.
 """
 
 import gc
@@ -21,6 +22,7 @@ from repro import (
 )
 from repro.concurrency.transactions import TransactionManager, TxnState
 from repro.transform.foj import null_flag
+from repro.wal import CLRecord, LogManager, SimulatedDisk
 from repro.wal.frames import RECORD_CODES
 
 from tests.conftest import (
@@ -87,6 +89,67 @@ def test_stored_rows_are_not_tracked_by_the_collector():
     target_rows = db.table("T_r").row_count + db.table("postal").row_count
     per_target_row = (_tracked_objects() - before) / target_rows
     assert per_target_row < 0.05, per_target_row
+
+
+def test_durable_log_keeps_no_object_per_flushed_record():
+    """With a disk, a committed record's frame is the record: bulk-loading
+    with no transaction left open adds next to no tracked object per row
+    (the volatile log above keeps its ``InsertRecord``: 1.0)."""
+    n = 4000
+    db = Database(log=LogManager(disk=SimulatedDisk()))
+    db.create_table(T_SPLIT_SCHEMA)
+    rows = [{"id": i, "name": f"n{i}", "zip": 7000 + i % 50,
+             "city": f"C{7000 + i % 50}"} for i in range(n)]
+    before = _tracked_objects()
+    bulk_load(db, "T", rows)
+    per_loaded_row = (_tracked_objects() - before) / n
+    assert per_loaded_row <= 0.05, per_loaded_row
+    assert db.log.tail_lsn == db.log.end_lsn + 1
+
+
+def test_durable_log_reads_back_what_was_appended():
+    """Records below the object tail decode from their frames: every read
+    path returns records ``==`` to the appended ones, across the tail
+    boundary an open transaction pins, CLRs included.  (A ``TableSchema``
+    has no ``==``, so the check starts after the DDL.)"""
+    db = Database(log=LogManager(disk=SimulatedDisk()))
+    log = db.log
+    db.create_table(TableSchema("t", ["id", "v"], primary_key=["id"]))
+    first = log.next_lsn
+    appended = []
+    log.observers.append(appended.append)
+    bulk_load(db, "t", [{"id": i, "v": i} for i in range(40)])
+    rolled_back = db.begin()
+    db.update(rolled_back, "t", (1,), {"v": -1})
+    db.delete(rolled_back, "t", (2,))
+    db.insert(rolled_back, "t", {"id": 99, "v": 0})
+    db.abort(rolled_back)
+    pinned = db.begin()
+    db.update(pinned, "t", (3,), {"v": 3.5})
+    for i in range(5):
+        txn = db.begin()
+        db.update(txn, "t", (10 + i,), {"v": float(i)})
+        db.commit(txn)
+    end = log.end_lsn
+    assert log.flushed_lsn == end
+    # Released below the open transaction, kept from its first record on.
+    assert first < log.tail_lsn == pinned.first_lsn < end
+    assert sum(isinstance(r, CLRecord) for r in appended) == 3
+
+    def expected(lo, hi):
+        return appended[max(lo, first) - first:max(hi + 1 - first, 0)]
+
+    assert [log.record_at(lsn) for lsn in range(first, end + 1)] == \
+        appended
+    assert list(log.scan(first)) == appended
+    assert log.records_slice(first, end) == appended
+    for lo in range(first, end + 1, 3):
+        for hi in (lo, log.tail_lsn - 1, log.tail_lsn, lo + 20, end + 5):
+            assert log.records_slice(lo, hi) == expected(lo, hi)
+            assert list(log.scan(lo, hi)) == expected(lo, hi)
+    db.commit(pinned)
+    assert log.tail_lsn == log.end_lsn + 1
+    assert list(log.scan(first)) == appended
 
 
 def test_transaction_table_holds_only_the_active_ones():

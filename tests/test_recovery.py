@@ -386,7 +386,7 @@ def _restart_image(image):
     disk = SimulatedDisk()
     disk.reopen(image)
     db = restart_from_disk(disk)
-    salvaged = len(db.log.salvage.records)
+    salvaged = db.log.salvage.count
     return db, db.log.records_slice(salvaged + 1, db.log.end_lsn)
 
 
