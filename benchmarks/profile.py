@@ -14,7 +14,9 @@ set-up leaves its transformation paused on a log backlog
 (``foj_catchup``): it profiles only the transformation, stepped with the
 live budget to the swap with no user load, then verifies the published
 target.  Records propagated, wall seconds and records/s (all under
-cProfile) come before the top functions.
+cProfile) come before the top functions.  ``foj_catchup`` has no
+default mode: under cProfile its throttled catch-up never wins the race
+against the live traffic, so its timed section cannot reach the swap.
 
 ``--heap`` is the same "profile before code" for a memory or collector
 claim: no cProfile; resident MB after ``setup()``, after ``timed(False)``
@@ -23,14 +25,16 @@ the process's high-water mark), then a census of the database by
 component.  The census is ``sys.getsizeof`` bytes and the objects the
 cyclic collector tracks, every object counted once, under the first
 component that reaches it (log before rows): an insert image the row
-shares with its log record is the log's.  A durable log is charged what
-it keeps: the objects of its live tail, then its frames on the disk (one
-row, bytes only) and their offset index -- never a decoded copy of the
-frames.  It runs last because walking the heap allocates.  Two collector
-lines close it: the process's tracked objects after set-up and after the
-timed section (each after a full collection), and the census's tracked
-objects per stored row (the tables' value, LSN and meta maps) and per
-log record (the tail's objects over every record of the log).
+shares with its log record is the log's.  A log is charged what it
+keeps: the objects of its live tail, then -- never a decoded copy --
+its cold chunks and the side map of records they could not hold (a
+volatile log), or its frames on the disk (one row, bytes only) and
+their offset index (a durable one).  It runs last because walking the
+heap allocates.  Two collector lines close it: the process's tracked
+objects after set-up and after the timed section (each after a full
+collection), and the census's tracked objects per stored row (the
+tables' value, LSN and meta maps) and per log record (what the log
+keeps over every record of the log).
 """
 
 import argparse
@@ -96,11 +100,14 @@ def heap_census(db, extra_tables=()):
             else:
                 add("log: other payload", value)
 
-    # A durable log keeps objects for its live tail only; below it the
-    # records are frames on the disk, found through the offset index.
+    # A log keeps objects for its live tail only; below it the records
+    # are cold chunks (and a side map) or frames on the disk, found
+    # through the offset index.
     log = db.log
     for record in log.records_slice(log.tail_lsn, log.end_lsn):
         add_record(record)
+    add("log: chunks (bytes)", log._chunks)
+    add("log: chunk side map", log._parked)
     if log.disk is not None:
         rows["log: frames (bytes)"] = [log.tail_lsn - FIRST_LSN,
                                        log.disk.size, 0]
@@ -238,6 +245,9 @@ def main(argv=None, out=sys.stdout):
                       help="profile the paused transformation's drain to "
                            "the swap, with no user load")
     args = parser.parse_args(argv)
+    if args.workload == "foj_catchup" and not (args.heap or args.drain):
+        parser.error("foj_catchup cannot reach its swap under cProfile; "
+                     "use --drain (the catch-up alone) or --heap")
 
     sizes = QUICK_SIZES if args.quick else PAPER_SIZES
     rep = REPS[args.workload](rep_rng(args.seed, args.workload, 0), sizes)

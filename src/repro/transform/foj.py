@@ -443,9 +443,11 @@ class FojRuleEngine(JoinRuleEngine):
         """Move t^y from join value x to z, preserving s^x if t^y was its
         only carrier, and attaching the R part at z as in Rule 1.
 
-        The row is applied only when its current join value equals the
-        operation's before-image x; otherwise a newer state is already
-        reflected (Theorem 1) and the record is ignored.
+        The row moves only when its current join value equals the
+        operation's before-image x; otherwise the move is already
+        reflected (Theorem 1), and the record's other R attributes are
+        applied in place as Rule 7 applies them: an earlier replayed
+        update may have written older values over the fuzzy read's.
         """
         spec, t = self.spec, self.t
         rowid = t.rowid_of(change.key)
@@ -454,7 +456,12 @@ class FojRuleEngine(JoinRuleEngine):
         values, metas = t.rows[rowid], t.metas
         old_join = change.old_values.get(spec.join_attr_r)
         if values.get(spec.join_column) != old_join:
-            return  # newer state already reflected
+            rest = {k: v for k, v in change.changes.items()
+                    if k in self._r_attr_set and k != spec.join_attr_r}
+            if rest:
+                t.update_rowid(rowid, rest)
+            self._touch_rowid(touched, rowid)
+            return
         new_r_part = spec.r_part_of_t(values)
         new_r_part.update(side_changes(change.changes, self._r_attr_set))
         new_join = change.changes[spec.join_attr_r]

@@ -6,28 +6,45 @@ touches user transactions; it only *reads the log* (the paper's central
 design point, Section 1).  The manager therefore exposes, besides append,
 cheap sequential scans starting from an arbitrary LSN.
 
-Without a disk attached the log keeps every record in memory as an object
-(the reproduced prototype is a main-memory DBMS), and ``flush`` is tracked
-for API fidelity -- commit forces the log -- but is a no-op physically.
-With a :class:`~repro.wal.durable.SimulatedDisk` attached, every flush
-*writes*: the unflushed records are serialized into checksummed frames
-(:mod:`repro.wal.frames`), staged on the disk and synced before the
-durability horizon advances.  From then on the frame is the record: the
-log keeps an object only while its frame is unwritten or while a reader
-still needs it as one (:attr:`LogManager.pins` -- the oldest active
-transaction's undo chain, every live transformation's cursor), and reads
-below that tail decode from the written bytes through an LSN -> offset
-index.  :meth:`LogManager.from_disk` rebuilds a log from the salvaged
-flushed prefix after a crash without decoding it: its records are read
-back from their frames when first asked for.
+A record stays an object only while a reader may still need it as one:
+until it is flushed, and while it is at or above a pin
+(:attr:`LogManager.pins` -- the oldest active transaction's undo chain,
+every live transformation's cursor).  Below that tail every read
+rebuilds a record ``==`` to the one appended, and nothing is dropped:
+
+* With a :class:`~repro.wal.durable.SimulatedDisk` attached, every
+  flush *writes*: the unflushed records are serialized into checksummed
+  frames (:mod:`repro.wal.frames`), staged on the disk and synced before
+  the durability horizon advances.  From then on the frame is the
+  record, read back through an LSN -> offset index.
+  :meth:`LogManager.from_disk` rebuilds a log from the salvaged flushed
+  prefix after a crash without decoding it.
+* Without a disk the log is the only copy of history (the reproduced
+  prototype is a main-memory DBMS) and ``flush`` writes nothing -- it is
+  tracked for API fidelity, commit forces the log.  Released records
+  become *cold chunks*: :attr:`LogManager.SCAN_CHUNK` consecutive
+  records as one :mod:`marshal`-ed list of flat tuples ``(kind,
+  prev_lsn, txn_id, *FIELDS)`` (a CLR's action nested as ``(lsn,
+  flat)``).  A ``bytes`` object is never tracked by the cyclic
+  collector and costs ~75 bytes per record instead of ~400-500 for the
+  record, its dicts and its key.  The few records ``marshal`` cannot
+  hold -- DDL and swap records carrying schemas and specs -- stay
+  objects in a side map.  Frames would give both logs one codec, but
+  :func:`~repro.wal.frames.encode_record` costs ~9x a flat tuple plus
+  ``marshal`` (9-10 us against ~1 us per update record, CPython 3.11 on
+  a 2-core x86 box), and the volatile log's release runs inside user
+  commits.
 """
 
 from __future__ import annotations
 
+import marshal
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.faults import NULL_FAULTS, FaultInjector, register_site
 from repro.obs import NULL_METRICS, Metrics
@@ -40,7 +57,7 @@ from repro.wal.frames import (
     decode_segment,
     walk_segment,
 )
-from repro.wal.records import NULL_LSN, LogRecord
+from repro.wal.records import NULL_LSN, CLRecord, LogRecord
 
 #: First LSN ever assigned.  LSN 0 is reserved as the null LSN.
 FIRST_LSN = 1
@@ -60,6 +77,59 @@ SITE_WAL_APPEND_BATCH_DONE = register_site(
 SITE_WAL_GROUP_FLUSH = register_site(
     "wal.group_flush", "wal",
     "before a coalesced (group-commit) flush advances the horizon")
+
+
+def _flat_clr(record: CLRecord) -> Optional[tuple]:
+    """A CLR's flat tuple: its action nested as ``(lsn, flat)``."""
+    action = record.action
+    if action is not None:
+        inner = _flat(action)
+        if inner is None:
+            return None
+        action = (action.lsn, inner)
+    return ("cl", record.prev_lsn, record.txn_id, action,
+            record.undo_next_lsn)
+
+
+#: Record class -> its flattener: ``(kind, prev_lsn, txn_id, *FIELDS)``
+#: in one C call (a CLR nests its action as ``(lsn, flat)``).  The kind
+#: names the class as its frame code does, and costs a cold chunk as
+#: little: ``marshal`` writes a repeated object as a back-reference.
+_FLATTEN: Dict[type, Callable[[LogRecord], Optional[tuple]]] = {
+    cls: attrgetter("kind", "prev_lsn", "txn_id", *cls.FIELDS)
+    for cls in RECORD_CODES}
+_FLATTEN[CLRecord] = _flat_clr
+_CLASS_OF = {cls.kind: cls for cls in RECORD_CODES}
+
+
+def _flat(record: LogRecord) -> Optional[tuple]:
+    """The flat tuple of ``record``, or ``None`` for a class without a
+    record code (or a CLR whose action has none)."""
+    flatten = _FLATTEN.get(record.__class__)
+    return None if flatten is None else flatten(record)
+
+
+def _marshals(flat: Optional[tuple]) -> bool:
+    """Whether ``marshal`` holds ``flat`` (a record's payload may carry a
+    schema, a spec or another value only the frame codec knows)."""
+    if flat is None:
+        return False
+    try:
+        marshal.dumps(flat)
+    except ValueError:
+        return False
+    return True
+
+
+def _inflate(flat: tuple, lsn: int) -> LogRecord:
+    """The record of a :func:`_flat` tuple, with LSN ``lsn``."""
+    cls = _CLASS_OF[flat[0]]
+    if cls is CLRecord and flat[3] is not None:
+        record = CLRecord(flat[2], _inflate(flat[3][1], flat[3][0]), flat[4])
+    else:
+        record = cls(flat[2], *flat[3:])
+    record.lsn, record.prev_lsn = lsn, flat[1]
+    return record
 
 
 @dataclass(frozen=True)
@@ -115,9 +185,9 @@ class LogManager:
     LSNs are dense integers starting at :data:`FIRST_LSN`.  The objects
     of the tail (from :attr:`tail_lsn`) live in a list at index ``n -
     base``, so ``record_at`` is O(1) and a range read is one list slice.
-    Below the tail -- only ever with a disk attached -- a record is its
-    written frame, and every read decodes it, returning a record ``==``
-    to the one appended.
+    Below the tail a record is its written frame (with a disk) or part
+    of a cold chunk (without one), and every read decodes it, returning
+    a record ``==`` to the one appended.
 
     All reading APIs share one LSN contract: negative LSNs are rejected
     with :class:`ValueError` (they can only come from arithmetic bugs);
@@ -139,11 +209,18 @@ class LogManager:
         #: Byte offset on the disk of the frame of LSN ``FIRST_LSN + i``,
         #: then the end of the last written frame (empty without a disk).
         self._offsets = array("q")
+        #: Cold chunks of a volatile log: ``_chunks[i]`` holds the
+        #: records from LSN ``FIRST_LSN + i * SCAN_CHUNK`` on, marshalled;
+        #: the ones ``marshal`` cannot hold are ``None`` there and
+        #: objects in ``_parked`` by LSN.
+        self._chunks: List[bytes] = []
+        self._parked: Dict[int, LogRecord] = {}
         #: Readers that still need records as objects: each returns the
         #: lowest LSN it will read (``NULL_LSN`` when it reads nothing
-        #: now).  Written records below every pin are released to their
-        #: frames.  The engine pins its oldest active transaction's first
-        #: LSN, a transformation its propagation cursor.
+        #: now).  Flushed records below every pin are released to their
+        #: frames or cold chunks.  The engine pins its oldest active
+        #: transaction's first LSN, a transformation its propagation
+        #: cursor.
         self.pins: List[Callable[[], int]] = []
         self._flushed_lsn = NULL_LSN
         #: Group-commit policy applied by :meth:`request_flush`.
@@ -208,7 +285,8 @@ class LogManager:
         default; otherwise the log's injector propagates down.
 
         A log has at most one disk: its frame offsets (and the records
-        it no longer holds as objects) live on that one.
+        it no longer holds as objects) live on that one.  Cold chunks
+        made before the disk arrived stay the copy of their records.
         """
         if self._disk is not None:
             raise ValueError("log already writes to a disk")
@@ -259,15 +337,18 @@ class LogManager:
 
     def _write_frames(self, up_to_lsn: int) -> None:
         """Stage + sync frames for records up to ``up_to_lsn``, then
-        release the objects no pin reads."""
-        if self._disk is None or up_to_lsn <= self._disk_staged_lsn:
+        release the objects no pin reads (without a disk: release them
+        into cold chunks)."""
+        if self._disk is None:
+            self._release(up_to_lsn)
             return
-        base = self._base
+        if up_to_lsn <= self._disk_staged_lsn:
+            return
         buf = bytearray()
         at = self._disk.size
         ends = []
-        for record in self._records[self._disk_staged_lsn + 1 - base:
-                                    up_to_lsn + 1 - base]:
+        for record in self.records_slice(self._disk_staged_lsn + 1,
+                                         up_to_lsn):
             append_frame(buf, record)
             ends.append(at + len(buf))
         self._disk.append(bytes(buf))
@@ -276,24 +357,33 @@ class LogManager:
         self._disk.sync()
         if self.metrics.enabled:
             self.metrics.inc("wal.disk.bytes", len(buf))
-        self._release()
+        self._release(up_to_lsn)
 
-    def _release(self) -> None:
-        """Drop the objects of written records below every pin.
+    def _release(self, written: int) -> None:
+        """Drop the objects of the records up to ``written`` below every
+        pin; a volatile log first packs them into cold chunks, whole
+        chunks only, so its tail stays on a chunk boundary.
 
         Released entries become ``None``; the list sheds its released
         prefix once that is at least half of it, so a release costs
         amortised O(1) per record.
         """
-        keep = self._disk_staged_lsn + 1
+        step = 1 if self._disk is not None else self.SCAN_CHUNK
+        keep = written + 1
+        keep -= (keep - FIRST_LSN) % step
+        tail = self._tail_lsn
+        if keep <= tail:
+            return
         for pin in self.pins:
             lsn = pin()
             if NULL_LSN < lsn < keep:
                 keep = lsn
-        tail = self._tail_lsn
+        keep -= (keep - FIRST_LSN) % step
         if keep <= tail:
             return
         records, base = self._records, self._base
+        if step > 1:
+            self._freeze(records[tail - base:keep - base], tail)
         released = keep - base
         if released * 2 >= len(records):
             del records[:released]
@@ -302,10 +392,51 @@ class LogManager:
             records[tail - base:released] = [None] * (keep - tail)
         self._tail_lsn = keep
 
+    def _freeze(self, records: List[LogRecord], lsn: int) -> None:
+        """Pack ``records`` (whole chunks, the first at ``lsn``) into cold
+        chunks, parking the ones ``marshal`` cannot hold."""
+        size, flatten = self.SCAN_CHUNK, _FLATTEN.get
+        for start in range(0, len(records), size):
+            chunk = records[start:start + size]
+            # One C call per record; _flat sees only the unknown classes.
+            flats = [flatten(record.__class__, _flat)(record)
+                     for record in chunk]
+            try:
+                data = marshal.dumps(flats)
+            except ValueError:
+                flats = [flat if _marshals(flat) else None for flat in flats]
+                data = marshal.dumps(flats)
+            self._chunks.append(data)
+            if None in flats:
+                for at, flat in enumerate(flats):
+                    if flat is None:
+                        self._parked[lsn + start + at] = chunk[at]
+
+    def _thawed(self, lo: int, hi: int) -> List[LogRecord]:
+        """Records ``lo..hi`` (all below the tail) rebuilt from their
+        cold chunks."""
+        size, parked = self.SCAN_CHUNK, self._parked
+        out: List[LogRecord] = []
+        index = (lo - FIRST_LSN) // size
+        lsn = FIRST_LSN + index * size
+        while lsn <= hi:
+            flats = marshal.loads(self._chunks[index])
+            first = max(lo - lsn, 0)
+            for at, flat in enumerate(flats[first:hi + 1 - lsn], lsn + first):
+                out.append(parked[at] if flat is None else _inflate(flat, at))
+            index += 1
+            lsn += size
+        return out
+
     def _decoded(self, lo: int, hi: int) -> List[LogRecord]:
         """Records ``lo..hi`` (all below the tail) read back from their
-        frames.  A frame that does not decode is corruption, reported as
-        salvage reports it."""
+        cold chunks or frames.  A frame that does not decode is
+        corruption, reported as salvage reports it."""
+        cold = FIRST_LSN + len(self._chunks) * self.SCAN_CHUNK
+        if lo < cold:
+            thawed = self._thawed(lo, min(hi, cold - 1))
+            return thawed if hi < cold else \
+                thawed + self._decoded(cold, hi)
         offsets, disk = self._offsets, self._disk
         start = offsets[lo - FIRST_LSN]
         data = disk.read(start, offsets[hi + 1 - FIRST_LSN] - start)
@@ -499,7 +630,7 @@ class LogManager:
     @property
     def tail_lsn(self) -> int:
         """First LSN the log holds as an object; the records below it
-        are read back from their frames (``FIRST_LSN`` without a disk)."""
+        are read back from their frames or cold chunks."""
         return self._tail_lsn
 
     def __len__(self) -> int:
@@ -524,8 +655,9 @@ class LogManager:
             return self._decoded(lsn, lsn)[0]
         raise IndexError(f"no log record with lsn {lsn}")
 
-    #: Records a :meth:`scan` reads per step (one list slice or one
-    #: decoded run of frames).
+    #: Records a :meth:`scan` reads per step (one list slice, one
+    #: decoded run of frames or one cold chunk), and the records of a
+    #: cold chunk.
     SCAN_CHUNK = 128
 
     def scan(self, from_lsn: int = FIRST_LSN,
@@ -540,8 +672,8 @@ class LogManager:
         only read ``end_lsn`` at the first ``next()``, silently widening
         the window for callers that append between creating the iterator
         and draining it.  Records below the tail are decoded
-        :attr:`SCAN_CHUNK` at a time, so a scan of a durable log holds
-        no more than that many decoded objects at once.
+        :attr:`SCAN_CHUNK` at a time (steps end on chunk boundaries), so
+        a scan holds no more than that many decoded objects at once.
 
         Boundary contract: scanning an empty log yields nothing;
         ``from_lsn`` below :data:`FIRST_LSN` starts at the log head;
@@ -555,8 +687,9 @@ class LogManager:
         end = self.end_lsn if to_lsn is None else min(to_lsn, self.end_lsn)
 
         def _iterate(lsn: int) -> Iterator[LogRecord]:
+            size = self.SCAN_CHUNK
             while lsn <= end:
-                hi = min(end, lsn + self.SCAN_CHUNK - 1)
+                hi = min(end, lsn + size - 1 - (lsn - FIRST_LSN) % size)
                 yield from self.records_slice(lsn, hi)
                 lsn = hi + 1
 
@@ -568,7 +701,7 @@ class LogManager:
 
         The batch-propagation fetch path: one C-level list slice of the
         object tail instead of per-record :meth:`record_at` calls (plus
-        one decoded run for the part below the tail).  Bounds follow the
+        the decoded part below the tail).  Bounds follow the
         :meth:`scan` contract (clamping, :class:`ValueError` on negative
         LSNs); the returned list is a copy, safe against later appends.
         """

@@ -198,3 +198,16 @@ def test_profile_entry_point_smoke():
     report = out.getvalue()
     assert "Ordered by: cumulative time" in report
     assert "(timed)" in report and "total calls: " in report
+
+
+def test_profile_refuses_the_catch_up_under_cprofile(capsys):
+    """Under cProfile foj_catchup's throttled catch-up never reaches the
+    swap (the timed section gave up after two minutes): the entry point
+    refuses at once and names the two modes that work."""
+    from benchmarks.profile import main
+
+    with pytest.raises(SystemExit) as refused:
+        main(["foj_catchup", "--quick"])
+    assert refused.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--drain" in message and "--heap" in message

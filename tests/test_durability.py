@@ -129,6 +129,26 @@ def test_flush_writes_frames_and_sync_makes_them_durable():
     assert disk.crash_image() == expected
 
 
+def test_disk_attached_after_cold_chunks_writes_the_whole_log():
+    """A volatile log packs flushed records into cold chunks; a disk
+    attached later still gets every record's frame from the log head,
+    and the log reads both kinds of history back."""
+    records = _records(3 * LogManager.SCAN_CHUNK)
+    log = LogManager()
+    for record in records[:2 * LogManager.SCAN_CHUNK]:
+        log.append(record)
+    log.flush()
+    assert log.tail_lsn > 1
+    disk = SimulatedDisk()
+    log.attach_disk(disk)
+    for record in records[2 * LogManager.SCAN_CHUNK:]:
+        log.append(record)
+    log.flush()
+    assert disk.crash_image() == SEGMENT_HEADER + b"".join(
+        encode_frame(r) for r in records)
+    assert list(log.scan()) == records
+
+
 def test_torn_write_cuts_last_flush_mid_frame():
     plan = FaultPlan()
     disk = SimulatedDisk()

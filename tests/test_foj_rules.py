@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro import Database, TableSchema
+from repro import Database, Phase, TableSchema
 from repro.common.errors import TransformationError
 from repro.relational.spec import FojSpec
 from repro.transform.foj import (FojRuleEngine, FojTransformation,
@@ -248,6 +248,17 @@ def test_rule5_ignored_when_absent_or_stale():
     put(t, {"a": 1, "b": "b", "c": 30, "d": None}, s_null=True)
     engine.apply(upd_r_join(1, 10, 20))  # current join 30 != before 10
     assert t.get((1,)).values["c"] == 30
+
+
+def test_rule5_already_reflected_move_applies_its_other_changes():
+    """The fuzzy read saw the move, and an earlier replayed update wrote
+    an older ``b`` back: the move's own ``b`` must still land."""
+    engine, t = make_engine()
+    put(t, {"a": 1, "b": "x1", "c": 20, "d": None}, s_null=True)
+    touched = engine.apply(upd_r_join(1, 10, 20, b="x2"))
+    assert t.get((1,)).values == {"a": 1, "b": "x2", "c": 20, "d": None}
+    assert [key for _table, key in touched] == [(1,)]
+    assert t.row_count == 1
 
 
 def test_rule5_moves_to_null_r_destination():
@@ -572,3 +583,59 @@ def test_unknown_table_or_record_class_touches_nothing():
                             [(foreign, 1, 1), (foreign, 2, 1)]) == [[], []]
     assert engine.apply_run("R", LogRecord, [(LogRecord(), 3, 1)]) == [[]]
     assert t.row_count == 0
+
+
+# ---------------------------------------------------------------------------
+# A committed update pair replayed over a fuzzy read that already saw it
+# ---------------------------------------------------------------------------
+
+
+def _replayed_update_pair(s_schema, s_rows, table, key, first, move):
+    """Run a FOJ of R and ``s_schema`` to the swap while a committed
+    transaction sits between a long transaction's first record and the
+    begin mark: it updates ``table`` row ``key`` with ``first``, then in
+    a later record with ``move`` (a join value change plus a side
+    change).  The fuzzy read sees the final row; propagation replays
+    both records."""
+    db = Database()
+    db.create_table(R)
+    db.create_table(s_schema)
+    txn = db.begin()
+    for a, c in ((1, 10), (4, 30)):
+        db.insert(txn, "R", {"a": a, "b": "b0", "c": c})
+    for values in s_rows:
+        db.insert(txn, s_schema.name, values)
+    db.commit(txn)
+    long = db.begin()
+    db.update(long, "R", (1,), {"b": "long"})
+    writer = db.begin()
+    db.update(writer, table, key, first)
+    db.update(writer, table, key, move)
+    db.commit(writer)
+    tf = FojTransformation(db, FojSpec.derive(R, s_schema, "T", "c", "c"))
+    tf.step(1)
+    db.commit(long)
+    for _ in range(1000):
+        if tf.phase is Phase.DONE:
+            break
+        tf.step(64)
+    assert tf.phase is Phase.DONE
+    return sorted((tuple(sorted(r.values.items())) for r in
+                   db.table("T").scan()), key=repr)
+
+
+def test_rule5_applies_side_changes_of_an_already_reflected_move():
+    rows = _replayed_update_pair(
+        S, [{"c": 10, "d": "d10"}, {"c": 20, "d": "d20"}],
+        "R", (4,), {"b": "x1"}, {"c": 20, "b": "x2"})
+    assert (("a", 4), ("b", "x2"), ("c", 20), ("d", "d20")) in rows
+
+
+def test_rule6_applies_side_changes_of_an_already_reflected_move():
+    rows = _replayed_update_pair(
+        S2, [{"k": 1, "c": 10, "d": "d10"}],
+        "S2", (1,), {"d": "x1"}, {"c": 30, "d": "x2"})
+    assert rows == sorted([
+        (("a", 1), ("b", "long"), ("c", 10), ("d", None), ("k", None)),
+        (("a", 4), ("b", "b0"), ("c", 30), ("d", "x2"), ("k", 1))],
+        key=repr)

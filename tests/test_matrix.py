@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.chaos import draw_config
-from repro.faults.sweep import PAIRS, ScenarioRun
+from repro.faults.sweep import PAIRS, RunConfig, ScenarioRun
 from repro.plan import PLAN_OPERATORS, WORKLOAD_SCENARIOS
 from repro.transform.foj import FojRuleEngine
 from repro.transform.options import POPULATION_MODES, population_problem
@@ -60,6 +60,23 @@ def test_cell_converges_for_any_history(operator, strategy, storage,
         operator, strategy, storage, population,
         view=st.booleans() if viewable else False)))
 
+
+
+#: A history hypothesis found: its committed transaction updates R row
+#: 4's ``title``, then moves the row's join value and changes the title
+#: again; the fuzzy read sees the final row and replay writes the first
+#: title back before Rule 5 meets the already-reflected move.
+FOJ_REPLAYED_MOVE = (("update", 1314),)
+
+
+@pytest.mark.parametrize("strategy,storage", PAIRS,
+                         ids=[f"{sync.value}-{backend}"
+                              for sync, backend in PAIRS])
+@pytest.mark.parametrize("budget", (1, 7, 64))
+def test_foj_keeps_the_side_changes_of_a_replayed_move(strategy, storage,
+                                                       budget):
+    check_model(RunConfig(WORKLOAD_SCENARIOS["foj"], strategy, storage,
+                          budgets=(budget,), history=FOJ_REPLAYED_MOVE))
 
 # -- positive controls -----------------------------------------------------
 
