@@ -193,17 +193,20 @@ class PlanValidationError(TransformationError):
 
 
 class InconsistentDataError(TransformationError):
-    """A split transformation found a functional-dependency violation.
+    """The source data violates what the operator requires.
 
     Section 5.1 (Example 1) of the paper: if two source rows share a split
     value but disagree on the dependent attributes, the split cannot decide
     which version is correct, and the transformation cannot complete until a
-    user transaction repairs the data.
+    user transaction repairs the data.  The other operators' analogues
+    raise it too: a key in both of a merge's sources, a value a retype
+    cannot cast.  ``split_values`` holds the offending split values or
+    row keys.
     """
 
     def __init__(self, split_values: tuple) -> None:
         super().__init__(
-            "source table is inconsistent for split value(s) "
+            "source data is inconsistent at key or split value(s) "
             f"{split_values!r}; repair the data before synchronizing"
         )
         self.split_values = split_values

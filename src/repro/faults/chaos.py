@@ -162,8 +162,13 @@ def chaos_run(seed: int, metrics=None) -> Dict[str, object]:
         if fault_kind == "torn_write":
             plan.arm(SITE_DISK_SYNC, TornWriteFault(), hit=disk_hit)
         elif fault_kind == "lost_flush":
+            # Each lost flush takes a crossing of its own: when the
+            # crash is on ``disk.sync`` too, leave it its hit.
+            times = rng.randint(1, 3)
+            if crash_site == SITE_DISK_SYNC:
+                times = min(times, crash_hit - disk_hit)
             plan.arm(SITE_DISK_SYNC, LostFlushFault(), hit=disk_hit,
-                     times=rng.randint(1, 3))
+                     times=times)
         else:
             plan.arm(SITE_DISK_SYNC, BitFlipFault(bit=rng.randrange(64)),
                      hit=disk_hit)

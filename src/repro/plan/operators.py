@@ -37,8 +37,8 @@ and the entry points are generic over it:
 The registry is data the validator iterates over: ``required`` /
 ``optional`` param names yield key-enumerating errors for missing or
 unknown params, and ``supports_lazy`` (read off the transformation
-class's rule engine, where it is declared) lets a per-row population
-mode (``"lazy"``, ``"trigger"``) on an eager-only operator (e.g. the
+class, where it is declared) lets a per-row population mode
+(``"lazy"``, ``"trigger"``) on an eager-only operator (e.g. the
 many-to-many join) fail at validation time rather than deep inside
 ``Transformation._begin_population``.
 """
@@ -135,7 +135,7 @@ class PlanOperator:
     def supports_lazy(self) -> bool:
         """Whether the operator's rule engine can migrate row by row
         (the per-row population modes, ``"lazy"`` and ``"trigger"``)."""
-        return self.transformation.engine_class.supports_lazy
+        return self.transformation.supports_lazy
 
 
 def live_schemas(db: Database) -> Schemas:

@@ -143,7 +143,7 @@ def retype(spec: RetypeSpec,
     result: List[RowDict] = []
     for values in source_rows:
         try:
-            result.append(spec.retype_row(values))
+            result.append(spec.map_row(values))
         except (TypeError, ValueError):
             raise InconsistentDataError((values.get(spec.attr),))
     return result

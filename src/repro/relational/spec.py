@@ -17,6 +17,9 @@ propagation rules read, every spec has:
   published table must hold, given plain row dicts of the sources, by
   the reference operators of :mod:`repro.relational.operators`.
 
+The key-preserving specs (retype, partition, merge) also say where a row
+goes (:class:`KeyPreserving`); one rule engine writes it.
+
 Specs are plain frozen value objects shared by the transformation
 framework, the plan registry, the recovery rebuilders and the test
 oracles.
@@ -59,6 +62,22 @@ from repro.storage.schema import Attribute, FunctionalDependency, TableSchema
 Schemas = Mapping[str, TableSchema]
 #: Table name -> plain row dicts: what ``reference`` takes and returns.
 Tables = Mapping[str, List[Dict[str, object]]]
+
+
+class KeyPreserving:
+    """What a key-preserving spec tells the one keyed rule engine
+    (:class:`~repro.transform.keyed.KeyedRuleEngine`): each source key
+    owns one target row, so ``targets`` names the published tables,
+    ``route(image)`` the one a target-column image belongs in, and
+    ``map_row`` / ``map_changes`` map a source row image / an update's
+    changes to target columns.  By default: the only target, a copy."""
+
+    targets: Tuple[str, ...]
+
+    def route(self, image: Dict[str, object]) -> str:
+        return self.targets[0]
+
+    map_row = map_changes = staticmethod(dict)
 
 
 def schema_of(schemas: Schemas, name: object) -> TableSchema:
@@ -500,7 +519,7 @@ RETYPE_CASTS: Dict[str, Callable[[object], object]] = {
 
 
 @dataclass(frozen=True)
-class RetypeSpec:
+class RetypeSpec(KeyPreserving):
     """Specification of a column map (corpus operator; also the Section
     2.4 attribute DDL, published in place: ``target_name == source_name``).
 
@@ -552,6 +571,10 @@ class RetypeSpec:
     @property
     def sources(self) -> Tuple[str, ...]:
         return (self.source_name,)
+
+    @property
+    def targets(self) -> Tuple[str, ...]:
+        return (self.target_name,)
 
     def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
         """The retyped table's schema, after checking the column map."""
@@ -610,7 +633,7 @@ class RetypeSpec:
             return self.default
         return RETYPE_CASTS[self.cast](value)
 
-    def retype_changes(self, changes: Dict[str, object]) -> Dict[str, object]:
+    def map_changes(self, changes: Dict[str, object]) -> Dict[str, object]:
         """An update's changes (or a row image) under the column map."""
         renamed = dict(self.rename)
         out = {renamed.get(k, k): v for k, v in changes.items()
@@ -620,9 +643,9 @@ class RetypeSpec:
                 self.cast_value(changes[self.attr])
         return out
 
-    def retype_row(self, values: Dict[str, object]) -> Dict[str, object]:
+    def map_row(self, values: Dict[str, object]) -> Dict[str, object]:
         """A source row image under the column map, added columns set."""
-        out = self.retype_changes(values)
+        out = self.map_changes(values)
         out.update(self.add)
         return out
 
@@ -694,7 +717,7 @@ class AttrPredicate:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(KeyPreserving):
     """Specification of a horizontal partition (Section 7's further work).
 
     Attributes:
@@ -727,6 +750,14 @@ class PartitionSpec:
     def sources(self) -> Tuple[str, ...]:
         return (self.source_name,)
 
+    @property
+    def targets(self) -> Tuple[str, ...]:
+        return (self.a_name, self.b_name)
+
+    def route(self, image: Dict[str, object]) -> str:
+        """A for a row satisfying the predicate, else B."""
+        return self.a_name if self.predicate(image) else self.b_name
+
     def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
         """A and B, both with the source's schema; an
         :class:`AttrPredicate` must name a source attribute."""
@@ -747,7 +778,7 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True)
-class MergeSpec:
+class MergeSpec(KeyPreserving):
     """Specification of a horizontal merge (disjoint union).
 
     Attributes:
@@ -763,6 +794,10 @@ class MergeSpec:
     @property
     def sources(self) -> Tuple[str, ...]:
         return (self.a_name, self.b_name)
+
+    @property
+    def targets(self) -> Tuple[str, ...]:
+        return (self.target_name,)
 
     def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
         """T, with A's schema; A and B must be union-compatible."""

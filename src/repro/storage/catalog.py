@@ -261,6 +261,13 @@ class Catalog:
             del self._epochs[v]
         return len(stale)
 
+    def resolvable_uids(self) -> Set[int]:
+        """Uids of every table a visible name, a zombie or a retained
+        epoch can still resolve."""
+        return {table.uid for names in (self._tables, self._zombies,
+                                        *self._epochs.values())
+                for table in names.values()}
+
     def __repr__(self) -> str:
         names = ", ".join(self.table_names())
         zombies = ", ".join(self.zombie_names())

@@ -394,9 +394,11 @@ class MvccManager:
     def gc(self) -> int:
         """Reclaim superseded versions below the oldest pinned snapshot.
 
-        Also releases catalog epochs no pin can still resolve through.
-        Returns the number of chain entries reclaimed and updates the
-        ``mvcc.gc.*`` watermark/reclaimed metrics.
+        Also releases catalog epochs no pin can still resolve through,
+        then the overlays of tables nothing can resolve any more (a
+        retired source whose zombie and epochs are gone).  Returns the
+        number of chain entries reclaimed and updates the ``mvcc.gc.*``
+        watermark/reclaimed metrics.
         """
         self.faults.fire(SITE_MVCC_GC, pins=len(self._pins))
         watermark = self.watermark()
@@ -404,6 +406,9 @@ class MvccManager:
         for overlay in self._versioned.values():
             reclaimed += overlay.trim(watermark)
         self.db.catalog.trim_epochs(self.oldest_pinned_epoch())
+        resolvable = self.db.catalog.resolvable_uids()
+        for uid in [uid for uid in self._versioned if uid not in resolvable]:
+            del self._versioned[uid]
         self.stats["gc_runs"] += 1
         self.stats["reclaimed"] += reclaimed
         self.metrics.set_gauge(

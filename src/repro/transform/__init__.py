@@ -40,17 +40,15 @@ from repro.transform.foj_m2m import (
     Many2ManyFojTransformation,
 )
 from repro.transform.explode import ExplodeRuleEngine, ExplodeTransformation
+from repro.transform.keyed import KeyedRuleEngine
 from repro.transform.retype import (
-    RetypeRuleEngine,
     RetypeTransformation,
     add_attribute,
     remove_attribute,
     rename_attribute,
 )
 from repro.transform.partition import (
-    MergeRuleEngine,
     MergeTransformation,
-    PartitionRuleEngine,
     PartitionTransformation,
 )
 from repro.transform.split import SplitRuleEngine, SplitTransformation
@@ -73,21 +71,19 @@ __all__ = [
     "FojRuleEngine",
     "FojTransformation",
     "IterationReport",
+    "KeyedRuleEngine",
     "LazyMigrator",
     "LockMirror",
     "Many2ManyFojRuleEngine",
     "Many2ManyFojTransformation",
     "MaterializedFojView",
-    "MergeRuleEngine",
     "MergeTransformation",
-    "PartitionRuleEngine",
     "PartitionTransformation",
     "POPULATION_MODES",
     "Phase",
     "PropagatedLockTable",
     "PropagationPolicy",
     "RemainingRecordsPolicy",
-    "RetypeRuleEngine",
     "RetypeTransformation",
     "RuleEngine",
     "STORAGE_BACKENDS",

@@ -243,12 +243,6 @@ class RuleEngine:
     #: :class:`repro.transform.split.SplitRuleEngine`).
     marker_classes: Optional[Tuple[type, ...]] = None
 
-    #: Whether :meth:`migrate_rows` may run in *any* row order, interleaved
-    #: with user access -- what ``population_mode="lazy"`` needs.  Engines
-    #: without it are rejected for lazy mode at population begin (and, via
-    #: the plan registry, at plan validation).
-    supports_lazy: bool = False
-
     def __init__(self, db: Database, spec) -> None:
         self.db = db
         self.spec = spec
@@ -452,6 +446,13 @@ class Transformation:
     #: Whether synchronization retires the sources (a schema change) or
     #: publishes the targets next to them (a materialized view).
     retires: bool = True
+
+    #: Whether the engine's :meth:`~RuleEngine.migrate_rows` may run in
+    #: *any* row order, interleaved with user access -- what the per-row
+    #: population modes (``"lazy"``, ``"trigger"``) need.  Without it
+    #: they are rejected at population begin (and, via the plan
+    #: registry, at plan validation).
+    supports_lazy: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -739,12 +740,10 @@ class Transformation:
             if not sync.in_window:
                 return max(units, 1), Phase.PREPARED
         problem = population_problem(
-            options.population_mode, options.sync,
-            self.engine is not None and self.engine.supports_lazy)
+            options.population_mode, options.sync, self.supports_lazy)
         if problem is not None:
             raise TransformationError(
-                f"{self.transform_id} ({type(self.engine).__name__}): "
-                f"{problem}")
+                f"{self.transform_id} ({type(self).__name__}): {problem}")
         self.faults.fire(SITE_TF_POPULATE_BEGIN, transform=self.transform_id)
         active = sorted(
             t.txn_id for t in self.db.txns.active_on(self.source_tables))

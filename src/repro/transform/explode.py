@@ -57,7 +57,6 @@ PARENT_INDEX = "__explode_parent__"
 class ExplodeRuleEngine(RuleEngine):
     """LSN-guarded, sibling-group propagation rules for an explode."""
 
-    supports_lazy = True
     marker_classes: Tuple[type, ...] = ()
 
     def __init__(self, db: Database, spec: ExplodeSpec,
@@ -218,6 +217,7 @@ class ExplodeTransformation(Transformation):
     kind = "explode"
     spec_class = ExplodeSpec
     engine_class = ExplodeRuleEngine
+    supports_lazy = True
 
     @classmethod
     def target_tables(cls, db: Database, spec: ExplodeSpec,

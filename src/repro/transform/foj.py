@@ -519,8 +519,6 @@ class FojRuleEngine(JoinRuleEngine):
 
     # -- lazy population (migrate-on-read) -----------------------------------
 
-    supports_lazy = True
-
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
         """Migrate source-row snapshots into T (lazy population; eager
         population streams :class:`FojHashJoin` instead).
@@ -617,6 +615,7 @@ class FojTransformation(Transformation):
     kind = "foj"
     spec_class = FojSpec
     engine_class = FojRuleEngine
+    supports_lazy = True
 
     #: The eager population's join state, once population has begun.
     _join: Optional[FojHashJoin] = None

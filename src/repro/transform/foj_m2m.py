@@ -307,6 +307,7 @@ class Many2ManyFojTransformation(FojTransformation):
 
     kind = "foj_m2m"
     engine_class = Many2ManyFojRuleEngine
+    supports_lazy = False
 
     def __init__(self, db: Database, spec: FojSpec, **kwargs) -> None:
         if not spec.many_to_many:

@@ -3,24 +3,13 @@
 Rewrites one non-key column of a table through a named cast (see
 :data:`~repro.relational.spec.RETYPE_CASTS`), replaces NULLs with a new
 default, and renames, adds or drops columns, online: the target is a
-same-keyed copy of the source under the spec's column map, so the
-propagation rules are the one-to-one LSN-guarded kind (like the
-horizontal merge's, minus the second source):
-
-* insert: cast and insert if absent;
-* delete: delete if present and older;
-* update: cast the changed column (if changed) and apply if present and
-  older.
-
-A value the cast cannot parse is the retype analogue of the paper's
-Example 1 dirty data and raises
+same-keyed copy of the source under the spec's column map
+(``map_row`` / ``map_changes``), so its rules are the one keyed engine's
+(:mod:`repro.transform.keyed`), which also serves eager and lazy
+(migrate-on-read) population alike.  A value the cast cannot parse is
+the retype analogue of the paper's Example 1 dirty data and raises
 :class:`~repro.common.errors.InconsistentDataError` -- with the row key
 attached -- rather than silently guessing.
-
-Rows map one-to-one by an unchanged key, so records route by source key
-under hash-sharded propagation, and :meth:`RetypeRuleEngine.migrate_rows`
-is an idempotent upsert that serves eager and lazy (migrate-on-read)
-population alike.
 
 The Section 2.4 attribute DDL (:func:`add_attribute`, ...) is this
 operator published in place: a full online copy, logged and redone at
@@ -30,107 +19,13 @@ restart like any other, not an O(1) edit of the table description
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict
 
-from repro.common.errors import InconsistentDataError
 from repro.engine.database import Database
 from repro.relational.spec import RetypeSpec
 from repro.storage.table import Table
-from repro.transform.base import Image, RuleEngine, Touched, Transformation
-from repro.wal.records import (
-    DeleteRecord,
-    InsertRecord,
-    LogRecord,
-    UpdateRecord,
-)
-
-
-def _mapped(convert: Callable, values: Dict[str, object],
-            key: Tuple) -> Dict[str, object]:
-    """``convert`` one image, surfacing unparseable values."""
-    try:
-        return convert(values)
-    except (TypeError, ValueError):
-        raise InconsistentDataError(key)
-
-
-class RetypeRuleEngine(RuleEngine):
-    """One-to-one LSN-guarded propagation rules for a retype."""
-
-    supports_lazy = True
-    marker_classes: Tuple[type, ...] = ()
-
-    def __init__(self, db: Database, spec: RetypeSpec,
-                 target: Table) -> None:
-        super().__init__(db, spec)
-        self.target = target
-        #: A rename may map the key columns, never their values.
-        self._source_key_of = db.catalog.get(spec.source_name).schema.key_of
-        self._rules = {(spec.source_name, InsertRecord): self._rule_insert,
-                       (spec.source_name, DeleteRecord): self._rule_delete,
-                       (spec.source_name, UpdateRecord): self._rule_update}
-
-    # -- sharding -------------------------------------------------------------
-
-    def shard_route(self, change: LogRecord):
-        """Rows map one-to-one by key; route by it."""
-        return tuple(change.key)
-
-    # -- rules ----------------------------------------------------------------
-
-    def _rule_insert(self, change: InsertRecord, lsn: int,
-                     touched: Touched) -> None:
-        key = tuple(change.key)
-        row = self.target.get(key)
-        if row is not None and row.lsn >= lsn:
-            return
-        image = _mapped(self.spec.retype_row, change.values, key)
-        if row is None:
-            self.target.insert_row(image, lsn=lsn)
-        else:
-            self.target.update_rowid(row.rowid, image, lsn=lsn)
-        self._touch(touched, self.target, key)
-
-    def _rule_delete(self, change: DeleteRecord, lsn: int,
-                     touched: Touched) -> None:
-        key = tuple(change.key)
-        row = self.target.get(key)
-        if row is not None and row.lsn < lsn:
-            self.target.delete_rowid(row.rowid)
-            self._touch(touched, self.target, key)
-
-    def _rule_update(self, change: UpdateRecord, lsn: int,
-                     touched: Touched) -> None:
-        key = tuple(change.key)
-        row = self.target.get(key)
-        if row is not None and row.lsn < lsn:
-            self.target.update_rowid(row.rowid, _mapped(
-                self.spec.retype_changes, change.changes, key), lsn=lsn)
-            self._touch(touched, self.target, key)
-
-    # -- population -----------------------------------------------------------
-
-    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
-        """Insert each source row's retyped image if absent."""
-        retype_row, key_of = self.spec.retype_row, self._source_key_of
-        for values, lsn in images:
-            self._insert_new(self.target, _mapped(
-                retype_row, values, key_of(values)), lsn)
-
-    # -- lock mapping (by ``source_tables``: an in-place source's zombie) -----
-
-    def targets_of_source_lock(self, table_name: str,
-                               key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name not in self.source_tables:
-            return []
-        return [(self.target, tuple(key))]
-
-    def sources_of_target_lock(self, table_name: str,
-                               key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name != self.target.name:
-            return []
-        source = self.db.catalog.get_any(self.source_tables[0])
-        return [(source, tuple(key))]
+from repro.transform.base import Transformation
+from repro.transform.keyed import KeyedRuleEngine
 
 
 class RetypeTransformation(Transformation):
@@ -151,7 +46,8 @@ class RetypeTransformation(Transformation):
 
     kind = "retype"
     spec_class = RetypeSpec
-    engine_class = RetypeRuleEngine
+    engine_class = KeyedRuleEngine
+    supports_lazy = True
 
     @classmethod
     def target_tables(cls, db: Database, spec: RetypeSpec,

@@ -300,8 +300,6 @@ class SplitRuleEngine(RuleEngine):
 
     # -- population -----------------------------------------------------------
 
-    supports_lazy = True
-
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
         """Insert each image's R part and merge its S part.
 
@@ -415,6 +413,7 @@ class SplitTransformation(Transformation):
     kind = "split"
     spec_class = SplitSpec
     engine_class = SplitRuleEngine
+    supports_lazy = True
 
     def __init__(self, db: Database, spec: SplitSpec,
                  check_consistency: bool = False,

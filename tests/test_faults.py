@@ -29,6 +29,7 @@ from repro.faults import (
     register_site,
     sites_by_layer,
 )
+from repro.faults.chaos import chaos_run
 from repro.relational import full_outer_join, rows_equal
 from repro.transform.analysis import Decision, RemainingRecordsPolicy
 
@@ -392,3 +393,16 @@ def test_supervisor_gives_up_after_max_attempts():
     # The last failed attempt still left no residue behind.
     assert sorted(db.catalog.table_names()) == ["R", "S"]
     assert not db.locks._latches
+
+
+def test_chaos_lost_flush_leaves_the_sync_crash_its_crossing():
+    """Seed 331 arms its crash at ``disk.sync`` hit 4 and a lost flush
+    from hit 3; the injector fires one arming per crossing, so a lost
+    flush repeated three times took crossing 4 and the crash never
+    fired -- a false violation.  The draw caps the repeats before the
+    crash's hit, and the seed recovers."""
+    report = chaos_run(331)
+    assert (report["crash_site"], report["crash_hit"],
+            report["disk_fault"], report["disk_fault_hit"]) == \
+        ("disk.sync", 4, "lost_flush", 3)
+    assert report["violations"] == [], report["violations"]

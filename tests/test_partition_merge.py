@@ -178,3 +178,28 @@ def test_partition_then_merge_roundtrip():
     MergeTransformation(db, MergeSpec("orders_eu", "orders_row",
                                       "orders")).run()
     assert rows_equal(values_of(db, "orders"), t_rows)
+
+
+def test_merge_collision_reaching_propagation_raises_and_aborts_cleanly():
+    """A key committed into B while A holds it, after population: the
+    insert rule finds the key present and older -- two sources share it
+    -- and raises (the reference would too), instead of keeping A's row
+    and dropping B's.  Aborting then leaves both sources and no target."""
+    db = make_merge_db(n=4)
+    a_rows = values_of(db, "a")
+    tf = MergeTransformation(db, MergeSpec("a", "b", "merged"))
+    while tf.phase is not Phase.PROPAGATING:
+        tf.step(4096)
+    with Session(db) as s:
+        s.insert("b", {"k": 1, "v": "dup"})
+    b_rows = values_of(db, "b")
+    with pytest.raises(InconsistentDataError) as excinfo:
+        tf.run()
+    assert excinfo.value.split_values == ((1,),)
+    with pytest.raises(InconsistentDataError):
+        merge_rows(a_rows, b_rows, lambda v: (v["k"],))
+    tf.abort()
+    assert tf.phase is Phase.ABORTED
+    assert db.catalog.table_names() == ["a", "b"]
+    assert rows_equal(values_of(db, "a"), a_rows)
+    assert rows_equal(values_of(db, "b"), b_rows)

@@ -33,6 +33,7 @@ from repro.faults.sweep import RunConfig, ScenarioRun, draw_history
 from repro.plan.corpus import WORKLOAD_SCENARIOS
 from repro.transform.base import RuleEngine
 from repro.transform.foj_m2m import Many2ManyFojRuleEngine
+from repro.transform.keyed import KeyedRuleEngine
 from repro.transform.split import SplitTransformation
 from repro.wal.records import FuzzyMarkRecord
 from tests.conftest import T_SPLIT_SCHEMA, load_split_data, split_spec
@@ -130,14 +131,22 @@ def test_migrate_row_twice_equals_once(scenario):
 
 
 def test_engines_migrate_chunks_and_share_the_one_image_form():
-    """Every engine class defines ``migrate_rows`` -- its one loop, which
-    population calls once per scanned chunk -- except the many-to-many
-    join's, which streams its population and inherits the refusal;
-    ``migrate_row`` (the miss hook's one image) is the base class's on
-    all of them, and no ``populate_row`` alias is left."""
-    engines = {operator.transformation.engine_class
-               for operator in PLAN_OPERATORS.values()}
-    assert len(engines) == len(PLAN_OPERATORS)
+    """The key-preserving operators (retype, partition, merge) share one
+    engine, :class:`KeyedRuleEngine`; the other four each have their
+    own.  Every engine class defines ``migrate_rows`` -- its one loop,
+    which population calls once per scanned chunk -- except the
+    many-to-many join's, which streams its population and inherits the
+    refusal; ``migrate_row`` (the miss hook's one image) is the base
+    class's on all of them, and no ``populate_row`` alias is left."""
+    engine_of = {name: operator.transformation.engine_class
+                 for name, operator in PLAN_OPERATORS.items()}
+    keyed = ("merge", "partition", "retype")
+    assert {engine_of[name] for name in keyed} == {KeyedRuleEngine}
+    others = [engine for name, engine in engine_of.items()
+              if name not in keyed]
+    assert len(set(others)) == len(others) == len(PLAN_OPERATORS) - 3
+    assert KeyedRuleEngine not in others
+    engines = set(engine_of.values())
     for engine in engines:
         if engine is Many2ManyFojRuleEngine:
             assert engine.migrate_rows is RuleEngine.migrate_rows
