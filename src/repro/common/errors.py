@@ -72,10 +72,6 @@ class NoSuchRowError(StorageError):
         self.key = key
 
 
-class ConstraintViolationError(StorageError):
-    """A declared constraint (e.g. NOT NULL) was violated by a write."""
-
-
 # ---------------------------------------------------------------------------
 # Concurrency errors
 # ---------------------------------------------------------------------------

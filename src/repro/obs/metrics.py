@@ -57,24 +57,15 @@ class Counter:
 class Histogram:
     """Distribution summary: exact moments + a bounded sample ring.
 
-    ``count``/``total``/``min``/``max`` and the fixed-bound bucket counts
-    are exact over every observation; percentiles are computed from the
-    most recent :attr:`SAMPLE_CAP` samples.
+    ``count``/``total``/``min``/``max`` are exact over every
+    observation; percentiles are computed from the most recent
+    :attr:`SAMPLE_CAP` samples.
     """
 
     #: Samples retained for percentiles.
     SAMPLE_CAP = 512
 
-    #: Fixed upper bounds of the exact bucket counts (the last bucket is
-    #: the +Inf overflow).  Chosen for millisecond-scale latencies; the
-    #: bounds are exposed in :meth:`as_dict` so consumers never have to
-    #: hard-code them.
-    BUCKET_BOUNDS: Tuple[float, ...] = (
-        0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-        1000.0, 2500.0)
-
-    __slots__ = ("name", "count", "total", "min", "max", "_samples",
-                 "bucket_counts")
+    __slots__ = ("name", "count", "total", "min", "max", "_samples")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -83,9 +74,6 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self._samples: Deque[float] = deque(maxlen=self.SAMPLE_CAP)
-        #: Per-bucket observation counts; one slot past the bounds for
-        #: the overflow bucket.
-        self.bucket_counts: List[int] = [0] * (len(self.BUCKET_BOUNDS) + 1)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -96,12 +84,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
         self._samples.append(value)
-        for i, bound in enumerate(self.BUCKET_BOUNDS):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-        else:
-            self.bucket_counts[-1] += 1
 
     @property
     def mean(self) -> float:
@@ -139,10 +121,6 @@ class Histogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
             "p999": self.p999,
-            "buckets": {
-                "bounds": list(self.BUCKET_BOUNDS),
-                "counts": list(self.bucket_counts),
-            },
         }
 
     #: Alias: the dict rendering is the histogram's summary.

@@ -27,7 +27,8 @@ joined with ``snull``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.common.errors import TransformationError
 from repro.engine.database import Database
@@ -49,6 +50,9 @@ JOIN_INDEX = "__join__"
 #: Name of T's index over S's identifying attributes (created when they are
 #: not simply the join column).
 SKEY_INDEX = "__skey__"
+#: Name of T's non-unique index over R's identifying attributes (the
+#: many-to-many join's: there T's primary key is the R-key + S-key).
+RKEY_INDEX = "__rkey__"
 
 
 def null_flag(row: Row, flag: str) -> bool:
@@ -63,7 +67,7 @@ def meta_flag(meta: Optional[Dict[str, object]], flag: str) -> bool:
 
 
 def side_changes(changes: Dict[str, object],
-                 attrs: Set[str]) -> Dict[str, object]:
+                 attrs: AbstractSet[str]) -> Dict[str, object]:
     """The part of an update's ``changes`` on one side's ``attrs``: the
     record's own dict when all of it belongs there (callers only read
     it), else a filtered copy."""
@@ -172,15 +176,57 @@ class FojHashJoin:
         return units, finished
 
 
+class JoinSide(NamedTuple):
+    """One source of the join as the rules see it: R, or its mirror S.
+
+    ``part`` projects a source row, ``part_of_t`` a T row, onto the
+    side's T columns; ``null_part`` is its NULL record (``rnull`` /
+    ``snull``), and a T row whose side is that record carries the
+    ``null`` flag.
+    """
+
+    name: str
+    join_attr: str
+    key: Tuple[str, ...]
+    t_key: Tuple[str, ...]
+    index: str
+    null: str
+    attrs: FrozenSet[str]
+    part: Callable[[Dict[str, object]], Dict[str, object]]
+    part_of_t: Callable[[Dict[str, object]], Dict[str, object]]
+    null_part: Callable[[], Dict[str, object]]
+
+
 class JoinRuleEngine(RuleEngine):
     """What the one-to-many and the many-to-many FOJ rules share: the
-    target ``t`` and the helpers over it."""
+    target ``t``, the two sides and the helpers over them."""
 
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
         super().__init__(db, spec)
         self.t = target
-        self._r_attr_set = set(spec.r_attrs)
-        self._s_attr_set = set(spec.s_attrs)
+        indexes = target.indexes
+        self.r_side = JoinSide(
+            spec.r_name, spec.join_attr_r, spec.r_key, spec.r_key,
+            RKEY_INDEX if RKEY_INDEX in indexes else PRIMARY_INDEX,
+            "r_null", frozenset(spec.r_attrs),
+            spec.r_part, spec.r_part_of_t, spec.null_r_part)
+        self.s_side = JoinSide(
+            spec.s_name, spec.join_attr_s,
+            tuple(spec.join_attr_s if a == spec.join_column else a
+                  for a in spec.s_key), spec.s_key,
+            SKEY_INDEX if SKEY_INDEX in indexes else JOIN_INDEX,
+            "s_null", frozenset(spec.s_attrs),
+            spec.s_part, spec.s_part_of_t, spec.null_s_part)
+
+    def _side(self, table_name: str) -> Optional[JoinSide]:
+        """The side whose source records ``table_name`` holds -- by
+        position: :meth:`rename_source` renames a source in place."""
+        r_name, s_name = self.source_tables
+        if table_name == r_name:
+            return self.r_side
+        if table_name == s_name:
+            return self.s_side
+        return None
 
     def _rows_with_join(self, value: object) -> List[Row]:
         """All T rows whose join column holds ``value`` (none for NULL)."""
@@ -193,6 +239,33 @@ class JoinRuleEngine(RuleEngine):
         return self.t.insert_row(
             values, meta={null_side: True} if null_side else None)
 
+    def sources_of_target_lock(self, table_name: str,
+                               key: Tuple) -> List[Tuple[Table, Tuple]]:
+        """The source records of the T row a lock key names (Section
+        4.3): each side's key, read by attribute name off the row -- or,
+        for a row not (yet) there, off the lock key's named parts --
+        unless that side is the row's NULL record or its key is NULL."""
+        t = self.t
+        if table_name != t.name:
+            return []
+        key = tuple(key)
+        named = dict(zip(t.schema.primary_key + t.null_key_attrs, key))
+        if None not in key:
+            row = t.get(key)
+        else:  # no unique index holds a NULL key: look at the join value
+            row = next((r for r in self._rows_with_join(
+                named.get(self.spec.join_column))
+                if t.lock_key(r.values) == key), None)
+        values = named if row is None else row.values
+        result: List[Tuple[Table, Tuple]] = []
+        for name, side in zip(self.source_tables, (self.r_side, self.s_side)):
+            if row is not None and null_flag(row, side.null):
+                continue
+            source_key = tuple(values.get(a) for a in side.t_key)
+            if None not in source_key:
+                result.append((self.db.catalog.get_any(name), source_key))
+        return result
+
 
 class FojRuleEngine(JoinRuleEngine):
     """Log-propagation rules 1-7 for a one-to-many full outer join."""
@@ -200,8 +273,7 @@ class FojRuleEngine(JoinRuleEngine):
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
         super().__init__(db, spec, target)
         self._join_index = target.index(JOIN_INDEX)
-        self._skey_index = target.index(
-            SKEY_INDEX if SKEY_INDEX in target.indexes else JOIN_INDEX)
+        self._skey_index = target.index(self.s_side.index)
         self._rules = {
             (spec.r_name, InsertRecord): self._rule1_insert_r,
             (spec.r_name, DeleteRecord): self._rule3_delete_r,
@@ -283,19 +355,15 @@ class FojRuleEngine(JoinRuleEngine):
         any other one is Rule 7, inlined here: the R row found by T's
         primary key, or every carrier of the S record found through the
         S-key index and the metadata map, updated in place by rowid."""
-        spec, t = self.spec, self.t
-        # By position: ``rename_source`` renames a source in place.
-        r_name, s_name = self.source_tables
-        if table_name == r_name:
-            join_attr, attrs = spec.join_attr_r, self._r_attr_set
-            index, move = t.index(PRIMARY_INDEX), self._rule5_update_r_join
-            skip_s_null = False
-        elif table_name == s_name:
-            join_attr, attrs = spec.join_attr_s, self._s_attr_set
-            index, move = self._skey_index, self._rule6_update_s_join
-            skip_s_null = True
-        else:
+        side, t = self._side(table_name), self.t
+        if side is None:
             return [[] for _ in items]
+        join_attr, attrs, index = side.join_attr, side.attrs, t.index(
+            side.index)
+        if side is self.r_side:
+            move, skip_null = self._rule5_update_r_join, None
+        else:  # the carriers at S's key include its snull rows
+            move, skip_null = self._rule6_update_s_join, side.null
         rows, metas = t.rows, t.metas
         update, lock_key = t.update_rowid, t.lock_key
         out: List[Sequence[Tuple[Table, Tuple]]] = []
@@ -306,8 +374,8 @@ class FojRuleEngine(JoinRuleEngine):
             else:
                 changes = side_changes(change.changes, attrs)
                 for rowid in index.lookup(change.key):
-                    if skip_s_null and rowid in metas and \
-                            metas[rowid].get("s_null", False):
+                    if skip_null and rowid in metas and \
+                            metas[rowid].get(skip_null, False):
                         continue
                     if changes:
                         update(rowid, changes)
@@ -457,13 +525,13 @@ class FojRuleEngine(JoinRuleEngine):
         old_join = change.old_values.get(spec.join_attr_r)
         if values.get(spec.join_column) != old_join:
             rest = {k: v for k, v in change.changes.items()
-                    if k in self._r_attr_set and k != spec.join_attr_r}
+                    if k in self.r_side.attrs and k != spec.join_attr_r}
             if rest:
                 t.update_rowid(rowid, rest)
             self._touch_rowid(touched, rowid)
             return
         new_r_part = spec.r_part_of_t(values)
-        new_r_part.update(side_changes(change.changes, self._r_attr_set))
+        new_r_part.update(side_changes(change.changes, self.r_side.attrs))
         new_join = change.changes[spec.join_attr_r]
 
         if not meta_flag(metas.get(rowid), "s_null"):
@@ -493,7 +561,7 @@ class FojRuleEngine(JoinRuleEngine):
         if not carriers:
             return  # nothing carries s^x: newer state (Theorem 1)
         new_s_part = spec.s_part_of_t(t.rows[carriers[0]])
-        new_s_part.update(side_changes(change.changes, self._s_attr_set))
+        new_s_part.update(side_changes(change.changes, self.s_side.attrs))
         new_join = change.changes[spec.join_attr_s]
         if new_join is None:
             raise TransformationError(
@@ -528,20 +596,20 @@ class FojRuleEngine(JoinRuleEngine):
         have produced: later log replay over it converges identically
         (Theorem 1).  The LSNs are ignored like everywhere else in the
         FOJ rules -- a joined row has no single valid state identifier.
+        Pre-existing NULL-join S rows join with rnull, exactly as the
+        eager join's leftover pass inserts them (Rule 2 itself rejects
+        NULL joins for *live* inserts).
         """
-        spec = self.spec
+        side = self._side(table_name)
+        if side is None:
+            return
+        is_r = side is self.r_side
+        attach = self._attach_r_part if is_r else self._attach_s_part
         for values, _lsn in images:
-            if table_name == spec.r_name:
-                key = tuple(values.get(a) for a in spec.r_key)
-                if self.t.get(key) is None:  # else: migrated or replayed
-                    self._attach_r_part(spec.r_part(values),
-                                        values.get(spec.join_attr_r), None)
-            elif table_name == spec.s_name:
-                # Pre-existing NULL-join S rows join with rnull, exactly
-                # as the eager join's leftover pass inserts them (Rule 2
-                # itself rejects NULL joins for *live* inserts).
-                self._attach_s_part(spec.s_part(values),
-                                    values.get(spec.join_attr_s), None)
+            if is_r and self.t.get(tuple(values.get(a) for a in side.key)) \
+                    is not None:
+                continue  # migrated or replayed
+            attach(side.part(values), values.get(side.join_attr), None)
 
     # Bound here: per-engine instrumentation patches it via ``vars(cls)``.
     migrate_row = RuleEngine.migrate_row
@@ -570,29 +638,15 @@ class FojRuleEngine(JoinRuleEngine):
 
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name == self.spec.r_name:
-            return [(self.t, tuple(key))]
-        if table_name == self.spec.s_name:
-            t = self.t
+        """R record y locks T row y, there yet or not; S record x every
+        row carrying it."""
+        side, t = self._side(table_name), self.t
+        if side is self.r_side:
+            return [(t, tuple(key))]
+        if side is self.s_side:
             return [(t, t.lock_key(t.rows[rowid]))
                     for rowid in self._carriers(key)]
         return []
-
-    def sources_of_target_lock(self, table_name: str,
-                               key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name != self.t.name:
-            return []
-        result: List[Tuple[Table, Tuple]] = []
-        catalog = self.db.catalog
-        r_table = catalog.get_any(self.spec.r_name)
-        s_table = catalog.get_any(self.spec.s_name)
-        result.append((r_table, tuple(key)[:len(self.spec.r_key)]))
-        row = self.t.get(tuple(key))
-        if row is not None and not null_flag(row, "s_null"):
-            s_key = tuple(row.values.get(a) for a in self.spec.s_key)
-            if all(part is not None for part in s_key):
-                result.append((s_table, s_key))
-        return result
 
 
 class FojTransformation(Transformation):

@@ -20,281 +20,147 @@ carry over unchanged.  Taken literally that does not converge: with a
 non-unique join attribute, inserting a new S record with join value x must
 join it with *every* R record carrying x, including those already joined
 to other S records -- the one-to-many Rule 2 would only fill snull
-placeholders.  We therefore implement fully symmetric many-to-many rules
-(the R-side ones exactly as sketched; the S-side ones mirrored), and note
-the deviation in DESIGN.md.
+placeholders.  So the sketched R-side rules are written once, over a
+:class:`~repro.transform.foj.JoinSide`, and applied to R and, as its
+mirror, to S; DESIGN.md notes the deviation.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
-from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.transform.base import Touched, Transformation
-from repro.transform.foj import (JOIN_INDEX, SKEY_INDEX, FojTransformation,
-                                 JoinRuleEngine, moves_join, null_flag,
-                                 side_changes)
+from repro.transform.foj import (JOIN_INDEX, RKEY_INDEX, SKEY_INDEX,
+                                 FojTransformation, JoinRuleEngine, JoinSide,
+                                 moves_join, null_flag, side_changes)
 from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
-
-#: Non-unique index over the R-identifying attributes of T (needed because
-#: T's primary key is the R-key + S-key concatenation).
-RKEY_INDEX = "__rkey__"
 
 
 class Many2ManyFojRuleEngine(JoinRuleEngine):
-    """Symmetric propagation rules for the many-to-many full outer join."""
+    """Symmetric propagation rules for the many-to-many full outer join:
+    one insert, one delete and one update rule, each taking the
+    ``side`` whose record changed.  The LSN is ignored, as in every FOJ
+    rule."""
 
     def __init__(self, db: Database, spec: FojSpec, target: Table) -> None:
         super().__init__(db, spec, target)
         self._rules = {
-            (spec.r_name, InsertRecord): self._insert_r,
-            (spec.r_name, DeleteRecord): self._rule_delete_r,
-            (spec.r_name, UpdateRecord): self._update_r,
-            (spec.s_name, InsertRecord): self._insert_s,
-            (spec.s_name, DeleteRecord): self._rule_delete_s,
-            (spec.s_name, UpdateRecord): self._update_s,
-        }
+            (side.name, kind): partial(rule, side)
+            for side in (self.r_side, self.s_side)
+            for kind, rule in ((InsertRecord, self._insert),
+                               (DeleteRecord, self._delete),
+                               (UpdateRecord, self._update))}
 
-    # -- helpers ------------------------------------------------------------
+    def _mirror(self, side: JoinSide) -> JoinSide:
+        return self.s_side if side is self.r_side else self.r_side
 
-    def _rows_with_rkey(self, key: Tuple) -> List[Row]:
-        return self.t.lookup(RKEY_INDEX, tuple(key))
+    def _joined(self, part: Dict[str, object], other_part: Dict[str, object],
+                join_value: object) -> Dict[str, object]:
+        """A T row: two sides' parts at one join value."""
+        values = dict(other_part)
+        values.update(part)
+        values[self.spec.join_column] = join_value
+        return values
 
-    def _rows_with_skey(self, key: Tuple) -> List[Row]:
-        return self.t.lookup(SKEY_INDEX, tuple(key))
-
-    def _skey_of(self, values: Dict[str, object]) -> Tuple:
-        return tuple(values.get(a) for a in self.spec.s_key)
-
-    def _rkey_of(self, values: Dict[str, object]) -> Tuple:
-        return tuple(values.get(a) for a in self.spec.r_key)
-
-    # -- R side (the LSN is ignored, as in every FOJ rule) -------------------
-
-    def _insert_r(self, change: InsertRecord, _lsn: int,
-                  touched: Touched) -> None:
+    def _insert(self, side: JoinSide, change: InsertRecord, _lsn: int,
+                touched: Touched) -> None:
         """"A t^{yv}_z record has to be inserted for every matching record
-        s^v_x": morph the placeholders of unmatched S records, clone the S
-        part of matched ones, or fall back to a single snull row."""
+        s^v_x" -- unless a row carries the record already (Theorem 1)."""
         values = change.values
-        r_key = self._rkey_of(values)
-        if self._rows_with_rkey(r_key):
-            return  # Theorem 1: already reflected
-        r_part = self.spec.r_part(values)
-        join_value = values.get(self.spec.join_attr_r)
-        self._attach_r_part(r_part, join_value, touched)
+        if self.t.lookup(side.index, tuple(values.get(a) for a in side.key)):
+            return
+        self._attach(side, side.part(values), values.get(side.join_attr),
+                     touched)
 
-    def _attach_r_part(self, r_part: Dict[str, object], join_value: object,
-                       touched: Touched) -> None:
-        rows = self._rows_with_join(join_value)
-        seen_skeys = set()
+    def _attach(self, side: JoinSide, part: Dict[str, object],
+                join_value: object, touched: Touched) -> None:
+        """Place a record's part at a join value: fill the placeholder of
+        each unmatched mirror record, pair it with each matched one (once
+        per mirror key), or else join it with the mirror's NULL record."""
+        other, t = self._mirror(side), self.t
+        seen = set()
         matched = False
-        for row in list(rows):
-            if null_flag(row, "r_null"):
-                # Unmatched S record: fill in the R part.
-                self.t.update_rowid(row.rowid, r_part)
+        for row in self._rows_with_join(join_value):
+            if null_flag(row, side.null):
+                t.update_rowid(row.rowid, part)
                 row.meta = None
-                self._touch_row(touched, self.t, row)
-                matched = True
-            elif not null_flag(row, "s_null"):
-                s_key = self._skey_of(row.values)
-                if s_key in seen_skeys:
-                    continue
-                seen_skeys.add(s_key)
-                new_values = dict(r_part)
-                new_values.update(self.spec.s_part_of_t(row.values))
-                self._touch_row(touched, self.t, self._insert_t(new_values))
-                matched = True
+                self._touch_row(touched, t, row)
+            elif null_flag(row, other.null):
+                continue  # another record of this side, unmatched
+            else:
+                other_key = tuple(row.values.get(a) for a in other.t_key)
+                if other_key not in seen:
+                    seen.add(other_key)
+                    self._touch_row(touched, t, self._insert_t(self._joined(
+                        part, other.part_of_t(row.values), join_value)))
+            matched = True
         if not matched:
-            new_values = dict(r_part)
-            new_values.update(self.spec.null_s_part())
-            self._touch_row(touched, self.t,
-                            self._insert_t(new_values, "s_null"))
+            self._touch_row(touched, t, self._insert_t(
+                self._joined(part, other.null_part(), join_value),
+                other.null))
 
-    def _delete_r(self, key: Tuple,
-                  touched: Touched) -> None:
-        """Delete every row the R record contributed to; keep a placeholder
-        for each S record that would otherwise vanish from the join."""
-        rows = self._rows_with_rkey(key)
-        for row in list(rows):
-            if null_flag(row, "s_null"):
-                self._touch_row(touched, self.t, row)
-                self.t.delete_rowid(row.rowid)
-                continue
-            s_key = self._skey_of(row.values)
-            carriers = [r for r in self._rows_with_skey(s_key)
-                        if not null_flag(r, "r_null") and r.rowid != row.rowid]
-            join_value = row.values.get(self.spec.join_column)
-            s_part = self.spec.s_part_of_t(row.values)
-            self._touch_row(touched, self.t, row)
-            self.t.delete_rowid(row.rowid)
-            if not carriers:
-                placeholder = self.spec.null_r_part()
-                placeholder[self.spec.join_column] = join_value
-                placeholder.update(s_part)
-                self._touch_row(touched, self.t,
-                                self._insert_t(placeholder, "r_null"))
+    def _delete(self, side: JoinSide, change: DeleteRecord, _lsn: int,
+                touched: Touched) -> None:
+        self._detach(side, tuple(change.key), touched)
 
-    def _rule_delete_r(self, change: DeleteRecord, _lsn: int,
-                       touched: Touched) -> None:
-        self._delete_r(change.key, touched)
+    def _detach(self, side: JoinSide, key: Tuple, touched: Touched) -> None:
+        """Delete every row the record contributed to; keep a placeholder
+        for each mirror record that would otherwise vanish from the join."""
+        other, t = self._mirror(side), self.t
+        for row in t.lookup(side.index, key):
+            values, placeholder = row.values, None
+            if not null_flag(row, other.null) and not any(
+                    carrier.rowid != row.rowid
+                    and not null_flag(carrier, side.null)
+                    for carrier in t.lookup(other.index, tuple(
+                        values.get(a) for a in other.t_key))):
+                placeholder = self._joined(
+                    other.part_of_t(values), side.null_part(),
+                    values.get(self.spec.join_column))
+            self._touch_row(touched, t, row)
+            t.delete_rowid(row.rowid)
+            if placeholder is not None:
+                self._touch_row(touched, t,
+                                self._insert_t(placeholder, side.null))
 
-    def _update_r(self, change: UpdateRecord, _lsn: int,
-                  touched: Touched) -> None:
-        if moves_join(change, self.spec.join_attr_r):
-            self._update_r_join(change, touched)
-        else:
-            self._update_r_other(change, touched)
-
-    def _update_r_join(self, change: UpdateRecord,
-                       touched: Touched) -> None:
-        """Per the sketch: delete all T rows the R record contributed to
-        (ensuring the continued existence of their S counterparts), then
-        insert the new join matches."""
-        rows = self._rows_with_rkey(change.key)
-        if not rows:
+    def _update(self, side: JoinSide, change: UpdateRecord, _lsn: int,
+                touched: Touched) -> None:
+        """Per the sketch, an update of the join attribute deletes every
+        row the record contributed to (keeping its mirror records) and
+        attaches it at the new value -- unless the rows show a newer join
+        value (Theorem 1).  Any other update changes those rows in place."""
+        t, key = self.t, tuple(change.key)
+        rows = t.lookup(side.index, key)
+        changes = side_changes(change.changes, side.attrs)
+        if moves_join(change, side.join_attr):
+            if rows and rows[0].values.get(self.spec.join_column) == \
+                    change.old_values.get(side.join_attr):
+                part = side.part_of_t(rows[0].values)
+                part.update(changes)
+                self._detach(side, key, touched)
+                self._attach(side, part, change.changes[side.join_attr],
+                             touched)
             return
-        old_join = change.old_values.get(self.spec.join_attr_r)
-        if rows[0].values.get(self.spec.join_column) != old_join:
-            return  # newer state already reflected
-        new_r_part = self.spec.r_part_of_t(rows[0].values)
-        new_r_part.update(side_changes(change.changes, self._r_attr_set))
-        self._delete_r(change.key, touched)
-        self._attach_r_part(new_r_part,
-                            change.changes[self.spec.join_attr_r], touched)
+        for row in rows:
+            if changes:
+                t.update_rowid(row.rowid, changes)
+            self._touch_row(touched, t, row)
 
-    def _update_r_other(self, change: UpdateRecord,
-                        touched: Touched) -> None:
-        r_changes = side_changes(change.changes, self._r_attr_set)
-        for row in self._rows_with_rkey(change.key):
-            if r_changes:
-                self.t.update_rowid(row.rowid, r_changes)
-            self._touch_row(touched, self.t, row)
-
-    # -- S side (mirror image) ------------------------------------------------------
-
-    def _insert_s(self, change: InsertRecord, _lsn: int,
-                  touched: Touched) -> None:
-        values = change.values
-        s_key = self._skey_of(values)
-        if self._rows_with_skey(s_key):
-            return
-        join_value = values.get(self.spec.join_attr_s)
-        s_part = self.spec.s_part(values)
-        self._attach_s_part(s_part, join_value, touched)
-
-    def _attach_s_part(self, s_part: Dict[str, object], join_value: object,
-                       touched: Touched) -> None:
-        rows = self._rows_with_join(join_value)
-        seen_rkeys = set()
-        matched = False
-        for row in list(rows):
-            if null_flag(row, "s_null"):
-                self.t.update_rowid(row.rowid, s_part)
-                row.meta = None
-                self._touch_row(touched, self.t, row)
-                matched = True
-            elif not null_flag(row, "r_null"):
-                r_key = self._rkey_of(row.values)
-                if r_key in seen_rkeys:
-                    continue
-                seen_rkeys.add(r_key)
-                new_values = self.spec.r_part_of_t(row.values)
-                new_values.update(s_part)
-                self._touch_row(touched, self.t, self._insert_t(new_values))
-                matched = True
-        if not matched:
-            new_values = self.spec.null_r_part()
-            if join_value is not None:
-                new_values[self.spec.join_column] = join_value
-            new_values.update(s_part)
-            self._touch_row(touched, self.t,
-                            self._insert_t(new_values, "r_null"))
-
-    def _delete_s(self, key: Tuple,
-                  touched: Touched) -> None:
-        rows = self._rows_with_skey(key)
-        for row in list(rows):
-            if null_flag(row, "r_null"):
-                self._touch_row(touched, self.t, row)
-                self.t.delete_rowid(row.rowid)
-                continue
-            r_key = self._rkey_of(row.values)
-            carriers = [r for r in self._rows_with_rkey(r_key)
-                        if not null_flag(r, "s_null") and r.rowid != row.rowid]
-            r_part = self.spec.r_part_of_t(row.values)
-            self._touch_row(touched, self.t, row)
-            self.t.delete_rowid(row.rowid)
-            if not carriers:
-                placeholder = dict(r_part)
-                placeholder.update(self.spec.null_s_part())
-                self._touch_row(touched, self.t,
-                                self._insert_t(placeholder, "s_null"))
-
-    def _rule_delete_s(self, change: DeleteRecord, _lsn: int,
-                       touched: Touched) -> None:
-        self._delete_s(change.key, touched)
-
-    def _update_s(self, change: UpdateRecord, _lsn: int,
-                  touched: Touched) -> None:
-        if moves_join(change, self.spec.join_attr_s):
-            self._update_s_join(change, touched)
-        else:
-            self._update_s_other(change, touched)
-
-    def _update_s_join(self, change: UpdateRecord,
-                       touched: Touched) -> None:
-        rows = self._rows_with_skey(change.key)
-        if not rows:
-            return
-        old_join = change.old_values.get(self.spec.join_attr_s)
-        if rows[0].values.get(self.spec.join_column) != old_join:
-            return
-        new_s_part = self.spec.s_part_of_t(rows[0].values)
-        new_s_part.update(side_changes(change.changes, self._s_attr_set))
-        self._delete_s(change.key, touched)
-        self._attach_s_part(new_s_part,
-                            change.changes[self.spec.join_attr_s], touched)
-
-    def _update_s_other(self, change: UpdateRecord,
-                        touched: Touched) -> None:
-        s_changes = side_changes(change.changes, self._s_attr_set)
-        for row in self._rows_with_skey(change.key):
-            if s_changes:
-                self.t.update_rowid(row.rowid, s_changes)
-            self._touch_row(touched, self.t, row)
-
-    # -- lock mapping -------------------------------------------------------------------
+    # -- lock mapping (T -> sources: JoinRuleEngine's) -----------------------
 
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name == self.spec.r_name:
-            rows = self._rows_with_rkey(key)
-        elif table_name == self.spec.s_name:
-            rows = self._rows_with_skey(key)
-        else:
+        """Every T row the source record contributed to."""
+        side, t = self._side(table_name), self.t
+        if side is None:
             return []
-        return [(self.t, self.t.lock_key(row.values)) for row in rows]
-
-    def sources_of_target_lock(self, table_name: str,
-                               key: Tuple) -> List[Tuple[Table, Tuple]]:
-        if table_name != self.t.name:
-            return []
-        catalog = self.db.catalog
-        r_table = catalog.get_any(self.spec.r_name)
-        s_table = catalog.get_any(self.spec.s_name)
-        n_r = len(self.spec.r_key)
-        r_key, s_key = tuple(key[:n_r]), tuple(key[n_r:])
-        result: List[Tuple[Table, Tuple]] = []
-        if all(part is not None for part in r_key):
-            result.append((r_table, r_key))
-        if s_key and all(part is not None for part in s_key):
-            result.append((s_table, s_key))
-        return result
+        return [(t, t.lock_key(row.values))
+                for row in t.lookup(side.index, tuple(key))]
 
 
 class Many2ManyFojTransformation(FojTransformation):

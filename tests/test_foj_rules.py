@@ -471,6 +471,11 @@ def test_targets_of_source_lock_r_and_s():
     assert engine.targets_of_source_lock("R", (1,)) == [(t, (1,))]
     assert engine.targets_of_source_lock("S", (10,)) == [(t, (1,))]
     assert engine.targets_of_source_lock("S", (99,)) == []
+    # An in-place swap renames a source to its zombie name; its old
+    # writers' locks map under that name.
+    engine.rename_source("S", "S@9")
+    assert engine.targets_of_source_lock("S@9", (10,)) == [(t, (1,))]
+    assert engine.targets_of_source_lock("S", (10,)) == []
 
 
 def test_sources_of_target_lock():
@@ -487,6 +492,20 @@ def test_sources_of_target_lock_snull_row_maps_to_r_only():
     put(t, {"a": 1, "b": "b", "c": 99, "d": None}, s_null=True)
     mapped = engine.sources_of_target_lock("T", (1,))
     assert [table.name for table, _ in mapped] == ["R"]
+
+
+def test_sources_of_target_lock_null_x_row_maps_to_s_only():
+    """``t^null_x`` carries no R record: its lock key ``(NULL, x)``
+    (``Table.lock_key``) names S record x alone, row or no row."""
+    engine, t = make_engine()
+    row = put(t, {"a": None, "b": None, "c": 10, "d": "d"}, r_null=True)
+    assert t.lock_key(row.values) == (None, 10)
+    for present in (True, False):
+        mapped = engine.sources_of_target_lock("T", (None, 10))
+        assert [(table.name, key) for table, key in mapped] == \
+            [("S", (10,))]
+        if present:
+            t.delete_rowid(row.rowid)
 
 
 # ---------------------------------------------------------------------------

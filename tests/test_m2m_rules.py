@@ -3,8 +3,9 @@ sketch, with the corrected symmetric S-side)."""
 
 import pytest
 
-from repro import Database, TableSchema
+from repro import Database, Phase, TableSchema
 from repro.common.errors import SchemaError
+from repro.relational import full_outer_join, rows_equal
 from repro.relational.spec import FojSpec
 from repro.transform.foj import null_flag
 from repro.transform.foj_m2m import (
@@ -76,6 +77,28 @@ def test_insert_r_ignored_when_rkey_present():
     put(t, {"a": 1, "b": "newer", "c": 20, "k": 5, "d": "d"})
     engine.apply(ins_r(1, "old", 10))
     assert t.row_count == 1
+    # The S side: an insert the fuzzy scan already copied is ignored on
+    # replay too, also when S's key holds the join attribute under its
+    # own name (x), not T's (c).
+    db = Database()
+    db.create_table(R)
+    db.create_table(TableSchema("S", ["x", "d", "e"], primary_key=["x", "d"]))
+    txn = db.begin()
+    db.insert(txn, "R", {"a": 1, "b": "b1", "c": 10})
+    db.commit(txn)
+    txn = db.begin()
+    db.insert(txn, "S", {"x": 10, "d": 2, "e": "e2"})
+    spec = FojSpec.derive(db.table("R").schema, db.table("S").schema, "T",
+                          "c", "x", many_to_many=True)
+    tf = Many2ManyFojTransformation(db, spec)
+    while tf.phase is not Phase.PROPAGATING:
+        tf.step(64)
+    db.commit(txn)
+    r_rows = [dict(r.values) for r in db.table("R").scan()]
+    s_rows = [dict(r.values) for r in db.table("S").scan()]
+    tf.run()
+    assert rows_equal([dict(r.values) for r in db.table("T").scan()],
+                      full_outer_join(spec, r_rows, s_rows))
 
 
 def test_insert_s_fans_out_to_all_matching_r():
@@ -206,3 +229,18 @@ def test_lock_mappings():
             [(t, t.lock_key(row.values))]
         sources = engine.sources_of_target_lock("T", t.lock_key(row.values))
         assert [(tbl.name, k) for tbl, k in sources] == [(table, key)]
+    # Each side's key is read from T by attribute name, not by position:
+    # with R keyed (a, c) and S keyed (c, d), T's key is (a, c, d).
+    db = Database()
+    r = db.create_table(TableSchema("R", ["a", "b", "c"],
+                                    primary_key=["a", "c"]))
+    s = db.create_table(TableSchema("S", ["c", "d", "e"],
+                                    primary_key=["c", "d"]))
+    spec = FojSpec.derive(r.schema, s.schema, "T", "c", "c",
+                          many_to_many=True)
+    t = Many2ManyFojTransformation.target_tables(db, spec)["T"]
+    engine = Many2ManyFojRuleEngine(db, spec, t)
+    put(t, {"a": 1, "b": "b1", "c": 10, "d": 7, "e": "e7"})
+    sources = engine.sources_of_target_lock("T", (1, 10, 7))
+    assert [(tbl.name, k) for tbl, k in sources] == \
+        [("R", (1, 10)), ("S", (10, 7))]
