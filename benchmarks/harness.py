@@ -121,7 +121,7 @@ def run_benchmark(benchmark, fn: Callable[[], object]):
 def save_run_report(name: str, report: Dict[str, object]) -> pathlib.Path:
     """Persist a run report under ``benchmarks/results/<name>.json``.
 
-    The file renders with ``python -m repro.obs.report <path>``.
+    The file renders with ``python -m repro.obs <path>``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"

@@ -11,9 +11,10 @@ Runs every scenario in :data:`repro.plan.CORPUS` twice:
    oracle again.  This exercises the WAL-backed replay path of every
    plan in the corpus, multi-step chains included.
 
-Each plan's step sections (metrics snapshot + interference blame) land
-in ``benchmarks/results/plan_<name>.report.json`` -- renderable with
-``python -m repro.obs.report`` -- and the machine-readable summary in
+Each plan's step sections (metrics snapshot, convergence series and
+interference blame) land in ``benchmarks/results/plan_<name>.report.json``
+-- renderable with ``python -m repro.obs`` -- and the machine-readable
+summary in
 ``benchmarks/results/plan_corpus.json``.  Any oracle violation, failed
 resume, or crash that never fired makes the sweep exit non-zero.
 """

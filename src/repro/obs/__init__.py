@@ -8,8 +8,8 @@ this package makes the quantities behind those measurements first-class:
   unflushed tail (Section 3.3's "log records produced" side);
 * ``lock.waits`` / ``lock.deadlocks`` / ``latch.hold_time`` -- the
   concurrency-control interference channel;
-* ``tf.units.<phase>`` / ``tf.iteration.*`` -- per-phase unit accounting
-  and the end-of-iteration analysis reports;
+* ``tf.units.<phase>`` / ``tf.iterations`` / ``tf.decision.*`` --
+  per-phase unit accounting and the end-of-iteration analysis verdicts;
 * ``sync.latched_window`` -- work done while the source tables were
   latched, the quantity behind the paper's "< 1 ms" synchronization claim;
 * ``sim.*`` -- the simulator's throughput / response-time series;
@@ -18,7 +18,7 @@ this package makes the quantities behind those measurements first-class:
 * **convergence** (:mod:`repro.obs.convergence`) -- the per-iteration
   propagation-lag series behind Section 3.3's three analyses;
 * **run reports** (:mod:`repro.obs.report`) -- the single JSON document
-  per benchmark run, rendered by ``python -m repro.obs.report``, and the
+  per benchmark run, rendered by ``python -m repro.obs FILE``, and the
   postmortem bundle the chaos soak and fault sweep dump on a violation;
 * **blame** (:mod:`repro.obs.blame`) -- interference attribution: every
   lock/latch/blocked-table wait becomes an edge tagged with what the

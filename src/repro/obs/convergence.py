@@ -7,11 +7,9 @@ propagated, or an estimated remaining propagation time.  If more log
 records are produced than the propagator is able to process, the
 synchronization is never started."
 
-:mod:`repro.transform.analysis` implements those analyses as *decisions*;
-this module records their *inputs* as a queryable per-iteration series, so
-a starving transformation is visible in the observability output long
-before the policy gives up.  Each point captures all three suggested
-quantities:
+:mod:`repro.transform.analysis` implements those analyses as *decisions*
+read off this module's per-iteration series of their *inputs*.  Each point
+captures all three suggested quantities:
 
 * **produced vs. consumed** -- total log records generated since the begin
   fuzzy mark vs. records the propagator has processed (the "more log
@@ -23,15 +21,17 @@ quantities:
   analysis, in work units so the simulator's cost model can convert it to
   virtual milliseconds).
 
-The monitor feeds the owning :class:`~repro.obs.metrics.Metrics` registry
-on every point (gauges ``tf.lag.*``, so dashboards see the latest values
-and their bounded history) and the series itself travels into the run
-report (:mod:`repro.obs.report`).
+The series is the analysis' one record of an iteration: the
+transformation appends a point, its policy decides from the series, and
+the decision is stamped on the point.  :meth:`ConvergenceMonitor.starving`
+is the one stall rule: the last ``patience`` points end on a non-zero
+lag, and the lag never shrinks from one of them to the next.  The series
+travels into the run report (:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,41 +60,27 @@ class ConvergencePoint:
     #: Estimated remaining work (lag * units_per_record).
     est_remaining_units: float
     #: The analysis decision this point fed ("iterate" / "synchronize" /
-    #: "stalled").
-    decision: str
+    #: "stalled"); stamped once the policy has decided.
+    decision: str = ""
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly rendering (one run-report series entry)."""
-        return {
-            "iteration": self.iteration,
-            "t": self.t,
-            "produced": self.produced,
-            "consumed": self.consumed,
-            "lag": self.lag,
-            "records": self.records,
-            "units": self.units,
-            "units_per_record": self.units_per_record,
-            "est_remaining_units": self.est_remaining_units,
-            "decision": self.decision,
-        }
+        return asdict(self)
 
 
 class ConvergenceMonitor:
     """Accumulates one :class:`ConvergencePoint` per propagation iteration.
 
     Args:
-        metrics: Registry receiving the ``tf.lag.*`` gauge series; points
-            are recorded regardless, gauges only while it is enabled.
-        transform_id: Stamped into the gauge trace for multi-transform runs.
+        metrics: Registry whose clock stamps each point.
     """
 
     #: Bound on retained points (oldest dropped beyond it; a starving
     #: transformation can iterate indefinitely).
     CAPACITY = 4096
 
-    def __init__(self, metrics: "Metrics", transform_id: str = "") -> None:
+    def __init__(self, metrics: "Metrics") -> None:
         self.metrics = metrics
-        self.transform_id = transform_id
         self._points: List[ConvergencePoint] = []
         #: Points discarded because the bound was hit.
         self.dropped = 0
@@ -103,7 +89,7 @@ class ConvergenceMonitor:
 
     def observe_iteration(self, *, iteration: int, produced: int,
                           consumed: int, lag: int, records: int,
-                          units: float, decision: str) -> ConvergencePoint:
+                          units: float) -> ConvergencePoint:
         """Record the end-of-iteration analysis inputs; returns the point."""
         per_record = units / records if records else 0.0
         point = ConvergencePoint(
@@ -116,18 +102,11 @@ class ConvergenceMonitor:
             units=units,
             units_per_record=per_record,
             est_remaining_units=lag * per_record,
-            decision=decision,
         )
         if len(self._points) >= self.CAPACITY:
             self._points.pop(0)
             self.dropped += 1
         self._points.append(point)
-        if self.metrics.enabled:
-            self.metrics.set_gauge("tf.lag.produced", produced)
-            self.metrics.set_gauge("tf.lag.consumed", consumed)
-            self.metrics.set_gauge("tf.lag.remaining", lag)
-            self.metrics.set_gauge("tf.lag.est_remaining_units",
-                                   point.est_remaining_units)
         return point
 
     # -- reading ------------------------------------------------------------
@@ -147,13 +126,13 @@ class ConvergenceMonitor:
         return [p.as_dict() for p in self._points]
 
     def starving(self, patience: int = 3) -> bool:
-        """Whether the lag has failed to shrink for ``patience`` points.
+        """Whether the lag has failed to shrink over ``patience`` points.
 
-        The observable early-warning form of Section 3.3's "more log
-        records are produced than the propagator is able to process": the
-        remaining tail is non-zero and non-decreasing across the last
-        ``patience`` iterations.  The analysis policy makes the binding
-        decision; this is the monitoring-side signal that fires first.
+        Section 3.3's "more log records are produced than the propagator
+        is able to process", and the one stall rule the analysis policies
+        decide by: there are at least ``patience`` points, the latest lag
+        is non-zero, and across the last ``patience`` points no lag is
+        smaller than the one before it.
         """
         if patience < 1:
             raise ValueError("patience must be >= 1")

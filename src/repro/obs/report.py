@@ -23,7 +23,7 @@ snapshot, span tree, blame snapshot and trace-ring events.
 
 Render a run report from the command line::
 
-    python -m repro.obs.report benchmarks/results/run_report.json
+    python -m repro.obs benchmarks/results/run_report.json
 
 which prints a phase timeline, the top-N slowest spans and a
 propagation-lag sparkline per run.
@@ -350,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     placeholder lines instead.
     """
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
+        prog="python -m repro.obs",
         description="Render a run-report JSON into a phase timeline, the "
                     "slowest spans and a propagation-lag sparkline.")
     parser.add_argument("file", help="run-report JSON path")

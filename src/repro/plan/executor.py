@@ -147,7 +147,7 @@ class PlanExecutor:
             return op.build(self.db, step.params, options)
 
         supervisor = TransformationSupervisor(self.db, factory)
-        supervisor.run()
+        tf = supervisor.run()
         snapshot = metrics.snapshot() if metrics is not None else None
         report: Dict[str, object] = {
             "step_id": step.step_id,
@@ -162,8 +162,8 @@ class PlanExecutor:
             report["blame"] = snapshot.get("blame")
             report["section"] = run_section(
                 options.transform_id, metrics=snapshot,
-                meta={"operator": step.operator,
-                      "sync": str(options.sync)})
+                convergence=tf.convergence,
+                meta={"operator": step.operator, "sync": str(options.sync)})
         return report
 
     def step_options(self, step: MigrationStep) -> TransformOptions:

@@ -12,7 +12,6 @@ from repro.transform.analysis import (
     Decision,
     EstimatedTimePolicy,
     FixedIterationsPolicy,
-    IterationReport,
     PropagationPolicy,
     RemainingRecordsPolicy,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "FixedIterationsPolicy",
     "FojRuleEngine",
     "FojTransformation",
-    "IterationReport",
     "KeyedRuleEngine",
     "LazyMigrator",
     "LockMirror",

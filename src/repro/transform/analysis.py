@@ -11,14 +11,20 @@ started.  If this is the case, the transformation should either be aborted
 or get higher priority."
 
 All three suggested analyses are provided; the remaining-record count is
-the default.
+the default.  A policy decides from the transformation's own convergence
+series (:class:`~repro.obs.convergence.ConvergenceMonitor`; its latest
+point is the iteration just finished) and holds no state, so one instance
+can serve any number of transformations.  The one stall rule is
+:meth:`~repro.obs.convergence.ConvergenceMonitor.starving`: the last
+``patience`` points end on a non-zero lag, and the lag never shrinks
+from one of them to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+
+from repro.obs.convergence import ConvergenceMonitor
 
 
 class Decision(Enum):
@@ -32,33 +38,21 @@ class Decision(Enum):
     STALLED = "stalled"
 
 
-@dataclass
-class IterationReport:
-    """Facts about one completed log-propagation iteration."""
-
-    iteration: int
-    records_propagated: int
-    remaining_records: int
-    units_used: int
-
-    def as_dict(self) -> dict:
-        """JSON-friendly rendering, used by the observability trace ring
-        (one ``tf.iteration`` event per analysis) and the benchmark JSON
-        output."""
-        return {
-            "iteration": self.iteration,
-            "records_propagated": self.records_propagated,
-            "remaining_records": self.remaining_records,
-            "units_used": self.units_used,
-        }
-
-
 class PropagationPolicy:
     """Base class: decide after each iteration what to do next."""
 
-    def decide(self, report: IterationReport) -> Decision:
-        """Return the next action given the iteration's report."""
+    def decide(self, series: ConvergenceMonitor) -> Decision:
+        """Return the next action given the transformation's series; its
+        ``latest`` point is the iteration just finished."""
         raise NotImplementedError
+
+
+def _check_patience(patience: int) -> int:
+    # The series keeps CAPACITY points: a longer patience could never fire.
+    if not 1 <= patience <= ConvergenceMonitor.CAPACITY:
+        raise ValueError(
+            f"patience must be in 1..{ConvergenceMonitor.CAPACITY}")
+    return patience
 
 
 class RemainingRecordsPolicy(PropagationPolicy):
@@ -67,29 +61,24 @@ class RemainingRecordsPolicy(PropagationPolicy):
     The synchronization step latches the source tables for one final
     propagation; it "should not be started if a significant portion of the
     log remains to be propagated" (Section 3.3).  A stall is declared when
-    the remaining count fails to shrink for ``patience`` consecutive
-    iterations.
+    the series starves for ``patience`` points.
 
     Args:
         max_remaining: Synchronize once at most this many records remain.
-        patience: Number of consecutive non-shrinking iterations tolerated
-            before declaring a stall.
+        patience: Number of latest points whose non-zero lag never shrinks
+            before a stall is declared.
     """
 
     def __init__(self, max_remaining: int = 64, patience: int = 8) -> None:
         if max_remaining < 0:
             raise ValueError("max_remaining must be >= 0")
         self.max_remaining = max_remaining
-        self.patience = patience
-        self._history: List[int] = []
+        self.patience = _check_patience(patience)
 
-    def decide(self, report: IterationReport) -> Decision:
-        if report.remaining_records <= self.max_remaining:
+    def decide(self, series: ConvergenceMonitor) -> Decision:
+        if series.latest.lag <= self.max_remaining:
             return Decision.SYNCHRONIZE
-        self._history.append(report.remaining_records)
-        recent = self._history[-self.patience:]
-        if len(recent) == self.patience and \
-                all(recent[i] >= recent[i - 1] for i in range(1, len(recent))):
+        if series.starving(self.patience):
             return Decision.STALLED
         return Decision.ITERATE
 
@@ -99,7 +88,9 @@ class EstimatedTimePolicy(PropagationPolicy):
 
     Estimates the propagator's record throughput from the last iteration
     (units per record as a proxy for time) and synchronizes when the
-    projected catch-up time falls under a threshold.
+    projected catch-up time falls under a threshold.  An idle iteration
+    (nothing propagated) measures no cost, so it charges one unit per
+    remaining record.
 
     Args:
         max_estimated_units: Synchronize when remaining * units-per-record
@@ -109,20 +100,17 @@ class EstimatedTimePolicy(PropagationPolicy):
 
     def __init__(self, max_estimated_units: int = 256,
                  patience: int = 8) -> None:
+        if max_estimated_units < 0:
+            raise ValueError("max_estimated_units must be >= 0")
         self.max_estimated_units = max_estimated_units
-        self.patience = patience
-        self._history: List[int] = []
+        self.patience = _check_patience(patience)
 
-    def decide(self, report: IterationReport) -> Decision:
-        per_record = (report.units_used / report.records_propagated
-                      if report.records_propagated else 1.0)
-        estimate = report.remaining_records * per_record
+    def decide(self, series: ConvergenceMonitor) -> Decision:
+        point = series.latest
+        estimate = point.est_remaining_units if point.records else point.lag
         if estimate <= self.max_estimated_units:
             return Decision.SYNCHRONIZE
-        self._history.append(report.remaining_records)
-        recent = self._history[-self.patience:]
-        if len(recent) == self.patience and \
-                all(recent[i] >= recent[i - 1] for i in range(1, len(recent))):
+        if series.starving(self.patience):
             return Decision.STALLED
         return Decision.ITERATE
 
@@ -135,7 +123,7 @@ class FixedIterationsPolicy(PropagationPolicy):
             raise ValueError("iterations must be >= 1")
         self.iterations = iterations
 
-    def decide(self, report: IterationReport) -> Decision:
-        if report.iteration >= self.iterations:
+    def decide(self, series: ConvergenceMonitor) -> Decision:
+        if series.latest.iteration >= self.iterations:
             return Decision.SYNCHRONIZE
         return Decision.ITERATE

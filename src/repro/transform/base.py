@@ -66,11 +66,7 @@ from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.row import Row
 from repro.storage.schema import TableSchema
 from repro.storage.table import PRIMARY_INDEX, Image, Table
-from repro.transform.analysis import (
-    Decision,
-    IterationReport,
-    RemainingRecordsPolicy,
-)
+from repro.transform.analysis import Decision, RemainingRecordsPolicy
 from repro.transform.options import (
     PER_ROW_MODES,
     SyncStrategy,
@@ -470,8 +466,9 @@ class Transformation:
         self.transform_id = self.options.transform_id or \
             f"{self.kind or 'tf'}-{next(_transform_counter)}"
         #: The analysis policy stays an attribute (unlike the other
-        #: options, read from ``self.options`` where they are used):
-        #: policies carry state.
+        #: options, read from ``self.options`` where they are used) so a
+        #: driver can swap it mid-run; it decides from
+        #: :attr:`convergence` alone and holds no state.
         self.policy = self.options.policy or RemainingRecordsPolicy()
         #: Snapshot pinned for the whole initial population under the
         #: MVCC backend; ``None`` before population and under latch mode.
@@ -507,9 +504,9 @@ class Transformation:
         #: attachment covers the engine and the transformation it runs.
         self.metrics: Metrics = db.metrics
         #: Per-iteration propagation-lag series (Section 3.3's three
-        #: analyses); populated by :meth:`_finish_iteration`.
-        self.convergence = ConvergenceMonitor(self.metrics,
-                                              self.transform_id)
+        #: analyses): one point per :meth:`_finish_iteration`, which the
+        #: policy decides from.
+        self.convergence = ConvergenceMonitor(self.metrics)
         #: LSN of the begin fuzzy mark: the zero point of the
         #: produced-records side of the convergence series.
         self._propagation_base_lsn = NULL_LSN
@@ -527,7 +524,6 @@ class Transformation:
         self._iteration_units = 0
         self._sync_executor = None       # built by _sync()
         self._old_txn_ids: Set[int] = set()
-        self._stalled = False
         #: The per-row modes' hook (miss hook, triggers) while installed.
         self._population_hook = None
         #: Cumulative statistics, read by benchmarks and the simulator.
@@ -1157,52 +1153,33 @@ class Transformation:
             # Skip our own mark; everything after it is next cycle's work.
             if self._cursor == mark_lsn:
                 self._cursor = mark_lsn + 1
-        report = IterationReport(
-            iteration=self._iteration,
-            records_propagated=self._iteration_records,
-            remaining_records=self._remaining(),
-            units_used=self._iteration_units,
-        )
-        decision = self.policy.decide(report)
-        # Section 3.3's three analyses, as a per-iteration series: log
+        # Section 3.3's three analyses, as one point of the series: log
         # records produced since the fuzzy mark vs. consumed by the
         # propagator, the remaining tail, and the estimated remaining work.
+        # The policy decides from the series; the point keeps the verdict.
         base = self._propagation_base_lsn
+        consumed = self.stats["propagated_records"]
         produced = max(0, self.db.log.end_lsn - base) if base != NULL_LSN \
-            else self.stats["propagated_records"]
+            else consumed
         point = self.convergence.observe_iteration(
             iteration=self._iteration,
             produced=produced,
-            consumed=self.stats["propagated_records"],
-            lag=report.remaining_records,
-            records=report.records_propagated,
-            units=report.units_used,
-            decision=decision.value)
+            consumed=consumed,
+            lag=self._remaining(),
+            records=self._iteration_records,
+            units=self._iteration_units)
+        decision = self.policy.decide(self.convergence)
+        point.decision = decision.value
         if self.metrics.enabled:
-            # Propagation-iteration reporting: the analysis input plus the
-            # decision it produced, as both aggregates and a trace event.
             self.metrics.inc("tf.iterations")
             self.metrics.inc("tf.decision." + decision.value)
-            self.metrics.observe("tf.iteration.records",
-                                 report.records_propagated)
-            self.metrics.observe("tf.iteration.units", report.units_used)
-            self.metrics.observe("tf.log_tail", report.remaining_records)
             self.metrics.trace("tf.iteration", transform=self.transform_id,
-                               decision=decision.value,
-                               produced=point.produced,
-                               consumed=point.consumed,
-                               lag=point.lag,
-                               est_remaining_units=point.est_remaining_units,
-                               **report.as_dict())
+                               **point.as_dict())
             if self._iter_span is not None:
-                self._iter_span.attrs["records"] = report.records_propagated
-                self._iter_span.attrs["remaining"] = report.remaining_records
-                self._iter_span.attrs["decision"] = decision.value
                 self.metrics.end_span(self._iter_span)
                 self._iter_span = None
-        if decision is not Decision.SYNCHRONIZE:
-            self._stalled = decision is Decision.STALLED
-        elif self._ready_to_synchronize()[0]:
+        if decision is Decision.SYNCHRONIZE and \
+                self._ready_to_synchronize()[0]:
             self.faults.fire(SITE_TF_SYNC_ENTER, transform=self.transform_id,
                              strategy=self.options.sync_strategy.value)
             self._sync()
@@ -1281,7 +1258,9 @@ class Transformation:
             phase = new
         report = StepReport(self.phase, units, self.phase is Phase.DONE)
         if phase is Phase.PROPAGATING:
-            report.stalled = self._stalled
+            latest = self.convergence.latest
+            report.stalled = latest is not None and \
+                latest.decision == Decision.STALLED.value
             report.info = {"remaining": self._remaining(),
                            "iteration": self._iteration}
         if self.metrics.enabled:

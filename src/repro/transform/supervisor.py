@@ -6,18 +6,20 @@ the transformed tables are deleted" (Section 6), and the Section 3.3
 starvation analysis explicitly ends in "abort ... and restart it with a
 higher priority".  :class:`TransformationSupervisor` turns that stance
 into the DBA-facing entry point: instead of raise-and-die, it drives
-:meth:`~repro.transform.base.Transformation.step` and, when the
-transformation aborts, cleans up, waits out an exponential backoff and
-retries with a *fresh* transformation from a caller-supplied factory.
+each attempt with :meth:`~repro.transform.base.Transformation.run` and,
+when the transformation aborts, cleans up, waits out an exponential
+backoff and retries with a *fresh* transformation from a caller-supplied
+factory.
 
 Priority escalation: the per-step budget is the system's priority proxy
 (the simulator grants the background process ``budget`` work units per
 scheduling slot).  A :class:`~repro.common.errors.TransformationStarvedError`
--- or a step report flagged ``stalled`` -- multiplies the budget by
-:attr:`~TransformationSupervisor.ESCALATION_FACTOR` before the retry, reproducing the paper's
-"restart it later [at a higher priority]" loop.  Hard aborts
-(plain :class:`~repro.common.errors.TransformationAbortedError`) retry at
-the same priority.
+(``run``'s answer to a step report flagged ``stalled``) multiplies the
+budget by :attr:`~TransformationSupervisor.ESCALATION_FACTOR` before the
+retry, reproducing the paper's "restart it later [at a higher priority]"
+loop.  Hard aborts (plain
+:class:`~repro.common.errors.TransformationAbortedError`) retry at the
+same priority.
 
 Time is counted in abstract *wait units* (the supervisor is
 environment-agnostic); pass ``on_wait`` to map them onto real sleeping or
@@ -110,36 +112,32 @@ class TransformationSupervisor:
                     attempt=attempt, budget=budget)
                 tf._span_parent = span
                 try:
-                    self._drive(tf, budget)
+                    tf.run(self.MAX_STEPS_PER_ATTEMPT, budget)
                     self.history.append({"budget": budget,
                                          "outcome": "done"})
                     self._attempt_over(span, attempt, budget, "done")
                     return tf
-                except TransformationStarvedError as exc:
-                    last_error = exc
-                    self.stats["aborts"] = int(self.stats["aborts"]) + 1
-                    self.stats["starvations"] = \
-                        int(self.stats["starvations"]) + 1
-                    self.history.append({"budget": budget,
-                                         "outcome": "starved"})
-                    self._ensure_aborted(tf)
-                    self._attempt_over(span, attempt, budget, "starved")
-                    escalated = min(self.MAX_BUDGET,
-                                    budget * self.ESCALATION_FACTOR)
-                    if self.metrics.enabled:
-                        self.metrics.inc("supervisor.escalations")
-                        self.metrics.trace("supervisor.escalate",
-                                           attempt=attempt,
-                                           from_budget=budget,
-                                           to_budget=escalated)
-                    budget = escalated
                 except TransformationAbortedError as exc:
                     last_error = exc
+                    starved = isinstance(exc, TransformationStarvedError)
+                    outcome = "starved" if starved else "aborted"
                     self.stats["aborts"] = int(self.stats["aborts"]) + 1
                     self.history.append({"budget": budget,
-                                         "outcome": "aborted"})
+                                         "outcome": outcome})
                     self._ensure_aborted(tf)
-                    self._attempt_over(span, attempt, budget, "aborted")
+                    self._attempt_over(span, attempt, budget, outcome)
+                    if starved:
+                        self.stats["starvations"] = \
+                            int(self.stats["starvations"]) + 1
+                        escalated = min(self.MAX_BUDGET,
+                                        budget * self.ESCALATION_FACTOR)
+                        if self.metrics.enabled:
+                            self.metrics.inc("supervisor.escalations")
+                            self.metrics.trace("supervisor.escalate",
+                                               attempt=attempt,
+                                               from_budget=budget,
+                                               to_budget=escalated)
+                        budget = escalated
                 if attempt < self.MAX_ATTEMPTS:
                     if self.metrics.enabled:
                         self.metrics.inc("supervisor.retries")
@@ -163,22 +161,6 @@ class TransformationSupervisor:
                                budget=budget, outcome=outcome)
 
     # ------------------------------------------------------------------
-
-    def _drive(self, tf: Transformation, budget: int) -> None:
-        """One attempt: step until done; abort + raise on stall."""
-        for _ in range(self.MAX_STEPS_PER_ATTEMPT):
-            report = tf.step(budget)
-            if report.done:
-                return
-            if report.stalled:
-                tf.abort()
-                raise TransformationStarvedError(
-                    f"{tf.transform_id}: starved at budget {budget} "
-                    "(Section 3.3); escalating priority")
-        tf.abort()
-        raise TransformationAbortedError(
-            f"{tf.transform_id}: exceeded {self.MAX_STEPS_PER_ATTEMPT} "
-            "steps in one attempt")
 
     def _ensure_aborted(self, tf: Transformation) -> None:
         """Guarantee the failed attempt left zero residue behind."""

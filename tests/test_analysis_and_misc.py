@@ -6,11 +6,11 @@ import pytest
 from repro import Database, Session, TableSchema, restart
 from repro.common.errors import SchemaError
 from repro.storage import Table
+from repro.obs import ConvergenceMonitor, Metrics
 from repro.transform.analysis import (
     Decision,
     EstimatedTimePolicy,
     FixedIterationsPolicy,
-    IterationReport,
     RemainingRecordsPolicy,
 )
 
@@ -20,27 +20,30 @@ from repro.transform.analysis import (
 # ---------------------------------------------------------------------------
 
 
-def report(iteration=1, propagated=100, remaining=0, units=100):
-    return IterationReport(iteration, propagated, remaining, units)
+def decisions(policy, *lags, propagated=100, units=100):
+    """Feed one series point per lag (iterations 1, 2, ...), deciding
+    after each as ``Transformation._finish_iteration`` does."""
+    series = ConvergenceMonitor(Metrics())
+    verdicts = []
+    for iteration, lag in enumerate(lags, 1):
+        series.observe_iteration(iteration=iteration, produced=0,
+                                 consumed=0, lag=lag, records=propagated,
+                                 units=units)
+        verdicts.append(policy.decide(series))
+    return verdicts
 
 
 def test_remaining_records_policy_synchronizes_when_few_remain():
     policy = RemainingRecordsPolicy(max_remaining=10)
-    assert policy.decide(report(remaining=5)) is Decision.SYNCHRONIZE
-    assert policy.decide(report(remaining=10)) is Decision.SYNCHRONIZE
-    assert policy.decide(report(remaining=11)) is Decision.ITERATE
+    assert decisions(policy, 5, 10, 11) == [
+        Decision.SYNCHRONIZE, Decision.SYNCHRONIZE, Decision.ITERATE]
 
 
 def test_remaining_records_policy_declares_stall():
     policy = RemainingRecordsPolicy(max_remaining=10, patience=3)
-    decisions = [policy.decide(report(iteration=i, remaining=100 + i))
-                 for i in range(1, 6)]
-    assert Decision.STALLED in decisions
+    assert Decision.STALLED in decisions(policy, *range(101, 106))
     # Shrinking backlog resets the verdict.
-    policy2 = RemainingRecordsPolicy(max_remaining=10, patience=3)
-    for i, remaining in enumerate((100, 90, 80, 70, 60)):
-        assert policy2.decide(report(iteration=i, remaining=remaining)) \
-            is Decision.ITERATE
+    assert decisions(policy, 100, 90, 80, 70, 60) == [Decision.ITERATE] * 5
 
 
 def test_remaining_records_policy_validates():
@@ -48,27 +51,53 @@ def test_remaining_records_policy_validates():
         RemainingRecordsPolicy(max_remaining=-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RemainingRecordsPolicy(patience=0),
+    lambda: RemainingRecordsPolicy(patience=-3),
+    lambda: RemainingRecordsPolicy(
+        patience=ConvergenceMonitor.CAPACITY + 1),
+    lambda: EstimatedTimePolicy(patience=0),
+    lambda: EstimatedTimePolicy(max_estimated_units=-1),
+], ids=["remaining-patience-0", "remaining-patience-negative",
+        "remaining-patience-beyond-series", "estimated-patience-0",
+        "estimated-units-negative"])
+def test_policies_reject_bad_arguments(make):
+    """``patience=0`` used to never stall (``history[-0:]`` is the whole
+    list); a patience the bounded series cannot hold could never fire."""
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_estimated_time_policy_uses_per_record_cost():
     policy = EstimatedTimePolicy(max_estimated_units=50)
     # 100 remaining at 1 unit/record -> 100 > 50: iterate.
-    assert policy.decide(report(propagated=100, units=100,
-                                remaining=100)) is Decision.ITERATE
+    assert decisions(policy, 100, propagated=100, units=100) == \
+        [Decision.ITERATE]
     # 100 remaining at 0.25 units/record -> 25 <= 50: synchronize.
-    assert policy.decide(report(propagated=400, units=100,
-                                remaining=100)) is Decision.SYNCHRONIZE
+    assert decisions(policy, 100, propagated=400, units=100) == \
+        [Decision.SYNCHRONIZE]
+
+
+def test_estimated_time_policy_charges_idle_iterations_per_record():
+    """An idle iteration measures no cost (the point's estimate is 0);
+    the policy charges one unit per remaining record instead."""
+    policy = EstimatedTimePolicy(max_estimated_units=50)
+    assert decisions(policy, 51, propagated=0, units=0) == \
+        [Decision.ITERATE]
+    assert decisions(policy, 50, propagated=0, units=0) == \
+        [Decision.SYNCHRONIZE]
 
 
 def test_estimated_time_policy_stall():
     policy = EstimatedTimePolicy(max_estimated_units=1, patience=2)
-    first = policy.decide(report(iteration=1, remaining=1000))
-    second = policy.decide(report(iteration=2, remaining=1000))
-    assert second is Decision.STALLED and first is Decision.ITERATE
+    assert decisions(policy, 1000, 1000) == \
+        [Decision.ITERATE, Decision.STALLED]
 
 
 def test_fixed_iterations_policy():
     policy = FixedIterationsPolicy(3)
-    assert policy.decide(report(iteration=2)) is Decision.ITERATE
-    assert policy.decide(report(iteration=3)) is Decision.SYNCHRONIZE
+    assert decisions(policy, 0, 0, 0)[1:] == \
+        [Decision.ITERATE, Decision.SYNCHRONIZE]
     with pytest.raises(ValueError):
         FixedIterationsPolicy(0)
 

@@ -99,7 +99,7 @@ def test_removed_option_fields_are_rejected():
         (partial(BlameBoard, Metrics()), "", "edge_capacity"),
         (partial(Histogram, "h"), "", "sample_cap"),
         (partial(Gauge, "g"), "", "series_cap"),
-        (partial(ConvergenceMonitor, Metrics(), "tf"), "", "capacity"),
+        (partial(ConvergenceMonitor, Metrics()), "", "capacity transform_id"),
     ]
     for make, accepted, retired in census:
         assert list(inspect.signature(make).parameters) == accepted.split()

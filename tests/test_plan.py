@@ -264,6 +264,17 @@ def test_run_plan_observe_reports_blame_sections():
         assert step["section"]["name"] == step["transform_id"]
 
 
+def test_run_plan_observe_sections_carry_the_convergence_series():
+    """Each observed step's section carries the completed
+    transformation's lag series, ending on the synchronize verdict."""
+    db = make_chain_db()
+    report = run_plan(db, chain_plan(), observe=True)
+    for step in report["steps"]:
+        series = step["section"]["convergence"]
+        assert series, step["step_id"]
+        assert series[-1]["decision"] == "synchronize"
+
+
 # -- crash resume --------------------------------------------------------
 
 

@@ -2,7 +2,10 @@
 trace wiring of the supervisor, recovery and the simulated experiments."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +217,20 @@ def test_report_cli_renders_file(tmp_path, capsys):
     assert report_main([str(path)]) == 0
     out = capsys.readouterr().out
     assert "run report: render-test" in out
+
+
+def test_report_cli_runs_as_the_package_without_a_double_import(tmp_path):
+    """``python -m repro.obs FILE`` renders with RuntimeWarnings as errors:
+    the report module is imported once, not re-run as ``__main__``."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(observed_report(), default=str))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs",
+         str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "run report: render-test" in done.stdout
 
 
 def test_report_cli_renders_committed_fixture(capsys):

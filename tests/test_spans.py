@@ -148,23 +148,19 @@ def test_metrics_span_api_and_snapshot_accounting():
 # ---------------------------------------------------------------------------
 
 
-def test_convergence_point_math_and_gauges():
+def test_convergence_point_math():
     m = Metrics(enabled=True, clock=ticking_clock())
-    mon = ConvergenceMonitor(m, transform_id="tf-1")
+    mon = ConvergenceMonitor(m)
     p = mon.observe_iteration(iteration=1, produced=100, consumed=60,
-                              lag=40, records=20, units=10.0,
-                              decision="iterate")
+                              lag=40, records=20, units=10.0)
+    p.decision = "iterate"
     assert p.units_per_record == pytest.approx(0.5)
     assert p.est_remaining_units == pytest.approx(20.0)
     # Idle iteration: no records -> no cost estimate, not a ZeroDivision.
     q = mon.observe_iteration(iteration=2, produced=100, consumed=60,
-                              lag=40, records=0, units=0.0,
-                              decision="iterate")
+                              lag=40, records=0, units=0.0)
     assert q.units_per_record == 0.0 and q.est_remaining_units == 0.0
     assert mon.latest is q and len(mon) == 2
-    snap = m.snapshot()
-    assert snap["gauges"]["tf.lag.remaining"]["value"] == 40
-    assert snap["gauges"]["tf.lag.produced"]["value"] == 100
     series = mon.series()
     assert [pt["iteration"] for pt in series] == [1, 2]
     assert series[0]["decision"] == "iterate"
@@ -176,7 +172,7 @@ def test_convergence_starvation_signal():
 
     def point(i, lag):
         mon.observe_iteration(iteration=i, produced=0, consumed=0, lag=lag,
-                              records=1, units=1.0, decision="iterate")
+                              records=1, units=1.0)
 
     point(1, 10)
     assert not mon.starving()          # not enough history
@@ -199,7 +195,7 @@ def test_convergence_capacity_drops_oldest():
     last = ConvergenceMonitor.CAPACITY + 2
     for i in range(1, last + 1):
         mon.observe_iteration(iteration=i, produced=i, consumed=i, lag=0,
-                              records=1, units=1.0, decision="iterate")
+                              records=1, units=1.0)
     assert mon.dropped == 2
     assert [p.iteration for p in mon.points] == list(range(3, last + 1))
 

@@ -22,13 +22,15 @@ from repro.common.errors import (
     TransformationStateError,
 )
 from repro.relational import full_outer_join, rows_equal
-from repro.transform.analysis import (
-    Decision,
-    IterationReport,
-    RemainingRecordsPolicy,
-)
+from repro.transform.analysis import Decision, RemainingRecordsPolicy
 
-from tests.conftest import foj_spec, load_foj_data, values_of
+from tests.conftest import (
+    R_SCHEMA,
+    S_SCHEMA,
+    foj_spec,
+    load_foj_data,
+    values_of,
+)
 from tests.model import check_model, seeded
 
 
@@ -140,13 +142,52 @@ def test_run_detects_stall():
             s.insert("R", {"a": i, "b": 0, "c": i})
 
     class AlwaysStalled(RemainingRecordsPolicy):
-        def decide(self, report: IterationReport) -> Decision:
+        def decide(self, series) -> Decision:
             return Decision.STALLED
 
     tf = FojTransformation(db, foj_spec(db), options=TransformOptions(policy=AlwaysStalled()))
     with pytest.raises(TransformationAbortedError):
         tf.run()
     assert tf.phase is Phase.ABORTED
+
+
+def _foj_under_updates(options, propagation_steps):
+    """A FOJ of 40 R / 8 S rows at budget 8, one committed R update before
+    each of its first ``propagation_steps`` propagation steps; returns
+    ``"done"`` or ``"stalled"`` and the lag series."""
+    db = Database()
+    db.create_table(R_SCHEMA)
+    db.create_table(S_SCHEMA)
+    with Session(db) as s:
+        for i in range(40):
+            s.insert("R", {"a": i, "b": 0, "c": i % 8})
+        for c in range(8):
+            s.insert("S", {"c": c, "d": 0, "e": 0})
+    tf = FojTransformation(db, foj_spec(db), options=options)
+    updates = 0
+    for _ in range(1000):
+        if tf.phase is Phase.PROPAGATING and updates < propagation_steps:
+            updates += 1
+            with Session(db) as s:
+                s.update("R", (updates % 40,), {"b": updates})
+        report = tf.step(8)
+        if report.done or report.stalled:
+            lags = [p.lag for p in tf.convergence.points]
+            return ("done" if report.done else "stalled"), lags
+    raise AssertionError("neither done nor stalled")
+
+
+def test_one_policy_serves_transformations_that_share_options():
+    """Policies hold no state: a second FOJ built from the options a first
+    one stalled with decides from its own series, as a fresh policy
+    does."""
+    options = TransformOptions(
+        policy=RemainingRecordsPolicy(max_remaining=2, patience=3))
+    assert _foj_under_updates(options, 1000) == ("stalled", [5, 5, 5])
+    fresh = TransformOptions(
+        policy=RemainingRecordsPolicy(max_remaining=2, patience=3))
+    assert _foj_under_updates(fresh, 2) == ("done", [5, 5, 0])
+    assert _foj_under_updates(options, 2) == ("done", [5, 5, 0])
 
 
 def test_spec_guard_rejects_m2m_spec(foj_db):
