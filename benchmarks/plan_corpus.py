@@ -5,11 +5,13 @@ Runs every scenario in :data:`repro.plan.CORPUS` twice:
 1. **Clean run** -- build the seed tables, execute the plan online with
    per-step observability (``run_plan(..., observe=True)``), and check
    the final catalog against the scenario's reference-operator oracle.
-2. **Crash-resume slice** -- rebuild from scratch, crash the system at
-   the first step's swap record (``sync.swap.logged``), salvage the log,
-   run ARIES restart, resume the plan (``resume=True``) and check the
-   oracle again.  This exercises the WAL-backed replay path of every
-   plan in the corpus, multi-step chains included.
+2. **Crash-resume slice** -- for every step ``k`` of the plan, rebuild
+   from scratch, crash the system at the ``k``-th swap record
+   (``sync.swap.logged``), run ARIES restart, resume the plan
+   (``resume=True``) and check the oracle again: the first ``k`` steps
+   must replay from the recovered catalog's swaps and the rest run.
+   This exercises the resume path after every step of every plan in the
+   corpus, multi-step chains included.
 
 Each plan's step sections (metrics snapshot, convergence series and
 interference blame) land in ``benchmarks/results/plan_<name>.report.json``
@@ -54,12 +56,13 @@ def clean_run(scenario: CorpusScenario) -> Dict[str, object]:
     }
 
 
-def crash_resume_run(scenario: CorpusScenario) -> Dict[str, object]:
-    """Crash at the first swap, restart, resume, verify."""
+def crash_resume_run(scenario: CorpusScenario,
+                     hit: int) -> Dict[str, object]:
+    """Crash at the ``hit``-th swap, restart, resume, verify."""
     db = Database()
     scenario.build(db)
     db.attach_faults(FaultInjector(
-        FaultPlan().arm("sync.swap.logged", CrashFault(), hit=1)))
+        FaultPlan().arm("sync.swap.logged", CrashFault(), hit=hit)))
     crashed = False
     try:
         run_plan(db, scenario.plan)
@@ -67,18 +70,21 @@ def crash_resume_run(scenario: CorpusScenario) -> Dict[str, object]:
         crashed = True
     db.log.faults = NULL_FAULTS
     if not crashed:
-        return {"crashed": False, "violations":
-                ["crash at sync.swap.logged never fired"]}
+        return {"hit": hit, "crashed": False, "violations":
+                [f"crash at sync.swap.logged hit {hit} never fired"]}
     recovered = restart(db.log)
     report = run_plan(recovered, scenario.plan, resume=True)
     violations = scenario.verify(recovered)
-    if not report["resumed"]:
+    statuses = [s["status"] for s in report["steps"]]
+    expected = ["replayed"] * hit + ["done"] * (len(statuses) - hit)
+    if statuses != expected:
         violations = violations + [
-            "resume replayed nothing despite a completed swap"]
+            f"crash at swap {hit}: statuses {statuses}, not {expected}"]
     return {
+        "hit": hit,
         "crashed": True,
         "resumed": report["resumed"],
-        "statuses": [s["status"] for s in report["steps"]],
+        "statuses": statuses,
         "violations": violations,
     }
 
@@ -88,10 +94,13 @@ def main() -> int:
     all_violations: List[str] = []
     for scenario in CORPUS:
         clean = clean_run(scenario)
-        resume = crash_resume_run(scenario)
+        resumes = [crash_resume_run(scenario, hit)
+                   for hit in range(1, len(scenario.plan.steps) + 1)]
+        resume_violations = [v for resume in resumes
+                             for v in resume["violations"]]
         for v in clean["violations"]:
             all_violations.append(f"{scenario.name} (clean): {v}")
-        for v in resume["violations"]:
+        for v in resume_violations:
             all_violations.append(f"{scenario.name} (resume): {v}")
         sections = [s["section"] for s in clean["report"]["steps"]
                     if "section" in s]
@@ -107,14 +116,14 @@ def main() -> int:
             "steps": scenario.plan.step_ids(),
             "published": clean["published"],
             "clean_violations": clean["violations"],
-            "resume": {k: v for k, v in resume.items()
-                       if k != "violations"},
-            "resume_violations": resume["violations"],
+            "resume": [{k: v for k, v in resume.items()
+                        if k != "violations"} for resume in resumes],
+            "resume_violations": resume_violations,
         }
         status = "ok" if not (clean["violations"] or
-                              resume["violations"]) else "VIOLATION"
+                              resume_violations) else "VIOLATION"
         print(f"{scenario.name:<20} steps={len(scenario.plan.steps)} "
-              f"resume={resume.get('statuses')} {status}")
+              f"resume={[r.get('statuses') for r in resumes]} {status}")
     summary = {
         "scenarios": len(scenarios),
         "violations": len(all_violations),

@@ -21,7 +21,9 @@ our extension for completed swaps):
   action-consistent with the published tables, so recovery *recomputes* the
   published tables by applying the registered transformation operator to
   the recovered source state, then keeps propagating post-swap operations
-  of old transactions onto them with the registered rule engine.
+  of old transactions onto them with the registered rule engine;
+* a :class:`~repro.wal.records.TransformRetireRecord` (a dropped view)
+  retires its swap from the catalog, and its rule engine stops there.
 
 Rebuild functions are registered per transformation kind via
 :func:`register_rebuilder`; every :class:`~repro.transform.base.
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     Type)
 
-from repro.common.errors import NoSuchTableError, RecoveryError
+from repro.common.errors import NoSuchTableError, RecoveryError, ReproError
 from repro.concurrency.transactions import Transaction
 from repro.engine.database import Database
 from repro.engine.fuzzy import REDO_CHANGE
@@ -62,7 +64,6 @@ from repro.wal.records import (
 
 #: Frame codes analysis looks for in the record headers.
 _CHECKPOINT_CODE = bytes((RECORD_CODES[CheckpointRecord],))
-_RETIRE_CODE = bytes((RECORD_CODES[TransformRetireRecord],))
 _COMMIT_CODE = RECORD_CODES[CommitRecord]
 _END_CODE = RECORD_CODES[EndRecord]
 
@@ -92,11 +93,10 @@ def restart(log: LogManager, metrics=None) -> Database:
 
     Analysis reads the record code and transaction id of every record
     (:meth:`LogManager.headers` -- for a log salvaged from disk, the
-    salvage walk's frame headers) and decodes only the last checkpoint
-    and the retire records.  Redo streams the log once in LSN order,
-    dispatching on the record class (records are never subclassed); a
-    durable log decodes each frame then and drops it.  Undo reads the
-    losers' records on demand.
+    salvage walk's frame headers) and decodes only the last checkpoint.
+    Redo streams the log once in LSN order, dispatching on the record
+    class (records are never subclassed); a durable log decodes each
+    frame then and drops it.  Undo reads the losers' records on demand.
 
     When a :class:`~repro.obs.metrics.Metrics` registry is passed, the
     three passes are recorded as ``recovery.analysis`` / ``recovery.redo``
@@ -110,17 +110,10 @@ def restart(log: LogManager, metrics=None) -> Database:
 
     with obs.span("recovery", end_lsn=end_lsn) as root:
         with obs.span("recovery.analysis") as pass_span:
-            # The most recent fuzzy checkpoint bounds analysis, and redo
-            # must know up front which swaps were later retired (see
-            # TransformRetireRecord).
+            # The most recent fuzzy checkpoint bounds analysis.
             codes, txn_ids = log.headers()
             at = codes.rfind(_CHECKPOINT_CODE)
             checkpoint = log.record_at(FIRST_LSN + at) if at >= 0 else None
-            retired_ids: Set[str] = set()
-            at = codes.find(_RETIRE_CODE)
-            while at >= 0:
-                retired_ids.add(log.record_at(FIRST_LSN + at).transform_id)
-                at = codes.find(_RETIRE_CODE, at + 1)
             losers, in_commit, max_txn_id = _analysis(codes, txn_ids,
                                                       checkpoint)
             if obs.enabled:
@@ -129,13 +122,12 @@ def restart(log: LogManager, metrics=None) -> Database:
 
         # ---- redo --------------------------------------------------------
         with obs.span("recovery.redo") as pass_span:
-            redo = _Redo(db, retired_ids)
+            redo = _Redo(db)
             handler_of = REDO_HANDLERS.get
             for record in log.scan(FIRST_LSN, end_lsn):
                 handler = handler_of(type(record))
                 if handler is not None:
                     handler(redo, record)
-            propagators = redo.propagators
             if obs.enabled:
                 pass_span.attrs["records"] = len(codes)
 
@@ -165,7 +157,10 @@ def restart(log: LogManager, metrics=None) -> Database:
                 for record in log.scan(undo_from + 1):
                     change = data_change_of(record)
                     if change is not None:
-                        _propagate(propagators, change, record.lsn)
+                        redo.propagate(change, record.lsn)
+            for transform_id, error in redo.failed.items():
+                raise RecoveryError(f"swap {transform_id!r}: its rules "
+                                    f"refused a logged change") from error
             if obs.enabled:
                 pass_span.attrs["losers_rolled_back"] = len(losers)
 
@@ -173,7 +168,7 @@ def restart(log: LogManager, metrics=None) -> Database:
         for name in list(db.catalog.zombie_names()):
             db.catalog.drop_zombie(name)
         if obs.enabled:
-            root.attrs["propagators"] = len(propagators)
+            root.attrs["propagators"] = len(redo.propagators)
     return db
 
 
@@ -254,27 +249,20 @@ def _analysis(codes: bytes, txn_ids: Sequence[int],
     return losers, in_commit, max_id
 
 
-def _propagate(engines: List[object], change: LogRecord, lsn: int) -> None:
-    """Run a post-swap data change through the rules of every replayed
-    swap that consumes its table."""
-    for engine in engines:
-        if change.table in engine.source_tables:
-            engine.apply(change, lsn)
-
-
 class _Redo:
     """The redo pass: the database being rebuilt and what the records
     seen so far have established."""
 
-    def __init__(self, db: Database, retired_ids: Set[str]) -> None:
+    def __init__(self, db: Database) -> None:
         self.catalog = db.catalog
         self.db = db
-        self.retired_ids = retired_ids
         #: Transformation targets created but not published: tracked by
         #: name only, their content (non-logged physical redo) discarded.
         self.transient_names: Set[str] = set()
-        #: Rule engines of replayed swaps, fed every later data change.
-        self.propagators: List[object] = []
+        #: Rule engines of the swaps in effect, fed every later change.
+        self.propagators: Dict[str, object] = {}
+        #: Transform id -> the error its rules refused a change with.
+        self.failed: Dict[str, ReproError] = {}
 
     def change(self, record: LogRecord,
                change: Optional[LogRecord] = None) -> None:
@@ -289,7 +277,20 @@ class _Redo:
         else:
             REDO_CHANGE[type(change)](table, change, record.lsn)
         if self.propagators:
-            _propagate(self.propagators, change, record.lsn)
+            self.propagate(change, record.lsn)
+
+    def propagate(self, change: LogRecord, lsn: int) -> None:
+        """Run a post-swap data change through the rules of every swap in
+        effect that consumes its table.  A refusal (a deferred view's
+        NULL join value) fails only that swap's engine, fed nothing more:
+        its retire record discards it; restart fails on one in effect."""
+        for transform_id, engine in self.propagators.items():
+            if change.table in engine.source_tables \
+                    and transform_id not in self.failed:
+                try:
+                    engine.apply(change, lsn)
+                except ReproError as error:
+                    self.failed[transform_id] = error
 
     def clr(self, record: CLRecord) -> None:
         if type(record.action) in REDO_CHANGE:
@@ -318,8 +319,6 @@ class _Redo:
 
     def swap(self, record: TransformSwapRecord) -> None:
         """Recompute published tables at a swap point and install them."""
-        if record.transform_id in self.retired_ids:
-            return
         rebuild = _REBUILDERS.get(record.transform_kind)
         if rebuild is None:
             raise RecoveryError(
@@ -328,11 +327,17 @@ class _Redo:
         published, engine = rebuild(self.db, record)
         for name, table in published.items():
             self.transient_names -= {name, table.name}
-        self.catalog.swap(record.retired, published, keep_zombies=True,
-                          lsn=record.lsn)
+        self.catalog.swap(record.transform_id, record.retired, published,
+                          keep_zombies=True, lsn=record.lsn)
         for name in set(record.retired) & set(published):
             engine.rename_source(name, self.catalog.name_at(name))
-        self.propagators.append(engine)
+        self.propagators[record.transform_id] = engine
+
+    def retire(self, record: TransformRetireRecord) -> None:
+        """The live drop's catalog action; the propagator stops here."""
+        self.catalog.retire(record.transform_id)
+        del self.propagators[record.transform_id]
+        self.failed.pop(record.transform_id, None)
 
 
 #: Record class -> redo action.  A type-keyed table skips what it does not
@@ -342,4 +347,5 @@ REDO_HANDLERS: Dict[Type[LogRecord], Callable[[_Redo, LogRecord], None]] = {
     InsertRecord: _Redo.change, DeleteRecord: _Redo.change,
     UpdateRecord: _Redo.change, CLRecord: _Redo.clr,
     CreateTableRecord: _Redo.create_table, DropTableRecord: _Redo.drop_table,
-    RenameTableRecord: _Redo.rename_table, TransformSwapRecord: _Redo.swap}
+    RenameTableRecord: _Redo.rename_table, TransformSwapRecord: _Redo.swap,
+    TransformRetireRecord: _Redo.retire}

@@ -355,11 +355,11 @@ class _Shadow:
 def _visible_tables(log: LogManager) -> Set[str]:
     """Tables recovery will leave visible, by DDL replay of ``log``.
 
-    Mirrors the redo pass of :func:`~repro.engine.recovery.restart`:
-    transient creates are discarded, renames follow the transient flag,
-    a swap (of a never-retired transformation) retires its sources --
-    zombies are dropped at the end of recovery -- and publishes its
-    targets.
+    An independent mirror of :func:`~repro.engine.recovery.restart`'s
+    redo: transient creates are discarded, renames follow the transient
+    flag, a swap (of a never-retired transformation, by a pre-scan where
+    redo retires a view in the stream) retires its sources -- zombies
+    are dropped at the end of recovery -- and publishes its targets.
     """
     retired_ids = {record.transform_id for record in log.scan()
                    if isinstance(record, TransformRetireRecord)}

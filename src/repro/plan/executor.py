@@ -10,16 +10,11 @@ attempt history, the published tables with row counts, and -- under
 ``observe=True`` -- a fresh per-step metrics snapshot with the
 interference blame breakdown.
 
-Crash resume rides on the WAL, not on executor state: a step that
-reached its swap point left a
-:class:`~repro.wal.records.TransformSwapRecord` carrying the step's
-deterministic transform id (``"<plan_id>.<step_id>"``).  After restart
-recovery, :meth:`PlanExecutor.completed_step_ids` scans the salvaged log
-for those ids (minus any later
-:class:`~repro.wal.records.TransformRetireRecord`), and
-``run(resume=True)`` replays completed steps as no-ops -- recovery
-already rebuilt their published tables -- and re-runs the chain from the
-first step that had not swapped.
+Crash resume reads the catalog, not the log: a step's swap registers its
+deterministic transform id (``"<plan_id>.<step_id>"``) in
+:meth:`~repro.storage.catalog.Catalog.swaps`, which restart recovery
+rebuilds, and ``run(resume=True)`` replays registered steps as no-ops
+and re-runs the chain from the first step that had not swapped.
 
 :func:`run_plan` is the one-call convenience wrapper.
 """
@@ -35,10 +30,8 @@ from repro.obs.report import run_section
 from repro.plan.operators import PLAN_OPERATORS
 from repro.plan.spec import PLAN_OPTION_FIELDS, MigrationPlan, MigrationStep
 from repro.plan.validate import PlanValidator
-from repro.transform.base import Transformation
 from repro.transform.options import TransformOptions
 from repro.transform.supervisor import TransformationSupervisor
-from repro.wal.records import TransformRetireRecord, TransformSwapRecord
 
 
 class PlanExecutor:
@@ -67,35 +60,22 @@ class PlanExecutor:
     # -- resume ----------------------------------------------------------
 
     def completed_step_ids(self) -> List[str]:
-        """Step ids whose swap records survive in the database's log.
+        """Step ids whose swaps are in effect in the database's catalog.
 
-        A step is *completed* once its swap record is durable: recovery
-        rebuilds its published tables from that record, so re-running the
-        step would be both impossible (its sources are retired) and
-        wrong.  A later retire record cancels the swap, exactly as in
-        restart recovery.  The completed steps must form a prefix of the
-        plan -- steps run in order, so a gap means the log belongs to a
-        different plan (or a different version of this one).
+        Recovery rebuilds a registered swap's published tables, so
+        re-running the step would be both impossible (its sources are
+        retired) and wrong.  The completed steps must form a prefix of
+        the plan -- steps run in order, so a gap means the database
+        belongs to a different plan (or a different version of it).
         """
-        by_transform_id = {self.plan.transform_id(step): step.step_id
-                           for step in self.plan.steps}
-        swapped: set = set()
-        retired: set = set()
-        for record in self.db.log.scan():
-            if isinstance(record, TransformSwapRecord):
-                if record.transform_id in by_transform_id:
-                    swapped.add(record.transform_id)
-            elif isinstance(record, TransformRetireRecord):
-                retired.add(record.transform_id)
-        completed = [by_transform_id[tid] for tid in sorted(swapped - retired,
-                     key=lambda tid: self.plan.step_ids().index(
-                         by_transform_id[tid]))]
-        prefix = self.plan.step_ids()[:len(completed)]
-        if completed != prefix:
+        swapped = self.db.catalog.swaps()
+        completed = [step.step_id for step in self.plan.steps
+                     if self.plan.transform_id(step) in swapped]
+        if completed != self.plan.step_ids()[:len(completed)]:
             raise PlanValidationError(self.plan.plan_id, [
                 f"completed steps {completed} are not a prefix of the "
-                f"plan's steps {self.plan.step_ids()}; the log does not "
-                "match this plan"])
+                f"plan's steps {self.plan.step_ids()}; the database does "
+                "not match this plan"])
         return completed
 
     # -- execution -------------------------------------------------------
@@ -103,10 +83,10 @@ class PlanExecutor:
     def run(self, resume: bool = False) -> Dict[str, object]:
         """Execute the plan; returns the run report.
 
-        With ``resume=True``, steps whose swap records survive in the log
-        are replayed as no-ops (status ``"replayed"``) and execution
-        continues from the first incomplete step -- the crash-recovery
-        path.  Without it the plan must start from scratch.
+        With ``resume=True``, steps whose swaps the catalog holds are
+        replayed as no-ops (status ``"replayed"``) and execution continues
+        from the first incomplete step -- the crash-recovery path.
+        Without it the plan must start from scratch.
         """
         completed = self.completed_step_ids() if resume else []
         if self.validate:
@@ -115,16 +95,9 @@ class PlanExecutor:
         steps: List[Dict[str, object]] = []
         try:
             for step in self.plan.steps:
-                if step.step_id in completed:
-                    steps.append({
-                        "step_id": step.step_id,
-                        "operator": step.operator,
-                        "transform_id": self.plan.transform_id(step),
-                        "status": "replayed",
-                        "published": self._published_counts(step),
-                    })
-                    continue
-                steps.append(self._run_step(step))
+                steps.append(self._step_report(step, "replayed")
+                             if step.step_id in completed
+                             else self._run_step(step))
         finally:
             if self.observe:
                 self.db.attach_metrics(original_metrics)
@@ -142,22 +115,13 @@ class PlanExecutor:
         if self.observe:
             metrics = Metrics()
             self.db.attach_metrics(metrics)
-
-        def factory() -> Transformation:
-            return op.build(self.db, step.params, options)
-
-        supervisor = TransformationSupervisor(self.db, factory)
+        supervisor = TransformationSupervisor(
+            self.db, lambda: op.build(self.db, step.params, options))
         tf = supervisor.run()
         snapshot = metrics.snapshot() if metrics is not None else None
-        report: Dict[str, object] = {
-            "step_id": step.step_id,
-            "operator": step.operator,
-            "transform_id": options.transform_id,
-            "status": "done",
-            "published": self._published_counts(step),
-            "supervisor": dict(supervisor.stats),
-            "attempts": list(supervisor.history),
-        }
+        report = {**self._step_report(step, "done"),
+                  "supervisor": dict(supervisor.stats),
+                  "attempts": list(supervisor.history)}
         if snapshot is not None:
             report["blame"] = snapshot.get("blame")
             report["section"] = run_section(
@@ -174,17 +138,18 @@ class PlanExecutor:
         return TransformOptions(
             **merged, transform_id=self.plan.transform_id(step))
 
-    def _published_counts(self, step: MigrationStep) -> Dict[str, int]:
-        """Row counts of the tables the step's swap record published
-        (those a later step has not retired since)."""
+    def _step_report(self, step: MigrationStep,
+                     status: str) -> Dict[str, object]:
+        """The fields of every step's report; ``published`` holds the row
+        counts of the tables its swap published (those a later step has
+        not retired since)."""
         transform_id = self.plan.transform_id(step)
-        published = [name for record in self.db.log.scan()
-                     if isinstance(record, TransformSwapRecord)
-                     and record.transform_id == transform_id
-                     for name in record.published]
-        return {name: sum(1 for _ in self.db.catalog.get_any(name).scan())
-                for name in published
-                if self.db.catalog.exists(name)}
+        published = self.db.catalog.swaps().get(transform_id, ())
+        return {"step_id": step.step_id, "operator": step.operator,
+                "transform_id": transform_id, "status": status,
+                "published": {
+                    name: sum(1 for _ in self.db.catalog.get(name).scan())
+                    for name in published if self.db.catalog.exists(name)}}
 
 
 def run_plan(db: Database, plan: MigrationPlan, *, resume: bool = False,
@@ -199,7 +164,7 @@ def run_plan(db: Database, plan: MigrationPlan, *, resume: bool = False,
 
     After a crash, salvage the log, run restart recovery, and call
     ``run_plan(db, plan, resume=True)``: completed steps are replayed
-    from their WAL swap records and the in-flight step re-runs.
+    from the recovered catalog's swaps and the in-flight step re-runs.
     """
     return PlanExecutor(db, plan, validate=validate,
                         observe=observe).run(resume=resume)

@@ -127,9 +127,9 @@ class MigrationPlan:
         """The deterministic transform id of one step.
 
         Deterministic matters: it is the join key between a plan step and
-        the :class:`~repro.wal.records.TransformSwapRecord` it leaves in
-        the WAL, which is how resume-after-crash decides which steps are
-        already done.
+        the swap it registers with the catalog (rebuilt from the WAL by
+        restart recovery), which is how resume-after-crash decides which
+        steps are already done.
         """
         step_id = step if isinstance(step, str) else step.step_id
         return f"{self.plan_id}.{step_id}"

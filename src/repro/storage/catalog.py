@@ -20,13 +20,17 @@ synchronization step of the transformation framework needs (Section 3.4):
   :meth:`names_at` -- it reads the pre-flip schema until it finishes,
   with no latched window anywhere.  Epochs are reclaimed by MVCC GC once
   no pinned snapshot can still resolve through them.
+
+It also records which swaps are in effect (:meth:`Catalog.swaps`, by
+transform id); :meth:`Catalog.retire` -- a view's drop -- undoes one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.common.errors import DuplicateTableError, NoSuchTableError
+from repro.common.errors import (DuplicateTableError, NoSuchTableError,
+                                 TransformationStateError)
 from repro.faults import NULL_FAULTS
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
@@ -48,6 +52,8 @@ class Catalog:
         #: Public name -> (zombie name, swap LSN) of a source a swap
         #: retired and republished in place (see :meth:`swap`).
         self._shadowed: Dict[str, Tuple[str, int]] = {}
+        #: Transform id -> names published by each swap in effect.
+        self._swaps: Dict[str, Tuple[str, ...]] = {}
         #: Fault injector stamped onto every table registered here.
         self.faults = NULL_FAULTS
 
@@ -148,8 +154,9 @@ class Catalog:
 
     # -- transformation swap ------------------------------------------------------------
 
-    def swap(self, retire: Iterable[str], publish: Dict[str, Table],
-             keep_zombies: bool, lsn: int = NULL_LSN) -> None:
+    def swap(self, transform_id: str, retire: Iterable[str],
+             publish: Dict[str, Table], keep_zombies: bool,
+             lsn: int = NULL_LSN) -> None:
         """Atomically retire source tables and publish transformed ones.
 
         A name both retired and published is a change *in place*: its
@@ -157,6 +164,8 @@ class Catalog:
         transactions' records name the source, not the published table.
 
         Args:
+            transform_id: Registered with the published names (:meth:`swaps`);
+                an id already in effect is refused.
             retire: Names of the source tables to remove from the visible
                 namespace.
             publish: Mapping of public name to (already populated)
@@ -167,6 +176,9 @@ class Catalog:
                 outright (blocking commit, where no such transaction exists).
             lsn: The swap's log position (names in-place zombies).
         """
+        if transform_id in self._swaps:
+            raise TransformationStateError(
+                f"swap {transform_id!r} is already in effect")
         retire_list = list(retire)
         for name in retire_list:
             if name not in self._tables:
@@ -191,6 +203,17 @@ class Catalog:
                 self._tables.pop(table.name, None)
                 table.rename(public)
             self._tables[public] = table
+        self._swaps[transform_id] = tuple(publish)
+
+    def swaps(self) -> Dict[str, Tuple[str, ...]]:
+        """Transform id -> published names of every swap in effect."""
+        return dict(self._swaps)
+
+    def retire(self, transform_id: str) -> None:
+        """Unregister swap ``transform_id``; drop its visible tables."""
+        for name in self._swaps.pop(transform_id):
+            if name in self._tables:
+                self.drop_table(name)
 
     def name_at(self, name: str, lsn: int = NULL_LSN) -> str:
         """The current name of the table ``name`` denoted at log position
@@ -212,8 +235,9 @@ class Catalog:
         """The current schema version (0 until the first flip)."""
         return self._version
 
-    def flip(self, retire: Iterable[str], publish: Dict[str, Table],
-             keep_zombies: bool = True, lsn: int = NULL_LSN) -> int:
+    def flip(self, transform_id: str, retire: Iterable[str],
+             publish: Dict[str, Table], keep_zombies: bool = True,
+             lsn: int = NULL_LSN) -> int:
         """Install a schema change as a versioned catalog write.
 
         Freezes the current visible mapping as the epoch for
@@ -232,7 +256,7 @@ class Catalog:
         self._epochs[self._version] = {
             name: t for name, t in self._tables.items()
             if id(t) not in published}
-        self.swap(retire, publish, keep_zombies, lsn)
+        self.swap(transform_id, retire, publish, keep_zombies, lsn)
         self._version += 1
         return self._version
 

@@ -463,8 +463,15 @@ class Transformation:
         self.db = db
         self.spec = spec
         self.published_schemas(db, spec)  # the spec's checks, up front
-        self.transform_id = self.options.transform_id or \
-            f"{self.kind or 'tf'}-{next(_transform_counter)}"
+        # Swaps are keyed by id: an explicit id in effect is refused, a
+        # default one skips them (the counter restarts with the process).
+        taken = db.catalog.swaps()
+        if self.options.transform_id in taken:
+            raise TransformationStateError(
+                f"swap {self.options.transform_id!r} is already in effect")
+        self.transform_id = self.options.transform_id or next(
+            tid for tid in (f"{self.kind or 'tf'}-{n}"
+                            for n in _transform_counter) if tid not in taken)
         #: The analysis policy stays an attribute (unlike the other
         #: options, read from ``self.options`` where they are used) so a
         #: driver can swap it mid-run; it decides from

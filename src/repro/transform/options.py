@@ -118,8 +118,9 @@ class TransformOptions:
             (``None`` leaves the current attachment untouched).
         policy: End-of-iteration analysis policy (Section 3.3 analyses);
             ``None`` selects the default remaining-records policy.
-        transform_id: Stable identifier used in fuzzy marks and latches;
-            generated when ``None``.
+        transform_id: Stable identifier used in fuzzy marks, latches and
+            the catalog's swaps, which refuse one already in effect;
+            generated, unique among them, when ``None``.
         population_mode: ``"eager"`` (the paper's fuzzy snapshot scan),
             ``"lazy"`` (access-triggered migrate-on-read with a budgeted
             background sweeper; row-identical to eager, only the

@@ -215,8 +215,8 @@ class _SyncExecutor:
         if self.flips:
             self._log_flip(retired, old_ids)
         swap = db.catalog.flip if self.flips else db.catalog.swap
-        swap(retired, dict(tf.targets), keep_zombies=bool(old_txns),
-             lsn=swap_lsn)
+        swap(tf.transform_id, retired, dict(tf.targets),
+             keep_zombies=bool(old_txns), lsn=swap_lsn)
         for name in set(retired) & set(tf.targets):
             # An in-place source lives on under its zombie name: the rules
             # and the old transactions follow it there.

@@ -92,19 +92,15 @@ class MaterializedFojView(FojTransformation):
     def drop(self) -> None:
         """Drop the view and stop maintaining it.
 
-        A published view has a :class:`TransformSwapRecord` in the log;
-        dropping only the table would let restart recovery resurrect the
-        view (rebuild it, install a live rule engine) before replaying the
-        drop -- and post-drop source changes that are legal without the
-        view would then crash the redo pass.  Retiring the transform id
-        makes recovery skip the swap record entirely.  An unpublished
-        view is aborted, which releases whatever its build holds.
+        A published view logs a :class:`TransformRetireRecord`, then
+        retires its swap from the catalog, as restart's redo does at the
+        record.  An unpublished view is aborted, which releases whatever
+        its build holds.
         """
         if not self.published:
             self.abort()
             return
         self.db.log.append(TransformRetireRecord(
             transform_id=self.transform_id))
-        if self.db.catalog.exists(self.spec.target_name):
-            self.db.drop_table(self.spec.target_name)
+        self.db.catalog.retire(self.transform_id)
         self._enter(Phase.ABORTED)

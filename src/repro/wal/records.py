@@ -379,11 +379,10 @@ class TransformRetireRecord(LogRecord):
     """A published transformation artefact was retired (dropped).
 
     Written when a published derived table -- e.g. a materialized view --
-    is dropped while its earlier :class:`TransformSwapRecord` is still in
-    the log.  Restart recovery collects retired transform ids up front and
-    *skips* the matching swap records entirely: no rebuild, no resurrected
-    rule engine fed post-drop source changes the live system legitimately
-    accepted once the artefact was gone.
+    is dropped after its :class:`TransformSwapRecord`.  Restart's redo
+    takes the live drop's catalog action here (the swap leaves the
+    registry, its tables are unpublished) and feeds the rebuilt rule
+    engine nothing after it: post-drop source changes never reach it.
 
     Attributes:
         transform_id: Identifier of the retired transformation.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.errors import DuplicateTableError, NoSuchTableError
+from repro.common.errors import (DuplicateTableError, NoSuchTableError,
+                                 TransformationStateError)
 from repro.storage import Catalog, Table, TableSchema
 
 
@@ -69,7 +70,7 @@ def test_swap_retires_and_publishes():
     cat.create_table(schema("S"))
     target = Table(schema("T_internal"))
     cat.add_table(target)
-    cat.swap(["R", "S"], {"T": target}, keep_zombies=False)
+    cat.swap("tf", ["R", "S"], {"T": target}, keep_zombies=False)
     assert cat.table_names() == ["T"]
     assert target.name == "T"
     assert not cat.is_zombie("R")
@@ -80,7 +81,7 @@ def test_swap_keeps_zombies():
     cat.create_table(schema("R"))
     target = Table(schema("T"))
     cat.add_table(target)
-    cat.swap(["R"], {"T": target}, keep_zombies=True)
+    cat.swap("tf", ["R"], {"T": target}, keep_zombies=True)
     assert cat.is_zombie("R")
     assert cat.get_any("R").name == "R"
     with pytest.raises(NoSuchTableError):
@@ -97,7 +98,7 @@ def test_swap_publish_under_own_name():
     cat = Catalog()
     cat.create_table(schema("R"))
     target = cat.create_table(schema("T"))
-    cat.swap(["R"], {"T": target}, keep_zombies=False)
+    cat.swap("tf", ["R"], {"T": target}, keep_zombies=False)
     assert cat.get("T") is target
 
 
@@ -108,14 +109,14 @@ def test_swap_publish_collision_rejected():
     other = Table(schema("Y"))
     cat.add_table(other)
     with pytest.raises(DuplicateTableError):
-        cat.swap(["R"], {"X": other}, keep_zombies=False)
+        cat.swap("tf", ["R"], {"X": other}, keep_zombies=False)
 
 
 def test_swap_missing_source_rejected():
     cat = Catalog()
     target = Table(schema("T"))
     with pytest.raises(NoSuchTableError):
-        cat.swap(["missing"], {"T": target}, keep_zombies=False)
+        cat.swap("tf", ["missing"], {"T": target}, keep_zombies=False)
 
 
 def test_swap_clears_blocked_mark():
@@ -123,15 +124,39 @@ def test_swap_clears_blocked_mark():
     cat.create_table(schema("R"))
     cat.block(["R"])
     target = Table(schema("T"))
-    cat.swap(["R"], {"T": target}, keep_zombies=False)
+    cat.swap("tf", ["R"], {"T": target}, keep_zombies=False)
     assert not cat.is_blocked("R")
+
+
+def test_swap_registers_and_retire_unpublishes():
+    """A swap registers its published names under its transform id; a
+    refused swap (a missing source, an id in effect) registers nothing;
+    retire removes the entry and drops the published tables still
+    visible, and leaves the rest alone, so the id can swap again."""
+    cat = Catalog()
+    cat.create_table(schema("R"))
+    with pytest.raises(NoSuchTableError):
+        cat.swap("bad", ["missing"], {"X": Table(schema("X"))},
+                 keep_zombies=False)
+    cat.swap("view", [], {"V": Table(schema("V")), "W": Table(schema("W"))},
+             keep_zombies=False)
+    cat.swap("tf", ["R"], {"T": Table(schema("T"))}, keep_zombies=False)
+    assert cat.swaps() == {"view": ("V", "W"), "tf": ("T",)}
+    with pytest.raises(TransformationStateError):
+        cat.swap("tf", [], {"U": Table(schema("U"))}, keep_zombies=False)
+    cat.drop_table("W")
+    cat.retire("view")
+    assert cat.swaps() == {"tf": ("T",)}
+    assert cat.table_names() == ["T"]
+    cat.swap("view", [], {"V": Table(schema("V"))}, keep_zombies=False)
+    assert cat.swaps() == {"tf": ("T",), "view": ("V",)}
 
 
 def test_zombie_name_conflicts_block_creation():
     cat = Catalog()
     cat.create_table(schema("R"))
     target = Table(schema("T"))
-    cat.swap(["R"], {"T": target}, keep_zombies=True)
+    cat.swap("tf", ["R"], {"T": target}, keep_zombies=True)
     with pytest.raises(DuplicateTableError):
         cat.create_table(schema("R"))  # the zombie still owns the name
 
@@ -140,6 +165,6 @@ def test_repr_lists_tables_and_zombies():
     cat = Catalog()
     cat.create_table(schema("a"))
     target = Table(schema("T"))
-    cat.swap(["a"], {"T": target}, keep_zombies=True)
+    cat.swap("tf", ["a"], {"T": target}, keep_zombies=True)
     text = repr(cat)
     assert "T" in text and "a" in text

@@ -415,7 +415,7 @@ def test_zombie_table_visible_only_to_old_transactions():
     db.read(old, "t", (1,))
     from repro.storage import Table
     target = Table(TableSchema("t2", ["id"], primary_key=["id"]))
-    db.catalog.swap(["t"], {"t2": target}, keep_zombies=True)
+    db.catalog.swap("tf", ["t"], {"t2": target}, keep_zombies=True)
     # Old transaction still reaches "t" through the zombie namespace.
     assert db.read(old, "t", (1,)) is not None
     db.commit(old)

@@ -18,6 +18,7 @@ from repro import (
     Database,
     FojSpec,
     FojTransformation,
+    RetypeSpec,
     Session,
     SplitSpec,
     SplitTransformation,
@@ -170,7 +171,8 @@ def _volatile_history():
 
     The history holds a ``CreateTableRecord`` and a
     ``TransformSwapRecord`` (``marshal`` cannot hold their schemas; the
-    swap is retired, so restart skips it), a
+    swap publishes a retyped copy of ``t`` next to it and is retired at
+    once, so restart rebuilds the copy and unpublishes it again), a
     rolled-back transaction's CLRs, and enough committed records to span
     several cold chunks."""
     db = Database()
@@ -185,10 +187,11 @@ def _volatile_history():
     db.delete(rolled_back, "t", (2,))
     db.insert(rolled_back, "t", {"id": 999, "v": 0})
     db.abort(rolled_back)
-    schema = db.table("t").schema
+    spec = RetypeSpec.derive(db.table("t").schema, "T", attr="v")
     log.append(TransformSwapRecord(
-        transform_id="swap-1", transform_kind="foj", retired=("t",),
-        published={"T": schema}, params={"join_attrs": ("v", "v")}))
+        transform_id="swap-1", transform_kind="retype",
+        published=spec.published({"t": db.table("t").schema}),
+        params={"spec": spec}))
     log.append(TransformRetireRecord(transform_id="swap-1"))
     for i in range(200):
         txn = db.begin()

@@ -11,8 +11,10 @@ from repro import (
     restart,
 )
 from repro.common.errors import (
+    RecoveryError,
     SimulatedCrashError,
     TransformationAbortedError,
+    TransformationError,
     TransformationStateError,
 )
 from repro.faults import AbortFault, CrashFault, FaultInjector, FaultPlan
@@ -151,8 +153,8 @@ def test_dropped_view_stays_dropped_across_restart():
     """Regression: restart used to replay the swap record unconditionally,
     resurrecting a dropped view -- and its recovery propagator then
     crashed on post-drop source changes it was never built to see (an S
-    insert with a NULL join value).  The retire record must suppress the
-    rebuild entirely."""
+    insert with a NULL join value).  The retire record must unpublish the
+    rebuilt view and feed its propagator nothing after it."""
     db, spec = build(seed=1, n_r=15, n_s=6)
     view = MaterializedFojView(db, spec)
     view.run()
@@ -166,6 +168,37 @@ def test_dropped_view_stays_dropped_across_restart():
     assert any(r["d"] == "post-drop" for r in s_rows)
     r_rows = values_of(recovered, "R")
     assert next(r for r in r_rows if r["a"] == 3)["b"] == "post-drop"
+
+
+def test_view_dropped_after_a_refused_write_restarts():
+    """A deferred view's rules refuse an S insert with a NULL join value
+    that commits while the view is published; the view is then dropped.
+    Redo feeds that insert to the view rebuilt at its swap: the refusal
+    fails only that engine, and the retire record discards it."""
+    db, spec = build(seed=1, n_r=15, n_s=6)
+    view = MaterializedFojView(db, spec)
+    view.run()
+    with Session(db) as s:
+        s.insert("S", {"c": None, "d": "pre-drop", "e": "x"})
+    with pytest.raises(TransformationError):
+        view.maintain()
+    view.drop()
+    recovered = restart(db.log)
+    assert sorted(recovered.catalog.table_names()) == ["R", "S"]
+    assert recovered.catalog.swaps() == {}
+    assert any(r["d"] == "pre-drop" for r in values_of(recovered, "S"))
+
+
+def test_refused_write_on_a_view_in_effect_fails_restart():
+    """The same refused write on a view that is never dropped leaves a
+    swap restart cannot rebuild: it raises instead of publishing a view
+    that misses a committed change."""
+    db, spec = build(seed=1, n_r=15, n_s=6)
+    MaterializedFojView(db, spec).run()
+    with Session(db) as s:
+        s.insert("S", {"c": None, "d": "pre-drop", "e": "x"})
+    with pytest.raises(RecoveryError, match="refused a logged change"):
+        restart(db.log)
 
 
 def test_restart_rebuilds_only_undropped_views():

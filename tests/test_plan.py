@@ -310,6 +310,38 @@ def test_resume_after_crash_at_second_swap():
         "replayed", "replayed"]
 
 
+def test_resume_reads_no_log(monkeypatch):
+    """Which steps swapped is the recovered catalog's registry: resume
+    replays both steps of a chain crashed at its second swap with every
+    log read failing, and reports what an unpatched resume reports."""
+    sc = get_scenario("chain-foj-split")
+
+    def crashed_and_restarted():
+        db = Database()
+        sc.build(db)
+        db.attach_faults(FaultInjector(FaultPlan().arm(
+            "sync.swap.logged", CrashFault(), hit=2)))
+        with pytest.raises(SimulatedCrashError):
+            run_plan(db, sc.plan)
+        db.log.faults = NULL_FAULTS
+        return restart(db.log)
+
+    unpatched = run_plan(crashed_and_restarted(), sc.plan, resume=True)
+    recovered = crashed_and_restarted()
+
+    def no_log_read(*args, **kwargs):
+        raise AssertionError("plan resume read the log")
+
+    monkeypatch.setattr(recovered.log, "scan", no_log_read)
+    monkeypatch.setattr(recovered.log, "record_at", no_log_read)
+    report = run_plan(recovered, sc.plan, resume=True)
+    assert [s["status"] for s in report["steps"]] == [
+        "replayed", "replayed"]
+    assert [s["published"] for s in report["steps"]] == \
+        [s["published"] for s in unpatched["steps"]]
+    assert report["steps"][1]["published"] == {"dept_info": 3, "staff": 5}
+
+
 def test_resume_after_crash_mid_population_restarts_from_scratch():
     report = crash_then_resume("tf.populate.chunk", hit=1)
     assert not report["resumed"]

@@ -11,7 +11,7 @@ from repro import (
     TableSchema,
     restart,
 )
-from repro.common.errors import RecoveryError
+from repro.common.errors import RecoveryError, TransformationStateError
 from repro.relational import full_outer_join, rows_equal, split
 from repro.wal.records import TransformSwapRecord
 
@@ -322,12 +322,11 @@ from repro.wal import (  # noqa: E402
 from repro.wal.frames import RECORD_CODES  # noqa: E402
 
 #: Record classes redo has nothing to reapply for: transaction life-cycle
-#: (analysis reads those), framework marks, and the records restart's
-#: pre-pass or the swap replay already accounts for.
+#: (analysis reads those), framework marks, and the flip the swap replay
+#: already accounts for.
 REDO_NEUTRAL = {
     BeginRecord, CommitRecord, AbortRecord, EndRecord, FuzzyMarkRecord,
-    CCBeginRecord, CCOkRecord, CheckpointRecord, CatalogFlipRecord,
-    TransformRetireRecord}
+    CCBeginRecord, CCOkRecord, CheckpointRecord, CatalogFlipRecord}
 
 
 def test_redo_dispatch_is_exhaustive():
@@ -342,10 +341,9 @@ def test_redo_dispatch_is_exhaustive():
         "REDO_HANDLERS or an entry in REDO_NEUTRAL above")
 
 
-def _eventful_crash_image(seed):
-    """A durable history holding every shape redo dispatches on -- DDL, a
-    rename, a transient table, CLRs, a checkpoint, an in-commit winner, a
-    loser and a retired swap -- cut by a crash."""
+def _eventful_history(seed):
+    """The live database behind :func:`_eventful_crash_image`, its disk,
+    and the winner's and the loser's transactions."""
     rng = random.Random(seed)
     disk = SimulatedDisk()
     db = Database(log=LogManager(disk=disk))
@@ -379,6 +377,14 @@ def _eventful_crash_image(seed):
             TransformSwapRecord, TransformRetireRecord} <= kinds
     assert any(r.transient for r in db.log.scan()
                if isinstance(r, CreateTableRecord))
+    return db, disk, winner, loser
+
+
+def _eventful_crash_image(seed):
+    """A durable history holding every shape redo dispatches on -- DDL, a
+    rename, a transient table, CLRs, a checkpoint, an in-commit winner, a
+    loser and a retired swap -- cut by a crash."""
+    _, disk, winner, loser = _eventful_history(seed)
     return disk.crash_image(), winner.txn_id, loser.txn_id
 
 
@@ -415,3 +421,91 @@ def test_restart_twice_from_one_crash_image_is_identical(seed):
     assert r_rows[101]["b"] == "won" and 100 not in r_rows
     assert len(r_rows) == 13
     assert not any(row["b"] in ("dirty", "undone") for row in r_rows.values())
+
+
+# ---------------------------------------------------------------------------
+# The catalog's swap registry: rebuilt by redo, retired inside the stream
+# ---------------------------------------------------------------------------
+
+import itertools  # noqa: E402
+
+from repro.plan import get_scenario  # noqa: E402
+from repro.plan.executor import run_plan  # noqa: E402
+from repro.transform import base  # noqa: E402
+
+
+def test_restart_rebuilds_the_live_swap_registry():
+    """The registry restart rebuilds equals the live one: empty for the
+    eventful history (its view was built and dropped, its FOJ never
+    swapped), both steps for a finished chain."""
+    db, disk, _, _ = _eventful_history(3)
+    assert db.catalog.swaps() == {}
+    recovered, _ = _restart_image(disk.crash_image())
+    assert recovered.catalog.swaps() == db.catalog.swaps()
+    sc = get_scenario("chain-foj-split")
+    db = Database()
+    sc.build(db)
+    run_plan(db, sc.plan)
+    assert sorted(db.catalog.swaps()) == [
+        sc.plan.transform_id(step) for step in sc.plan.steps]
+    assert restart(db.log).catalog.swaps() == db.catalog.swaps()
+
+
+def test_restart_retires_a_view_at_its_retire_record():
+    """A durable log cut just after a view's retire record: the drop
+    logs nothing else (the retire record is its catalog action), so
+    restart rebuilds the view at its swap and unpublishes it again at
+    the retire record, leaving the sources only and no registry entry.
+    Post-drop source writes then run on the recovered database without
+    a propagator to feed."""
+    disk = SimulatedDisk()
+    db = Database(log=LogManager(disk=disk))
+    db.create_table(TableSchema("R", ["a", "b", "c"], primary_key=["a"]))
+    db.create_table(TableSchema("S", ["c", "d", "e"], primary_key=["c"]))
+    load_foj_data(db, n_r=12, n_s=5, seed=5)
+    view = MaterializedFojView(db, foj_spec(db, target="v"))
+    view.run()
+    assert list(db.catalog.swaps()) == [view.transform_id]
+    view.drop()
+    db.log.flush()
+    assert isinstance(db.log.record_at(db.log.end_lsn),
+                      TransformRetireRecord)
+    recovered, _ = _restart_image(disk.crash_image())
+    assert recovered.catalog.table_names() == ["R", "S"]
+    assert recovered.catalog.swaps() == {} == db.catalog.swaps()
+    with Session(recovered) as s:
+        s.insert("S", {"c": None, "d": "post-drop", "e": "x"})
+    assert any(row["d"] == "post-drop" for row in values_of(recovered, "S"))
+
+
+def test_default_ids_skip_the_swaps_of_the_recovered_catalog(monkeypatch):
+    """The default id counter restarts with the process.  A view built
+    after a restart must not take the id of a view the log already
+    holds: the next restart would key both swaps by one id and stop
+    feeding the first view its propagator.  An explicit id in effect is
+    refused before anything is logged."""
+    monkeypatch.setattr(base, "_transform_counter", itertools.count(1))
+    db = Database()
+    db.create_table(TableSchema("R", ["a", "b", "c"], primary_key=["a"]))
+    db.create_table(TableSchema("S", ["c", "d", "e"], primary_key=["c"]))
+    load_foj_data(db, n_r=12, n_s=5, seed=5)
+    first = MaterializedFojView(db, foj_spec(db, target="v1"))
+    first.run()
+    recovered = restart(db.log)
+    monkeypatch.setattr(base, "_transform_counter", itertools.count(1))
+    second = MaterializedFojView(recovered, foj_spec(recovered, target="v2"))
+    second.run()
+    assert second.transform_id != first.transform_id
+    with pytest.raises(TransformationStateError):  # an explicit id in effect
+        MaterializedFojView(recovered, foj_spec(recovered, target="v3"),
+                            options=TransformOptions(
+                                transform_id=first.transform_id))
+    with Session(recovered) as s:
+        s.update("R", (1,), {"b": "later"})
+    again = restart(recovered.log)
+    assert again.catalog.swaps() == {first.transform_id: ("v1",),
+                                     second.transform_id: ("v2",)}
+    assert rows_equal(
+        values_of(again, "v1"),
+        full_outer_join(foj_spec(again, target="v1"),
+                        values_of(again, "R"), values_of(again, "S")))
