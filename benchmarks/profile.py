@@ -27,14 +27,14 @@ cyclic collector tracks, every object counted once, under the first
 component that reaches it (log before rows): an insert image the row
 shares with its log record is the log's.  A log is charged what it
 keeps: the objects of its live tail, then -- never a decoded copy --
-its cold chunks and the side map of records they could not hold (a
-volatile log), or its frames on the disk (one row, bytes only) and
-their offset index (a durable one).  It runs last because walking the
-heap allocates.  Two collector lines close it: the process's tracked
-objects after set-up and after the timed section (each after a full
-collection), and the census's tracked objects per stored row (the
-tables' value, LSN and meta maps) and per log record (what the log
-keeps over every record of the log).
+its frames (one row, bytes only: on the disk and in the log's memory)
+and their offset index, the same two rows for a volatile and a durable
+log.  It runs last because walking the heap allocates.  Two collector
+lines close it: the process's tracked objects after set-up and after
+the timed section (each after a full collection), and the census's
+tracked objects per stored row (the tables' value, LSN and meta maps)
+and per log record (what the log keeps over every record of the log);
+a last line gives the frames' and the index's bytes per log record.
 """
 
 import argparse
@@ -101,20 +101,18 @@ def heap_census(db, extra_tables=()):
                 add("log: other payload", value)
 
     # A log keeps objects for its live tail only; below it the records
-    # are cold chunks (and a side map) or frames on the disk, found
-    # through the offset index.
+    # are frames -- on the disk, or in the log's memory until written --
+    # found through the offset index.
     log = db.log
     for record in log.records_slice(log.tail_lsn, log.end_lsn):
         add_record(record)
-    add("log: chunks (bytes)", log._chunks)
-    add("log: chunk side map", log._parked)
-    if log.disk is not None:
-        rows["log: frames (bytes)"] = [log.tail_lsn - FIRST_LSN,
-                                       log.disk.size, 0]
-        add("log: frame index", log._offsets)
-        if log.salvage is not None:
-            add("log: salvage headers", log.salvage.codes)
-            add("log: salvage headers", log.salvage.txn_ids)
+    on_disk = log.disk.size if log.disk is not None else 0
+    rows["log: frames (bytes)"] = [log.tail_lsn - FIRST_LSN,
+                                   on_disk + sys.getsizeof(log._frames), 0]
+    add("log: frame index", log._offsets)
+    if log.salvage is not None:
+        add("log: salvage headers", log.salvage.codes)
+        add("log: salvage headers", log.salvage.txn_ids)
     for table in stored_tables(db, extra_tables):
         add("rows: value map", table.rows)
         add("rows: LSN map", table.lsns)
@@ -191,6 +189,11 @@ def heap_report(rep, args, out):
           f"{walked('log: ') / max(records, 1):.4f} "
           f"({walked('log: '):,} / {records:,} records, {kept:,} kept "
           f"as objects)", file=out)
+    framed = sum(size for name, _c, size, _w in census
+                 if name in ("log: frames (bytes)", "log: frame index"))
+    print(f"log: frames and offset index {framed / max(records, 1):.1f} "
+          f"bytes per log record ({framed / _MB:.1f} MB / {records:,} "
+          f"records)", file=out)
 
 
 def drain(tf, profiler, args, out):

@@ -15,6 +15,7 @@ Run:  python examples/partition_archive.py
 import random
 
 from repro.api import (
+    AttrPredicate,
     Database,
     LockWaitError,
     NoSuchRowError,
@@ -43,8 +44,7 @@ def main() -> None:
 
     spec = PartitionSpec(
         "orders", "orders_archive", "orders_active",
-        predicate=lambda row: row["status"] == "closed",
-        predicate_desc="status == 'closed'")
+        predicate=AttrPredicate("status", "==", "closed"))
     transformation = PartitionTransformation(db, spec)
 
     processed = migrated = 0

@@ -650,10 +650,6 @@ class RetypeSpec(KeyPreserving):
         return out
 
 
-#: A row predicate: receives the row's value mapping, returns a bool.
-#: Must be deterministic and depend only on the row's values.
-RowPredicate = Callable[[Dict[str, object]], bool]
-
 #: Comparison operators an :class:`AttrPredicate` may name.  NULL operands
 #: follow SQL semantics: every comparison with NULL is false (use the
 #: dedicated ``is_null`` / ``not_null`` forms to test for NULL itself).
@@ -669,14 +665,14 @@ PREDICATE_OPS: Dict[str, Callable[[object, object], bool]] = {
 
 @dataclass(frozen=True)
 class AttrPredicate:
-    """A declarative one-attribute row predicate.
+    """A declarative one-attribute row predicate: the predicate of a
+    :class:`PartitionSpec`.
 
     Unlike a bare lambda, an ``AttrPredicate`` is a plain frozen
-    dataclass, so a :class:`PartitionSpec` built from one survives the
-    WAL frame codec: the swap record can be replayed by restart recovery
-    and a declarative migration plan that partitions a table stays
-    JSON-serializable.  It is callable with a row's value mapping, like
-    any :data:`RowPredicate`.
+    dataclass, so the spec survives the WAL frame codec: the swap record
+    can be replayed by restart recovery and a declarative migration plan
+    that partitions a table stays JSON-serializable.  It is callable with
+    a row's value mapping.
 
     Attributes:
         attr: The attribute the predicate examines.
@@ -724,25 +720,28 @@ class PartitionSpec(KeyPreserving):
         source_name: The table being partitioned.
         a_name: Target receiving rows satisfying the predicate.
         b_name: Target receiving the rest.
-        predicate: The row predicate (deterministic over row values).
-            Use an :class:`AttrPredicate` (rather than a lambda) when the
-            spec must survive the WAL frame codec -- crash recovery of a
-            completed partition and declarative migration plans both
-            require it.
+        predicate: The row predicate.  Only an :class:`AttrPredicate`:
+            the spec is logged in the swap record, which restart replays,
+            so a callable (which no frame can hold) is refused here,
+            before anything is logged.
         predicate_desc: Human-readable predicate description, recorded in
             the swap log record.  Defaults to
-            :meth:`AttrPredicate.describe` when the predicate is one.
+            :meth:`AttrPredicate.describe`.
     """
 
     source_name: str
     a_name: str
     b_name: str
-    predicate: RowPredicate
+    predicate: AttrPredicate
     predicate_desc: str = ""
 
     def __post_init__(self) -> None:
-        if not self.predicate_desc and \
-                isinstance(self.predicate, AttrPredicate):
+        if not isinstance(self.predicate, AttrPredicate):
+            raise TypeError(
+                f"a partition predicate is an AttrPredicate, not "
+                f"{type(self.predicate).__name__}: the swap record logs "
+                f"the spec, and restart replays it")
+        if not self.predicate_desc:
             object.__setattr__(self, "predicate_desc",
                                self.predicate.describe())
 
@@ -759,11 +758,10 @@ class PartitionSpec(KeyPreserving):
         return self.a_name if self.predicate(image) else self.b_name
 
     def published(self, schemas: Schemas) -> Dict[str, TableSchema]:
-        """A and B, both with the source's schema; an
-        :class:`AttrPredicate` must name a source attribute."""
+        """A and B, both with the source's schema; the predicate must
+        name a source attribute."""
         source = schema_of(schemas, self.source_name)
-        if isinstance(self.predicate, AttrPredicate) and \
-                not source.has_attribute(self.predicate.attr):
+        if not source.has_attribute(self.predicate.attr):
             raise SchemaError(
                 f"predicate references unknown attribute "
                 f"{self.predicate.attr!r}; available: "

@@ -108,7 +108,7 @@ class Client:
         self._plan: List[UpdateTarget] = []
         self._op_index = 0
         self._txn_start = 0.0
-        self._parked = False
+        self._waiting = False
         self._stopped = False
 
     # -- life cycle ------------------------------------------------------------
@@ -160,7 +160,7 @@ class Client:
                 self._op_index += 1
                 self._send_current(2 * NET_DELAY_MS)
         except LockWaitError:
-            self._parked = True
+            self._waiting = True
         except DeadlockError:
             self.metrics.record_abort(deadlock=True)
             if self.txn is not None:
@@ -204,8 +204,8 @@ class Client:
 
     def wake(self) -> None:
         """Retry the parked operation (lock granted / latch released)."""
-        if self._parked:
-            self._parked = False
+        if self._waiting:
+            self._waiting = False
             self._send_current(0.0)
 
 
@@ -238,6 +238,6 @@ class ClientPool:
         for client in self.clients:
             if client.txn is not None and client.txn.txn_id in wanted:
                 client.wake()
-            elif client._parked and client.txn is None:
-                # Parked before the transaction even began (blocked table).
+            elif client._waiting and client.txn is None:
+                # Waiting before the transaction even began (blocked table).
                 client.wake()

@@ -30,8 +30,7 @@ class PartitionTransformation(Transformation):
     Example::
 
         spec = PartitionSpec("orders", "orders_eu", "orders_row",
-                             predicate=lambda r: r["region"] == "eu",
-                             predicate_desc="region == 'eu'")
+                             predicate=AttrPredicate("region", "==", "eu"))
         PartitionTransformation(db, spec).run()
     """
 

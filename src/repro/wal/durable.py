@@ -139,7 +139,9 @@ class SimulatedDisk:
 
     def crash_image(self) -> bytes:
         """The byte image surviving a simulated kill, faults applied."""
-        image = bytearray(self._buffer[:self._durable_len])
+        if self._pending_tear is None and not self._pending_flips:
+            return bytes(memoryview(self._buffer)[:self._durable_len])
+        image = self._buffer[:self._durable_len]
         if self._pending_tear is not None and image:
             cut = self._pending_tear.cut
             if cut is None:

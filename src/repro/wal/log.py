@@ -10,41 +10,28 @@ A record stays an object only while a reader may still need it as one:
 until it is flushed, and while it is at or above a pin
 (:attr:`LogManager.pins` -- the oldest active transaction's undo chain,
 every live transformation's cursor).  Below that tail every read
-rebuilds a record ``==`` to the one appended, and nothing is dropped:
+rebuilds a record ``==`` to the one appended, and nothing is dropped.
 
-* With a :class:`~repro.wal.durable.SimulatedDisk` attached, every
-  flush *writes*: the unflushed records are serialized into checksummed
-  frames (:mod:`repro.wal.frames`), staged on the disk and synced before
-  the durability horizon advances.  From then on the frame is the
-  record, read back through an LSN -> offset index.
-  :meth:`LogManager.from_disk` rebuilds a log from the salvaged flushed
-  prefix after a crash without decoding it.
-* Without a disk the log is the only copy of history (the reproduced
-  prototype is a main-memory DBMS) and ``flush`` writes nothing -- it is
-  tracked for API fidelity, commit forces the log.  Released records
-  become *cold chunks*: :attr:`LogManager.SCAN_CHUNK` consecutive
-  records as one :mod:`marshal`-ed list of flat tuples ``(kind,
-  prev_lsn, txn_id, *FIELDS)`` (a CLR's action nested as ``(lsn,
-  flat)``).  A ``bytes`` object is never tracked by the cyclic
-  collector and costs ~75 bytes per record instead of ~400-500 for the
-  record, its dicts and its key.  The few records ``marshal`` cannot
-  hold -- DDL and swap records carrying schemas and specs -- stay
-  objects in a side map.  Frames would give both logs one codec, but
-  :func:`~repro.wal.frames.encode_record` costs ~9x a flat tuple plus
-  ``marshal`` (9-10 us against ~1 us per update record, CPython 3.11 on
-  a 2-core x86 box), and the volatile log's release runs inside user
-  commits.
+Both logs keep history in one form.  ``append`` encodes each record's
+fields (a record no frame holds is refused there, before anything is
+logged), a flush frames them into a checksummed segment
+(:mod:`repro.wal.frames`), and below the tail the frame is the record,
+read back through an LSN -> offset index: from the disk, which a durable
+log writes and syncs at every flush before the horizon advances
+(:meth:`LogManager.from_disk` rebuilds one from the salvaged flushed
+prefix, decoding nothing), or from memory on a volatile log, the only
+copy of history in the reproduced main-memory DBMS (its ``flush``
+writes nothing; commit forces the log for API fidelity).  A segment is
+never walked by the cyclic collector and costs ~87 bytes per record with
+its offset, against ~400-500 for a record object, its dicts and its key.
 """
 
 from __future__ import annotations
 
-import marshal
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults import NULL_FAULTS, FaultInjector, register_site
 from repro.obs import NULL_METRICS, Metrics
@@ -52,12 +39,13 @@ from repro.wal.frames import (
     RECORD_CODES,
     SEGMENT_HEADER,
     FrameCodecError,
-    append_frame,
+    append_frames,
     decode_frames,
     decode_segment,
+    encode_fields,
     walk_segment,
 )
-from repro.wal.records import NULL_LSN, CLRecord, LogRecord
+from repro.wal.records import NULL_LSN, LogRecord
 
 #: First LSN ever assigned.  LSN 0 is reserved as the null LSN.
 FIRST_LSN = 1
@@ -77,59 +65,6 @@ SITE_WAL_APPEND_BATCH_DONE = register_site(
 SITE_WAL_GROUP_FLUSH = register_site(
     "wal.group_flush", "wal",
     "before a coalesced (group-commit) flush advances the horizon")
-
-
-def _flat_clr(record: CLRecord) -> Optional[tuple]:
-    """A CLR's flat tuple: its action nested as ``(lsn, flat)``."""
-    action = record.action
-    if action is not None:
-        inner = _flat(action)
-        if inner is None:
-            return None
-        action = (action.lsn, inner)
-    return ("cl", record.prev_lsn, record.txn_id, action,
-            record.undo_next_lsn)
-
-
-#: Record class -> its flattener: ``(kind, prev_lsn, txn_id, *FIELDS)``
-#: in one C call (a CLR nests its action as ``(lsn, flat)``).  The kind
-#: names the class as its frame code does, and costs a cold chunk as
-#: little: ``marshal`` writes a repeated object as a back-reference.
-_FLATTEN: Dict[type, Callable[[LogRecord], Optional[tuple]]] = {
-    cls: attrgetter("kind", "prev_lsn", "txn_id", *cls.FIELDS)
-    for cls in RECORD_CODES}
-_FLATTEN[CLRecord] = _flat_clr
-_CLASS_OF = {cls.kind: cls for cls in RECORD_CODES}
-
-
-def _flat(record: LogRecord) -> Optional[tuple]:
-    """The flat tuple of ``record``, or ``None`` for a class without a
-    record code (or a CLR whose action has none)."""
-    flatten = _FLATTEN.get(record.__class__)
-    return None if flatten is None else flatten(record)
-
-
-def _marshals(flat: Optional[tuple]) -> bool:
-    """Whether ``marshal`` holds ``flat`` (a record's payload may carry a
-    schema, a spec or another value only the frame codec knows)."""
-    if flat is None:
-        return False
-    try:
-        marshal.dumps(flat)
-    except ValueError:
-        return False
-    return True
-
-
-def _inflate(flat: tuple, lsn: int) -> LogRecord:
-    """The record of a :func:`_flat` tuple, with LSN ``lsn``."""
-    cls = _CLASS_OF[flat[0]]
-    if cls is CLRecord and flat[3] is not None:
-        record = CLRecord(flat[2], _inflate(flat[3][1], flat[3][0]), flat[4])
-    else:
-        record = cls(flat[2], *flat[3:])
-    record.lsn, record.prev_lsn = lsn, flat[1]
-    return record
 
 
 @dataclass(frozen=True)
@@ -185,9 +120,9 @@ class LogManager:
     LSNs are dense integers starting at :data:`FIRST_LSN`.  The objects
     of the tail (from :attr:`tail_lsn`) live in a list at index ``n -
     base``, so ``record_at`` is O(1) and a range read is one list slice.
-    Below the tail a record is its written frame (with a disk) or part
-    of a cold chunk (without one), and every read decodes it, returning
-    a record ``==`` to the one appended.
+    Below the tail a record is its frame, on the disk or in the
+    in-memory segment, and every read decodes it, returning a record
+    ``==`` to the one appended.
 
     All reading APIs share one LSN contract: negative LSNs are rejected
     with :class:`ValueError` (they can only come from arithmetic bugs);
@@ -206,21 +141,22 @@ class LogManager:
         self._records: List[Optional[LogRecord]] = []
         self._base = FIRST_LSN
         self._tail_lsn = FIRST_LSN
-        #: Byte offset on the disk of the frame of LSN ``FIRST_LSN + i``,
-        #: then the end of the last written frame (empty without a disk).
-        self._offsets = array("q")
-        #: Cold chunks of a volatile log: ``_chunks[i]`` holds the
-        #: records from LSN ``FIRST_LSN + i * SCAN_CHUNK`` on, marshalled;
-        #: the ones ``marshal`` cannot hold are ``None`` there and
-        #: objects in ``_parked`` by LSN.
-        self._chunks: List[bytes] = []
-        self._parked: Dict[int, LogRecord] = {}
+        #: Payload bodies of the records appended since the last flush,
+        #: encoded by ``append``; a flush frames them into the segment.
+        self._bodies: List[bytes] = []
+        #: The segment bytes not on a disk, from segment offset
+        #: ``_frames_at`` on: a volatile log's whole segment; a durable
+        #: log's frames not yet staged (none after a flush).
+        self._frames = bytearray(SEGMENT_HEADER)
+        self._frames_at = 0
+        #: Segment offset of the frame of LSN ``FIRST_LSN + i``, then the
+        #: end of the last frame.
+        self._offsets = array("q", [len(SEGMENT_HEADER)])
         #: Readers that still need records as objects: each returns the
         #: lowest LSN it will read (``NULL_LSN`` when it reads nothing
         #: now).  Flushed records below every pin are released to their
-        #: frames or cold chunks.  The engine pins its oldest active
-        #: transaction's first LSN, a transformation its propagation
-        #: cursor.
+        #: frames.  The engine pins its oldest active transaction's first
+        #: LSN, a transformation its propagation cursor.
         self.pins: List[Callable[[], int]] = []
         self._flushed_lsn = NULL_LSN
         #: Group-commit policy applied by :meth:`request_flush`.
@@ -234,9 +170,6 @@ class LogManager:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         #: Simulated stable storage; ``None`` keeps flush a physical no-op.
         self._disk: Optional["SimulatedDisk"] = None
-        #: Highest LSN whose frame has been staged on the disk (so a
-        #: retried flush after a failed sync does not double-append).
-        self._disk_staged_lsn = NULL_LSN
         #: :class:`~repro.wal.frames.SalvageReport` when this manager was
         #: rebuilt by :meth:`from_disk`; ``None`` for a fresh log.
         self.salvage: Optional["SalvageReport"] = None
@@ -273,31 +206,35 @@ class LogManager:
     def attach_disk(self, disk: "SimulatedDisk") -> None:
         """Write flushed frames to ``disk`` from now on.
 
-        An empty disk gets the segment header immediately (staged and
+        The empty disk gets the segment header immediately (staged and
         synced -- creating the log file is not a user-visible durability
         event, so no injection site is crossed for it).  Attaching a
-        disk mid-life is allowed: the next flush writes every record
-        from the log head up to the flush target.
+        disk mid-life is allowed: the next flush writes the in-memory
+        frames, as they are, from the log head up to the flush target.
 
         Log and disk always share one injector afterwards.  A disk that
         arrives with its own enabled injector keeps it (the log adopts
         it) rather than having it silently replaced by the log's no-op
         default; otherwise the log's injector propagates down.
 
-        A log has at most one disk: its frame offsets (and the records
-        it no longer holds as objects) live on that one.  Cold chunks
-        made before the disk arrived stay the copy of their records.
+        A log has at most one disk, and it starts empty: the frame
+        offsets are the segment's (:meth:`from_disk` reopens a written
+        one).
         """
         if self._disk is not None:
             raise ValueError("log already writes to a disk")
+        if disk.size:
+            raise ValueError(
+                f"disk holds {disk.size} bytes: a log writes its segment "
+                f"to an empty disk (LogManager.from_disk reopens one)")
         self._disk = disk
         if disk.faults.enabled and not self._faults.enabled:
             self._faults = disk.faults
         disk.faults = self._faults
-        if disk.size == 0:
-            disk.append(SEGMENT_HEADER)
-            disk.sync()
-        self._offsets = array("q", [disk.size])
+        disk.append(SEGMENT_HEADER)
+        disk.sync()
+        del self._frames[:len(SEGMENT_HEADER)]
+        self._frames_at = disk.size
 
     @classmethod
     def from_disk(cls, disk: "SimulatedDisk",
@@ -308,7 +245,8 @@ class LogManager:
 
         The image is salvaged with one
         :func:`repro.wal.frames.walk_segment` pass: a torn tail is
-        truncated; mid-log corruption raises
+        truncated; mid-log corruption, or a segment of another format
+        version, raises
         :class:`~repro.common.errors.LogCorruptionError` (the log is
         quarantined, nothing is applied).  The returned manager holds
         exactly the salvaged **flushed prefix** -- the records the
@@ -324,53 +262,49 @@ class LogManager:
         salvage, offsets = walk_segment(image)
         log = cls(metrics=metrics, flush_policy=flush_policy)
         log._base = log._tail_lsn = FIRST_LSN + salvage.count
-        log._flushed_lsn = log._disk_staged_lsn = log.end_lsn
+        log._flushed_lsn = log.end_lsn
         log.salvage = salvage
-        disk.reopen(image[:salvage.byte_length])
+        # Nothing salvaged, not even the header: the segment restarts.
+        disk.reopen(memoryview(image)[:salvage.byte_length] or SEGMENT_HEADER)
         log._disk = disk
-        if disk.size == 0:
-            disk.append(SEGMENT_HEADER)
-            disk.sync()
-            offsets = array("q", [disk.size])
-        log._offsets = offsets
+        log._offsets = offsets if salvage.byte_length else \
+            array("q", [disk.size])
+        log._frames = bytearray()
+        log._frames_at = disk.size
         return log
 
     def _write_frames(self, up_to_lsn: int) -> None:
-        """Stage + sync frames for records up to ``up_to_lsn``, then
-        release the objects no pin reads (without a disk: release them
-        into cold chunks)."""
-        if self._disk is None:
-            self._release(up_to_lsn)
-            return
-        if up_to_lsn <= self._disk_staged_lsn:
-            return
-        buf = bytearray()
-        at = self._disk.size
-        ends = []
-        for record in self.records_slice(self._disk_staged_lsn + 1,
-                                         up_to_lsn):
-            append_frame(buf, record)
-            ends.append(at + len(buf))
-        self._disk.append(bytes(buf))
-        self._offsets.extend(ends)
-        self._disk_staged_lsn = up_to_lsn
-        self._disk.sync()
-        if self.metrics.enabled:
-            self.metrics.inc("wal.disk.bytes", len(buf))
+        """Frame the payloads of the records up to ``up_to_lsn``, stage +
+        sync the frames not yet on the disk, then release the objects no
+        pin reads (without a disk: frame and release)."""
+        offsets, bodies = self._offsets, self._bodies
+        framed = len(offsets) - 1     # LSNs FIRST_LSN .. FIRST_LSN + framed - 1
+        count = up_to_lsn + 1 - FIRST_LSN - framed
+        if count > 0:
+            first = FIRST_LSN + framed - self._base
+            offsets.extend(append_frames(
+                self._frames, self._records[first:first + count],
+                bodies[:count], self._frames_at))
+            del bodies[:count]
+        disk, data = self._disk, self._frames
+        if disk is not None and data:
+            disk.append(data)
+            self._frames_at += len(data)
+            self._frames = bytearray()
+            disk.sync()
+            if self.metrics.enabled:
+                self.metrics.inc("wal.disk.bytes", len(data))
         self._release(up_to_lsn)
 
     def _release(self, written: int) -> None:
         """Drop the objects of the records up to ``written`` below every
-        pin; a volatile log first packs them into cold chunks, whole
-        chunks only, so its tail stays on a chunk boundary.
+        pin.
 
         Released entries become ``None``; the list sheds its released
         prefix once that is at least half of it, so a release costs
         amortised O(1) per record.
         """
-        step = 1 if self._disk is not None else self.SCAN_CHUNK
         keep = written + 1
-        keep -= (keep - FIRST_LSN) % step
         tail = self._tail_lsn
         if keep <= tail:
             return
@@ -378,12 +312,9 @@ class LogManager:
             lsn = pin()
             if NULL_LSN < lsn < keep:
                 keep = lsn
-        keep -= (keep - FIRST_LSN) % step
         if keep <= tail:
             return
         records, base = self._records, self._base
-        if step > 1:
-            self._freeze(records[tail - base:keep - base], tail)
         released = keep - base
         if released * 2 >= len(records):
             del records[:released]
@@ -392,64 +323,32 @@ class LogManager:
             records[tail - base:released] = [None] * (keep - tail)
         self._tail_lsn = keep
 
-    def _freeze(self, records: List[LogRecord], lsn: int) -> None:
-        """Pack ``records`` (whole chunks, the first at ``lsn``) into cold
-        chunks, parking the ones ``marshal`` cannot hold."""
-        size, flatten = self.SCAN_CHUNK, _FLATTEN.get
-        for start in range(0, len(records), size):
-            chunk = records[start:start + size]
-            # One C call per record; _flat sees only the unknown classes.
-            flats = [flatten(record.__class__, _flat)(record)
-                     for record in chunk]
-            try:
-                data = marshal.dumps(flats)
-            except ValueError:
-                flats = [flat if _marshals(flat) else None for flat in flats]
-                data = marshal.dumps(flats)
-            self._chunks.append(data)
-            if None in flats:
-                for at, flat in enumerate(flats):
-                    if flat is None:
-                        self._parked[lsn + start + at] = chunk[at]
-
-    def _thawed(self, lo: int, hi: int) -> List[LogRecord]:
-        """Records ``lo..hi`` (all below the tail) rebuilt from their
-        cold chunks."""
-        size, parked = self.SCAN_CHUNK, self._parked
-        out: List[LogRecord] = []
-        index = (lo - FIRST_LSN) // size
-        lsn = FIRST_LSN + index * size
-        while lsn <= hi:
-            flats = marshal.loads(self._chunks[index])
-            first = max(lo - lsn, 0)
-            for at, flat in enumerate(flats[first:hi + 1 - lsn], lsn + first):
-                out.append(parked[at] if flat is None else _inflate(flat, at))
-            index += 1
-            lsn += size
-        return out
-
     def _decoded(self, lo: int, hi: int) -> List[LogRecord]:
         """Records ``lo..hi`` (all below the tail) read back from their
-        cold chunks or frames.  A frame that does not decode is
-        corruption, reported as salvage reports it."""
-        cold = FIRST_LSN + len(self._chunks) * self.SCAN_CHUNK
-        if lo < cold:
-            thawed = self._thawed(lo, min(hi, cold - 1))
-            return thawed if hi < cold else \
-                thawed + self._decoded(cold, hi)
-        offsets, disk = self._offsets, self._disk
-        start = offsets[lo - FIRST_LSN]
-        data = disk.read(start, offsets[hi + 1 - FIRST_LSN] - start)
+        frames.  A frame that does not decode is corruption, reported as
+        salvage reports it."""
+        start = self._offsets[lo - FIRST_LSN]
+        end = self._offsets[hi + 1 - FIRST_LSN]
+        at, disk = self._frames_at, self._disk
+        data = self._frames[start - at:end - at] if start >= at \
+            else disk.read(start, end - start)
         try:
             return decode_frames(data)
         except FrameCodecError:
-            decode_segment(disk.read(0, disk.size))
+            if disk is not None:
+                decode_segment(disk.read(0, disk.size))
             raise
 
     # -- append ------------------------------------------------------------
 
     def append(self, record: LogRecord, prev_lsn: int = NULL_LSN) -> int:
         """Append ``record``, assigning its LSN; return the new LSN.
+
+        The record's fields are encoded here, and they are what every
+        read below the tail returns, so it must not change afterwards.
+        One that cannot be encoded (a value outside what
+        :mod:`repro.wal.frames` writes) raises
+        :class:`~repro.wal.frames.FrameCodecError` and is not logged.
 
         Args:
             record: The record to append.  Its ``lsn`` must be unassigned.
@@ -461,6 +360,7 @@ class LogManager:
         faults = self._faults
         if faults.enabled:
             faults.fire(SITE_WAL_APPEND, kind=record.kind)
+        self._bodies.append(encode_fields(record))
         record.lsn = self._base + len(self._records)
         record.prev_lsn = prev_lsn
         self._records.append(record)
@@ -481,7 +381,8 @@ class LogManager:
         each record had been :meth:`append`-ed individually -- same LSNs,
         same back-chains, same observer calls -- but the fault sites and
         the per-record bookkeeping are amortized over the batch.  An
-        empty batch is a no-op.
+        empty batch is a no-op; a batch with a record that cannot be
+        encoded is not logged at all.
 
         Args:
             records: Records to append; each ``lsn`` must be unassigned.
@@ -503,14 +404,14 @@ class LogManager:
         if faults.enabled:
             faults.fire(SITE_WAL_APPEND_BATCH, n=len(records),
                         kind=records[0].kind)
-        lsns: List[int] = []
+        self._bodies.extend([encode_fields(record) for record in records])
         base = self._base + len(self._records)
+        lsns = list(range(base, base + len(records)))
         for i, record in enumerate(records):
             record.lsn = base + i
             record.prev_lsn = prev_lsns[i] if prev_lsns is not None \
                 else NULL_LSN
-            self._records.append(record)
-            lsns.append(record.lsn)
+        self._records.extend(records)
         if faults.enabled:
             faults.fire(SITE_WAL_APPEND_BATCH_DONE, n=len(records),
                         last_lsn=lsns[-1])
@@ -630,7 +531,7 @@ class LogManager:
     @property
     def tail_lsn(self) -> int:
         """First LSN the log holds as an object; the records below it
-        are read back from their frames or cold chunks."""
+        are read back from their frames."""
         return self._tail_lsn
 
     def __len__(self) -> int:
@@ -655,9 +556,8 @@ class LogManager:
             return self._decoded(lsn, lsn)[0]
         raise IndexError(f"no log record with lsn {lsn}")
 
-    #: Records a :meth:`scan` reads per step (one list slice, one
-    #: decoded run of frames or one cold chunk), and the records of a
-    #: cold chunk.
+    #: Records a :meth:`scan` reads per step (one list slice or one
+    #: decoded run of frames).
     SCAN_CHUNK = 128
 
     def scan(self, from_lsn: int = FIRST_LSN,

@@ -19,8 +19,8 @@ update / CLR / checkpoint), the transformation framework of the paper adds:
 Records are mutable ``__slots__`` classes with hand-written constructors
 (the log is a main-memory engine's resident set: no ``__dict__`` per
 record).  Each class names its payload fields once, in ``FIELDS``: the
-positional order of ``cls(txn_id, *payload)`` and the field order of the
-durable frame.  ``lsn`` and ``prev_lsn`` are filled in by
+positional order of ``cls(txn_id, *payload)`` and the field order of its
+frame.  ``lsn`` and ``prev_lsn`` are filled in by
 :class:`repro.wal.log.LogManager` at append time; user code constructs
 records with the payload fields only, by keyword.
 """

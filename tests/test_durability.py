@@ -11,6 +11,7 @@ drain / coalescing-window exit leaves ``flushed_lsn == end_lsn``.
 import gc
 import struct
 import zlib
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from repro.wal import (
     DeleteRecord,
     DropTableRecord,
     FlushPolicy,
+    FrameCodecError,
     InsertRecord,
     LogManager,
     SEGMENT_HEADER,
@@ -129,10 +131,10 @@ def test_flush_writes_frames_and_sync_makes_them_durable():
     assert disk.crash_image() == expected
 
 
-def test_disk_attached_after_cold_chunks_writes_the_whole_log():
-    """A volatile log packs flushed records into cold chunks; a disk
-    attached later still gets every record's frame from the log head,
-    and the log reads both kinds of history back."""
+def test_disk_attached_mid_life_gets_the_in_memory_frames():
+    """A volatile log keeps its frames in memory; a disk attached later
+    gets them as they are, from the log head, and the log reads the
+    whole history back."""
     records = _records(3 * LogManager.SCAN_CHUNK)
     log = LogManager()
     for record in records[:2 * LogManager.SCAN_CHUNK]:
@@ -147,6 +149,56 @@ def test_disk_attached_after_cold_chunks_writes_the_whole_log():
     assert disk.crash_image() == SEGMENT_HEADER + b"".join(
         encode_frame(r) for r in records)
     assert list(log.scan()) == records
+
+
+def test_a_record_that_cannot_be_framed_is_not_appended():
+    """``append`` and ``append_batch`` frame before they log: a refused
+    record takes no LSN, leaves no frame and can be fixed and retried."""
+    log = LogManager(disk=SimulatedDisk())
+    log.append(BeginRecord(txn_id=1))
+    bad = InsertRecord(txn_id=1, table="t", key=(1,),
+                       values={"k": Decimal("1.5")})
+    with pytest.raises(FrameCodecError):
+        log.append(bad, prev_lsn=1)
+    good = InsertRecord(txn_id=1, table="t", key=(2,), values={"k": 2})
+    with pytest.raises(FrameCodecError):
+        log.append_batch([good, bad])
+    assert log.end_lsn == 1 and (bad.lsn, good.lsn) == (0, 0)
+    bad.values["k"] = 1.5
+    assert log.append_batch([good, bad]) == [2, 3]
+    log.flush()
+    assert LogManager.from_disk(log.disk).end_lsn == 3
+    assert [encode_frame(r) for r in LogManager.from_disk(
+        log.disk).scan()] == [encode_frame(r) for r in log.scan()]
+
+
+@pytest.mark.parametrize("durable", [False, True],
+                         ids=["volatile", "durable"])
+@pytest.mark.parametrize("ending", ["commit", "abort"])
+def test_an_unframeable_row_value_is_refused_before_it_is_logged(
+        durable, ending):
+    """A ``Decimal`` row value used to be logged and applied, and then
+    every commit of a durable database raised ``FrameCodecError``
+    flushing it.  The insert is refused before anything is logged or
+    applied: the transaction can still end, and the next one commits."""
+    log = LogManager(disk=SimulatedDisk()) if durable else LogManager()
+    db = Database(log=log)
+    db.create_table(TableSchema("T", ["id", "v"], primary_key=["id"]))
+    txn = db.begin()
+    db.insert(txn, "T", {"id": 1, "v": "a"})
+    logged = log.end_lsn
+    with pytest.raises(FrameCodecError):
+        db.insert(txn, "T", {"id": 2, "v": Decimal("1.5")})
+    assert log.end_lsn == logged
+    assert db.table("T").get((2,)) is None
+    getattr(db, ending)(txn)
+    with Session(db) as s:
+        s.insert("T", {"id": 3, "v": "c"})
+    expected = [1, 3] if ending == "commit" else [3]
+    assert sorted(r.values["id"] for r in db.table("T").scan()) == expected
+    recovered = restart_from_disk(log.disk) if durable else restart(log)
+    assert sorted(r.values["id"] for r in recovered.table("T").scan()) \
+        == expected
 
 
 def test_torn_write_cuts_last_flush_mid_frame():
@@ -420,8 +472,8 @@ def test_restart_quarantines_a_crc_valid_undecodable_frame():
     bad = DropTableRecord(table="x")
     bad.lsn = index + 1
     payload = encode_frame(bad)[FRAME_HEADER_SIZE:]
-    assert payload.endswith(b"\x05\x01x")
-    payload = payload[:-3] + b"\x05\x02\xff\xfe"  # invalid UTF-8
+    assert payload.endswith(b"u\x01\x00\x00\x00x")  # marshal's str
+    payload = payload[:-6] + b"u\x02\x00\x00\x00\xff\xfe"  # bad UTF-8
     frame = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
     image = image[:starts[index]] + frame + image[starts[index + 1]:]
     with pytest.raises(LogCorruptionError) as salvage:

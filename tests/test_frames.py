@@ -1,14 +1,18 @@
-"""Unit tests for the durable WAL frame codec and salvage rules.
+"""Unit tests for the WAL frame codec and salvage rules.
 
 Every record kind must round-trip through its byte frame
 *byte-identically* (decode -> re-encode yields the same bytes), values
 outside the durable set must fail loudly at encode time, and
 :func:`~repro.wal.decode_segment` must implement the torn-tail /
-corrupt-tail / mid-log-quarantine trichotomy exactly.
+corrupt-tail / mid-log-quarantine trichotomy exactly.  The format is
+pinned from outside the codec: format-1 frames written by the codec
+that format 2 replaced still decode, and format-2 frames are built here
+from hand-written payload heads and ``marshal.dumps(fields, 2)``.
 """
 
 import copy
 import inspect
+import marshal
 import os
 import struct
 import zlib
@@ -51,12 +55,7 @@ from repro.wal import (
     encode_record,
     frame_spans,
 )
-from repro.wal.frames import (
-    RECORD_CODES,
-    SEGMENT_VERSION,
-    decode_value,
-    encode_value,
-)
+from repro.wal.frames import RECORD_CODES, SEGMENT_MAGIC, SEGMENT_VERSION
 
 _SCHEMA = TableSchema("T", ["id", "name", "zip"], primary_key=["id"],
                       candidate_keys=[["name", "zip"]])
@@ -131,24 +130,26 @@ def _placed(record, lsn, prev_lsn):
     return record
 
 
+_WIDE = {"long": "x" * 200, "raw": b"\x00\xff" * 70, "neg": -1,
+         "min64": -2 ** 63, "big": 2 ** 64 + 1, "negbig": -(2 ** 70),
+         "edge": [127, 128, -64, -65]}
+_FLOATS = {"negzero": -0.0, "nan": float("nan"), "inf": float("inf"),
+           "tiny": 5e-324}
+_NESTED = {"négatif": "héllo – 日本語 🎉", "": None,
+           "nest": {"t": (True, False, ()), "l": [[], {}]}}
+
+
 def golden_records():
-    """The records of ``tests/fixtures/wal_frames_v1.hex``, in file order:
-    every sample kind, then the corners of the value codec."""
+    """The records of ``tests/fixtures/wal_frames_v1.hex`` and
+    ``wal_frames_v2.hex``, in file order: every sample kind, then the
+    corners of the value codec."""
     return _with_lsns(copy.deepcopy(SAMPLE_RECORDS)) + [
-        # Multi-byte varints in the header fields and in a length.
-        _placed(InsertRecord(
-            txn_id=70000, table="wide", key=(300, -1),
-            values={"long": "x" * 200, "raw": b"\x00\xff" * 70,
-                    "neg": -1, "min64": -2 ** 63, "big": 2 ** 64 + 1,
-                    "negbig": -(2 ** 70), "edge": [127, 128, -64, -65]}),
-            300, 2 ** 21 + 5),
-        _placed(UpdateRecord(
-            txn_id=128, table="f", key=(1.5,),
-            changes={"negzero": -0.0, "nan": float("nan"),
-                     "inf": float("inf"), "tiny": 5e-324},
-            old_values={"négatif": "héllo – 日本語 🎉", "": None,
-                        "nest": {"t": (True, False, ()), "l": [[], {}]}}),
-            16384, 16383),
+        # Multi-byte varints in the format-1 header fields and lengths.
+        _placed(InsertRecord(txn_id=70000, table="wide", key=(300, -1),
+                             values=_WIDE), 300, 2 ** 21 + 5),
+        _placed(UpdateRecord(txn_id=128, table="f", key=(1.5,),
+                             changes=_FLOATS, old_values=_NESTED),
+                16384, 16383),
         # CLRs: a nested action carrying its own LSNs, and none at all.
         _placed(CLRecord(
             txn_id=9,
@@ -162,13 +163,68 @@ def golden_records():
     ]
 
 
-_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "fixtures",
-                            "wal_frames_v1.hex")
+def _v2_payload(code, lsn, prev_lsn, txn_id, flat):
+    """A format-2 payload by hand: the head, then the flat fields."""
+    return struct.pack(">BIII", code, lsn, prev_lsn, txn_id) + \
+        marshal.dumps(flat, 2)
 
 
-def _golden_frames():
-    with open(_GOLDEN_PATH) as handle:
+def _spec(name, *fields):
+    """A registered dataclass as a swap parameter: ``(name, fields)``,
+    each field ``(value,)``."""
+    return (name, tuple((field,) for field in fields))
+
+
+def golden_v2_payloads():
+    """``golden_records()``' payloads, written from the format's
+    definition: ``(code, lsn, prev_lsn, txn_id, flat fields)``."""
+    schema = ("TableSchema", ("T", (("id", True), ("name", True),
+                                    ("zip", True)),
+                              ("id",), (("name", "zip"),), ()))
+    foj = _spec("FojSpec", "T", "R", "S", "c", "c", ("a", "b", "c"),
+                ("c", "d"), ("a",), ("c",), False)
+    split = _spec("SplitSpec", "T", "T_r", "postal", "zip",
+                  ("id", "name", "zip"), ("zip", "city"), ("id",))
+    action = _v2_payload(7, 0, 0, 9, ("T", ("k", 2), {"name": "old"},
+                                      {"name": "new"}))
+    heads_and_flats = [
+        (1, 1, 0, 3, ()),
+        (2, 2, 1, 3, ()),
+        (3, 3, 2, 4, ()),
+        (4, 4, 3, 3, (True,)),
+        (5, 5, 4, 3, ("T", (1,), {"id": 1, "name": "x", "zip": None})),
+        (6, 6, 5, 3, ("T", (2,), {"id": 2, "name": "y", "zip": 7001})),
+        (7, 7, 6, 3, ("T", (1,), {"name": "z"}, {"name": "x"})),
+        (8, 8, 7, 3, (_v2_payload(6, 0, 0, 3, ("T", (1,), {"id": 1})), 0)),
+        (9, 9, 8, 0, ("tf-1", "start", (3, 4, 5))),
+        (10, 10, 9, 0, ("tf-1", (7001,))),
+        (11, 11, 10, 0, ("tf-1", (7001,), {"city": "C7001"})),
+        (12, 12, 11, 0, (schema, True)),
+        (13, 13, 12, 0, ("T_old",)),
+        (14, 14, 13, 0, ("T_new", "T")),
+        (15, 15, 14, 0, ("tf-1", "foj", ("R", "S"), {"T_new": ("T",)},
+                         {"spec": foj}, (9,))),
+        (15, 16, 15, 0, ("tf-2", "split", ("T",), {"T_r_new": ("T_r",)},
+                         {"spec": split}, ())),
+        (16, 17, 16, 0, ("tf-1",)),
+        (18, 18, 17, 0, ("tf-1", 2, ("R", "S"), ("T",))),
+        (17, 19, 18, 0, ({3: 17, 4: 19},)),
+        (5, 300, 2 ** 21 + 5, 70000, ("wide", (300, -1), _WIDE)),
+        (7, 16384, 16383, 128, ("f", (1.5,), _FLOATS, _NESTED)),
+        (8, 20000, 19999, 9, (action, 12345)),
+        (8, 20001, 20000, 9, (None, 0)),
+    ]
+    return [_v2_payload(*entry) for entry in heads_and_flats]
+
+
+def _golden_frames(version):
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        f"wal_frames_v{version}.hex")
+    with open(path) as handle:
         return [bytes.fromhex(line) for line in handle.read().split()]
+
+
+_V1_HEADER = SEGMENT_MAGIC + b"\x00\x01\x00\x00"
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +273,13 @@ def test_spec_dataclass_round_trip():
     assert decoded.params["spec"] == _FOJ_SPEC
 
 
-def _spec_value(spec, values):
-    """``spec``'s frame bytes as a class with ``values`` as its fields
-    would have written them."""
-    out = bytearray(b"\x0c")  # the dataclass tag
-    encode_value(out, type(spec).__name__)
-    out.append(len(values))
-    for value in values:
-        encode_value(out, value)
-    return bytes(out)
-
-
-def _respec(payload, spec, field_values):
-    """``payload`` with its one encoded ``spec`` re-encoded with
+def _respec(payload, field_values):
+    """A swap record's ``payload`` with its spec's fields replaced by
     ``field_values`` (e.g. the five fields ``RetypeSpec`` once had)."""
-    whole = bytearray()
-    encode_value(whole, spec)
-    assert payload.count(bytes(whole)) == 1
-    return payload.replace(bytes(whole), _spec_value(spec, field_values))
+    head, flat = payload[:13], marshal.loads(payload[13:])
+    params = dict(flat[4])
+    params["spec"] = _spec(params["spec"][0], *field_values)
+    return head + marshal.dumps(flat[:4] + (params,) + flat[5:], 2)
 
 
 def _retype_swap_payload(spec, field_values):
@@ -243,7 +288,7 @@ def _retype_swap_payload(spec, field_values):
         retired=(spec.source_name,), published={}, params={"spec": spec},
         doomed_txns=())
     record.lsn = 1
-    return _respec(encode_record(record), spec, field_values)
+    return _respec(encode_record(record), field_values)
 
 
 _RETYPE_SPEC = RetypeSpec("reading", "reading_v2", "value", "int", 0)
@@ -275,7 +320,7 @@ def test_restart_rebuilds_from_a_parent_shaped_retype_swap_frame():
     for record in db.log.scan():
         payload = encode_record(record)
         if isinstance(record, TransformSwapRecord):
-            payload = _respec(payload, _RETYPE_SPEC, _PARENT_FIELDS)
+            payload = _respec(payload, _PARENT_FIELDS)
         frames.append(_crc_valid_frame(payload))
     disk = SimulatedDisk()
     disk.reopen(SEGMENT_HEADER + b"".join(frames))
@@ -433,19 +478,31 @@ def _crc_valid_frame(payload):
     return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
 
 
-#: Payloads a CRC cannot object to and the codec must still refuse: each
-#: used to escape ``decode_segment`` as the named exception instead of
-#: quarantining the log.  All carry lsn 2 (zig-zag ``04``).
+def _head(code):
+    return struct.pack(">BIII", code, 2, 0, 0)
+
+
+#: Payloads a CRC cannot object to and the codec must still refuse, each
+#: as :class:`FrameCodecError`; all carry lsn 2.
 MALFORMED_PAYLOADS = {
-    # DropTableRecord whose table name is a string tag over bad UTF-8.
-    "UnicodeDecodeError": b"\x0d\x04\x00\x00" + b"\x05\x02\xff\xfe",
+    # DropTableRecord whose table name is a string over bad UTF-8.
+    "UnicodeDecodeError": _head(13) + b"(\x01\x00\x00\x00"
+                          + b"u\x02\x00\x00\x00\xff\xfe",
     # CheckpointRecord whose active_txns dict has a list as its key.
-    "unhashable key": b"\x11\x04\x00\x00" + b"\x09\x01\x08\x00\x00",
-    # CreateTableRecord whose schema tag sits over five ints.
-    "schema over int": b"\x0c\x04\x00\x00" + b"\x0b" + b"\x03\x02" * 5
-                       + b"\x02",
+    "unhashable key": _head(17) + b"(\x01\x00\x00\x00"
+                      + b"{[\x00\x00\x00\x00N0",
+    # CreateTableRecord whose schema is named over five ints.
+    "schema over int": _head(12) + marshal.dumps(
+        (("TableSchema", (1, 1, 1, 1, 1)), False), 2),
     # DropTableRecord whose table name is a list nested 50,000 deep.
-    "RecursionError": b"\x0d\x04\x00\x00" + b"\x08\x01" * 50000 + b"\x00",
+    "RecursionError": _head(13) + b"(\x01\x00\x00\x00"
+                      + b"[\x01\x00\x00\x00" * 50000 + b"N",
+    # marshal reads one object and ignores what follows it.
+    "trailing bytes": _head(13) + marshal.dumps(("t",), 2) + b"\x00",
+    # A body marshal reads, in a form version 2 does not write.
+    "version 4 body": _head(13) + marshal.dumps(("t",), 4),
+    # A head too short for its fields.
+    "short head": _head(13)[:9],
 }
 
 
@@ -473,12 +530,32 @@ def test_salvage_quarantines_crc_valid_garbage(payload):
 
 
 def test_golden_frames_pin_format_version_1():
-    """``wal_frames_v1.hex`` was written by the interpreted codec this one
-    replaced: encoder and decoder cannot drift together unnoticed."""
-    assert SEGMENT_VERSION == 1
-    golden = _golden_frames()
+    """``wal_frames_v1.hex`` was written by the tagged-value codec that
+    format 2 replaced: nothing writes format 1 any more, but its frames
+    still decode to the records they were written from."""
+    golden = _golden_frames(1)
     records = golden_records()
     assert len(golden) == len(records)
+    for frame, record in zip(golden, records):
+        decoded = decode_record(frame[FRAME_HEADER_SIZE:], version=1)
+        # Equal frames: equal records, NaN and schemas included.
+        assert encode_frame(decoded) == encode_frame(record), \
+            type(record).__name__
+    report = decode_segment(_V1_HEADER + b"".join(golden[:19]))
+    assert not report.torn
+    assert [encode_frame(r) for r in report.records] == \
+        [encode_frame(r) for r in records[:19]]
+
+
+def test_golden_frames_pin_format_version_2():
+    """``wal_frames_v2.hex`` holds the frames built from the format's
+    definition (:func:`golden_v2_payloads`): the codec writes exactly
+    those bytes, and reads them back to records it re-encodes the same."""
+    assert SEGMENT_VERSION == 2
+    assert SEGMENT_HEADER == SEGMENT_MAGIC + b"\x00\x02\x00\x00"
+    golden = [_crc_valid_frame(payload) for payload in golden_v2_payloads()]
+    assert _golden_frames(2) == golden
+    records = golden_records()
     for frame, record in zip(golden, records):
         assert encode_frame(record) == frame, type(record).__name__
         decoded = decode_record(frame[FRAME_HEADER_SIZE:])
@@ -486,6 +563,14 @@ def test_golden_frames_pin_format_version_1():
         assert encode_frame(decoded) == frame, type(record).__name__
     report = decode_segment(SEGMENT_HEADER + b"".join(golden[:19]))
     assert len(report.records) == 19 and not report.torn
+
+
+def test_from_disk_refuses_a_format_1_segment():
+    disk = SimulatedDisk()
+    disk.reopen(_V1_HEADER + b"".join(_golden_frames(1)[:19]))
+    with pytest.raises(LogCorruptionError) as excinfo:
+        LogManager.from_disk(disk)
+    assert "version 1" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("record", golden_records(),
@@ -516,7 +601,8 @@ def _same(a, b):
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(min_value=-2 ** 80, max_value=2 ** 80), st.floats(),
-    st.text(), st.binary())
+    st.text(), st.characters(), st.text(st.characters(min_codepoint=128)),
+    st.binary())
 _KEYS = st.one_of(st.integers(), st.text(), st.booleans(),
                   st.tuples(st.integers(), st.text()))
 _VALUES = st.recursive(
@@ -529,38 +615,45 @@ _VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_VALUES)
-def test_value_round_trip_preserves_value_and_types(value):
-    out = bytearray()
-    encode_value(out, value)
-    decoded, pos = decode_value(bytes(out), 0)
-    assert pos == len(out)
-    assert _same(decoded, value)
-    again = bytearray()
-    encode_value(again, decoded)
-    assert again == out
+@given(_VALUES, st.dictionaries(_KEYS, _VALUES, max_size=4), st.booleans())
+def test_record_values_round_trip_byte_identically(value, image,
+                                                   compensated):
+    """``encode_record(decode_record(p)) == p``, and the values come back
+    with their types, for any row values, in a record or as a CLR's
+    action."""
+    record = _placed(InsertRecord(txn_id=7, table="t", key=(value,),
+                                  values=image), 5, 4)
+    if compensated:
+        record = _placed(CLRecord(txn_id=7, action=record,
+                                  undo_next_lsn=3), 6, 5)
+    payload = encode_record(record)
+    decoded = decode_record(payload)
+    assert encode_record(decoded) == payload
+    insert = decoded.action if compensated else decoded
+    assert (insert.lsn, insert.prev_lsn) == (5, 4)
+    assert _same(insert.key, (value,)) and _same(insert.values, image)
 
 
 def test_subclass_values_frame_like_their_base_type():
-    """Exact types hit the encoder table; subclasses take the miss path
-    and must frame to the same bytes as the plain value."""
+    """``marshal`` writes exact types only; an instance of a subclass
+    frames as its base type's value would."""
     import collections
     import enum
 
     class Colour(enum.IntEnum):
         RED = 300
 
-    class Name(str):
-        pass
+    class Mode(str, enum.Enum):
+        FAST = "é"
 
     def framed(value):
-        out = bytearray()
-        encode_value(out, value)
-        return bytes(out)
+        return encode_record(InsertRecord(txn_id=1, table="t", key=(1,),
+                                          values={"v": value}))
 
     assert framed(Colour.RED) == framed(300)
-    assert framed(Name("é")) == framed("é")
+    assert framed(Mode.FAST) == framed("é")
     assert framed(collections.OrderedDict(a=1)) == framed({"a": 1})
+    assert framed(collections.namedtuple("P", "x y")(1, 2)) == framed((1, 2))
     with pytest.raises(FrameCodecError):
         framed(object())
 

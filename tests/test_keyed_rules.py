@@ -12,6 +12,7 @@ with the expected tables by name.
 import pytest
 
 from repro import (
+    AttrPredicate,
     Database,
     MergeSpec,
     MergeTransformation,
@@ -48,7 +49,7 @@ def _populated(tf):
 def partition():
     db = _db(("t", [{"k": 1, "v": "a"}, {"k": 2, "v": "b"}]))
     tf = _populated(PartitionTransformation(db, PartitionSpec(
-        "t", "ta", "tb", predicate=lambda r: r["v"] == "a")))
+        "t", "ta", "tb", predicate=AttrPredicate("v", "==", "a"))))
     return tf, [
         (SOURCE, "t", (1,), [("ta", (1,))]),
         (SOURCE, "t", (2,), [("tb", (2,))]),

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import (
+    AttrPredicate,
     Database,
     InconsistentDataError,
     MergeSpec,
@@ -18,7 +19,9 @@ from repro import (
     SyncStrategy,
     TableSchema,
     restart,
+    restart_from_disk,
 )
+from repro.wal import LogManager, SimulatedDisk
 from repro.relational import merge_rows, partition_rows, rows_equal
 
 from tests.conftest import values_of
@@ -31,13 +34,12 @@ SCHEMA = TableSchema("orders", ["oid", "region", "amount"],
 
 def spec_for(db):
     return PartitionSpec("orders", "orders_eu", "orders_row",
-                         predicate=lambda r: r["region"] == "eu",
-                         predicate_desc="region == 'eu'")
+                         predicate=AttrPredicate("region", "==", "eu"))
 
 
-def make_db(n=24, seed=1):
+def make_db(n=24, seed=1, log=None):
     rng = random.Random(seed)
-    db = Database()
+    db = Database(log=log)
     db.create_table(SCHEMA)
     with Session(db) as s:
         for i in range(n):
@@ -103,6 +105,33 @@ def test_partition_recovery_rebuilds_after_swap():
     a_rows, b_rows = partition_rows(spec, t_rows)
     assert rows_equal(values_of(recovered, "orders_eu"), a_rows)
     assert rows_equal(values_of(recovered, "orders_row"), b_rows)
+
+
+def test_a_callable_predicate_is_refused_before_anything_is_logged():
+    """No frame holds a lambda.  A partition over one used to complete
+    its handover on a durable database, and then every later commit
+    raised ``FrameCodecError`` flushing the swap record.  The spec
+    refuses it; an ``AttrPredicate`` partition of a durable database
+    keeps committing and restarts."""
+    disk = SimulatedDisk()
+    db = make_db(log=LogManager(disk=disk))
+    logged = db.log.end_lsn
+    with pytest.raises(TypeError):
+        PartitionSpec("orders", "orders_eu", "orders_row",
+                      predicate=lambda r: r["region"] == "eu")
+    assert db.log.end_lsn == logged
+    spec = spec_for(db)
+    t_rows = values_of(db, "orders")
+    tf = PartitionTransformation(db, spec)
+    tf.run()
+    assert tf.phase is Phase.DONE
+    new_row = {"oid": 999, "region": "us", "amount": 1}
+    with Session(db) as s:
+        s.insert("orders_row", new_row)
+    recovered = restart_from_disk(disk)
+    a_rows, b_rows = partition_rows(spec, t_rows)
+    assert rows_equal(values_of(recovered, "orders_eu"), a_rows)
+    assert rows_equal(values_of(recovered, "orders_row"), b_rows + [new_row])
 
 
 # ---------------------------------------------------------------------------
