@@ -6,8 +6,10 @@
 Builds the repetition the ledger would (``benchmarks.wallclock.workloads``,
 imported read-only), runs ``setup()`` unprofiled and ``timed(False)`` under
 ``cProfile``, verifies the output, and prints the top functions plus the
-total call count.  cProfile taxes every Python call and no native one, so
-shares shift: find candidates here, measure with ``benchmarks/pairs.py``.
+total call count -- and, where the timed section is one initial
+population (``split_quiescent``), the calls per source row.  cProfile
+taxes every Python call and no native one, so shares shift: find
+candidates here, measure with ``benchmarks/pairs.py``.
 
 ``--drain`` is the same for a propagation claim, on a workload whose
 set-up leaves its transformation paused on a log backlog
@@ -276,6 +278,11 @@ def main(argv=None, out=sys.stdout):
     stats = pstats.Stats(profiler, stream=out)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     print(f"total calls: {stats.total_calls}", file=out)
+    rows = rep.out.get("rows")
+    if rows and not args.drain:
+        # The timed section is one whole initial population.
+        print(f"calls per source row: {stats.total_calls / rows:.2f} "
+              f"({stats.total_calls:,} / {rows:,} rows)", file=out)
     return 0
 
 

@@ -162,36 +162,101 @@ class Table:
         """Insert a new row; returns a handle on it.
 
         The values mapping is normalized against the schema (missing
-        attributes become NULL).  A unique index claims the key with one
-        probe; a taken key raises :class:`DuplicateKeyError` naming the
-        index.  A refused or fault-aborted insert changes nothing.
+        attributes become NULL).  A taken unique key raises
+        :class:`DuplicateKeyError` naming the index.  A refused or
+        fault-aborted insert changes nothing.
+        """
+        normalized = self.schema.normalize(values)
+        rowid = next(_rowid_counter)
+        if self._store((rowid,), (normalized,), (lsn,),
+                       None if meta is None else (meta,)):
+            raise DuplicateKeyError(
+                self.name, index_key(normalized, self._primary.attrs),
+                PRIMARY_INDEX)
+        return Row(self, rowid, normalized)
+
+    def insert_rows(self, values: Sequence[Tuple], lsns: Sequence[int],
+                    metas: Optional[Sequence[Dict[str, object]]] = None
+                    ) -> List[Optional[int]]:
+        """Insert a batch of rows, all or nothing; returns their rowids.
+
+        ``values`` holds one tuple per row, in the schema's attribute
+        order; ``lsns`` (and ``metas``, when given) one entry per row.
+        Each stored dict is built here, once.  A row whose primary key
+        is taken -- by a stored row or an earlier row of the batch -- is
+        skipped and reported as a ``None`` rowid; any other taken unique
+        key raises :class:`DuplicateKeyError`.  A raise (a refusal or a
+        fault) stores nothing of the batch.
+        """
+        names = self.schema.attribute_names
+        rowids: List[Optional[int]] = \
+            list(itertools.islice(_rowid_counter, len(values)))
+        images = [dict(zip(names, row)) for row in values]
+        for position in self._store(rowids, images, lsns, metas):
+            rowids[position] = None
+        return rowids
+
+    def _store(self, rowids: Sequence[int],
+               images: Sequence[Dict[str, object]], lsns: Sequence[int],
+               metas: Optional[Sequence[Dict[str, object]]]
+               ) -> Sequence[int]:
+        """The one claim-and-store of :meth:`insert_row` and
+        :meth:`insert_rows`, over parallel sequences.
+
+        Claims every index for all the rows, the primary index first,
+        then stores values, LSNs and metas (several rows with one
+        ``dict.update`` per map).  Returns the positions skipped because
+        their primary key is taken; any other taken unique key raises.
+        On a raise nothing of the rows stays in a map or an index.
         """
         faults = self.faults
         if faults.enabled:
             faults.fire(SITE_TABLE_INSERT, table=self.name)
-        normalized = self.schema.normalize(values)
-        rowid = next(_rowid_counter)
-        indexes = self.indexes.values()
+        skipped: Sequence[int] = ()
         try:
-            for index in indexes:
-                key = index_key(normalized, index.attrs)
-                if key is not None:
-                    index.add(key, rowid)
-            self.rows[rowid] = normalized
-            self.lsns[rowid] = lsn
-            if meta is not None:
-                self.metas[rowid] = meta
-            if faults.enabled:
+            for index in self.indexes.values():
+                refused = index.claim(rowids, images)
+                if refused:
+                    if index is not self._primary:
+                        raise DuplicateKeyError(
+                            self.name,
+                            index_key(images[refused[0]], index.attrs),
+                            index.name)
+                    skipped = refused
+                    taken = set(refused)
+                    kept = [i for i in range(len(rowids)) if i not in taken]
+                    rowids = [rowids[i] for i in kept]
+                    images = [images[i] for i in kept]
+                    lsns = [lsns[i] for i in kept]
+                    if metas is not None:
+                        metas = [metas[i] for i in kept]
+            if len(rowids) == 1:
+                rowid = rowids[0]
+                self.rows[rowid] = images[0]
+                self.lsns[rowid] = lsns[0]
+                if metas is not None:
+                    self.metas[rowid] = metas[0]
+            elif rowids:
+                self.rows.update(zip(rowids, images))
+                self.lsns.update(zip(rowids, lsns))
+                if metas is not None:
+                    self.metas.update(zip(rowids, metas))
+            if faults.enabled and rowids:
                 faults.fire(SITE_TABLE_INSERT_INDEXED, table=self.name,
-                            rowid=rowid)
+                            rowid=rowids[0])
         except BaseException:
-            self.rows.pop(rowid, None)
-            self.lsns.pop(rowid, None)
-            self.metas.pop(rowid, None)
-            for index in indexes:
-                index.remove(normalized, rowid)
+            rows, row_lsns, row_metas = self.rows, self.lsns, self.metas
+            for rowid in rowids:
+                rows.pop(rowid, None)
+                row_lsns.pop(rowid, None)
+                row_metas.pop(rowid, None)
+            # Un-indexing drops an entry only where it names one of these
+            # rows; a refused row claimed nothing and is no longer listed.
+            for index in self.indexes.values():
+                for rowid, values in zip(rowids, images):
+                    index.remove(values, rowid)
             raise
-        return Row(self, rowid, normalized)
+        return skipped
 
     def check_unique(self, values: Dict[str, object]) -> None:
         """Raise :class:`DuplicateKeyError` when a unique index holds the

@@ -341,8 +341,11 @@ class RuleEngine:
         and restart rebuild) hands over each chunk, the miss hook one
         image.  Must be idempotent and built from the same state-driven
         / LSN-guarded primitives as the propagation rules, so later log
-        replay converges whatever order the rows arrived in; an image
-        that raises must leave nothing that makes its retry stop short.
+        replay converges whatever order the rows arrived in.  A chunk
+        that raises must leave nothing that makes its retry stop short:
+        the split's chunk is all or nothing (no R or S row of it stays);
+        an engine that migrates row by row keeps the images before the
+        one that raised, and its retry finds them migrated.
         """
         raise NotImplementedError
 

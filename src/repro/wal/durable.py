@@ -15,25 +15,29 @@ The model is deliberately simple and deterministic:
   ``disk.sync`` site, in which case the horizon stays frozen while the
   arming keeps firing (a later honest sync persists the cached bytes,
   exactly like a page cache that survived the lying fsync);
-* :meth:`crash_image` is what a simulated kill leaves behind: the
-  durable prefix, with any pending :class:`~repro.faults.TornWriteFault`
-  tear (truncating the last synced write mid-frame) and
-  :class:`~repro.faults.BitFlipFault` corruption (one inverted bit in a
-  chosen frame's payload) applied.
+* :meth:`crash` is a simulated kill, applied to the disk's own buffer:
+  the durable prefix survives, with any pending
+  :class:`~repro.faults.TornWriteFault` tear (truncating the last synced
+  write mid-frame) and :class:`~repro.faults.BitFlipFault` corruption
+  (one inverted bit in a chosen frame's payload) applied;
+  :meth:`crash_image` is the same on a copy.
 
 Both ``disk.write`` and ``disk.sync`` are registered injection sites, so
 the crash sweep also kills the system *inside* the flush path: bytes
 staged but not synced must never count as durable.
 
 Recovery goes through :meth:`repro.wal.log.LogManager.from_disk`, which
-salvages the image with one :func:`repro.wal.frames.walk_segment` pass
-and :meth:`reopen`-s the disk on the salvaged prefix so post-recovery
-appends continue in the same segment.  A log with a disk reads the
-records it no longer holds as objects back through :meth:`read`.
+crashes the disk, salvages its bytes in place with one
+:func:`repro.wal.frames.walk_segment` pass over a :meth:`view` and
+:meth:`truncate`-s the disk to the salvaged prefix, so post-recovery
+appends continue in the same segment and the segment is never copied.
+A log with a disk reads the records it no longer holds as objects back
+through :meth:`read`.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 from typing import List, Optional, Tuple
 
@@ -137,11 +141,13 @@ class SimulatedDisk:
 
     # -- what a crash leaves behind ----------------------------------------
 
-    def crash_image(self) -> bytes:
-        """The byte image surviving a simulated kill, faults applied."""
-        if self._pending_tear is None and not self._pending_flips:
-            return bytes(memoryview(self._buffer)[:self._durable_len])
-        image = self._buffer[:self._durable_len]
+    def crash(self) -> None:
+        """A simulated kill, on this disk's own buffer: the staged bytes
+        are lost and any pending tear and bit flips are applied to what
+        was durable.  What remains is the crash image; all of it is
+        durable, and no fault is pending."""
+        image = self._buffer
+        del image[self._durable_len:]
         if self._pending_tear is not None and image:
             cut = self._pending_tear.cut
             if cut is None:
@@ -154,14 +160,39 @@ class SimulatedDisk:
                 del image[len(image) - cut:]
         for flip in self._pending_flips:
             _apply_bit_flip(image, flip)
-        return bytes(image)
+        self._durable_len = len(image)
+        self._last_sync_len = 0
+        self._pending_tear = None
+        self._pending_flips = []
+
+    def crash_image(self) -> bytearray:
+        """The byte image a simulated kill would leave: :meth:`crash` of
+        a copy of the durable bytes, this disk left as it is."""
+        twin = copy.copy(self)
+        twin._buffer = self._buffer[:self._durable_len]
+        twin.crash()
+        return twin._buffer
+
+    def view(self) -> memoryview:
+        """A read-only view of every written byte, no copy.  Release it
+        (``with disk.view() as image:``) before the disk changes size."""
+        return memoryview(self._buffer).toreadonly()
 
     # -- lifecycle ----------------------------------------------------------
 
     def reopen(self, image: bytes) -> None:
         """Rebase on a salvaged image (recovery continues the segment)."""
         self._buffer = bytearray(image)
-        self._durable_len = len(image)
+        self._rebase()
+
+    def truncate(self, length: int) -> None:
+        """Rebase on this disk's own first ``length`` bytes, in place
+        (recovery continues the segment); every view must be released."""
+        del self._buffer[length:]
+        self._rebase()
+
+    def _rebase(self) -> None:
+        self._durable_len = len(self._buffer)
         self._last_sync_len = 0
         self._pending_tear = None
         self._pending_flips = []

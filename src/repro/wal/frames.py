@@ -594,7 +594,8 @@ class SalvageReport:
 
 def walk_segment(image: bytes, decode: bool = False
                  ) -> Tuple[SalvageReport, array]:
-    """The one salvage pass over a segment image.
+    """The one salvage pass over a segment image: any bytes-like object,
+    read in place (a decoding walk copies each payload it decodes).
 
     Checks each frame's CRC and LSN continuity, truncates a torn or
     corrupt tail, and reads each frame's record code and transaction id
@@ -612,10 +613,9 @@ def walk_segment(image: bytes, decode: bool = False
     first bad frame and carries the records decoded before it: a walk
     without ``decode`` that finds a problem walks again decoding.
     """
-    image = bytes(image)
     codes = bytearray()
     txn_ids = array("q")
-    head = image[:SEGMENT_HEADER_SIZE]
+    head = bytes(image[:SEGMENT_HEADER_SIZE])
     version = SEGMENT_VERSION if head == SEGMENT_HEADER else \
         1 if decode and head == _V1_HEADER else None
     if version is None:
@@ -659,7 +659,7 @@ def walk_segment(image: bytes, decode: bool = False
         else:
             try:
                 if decode:
-                    record = decode_record(payload, version)
+                    record = decode_record(bytes(payload), version)
                     code = RECORD_CODES[type(record)]
                     lsn, txn_id = record.lsn, record.txn_id
                 else:
@@ -681,6 +681,9 @@ def walk_segment(image: bytes, decode: bool = False
                     continue
                 problem = (f"LSN discontinuity: frame carries lsn "
                            f"{lsn}, expected {expected_lsn}")
+        # No slice of the image may outlive the walk: a caller resizes
+        # the buffer under it once the walk is over.
+        payload = None
         if not decode:
             return walk_segment(image, decode=True)
         raise LogCorruptionError(

@@ -243,7 +243,9 @@ class LogManager:
                   ) -> "LogManager":
         """Rebuild a log from the disk's crash image (salvage recovery).
 
-        The image is salvaged with one
+        The disk is :meth:`~repro.wal.durable.SimulatedDisk.crash`-ed
+        (its staged bytes lost, a pending tear or bit flip applied) and
+        what remains is salvaged in place, never copied, with one
         :func:`repro.wal.frames.walk_segment` pass: a torn tail is
         truncated; mid-log corruption, or a segment of another format
         version, raises
@@ -252,20 +254,24 @@ class LogManager:
         exactly the salvaged **flushed prefix** -- the records the
         pre-crash system never flushed are gone, as they would be on
         real hardware -- with ``flushed_lsn == end_lsn``, and the disk
-        is rebased on the salvaged image so post-recovery appends
+        is truncated to the salvaged prefix so post-recovery appends
         continue the same segment.  No record is decoded here: each is
         read back from its frame when asked for, and a CRC-valid frame
         that does not decode raises the same ``LogCorruptionError``
         then.
         """
-        image = disk.crash_image()
-        salvage, offsets = walk_segment(image)
+        disk.crash()
+        with disk.view() as image:
+            salvage, offsets = walk_segment(image)
         log = cls(metrics=metrics, flush_policy=flush_policy)
         log._base = log._tail_lsn = FIRST_LSN + salvage.count
         log._flushed_lsn = log.end_lsn
         log.salvage = salvage
-        # Nothing salvaged, not even the header: the segment restarts.
-        disk.reopen(memoryview(image)[:salvage.byte_length] or SEGMENT_HEADER)
+        if salvage.byte_length:
+            disk.truncate(salvage.byte_length)
+        else:
+            # Nothing salvaged, not even the header: the segment restarts.
+            disk.reopen(SEGMENT_HEADER)
         log._disk = disk
         log._offsets = offsets if salvage.byte_length else \
             array("q", [disk.size])

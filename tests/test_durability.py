@@ -10,6 +10,7 @@ drain / coalescing-window exit leaves ``flushed_lsn == end_lsn``.
 
 import gc
 import struct
+import tracemalloc
 import zlib
 from decimal import Decimal
 
@@ -292,6 +293,62 @@ def test_from_disk_quarantines_midlog_corruption():
     with pytest.raises(LogCorruptionError) as excinfo:
         LogManager.from_disk(disk)
     assert excinfo.value.salvaged is not None
+
+
+def test_from_disk_crashes_the_disk_itself_as_crash_image_does():
+    """A pending tear shapes what ``from_disk`` salvages exactly as it
+    shapes ``crash_image``: one crash path, applied to the disk's own
+    buffer, which is then truncated to the salvaged prefix."""
+    plan = FaultPlan()
+    disk = SimulatedDisk()
+    log = LogManager(disk=disk)
+    for record in _records(3):
+        log.append(record)
+    log.flush()
+    plan.arm(SITE_DISK_SYNC, TornWriteFault(cut=5))
+    disk.faults = FaultInjector(plan)
+    log.append(BeginRecord(txn_id=2))
+    log.flush()
+    log.append(BeginRecord(txn_id=3))  # staged, never synced
+    disk.append(b"staged")
+    image = disk.crash_image()
+    salvaged = LogManager.from_disk(disk)
+    assert salvaged.salvage.torn and salvaged.end_lsn == 3
+    assert disk.size == disk.durable_size == salvaged.salvage.byte_length
+    with disk.view() as view:
+        assert view == image[:salvaged.salvage.byte_length]
+
+
+def test_from_disk_does_not_copy_the_segment():
+    """Salvage walks the crashed disk's bytes in place: the traced
+    allocation peak of ``from_disk`` stays under half the segment's
+    size (offsets, codes and txn ids only; a copy of the segment alone
+    reads 1.0)."""
+    disk = SimulatedDisk_from(_durable_history(updates=300))
+    size = disk.size
+    tracemalloc.start()
+    try:
+        log = LogManager.from_disk(disk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.salvage.count > 3000 and log.salvage.byte_length == size
+    assert peak <= 0.5 * size, (peak, size)
+
+
+def test_a_quarantined_disk_stays_writable():
+    """A salvage that raises leaves no view of the disk's buffer behind
+    (the buffer could not grow again while one is exported)."""
+    disk = SimulatedDisk()
+    log = LogManager(disk=disk)
+    for record in _records(6):
+        log.append(record)
+    log.flush()
+    disk._buffer[len(SEGMENT_HEADER) + 20] ^= 0x10
+    with pytest.raises(LogCorruptionError):
+        LogManager.from_disk(disk)
+    disk.append(b"more")
+    assert disk.size == disk.durable_size + 4
 
 
 def test_restart_from_disk_recovers_committed_data():

@@ -10,7 +10,9 @@ from repro.common.errors import (
     NoSuchIndexError,
     NoSuchRowError,
     SchemaError,
+    SimulatedCrashError,
 )
+from repro.faults import NULL_FAULTS, CrashFault, FaultInjector, FaultPlan
 from repro.storage import HashIndex, Table, TableSchema, index_key
 
 
@@ -476,3 +478,111 @@ def test_probe_budget_of_get_and_insert_row():
     for i in range(30):
         table.get((i,))                             # 20 hits, 10 absent
     assert probes() - base == 30
+
+
+# ---------------------------------------------------------------------------
+# Table.insert_rows: a batch, all or nothing
+# ---------------------------------------------------------------------------
+
+
+def _keyed_table():
+    table = Table(TableSchema("t", ["id", "email", "grp"],
+                              primary_key=["id"],
+                              candidate_keys=[["email"]]))
+    table.create_index("by_grp", ("grp",))
+    return table
+
+
+def _full_state(table):
+    return (_table_state(table), dict(table.lsns),
+            {rowid: dict(meta) for rowid, meta in table.metas.items()})
+
+
+def test_insert_rows_skips_and_reports_a_taken_primary_key():
+    """A primary key held by a stored row, or by an earlier row of the
+    batch, skips that row (a ``None`` rowid); the rest are stored with
+    their LSNs and metas, in batch order."""
+    table = _keyed_table()
+    kept = table.insert_row({"id": 1, "email": "a@x", "grp": 0}, lsn=3)
+    rowids = table.insert_rows(
+        [(1, "b@x", 1), (2, "c@x", 1), (2, "d@x", 2), (3, None, 2)],
+        [10, 11, 12, 13], [{"n": 0}, {"n": 1}, {"n": 2}, {"n": 3}])
+    assert rowids[0] is None and rowids[2] is None
+    two, three = rowids[1], rowids[3]
+    assert list(table.rows) == [kept.rowid, two, three]
+    assert table.get((1,)).values == {"id": 1, "email": "a@x", "grp": 0}
+    assert table.rows[two] == {"id": 2, "email": "c@x", "grp": 1}
+    assert (table.lsns[two], table.lsns[three]) == (11, 13)
+    assert (table.metas[two], table.metas[three]) == ({"n": 1}, {"n": 3})
+    assert table.lookup("by_grp", (1,)) == [table.get((2,))]
+    assert [r.rowid for r in table.lookup("by_grp", (2,))] == [three]
+
+
+@pytest.mark.parametrize("batch", [
+    [(5, "a@x", 1)],                       # held by a stored row
+    [(5, "n@x", 1), (6, "n@x", 2)],        # twice in the batch
+], ids=["stored", "same_batch"])
+def test_insert_rows_candidate_key_conflict_stores_nothing(batch):
+    table = _keyed_table()
+    table.insert_row({"id": 1, "email": "a@x", "grp": 0})
+    before = _full_state(table)
+    with pytest.raises(DuplicateKeyError) as excinfo:
+        table.insert_rows([(9, "z@x", 1)] + batch,
+                          [1] * (len(batch) + 1))
+    assert excinfo.value.index == "__ck0__"
+    assert _full_state(table) == before
+
+
+def test_insert_rows_leaves_null_keys_unindexed():
+    """Partial-index semantics: a key with a NULL part is not indexed,
+    so NULL-keyed rows coexist in every unique index."""
+    table = Table(TableSchema("t", ["a", "b", "v"], primary_key=["a", "b"],
+                              candidate_keys=[["v"]]))
+    rowids = table.insert_rows(
+        [(None, 1, None), (None, 1, None), (1, 1, 7), (1, None, None)],
+        [1, 2, 3, 4])
+    assert None not in rowids and table.row_count == 4
+    assert len(table.index("__primary__")) == 1
+    assert len(table.index("__ck0__")) == 1
+    assert table.get((1, 1)).rowid == rowids[2]
+
+
+def test_insert_rows_fills_non_unique_buckets():
+    table = _keyed_table()
+    table.insert_row({"id": 0, "email": "z@x", "grp": 1})
+    rowids = table.insert_rows(
+        [(i, f"{i}@x", i % 2) for i in range(1, 7)], range(1, 7))
+    assert [r.rowid for r in table.lookup("by_grp", (1,))] == \
+        sorted([table.rowid_of((0,))] + rowids[0::2])
+    assert [r.rowid for r in table.lookup("by_grp", (0,))] == rowids[1::2]
+
+
+@pytest.mark.parametrize("site", ["table.insert", "table.insert.indexed"])
+def test_a_fault_inside_insert_rows_changes_nothing(site):
+    table = _keyed_table()
+    table.insert_rows([(1, "a@x", 0), (2, "b@x", 0)], [1, 2])
+    before = _full_state(table)
+    table.faults = FaultInjector(FaultPlan().arm(site, CrashFault()))
+    with pytest.raises(SimulatedCrashError):
+        table.insert_rows([(3, "c@x", 0), (4, "d@x", 1)], [3, 4],
+                          [{"n": 3}, {"n": 4}])
+    assert _full_state(table) == before
+    table.faults = NULL_FAULTS
+    assert None not in table.insert_rows([(3, "c@x", 0)], [3])
+
+
+def test_insert_rows_keeps_rows_untracked_and_builds_its_own_dicts():
+    """Stored rows stay invisible to the cyclic collector, and each
+    stored dict is built by the table, never the caller's object (here
+    the value tuples; ``insert_row`` stores a normalized copy)."""
+    table = Table(TableSchema("t", ["id", "v"], primary_key=["id"]))
+    values = [(i, float(i)) for i in range(2000)]
+    table.insert_rows(values, range(2000), [{"n": i} for i in range(2000)])
+    image = {"id": -1, "v": 0.5}
+    row = table.insert_row(image)
+    assert row.values == image and row.values is not image
+    gc.collect()
+    assert not any(gc.is_tracked(values) or gc.is_tracked(meta)
+                   for values, meta in zip(table.rows.values(),
+                                           table.metas.values()))
+    assert table.rows[table.rowid_of((7,))] == {"id": 7, "v": 7.0}

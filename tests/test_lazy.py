@@ -239,6 +239,36 @@ def test_lazy_failed_split_miss_keeps_its_s_contribution():
     assert counters[(1,)] == 1
 
 
+def test_a_split_miss_goes_through_migrate_row_and_the_sweep_does_not():
+    """The miss hook migrates its one image through ``migrate_row`` (the
+    name a tracer of misses wraps); the sweeper hands whole chunks to
+    ``migrate_rows`` and never calls it."""
+    db = Database()
+    db.create_table(TableSchema("T", ["id", "grp", "info"],
+                                primary_key=["id"]))
+    with Session(db) as s:
+        for i in range(20):
+            s.insert("T", {"id": i, "grp": i % 4, "info": f"g{i % 4}"})
+    spec = SplitSpec.derive(db.table("T").schema, r_name="T_r",
+                            s_name="T_s", split_attr="grp",
+                            s_attrs=["info"])
+    tf = SplitTransformation(
+        db, spec, options=TransformOptions(population_mode="lazy"))
+    _step_into_populating(tf)
+    calls = []
+    migrate_row = tf.engine.migrate_row
+    tf.engine.migrate_row = lambda *args: (calls.append(args),
+                                           migrate_row(*args))
+    _read(db, "T", (13,))
+    assert calls == [("T", {"id": 13, "grp": 1, "info": "g1"},
+                      db.table("T").get((13,)).lsn)]
+    assert tf.targets["T_r"].get((13,)).values == {"id": 13, "grp": 1}
+    assert tf.targets["T_s"].get((1,)).meta["counter"] == 1
+    tf.run()
+    assert len(calls) == 1
+    assert table_counters(db, "T_s") == {(g,): 5 for g in range(4)}
+
+
 def test_lazy_update_also_triggers_migration(foj_db):
     load_foj_data(foj_db, n_r=25, n_s=5)
     spec = foj_spec(foj_db)

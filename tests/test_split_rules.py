@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from repro import Database, TableSchema
-from repro.common.errors import TransformationError
+from repro import Database, Phase, Session, TableSchema
+from repro.common.errors import SimulatedCrashError, TransformationError
+from repro.faults import NULL_FAULTS, CrashFault, FaultInjector, FaultPlan
+from repro.relational import rows_equal, split
 from repro.relational.spec import SplitSpec
 from repro.transform.split import (
     FLAG_CONSISTENT,
@@ -22,6 +24,7 @@ from repro.wal.records import (
     LogRecord,
     UpdateRecord,
 )
+from tests.conftest import table_counters, values_of
 from tests.dispatch_contract import check_dispatch_contract
 
 T = TableSchema("T", ["id", "name", "zip", "city"], primary_key=["id"])
@@ -452,3 +455,83 @@ def test_unknown_table_or_record_class_touches_nothing():
                             [(foreign, 1, 1), (foreign, 2, 1)]) == [[], []]
     assert engine.apply_run("T", LogRecord, [(LogRecord(), 3, 1)]) == [[]]
     assert r.row_count == 0 and s.row_count == 0
+
+
+# ---------------------------------------------------------------------------
+# Population: a chunk at a time, all or nothing
+# ---------------------------------------------------------------------------
+
+
+def _populating_split(rows, check_consistency=False):
+    """A split of ``rows`` (T(id, grp, info)), stepped into POPULATING."""
+    db = Database()
+    db.create_table(TableSchema("T", ["id", "grp", "info"],
+                                primary_key=["id"]))
+    with Session(db) as s:
+        for values in rows:
+            s.insert("T", values)
+    spec = SplitSpec.derive(db.table("T").schema, r_name="T_r",
+                            s_name="T_s", split_attr="grp",
+                            s_attrs=["info"])
+    tf = SplitTransformation(db, spec, check_consistency=check_consistency)
+    while tf.phase is not Phase.POPULATING:
+        tf.step(1)
+    return db, spec, tf
+
+
+def _target_state(table):
+    return ({rowid: dict(values) for rowid, values in table.rows.items()},
+            dict(table.lsns),
+            {rowid: dict(meta) for rowid, meta in table.metas.items()},
+            {name: dict(index._map) for name, index in table.indexes.items()})
+
+
+def test_a_chunk_whose_s_insert_fails_leaves_no_row_and_retries_whole():
+    """The second chunk brings new split values and contributions to one
+    already in S; its S insert crashes: no R row, S row, counter or LSN
+    of the chunk stays.  Its retry, then the rest of the population,
+    publishes the reference split."""
+    db, spec, tf = _populating_split(
+        [{"id": i, "grp": i // 5, "info": f"g{i // 5}"} for i in range(40)])
+    r_table, s_table = tf.targets["T_r"], tf.targets["T_s"]
+    scan = tf._scans["T"]
+    tf.engine.migrate_rows("T", scan.next_chunk(8))       # grps 0 and 1
+    before = _target_state(r_table), _target_state(s_table)
+    images = scan.next_chunk(8)                           # grps 1, 2, 3
+    s_table.faults = FaultInjector(
+        FaultPlan().arm("table.insert", CrashFault()))
+    with pytest.raises(SimulatedCrashError):
+        tf.engine.migrate_rows("T", images)
+    assert (_target_state(r_table), _target_state(s_table)) == before
+    s_table.faults = NULL_FAULTS
+    tf.engine.migrate_rows("T", images)
+    r_rows, s_rows, counters, _ = split(spec, values_of(db, "T"))
+    tf.run()
+    assert rows_equal(values_of(db, "T_r"), r_rows)
+    assert rows_equal(values_of(db, "T_s"), s_rows)
+    assert table_counters(db, "T_s") == counters
+
+
+def test_population_flags_disagreeing_contributions_as_the_row_loop_did():
+    """Under ``check_consistency=True`` a contribution that disagrees
+    with its S row -- earlier in the same chunk or in an earlier one --
+    flags the row U.  The expected S rows (split value, counter, LSN,
+    info) and U-flagged values are what the per-row population loop
+    produced on this seeded table."""
+    rng = random.Random(11)
+    rows = []
+    for i in range(60):
+        grp = rng.randrange(8)
+        info = f"g{grp}" if rng.random() > 0.15 else f"x{rng.randrange(3)}"
+        rows.append({"id": i, "grp": grp, "info": info})
+    _db, _spec, tf = _populating_split(rows, check_consistency=True)
+    while tf.phase is Phase.POPULATING:
+        tf.step(7)
+    assert tf.engine.unknown_split_values() == \
+        [(1,), (2,), (3,), (4,), (6,)]
+    assert sorted((row.values["grp"], row.meta["counter"], row.lsn,
+                   row.values["info"])
+                  for row in tf.targets["T_s"].scan()) == [
+        (0, 6, 45, "g0"), (1, 9, 61, "x0"), (2, 8, 57, "x1"),
+        (3, 12, 58, "g3"), (4, 9, 62, "g4"), (5, 3, 50, "g5"),
+        (6, 7, 59, "g6"), (7, 6, 52, "g7")]
