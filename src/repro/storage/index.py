@@ -188,6 +188,17 @@ class HashIndex:
             return [found]
         return sorted(found) if len(found) > 1 else list(found)
 
+    def lookup_any(self, key: Tuple) -> Optional[int]:
+        """One rowid with this key, ``None`` if none: a bucket answered
+        without sorting it, so which of its rowids is not promised."""
+        if None in key:
+            return None
+        self.probe_stats["misses"] += 1
+        found = self._map.get(key)
+        if found is None or self.unique:
+            return found
+        return next(iter(found))
+
     def lookup_one(self, key: Tuple) -> Optional[int]:
         """Single rowid for a unique index, ``None`` if absent."""
         rowids = self.lookup(key)

@@ -344,8 +344,12 @@ class RuleEngine:
         replay converges whatever order the rows arrived in.  A chunk
         that raises must leave nothing that makes its retry stop short:
         the split's chunk is all or nothing (no R or S row of it stays);
-        an engine that migrates row by row keeps the images before the
-        one that raised, and its retry finds them migrated.
+        the FOJ's batch insert is, and its retry finds the morphs and
+        fills before it done; an engine that migrates row by row keeps
+        the images before the one that raised, as its retry finds them.
+        The m2m join falls short of this: a raise between two of its
+        placeholder fills leaves a record carried but half paired, which
+        its retry skips (its insert rule does the same in propagation).
         """
         raise NotImplementedError
 
@@ -425,11 +429,10 @@ class Transformation:
       alike) and whose ``apply`` / ``apply_run`` propagate the log.
 
     Overridable where an operator needs more: :meth:`_create_targets` /
-    :meth:`_build_rule_engine` (the split's rename mode),
-    :meth:`_swap_params` (constructor keywords restart must replay),
-    and :meth:`_population_step` itself -- a join whose per-record path
-    costs more than a streamed one may stream its own population (the
-    FOJ's hash join), as long as that is its only copy of it.
+    :meth:`_build_rule_engine` (the split's rename mode) and
+    :meth:`_swap_params` (constructor keywords restart must replay).
+    Population is not: an engine that needs speed works on the whole
+    chunk inside ``migrate_rows``.
     """
 
     #: Transformation kind registered with recovery (e.g. ``"foj"``).

@@ -13,11 +13,11 @@ whether the operation is already reflected.
 
 NULL-record bookkeeping: a T row one side of which is the paper's
 ``rnull`` / ``snull`` record carries that side's flag in its metadata
-(``{"r_null": True}`` or ``{"s_null": True}``); a joined row carries no
-metadata at all.  Attribute values alone cannot distinguish a NULL record
-from a record whose attributes are legitimately NULL.  The flags are read
-through :func:`null_flag` (a row handle) or :func:`meta_flag` (a
-``Table.metas`` entry) only.
+(one shared read-only map per flag, :data:`NULL_FLAGS`); a joined row
+carries no metadata at all.  Attribute values alone cannot distinguish a
+NULL record from a record whose attributes are legitimately NULL.  The
+flags are read through :func:`null_flag` (a row handle), :func:`meta_flag`
+(a ``Table.metas`` entry) or, in loops over many rows, off the map.
 
 Constraint honoured throughout: the join attribute of S must be non-NULL
 (it identifies an S record -- Section 4 treats it as a candidate-key-like
@@ -27,17 +27,19 @@ joined with ``snull``.
 
 from __future__ import annotations
 
-from typing import (AbstractSet, Callable, Dict, FrozenSet, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from types import MappingProxyType
+from typing import (AbstractSet, Callable, Dict, FrozenSet, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
 from repro.storage.row import Row
+from repro.storage.index import value_tuples
 from repro.storage.table import PRIMARY_INDEX, Table
 from repro.transform.base import Image, RuleEngine, Touched, Transformation
-from repro.transform.options import PER_ROW_MODES
 from repro.wal.records import (
+    NULL_LSN,
     DeleteRecord,
     InsertRecord,
     LogRecord,
@@ -53,6 +55,10 @@ SKEY_INDEX = "__skey__"
 #: Name of T's non-unique index over R's identifying attributes (the
 #: many-to-many join's: there T's primary key is the R-key + S-key).
 RKEY_INDEX = "__rkey__"
+#: A NULL record's flag map, by flag: shared by every row it marks (rules
+#: replace or drop a row's map, never edit it).
+NULL_FLAGS: Dict[str, Mapping[str, bool]] = {
+    flag: MappingProxyType({flag: True}) for flag in ("r_null", "s_null")}
 
 
 def null_flag(row: Row, flag: str) -> bool:
@@ -80,100 +86,6 @@ def moves_join(change: UpdateRecord, join_attr: str) -> bool:
     """Whether an update changes the value of the join attribute."""
     return join_attr in change.changes and \
         change.changes[join_attr] != change.old_values.get(join_attr)
-
-
-class FojHashJoin:
-    """The streamed full outer hash join of two source scans into T.
-
-    The FOJ's eager and blocking population, and its only copy: the
-    online transformation steps it under its budget, restart's
-    swap-point rebuild drives it to the end in one call.  It beats
-    feeding the same chunks through :meth:`FojRuleEngine.migrate_rows`
-    (which the per-row modes, claiming single rows or racing triggers,
-    still do) because a build/probe pass makes no index lookups in T.
-
-    Order: drain the S scan into a join-value hash, drain the R scan
-    into a buffer, stream the buffer through the hash inserting joined
-    rows, then insert ``t^null_x`` rows for unmatched S records.  One
-    unit is one row scanned, or one R row or leftover S row placed.
-    """
-
-    def __init__(self, target: Table, spec: FojSpec, r_scan, s_scan) -> None:
-        self.target = target
-        self.spec = spec
-        self.r_scan = r_scan
-        self.s_scan = s_scan
-        self._s_by_join: Dict[object, List[Dict[str, object]]] = {}
-        self._matched_joins: set = set()
-        self._r_buffer: List[Dict[str, object]] = []
-        self._r_pos = 0
-        self._leftover: Optional[List[Tuple[object, Dict[str, object]]]] = \
-            None
-        self._leftover_pos = 0
-
-    def step(self, budget: int) -> Tuple[int, bool]:
-        """Do up to ``budget`` units of the join; (units, finished)."""
-        units = 0
-        spec, target = self.spec, self.target
-        s_scan = self.s_scan
-        while units < budget and not s_scan.exhausted:
-            for values, _lsn in s_scan.next_chunk(budget - units):
-                self._s_by_join.setdefault(
-                    values.get(spec.join_attr_s), []).append(values)
-                units += 1
-        if not s_scan.exhausted:
-            return units, False
-
-        r_scan = self.r_scan
-        while units < budget and not r_scan.exhausted:
-            for values, _lsn in r_scan.next_chunk(budget - units):
-                self._r_buffer.append(values)
-                units += 1
-        if not r_scan.exhausted:
-            return units, False
-
-        while units < budget and self._r_pos < len(self._r_buffer):
-            r = self._r_buffer[self._r_pos]
-            self._r_pos += 1
-            units += 1
-            value = r.get(spec.join_attr_r)
-            matches = self._s_by_join.get(value, []) \
-                if value is not None else []
-            if matches:
-                self._matched_joins.add(value)
-                for s in matches:
-                    row = spec.r_part(r)
-                    row.update(spec.s_part(s))
-                    target.insert_row(row)
-            else:
-                row = spec.r_part(r)
-                row.update(spec.null_s_part())
-                target.insert_row(row, meta={"s_null": True})
-        if self._r_pos < len(self._r_buffer):
-            return units, False
-
-        if self._leftover is None:
-            self._leftover = [
-                (value, s)
-                for value, group in self._s_by_join.items()
-                if value is None or value not in self._matched_joins
-                for s in group
-            ]
-        while units < budget and self._leftover_pos < len(self._leftover):
-            value, s = self._leftover[self._leftover_pos]
-            self._leftover_pos += 1
-            units += 1
-            row = spec.null_r_part()
-            row[spec.join_column] = value
-            row.update(spec.s_part(s))
-            target.insert_row(row, meta={"r_null": True})
-        finished = self._leftover_pos >= len(self._leftover)
-        if finished:
-            # Free the population buffers.
-            self._s_by_join = {}
-            self._r_buffer = []
-            self._leftover = []
-        return units, finished
 
 
 class JoinSide(NamedTuple):
@@ -230,14 +142,12 @@ class JoinRuleEngine(RuleEngine):
 
     def _rows_with_join(self, value: object) -> List[Row]:
         """All T rows whose join column holds ``value`` (none for NULL)."""
-        if value is None:
-            return []
         return self.t.lookup(JOIN_INDEX, (value,))
 
     def _insert_t(self, values: Dict[str, object],
                   null_side: Optional[str] = None) -> Row:
         return self.t.insert_row(
-            values, meta={null_side: True} if null_side else None)
+            values, meta=NULL_FLAGS[null_side] if null_side else None)
 
     def sources_of_target_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
@@ -301,6 +211,17 @@ class FojRuleEngine(JoinRuleEngine):
         if touched is not None:
             t = self.t
             touched.append((t, t.lock_key(t.rows[rowid])))
+
+    def _t_null(self, join_value: object,
+                s_part: Dict[str, object]) -> Dict[str, object]:
+        """The values of ``t^null_x``: an S part joined with rnull."""
+        return {**self.spec.null_r_part(), self.spec.join_column: join_value,
+                **s_part}
+
+    def _insert_t_null(self, join_value: object, s_part: Dict[str, object],
+                       touched: Touched) -> None:
+        self._touch_row(touched, self.t, self._insert_t(
+            self._t_null(join_value, s_part), "r_null"))
 
     # -- sharding (repro.shard) ---------------------------------------------
 
@@ -434,26 +355,24 @@ class FojRuleEngine(JoinRuleEngine):
                 "FOJ transformation requires non-NULL join values in "
                 f"{self.spec.s_name!r} (the join attribute identifies an "
                 "S record)")
-        self._attach_s_part(self.spec.s_part(change.values), join_value,
-                            touched)
+        s_part = self.spec.s_part(change.values)
+        if not self._fill_s_part(s_part, join_value, touched):
+            self._insert_t_null(join_value, s_part, touched)
 
-    def _attach_s_part(self, s_part: Dict[str, object], join_value: object,
-                       touched: Touched) -> None:
-        """Shared tail of Rule 2 and lazy migration: fill every snull
-        carrier of the join value; insert t^null_x when nothing carries
-        it.  An already-attached S part leaves both branches idle; a
-        NULL join value matches nothing and joins with rnull."""
-        rows = self._rows_with_join(join_value)
-        for row in rows:
-            if null_flag(row, "s_null"):
-                self.t.update_rowid(row.rowid, s_part)
-                row.meta = None
-                self._touch_row(touched, self.t, row)
-        if not rows:
-            values = self.spec.null_r_part()
-            values[self.spec.join_column] = join_value
-            values.update(s_part)
-            self._touch_row(touched, self.t, self._insert_t(values, "r_null"))
+    def _fill_s_part(self, s_part: Dict[str, object], join_value: object,
+                     touched: Touched) -> bool:
+        """Shared head of Rules 2 and 6: put an S part into every snull
+        carrier of the join value; whether any row carries it (none
+        carries NULL)."""
+        t, metas = self.t, self.t.metas
+        rowids = self._join_index.lookup((join_value,))
+        for rowid in rowids:
+            if rowid in metas and metas[rowid].get("s_null", False):
+                t.update_rowid(rowid, s_part)
+                del metas[rowid]
+                if touched is not None:
+                    self._touch_rowid(touched, rowid)
+        return bool(rowids)
 
     # -- Rule 3 (Delete r^y from R) ---------------------------------------------------
 
@@ -477,10 +396,7 @@ class FojRuleEngine(JoinRuleEngine):
         self._touch_row(touched, self.t, row)
         self.t.delete_rowid(row.rowid)
         if not others:
-            values = self.spec.null_r_part()
-            values[self.spec.join_column] = join_value
-            values.update(s_part)
-            self._touch_row(touched, self.t, self._insert_t(values, "r_null"))
+            self._insert_t_null(join_value, s_part, touched)
 
     # -- Rule 4 (Delete s^x from S) -------------------------------------------------------
 
@@ -501,7 +417,7 @@ class FojRuleEngine(JoinRuleEngine):
                 t.delete_rowid(rowid)
             else:
                 t.update_rowid(rowid, self.spec.null_s_part())
-                metas[rowid] = {"s_null": True}
+                metas[rowid] = NULL_FLAGS["s_null"]
                 self._touch_rowid(touched, rowid)
 
     # -- Rule 5 (Update join attribute of r^y_x to z) -----------------------------------------
@@ -540,10 +456,7 @@ class FojRuleEngine(JoinRuleEngine):
                 other != rowid and not meta_flag(metas.get(other), "s_null")
                 for other in self._join_index.lookup((old_join,)))
             if not others:
-                t_null = spec.null_r_part()
-                t_null[spec.join_column] = old_join
-                t_null.update(s_part)
-                self._touch_row(touched, t, self._insert_t(t_null, "r_null"))
+                self._insert_t_null(old_join, s_part, touched)
         self._touch_rowid(touched, rowid)
         t.delete_rowid(rowid)
         self._attach_r_part(new_r_part, new_join, touched)
@@ -568,48 +481,91 @@ class FojRuleEngine(JoinRuleEngine):
                 "FOJ transformation requires non-NULL join values in "
                 f"{spec.s_name!r}")
         self._detach_s(carriers, touched)
-        metas = t.metas
-        filled = False
-        has_real_s = False
-        for rowid in self._join_index.lookup((new_join,)):
-            if meta_flag(metas.get(rowid), "s_null"):
-                t.update_rowid(rowid, new_s_part)
-                del metas[rowid]
-                self._touch_rowid(touched, rowid)
-                filled = True
-            else:
-                has_real_s = True  # already joined with an s^z: unmodified
-        if not filled and not has_real_s:
-            values = spec.null_r_part()
-            values[spec.join_column] = new_join
-            values.update(new_s_part)
-            self._touch_row(touched, t, self._insert_t(values, "r_null"))
+        if not self._fill_s_part(new_s_part, new_join, touched):
+            self._insert_t_null(new_join, new_s_part, touched)
 
-    # -- lazy population (migrate-on-read) -----------------------------------
+    # -- population (every mode, and restart rebuild) -------------------------
 
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
-        """Migrate source-row snapshots into T (lazy population; eager
-        population streams :class:`FojHashJoin` instead).
-
-        Reuses the state-driven tails of Rules 1 and 2, so a migrated
-        record is indistinguishable from one the eager fuzzy scan would
-        have produced: later log replay over it converges identically
-        (Theorem 1).  The LSNs are ignored like everywhere else in the
-        FOJ rules -- a joined row has no single valid state identifier.
-        Pre-existing NULL-join S rows join with rnull, exactly as the
-        eager join's leftover pass inserts them (Rule 2 itself rejects
-        NULL joins for *live* inserts).
+        """Place a chunk of images in T as Rules 1 and 2 place inserted
+        records (the LSNs are ignored), so log replay converges whatever
+        order chunks come in (Theorem 1): an R chunk through
+        :meth:`_migrate_r`; an S chunk fills snull carriers in place,
+        then inserts ``t^null_x`` rows with one ``insert_rows`` (a
+        NULL-join S row, refused live, gets one too).
         """
         side = self._side(table_name)
-        if side is None:
+        sources = [values for values, _lsn in images]
+        if side is self.r_side:
+            self._migrate_r(sources)
+        elif side is self.s_side:
+            self._migrate_s(sources)
+
+    def _migrate_r(self, sources: List[Dict[str, object]]) -> None:
+        """Rule 1 for a chunk of R images.  One row per distinct join
+        value decides -- the rules keep a value's rows all snull, all
+        joined with its one S record, or a lone ``t^null_x``.  The first
+        image at a ``t^null_x`` that T lacks morphs it; the rest go in
+        joined with the value's S part (else snull) through one
+        :meth:`Table.insert_rows`, which skips an R key T holds."""
+        spec, t = self.spec, self.t
+        rows, metas, probe = t.rows, t.metas, self._join_index.lookup_any
+        joins = [values.get(spec.join_attr_r) for values in sources]
+        s_parts: Dict[object, Tuple] = {}  # join value -> its S part
+        t_nulls: Dict[object, int] = {}  # join value -> t^null_x's rowid
+        for join_value in set(joins):
+            rowid = probe((join_value,))
+            meta = None if rowid is None else metas.get(rowid, {})
+            if meta is None or meta.get("s_null", False):
+                continue
+            s_parts[join_value] = tuple(rows[rowid][a] for a in spec.s_attrs)
+            if meta.get("r_null", False):
+                t_nulls[join_value] = rowid
+        if t_nulls:
+            # "it is updated with the attribute values of r^y_x to form
+            # t^y_x"; the rest at x copy its S part.
+            morphed = set()
+            for i, (values, join_value) in enumerate(zip(sources, joins)):
+                rowid = t_nulls.get(join_value)
+                if rowid is not None and t.rowid_of(
+                        tuple(values[a] for a in spec.r_key)) is None:
+                    t.update_rowid(rowid, spec.r_part(values))
+                    del metas[rowid], t_nulls[join_value]
+                    morphed.add(i)
+            sources = [values for i, values in enumerate(sources)
+                       if i not in morphed]
+            joins = [join_value for i, join_value in enumerate(joins)
+                     if i not in morphed]
+        if not sources:
             return
-        is_r = side is self.r_side
-        attach = self._attach_r_part if is_r else self._attach_s_part
-        for values, _lsn in images:
-            if is_r and self.t.get(tuple(values.get(a) for a in side.key)) \
-                    is not None:
-                continue  # migrated or replayed
-            attach(side.part(values), values.get(side.join_attr), None)
+        snull = (None,) * len(spec.s_attrs)
+        rowids = t.insert_rows(
+            [r_part + s_parts.get(join_value, snull) for r_part, join_value
+             in zip(value_tuples(sources, spec.r_attrs), joins)],
+            [NULL_LSN] * len(sources))
+        metas.update(dict.fromkeys(
+            [rowid for rowid, join_value in zip(rowids, joins)
+             if rowid is not None and join_value not in s_parts],
+            NULL_FLAGS["s_null"]))
+
+    def _migrate_s(self, sources: List[Dict[str, object]]) -> None:
+        spec, t = self.spec, self.t
+        t_nulls: List[Dict[str, object]] = []
+        placed = set()
+        for values in sources:
+            join_value = values.get(spec.join_attr_s)
+            s_part = spec.s_part(values)
+            if join_value is not None and (
+                    join_value in placed or
+                    self._fill_s_part(s_part, join_value, None)):
+                continue
+            placed.add(join_value)
+            t_nulls.append(self._t_null(join_value, s_part))
+        if t_nulls:
+            t.insert_rows(
+                list(value_tuples(t_nulls, t.schema.attribute_names)),
+                [NULL_LSN] * len(t_nulls),
+                [NULL_FLAGS["r_null"]] * len(t_nulls))
 
     # Bound here: per-engine instrumentation patches it via ``vars(cls)``.
     migrate_row = RuleEngine.migrate_row
@@ -671,9 +627,6 @@ class FojTransformation(Transformation):
     engine_class = FojRuleEngine
     supports_lazy = True
 
-    #: The eager population's join state, once population has begun.
-    _join: Optional[FojHashJoin] = None
-
     def __init__(self, db: Database, spec: FojSpec, **kwargs) -> None:
         if spec.many_to_many:
             raise TransformationError(
@@ -691,20 +644,3 @@ class FojTransformation(Transformation):
         if tuple(spec.s_key) != (spec.join_column,):
             table.create_index(SKEY_INDEX, spec.s_key, unique=False)
         return tables
-
-    def _population_step(self, budget: int) -> Tuple[int, bool]:
-        """Stream the fuzzy scans through :class:`FojHashJoin` into T.
-
-        The operator's choice, not an option: the join is the cheaper
-        way to place the same rows whenever the scans may be read in
-        bulk: eager and blocking population.  The per-row modes may not
-        (the miss hook claims single rows, triggers change the target
-        between chunks), so they keep the per-record path.
-        """
-        if self.options.population_mode in PER_ROW_MODES:
-            return super()._population_step(budget)
-        if self._join is None:
-            self._join = FojHashJoin(
-                self.targets[self.spec.target_name], self.spec,
-                self._scans[self.spec.r_name], self._scans[self.spec.s_name])
-        return self._join.step(budget)

@@ -28,17 +28,19 @@ mirror, to S; DESIGN.md notes the deviation.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import TransformationError
 from repro.engine.database import Database
 from repro.relational.spec import FojSpec
+from repro.storage.index import value_tuples
 from repro.storage.table import Table
-from repro.transform.base import Touched, Transformation
+from repro.transform.base import Image, Touched, Transformation
 from repro.transform.foj import (JOIN_INDEX, RKEY_INDEX, SKEY_INDEX,
-                                 FojTransformation, JoinRuleEngine, JoinSide,
+                                 NULL_FLAGS, JoinRuleEngine, JoinSide,
                                  moves_join, null_flag, side_changes)
-from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
+from repro.wal.records import (NULL_LSN, DeleteRecord, InsertRecord,
+                               UpdateRecord)
 
 
 class Many2ManyFojRuleEngine(JoinRuleEngine):
@@ -76,6 +78,53 @@ class Many2ManyFojRuleEngine(JoinRuleEngine):
             return
         self._attach(side, side.part(values), values.get(side.join_attr),
                      touched)
+
+    def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
+        """The insert rule for a chunk, one join value at a time (the
+        LSNs are ignored).  A record T carries already is skipped.  The
+        rows at a value are its records' cross product, or one side's
+        records each joined with the mirror's NULL record, so one row
+        decides: the new records join the NULL record, or the first
+        fills the mirror's placeholders and the rest pair with them, or
+        each pairs with the mirror records one carried record pairs
+        with.  The new rows go in with one ``insert_rows`` per kind."""
+        side = self._side(table_name)
+        if side is None:
+            return
+        other, t = self._mirror(side), self.t
+        rows, metas = t.rows, t.metas
+        join_index, side_index = t.index(JOIN_INDEX), t.index(side.index)
+        by_join: Dict[object, List[Dict[str, object]]] = {}
+        for values, _lsn in images:
+            if not side_index.contains(tuple(values.get(a) for a in side.key)):
+                by_join.setdefault(values.get(side.join_attr), []).append(
+                    side.part(values))
+        joined: List[Dict[str, object]] = []
+        lone: List[Dict[str, object]] = []
+        for join_value, parts in by_join.items():
+            rowid = join_index.lookup_any((join_value,))
+            meta = None if rowid is None else metas.get(rowid, {})
+            if meta is None or meta.get(other.null, False):
+                lone += [self._joined(part, other.null_part(), join_value)
+                         for part in parts]
+                continue
+            fill = meta.get(side.null, False)  # the mirror's placeholders
+            mirror_rows = join_index.lookup((join_value,)) if fill else \
+                side_index.lookup(tuple(rows[rowid][a] for a in side.t_key))
+            mirrors = [other.part_of_t(rows[r]) for r in mirror_rows]
+            if fill:
+                for placeholder in mirror_rows:
+                    t.update_rowid(placeholder, parts[0])
+                    del metas[placeholder]
+                parts = parts[1:]
+            joined += [self._joined(part, mirror, join_value)
+                       for part in parts for mirror in mirrors]
+        names = t.schema.attribute_names
+        for new, flag in ((joined, None), (lone, NULL_FLAGS[other.null])):
+            if new:
+                t.insert_rows(list(value_tuples(new, names)),
+                              [NULL_LSN] * len(new),
+                              None if flag is None else [flag] * len(new))
 
     def _attach(self, side: JoinSide, part: Dict[str, object],
                 join_value: object, touched: Touched) -> None:
@@ -163,32 +212,31 @@ class Many2ManyFojRuleEngine(JoinRuleEngine):
                 for row in t.lookup(side.index, tuple(key))]
 
 
-class Many2ManyFojTransformation(FojTransformation):
+class Many2ManyFojTransformation(Transformation):
     """Online full outer join with a non-unique join attribute.
 
     Identical four-step flow to :class:`FojTransformation`; only the target
     key (R-key + S-key), the extra R-key index and the propagation rules
-    differ, per the Section 4.2 sketch.
+    differ, per the Section 4.2 sketch.  Eager-only: its engine migrates
+    one record, but no test runs it in any row order beside user access.
     """
 
     kind = "foj_m2m"
+    spec_class = FojSpec
     engine_class = Many2ManyFojRuleEngine
-    supports_lazy = False
 
     def __init__(self, db: Database, spec: FojSpec, **kwargs) -> None:
         if not spec.many_to_many:
             raise TransformationError(
                 "spec must be derived with many_to_many=True")
-        # Past FojTransformation's one-to-many guard.
-        Transformation.__init__(self, db, spec, **kwargs)
+        super().__init__(db, spec, **kwargs)
 
     @classmethod
     def target_tables(cls, db: Database, spec: FojSpec,
                       detached: bool = False) -> Dict[str, Table]:
-        """T with its three lookup indexes (join, S-key, R-key)."""
-        # Past FojTransformation's: no NULL lock keys, every index.
-        tables = super(FojTransformation, cls).target_tables(db, spec,
-                                                             detached)
+        """T with its three lookup indexes (join, S-key, R-key); no NULL
+        lock keys: every placeholder carries its own record's key."""
+        tables = super().target_tables(db, spec, detached)
         table = tables[spec.target_name]
         table.create_index(JOIN_INDEX, (spec.join_column,), unique=False)
         table.create_index(SKEY_INDEX, spec.s_key, unique=False)

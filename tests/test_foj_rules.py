@@ -11,7 +11,8 @@ import random
 import pytest
 
 from repro import Database, Phase, TableSchema
-from repro.common.errors import TransformationError
+from repro.common.errors import SimulatedCrashError, TransformationError
+from repro.faults import NULL_FAULTS, CrashFault, FaultInjector, FaultPlan
 from repro.relational.spec import FojSpec
 from repro.transform.foj import (FojRuleEngine, FojTransformation,
                                  null_flag)
@@ -658,3 +659,171 @@ def test_rule6_applies_side_changes_of_an_already_reflected_move():
         (("a", 1), ("b", "long"), ("c", 10), ("d", None), ("k", None)),
         (("a", 4), ("b", "b0"), ("c", 30), ("d", "x2"), ("k", 1))],
         key=repr)
+
+
+# ---------------------------------------------------------------------------
+# Population: migrate_rows a chunk at a time (Rules 1 and 2 over a chunk)
+# ---------------------------------------------------------------------------
+
+
+def reference_rows(engine, r_rows, s_rows):
+    """:meth:`FojSpec.reference`'s rows in :func:`rows_of`'s form, each
+    with the null flags population sets: rnull on the row of an S record
+    no R row joins, snull on an R row no S record joins."""
+    spec = engine.spec
+    s_joins = {s[spec.join_attr_s] for s in s_rows} - {None}
+    rows = spec.reference({}, {spec.r_name: r_rows, spec.s_name: s_rows})
+    return sorted(
+        ((tuple(sorted(row.items())), row["a"] is None,
+          row["a"] is not None and row["c"] not in s_joins)
+         for row in rows[spec.target_name]),
+        key=repr)
+
+
+def chunk(rows):
+    return [(dict(values), 0) for values in rows]
+
+
+def join_probes(target):
+    return target.index("__join__").probe_stats["misses"]
+
+
+def r_row(a, c):
+    return {"a": a, "b": f"b{a}", "c": c}
+
+
+def test_chunk_s_before_r_morphs_then_copies():
+    """S first: the first R image at 10 morphs ``t^null_10`` in place,
+    the next copies its S part; 20 keeps its ``t^null_20``; an R image
+    with no partner, or a NULL join value, joins snull."""
+    engine, t = make_engine()
+    s_rows = [{"c": 10, "d": "d10"}, {"c": 20, "d": "d20"}]
+    r_rows = [r_row(1, 10), r_row(2, 10), r_row(3, 30), r_row(4, None)]
+    engine.migrate_rows("S", chunk(s_rows))
+    [t_null_10] = t.index("__join__").lookup((10,))
+    engine.migrate_rows("R", chunk(r_rows))
+    assert t.rowid_of((1,)) == t_null_10
+    assert rows_of(t) == reference_rows(engine, r_rows, s_rows)
+
+
+def test_overlapping_replayed_r_chunk_adds_and_morphs_nothing_twice():
+    """A second R chunk overlapping the first adds only its new key; an
+    image whose key T holds already -- here with a newer join value
+    whose ``t^null_20`` is still there -- morphs nothing."""
+    engine, t = make_engine()
+    s_rows = [{"c": 10, "d": "d10"}, {"c": 20, "d": "d20"}]
+    engine.migrate_rows("S", chunk(s_rows))
+    engine.migrate_rows("R", chunk([r_row(1, 10), r_row(2, 30)]))
+    once = rows_of(t)
+    engine.migrate_rows("R", chunk([r_row(1, 20), r_row(2, 30)]))
+    assert rows_of(t) == once
+    engine.migrate_rows("R", chunk([r_row(2, 30), r_row(3, 20)]))
+    assert t.row_count == 3
+    assert rows_of(t) == reference_rows(
+        engine, [r_row(1, 10), r_row(2, 30), r_row(3, 20)], s_rows)
+
+
+@pytest.mark.parametrize("s_first", [True, False])
+def test_chunks_with_null_join_values_on_both_sides(s_first):
+    """A NULL join value matches nothing: each such S record keeps its
+    own rnull row, each such R row joins snull, in either order."""
+    engine, t = make_engine_nonkey_join()
+    s_rows = [{"k": 1, "c": None, "d": "n1"}, {"k": 2, "c": None, "d": "n2"},
+              {"k": 3, "c": 5, "d": "d5"}]
+    r_rows = [r_row(1, None), r_row(2, 5), r_row(3, None)]
+    chunks = [("S2", s_rows), ("R", r_rows)]
+    for table, rows in chunks if s_first else chunks[::-1]:
+        engine.migrate_rows(table, chunk(rows))
+    assert rows_of(t) == reference_rows(engine, r_rows, s_rows)
+
+
+def test_two_images_at_one_join_value_share_one_probe():
+    """Both R images at 10 copy the S part of the row T already joins
+    there, and the chunk probes the join index once per distinct join
+    value (a NULL one not at all); the primary index is not probed."""
+    engine, t = make_engine()
+    s_rows = [{"c": 10, "d": "d10"}]
+    engine.migrate_rows("S", chunk(s_rows))
+    engine.migrate_rows("R", chunk([r_row(1, 10)]))
+    before = join_probes(t), t.index("__primary__").probe_stats["misses"]
+    r_rows = [r_row(2, 10), r_row(3, 10), r_row(4, 30), r_row(5, None)]
+    engine.migrate_rows("R", chunk(r_rows))
+    after = join_probes(t), t.index("__primary__").probe_stats["misses"]
+    assert (after[0] - before[0], after[1] - before[1]) == (2, 0)
+    assert rows_of(t) == reference_rows(
+        engine, [r_row(1, 10)] + r_rows, s_rows)
+
+
+def test_two_s_images_at_one_join_value_place_as_one_by_one():
+    """Two S records at one join value (a state no committed one-to-many
+    join holds, but a fuzzy read may): the chunk leaves what migrating
+    them one by one leaves -- the first one's ``t^null_7`` only."""
+    s_rows = [{"k": 1, "c": 7, "d": "d1"}, {"k": 2, "c": 7, "d": "d2"}]
+    engine, t = make_engine_nonkey_join()
+    engine.migrate_rows("S2", chunk(s_rows))
+    one_engine, one_t = make_engine_nonkey_join()
+    for values in s_rows:
+        one_engine.migrate_row("S2", dict(values))
+    assert rows_of(t) == rows_of(one_t)
+    assert t.row_count == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chunks_in_mixed_orders_equal_the_reference(seed):
+    """Seeded R and S rows (NULL join values on both sides) migrated as
+    chunks in a random order -- R, then S, then R again, each R row in
+    at least one R chunk and some in both: T is the reference join, and
+    what migrating the same images one by one leaves."""
+    rng = random.Random(seed)
+    joins = [None] + list(range(8))
+    r_rows = [r_row(a, rng.choice(joins)) for a in range(1, 25)]
+    s_rows = [{"k": k, "c": c, "d": f"d{k}"} for k, c in enumerate(
+        rng.sample(range(12), 6) + [None, None])]
+    rng.shuffle(s_rows)
+    cut = rng.randrange(len(r_rows))
+    chunks = [("R", rng.sample(r_rows[:cut + 3], min(cut + 3, 24))),
+              ("S2", s_rows), ("R", r_rows[cut:])]
+    engine, t = make_engine_nonkey_join()
+    one_engine, one_t = make_engine_nonkey_join()
+    for table, rows in chunks:
+        for start in range(0, len(rows), 5):
+            engine.migrate_rows(table, chunk(rows[start:start + 5]))
+        for values in rows:
+            one_engine.migrate_row(table, dict(values))
+    assert rows_of(t) == reference_rows(engine, r_rows, s_rows)
+    assert rows_of(t) == rows_of(one_t)
+
+
+FAULT_R = [r_row(1, 10), r_row(2, 10), r_row(3, 20), r_row(4, None),
+           r_row(5, 50), r_row(6, 40), r_row(7, 10)]
+FAULT_S = [{"c": 10, "d": "d10"}, {"c": 20, "d": "d20"},
+           {"c": 50, "d": "d50"}, {"c": 60, "d": "d60"}]
+
+
+@pytest.mark.parametrize("site,hit,chunks,failing", [
+    # R chunk 2 morphs t^null_50, then inserts the rest in one batch.
+    ("table.insert", 1, [("R", FAULT_R[:4]), ("S", FAULT_S),
+                         ("R", FAULT_R[4:])], 2),
+    ("table.update", 1, [("R", FAULT_R[:4]), ("S", FAULT_S),
+                         ("R", FAULT_R[4:])], 2),
+    # The S chunk fills the snull carriers at 10 and 20 in place, then
+    # inserts t^null_50 and t^null_60 in one batch.
+    ("table.insert", 1, [("R", FAULT_R[:4]), ("S", FAULT_S),
+                         ("R", FAULT_R[4:])], 1),
+    ("table.update", 2, [("R", FAULT_R[:4]), ("S", FAULT_S),
+                         ("R", FAULT_R[4:])], 1),
+], ids=["r-insert", "r-update", "s-insert", "s-update"])
+def test_a_chunk_that_raises_converges_on_retry(site, hit, chunks, failing):
+    """A fault inside the failing chunk: its batch insert stores nothing
+    of itself, the morphs and fills before it stay, and the retried
+    chunk, then the rest, publishes the reference rows and flags."""
+    engine, t = make_engine()
+    for position, (table, rows) in enumerate(chunks):
+        if position == failing:
+            t.faults = FaultInjector(FaultPlan().arm(site, CrashFault(),
+                                                     hit=hit))
+            with pytest.raises(SimulatedCrashError):
+                engine.migrate_rows(table, chunk(rows))
+            t.faults = NULL_FAULTS
+        engine.migrate_rows(table, chunk(rows))
+    assert rows_of(t) == reference_rows(engine, FAULT_R, FAULT_S)

@@ -78,6 +78,20 @@ def test_hash_index_lookup_one():
     assert idx.lookup_one((1,)) == 10
 
 
+@pytest.mark.parametrize("unique", [True, False])
+def test_hash_index_lookup_any_is_one_counted_probe(unique):
+    """One rowid of the bucket (or ``None``), one counted probe; a NULL
+    key is neither found nor counted."""
+    idx = HashIndex("i", ("a",), unique=unique)
+    rowids = [10] if unique else [10, 11, 12]
+    for rowid in rowids:
+        idx.insert({"a": 1}, rowid)
+    assert idx.lookup_any((2,)) is None
+    assert idx.lookup_any((1,)) in rowids
+    assert idx.lookup_any((None,)) is None
+    assert idx.probe_stats["misses"] == 2
+
+
 # ---------------------------------------------------------------------------
 # Table
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for the many-to-many FOJ propagation rules (Section 4.2
 sketch, with the corrected symmetric S-side)."""
 
+import random
+
 import pytest
 
 from repro import Database, Phase, TableSchema
@@ -244,3 +246,45 @@ def test_lock_mappings():
     sources = engine.sources_of_target_lock("T", (1, 10, 7))
     assert [(tbl.name, k) for tbl, k in sources] == \
         [("R", (1, 10)), ("S", (10, 7))]
+
+
+def flagged_rows(t):
+    return sorted(
+        (repr(sorted(r.values.items())), null_flag(r, "r_null"),
+         null_flag(r, "s_null")) for r in t.scan())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chunks_in_mixed_orders_equal_the_insert_rule(seed):
+    """Seeded R and S records -- several per join value on both sides,
+    NULL join values too -- migrated as chunks in a random order (R,
+    then S, then R again, some R records in both): T is the reference
+    join, with the rnull / snull flags on exactly the unmatched rows,
+    and what applying the insert rule record by record leaves."""
+    rng = random.Random(seed)
+    joins = [None] + list(range(5))
+    r_rows = [{"a": a, "b": f"b{a}", "c": rng.choice(joins)}
+              for a in range(1, 21)]
+    s_rows = [{"k": k, "c": rng.choice(joins), "d": f"d{k}"}
+              for k in range(1, 13)]
+    cut = rng.randrange(len(r_rows))
+    chunks = [("R", rng.sample(r_rows[:cut + 3], min(cut + 3, 20))),
+              ("S", s_rows), ("R", r_rows[cut:])]
+    if rng.random() < 0.5:
+        chunks = chunks[1:] + chunks[:1]
+    engine, t = make_engine()
+    one_engine, one_t = make_engine()
+    for table, rows in chunks:
+        for start in range(0, len(rows), 4):
+            engine.migrate_rows(table, [(dict(values), 0)
+                                        for values in rows[start:start + 4]])
+        for values in rows:
+            key = (values["a"],) if table == "R" else (values["k"],)
+            one_engine.apply(InsertRecord(txn_id=1, table=table, key=key,
+                                          values=dict(values)))
+    assert rows_equal([dict(r.values) for r in t.scan()],
+                      full_outer_join(engine.spec, r_rows, s_rows))
+    assert all(null_flag(r, "r_null") == (r.values["a"] is None) and
+               null_flag(r, "s_null") == (r.values["k"] is None)
+               for r in t.scan())
+    assert flagged_rows(t) == flagged_rows(one_t)

@@ -3,11 +3,10 @@
 Eager population, the lazy sweep, restart's swap-point rebuild and the
 registry's offline ``reference`` must publish the same rows from the
 same quiescent seeds, for every scenario of :data:`repro.plan.CORPUS` --
-they are one path (``RuleEngine.migrate_rows``, or the FOJ's streamed
-join) under three drivers.  The second half is the metamorphic check of
-the paper's propagation rules: they are idempotent by construction, so
-re-propagating any log slice from an earlier cursor must leave the
-targets unchanged.
+they are one path (``RuleEngine.migrate_rows``) run three ways.  The
+second half is the metamorphic check of the paper's propagation rules:
+they are idempotent by construction, so re-propagating any log slice
+from an earlier cursor must leave the targets unchanged.
 """
 
 import random
@@ -16,6 +15,8 @@ import pytest
 
 from repro.api import (
     CORPUS,
+    FojSpec,
+    FojTransformation,
     PLAN_OPERATORS,
     CrashFault,
     Database,
@@ -25,14 +26,15 @@ from repro.api import (
     InconsistentDataError,
     Phase,
     SimulatedCrashError,
+    TableSchema,
     TransformOptions,
+    bulk_load,
     restart,
 )
 from repro.faults import NULL_FAULTS
 from repro.faults.sweep import RunConfig, ScenarioRun, draw_history
 from repro.plan.corpus import WORKLOAD_SCENARIOS
 from repro.transform.base import RuleEngine
-from repro.transform.foj_m2m import Many2ManyFojRuleEngine
 from repro.transform.keyed import KeyedRuleEngine
 from repro.transform.split import SplitTransformation
 from repro.wal.records import FuzzyMarkRecord
@@ -109,22 +111,18 @@ def test_migrate_row_twice_equals_once(scenario):
                 for row in db.table(name).scan():
                     tf.engine.migrate_row(name, dict(row.values), row.lsn)
 
-        if step.operator == "foj_m2m":
-            with pytest.raises(NotImplementedError):
-                migrate_all()  # the join only streams its population
+        migrate_all()
+        once = image(tf.targets)
+        assert once == image({name: db.table(table.name)
+                              for name, table in tf.targets.items()})
+        if step.operator == "merge":
+            # Declared eager-only for this reason: a B row finding its
+            # key present reads as "key in both sources".
+            with pytest.raises(InconsistentDataError):
+                migrate_all()
         else:
             migrate_all()
-            once = image(tf.targets)
-            assert once == image({name: db.table(table.name)
-                                  for name, table in tf.targets.items()})
-            if step.operator == "merge":
-                # Declared eager-only for this reason: a B row finding
-                # its key present reads as "key in both sources".
-                with pytest.raises(InconsistentDataError):
-                    migrate_all()
-            else:
-                migrate_all()
-            assert image(tf.targets) == once
+        assert image(tf.targets) == once
         tf.abort()
         operator.build(db, step.params, TransformOptions()).run()
     assert scenario.verify(db) == []
@@ -134,10 +132,9 @@ def test_engines_migrate_chunks_and_share_the_one_image_form():
     """The key-preserving operators (retype, partition, merge) share one
     engine, :class:`KeyedRuleEngine`; the other four each have their
     own.  Every engine class defines ``migrate_rows`` -- its one loop,
-    which population calls once per scanned chunk -- except the
-    many-to-many join's, which streams its population and inherits the
-    refusal; ``migrate_row`` (the miss hook's one image) is the base
-    class's on all of them, and no ``populate_row`` alias is left."""
+    which population calls once per scanned chunk; ``migrate_row`` (the
+    miss hook's one image) is the base class's on all of them, and no
+    ``populate_row`` alias is left."""
     engine_of = {name: operator.transformation.engine_class
                  for name, operator in PLAN_OPERATORS.items()}
     keyed = ("merge", "partition", "retype")
@@ -148,10 +145,7 @@ def test_engines_migrate_chunks_and_share_the_one_image_form():
     assert KeyedRuleEngine not in others
     engines = set(engine_of.values())
     for engine in engines:
-        if engine is Many2ManyFojRuleEngine:
-            assert engine.migrate_rows is RuleEngine.migrate_rows
-        else:
-            assert "migrate_rows" in vars(engine), engine
+        assert "migrate_rows" in vars(engine), engine
         assert engine.migrate_row is RuleEngine.migrate_row, engine
         assert not hasattr(engine, "populate_row"), engine
 
@@ -159,7 +153,11 @@ def test_engines_migrate_chunks_and_share_the_one_image_form():
 def test_population_probes_each_target_row_once():
     """A split's population claims each R row with its insert (no
     counted lookup) and looks each S contribution up once: N rows cost
-    0 lookups on R and N on S, read off ``probe_stats["misses"]``."""
+    0 lookups on R and N on S, read off ``probe_stats["misses"]``.
+
+    A FOJ's R rows cost no lookup on T's primary index either, and one
+    on the join index per distinct (non-NULL) join value of each chunk
+    -- chunks of the step budget, 7 rows; each S row costs one."""
     db = Database()
     db.create_table(T_SPLIT_SCHEMA)
     load_split_data(db, n=40, n_zip=6)
@@ -171,6 +169,28 @@ def test_population_probes_each_target_row_once():
     assert [sum(index.probe_stats["misses"]
                 for index in table.indexes.values())
             for table in (r_table, s_table)] == [0, 40]
+
+    db = Database()
+    r_schema = TableSchema("R", ["a", "b", "c"], primary_key=["a"])
+    s_schema = TableSchema("S", ["c", "d"], primary_key=["c"])
+    joins = [None if i % 9 == 0 else i % 5 for i in range(40)]
+    for schema, rows in (
+            (r_schema, [{"a": i, "b": i, "c": c}
+                        for i, c in enumerate(joins)]),
+            (s_schema, [{"c": c, "d": c} for c in range(6)])):
+        db.create_table(schema)
+        bulk_load(db, schema.name, rows)
+    tf = FojTransformation(db, FojSpec.derive(r_schema, s_schema, "T",
+                                              "c", "c"))
+    while tf.phase in (Phase.CREATED, Phase.PREPARED, Phase.POPULATING):
+        tf.step(7)
+    t = tf.targets["T"]
+    assert t.row_count == 41
+    per_chunk = sum(len(set(joins[i:i + 7]) - {None})
+                    for i in range(0, 40, 7))
+    assert {name: index.probe_stats["misses"]
+            for name, index in t.indexes.items()} == \
+        {"__primary__": 0, "__join__": per_chunk + 6}
 
 
 # -- metamorphic idempotence of the propagation rules ------------------------
