@@ -48,7 +48,6 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.common.errors import (
-    DuplicateKeyError,
     TransformationAbortedError,
     TransformationError,
     TransformationStarvedError,
@@ -65,7 +64,7 @@ from repro.obs.spans import Span
 from repro.shard import SITE_SHARD_PLAN, ShardPlanner
 from repro.storage.row import Row
 from repro.storage.schema import TableSchema
-from repro.storage.table import PRIMARY_INDEX, Image, Table
+from repro.storage.table import Image, Table
 from repro.transform.analysis import Decision, RemainingRecordsPolicy
 from repro.transform.options import (
     PER_ROW_MODES,
@@ -339,17 +338,21 @@ class RuleEngine:
 
         The one way scanned rows enter a target: population (every mode,
         and restart rebuild) hands over each chunk, the miss hook one
-        image.  Must be idempotent and built from the same state-driven
-        / LSN-guarded primitives as the propagation rules, so later log
-        replay converges whatever order the rows arrived in.  A chunk
-        that raises must leave nothing that makes its retry stop short:
-        the split's chunk is all or nothing (no R or S row of it stays);
-        the FOJ's batch insert is, and its retry finds the morphs and
-        fills before it done; an engine that migrates row by row keeps
-        the images before the one that raised, as its retry finds them.
-        The m2m join falls short of this: a raise between two of its
-        placeholder fills leaves a record carried but half paired, which
-        its retry skips (its insert rule does the same in propagation).
+        image.  One contract for every engine, built from the same
+        state-driven / LSN-guarded primitives as the propagation rules:
+
+        * idempotent -- migrating a chunk again changes nothing;
+        * convergent -- any cut of the source rows into chunks, in any
+          order, leaves the same target, so later log replay converges
+          whatever order the rows arrived in;
+        * all or nothing -- a chunk that raises stores nothing, so its
+          retry is a first migration.
+
+        An image the operator cannot place (Example 1's dirty data, a
+        key two sources share) raises
+        :class:`~repro.common.errors.InconsistentDataError`, all or
+        nothing as well.  ``tests/migrate_contract.py`` checks the laws
+        on every engine.
         """
         raise NotImplementedError
 
@@ -360,16 +363,26 @@ class RuleEngine:
         self.migrate_rows(table_name, ((values, lsn),))
 
     @staticmethod
-    def _insert_new(table: Table, values: Dict[str, object],
-                    lsn: int) -> Optional[Row]:
-        """Insert a target row; ``None`` when its primary key is taken
-        (migrated, or replayed).  Other unique-key conflicts raise."""
+    def _insert_chunk(batches: Sequence[Tuple[Table, List[Tuple], List[int],
+                                              Optional[List]]]) -> None:
+        """One :meth:`Table.insert_rows` per ``(table, value tuples, lsns,
+        metas)`` batch, all or nothing: a raise deletes the rows the
+        batches before it stored."""
+        stored: List[Tuple[Table, List[Optional[int]]]] = []
         try:
-            return table.insert_row(values, lsn)
-        except DuplicateKeyError as exc:
-            if exc.index != PRIMARY_INDEX:
-                raise
-            return None
+            for table, rows, lsns, metas in batches:
+                if rows:
+                    stored.append((table, table.insert_rows(rows, lsns, metas)))
+        except BaseException:
+            for table, rowids in stored:
+                for rowid in filter(None, rowids):
+                    table.delete_rowid(rowid)
+            raise
+
+    def check_invariants(self) -> List[str]:
+        """Violations of what the engine assumes of its targets while its
+        rules and :meth:`migrate_rows` alone write them; default: none."""
+        return []
 
     def migration_partners(self, table_name: str,
                            values: Dict[str, object]
@@ -1295,7 +1308,9 @@ class Transformation:
         * a finished transformation keeps no propagated lock.  A published
           view goes on noting the changes of the live writers it
           maintains, so for it this holds only once ``settled``: every
-          writer has ended and the view has propagated its end.
+          writer has ended and the view has propagated its end;
+        * while population and propagation alone write the targets, the
+          engine's own (:meth:`RuleEngine.check_invariants`).
         """
         violations: List[str] = []
         end = self.db.log.end_lsn
@@ -1306,6 +1321,8 @@ class Transformation:
                 len(self.locks_held):
             violations.append(
                 f"{len(self.locks_held)} propagated locks kept at DONE")
+        if self.phase in (Phase.POPULATING, Phase.PROPAGATING):
+            violations.extend(self.engine.check_invariants())
         return violations
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ serves eager and lazy (migrate-on-read) population alike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.relational.spec import ExplodeSpec
@@ -70,15 +70,6 @@ class ExplodeRuleEngine(RuleEngine):
     def _children(self, parent_key: Tuple) -> List[Row]:
         return self.target.lookup(PARENT_INDEX, tuple(parent_key))
 
-    def _child(self, values: Dict[str, object],
-               element: Optional[str]) -> Optional[Row]:
-        """The child of ``values``' source row holding ``element``, found
-        among its siblings: the NULL-element child's key ``(source key,
-        NULL)`` is outside the partial unique primary index, so
-        ``target.get`` never finds it."""
-        return next((c for c in self._children(self.spec.parent_key(values))
-                     if c.values.get(self.spec.value_attr) == element), None)
-
     # -- sharding -------------------------------------------------------------
 
     def shard_route(self, change: LogRecord):
@@ -96,8 +87,10 @@ class ExplodeRuleEngine(RuleEngine):
         stale extra child this insert resurrects is deleted again when
         the newer update/delete record reaches it in LSN order.
         """
+        children = {child.values[self.spec.value_attr]: child
+                    for child in self._children(change.key)}
         for element in self.spec.elements(change.values):
-            child = self._child(change.values, element)
+            child = children.get(element)
             if child is None:
                 child = self.target.insert_row(
                     self.spec.child_values(change.values, element), lsn=lsn)
@@ -168,18 +161,28 @@ class ExplodeRuleEngine(RuleEngine):
     # -- population -----------------------------------------------------------
 
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
-        """Insert each source row's children if absent.
+        """Insert each source row's absent children, the chunk's in one
+        :meth:`Table.insert_rows` (all or nothing).
 
-        Idempotent, and children are stamped with the source row's LSN
-        so the propagation rules guard later replay exactly as over an
-        eager image.
+        A source key's children are found through one parent-index
+        lookup -- the NULL-element child is outside the partial primary
+        index.  Idempotent, and children are stamped with the source
+        row's LSN so the propagation rules guard later replay exactly
+        as over an eager image.
         """
         spec, target = self.spec, self.target
+        names = target.schema.attribute_names
+        children, lsns = [], []
         for values, lsn in images:
+            have = {child.values[spec.value_attr]
+                    for child in self._children(spec.parent_key(values))}
             for element in spec.elements(values):
-                if self._child(values, element) is None:
-                    target.insert_row(spec.child_values(values, element),
-                                      lsn=lsn)
+                if element not in have:
+                    child = spec.child_values(values, element)
+                    children.append(tuple(map(child.get, names)))
+                    lsns.append(lsn)
+        if children:
+            target.insert_rows(children, lsns)
 
     # -- lock mapping (synchronization support) -------------------------------
 

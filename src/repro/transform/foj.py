@@ -149,6 +149,46 @@ class JoinRuleEngine(RuleEngine):
         return self.t.insert_row(
             values, meta=NULL_FLAGS[null_side] if null_side else None)
 
+    def _unfill(self, filled: List[int], flag: str) -> None:
+        """Take back a chunk's fills of ``flag``'s NULL records, last
+        first: the filled side's columns -- all but the join column --
+        go back to NULL, and the flag to the row."""
+        spec, t = self.spec, self.t
+        attrs = spec.r_attrs if flag == "r_null" else spec.s_attrs
+        blank = {a: None for a in attrs if a != spec.join_column}
+        for rowid in reversed(filled):
+            t.update_rowid(rowid, blank)
+            t.metas[rowid] = NULL_FLAGS[flag]
+
+    def check_invariants(self) -> List[str]:
+        """The join-value shape the chunk paths read off one row: the
+        rows at a (non-NULL) join value are one side's records each
+        joined with the mirror's NULL record, or the two sides' records'
+        cross product."""
+        t, join_column = self.t, self.spec.join_column
+        groups: Dict[object, List[int]] = {}
+        for rowid, values in t.rows.items():
+            if values[join_column] is not None:
+                groups.setdefault(values[join_column], []).append(rowid)
+        violations: List[str] = []
+        for join_value, rowids in groups.items():
+            kinds = {"r_null" if meta_flag(meta, "r_null") else
+                     "s_null" if meta_flag(meta, "s_null") else "joined"
+                     for meta in map(t.metas.get, rowids)}
+            if len(kinds) > 1:
+                shape = f"mixes {sorted(kinds)} rows"
+            elif kinds == {"joined"}:
+                r, s = (len({tuple(t.rows[rowid][a] for a in side.t_key)
+                             for rowid in rowids})
+                        for side in (self.r_side, self.s_side))
+                if r * s == len(rowids):
+                    continue
+                shape = f"joins {r} R x {s} S records in {len(rowids)} rows"
+            else:
+                continue
+            violations.append(f"{t.name} join value {join_value!r} {shape}")
+        return violations
+
     def sources_of_target_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:
         """The source records of the T row a lock key names (Section
@@ -275,12 +315,15 @@ class FojRuleEngine(JoinRuleEngine):
         row (Rule 5 for R) or re-attaches the S record (Rule 6 for S);
         any other one is Rule 7, inlined here: the R row found by T's
         primary key, or every carrier of the S record found through the
-        S-key index and the metadata map, updated in place by rowid."""
+        S-key index and the metadata map, updated in place by rowid --
+        all but the join attribute: a value it does not move is written
+        again only over a row T has moved on since (Theorem 1), which
+        would detach the row from its join partners."""
         side, t = self._side(table_name), self.t
         if side is None:
             return [[] for _ in items]
-        join_attr, attrs, index = side.join_attr, side.attrs, t.index(
-            side.index)
+        join_attr, index = side.join_attr, t.index(side.index)
+        attrs = side.attrs - {join_attr}
         if side is self.r_side:
             move, skip_null = self._rule5_update_r_join, None
         else:  # the carriers at S's key include its snull rows
@@ -360,15 +403,18 @@ class FojRuleEngine(JoinRuleEngine):
             self._insert_t_null(join_value, s_part, touched)
 
     def _fill_s_part(self, s_part: Dict[str, object], join_value: object,
-                     touched: Touched) -> bool:
-        """Shared head of Rules 2 and 6: put an S part into every snull
-        carrier of the join value; whether any row carries it (none
-        carries NULL)."""
+                     touched: Touched,
+                     filled: Optional[List[int]] = None) -> bool:
+        """Shared head of Rules 2 and 6 (and an S chunk's, noting its
+        fills in ``filled``): put an S part into every snull carrier of
+        the join value; whether any row carries it (none carries NULL)."""
         t, metas = self.t, self.t.metas
         rowids = self._join_index.lookup((join_value,))
         for rowid in rowids:
             if rowid in metas and metas[rowid].get("s_null", False):
                 t.update_rowid(rowid, s_part)
+                if filled is not None:
+                    filled.append(rowid)
                 del metas[rowid]
                 if touched is not None:
                     self._touch_rowid(touched, rowid)
@@ -492,21 +538,29 @@ class FojRuleEngine(JoinRuleEngine):
         order chunks come in (Theorem 1): an R chunk through
         :meth:`_migrate_r`; an S chunk fills snull carriers in place,
         then inserts ``t^null_x`` rows with one ``insert_rows`` (a
-        NULL-join S row, refused live, gets one too).
+        NULL-join S row, refused live, gets one too, unless the S-key
+        index finds it there).  A raise takes the morphs and fills back.
         """
         side = self._side(table_name)
         sources = [values for values, _lsn in images]
-        if side is self.r_side:
-            self._migrate_r(sources)
-        elif side is self.s_side:
-            self._migrate_s(sources)
+        filled: List[int] = []
+        try:
+            if side is self.r_side:
+                self._migrate_r(sources, filled)
+            elif side is self.s_side:
+                self._migrate_s(sources, filled)
+        except BaseException:
+            self._unfill(filled, side.null)
+            raise
 
-    def _migrate_r(self, sources: List[Dict[str, object]]) -> None:
+    def _migrate_r(self, sources: List[Dict[str, object]],
+                   filled: List[int]) -> None:
         """Rule 1 for a chunk of R images.  One row per distinct join
         value decides -- the rules keep a value's rows all snull, all
-        joined with its one S record, or a lone ``t^null_x``.  The first
-        image at a ``t^null_x`` that T lacks morphs it; the rest go in
-        joined with the value's S part (else snull) through one
+        joined with its one S record, or a lone ``t^null_x``
+        (:meth:`JoinRuleEngine.check_invariants` asserts it).  The
+        first image at a ``t^null_x`` that T lacks morphs it; the rest go
+        in joined with the value's S part (else snull) through one
         :meth:`Table.insert_rows`, which skips an R key T holds."""
         spec, t = self.spec, self.t
         rows, metas, probe = t.rows, t.metas, self._join_index.lookup_any
@@ -530,6 +584,7 @@ class FojRuleEngine(JoinRuleEngine):
                 if rowid is not None and t.rowid_of(
                         tuple(values[a] for a in spec.r_key)) is None:
                     t.update_rowid(rowid, spec.r_part(values))
+                    filled.append(rowid)
                     del metas[rowid], t_nulls[join_value]
                     morphed.add(i)
             sources = [values for i, values in enumerate(sources)
@@ -548,16 +603,20 @@ class FojRuleEngine(JoinRuleEngine):
              if rowid is not None and join_value not in s_parts],
             NULL_FLAGS["s_null"]))
 
-    def _migrate_s(self, sources: List[Dict[str, object]]) -> None:
-        spec, t = self.spec, self.t
+    def _migrate_s(self, sources: List[Dict[str, object]],
+                   filled: List[int]) -> None:
+        spec, t, key = self.spec, self.t, self.s_side.key
         t_nulls: List[Dict[str, object]] = []
         placed = set()
         for values in sources:
             join_value = values.get(spec.join_attr_s)
             s_part = spec.s_part(values)
-            if join_value is not None and (
-                    join_value in placed or
-                    self._fill_s_part(s_part, join_value, None)):
+            if join_value is None:
+                if self._skey_index.contains(
+                        tuple(values.get(a) for a in key)):
+                    continue
+            elif join_value in placed or \
+                    self._fill_s_part(s_part, join_value, None, filled):
                 continue
             placed.add(join_value)
             t_nulls.append(self._t_null(join_value, s_part))

@@ -38,7 +38,8 @@ from repro.storage.table import Table
 from repro.transform.base import Image, Touched, Transformation
 from repro.transform.foj import (JOIN_INDEX, RKEY_INDEX, SKEY_INDEX,
                                  NULL_FLAGS, JoinRuleEngine, JoinSide,
-                                 moves_join, null_flag, side_changes)
+                                 meta_flag, moves_join, null_flag,
+                                 side_changes)
 from repro.wal.records import (NULL_LSN, DeleteRecord, InsertRecord,
                                UpdateRecord)
 
@@ -73,85 +74,104 @@ class Many2ManyFojRuleEngine(JoinRuleEngine):
                 touched: Touched) -> None:
         """"A t^{yv}_z record has to be inserted for every matching record
         s^v_x" -- unless a row carries the record already (Theorem 1)."""
-        values = change.values
-        if self.t.lookup(side.index, tuple(values.get(a) for a in side.key)):
-            return
-        self._attach(side, side.part(values), values.get(side.join_attr),
-                     touched)
+        self._place(side, change.table, change.values, tuple(change.key),
+                    touched)
+
+    def _place(self, side: JoinSide, table_name: str,
+               values: Dict[str, object], key: Tuple,
+               touched: Touched) -> None:
+        """The insert rule on one record: :meth:`migrate_rows` of its
+        image; the rows carrying it are what the rule touched."""
+        self.migrate_rows(table_name, ((values, NULL_LSN),))
+        if touched is not None:
+            t = self.t
+            touched.extend((t, t.lock_key(row.values))
+                           for row in t.lookup(side.index, key))
 
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
         """The insert rule for a chunk, one join value at a time (the
-        LSNs are ignored).  A record T carries already is skipped.  The
-        rows at a value are its records' cross product, or one side's
-        records each joined with the mirror's NULL record, so one row
-        decides: the new records join the NULL record, or the first
-        fills the mirror's placeholders and the rest pair with them, or
-        each pairs with the mirror records one carried record pairs
-        with.  The new rows go in with one ``insert_rows`` per kind."""
+        LSNs are ignored), as one all-or-nothing store.  A record T
+        carries already is skipped.  At each value (:meth:`_at_join`)
+        the first new record fills the mirror's placeholders, each pairs
+        once with every mirror record joined there (the rest also with
+        the filled ones), or, with no mirror record there, each joins
+        the mirror's NULL record."""
         side = self._side(table_name)
         if side is None:
             return
         other, t = self._mirror(side), self.t
-        rows, metas = t.rows, t.metas
-        join_index, side_index = t.index(JOIN_INDEX), t.index(side.index)
+        rows, side_index = t.rows, t.index(side.index)
         by_join: Dict[object, List[Dict[str, object]]] = {}
         for values, _lsn in images:
             if not side_index.contains(tuple(values.get(a) for a in side.key)):
                 by_join.setdefault(values.get(side.join_attr), []).append(
                     side.part(values))
+        fills: List[Tuple[int, Dict[str, object]]] = []
         joined: List[Dict[str, object]] = []
         lone: List[Dict[str, object]] = []
         for join_value, parts in by_join.items():
-            rowid = join_index.lookup_any((join_value,))
-            meta = None if rowid is None else metas.get(rowid, {})
-            if meta is None or meta.get(other.null, False):
+            placeholders, mirrors = self._at_join(side, join_value)
+            if not placeholders and not mirrors:
                 lone += [self._joined(part, other.null_part(), join_value)
                          for part in parts]
                 continue
-            fill = meta.get(side.null, False)  # the mirror's placeholders
-            mirror_rows = join_index.lookup((join_value,)) if fill else \
-                side_index.lookup(tuple(rows[rowid][a] for a in side.t_key))
-            mirrors = [other.part_of_t(rows[r]) for r in mirror_rows]
-            if fill:
-                for placeholder in mirror_rows:
-                    t.update_rowid(placeholder, parts[0])
-                    del metas[placeholder]
+            matched = [other.part_of_t(rows[rowid]) for rowid in mirrors]
+            if placeholders:
+                fills += [(rowid, parts[0]) for rowid in placeholders]
+                joined += [self._joined(parts[0], mirror, join_value)
+                           for mirror in matched]
+                matched += [other.part_of_t(rows[rowid])
+                            for rowid in placeholders]
                 parts = parts[1:]
             joined += [self._joined(part, mirror, join_value)
-                       for part in parts for mirror in mirrors]
+                       for part in parts for mirror in matched]
         names = t.schema.attribute_names
-        for new, flag in ((joined, None), (lone, NULL_FLAGS[other.null])):
-            if new:
-                t.insert_rows(list(value_tuples(new, names)),
-                              [NULL_LSN] * len(new),
-                              None if flag is None else [flag] * len(new))
+        filled: List[int] = []
+        try:
+            for rowid, part in fills:
+                t.update_rowid(rowid, part)
+                filled.append(rowid)
+                del t.metas[rowid]
+            self._insert_chunk([
+                (t, list(value_tuples(joined, names)),
+                 [NULL_LSN] * len(joined), None),
+                (t, list(value_tuples(lone, names)), [NULL_LSN] * len(lone),
+                 [NULL_FLAGS[other.null]] * len(lone))])
+        except BaseException:
+            self._unfill(filled, side.null)
+            raise
 
-    def _attach(self, side: JoinSide, part: Dict[str, object],
-                join_value: object, touched: Touched) -> None:
-        """Place a record's part at a join value: fill the placeholder of
-        each unmatched mirror record, pair it with each matched one (once
-        per mirror key), or else join it with the mirror's NULL record."""
+    def _at_join(self, side: JoinSide,
+                 join_value: object) -> Tuple[List[int], List[int]]:
+        """The mirror's placeholders at a join value, and one row of each
+        mirror record joined there.  One row decides the shape
+        ``check_invariants`` asserts -- none or a mirror-NULL row: none
+        of either; a joined row: its record's mirror records, if the
+        value's row count makes them a cross product.  A value holding
+        placeholders, or rows of several shapes, is walked."""
         other, t = self._mirror(side), self.t
-        seen = set()
-        matched = False
-        for row in self._rows_with_join(join_value):
-            if null_flag(row, side.null):
-                t.update_rowid(row.rowid, part)
-                row.meta = None
-                self._touch_row(touched, t, row)
-            elif null_flag(row, other.null):
-                continue  # another record of this side, unmatched
-            else:
-                other_key = tuple(row.values.get(a) for a in other.t_key)
-                if other_key not in seen:
-                    seen.add(other_key)
-                    self._touch_row(touched, t, self._insert_t(self._joined(
-                        part, other.part_of_t(row.values), join_value)))
-            matched = True
-        if not matched:
-            self._touch_row(touched, t, self._insert_t(
-                self._joined(part, other.null_part(), join_value),
-                other.null))
+        rows, metas, join_index = t.rows, t.metas, t.index(JOIN_INDEX)
+        rowid = join_index.lookup_any((join_value,))
+        if rowid is None or meta_flag(metas.get(rowid), other.null):
+            return [], []
+        if not meta_flag(metas.get(rowid), side.null):
+            values = rows[rowid]
+            mirrors = t.index(side.index).lookup(
+                tuple(values[a] for a in side.t_key))
+            if len(mirrors) * t.index(other.index).count(
+                    tuple(values[a] for a in other.t_key)) == \
+                    join_index.count((join_value,)):
+                return [], mirrors
+        placeholders: List[int] = []
+        mirrors_by_key: Dict[Tuple, int] = {}
+        for rowid in join_index.lookup((join_value,)):
+            meta = metas.get(rowid)
+            if meta_flag(meta, side.null):
+                placeholders.append(rowid)
+            elif not meta_flag(meta, other.null):
+                mirrors_by_key.setdefault(
+                    tuple(rows[rowid][a] for a in other.t_key), rowid)
+        return placeholders, list(mirrors_by_key.values())
 
     def _delete(self, side: JoinSide, change: DeleteRecord, _lsn: int,
                 touched: Touched) -> None:
@@ -182,18 +202,21 @@ class Many2ManyFojRuleEngine(JoinRuleEngine):
         """Per the sketch, an update of the join attribute deletes every
         row the record contributed to (keeping its mirror records) and
         attaches it at the new value -- unless the rows show a newer join
-        value (Theorem 1).  Any other update changes those rows in place."""
+        value (Theorem 1).  Any other update changes those rows in place,
+        all but the join attribute (a value it does not move is written
+        again only over rows that have moved on since)."""
         t, key = self.t, tuple(change.key)
         rows = t.lookup(side.index, key)
-        changes = side_changes(change.changes, side.attrs)
+        changes = side_changes(change.changes, side.attrs - {side.join_attr})
         if moves_join(change, side.join_attr):
             if rows and rows[0].values.get(self.spec.join_column) == \
                     change.old_values.get(side.join_attr):
                 part = side.part_of_t(rows[0].values)
                 part.update(changes)
                 self._detach(side, key, touched)
-                self._attach(side, part, change.changes[side.join_attr],
-                             touched)
+                self._place(side, change.table, {
+                    **part, side.join_attr: change.changes[side.join_attr]},
+                    key, touched)
             return
         for row in rows:
             if changes:
@@ -217,8 +240,9 @@ class Many2ManyFojTransformation(Transformation):
 
     Identical four-step flow to :class:`FojTransformation`; only the target
     key (R-key + S-key), the extra R-key index and the propagation rules
-    differ, per the Section 4.2 sketch.  Eager-only: its engine migrates
-    one record, but no test runs it in any row order beside user access.
+    differ, per the Section 4.2 sketch.  Eager-only: its engine's chunks
+    keep the migration law in any order (``tests/migrate_contract.py``),
+    but no model run migrates them beside user access.
     """
 
     kind = "foj_m2m"

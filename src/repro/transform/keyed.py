@@ -19,9 +19,10 @@ a copy otherwise).  The rules are written once, here:
 * update: if present and older, apply the mapped changes, re-route the
   after-image and move the row if its target changed;
 * population (:meth:`KeyedRuleEngine.migrate_rows`): insert each image
-  where routed unless its key is present.  The sources are scanned one
-  after the other, so a present key while scanning a later source is a
-  collision too -- which is why the merge stays eager-only.
+  where routed unless its key is present, a chunk in one all-or-nothing
+  store.  The sources are scanned one after the other, so a present key
+  while scanning a later source is a collision too -- which is why the
+  merge stays eager-only.
 
 A value the column map cannot convert (a retype cast) is the analogue
 of Example 1's dirty data and raises the same error, with the row key.
@@ -117,17 +118,28 @@ class KeyedRuleEngine(RuleEngine):
         self._touch(touched, routed, key)
 
     def migrate_rows(self, table_name: str, images: Sequence[Image]) -> None:
-        """Insert each image where routed unless its key is present."""
+        """Insert each image where routed unless its key is present,
+        with one :meth:`Table.insert_rows` per target (whose primary
+        index skips a key there) and none stored if a later one raises.
+        A key present while migrating a later source is a collision."""
         later = table_name != self.source_tables[0]
         key_of = self.db.catalog.get_any(table_name).schema.key_of
+        batches = {table: ([], []) for table in self.targets.values()}
         for values, lsn in images:
             key = key_of(values)
             image = self._mapped(self.spec.map_row, values, key)
-            table = self.targets[self.spec.route(image)]
-            if (any(other.get(key) is not None
-                    for other in self.targets.values() if other is not table)
-                    or self._insert_new(table, image, lsn) is None) and later:
+            routed = self.spec.route(image)
+            if later and self._find(key)[1] is not None:
                 raise InconsistentDataError((key,))
+            if all(other.rowid_of(key) is None
+                   for name, other in self.targets.items() if name != routed):
+                rows, lsns = batches[self.targets[routed]]
+                rows.append(image)
+                lsns.append(lsn)
+        self._insert_chunk([
+            (table, [tuple(map(row.get, table.schema.attribute_names))
+                     for row in rows], lsns, None)
+            for table, (rows, lsns) in batches.items()])
 
     def targets_of_source_lock(self, table_name: str,
                                key: Tuple) -> List[Tuple[Table, Tuple]]:

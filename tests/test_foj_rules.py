@@ -814,9 +814,9 @@ FAULT_S = [{"c": 10, "d": "d10"}, {"c": 20, "d": "d20"},
                          ("R", FAULT_R[4:])], 1),
 ], ids=["r-insert", "r-update", "s-insert", "s-update"])
 def test_a_chunk_that_raises_converges_on_retry(site, hit, chunks, failing):
-    """A fault inside the failing chunk: its batch insert stores nothing
-    of itself, the morphs and fills before it stay, and the retried
-    chunk, then the rest, publishes the reference rows and flags."""
+    """A fault inside the failing chunk stores nothing of it (its morphs
+    and fills are taken back), and the retried chunk, then the rest,
+    publishes the reference rows and flags."""
     engine, t = make_engine()
     for position, (table, rows) in enumerate(chunks):
         if position == failing:

@@ -15,6 +15,7 @@ from repro.transform.foj_m2m import (
     Many2ManyFojTransformation,
 )
 from repro.wal.records import DeleteRecord, InsertRecord, UpdateRecord
+from tests.migrate_contract import MigrationCase, check_migrate_law
 
 R = TableSchema("R", ["a", "b", "c"], primary_key=["a"])
 S = TableSchema("S", ["k", "c", "d"], primary_key=["k"])
@@ -257,10 +258,11 @@ def flagged_rows(t):
 @pytest.mark.parametrize("seed", range(20))
 def test_chunks_in_mixed_orders_equal_the_insert_rule(seed):
     """Seeded R and S records -- several per join value on both sides,
-    NULL join values too -- migrated as chunks in a random order (R,
-    then S, then R again, some R records in both): T is the reference
-    join, with the rnull / snull flags on exactly the unmatched rows,
-    and what applying the insert rule record by record leaves."""
+    NULL join values too -- migrated as chunks of four in a random order
+    (R, then S, then R again, some R records in both) keep the migration
+    law (``tests/migrate_contract.py``: the reference join with its
+    rnull / snull flags, twice = once, raise then retry = once), and
+    leave what applying the insert rule record by record leaves."""
     rng = random.Random(seed)
     joins = [None] + list(range(5))
     r_rows = [{"a": a, "b": f"b{a}", "c": rng.choice(joins)}
@@ -268,23 +270,26 @@ def test_chunks_in_mixed_orders_equal_the_insert_rule(seed):
     s_rows = [{"k": k, "c": rng.choice(joins), "d": f"d{k}"}
               for k in range(1, 13)]
     cut = rng.randrange(len(r_rows))
-    chunks = [("R", rng.sample(r_rows[:cut + 3], min(cut + 3, 20))),
-              ("S", s_rows), ("R", r_rows[cut:])]
+    head = min(cut + 3, len(r_rows))
+    orders = [("R", rng.sample(range(head), head)),
+              ("S", range(len(s_rows))), ("R", range(cut, len(r_rows)))]
     if rng.random() < 0.5:
-        chunks = chunks[1:] + chunks[:1]
-    engine, t = make_engine()
+        orders = orders[1:] + orders[:1]
+    chunks = [(table, list(order)[start:start + 4])
+              for table, order in orders
+              for start in range(0, len(order), 4)]
+    case = MigrationCase("foj_m2m", [R, S], {
+        "r_name": "R", "s_name": "S", "target_name": "T",
+        "join_attr_r": "c", "join_attr_s": "c"},
+        {"R": r_rows, "S": s_rows}, chunks)
+    check_migrate_law(case)
+    tf = case.transformation()
+    case.migrate(tf, chunks)
     one_engine, one_t = make_engine()
-    for table, rows in chunks:
-        for start in range(0, len(rows), 4):
-            engine.migrate_rows(table, [(dict(values), 0)
-                                        for values in rows[start:start + 4]])
-        for values in rows:
+    for table, positions in chunks:
+        for i in positions:
+            values = case.rows[table][i]
             key = (values["a"],) if table == "R" else (values["k"],)
             one_engine.apply(InsertRecord(txn_id=1, table=table, key=key,
                                           values=dict(values)))
-    assert rows_equal([dict(r.values) for r in t.scan()],
-                      full_outer_join(engine.spec, r_rows, s_rows))
-    assert all(null_flag(r, "r_null") == (r.values["a"] is None) and
-               null_flag(r, "s_null") == (r.values["k"] is None)
-               for r in t.scan())
-    assert flagged_rows(t) == flagged_rows(one_t)
+    assert flagged_rows(tf.targets["T"]) == flagged_rows(one_t)
